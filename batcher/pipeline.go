@@ -31,28 +31,28 @@ type PipelineConfig struct {
 	// Pool supplies labeled pairs for demonstration annotation; nil uses
 	// the candidates themselves (unsupervised mode).
 	Pool []Pair
-	// StreamWindow > 0 streams candidates from the blocker to the
-	// matcher in windows of this many pairs: blocking and matching
-	// overlap in time and peak candidate memory is bounded by the window
-	// instead of |A|x|B|. Zero keeps the collect-then-match semantics
-	// (and their exact outputs). Windowed runs batch and select
-	// demonstrations per window, so predictions can differ from an
-	// unwindowed run.
+	// StreamWindow is the window size in candidate pairs: each window is
+	// batched, annotated and matched on its own while blocking fills the
+	// next, so blocking and matching overlap in time and peak candidate
+	// memory is bounded by the windows in flight instead of |A|x|B|.
+	// Zero or less means a single window holding every candidate — the
+	// paper's collect-then-match semantics. Batching and demonstration
+	// selection see one window at a time, so predictions differ between
+	// StreamWindow values.
 	StreamWindow int
-	// InFlightWindows > 1 pipelines a streaming run (StreamWindow > 0):
-	// up to this many windows proceed concurrently, each window's
-	// CPU-bound preparation overlapping other windows' LLM calls, while
-	// an ordered committer keeps every output — predictions, hooks,
-	// ledger, journal bytes — identical to the sequential run. Peak
-	// candidate memory grows to about (InFlightWindows+1) x
-	// StreamWindow. Zero or one keeps the one-window-at-a-time
-	// executor; collected runs (StreamWindow == 0) ignore it.
+	// InFlightWindows is how many windows may execute at once; values
+	// below 1 mean 1. Each in-flight window's CPU-bound preparation
+	// overlaps the other windows' LLM calls, while an ordered committer
+	// keeps every output — predictions, hooks, ledger, journal bytes —
+	// identical for every value. Peak candidate memory is up to
+	// (InFlightWindows+1) x StreamWindow; with a single window the value
+	// has no effect.
 	InFlightWindows int
 	// Progress, if non-nil, receives stage snapshots as the run
 	// advances (never concurrently).
 	Progress func(PipelineProgress)
 	// OnPair, if non-nil, is called once per candidate with its final
-	// prediction, in candidate order, as predictions become available.
+	// prediction, in candidate order, as each window commits.
 	// Use it to sink results incrementally without buffering every pair.
 	OnPair func(Pair, Label)
 	// Prefilter, if non-nil, routes candidates before any LLM spend:
@@ -94,7 +94,7 @@ type PipelineProgress = pipeline.Progress
 // Cancelling ctx aborts blocking between candidate yields and the
 // matching stage between LLM calls. On mid-matching failure the partial
 // report (billed spend, answered predictions) is returned alongside the
-// error; failures before any matching spend return a nil report.
+// error; failures before any window was folded return a nil report.
 func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA, tableB []Record) (*PipelineReport, error) {
 	var blocker blocking.Blocker
 	minShared := cfg.MinSharedTokens

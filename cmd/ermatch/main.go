@@ -6,24 +6,26 @@
 // labels). Pass -api-base/-api-key to use a live OpenAI-compatible
 // endpoint instead.
 //
-// With -stream-window N, candidates stream from the blocker to the
-// matcher in windows of N pairs: blocking and matching overlap (the
-// progress line shows both stages advancing), result rows are written as
-// each window completes, and peak candidate memory is bounded by the
-// window instead of the candidate count. The default (0) blocks fully
-// before matching, as earlier versions did.
+// Every run goes through one window executor with two parameters.
+// -stream-window N cuts the candidate stream into windows of N pairs:
+// blocking and matching overlap (the progress line shows both stages
+// advancing), result rows are written as each window commits, and peak
+// candidate memory is bounded by the windows in flight instead of the
+// candidate count. The default (0) is a single window holding every
+// candidate: blocking finishes before matching starts, as the paper
+// evaluates it. Predictions depend on the window size.
 //
-// Adding -in-flight K (with K > 1) pipelines the streaming run: up to K
-// windows proceed concurrently — one window's CPU-side preparation
-// overlapping other windows' LLM calls — while results still commit in
-// window order, so the output rows, cost ledger, and journal are
-// exactly the sequential run's. The progress line gains an "in flight"
-// stage counter. Memory grows to about (K+1) windows of candidates.
+// -in-flight K (default: one) lets up to K windows execute concurrently —
+// one window's CPU-side preparation overlapping other windows' LLM
+// calls — while results still commit in window order, so the output
+// rows, cost ledger, and journal are exactly those of K = 1. The
+// progress line gains an "in flight" stage counter. Memory grows to
+// about (K+1) windows of candidates.
 //
 // An interrupted run (Ctrl-C, API failure) exits 1 but keeps what was
 // paid for: rows answered before the stop are written (unanswered
-// candidates as "0" in the default mode, completed windows in streaming
-// mode) and the partial cost ledger is printed.
+// candidates of the window it stopped in as "0", windows not yet started
+// not at all) and the partial cost ledger is printed.
 //
 // With -run-id the run is durable: every answered batch is journaled
 // under -run-dir as it completes, and re-running with the same -run-id
@@ -112,9 +114,9 @@ func main() {
 	out := flag.String("out", "", "output CSV (default stdout)")
 	seed := flag.Int64("seed", 1, "seed for the framework and simulator")
 	streamWindow := flag.Int("stream-window", 0,
-		"stream candidates to the matcher in windows of this many pairs (0 = block fully first)")
+		"window size: match the candidate stream in windows of this many pairs (0 = one window holding every candidate)")
 	inFlight := flag.Int("in-flight", 0,
-		"pipeline up to this many stream windows concurrently (needs -stream-window; <= 1 = sequential)")
+		"execute up to this many windows concurrently (<= 1 = one at a time; no effect with a single window)")
 	maxCandidates := flag.Int("max-candidates", 0,
 		"abort once blocking exceeds this many pairs (budget guard; 0 = no cap)")
 	runID := flag.String("run-id", "",

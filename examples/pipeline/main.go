@@ -77,8 +77,8 @@ func main() {
 		// Pipeline up to 4 windows concurrently: while one window's
 		// prompts are at the LLM, the next windows are already being
 		// blocked, feature-extracted, and batched. Results still commit
-		// in window order, so the output is identical to the sequential
-		// streaming run — only the wall clock changes.
+		// in window order, so the output is identical to the
+		// InFlightWindows: 1 run — only the wall clock changes.
 		InFlightWindows: 4,
 		Progress: func(p batcher.PipelineProgress) {
 			fmt.Printf("\rblocked %d candidates | matched %d in %d windows (%d in flight)",

@@ -127,7 +127,7 @@ func (f *Framework) Resolve(ctx context.Context, questions, pool []entity.Pair) 
 //
 // ResolveStream is Prepare followed immediately by Start. Callers that
 // want to overlap the CPU-bound front half of one resolution with the
-// LLM calls of another (the pipelined window executor) use the two
+// LLM calls of another (the pipeline's window executor) use the two
 // halves directly.
 func (f *Framework) ResolveStream(ctx context.Context, questions, pool []entity.Pair) (*Stream, error) {
 	p, err := f.Prepare(ctx, questions, pool)

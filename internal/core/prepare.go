@@ -9,7 +9,7 @@ import (
 )
 
 // Prepared is the CPU-bound front half of a resolution, split out of
-// ResolveStream so a pipelined executor can run it concurrently with
+// ResolveStream so the pipeline's executor can run it concurrently with
 // other windows' LLM calls: feature extraction, question batching, and
 // demonstration selection are done; no LLM call has been made and
 // nothing has been billed yet. Start launches the execution half.

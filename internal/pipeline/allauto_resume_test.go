@@ -17,7 +17,7 @@ import (
 // size zero (no batches) plus the terminal record, and a second process
 // resuming over it must reproduce the run — same predictions, same
 // auto-resolved count, zero LLM calls, no duplicate or out-of-order
-// journal appends — in all three executors.
+// journal appends — for every shape of the executor.
 func TestResumeAllAutoResolvedRun(t *testing.T) {
 	d, err := datagen.GenerateByName("Beer", 1)
 	if err != nil {

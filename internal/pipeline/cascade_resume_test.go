@@ -103,7 +103,10 @@ func beerPrefilter(t *testing.T, d *entity.Dataset) *cascade.Prefilter {
 // newCascadeBackend builds the simulated two-tier stack: an oracle-backed
 // expensive model behind a flaky cheap one.
 func newCascadeBackend(oracle llm.Oracle) llm.Client {
-	sim := llm.NewSimulated(oracle, 1)
+	return cascadeOver(llm.NewSimulated(oracle, 1))
+}
+
+func cascadeOver(sim llm.Client) llm.Client {
 	return llm.NewTiered(flakyCheap{inner: sim}, sim)
 }
 
@@ -140,7 +143,8 @@ func runCascadeResumeProperty(t *testing.T, rc resumeConfig, escalateMargin floa
 	}
 
 	// Uninterrupted baseline: no journal, no cache.
-	base := &countingClient{inner: newCascadeBackend(oracle)}
+	sim := newMemoSim(oracle)
+	base := &countingClient{inner: cascadeOver(sim)}
 	units := &failAfterUnits{inner: base, left: 1 << 30, seen: map[string]bool{}}
 	baseRep, err := Run(context.Background(), newCfg(nil), units, ta, tb)
 	if err != nil {
@@ -166,10 +170,10 @@ func runCascadeResumeProperty(t *testing.T, rc resumeConfig, escalateMargin floa
 		if k%stride != 0 && k != totalUnits {
 			continue
 		}
-		k := k
 		t.Run(fmt.Sprintf("crash_after_%d", k), func(t *testing.T) {
+			t.Parallel() // boundaries share only read-only inputs and sim
 			dir := t.TempDir()
-			backend := &countingClient{inner: newCascadeBackend(oracle)}
+			backend := &countingClient{inner: cascadeOver(sim)}
 
 			// Attempt 1: crash after k completed batches.
 			j1, err := runstore.OpenJournal(context.Background(), filepath.Join(dir, "run"))
@@ -239,7 +243,7 @@ func TestCascadeResumeEveryBatchBoundaryWindowed(t *testing.T) {
 	runCascadeResumeProperty(t, resumeConfig{streamWindow: 16}, 0.15)
 }
 
-// Collected mode self-pools the entire ambiguous band, which annotates
+// A single window self-pools the entire ambiguous band, which annotates
 // densely enough that every batch's vote margin sits near zero; a zero
 // escalation threshold keeps the cheap tier in play (the flaky cheap
 // backend still forces Unknown-driven escalations).

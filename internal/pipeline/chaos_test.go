@@ -57,7 +57,7 @@ func chaosCfg(streamWindow, inFlight int, j *runstore.Journal) Config {
 
 // runChaosEquivalence is the first half of the chaos property: under a
 // deterministic fault storm that the retry middleware can absorb, every
-// executor must complete with predictions, matches, and ledger
+// executor shape must complete with predictions, matches, and ledger
 // byte-identical to the fault-free run — and the backend must see
 // exactly the fault-free call sequence, because injected faults never
 // reach it and absorbed faults never bill.

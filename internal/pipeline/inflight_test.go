@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,11 +15,10 @@ import (
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
 	"batcher/internal/llm"
-	"batcher/internal/runstore"
 )
 
-// runCapture is everything the pipelined executor's determinism contract
-// covers: the report, the exact OnPair invocation sequence, and the
+// runCapture is everything the executor's determinism contract covers:
+// the report, the exact OnPair invocation sequence, and the
 // deterministic fields of every Progress snapshot (Blocked and InFlight
 // are timing-dependent by design and excluded).
 type runCapture struct {
@@ -27,20 +27,30 @@ type runCapture struct {
 	progSeq []string
 }
 
-func captureRun(t *testing.T, cfg Config, client llm.Client, ta, tb []entity.Record) runCapture {
-	t.Helper()
+// capture runs cfg with both hooks recording. Dollars are recorded as
+// float bits, so a changed fold order shows even when the sum rounds to
+// the same cent. The formats feed testdata/executor_golden.json's
+// digests and must not change.
+func capture(cfg Config, client llm.Client, ta, tb []entity.Record) (runCapture, error) {
 	var c runCapture
 	cfg.OnPair = func(p entity.Pair, l entity.Label) {
 		c.pairSeq = append(c.pairSeq, fmt.Sprintf("%s=%d", p.Key(), l))
 	}
 	cfg.Progress = func(p Progress) {
-		c.progSeq = append(c.progSeq, fmt.Sprintf("m%d r%d w%d $%.12f", p.Matched, p.Replayed, p.Windows, p.APIUSD))
+		c.progSeq = append(c.progSeq, fmt.Sprintf("m%d r%d w%d d%d $%016x",
+			p.Matched, p.Replayed, p.Windows, p.Degraded, math.Float64bits(p.APIUSD)))
 	}
-	rep, err := Run(context.Background(), cfg, client, ta, tb)
+	var err error
+	c.rep, err = Run(context.Background(), cfg, client, ta, tb)
+	return c, err
+}
+
+func captureRun(t *testing.T, cfg Config, client llm.Client, ta, tb []entity.Record) runCapture {
+	t.Helper()
+	c, err := capture(cfg, client, ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.rep = rep
 	return c
 }
 
@@ -66,10 +76,10 @@ func journalBytes(t *testing.T, dir string) string {
 	return sb.String()
 }
 
-// TestRunPipelinedMatchesSequential is the tentpole property: for any
-// InFlightWindows K, the pipelined executor must produce byte-identical
-// outputs to the sequential windowed executor — predictions, matches,
-// ledger totals, OnPair sequence, deterministic Progress fields, and the
+// TestRunPipelinedMatchesSequential is the ordered committer's
+// property: for any InFlightWindows K > 1 a run must produce
+// byte-identical outputs to the K = 1 run — predictions, matches, ledger
+// totals, OnPair sequence, deterministic Progress fields, and the
 // journal's exact bytes on disk. Concurrency may only change wall-clock
 // time.
 func TestRunPipelinedMatchesSequential(t *testing.T) {
@@ -90,69 +100,36 @@ func TestRunPipelinedMatchesSequential(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			newCfg := func(j *runstore.Journal) Config {
+			// run executes one journaled run at K windows in flight. The
+			// journaled fingerprint includes the creation time, which
+			// Compatible ignores; pre-stamped journals make the full
+			// journals byte-comparable.
+			run := func(t *testing.T, k int) (runCapture, string) {
 				cfg := Config{
-					Blocker:      &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2},
-					Matcher:      core.Config{BatchSize: 4, Seed: 1, Parallelism: v.parallelism},
-					StreamWindow: 16,
-					Journal:      j,
+					Blocker:         &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2},
+					Matcher:         core.Config{BatchSize: 4, Seed: 1, Parallelism: v.parallelism},
+					StreamWindow:    16,
+					InFlightWindows: k,
 				}
 				if v.sharedPool {
 					cfg.Pool = entity.SplitPairs(d.Pairs).Train
 				}
-				return cfg
+				dir := filepath.Join(t.TempDir(), "run")
+				cfg.Journal = openStampedJournal(t, dir, cfg, ta, tb)
+				c := captureRun(t, cfg, llm.NewSimulated(oracle, 1), ta, tb)
+				if err := cfg.Journal.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return c, journalBytes(t, dir)
 			}
-			baseDir := filepath.Join(t.TempDir(), "run")
-			jb, err := runstore.OpenJournal(context.Background(), baseDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := captureRun(t, newCfg(jb), llm.NewSimulated(oracle, 1), ta, tb)
-			if err := jb.Close(); err != nil {
-				t.Fatal(err)
-			}
+			base, baseBytes := run(t, 1)
 			if base.rep.Windows < 8 {
 				t.Fatalf("want a many-window run, got %d windows", base.rep.Windows)
 			}
-			baseBytes := journalBytes(t, baseDir)
-
-			// The journaled fingerprint includes the creation time, which
-			// Compatible ignores; stamping each pipelined run's journal with
-			// the baseline's meta before running makes the full journals
-			// byte-comparable.
-			jm, err := runstore.OpenJournal(context.Background(), baseDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			meta, ok := jm.State().Meta()
-			if !ok {
-				t.Fatal("baseline journal has no meta")
-			}
-			jm.Close()
 
 			for _, k := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-					dir := filepath.Join(t.TempDir(), "run")
-					pre, err := runstore.OpenJournal(context.Background(), dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := pre.WriteMeta(meta); err != nil {
-						t.Fatal(err)
-					}
-					if err := pre.Close(); err != nil {
-						t.Fatal(err)
-					}
-					j, err := runstore.OpenJournal(context.Background(), dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg := newCfg(j)
-					cfg.InFlightWindows = k
-					got := captureRun(t, cfg, llm.NewSimulated(oracle, 1), ta, tb)
-					if err := j.Close(); err != nil {
-						t.Fatal(err)
-					}
+					got, gotBytes := run(t, k)
 
 					predsEqual(t, "pipelined", got.rep.Result.Pred, base.rep.Result.Pred)
 					if len(got.rep.Matches) != len(base.rep.Matches) {
@@ -185,88 +162,12 @@ func TestRunPipelinedMatchesSequential(t *testing.T) {
 							t.Fatalf("Progress[%d] = %s, want %s", i, got.progSeq[i], base.progSeq[i])
 						}
 					}
-					if gb := journalBytes(t, dir); gb != baseBytes {
-						t.Errorf("journal bytes differ from the sequential run (%d vs %d bytes)", len(gb), len(baseBytes))
+					if gotBytes != baseBytes {
+						t.Errorf("journal bytes differ from the K = 1 run (%d vs %d bytes)", len(gotBytes), len(baseBytes))
 					}
 				})
 			}
 		})
-	}
-}
-
-// TestRunPipelinedBoundedBuffer pins the memory bound: K windows in
-// flight may hold at most (K+1) windows' worth of candidates between the
-// stages (K admitted plus the one the producer is filling). The InFlight
-// progress field must stay within [0, K].
-func TestRunPipelinedBoundedBuffer(t *testing.T) {
-	const n = 4000
-	const window = 128
-	const k = 4
-	ta, tb := syntheticTables(n)
-	badInFlight := -1
-	rep, err := Run(context.Background(), Config{
-		Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
-		Matcher:         fastMatcher(),
-		StreamWindow:    window,
-		InFlightWindows: k,
-		Progress: func(p Progress) {
-			if p.InFlight < 0 || p.InFlight > k {
-				badInFlight = p.InFlight
-			}
-		},
-	}, llm.NewSimulated(nil, 1), ta, tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Candidates != n {
-		t.Fatalf("Candidates = %d, want %d", rep.Candidates, n)
-	}
-	if rep.PeakBuffered > (k+1)*window {
-		t.Fatalf("PeakBuffered = %d, exceeds (K+1)*window = %d", rep.PeakBuffered, (k+1)*window)
-	}
-	if badInFlight >= 0 {
-		t.Errorf("InFlight = %d outside [0, %d]", badInFlight, k)
-	}
-	if len(rep.Result.Pred) != n {
-		t.Errorf("aggregate Pred covers %d of %d candidates", len(rep.Result.Pred), n)
-	}
-}
-
-// TestRunPipelinedPartialReport mirrors the windowed partial-report
-// contract under K windows in flight: a cancellation mid-run must return
-// the committed prefix — predictions, billed spend, and OnPair coverage
-// all consistent.
-func TestRunPipelinedPartialReport(t *testing.T) {
-	ta, tb := syntheticTables(600)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var emitted int
-	rep, err := Run(ctx, Config{
-		Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
-		Matcher:         fastMatcher(),
-		StreamWindow:    50,
-		InFlightWindows: 3,
-		OnPair:          func(entity.Pair, entity.Label) { emitted++ },
-		Progress: func(p Progress) {
-			if p.Windows == 2 {
-				cancel()
-			}
-		},
-	}, llm.NewSimulated(nil, 1), ta, tb)
-	if err == nil {
-		t.Fatal("cancelled run reported no error")
-	}
-	if rep == nil {
-		t.Fatal("partial report discarded on mid-run failure")
-	}
-	if rep.Result.Ledger.Calls() == 0 {
-		t.Error("partial ledger lost the billed calls")
-	}
-	if rep.Candidates == 0 || rep.Candidates != len(rep.Result.Pred) {
-		t.Errorf("partial report has %d candidates, %d predictions", rep.Candidates, len(rep.Result.Pred))
-	}
-	if emitted != rep.Candidates {
-		t.Errorf("OnPair saw %d pairs, report has %d", emitted, rep.Candidates)
 	}
 }
 

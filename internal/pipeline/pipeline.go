@@ -5,36 +5,34 @@
 // over pre-blocked candidates; this package is what a downstream user
 // runs on actual tables.
 //
-// Two execution modes share one entry point. With StreamWindow zero, Run
-// collects every candidate and matches them in a single resolution —
-// the original semantics, byte-identical results. With StreamWindow > 0,
-// blocking and matching run concurrently: candidates stream from the
-// blocker into fixed-size windows that are matched as they fill, so peak
-// candidate memory is bounded by the window size instead of |A|x|B|, and
-// the MaxCandidates guard trips the moment the cap is crossed rather
-// than after the full candidate set exists.
+// Every run goes through one executor (see the executor type) with two
+// parameters. Config.StreamWindow cuts the candidate stream into windows
+// that are batched, annotated and matched one by one — zero means a
+// single window holding every candidate, the paper's collect-then-match
+// semantics — and Config.InFlightWindows lets that many windows execute
+// at once. One goroutine commits windows strictly in stream order, so
+// predictions, hook calls, ledger totals and journal bytes depend on
+// StreamWindow only. Blocking overlaps matching, candidate memory is
+// bounded by the windows in flight instead of |A|x|B|, and the
+// MaxCandidates guard trips the moment the cap is crossed.
 //
 // With a Config.Journal the run is durable: every completed batch is
-// recorded on disk (pairs, predictions, usage, cost delta) as it lands,
-// and a re-run over the same journal resumes instead of restarting —
-// fully journaled windows are replayed without touching the matcher,
-// their ledger deltas merged exactly once, and matching continues from
-// the first unanswered window. Pair a journal with a persistent response
-// cache (runstore.Cache) and the partially answered window resumes for
-// free too: its re-issued prompts are cache hits that bill nothing.
+// recorded on disk as it lands, and a re-run over the same journal
+// replays the fully journaled windows without touching the matcher and
+// continues from the first unanswered one. Pair it with a persistent
+// response cache (runstore.Cache) and the partially answered window
+// resumes for free too: its re-issued prompts are cache hits.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"batcher/internal/blocking"
 	"batcher/internal/cascade"
 	"batcher/internal/core"
 	"batcher/internal/entity"
-	"batcher/internal/feature"
 	"batcher/internal/llm"
 	"batcher/internal/runstore"
 	"batcher/internal/shard"
@@ -51,50 +49,41 @@ type Config struct {
 	// defaults.
 	Matcher core.Config
 	// Pool supplies labeled pairs for demonstration annotation. Nil means
-	// the candidates form the (unlabeled) pool — the full set in
-	// collected mode, each window in windowed mode.
+	// each window's own candidates form its (unlabeled) pool.
 	Pool []entity.Pair
 	// MaxCandidates aborts if blocking produces more pairs; a guard
 	// against runaway API budgets. Zero disables the guard. The guard is
 	// incremental: generation stops as soon as the cap is crossed.
 	MaxCandidates int
-	// StreamWindow > 0 streams candidates to the matcher in windows of
-	// this many pairs, overlapping blocking with matching and bounding
-	// the candidate buffer at the window size. Zero preserves the
-	// collect-then-match semantics (and their exact outputs).
-	//
-	// Windowed matching batches and selects demonstrations per window,
-	// so predictions may differ from an unwindowed run of the same
-	// configuration.
+	// StreamWindow is the window size in candidate pairs: each window is
+	// batched, annotated and matched on its own while blocking fills the
+	// next. Zero or less means a single window holding every candidate —
+	// the paper's collect-then-match semantics, everything buffered.
+	// Batching and demonstration selection see one window at a time, so
+	// predictions differ between StreamWindow values.
 	StreamWindow int
-	// InFlightWindows bounds how many windows may be executing at once
-	// when StreamWindow > 0. Values <= 1 keep the sequential windowed
-	// executor: one window matched at a time. With K > 1, up to K
-	// windows overlap — each window's CPU-bound front half (profile
-	// warming, feature extraction, batching, demonstration selection)
-	// runs concurrently with other windows' LLM calls — while a single
-	// ordered committer applies results strictly in window order, so
-	// predictions, hook invocations, ledger totals, and journal records
-	// are identical to an InFlightWindows == 1 run of the same
-	// configuration. Peak candidate memory grows to
-	// O((K+1)*StreamWindow).
+	// InFlightWindows is K, the number of windows that may execute at
+	// once; values below 1 mean 1. Each in-flight window's CPU-bound
+	// front half (feature extraction, batching, demonstration selection)
+	// overlaps the other windows' LLM calls, while one ordered committer
+	// applies results strictly in window order, so every output is
+	// identical for every K. Candidate memory is up to
+	// (K+1)*StreamWindow pairs: K windows in flight plus the one being
+	// filled. With a single window K has no effect.
 	//
-	// On a mid-run failure the committer drains the remaining in-flight
-	// windows and journals what they completed (in order), so with a
-	// persistent response cache and Matcher.Parallelism <= 1 every
-	// billed call of an interrupted run is journaled and a resume's
-	// ledger converges exactly as in sequential mode. Without a journal,
-	// spend from abandoned in-flight windows is not in the partial
-	// report's ledger — the same under-attribution core.Resolve
-	// documents for parallel batches. Ignored in collected mode.
+	// On a mid-run failure the committer journals what the other
+	// in-flight windows completed, so with a persistent response cache
+	// and Matcher.Parallelism <= 1 every billed call is journaled and a
+	// resume's ledger converges for every K. Without a journal that
+	// spend is missing from the partial report's ledger — the
+	// under-attribution core.Resolve documents for parallel batches.
 	InFlightWindows int
 	// Progress, if non-nil, receives stage updates. It is called from
-	// the goroutine consuming windows (never concurrently).
+	// the goroutine that called Run (never concurrently).
 	Progress func(Progress)
 	// OnPair, if non-nil, is called once per candidate with its final
-	// prediction, in candidate order, as predictions become available —
-	// per window in windowed mode, at the end otherwise. It lets callers
-	// sink results incrementally without holding every pair.
+	// prediction, in candidate order, as each window commits. It lets
+	// callers sink results incrementally without holding every pair.
 	OnPair func(entity.Pair, entity.Label)
 	// Prefilter, if non-nil, routes every candidate window through the
 	// calibrated cascade pre-filter before matching: pairs outside its
@@ -116,7 +105,7 @@ type Config struct {
 	// position and partition key — and the spec is fingerprinted into
 	// RunMeta, so resuming under a different spec fails with
 	// runstore.ErrRunMismatch. Count > 1 requires StreamWindow > 0
-	// (collected mode is a single window; there is nothing to split).
+	// (a single window leaves nothing to split).
 	// The merge half lives in internal/shard.
 	Shard shard.Spec
 	// Journal, if non-nil, records the run durably and enables resume.
@@ -133,7 +122,8 @@ type Config struct {
 }
 
 // Progress is a point-in-time snapshot of a run, delivered to
-// Config.Progress after setup and after every completed window.
+// Config.Progress after setup, after every committed window, and once
+// more when the run completes.
 type Progress struct {
 	// Blocked is the number of candidate pairs generated so far.
 	Blocked int
@@ -154,11 +144,10 @@ type Progress struct {
 	// least one batch answered by the degradation policy
 	// (core.Config.Degrade) instead of the LLM.
 	Degraded int
-	// InFlight is the number of windows currently executing (prepared
-	// or calling the LLM) beyond the one just committed. Always 0 for
-	// sequential executors; under InFlightWindows > 1 it is a
-	// timing-dependent snapshot, like Blocked, and is excluded from any
-	// determinism contract.
+	// InFlight is the number of windows still executing when the window
+	// just committed released its slot. Always 0 at InFlightWindows <= 1;
+	// above that it is a timing-dependent snapshot, like Blocked, and is
+	// excluded from any determinism contract.
 	InFlight int
 }
 
@@ -173,27 +162,30 @@ type Report struct {
 	Candidates int
 	// Matches lists the record ID pairs predicted to match.
 	Matches []Match
-	// Result is the underlying matcher result (ledger, batches, ...). In
-	// windowed mode it is the aggregate across windows: predictions are
-	// concatenated in candidate order and costs summed, but Batches is
-	// nil because batch indices are window-local.
+	// Result is the aggregate across windows: predictions concatenated
+	// in candidate order; ledger, token, trim, label and degraded
+	// counters summed. Batches, BatchMargins and LabeledPool are nil for
+	// every StreamWindow — their indices are window-local.
 	Result *core.Result
-	// BlockingTime and MatchingTime are the stage wall-clock durations.
-	// In windowed mode the stages overlap, so the two may sum to more
-	// than the run's elapsed time.
+	// BlockingTime and MatchingTime are the stage wall-clock durations:
+	// start to end of the candidate stream (waits to hand a full window
+	// off included), and first window dispatched to last one committed.
+	// The stages overlap, so the two may sum to more than the run took.
 	BlockingTime, MatchingTime time.Duration
-	// Windows is the number of candidate windows matched (1 in collected
-	// mode, 0 when blocking found nothing). On a shard run it counts only
-	// the windows this shard owns.
+	// Windows is the number of windows committed (0 when blocking found
+	// nothing). The window a failed run stopped in is folded into Result
+	// and emitted to OnPair but not counted; on a shard run only the
+	// windows this shard owns count.
 	Windows int
 	// WindowsTotal is the total number of windows the candidate stream
 	// produced, owned or not. It equals Windows except on shard runs,
 	// and is set only when the run completes (partial reports leave it
 	// zero).
 	WindowsTotal int
-	// PeakBuffered is the high-water mark of candidate pairs buffered
-	// between the blocking and matching stages. Windowed runs keep it at
-	// or below StreamWindow; collected runs buffer everything.
+	// PeakBuffered is the high-water mark of candidate pairs in windows
+	// admitted for execution and not yet committed: at most
+	// InFlightWindows*StreamWindow, every candidate when StreamWindow <= 0.
+	// The window being filled is extra: memory peaks one StreamWindow higher.
 	PeakBuffered int
 	// Replayed is the number of candidates whose predictions were
 	// replayed from the run journal instead of matched in this process.
@@ -215,16 +207,18 @@ type Report struct {
 
 // Run executes blocking and matching over the two tables. Cancelling ctx
 // aborts blocking between candidate yields and matching between LLM
-// calls.
+// calls; a window already dispatched finishes its CPU-only preparation
+// first (see inflight.run).
 //
 // On mid-matching failure (including cancellation) Run returns the
 // partial Report accumulated so far alongside the error, mirroring
 // core.Resolve's partial-result contract: predictions answered before
-// the failure are kept (unanswered candidates stay Unknown) and the
-// ledger reflects what was actually billed. OnPair still fires for those
-// candidates. Failures before any matching spend — a dead ctx, a
-// blocking error or cap trip with no completed windows — return a nil
-// Report, so check the Report for nil before reading partial state.
+// the failure are kept (the failed window's unanswered candidates stay
+// Unknown), the ledger reflects what was actually billed, and OnPair
+// still fires for those candidates. Failures before any window was
+// folded — a dead ctx, a blocking error or cap trip with no completed
+// window, a first window that could not be prepared — return a nil
+// Report, so check it for nil before reading partial state.
 func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []entity.Record) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -248,23 +242,11 @@ func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []en
 	if err := prepareJournal(cfg, f, tableA, tableB); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	if cfg.StreamWindow > 0 {
-		if cfg.InFlightWindows > 1 {
-			return runPipelined(ctx, cfg, blocker, f, tableA, tableB)
-		}
-		return runWindowed(ctx, cfg, blocker, f, tableA, tableB)
-	}
-	return runCollected(ctx, cfg, blocker, f, tableA, tableB)
+	return newExecutor(cfg, f).run(ctx, blocker, tableA, tableB)
 }
 
-// errCandidateCap is the incremental MaxCandidates trip.
-func errCandidateCap(cap int) error {
-	return fmt.Errorf("pipeline: blocking exceeded the %d-candidate cap", cap)
-}
-
-// emitPairs folds one batch of predicted candidates into the report:
-// Matches collects Match predictions and OnPair observes every pair.
-// preds may include Unknown entries when a run failed mid-matching.
+// emitPairs reports one window's predictions: Matches collects the
+// Match ones, OnPair observes every pair (Unknown where a run failed).
 func emitPairs(cfg Config, rep *Report, pairs []entity.Pair, preds []entity.Label) {
 	for i, p := range pairs {
 		if preds[i] == entity.Match {
@@ -276,371 +258,13 @@ func emitPairs(cfg Config, rep *Report, pairs []entity.Pair, preds []entity.Labe
 	}
 }
 
-// runCollected is the legacy mode: materialize every candidate, then
-// match them in one resolution. Outputs are identical to the
-// pre-streaming pipeline; the only behavioural additions are blocking
-// cancellation, the incremental cap trip, and — with a Journal — durable
-// batch records plus whole-run replay when the journal already covers
-// every candidate.
-func runCollected(ctx context.Context, cfg Config, blocker blocking.Blocker, f *core.Framework, tableA, tableB []entity.Record) (*Report, error) {
-	t0 := time.Now()
-	var candidates []entity.Pair
-	for p, err := range blocking.Stream(ctx, blocker, tableA, tableB) {
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: blocking: %w", err)
-		}
-		candidates = append(candidates, p)
-		if cfg.MaxCandidates > 0 && len(candidates) > cfg.MaxCandidates {
-			return nil, errCandidateCap(cfg.MaxCandidates)
-		}
-	}
-	blockingTime := time.Since(t0)
-	progress(cfg, Progress{Blocked: len(candidates), BlockingDone: true})
-	rep := &Report{
-		Candidates:   len(candidates),
-		BlockingTime: blockingTime,
-		PeakBuffered: len(candidates),
-	}
-	if len(candidates) == 0 {
-		rep.Result = &core.Result{}
-		if err := journalDone(cfg.Journal, 0, 0); err != nil {
-			return rep, fmt.Errorf("pipeline: journal: %w", err)
-		}
-		return rep, nil
-	}
-	pos := winPos{key: candidates[0].Key()}
-	rw := routeWindow(cfg.Prefilter, candidates)
-	rep.AutoResolved = rw.autoResolved()
-	pool := cfg.Pool
-	if pool == nil {
-		pool = rw.amb
-	}
-	var keys []string
-	if cfg.Journal != nil {
-		keys = pairKeys(rw.amb)
-		st := cfg.Journal.State()
-		if err := verifyJournalWindow(st, pos, keys); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		if res, ok := replayWindow(st, 0, len(rw.amb)); ok {
-			full := rw.expand(res)
-			rep.Result = full
-			rep.Windows = 1
-			rep.WindowsTotal = 1
-			rep.Replayed = len(rw.amb)
-			emitPairs(cfg, rep, candidates, full.Pred)
-			if err := journalDone(cfg.Journal, 1, 1); err != nil {
-				return rep, fmt.Errorf("pipeline: journal: %w", err)
-			}
-			progress(cfg, Progress{
-				Blocked: len(candidates), BlockingDone: true,
-				Matched: len(candidates), Replayed: rep.Replayed,
-				Windows: 1, APIUSD: full.Ledger.API(),
-			})
-			return rep, nil
-		}
-	}
-	if len(rw.amb) == 0 {
-		// Everything auto-resolved: nothing for the matcher, but the
-		// journal still records the (empty) window so the run stays a
-		// contiguous, resumable prefix.
-		if cfg.Journal != nil {
-			if err := cfg.Journal.WindowStart(pos.startRecord(0, nil)); err != nil {
-				return nil, fmt.Errorf("pipeline: journal: %w", err)
-			}
-		}
-		rep.Result = rw.expand(&core.Result{})
-		rep.Windows = 1
-		rep.WindowsTotal = 1
-		emitPairs(cfg, rep, candidates, rep.Result.Pred)
-		if err := journalDone(cfg.Journal, 1, 1); err != nil {
-			return rep, fmt.Errorf("pipeline: journal: %w", err)
-		}
-		progress(cfg, Progress{
-			Blocked: len(candidates), BlockingDone: true,
-			Matched: len(candidates), Windows: 1,
-		})
-		return rep, nil
-	}
-	t1 := time.Now()
-	res, err := resolveJournaled(ctx, f, cfg.Journal, pos, rw.amb, pool, keys)
-	rep.MatchingTime = time.Since(t1)
-	if res != nil && cfg.Journal != nil {
-		// Fold in what a previous, interrupted attempt already billed for
-		// this resolution; the re-run reproduced those batches as free
-		// cache hits (or re-billed them, if no persistent cache was
-		// attached — either way the ledger stays truthful).
-		mergePartialUsage(cfg.Journal.State(), 0, res)
-	}
-	if err != nil {
-		if res == nil { // setup failure: nothing billed, nothing partial
-			return nil, fmt.Errorf("pipeline: matching: %w", err)
-		}
-		// Keep the partial result: billed batches stay accounted and
-		// answered candidates keep their predictions (Unknown for the
-		// rest), per core.Resolve's partial contract.
-		rep.Result = rw.expand(res)
-		rep.Windows = 1
-		if res.Degraded > 0 {
-			rep.Degraded = 1
-		}
-		emitPairs(cfg, rep, candidates, rep.Result.Pred)
-		return rep, fmt.Errorf("pipeline: matching: %w", err)
-	}
-	rep.Result = rw.expand(res)
-	rep.Windows = 1
-	rep.WindowsTotal = 1
-	if res.Degraded > 0 {
-		rep.Degraded = 1
-	}
-	emitPairs(cfg, rep, candidates, rep.Result.Pred)
-	if err := journalDone(cfg.Journal, 1, 1); err != nil {
-		return rep, fmt.Errorf("pipeline: journal: %w", err)
-	}
-	progress(cfg, Progress{
-		Blocked: len(candidates), BlockingDone: true,
-		Matched: len(candidates), Windows: 1, APIUSD: res.Ledger.API(),
-		Degraded: rep.Degraded,
-	})
-	return rep, nil
-}
-
-// journalDone stamps the journal's terminal record once a run has seen
-// the whole candidate stream and committed every window it owns. Nil
-// journals and already-terminated journals are no-ops.
-func journalDone(j *runstore.Journal, total, owned int) error {
-	if j == nil {
-		return nil
-	}
-	return j.Done(runstore.RunDone{Windows: total, Owned: owned})
-}
-
-// window is one producer-to-consumer handoff: the buffered candidate
-// pairs plus their pre-built entity profiles. The producer warms the
-// profile cache incrementally as candidates arrive — profile
-// construction overlaps the previous window's matching — and the cache
-// is dropped with its window, so profile memory stays bounded by the
-// window size however long the stream runs.
-type window struct {
-	pairs    []entity.Pair
-	profiles *feature.Profiles
-}
-
-// runWindowed overlaps blocking with matching: a producer goroutine
-// drives the candidate stream into windows of StreamWindow pairs and
-// hands each full window to the consumer (this goroutine), which matches
-// it while the producer fills the next one. At most one window is being
-// filled and one being matched at any time, so peak candidate memory is
-// O(2*StreamWindow) regardless of table sizes.
-//
-// With a Journal, windows whose batches are fully journaled are replayed
-// (predictions emitted, billed deltas merged once) without invoking the
-// matcher; the first incomplete window has its journaled spend merged
-// and is then re-resolved — through a persistent response cache the
-// already-answered batches come back as free hits — and matching
-// proceeds normally from there.
-func runWindowed(ctx context.Context, cfg Config, blocker blocking.Blocker, f *core.Framework, tableA, tableB []entity.Record) (*Report, error) {
-	bctx, bcancel := context.WithCancel(ctx)
-	defer bcancel()
-
-	windows := make(chan window) // unbuffered: direct handoff
-	errc := make(chan error, 1)  // producer's terminal error, at most one
-	var blocked atomic.Int64     // live count for concurrent progress
-	var blockingDone atomic.Bool
-	var peak int // written by producer, read after windows closes
-	var blockingTime time.Duration
-	extractor := f.Config().Extractor
-	t0 := time.Now()
-	go func() {
-		defer close(windows)
-		buf := make([]entity.Pair, 0, cfg.StreamWindow)
-		profs := feature.NewProfiles(extractor)
-		flush := func() bool {
-			if len(buf) > peak {
-				peak = len(buf)
-			}
-			select {
-			case windows <- window{pairs: buf, profiles: profs}:
-				buf = make([]entity.Pair, 0, cfg.StreamWindow)
-				profs = feature.NewProfiles(extractor)
-				return true
-			case <-bctx.Done():
-				errc <- bctx.Err()
-				return false
-			}
-		}
-		for p, err := range blocking.Stream(bctx, blocker, tableA, tableB) {
-			if err != nil {
-				errc <- err
-				return
-			}
-			buf = append(buf, p)
-			profs.Warm(p)
-			n := blocked.Add(1)
-			if cfg.MaxCandidates > 0 && int(n) > cfg.MaxCandidates {
-				errc <- errCandidateCap(cfg.MaxCandidates)
-				return
-			}
-			if len(buf) == cfg.StreamWindow {
-				if !flush() {
-					return
-				}
-			}
-		}
-		blockingTime = time.Since(t0)
-		blockingDone.Store(true)
-		if len(buf) > 0 {
-			flush()
-		}
-	}()
-
-	rep := &Report{}
-	agg := &core.Result{}
-	// With a shared pool, windows annotate overlapping demonstrations;
-	// each distinct pool pair is billed once across the whole run, as an
-	// unwindowed resolution would. (Self-pooled windows are disjoint, so
-	// their label costs sum directly.)
-	var sharedLabeled map[int]bool
-	if cfg.Pool != nil {
-		sharedLabeled = make(map[int]bool)
-	}
-	var matchingTime time.Duration
-	progress(cfg, Progress{Blocked: int(blocked.Load())}) // setup snapshot
-	// fail stops the producer and returns what was already matched and
-	// billed: nil only if no window completed (nothing partial to keep).
-	fail := func(err error) (*Report, error) {
-		bcancel()
-		for range windows { // unblock and drain the producer
-		}
-		// Safe reads: the drain guarantees the producer exited.
-		if rep.Candidates == 0 {
-			return nil, err
-		}
-		rep.Result = agg
-		rep.BlockingTime = blockingTime
-		rep.MatchingTime = matchingTime
-		rep.PeakBuffered = peak
-		return rep, err
-	}
-	wIdx, offset, gIdx := 0, 0, 0
-	for w := range windows {
-		win := w.pairs
-		// The partition key is fixed before any routing: every shard
-		// walking this stream computes the same owner for this window.
-		key := win[0].Key()
-		if !cfg.Shard.Owns(key) {
-			gIdx++
-			continue
-		}
-		pos := winPos{idx: wIdx, offset: offset, global: gIdx, key: key}
-		gIdx++
-		rw := routeWindow(cfg.Prefilter, win)
-		pool := cfg.Pool
-		if pool == nil {
-			pool = rw.amb
-		}
-		// Hand the producer-built profiles to the matcher's feature
-		// extraction; the cache dies with this iteration.
-		wctx := feature.WithProfiles(ctx, w.profiles)
-		replayed := false
-		var res *core.Result
-		var err error
-		var keys []string
-		if cfg.Journal != nil {
-			keys = pairKeys(rw.amb)
-			st := cfg.Journal.State()
-			if verr := verifyJournalWindow(st, pos, keys); verr != nil {
-				return fail(fmt.Errorf("pipeline: %w", verr))
-			}
-			res, replayed = replayWindow(st, wIdx, len(rw.amb))
-			if !replayed {
-				// A started-but-unfinished window: account its journaled
-				// spend once, then re-resolve it below (free cache hits
-				// when a persistent cache is attached).
-				mergePartialUsage(st, wIdx, agg)
-			}
-		}
-		switch {
-		case replayed:
-			rep.Replayed += len(rw.amb)
-		case len(rw.amb) == 0:
-			// Fully auto-resolved window: no matcher invocation, but the
-			// journal still records it so window starts stay gap-free.
-			if cfg.Journal != nil {
-				jerr := cfg.Journal.WindowStart(pos.startRecord(0, nil))
-				if jerr != nil {
-					return fail(fmt.Errorf("pipeline: journal: %w", jerr))
-				}
-			}
-			res = &core.Result{}
-		default:
-			t1 := time.Now()
-			res, err = resolveJournaled(wctx, f, cfg.Journal, pos, rw.amb, pool, keys)
-			matchingTime += time.Since(t1)
-		}
-		wIdx++
-		offset += len(rw.amb)
-		if res != nil {
-			// Fold in even a partially-answered window, so billed spend
-			// and answered predictions survive a mid-window failure.
-			full := rw.expand(res)
-			foldWindow(agg, full, sharedLabeled)
-			emitPairs(cfg, rep, win, full.Pred)
-			rep.Candidates += len(win)
-			rep.AutoResolved += rw.autoResolved()
-			if res.Degraded > 0 {
-				rep.Degraded++
-			}
-		}
-		if err != nil {
-			return fail(fmt.Errorf("pipeline: matching: %w", err))
-		}
-		rep.Windows++
-		progress(cfg, Progress{
-			Blocked:      int(blocked.Load()),
-			BlockingDone: blockingDone.Load(),
-			Matched:      rep.Candidates,
-			Replayed:     rep.Replayed,
-			Windows:      rep.Windows,
-			APIUSD:       agg.Ledger.API(),
-			Degraded:     rep.Degraded,
-		})
-	}
-	rep.Result = agg
-	rep.BlockingTime = blockingTime
-	rep.MatchingTime = matchingTime
-	rep.PeakBuffered = peak
-	select {
-	case err := <-errc:
-		err = fmt.Errorf("pipeline: blocking: %w", err)
-		if rep.Candidates == 0 {
-			return nil, err
-		}
-		return rep, err
-	default:
-	}
-	rep.WindowsTotal = gIdx
-	if err := journalDone(cfg.Journal, gIdx, wIdx); err != nil {
-		return rep, fmt.Errorf("pipeline: journal: %w", err)
-	}
-	progress(cfg, Progress{
-		Blocked: int(blocked.Load()), BlockingDone: true,
-		Matched: rep.Candidates, Replayed: rep.Replayed,
-		Windows: rep.Windows, APIUSD: agg.Ledger.API(),
-		Degraded: rep.Degraded,
-	})
-	return rep, nil
-}
-
 // foldWindow folds one window's (possibly partial) result into the
-// run aggregate: predictions append in candidate order, token and trim
-// counters sum. With a shared pool (sharedLabeled non-nil) windows
+// run aggregate. With a shared pool (sharedLabeled non-nil) windows
 // annotate overlapping demonstrations, so each distinct pool pair is
 // billed once across the whole run, as an unwindowed resolution would;
 // self-pooled windows are disjoint and their label costs sum directly.
-// Both windowed executors commit through this one helper, which is what
-// keeps their aggregates — including the floating-point fold order of
-// dollar totals — identical.
+// Every window of every run commits through this one helper, which
+// fixes the floating-point fold order of dollar totals.
 func foldWindow(agg, res *core.Result, sharedLabeled map[int]bool) {
 	agg.Pred = append(agg.Pred, res.Pred...)
 	agg.PromptTokens += res.PromptTokens
@@ -660,12 +284,6 @@ func foldWindow(agg, res *core.Result, sharedLabeled map[int]bool) {
 	} else {
 		agg.Ledger.Merge(&res.Ledger)
 		agg.DemosLabeled += res.DemosLabeled
-	}
-}
-
-func progress(cfg Config, p Progress) {
-	if cfg.Progress != nil {
-		cfg.Progress(p)
 	}
 }
 

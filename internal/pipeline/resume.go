@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -134,19 +133,6 @@ type winPos struct {
 	key    string // partition key: the window's first candidate pair key
 }
 
-// startRecord builds the window's journal start record from its
-// position and matcher-facing layout.
-func (p winPos) startRecord(size int, labeled []int) runstore.WindowStart {
-	return runstore.WindowStart{
-		Index:   p.idx,
-		Offset:  p.offset,
-		Size:    size,
-		Labeled: labeled,
-		Global:  p.global,
-		Key:     p.key,
-	}
-}
-
 // verifyJournalWindow checks that journaled records for the window line
 // up with the live stream's window: same position (local and global),
 // same partition key, same size, same pairs.
@@ -228,39 +214,4 @@ func journalBatch(j *runstore.Journal, wIdx int, keys []string, br core.BatchRes
 		Tiers:        br.Ledger.TierBreakdown(),
 		Degraded:     br.Degraded,
 	})
-}
-
-// resolveJournaled matches one window, journaling each completed batch as
-// it lands. keys are the window's pair identities (pairKeys(win), which
-// the caller already computed for journal verification); they are nil
-// exactly when j is. Without a journal it is exactly f.Resolve. Like
-// Resolve it returns the partial result alongside a mid-run error; a
-// journal write failure stops the run the same way (the spend already
-// made is in the partial result, and everything journaled so far
-// remains replayable).
-func resolveJournaled(ctx context.Context, f *core.Framework, j *runstore.Journal, pos winPos, win, pool []entity.Pair, keys []string) (*core.Result, error) {
-	if j == nil {
-		return f.Resolve(ctx, win, pool)
-	}
-	stream, err := f.ResolveStream(ctx, win, pool)
-	if err != nil {
-		return nil, err
-	}
-	err = j.WindowStart(pos.startRecord(len(win), stream.LabeledPool()))
-	if err != nil {
-		stream.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	res := stream.NewResult()
-	for br := range stream.All() {
-		res.Apply(br)
-		if err := journalBatch(j, pos.idx, keys, br); err != nil {
-			stream.Close()
-			return res, fmt.Errorf("journal: %w", err)
-		}
-	}
-	if err := stream.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
 }

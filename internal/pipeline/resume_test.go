@@ -37,6 +37,41 @@ func (c *countingClient) Calls() int {
 	return c.calls
 }
 
+// memoSim is the oracle-backed simulator with its answers remembered.
+// The simulator is a pure function of the request, and the crash/resume
+// properties re-issue one run's prompts hundreds of times over; sharing
+// one computation of each keeps them affordable at every boundary. It
+// sits below the call counters and fault injectors, so what a test
+// counts, crashes, or caches is unchanged.
+type memoSim struct {
+	sim  llm.Client
+	mu   sync.Mutex
+	memo map[llm.Request]llm.Response
+}
+
+func newMemoSim(oracle llm.Oracle) *memoSim {
+	return &memoSim{sim: llm.NewSimulated(oracle, 1), memo: map[llm.Request]llm.Response{}}
+}
+
+func (m *memoSim) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if err := ctx.Err(); err != nil { // as the simulator itself answers a dead ctx
+		return llm.Response{}, err
+	}
+	m.mu.Lock()
+	resp, ok := m.memo[req]
+	m.mu.Unlock()
+	if ok {
+		return resp, nil
+	}
+	resp, err := m.sim.Complete(ctx, req)
+	if err == nil {
+		m.mu.Lock()
+		m.memo[req] = resp
+		m.mu.Unlock()
+	}
+	return resp, err
+}
+
 var errCrash = errors.New("simulated crash")
 
 // failAfter errors every request once its budget of successful calls is
@@ -96,12 +131,14 @@ func predsEqual(t *testing.T, tag string, got, want []entity.Label) {
 	}
 }
 
-// resumeConfig is one scenario of the crash/resume property test.
+// resumeConfig is one scenario of the crash/resume property test: a
+// (StreamWindow, InFlightWindows) shape of the executor plus the pool
+// mode.
 type resumeConfig struct {
 	streamWindow int
 	sharedPool   bool
-	// inFlight > 1 runs the pipelined executor with that many windows
-	// in flight; 0 keeps the sequential windowed (or collected) one.
+	// inFlight is Config.InFlightWindows; above 1 a crash leaves several
+	// windows in flight for the committer to salvage.
 	inFlight int
 	// stride samples every stride-th crash boundary (always including
 	// the first and last); 1 tests every boundary.
@@ -135,7 +172,8 @@ func runResumeProperty(t *testing.T, rc resumeConfig) {
 	}
 
 	// Uninterrupted baseline: no journal, no cache, plain client.
-	base := &countingClient{inner: llm.NewSimulated(oracle, 1)}
+	sim := newMemoSim(oracle)
+	base := &countingClient{inner: sim}
 	baseRep, err := Run(context.Background(), newCfg(nil), base, ta, tb)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +191,10 @@ func runResumeProperty(t *testing.T, rc resumeConfig) {
 		if k%stride != 0 && k != totalCalls {
 			continue
 		}
-		k := k
 		t.Run(fmt.Sprintf("crash_after_%d", k), func(t *testing.T) {
+			t.Parallel() // boundaries share only read-only inputs and sim
 			dir := t.TempDir()
-			backend := &countingClient{inner: llm.NewSimulated(oracle, 1)}
+			backend := &countingClient{inner: sim}
 
 			// Attempt 1: crash after k successful calls.
 			j1, err := runstore.OpenJournal(context.Background(), filepath.Join(dir, "run"))
@@ -222,31 +260,31 @@ func runResumeProperty(t *testing.T, rc resumeConfig) {
 	}
 }
 
+// The resume property over the executor's shapes. Every batch boundary
+// is crashed at K = 1 (nothing else in flight) and at K = 4, where the
+// committer must also salvage every batch the abandoned in-flight
+// windows completed, so that with the persistent cache attached a
+// resume replays them and nothing is billed twice. The shared-pool and
+// single-window variants exercise the same replay machinery down
+// different ledger paths; sampled boundaries keep the suite fast.
 func TestResumeEveryBatchBoundaryWindowed(t *testing.T) {
 	runResumeProperty(t, resumeConfig{streamWindow: 16})
 }
 
-// The shared-pool and collected variants exercise the same replay
-// machinery down different ledger paths; sampled boundaries keep the
-// suite fast while the windowed test above stays exhaustive.
-func TestResumeBatchBoundariesWindowedSharedPool(t *testing.T) {
-	runResumeProperty(t, resumeConfig{streamWindow: 16, sharedPool: true, stride: 7})
-}
-
-func TestResumeBatchBoundariesCollected(t *testing.T) {
-	runResumeProperty(t, resumeConfig{streamWindow: 0, stride: 7})
-}
-
-// The pipelined executor must hold the same property with several
-// windows in flight at the crash: the committer salvages every batch the
-// abandoned windows completed into the journal, so with the persistent
-// cache attached a resume replays them and nothing is billed twice.
 func TestResumeEveryBatchBoundaryPipelined(t *testing.T) {
 	runResumeProperty(t, resumeConfig{streamWindow: 16, inFlight: 4})
 }
 
+func TestResumeBatchBoundariesWindowedSharedPool(t *testing.T) {
+	runResumeProperty(t, resumeConfig{streamWindow: 16, sharedPool: true, stride: 7})
+}
+
 func TestResumeBatchBoundariesPipelinedSharedPool(t *testing.T) {
 	runResumeProperty(t, resumeConfig{streamWindow: 16, sharedPool: true, inFlight: 3, stride: 7})
+}
+
+func TestResumeBatchBoundariesCollected(t *testing.T) {
+	runResumeProperty(t, resumeConfig{streamWindow: 0, stride: 7})
 }
 
 // TestResumeLargeRunArbitraryBoundary is the acceptance-scale check: a

@@ -26,7 +26,7 @@ type shardScenario struct {
 	cascade bool
 	// shared supplies a caller pool instead of per-window self-pooling.
 	shared bool
-	// inFlight > 1 runs each shard on the pipelined executor.
+	// inFlight is each shard's Config.InFlightWindows.
 	inFlight int
 }
 
@@ -132,11 +132,12 @@ func runShardMergeProperty(t *testing.T, sc shardScenario) {
 		}
 		return cfg
 	}
+	sim := newMemoSim(oracle) // every shard attempt re-issues the baseline's prompts
 	newBackend := func() llm.Client {
 		if sc.cascade {
-			return newCascadeBackend(oracle)
+			return cascadeOver(sim)
 		}
-		return llm.NewSimulated(oracle, 1)
+		return sim
 	}
 
 	// Uninterrupted single-process baseline: no journal, no shard spec.
@@ -224,6 +225,7 @@ func runShardMergeProperty(t *testing.T, sc shardScenario) {
 func TestShardMergeEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
 			runShardMergeProperty(t, shardScenario{n: n})
 		})
 	}
@@ -244,10 +246,10 @@ func TestShardMergeEquivalenceSharedPool(t *testing.T) {
 	runShardMergeProperty(t, shardScenario{n: 2, shared: true})
 }
 
-// TestShardMergeEquivalencePipelined runs each shard on the pipelined
-// executor (several windows in flight at each crash); the ordered
-// committer must keep shard journals identical to sequential ones, so
-// the merge still reproduces the baseline.
+// TestShardMergeEquivalencePipelined runs each shard with several
+// windows in flight at each crash; the ordered committer must keep
+// shard journals identical to K = 1 ones, so the merge still reproduces
+// the baseline.
 func TestShardMergeEquivalencePipelined(t *testing.T) {
 	runShardMergeProperty(t, shardScenario{n: 3, inFlight: 3})
 }

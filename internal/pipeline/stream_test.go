@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"batcher/internal/blocking"
@@ -31,32 +30,39 @@ func fastMatcher() core.Config {
 	return core.Config{Batching: core.RandomBatching, Selection: core.FixedSelection, Seed: 1}
 }
 
-// TestRunStreamWindowBoundedBuffer is the tentpole acceptance test: a
-// 10k x 10k blocking run with a 256-pair window must never buffer more
-// than 256 candidates between the stages, while still predicting every
-// candidate.
-func TestRunStreamWindowBoundedBuffer(t *testing.T) {
-	const n = 10000
-	const window = 256
+// runBoundedBuffer pins the memory bound of a streamed run: with K
+// windows in flight the stages never hold more than K windows' worth of
+// admitted candidates between them (the window the producer is filling
+// is the +1 on top), every candidate is still predicted, and
+// Progress.InFlight stays within [0, K] — exactly 0 at K = 1.
+func runBoundedBuffer(t *testing.T, n, window, k int) {
 	ta, tb := syntheticTables(n)
-	client := llm.NewSimulated(nil, 1)
+	badInFlight := -1
 	rep, err := Run(context.Background(), Config{
-		Blocker:      &blocking.TokenBlocker{Attr: "title", MinShared: 2},
-		Matcher:      fastMatcher(),
-		StreamWindow: window,
-	}, client, ta, tb)
+		Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
+		Matcher:         fastMatcher(),
+		StreamWindow:    window,
+		InFlightWindows: k,
+		Progress: func(p Progress) {
+			if p.InFlight < 0 || p.InFlight > k-1 {
+				badInFlight = p.InFlight
+			}
+		},
+	}, llm.NewSimulated(nil, 1), ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Candidates != n {
 		t.Fatalf("Candidates = %d, want %d", rep.Candidates, n)
 	}
-	if rep.PeakBuffered > window {
-		t.Fatalf("PeakBuffered = %d, exceeds window %d", rep.PeakBuffered, window)
+	if rep.PeakBuffered > k*window {
+		t.Fatalf("PeakBuffered = %d, exceeds K*window = %d", rep.PeakBuffered, k*window)
 	}
-	wantWindows := (n + window - 1) / window
-	if rep.Windows != wantWindows {
+	if wantWindows := (n + window - 1) / window; rep.Windows != wantWindows {
 		t.Errorf("Windows = %d, want %d", rep.Windows, wantWindows)
+	}
+	if badInFlight >= 0 {
+		t.Errorf("InFlight = %d outside [0, %d]", badInFlight, k-1)
 	}
 	if len(rep.Result.Pred) != n {
 		t.Errorf("aggregate Pred covers %d of %d candidates", len(rep.Result.Pred), n)
@@ -66,7 +72,12 @@ func TestRunStreamWindowBoundedBuffer(t *testing.T) {
 	}
 }
 
-// TestRunWindowedCandidateOrder verifies the windowed path feeds OnPair
+// A 10k x 10k blocking run with a 256-pair window, one window at a time.
+func TestRunStreamWindowBoundedBuffer(t *testing.T) { runBoundedBuffer(t, 10000, 256, 1) }
+
+func TestRunPipelinedBoundedBuffer(t *testing.T) { runBoundedBuffer(t, 4000, 128, 4) }
+
+// TestRunWindowedCandidateOrder verifies a windowed run feeds OnPair
 // every candidate in exactly the blocker's Block order, and that Matches
 // agrees with the aggregate predictions.
 func TestRunWindowedCandidateOrder(t *testing.T) {
@@ -115,9 +126,11 @@ func TestRunWindowedCandidateOrder(t *testing.T) {
 	}
 }
 
-// TestRunCollectedMatchesManualPipeline pins the legacy path: with
-// StreamWindow zero, Run must equal blocking then one matcher resolution
-// by hand — the pre-refactor semantics.
+// TestRunCollectedMatchesManualPipeline pins the single-window shape:
+// with StreamWindow zero, Run must equal blocking then one matcher
+// resolution by hand — the paper's collect-then-match semantics. The
+// report carries the fold aggregate, so the window-local Batches,
+// BatchMargins and LabeledPool stay nil as for any other StreamWindow.
 func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	d, ta, tb := benchTables(t)
 	blocker := &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2}
@@ -158,33 +171,71 @@ func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	if onPair != len(candidates) {
 		t.Errorf("OnPair called %d times, want %d", onPair, len(candidates))
 	}
-	if rep.Windows != 1 || rep.PeakBuffered != len(candidates) {
-		t.Errorf("collected mode Windows = %d, PeakBuffered = %d", rep.Windows, rep.PeakBuffered)
+	if rep.Windows != 1 || rep.WindowsTotal != 1 || rep.PeakBuffered != len(candidates) {
+		t.Errorf("collected mode Windows = %d of %d, PeakBuffered = %d", rep.Windows, rep.WindowsTotal, rep.PeakBuffered)
+	}
+	if rep.Result.DemosLabeled != manual.DemosLabeled || rep.Result.PromptTokens != manual.PromptTokens {
+		t.Errorf("labeled/prompt tokens = %d/%d, manual %d/%d",
+			rep.Result.DemosLabeled, rep.Result.PromptTokens, manual.DemosLabeled, manual.PromptTokens)
+	}
+	if rep.Result.Batches != nil || rep.Result.BatchMargins != nil || rep.Result.LabeledPool != nil {
+		t.Error("pipeline report leaked window-local batch state")
 	}
 }
 
 // TestRunWindowedMaxCandidatesTripsIncrementally runs a deliberately
-// quadratic blocking configuration under a small cap: the guard must
-// abort generation rather than materialize the cross product.
+// quadratic blocking configuration under a small cap: for every window
+// shape the guard must abort generation rather than materialize the
+// cross product, report the same single-prefix error, and hand back
+// exactly the windows that were complete when it tripped — none when
+// everything is one window.
 func TestRunWindowedMaxCandidatesTripsIncrementally(t *testing.T) {
 	const n = 400 // full cross product would be 160k pairs
+	const limit = 300
 	ta := make([]entity.Record, 0, n)
 	tb := make([]entity.Record, 0, n)
 	for i := 0; i < n; i++ {
 		ta = append(ta, entity.NewRecord(fmt.Sprintf("a%d", i), []string{"t"}, []string{"same token"}))
 		tb = append(tb, entity.NewRecord(fmt.Sprintf("b%d", i), []string{"t"}, []string{"same token"}))
 	}
-	_, err := Run(context.Background(), Config{
-		Blocker:       &blocking.TokenBlocker{Attr: "t", MinShared: 1},
-		Matcher:       fastMatcher(),
-		StreamWindow:  64,
-		MaxCandidates: 100,
-	}, llm.NewSimulated(nil, 1), ta, tb)
-	if err == nil {
-		t.Fatal("candidate cap not enforced in windowed mode")
-	}
-	if !strings.Contains(err.Error(), "cap") {
-		t.Errorf("err = %v", err)
+	for _, sh := range []struct{ w, k, candidates, windows int }{
+		{0, 0, 0, 0},
+		{64, 1, 256, 4},
+		{64, 3, 256, 4},
+	} {
+		t.Run(fmt.Sprintf("w%d_k%d", sh.w, sh.k), func(t *testing.T) {
+			blocked := 0
+			rep, err := Run(context.Background(), Config{
+				Blocker:         &blocking.TokenBlocker{Attr: "t", MinShared: 1},
+				Matcher:         fastMatcher(),
+				StreamWindow:    sh.w,
+				InFlightWindows: sh.k,
+				MaxCandidates:   limit,
+				Progress:        func(p Progress) { blocked = p.Blocked },
+			}, llm.NewSimulated(nil, 1), ta, tb)
+			if want := "pipeline: blocking exceeded the 300-candidate cap"; err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+			if blocked > limit+1 {
+				t.Errorf("generation ran on to %d candidates past a cap of %d", blocked, limit)
+			}
+			if sh.windows == 0 {
+				if rep != nil {
+					t.Fatalf("report = %+v, want nil when no window committed", rep)
+				}
+				return
+			}
+			if rep == nil {
+				t.Fatal("committed windows discarded on the cap trip")
+			}
+			if rep.Candidates != sh.candidates || rep.Windows != sh.windows || rep.WindowsTotal != 0 {
+				t.Errorf("partial report = %d candidates, %d windows (total %d), want %d, %d (total 0)",
+					rep.Candidates, rep.Windows, rep.WindowsTotal, sh.candidates, sh.windows)
+			}
+			if len(rep.Result.Pred) != sh.candidates || rep.Result.Ledger.Calls() == 0 {
+				t.Errorf("partial result covers %d pairs with %d calls", len(rep.Result.Pred), rep.Result.Ledger.Calls())
+			}
+		})
 	}
 }
 
@@ -214,50 +265,62 @@ func TestRunWindowedCancel(t *testing.T) {
 	}
 }
 
-// TestRunWindowedProgress checks the progress stream: monotone counts,
-// a terminal BlockingDone snapshot, and API spend once calls happen.
+// TestRunWindowedProgress checks the progress stream of every window
+// shape: a setup snapshot, one per committed window and a final one;
+// monotone counts; a terminal BlockingDone snapshot; and API spend once
+// calls happen.
 func TestRunWindowedProgress(t *testing.T) {
 	ta, tb := syntheticTables(300)
-	var snaps []Progress
-	rep, err := Run(context.Background(), Config{
-		Blocker:      &blocking.TokenBlocker{Attr: "title", MinShared: 2},
-		Matcher:      fastMatcher(),
-		StreamWindow: 64,
-		Progress:     func(p Progress) { snaps = append(snaps, p) },
-	}, llm.NewSimulated(nil, 1), ta, tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress delivered")
-	}
-	last := snaps[len(snaps)-1]
-	if !last.BlockingDone || last.Matched != rep.Candidates || last.Windows != rep.Windows {
-		t.Errorf("terminal snapshot = %+v, report = %d candidates %d windows", last, rep.Candidates, rep.Windows)
-	}
-	if last.APIUSD <= 0 {
-		t.Error("no API spend reported")
-	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].Matched < snaps[i-1].Matched || snaps[i].Windows < snaps[i-1].Windows {
-			t.Fatalf("progress went backwards: %+v -> %+v", snaps[i-1], snaps[i])
-		}
+	for _, sh := range []struct{ w, k int }{{0, 0}, {64, 1}, {64, 3}} {
+		t.Run(fmt.Sprintf("w%d_k%d", sh.w, sh.k), func(t *testing.T) {
+			var snaps []Progress
+			rep, err := Run(context.Background(), Config{
+				Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
+				Matcher:         fastMatcher(),
+				StreamWindow:    sh.w,
+				InFlightWindows: sh.k,
+				Progress:        func(p Progress) { snaps = append(snaps, p) },
+			}, llm.NewSimulated(nil, 1), ta, tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) != rep.Windows+2 {
+				t.Fatalf("%d snapshots for %d windows, want setup + one per window + final", len(snaps), rep.Windows)
+			}
+			if first := snaps[0]; first.Matched != 0 || first.Windows != 0 {
+				t.Errorf("setup snapshot = %+v", first)
+			}
+			last := snaps[len(snaps)-1]
+			if !last.BlockingDone || last.Matched != rep.Candidates || last.Windows != rep.Windows {
+				t.Errorf("terminal snapshot = %+v, report = %d candidates %d windows", last, rep.Candidates, rep.Windows)
+			}
+			if last.APIUSD <= 0 {
+				t.Error("no API spend reported")
+			}
+			for i := 1; i < len(snaps); i++ {
+				if snaps[i].Matched < snaps[i-1].Matched || snaps[i].Windows < snaps[i-1].Windows {
+					t.Fatalf("progress went backwards: %+v -> %+v", snaps[i-1], snaps[i])
+				}
+			}
+		})
 	}
 }
 
-// TestRunWindowedPartialReport cancels after the first window and
-// expects the partial report back with the error: the spend of completed
-// windows must stay accounted and their predictions kept.
-func TestRunWindowedPartialReport(t *testing.T) {
+// runPartialReport cancels after the second committed window and
+// expects the partial report back with the error: the committed prefix
+// — predictions, billed spend, and OnPair coverage — all consistent,
+// whether one window or several were in flight at the cancel.
+func runPartialReport(t *testing.T, k int) {
 	ta, tb := syntheticTables(600)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var emitted int
 	rep, err := Run(ctx, Config{
-		Blocker:      &blocking.TokenBlocker{Attr: "title", MinShared: 2},
-		Matcher:      fastMatcher(),
-		StreamWindow: 50,
-		OnPair:       func(entity.Pair, entity.Label) { emitted++ },
+		Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
+		Matcher:         fastMatcher(),
+		StreamWindow:    50,
+		InFlightWindows: k,
+		OnPair:          func(entity.Pair, entity.Label) { emitted++ },
 		Progress: func(p Progress) {
 			if p.Windows == 2 {
 				cancel()
@@ -279,7 +342,13 @@ func TestRunWindowedPartialReport(t *testing.T) {
 	if emitted != rep.Candidates {
 		t.Errorf("OnPair saw %d pairs, report has %d", emitted, rep.Candidates)
 	}
+	if rep.Windows < 2 || rep.Windows >= 12 || rep.WindowsTotal != 0 {
+		t.Errorf("partial report counts %d windows (total %d) of a 12-window stream cancelled after 2", rep.Windows, rep.WindowsTotal)
+	}
 }
+
+func TestRunWindowedPartialReport(t *testing.T)  { runPartialReport(t, 1) }
+func TestRunPipelinedPartialReport(t *testing.T) { runPartialReport(t, 3) }
 
 // hookClient runs a callback before delegating each completion.
 type hookClient struct {
@@ -292,9 +361,10 @@ func (h hookClient) Complete(ctx context.Context, req llm.Request) (llm.Response
 	return h.inner.Complete(ctx, req)
 }
 
-// TestRunCollectedPartialReport does the same for the legacy mode: a
-// cancellation mid-matching must surface the partial result, ledger, and
-// the full candidate row set (unanswered pairs as Unknown).
+// TestRunCollectedPartialReport does the same for a single-window run:
+// a cancellation mid-matching must surface the partial result, ledger,
+// and the full candidate row set (unanswered pairs as Unknown). The
+// failed window is folded and emitted but not counted as committed.
 func TestRunCollectedPartialReport(t *testing.T) {
 	ta, tb := syntheticTables(600)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -332,6 +402,10 @@ func TestRunCollectedPartialReport(t *testing.T) {
 	if unknown == 0 || unknown == rep.Candidates {
 		t.Errorf("partial run answered %d of %d candidates; expected a strict subset",
 			rep.Candidates-unknown, rep.Candidates)
+	}
+	if rep.Candidates != 600 || rep.Windows != 0 || rep.PeakBuffered != 600 {
+		t.Errorf("partial report = %d candidates, %d windows, %d buffered; want 600, 0, 600",
+			rep.Candidates, rep.Windows, rep.PeakBuffered)
 	}
 }
 
@@ -375,8 +449,8 @@ func TestRunWindowedSharedPoolLabelsOnce(t *testing.T) {
 	}
 }
 
-// TestRunWindowedEmpty keeps the zero-candidate path sane in windowed
-// mode.
+// TestRunWindowedEmpty keeps the zero-candidate path sane with a
+// window size set.
 func TestRunWindowedEmpty(t *testing.T) {
 	rep, err := Run(context.Background(), Config{StreamWindow: 16}, llm.NewSimulated(nil, 1), nil, nil)
 	if err != nil {
@@ -388,7 +462,7 @@ func TestRunWindowedEmpty(t *testing.T) {
 }
 
 // TestRunWindowedPool uses an explicit labeled pool across windows and
-// expects true matches to surface, as in the legacy path.
+// expects true matches to surface, as with a single window.
 func TestRunWindowedPool(t *testing.T) {
 	d, ta, tb := benchTables(t)
 	split := entity.SplitPairs(d.Pairs)

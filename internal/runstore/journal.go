@@ -27,7 +27,7 @@ var ErrRunMismatch = errors.New("runstore: journal does not match this run")
 // already started. The invariant is what makes a journal — whatever
 // concurrency produced the results — always a contiguous prefix of the
 // run, which is exactly what resume's replay-then-continue logic
-// assumes. The pipelined executor's ordered committer relies on the
+// assumes. The pipeline executor's ordered committer relies on the
 // storage layer enforcing it rather than promising it.
 var ErrOutOfOrder = errors.New("runstore: journal append out of window order")
 
