@@ -25,6 +25,7 @@ import (
 	"batcher/internal/metrics"
 	"batcher/internal/pipeline"
 	"batcher/internal/profile"
+	"batcher/internal/setcover"
 	"batcher/internal/strsim"
 )
 
@@ -504,6 +505,71 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWindowGeometry measures the O(n^2) steps of core.Prepare one
+// by one, on the geometry the pipeline benchmark feeds them: LR vectors
+// of token-blocked candidates of the eval.PipelineBenchSpec tables, cut
+// into a 512-pair window (the benchmark's -stream-window) and, for the
+// covering stage, a 4096-pair one (towards the collect-then-match
+// shape). Thresholds are the percentile calibrations core uses, at its
+// default percentiles and sample cap.
+func BenchmarkWindowGeometry(b *testing.B) {
+	d, err := datagen.GenerateCustom(eval.PipelineBenchSpec(4000), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := (&blocking.TokenBlocker{Attr: "title", MinShared: 2}).Block(d.TableA, d.TableB)
+	if len(cands) < 4096 {
+		b.Fatalf("blocking produced %d candidates, need 4096", len(cands))
+	}
+	f := core.NewFromConfig(llm.NewSimulated(nil, 1), core.Config{
+		Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1,
+	})
+	cfg := f.Config()
+	vecs := feature.ExtractAll(cfg.Extractor, cands[:4096])
+	window, wvecs := cands[:512], vecs[:512]
+	eps := cluster.EpsPercentile(wvecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+
+	b.Run("EpsPercentile-512", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cluster.EpsPercentile(wvecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+		}
+	})
+	for _, n := range []int{512, 4096} {
+		qv := vecs[:n]
+		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
+		dist := func(d, q int) float64 { return cfg.Distance(qv[d], qv[q]) }
+		b.Run(fmt.Sprintf("GreedyThreshold-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var picked int
+			for i := 0; i < b.N; i++ {
+				picked = len(setcover.GreedyThreshold(n, n, dist, t, nil))
+			}
+			b.ReportMetric(float64(picked), "demos")
+		})
+	}
+	b.Run("DBSCAN-512", func(b *testing.B) {
+		b.ReportAllocs()
+		var k int
+		for i := 0; i < b.N; i++ {
+			k = cluster.DBSCAN(wvecs, cfg.Distance, eps, cfg.ClusterMinPts).K
+		}
+		b.ReportMetric(float64(k), "clusters")
+	})
+	b.Run("Prepare-512-selfpooled", func(b *testing.B) {
+		b.ReportAllocs()
+		var labeled int
+		for i := 0; i < b.N; i++ {
+			prep, err := f.Prepare(context.Background(), window, window)
+			if err != nil {
+				b.Fatal(err)
+			}
+			labeled = len(prep.LabeledPool())
+		}
+		b.ReportMetric(float64(labeled), "labeled")
+	})
 }
 
 // BenchmarkAblationClustering compares the clustering substrate choices:

@@ -149,40 +149,27 @@ func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts 
 }
 
 // EpsPercentile estimates a DBSCAN eps from the data: the p-th percentile
-// (p in [0,1]) of pairwise distances on a sample of at most sampleCap
-// points. This mirrors the paper's percentile-based threshold calibration.
+// (p clamped to [0,1]) of pairwise distances on a sample of at most
+// sampleCap points, drawn by a seeded shuffle when the input is larger.
+// This mirrors the paper's percentile-based threshold calibration; the
+// order statistic itself is PairwisePercentile's, found by selection
+// over the O(sample^2) distances.
 func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sampleCap int, seed int64) float64 {
-	n := len(points)
-	if n < 2 {
-		return 0
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if sampleCap > 0 && n > sampleCap {
+	sample := points
+	if n := len(points); sampleCap > 0 && n > sampleCap {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
 		rnd := rand.New(rand.NewSource(seed))
 		rnd.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		idx = idx[:sampleCap]
-	}
-	// The sample size is known, so the distance buffer is sized exactly
-	// once instead of growing through ~log(n^2) reallocations.
-	m := len(idx)
-	ds := make([]float64, 0, m*(m-1)/2)
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			ds = append(ds, dist(points[idx[i]], points[idx[j]]))
+		sample = make([]feature.Vector, sampleCap)
+		for i := range sample {
+			sample[i] = points[idx[i]]
 		}
 	}
-	sort.Float64s(ds)
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	k := int(p * float64(len(ds)-1))
-	return ds[k]
+	eps, _ := PairwisePercentile(sample, dist, p)
+	return eps
 }
 
 // KMeans clusters points into k clusters with Lloyd's algorithm and

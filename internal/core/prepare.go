@@ -57,7 +57,13 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 		ps = feature.NewProfiles(cfg.Extractor)
 	}
 	qVecs := feature.ExtractAllWith(ps, cfg.Extractor, questions)
-	dVecs := feature.ExtractAllWith(ps, cfg.Extractor, pool)
+	// A self-pooled window (the pipeline without a Config.Pool) passes
+	// one slice as both arguments; its vectors are extracted once. Both
+	// sides are only ever read.
+	dVecs := qVecs
+	if len(pool) != len(questions) || &pool[0] != &questions[0] {
+		dVecs = feature.ExtractAllWith(ps, cfg.Extractor, pool)
+	}
 
 	batches := makeBatches(cfg, qVecs)
 	if err := checkPartition(batches, len(questions)); err != nil {

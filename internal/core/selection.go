@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"batcher/internal/cluster"
 	"batcher/internal/entity"
 	"batcher/internal/feature"
 	"batcher/internal/setcover"
@@ -163,6 +164,10 @@ func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vecto
 // coverThreshold computes the covering distance threshold t as the
 // configured percentile of sampled all-question pairwise distances
 // (Section VI-A: the 8th percentile balances labeling cost and accuracy).
+// The sample is the first DistanceSampleCap entries of a permutation
+// seeded apart from the clustering calibration's; the percentile itself
+// — clamped to [0,1] and found by selection — is
+// cluster.PairwisePercentile's.
 func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 	sample := qVecs
 	if cfg.DistanceSampleCap > 0 && len(sample) > cfg.DistanceSampleCap {
@@ -173,27 +178,18 @@ func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 			sample[i] = qVecs[perm[i]]
 		}
 	}
-	var ds []float64
-	for i := 0; i < len(sample); i++ {
-		for j := i + 1; j < len(sample); j++ {
-			ds = append(ds, cfg.Distance(sample[i], sample[j]))
-		}
-	}
-	if len(ds) == 0 {
-		return 0.1
-	}
-	sort.Float64s(ds)
-	k := int(cfg.CoverPercentile * float64(len(ds)-1))
-	t := ds[k]
+	t, ds := cluster.PairwisePercentile(sample, cfg.Distance, cfg.CoverPercentile)
 	if t <= 0 {
-		// Duplicate-heavy geometry: fall back to the smallest positive
-		// distance so covering remains possible.
+		// Fewer than two questions, or duplicate-heavy geometry: fall
+		// back to the smallest positive distance so covering remains
+		// possible.
+		t = 0.1
+		found := false
 		for _, d := range ds {
-			if d > 0 {
-				return d
+			if d > 0 && (!found || d < t) {
+				t, found = d, true
 			}
 		}
-		return 0.1
 	}
 	return t
 }

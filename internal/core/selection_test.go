@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"batcher/internal/entity"
@@ -195,5 +199,97 @@ func TestQuestionK(t *testing.T) {
 	cfg = Config{BatchSize: 8, NumDemos: 4}
 	if cfg.questionK() != 1 {
 		t.Errorf("questionK should clamp to 1: %d", cfg.questionK())
+	}
+}
+
+// coverThresholdSorted is coverThreshold as it was written before the
+// shared selection helper (append-built buffer, full sort, first
+// positive element as the fallback), kept as the oracle. It has no
+// clamp: p must be in [0, 1].
+func coverThresholdSorted(cfg Config, qVecs []feature.Vector) float64 {
+	sample := qVecs
+	if cfg.DistanceSampleCap > 0 && len(sample) > cfg.DistanceSampleCap {
+		rnd := rand.New(rand.NewSource(cfg.Seed + 2))
+		perm := rnd.Perm(len(qVecs))
+		sample = make([]feature.Vector, cfg.DistanceSampleCap)
+		for i := range sample {
+			sample[i] = qVecs[perm[i]]
+		}
+	}
+	var ds []float64
+	for i := 0; i < len(sample); i++ {
+		for j := i + 1; j < len(sample); j++ {
+			ds = append(ds, cfg.Distance(sample[i], sample[j]))
+		}
+	}
+	if len(ds) == 0 {
+		return 0.1
+	}
+	sort.Float64s(ds)
+	t := ds[int(cfg.CoverPercentile*float64(len(ds)-1))]
+	if t <= 0 {
+		for _, d := range ds {
+			if d > 0 {
+				return d
+			}
+		}
+		return 0.1
+	}
+	return t
+}
+
+func TestCoverThresholdMatchesSortedOracle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 30, 120} {
+		for _, grid := range []int{1, 2, 40} {
+			// grid 1: every vector identical (0.1 fallback); grid 2: most
+			// distances zero (smallest-positive fallback at low p).
+			qVecs := make([]feature.Vector, n)
+			for i := range qVecs {
+				qVecs[i] = feature.Vector{float64(rnd.Intn(grid)), float64(rnd.Intn(grid)) / 4}
+			}
+			for _, sampleCap := range []int{2, 25, 512} {
+				for _, p := range []float64{0.001, 0.08, 0.5, 1} {
+					for seed := int64(1); seed <= 2; seed++ {
+						cfg := Config{Seed: seed, CoverPercentile: p, DistanceSampleCap: sampleCap}.applyDefaults()
+						got, want := coverThreshold(cfg, qVecs), coverThresholdSorted(cfg, qVecs)
+						if got != want {
+							t.Fatalf("n=%d grid=%d cap=%d p=%v seed=%d: coverThreshold = %v, sorted oracle = %v",
+								n, grid, sampleCap, p, seed, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoverPercentileAboveOneClamps: WithCoverPercentile(1.5) used to
+// index past the distance buffer ("index out of range [7] with length
+// 6" on four questions). The percentile is clamped to [0, 1], so the
+// run is the p = 1 run.
+func TestCoverPercentileAboveOneClamps(t *testing.T) {
+	questions, pool := testWorkload(t, "Beer", 4)
+	resolve := func(p float64) *Result {
+		t.Helper()
+		f := New(newSimClient(questions, pool, 1),
+			WithBatching(DiversityBatching), WithSelection(CoveringSelection),
+			WithSeed(1), WithCoverPercentile(p))
+		res, err := f.Resolve(context.Background(), questions, pool)
+		if err != nil {
+			t.Fatalf("CoverPercentile %v: %v", p, err)
+		}
+		return res
+	}
+	got, want := resolve(1.5), resolve(1)
+	if !reflect.DeepEqual(got.Pred, want.Pred) {
+		t.Errorf("predictions differ: p=1.5 %v, p=1 %v", got.Pred, want.Pred)
+	}
+	if got.DemosLabeled != want.DemosLabeled || got.PromptTokens != want.PromptTokens {
+		t.Errorf("p=1.5 labeled %d demos / %d prompt tokens, p=1 %d / %d",
+			got.DemosLabeled, got.PromptTokens, want.DemosLabeled, want.PromptTokens)
+	}
+	if got.Ledger.Total() != want.Ledger.Total() {
+		t.Errorf("ledger total: p=1.5 %v, p=1 %v", got.Ledger.Total(), want.Ledger.Total())
 	}
 }

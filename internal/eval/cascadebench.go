@@ -130,7 +130,7 @@ func trainSample(train []entity.Pair, n int) []entity.Pair {
 // routing configuration varies.
 func RunCascadeBench(o CascadeBenchOptions, progress io.Writer) (*CascadeBenchResult, error) {
 	o = o.withDefaults()
-	d, err := datagen.GenerateCustom(pipelineBenchSpec(o.Rows), o.Seed)
+	d, err := datagen.GenerateCustom(PipelineBenchSpec(o.Rows), o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -74,11 +74,11 @@ type PipelineBenchCell struct {
 	Speedup float64
 }
 
-// pipelineBenchSpec is the sweep's synthetic workload: the resume
+// PipelineBenchSpec is the sweep's synthetic workload: the resume
 // stress-test schema scaled to rows records per side, with the title
 // vocabulary widened so token-blocking noise stays proportional and the
 // candidate count is O(rows).
-func pipelineBenchSpec(rows int) datagen.CustomSpec {
+func PipelineBenchSpec(rows int) datagen.CustomSpec {
 	vocab := make([]string, 600)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("word%03d", i)
@@ -107,7 +107,7 @@ func pipelineBenchSpec(rows int) datagen.CustomSpec {
 // non-nil.
 func RunPipelineBench(o PipelineBenchOptions, progress io.Writer) ([]PipelineBenchCell, error) {
 	o = o.withDefaults()
-	d, err := datagen.GenerateCustom(pipelineBenchSpec(o.Rows), o.Seed)
+	d, err := datagen.GenerateCustom(PipelineBenchSpec(o.Rows), o.Seed)
 	if err != nil {
 		return nil, err
 	}

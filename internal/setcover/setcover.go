@@ -8,10 +8,24 @@
 //
 // The package exposes the generic greedy routine over an abstract coverage
 // relation plus the Hk-bound helpers quoted in the paper's approximation
-// guarantees.
+// guarantees. The relation is evaluated once into a bit matrix — one row
+// of question bits per demonstration — and the greedy loop runs on word
+// operations over those rows.
 package setcover
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"batcher/internal/workpool"
+)
+
+// minParallelCover is the cell count (demonstrations x questions) at
+// which Greedy builds its cover matrix across workpool workers. Below
+// it — every per-batch covering call — the whole relation costs less to
+// evaluate than the goroutines would to start. Package variable rather
+// than constant so tests can force both paths.
+var minParallelCover = 1 << 14
 
 // Instance describes a weighted set cover instance: nq questions, nd
 // candidate demonstrations, a coverage predicate, and per-demonstration
@@ -21,7 +35,9 @@ type Instance struct {
 	NumQuestions int
 	// NumDemos is the number of candidate covering sets.
 	NumDemos int
-	// Covers reports whether demonstration d covers question q.
+	// Covers reports whether demonstration d covers question q. It must
+	// be safe for concurrent calls: Greedy evaluates large instances
+	// from several goroutines.
 	Covers func(d, q int) bool
 	// Weight is the cost of selecting demonstration d. Nil means unit
 	// weights.
@@ -31,76 +47,99 @@ type Instance struct {
 // Greedy runs Algorithm 1: starting from the empty selection, repeatedly
 // add the demonstration maximizing (marginal covered questions) / weight
 // until the selection covers every question that the full candidate set
-// can cover. The returned slice lists selected demonstration indices in
-// selection order.
+// can cover. Ties go to the higher raw gain, then to the lower index.
+// The returned slice lists selected demonstration indices in selection
+// order.
 //
 // Questions that no candidate covers are ignored (they cap the reachable
 // value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
+//
+// The cover relation is evaluated exactly once, into a bit matrix held in
+// a single allocation: row d has bit q set iff Covers(d, q), so the
+// matrix takes NumDemos * ceil(NumQuestions/64) words whatever its
+// density. Rows are built by demonstration across workpool workers above
+// minParallelCover cells; fn(d) writes row d and nothing else, so the
+// matrix — and with it the selection — does not depend on how the rows
+// were scheduled. A demonstration's marginal gain is then
+// popcount(row &^ covered). Gains only shrink as the selection grows, so
+// the last gain computed for a demonstration bounds its current one from
+// above, and a pick skips every demonstration whose bound cannot beat the
+// best candidate found so far under the tie-break order — the pick is the
+// one a full rescan would make.
 func Greedy(inst Instance) []int {
-	weight := inst.Weight
-	if weight == nil {
-		weight = func(int) float64 { return 1 }
+	nd, nq := inst.NumDemos, inst.NumQuestions
+	words := (nq + 63) / 64
+	rows := make([]uint64, nd*words)
+	// bound[d] is the last marginal gain computed for d: exact when
+	// computed, an upper bound afterwards.
+	bound := make([]int, nd)
+	workers := 1
+	if nd*nq >= minParallelCover {
+		workers = workpool.Workers()
 	}
-	// Precompute cover lists; skip questions nothing covers.
-	coverable := make([]bool, inst.NumQuestions)
-	coversQ := make([][]int, inst.NumDemos) // demo -> covered questions
-	for d := 0; d < inst.NumDemos; d++ {
-		for q := 0; q < inst.NumQuestions; q++ {
+	workpool.For(workers, nd, func(d int) {
+		row := rows[d*words : (d+1)*words]
+		n := 0
+		for q := 0; q < nq; q++ {
 			if inst.Covers(d, q) {
-				coversQ[d] = append(coversQ[d], q)
-				coverable[q] = true
+				row[q>>6] |= 1 << (q & 63)
+				n++
 			}
 		}
-	}
-	target := 0
-	for _, c := range coverable {
-		if c {
-			target++
+		bound[d] = n
+	})
+	weights := make([]float64, nd)
+	for d := range weights {
+		w := 1.0
+		if inst.Weight != nil {
+			w = inst.Weight(d)
 		}
+		if w <= 0 {
+			w = 1e-12 // guard: nonpositive weights would loop forever
+		}
+		weights[d] = w
 	}
-	covered := make([]bool, inst.NumQuestions)
-	selected := make([]bool, inst.NumDemos)
+	covered := make([]uint64, words)
+	// beats is the pick order: higher ratio, then higher raw gain; the
+	// ascending scan leaves the lower index on a full tie.
+	beats := func(ratio float64, gain int, bestRatio float64, bestGain int) bool {
+		return ratio > bestRatio || (ratio == bestRatio && gain > bestGain)
+	}
 	var out []int
-	numCovered := 0
-	for numCovered < target {
+	for {
 		best, bestRatio, bestGain := -1, 0.0, 0
-		for d := 0; d < inst.NumDemos; d++ {
-			if selected[d] {
+		for d := 0; d < nd; d++ {
+			ub := bound[d]
+			if ub == 0 {
+				continue // selected, or covers nothing new
+			}
+			w := weights[d]
+			if best != -1 && !beats(float64(ub)/w, ub, bestRatio, bestGain) {
 				continue
 			}
 			gain := 0
-			for _, q := range coversQ[d] {
-				if !covered[q] {
-					gain++
-				}
+			for i, r := range rows[d*words : (d+1)*words] {
+				gain += bits.OnesCount64(r &^ covered[i])
 			}
+			bound[d] = gain
 			if gain == 0 {
 				continue
 			}
-			w := weight(d)
-			if w <= 0 {
-				w = 1e-12 // guard: nonpositive weights would loop forever
-			}
-			ratio := float64(gain) / w
-			// Deterministic tie-break: higher ratio, then higher raw gain,
-			// then lower index.
-			if best == -1 || ratio > bestRatio || (ratio == bestRatio && gain > bestGain) {
+			if ratio := float64(gain) / w; best == -1 || beats(ratio, gain, bestRatio, bestGain) {
 				best, bestRatio, bestGain = d, ratio, gain
 			}
 		}
 		if best == -1 {
-			break // nothing adds coverage; shouldn't happen given target
+			// No demonstration adds coverage: everything coverable is
+			// covered.
+			return out
 		}
-		selected[best] = true
 		out = append(out, best)
-		for _, q := range coversQ[best] {
-			if !covered[q] {
-				covered[q] = true
-				numCovered++
-			}
+		for i, r := range rows[best*words : (best+1)*words] {
+			covered[i] |= r
 		}
+		bound[best] = 0
 	}
-	return out
 }
 
 // GreedyThreshold is a convenience wrapper for the geometric case used by

@@ -3,6 +3,7 @@ package setcover
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -204,6 +205,142 @@ func bruteForceOpt(cover [][]bool) int {
 		}
 	}
 	return best
+}
+
+// greedyLists is Greedy as it was written over per-demonstration cover
+// lists, rescanning every list on every pick. It is kept as the oracle:
+// the bit-matrix Greedy must return the same indices in the same order.
+func greedyLists(inst Instance) []int {
+	weight := inst.Weight
+	if weight == nil {
+		weight = func(int) float64 { return 1 }
+	}
+	coverable := make([]bool, inst.NumQuestions)
+	coversQ := make([][]int, inst.NumDemos) // demo -> covered questions
+	for d := 0; d < inst.NumDemos; d++ {
+		for q := 0; q < inst.NumQuestions; q++ {
+			if inst.Covers(d, q) {
+				coversQ[d] = append(coversQ[d], q)
+				coverable[q] = true
+			}
+		}
+	}
+	target := 0
+	for _, c := range coverable {
+		if c {
+			target++
+		}
+	}
+	covered := make([]bool, inst.NumQuestions)
+	selected := make([]bool, inst.NumDemos)
+	var out []int
+	numCovered := 0
+	for numCovered < target {
+		best, bestRatio, bestGain := -1, 0.0, 0
+		for d := 0; d < inst.NumDemos; d++ {
+			if selected[d] {
+				continue
+			}
+			gain := 0
+			for _, q := range coversQ[d] {
+				if !covered[q] {
+					gain++
+				}
+			}
+			if gain == 0 {
+				continue
+			}
+			w := weight(d)
+			if w <= 0 {
+				w = 1e-12
+			}
+			ratio := float64(gain) / w
+			if best == -1 || ratio > bestRatio || (ratio == bestRatio && gain > bestGain) {
+				best, bestRatio, bestGain = d, ratio, gain
+			}
+		}
+		if best == -1 {
+			break
+		}
+		selected[best] = true
+		out = append(out, best)
+		for _, q := range coversQ[best] {
+			if !covered[q] {
+				covered[q] = true
+				numCovered++
+			}
+		}
+	}
+	return out
+}
+
+// forceCoverPath runs fn with the parallel row build forced on (every
+// instance, on four workers whatever the host) or off (none).
+func forceCoverPath(parallel bool, fn func()) {
+	defer func(v int) { minParallelCover = v }(minParallelCover)
+	minParallelCover = math.MaxInt
+	if parallel {
+		minParallelCover = 0
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	fn()
+}
+
+// TestGreedyMatchesListOracle is the exactness contract of the
+// bit-matrix Greedy: same indices, same order as the list-based
+// implementation, on random weighted instances that exercise ties, the
+// nonpositive-weight guard, uncoverable questions, row widths around
+// the 64-bit word boundary, and both the serial and the parallel build.
+func TestGreedyMatchesListOracle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	// A few weights, repeated, so ratio ties and gain ties are common;
+	// zero and negative ones hit the guard.
+	weightPool := []float64{1, 1, 2, 2, 3, 0.5, 0, -1, 7}
+	for _, nq := range []int{1, 63, 64, 65, 513} {
+		for _, nd := range []int{0, 1, 7, 90} {
+			for _, density := range []float64{0.01, 0.08, 0.5} {
+				for _, weighted := range []bool{false, true} {
+					cover := make([][]bool, nd)
+					for d := range cover {
+						cover[d] = make([]bool, nq)
+						for q := range cover[d] {
+							// Every seventh question is out of reach.
+							cover[d][q] = q%7 != 3 && rnd.Float64() < density
+						}
+					}
+					// Duplicate rows: full ties down to the index.
+					for d := 3; d < nd; d += 5 {
+						copy(cover[d], cover[d-2])
+					}
+					var weights []float64
+					if weighted {
+						weights = make([]float64, nd)
+						for d := range weights {
+							weights[d] = weightPool[rnd.Intn(len(weightPool))]
+						}
+					}
+					inst := matrixInstance(cover, weights)
+					inst.NumQuestions = nq // matrixInstance reads it off row 0, absent when nd == 0
+					want := greedyLists(inst)
+					for _, parallel := range []bool{false, true} {
+						forceCoverPath(parallel, func() {
+							got := Greedy(inst)
+							if len(got) != len(want) {
+								t.Fatalf("nq=%d nd=%d density=%v weighted=%v parallel=%v: picked %v, oracle %v",
+									nq, nd, density, weighted, parallel, got, want)
+							}
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("nq=%d nd=%d density=%v weighted=%v parallel=%v: pick %d is %d, oracle %d\n got %v\nwant %v",
+										nq, nd, density, weighted, parallel, i, got[i], want[i], got, want)
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestGreedyThreshold(t *testing.T) {
