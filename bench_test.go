@@ -12,6 +12,7 @@ package repro_bench
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"batcher/internal/blocking"
@@ -510,10 +511,12 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 // BenchmarkWindowGeometry measures the O(n^2) steps of core.Prepare one
 // by one, on the geometry the pipeline benchmark feeds them: LR vectors
 // of token-blocked candidates of the eval.PipelineBenchSpec tables, cut
-// into a 512-pair window (the benchmark's -stream-window) and, for the
-// covering stage, a 4096-pair one (towards the collect-then-match
-// shape). Thresholds are the percentile calibrations core uses, at its
-// default percentiles and sample cap.
+// into a 512-pair window (the benchmark's -stream-window) and a
+// 4096-pair one (towards the collect-then-match shape). Thresholds are
+// the percentile calibrations core uses, at its default percentiles and
+// sample cap. Every step also reports its Config.Distance calls per op,
+// counted on one untimed run with a counting distance so the timed runs
+// pay for no counter.
 func BenchmarkWindowGeometry(b *testing.B) {
 	d, err := datagen.GenerateCustom(eval.PipelineBenchSpec(4000), 1)
 	if err != nil {
@@ -523,53 +526,57 @@ func BenchmarkWindowGeometry(b *testing.B) {
 	if len(cands) < 4096 {
 		b.Fatalf("blocking produced %d candidates, need 4096", len(cands))
 	}
-	f := core.NewFromConfig(llm.NewSimulated(nil, 1), core.Config{
-		Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1,
-	})
-	cfg := f.Config()
+	base := core.Config{Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1}
+	cfg := core.NewFromConfig(llm.NewSimulated(nil, 1), base).Config()
 	vecs := feature.ExtractAll(cfg.Extractor, cands[:4096])
-	window, wvecs := cands[:512], vecs[:512]
-	eps := cluster.EpsPercentile(wvecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
-
-	b.Run("EpsPercentile-512", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cluster.EpsPercentile(wvecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
-		}
+	// run times step(cfg.Distance) and reports the calls step(counting
+	// distance) makes, with whatever metric step returns.
+	run := func(name, unit string, step func(dist feature.Distance) int) {
+		b.Run(name, func(b *testing.B) {
+			var calls atomic.Int64
+			step(func(x, y feature.Vector) float64 { calls.Add(1); return cfg.Distance(x, y) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			var out int
+			for i := 0; i < b.N; i++ {
+				out = step(cfg.Distance)
+			}
+			b.ReportMetric(float64(calls.Load()), "dist-calls/op")
+			if unit != "" {
+				b.ReportMetric(float64(out), unit)
+			}
+		})
+	}
+	run("EpsPercentile-512", "", func(dist feature.Distance) int {
+		cluster.EpsPercentile(vecs[:512], dist, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+		return 0
 	})
 	for _, n := range []int{512, 4096} {
 		qv := vecs[:n]
 		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
-		dist := func(d, q int) float64 { return cfg.Distance(qv[d], qv[q]) }
-		b.Run(fmt.Sprintf("GreedyThreshold-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var picked int
-			for i := 0; i < b.N; i++ {
-				picked = len(setcover.GreedyThreshold(n, n, dist, t, nil))
-			}
-			b.ReportMetric(float64(picked), "demos")
+		run(fmt.Sprintf("GreedyThreshold-%d", n), "demos", func(dist feature.Distance) int {
+			return len(setcover.GreedyThreshold(n, n, func(d, q int) float64 { return dist(qv[d], qv[q]) }, t, nil))
 		})
 	}
-	b.Run("DBSCAN-512", func(b *testing.B) {
-		b.ReportAllocs()
-		var k int
-		for i := 0; i < b.N; i++ {
-			k = cluster.DBSCAN(wvecs, cfg.Distance, eps, cfg.ClusterMinPts).K
-		}
-		b.ReportMetric(float64(k), "clusters")
-	})
-	b.Run("Prepare-512-selfpooled", func(b *testing.B) {
-		b.ReportAllocs()
-		var labeled int
-		for i := 0; i < b.N; i++ {
-			prep, err := f.Prepare(context.Background(), window, window)
+	for _, n := range []int{512, 4096} {
+		qv := vecs[:n]
+		eps := cluster.EpsPercentile(qv, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+		run(fmt.Sprintf("DBSCAN-%d", n), "clusters", func(dist feature.Distance) int {
+			return cluster.DBSCAN(qv, dist, eps, cfg.ClusterMinPts).K
+		})
+	}
+	for _, n := range []int{512, 4096} {
+		window := cands[:n]
+		run(fmt.Sprintf("Prepare-%d-selfpooled", n), "labeled", func(dist feature.Distance) int {
+			c := base
+			c.Distance = dist
+			prep, err := core.NewFromConfig(llm.NewSimulated(nil, 1), c).Prepare(context.Background(), window, window)
 			if err != nil {
 				b.Fatal(err)
 			}
-			labeled = len(prep.LabeledPool())
-		}
-		b.ReportMetric(float64(labeled), "labeled")
-	})
+			return len(prep.LabeledPool())
+		})
+	}
 }
 
 // BenchmarkAblationClustering compares the clustering substrate choices:

@@ -9,18 +9,12 @@ package cluster
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
 	"batcher/internal/feature"
-	"batcher/internal/workpool"
 )
-
-// minParallelDBSCAN is the point count above which DBSCAN fans its
-// region queries out across workpool workers. Below it the per-query
-// coordination costs more than the O(n) distance scan it would split.
-// Package variable rather than constant so tests can force both paths.
-var minParallelDBSCAN = 2048
 
 // Noise is the cluster ID DBSCAN assigns to points that belong to no
 // cluster.
@@ -56,94 +50,86 @@ func (r Result) Clusters() [][]int {
 // DBSCAN clusters points with the classic density-based algorithm of Ester
 // et al. (the paper's choice, reference [27]). eps is the neighbourhood
 // radius under dist and minPts the density threshold (including the point
-// itself). The scan order is index order, so results are deterministic.
+// itself, when it is its own neighbour). The scan order is index order, so
+// results are deterministic.
 //
-// The pairwise distance stage dominates: O(n^2) dist calls over feature
-// vectors. Neighbour lists are gathered into one reused scratch buffer —
-// the only steady allocations are the expansion queue's growth — so the
-// stage adds nothing per comparison on top of the dist function itself.
-// Above minParallelDBSCAN points each region query's j-scan is split
-// into index chunks across workpool workers and the per-chunk hits are
-// concatenated in chunk order, so the neighbour list is the same
-// ascending-index sequence the serial scan produces and the clustering
-// stays deterministic. dist must then be safe for concurrent calls
-// (every feature.Distance in this repo is pure).
+// The ε-neighbourhood relation dist <= eps is evaluated once, by Sweep,
+// into a bit matrix — n(n+1)/2 dist calls, across workpool workers — and
+// DBSCANRows expands the clusters over its rows. dist must therefore be
+// symmetric (see feature.Distance) and safe for concurrent calls; every
+// feature.Distance in this repo is both.
 func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts int) Result {
-	n := len(points)
+	within, _ := Sweep(points, dist, eps, true, 0, false)
+	return DBSCANRows(len(points), within, minPts)
+}
+
+// DBSCANRows is DBSCAN over a prebuilt ε-neighbourhood: within holds n
+// rows of RowWords(n) words, bit j of row i set iff j is a neighbour of
+// i (Sweep's layout). It is read, never written.
+//
+// A point's neighbour count is its row's popcount, taken once. A cluster
+// grows breadth-first from its seed: a core point's row is masked with
+// the still-unassigned points, and those join the cluster and the queue
+// in ascending index order — so the queue holds each point at most once
+// over the whole run, and the assignment is the one the textbook
+// formulation (scan every point for each region query, queue every
+// neighbour list) produces: there a queued point's second and later
+// occurrences change nothing, and a cluster runs to completion before
+// the next one starts.
+func DBSCANRows(n int, within []uint64, minPts int) Result {
+	words := RowWords(n)
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = Noise
 	}
-	visited := make([]bool, n)
-	scratch := make([]int, 0, 64)
-	// neighbors gathers into the shared scratch; the caller must copy
-	// (or fully consume) the result before the next call.
-	neighbors := func(i int) []int {
-		ns := scratch[:0]
-		for j := 0; j < n; j++ {
-			if dist(points[i], points[j]) <= eps {
-				ns = append(ns, j)
-			}
-		}
-		scratch = ns
-		return ns
+	// free has bit j set while assign[j] == Noise.
+	free := make([]uint64, words)
+	for j := 0; j < n; j++ {
+		free[j>>6] |= 1 << (j & 63)
 	}
-	if workers := workpool.Workers(); workers > 1 && n >= minParallelDBSCAN {
-		chunk := (n + workers - 1) / workers
-		bufs := make([][]int, workers)
-		neighbors = func(i int) []int {
-			workpool.For(workers, workers, func(c int) {
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				b := bufs[c][:0]
-				for j := lo; j < hi; j++ {
-					if dist(points[i], points[j]) <= eps {
-						b = append(b, j)
-					}
-				}
-				bufs[c] = b
-			})
-			ns := scratch[:0]
-			for _, b := range bufs {
-				ns = append(ns, b...)
-			}
-			scratch = ns
-			return ns
+	visited := make([]bool, n) // region query done
+	isCore := func(i int) bool {
+		count := 0
+		for _, r := range within[i*words : (i+1)*words] {
+			count += bits.OnesCount64(r)
 		}
+		return count >= minPts
 	}
 	var queue []int
+	// claim moves core point i's unassigned neighbours into cluster c
+	// and onto the queue.
+	claim := func(i, c int) {
+		for w, r := range within[i*words : (i+1)*words] {
+			for m := r & free[w]; m != 0; m &= m - 1 {
+				j := w<<6 | bits.TrailingZeros64(m)
+				assign[j] = c
+				queue = append(queue, j)
+			}
+			free[w] &^= r
+		}
+	}
 	k := 0
 	for i := 0; i < n; i++ {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		ns := neighbors(i)
-		if len(ns) < minPts {
+		if !isCore(i) {
 			continue // remains noise unless adopted as a border point
 		}
-		// Start a new cluster and expand it breadth-first. append copies
-		// the scratch-backed neighbour list, so reuse is safe.
-		c := k
-		k++
-		assign[i] = c
-		queue = append(queue[:0], ns...)
+		assign[i] = k
+		free[i>>6] &^= 1 << (i & 63)
+		queue = queue[:0]
+		claim(i, k)
 		for qi := 0; qi < len(queue); qi++ {
-			j := queue[qi]
-			if !visited[j] {
+			if j := queue[qi]; !visited[j] {
 				visited[j] = true
-				njs := neighbors(j)
-				if len(njs) >= minPts {
-					queue = append(queue, njs...)
+				if isCore(j) {
+					claim(j, k)
 				}
 			}
-			if assign[j] == Noise {
-				assign[j] = c
-			}
 		}
+		k++
 	}
 	return Result{Assign: assign, K: k}
 }

@@ -71,17 +71,15 @@ func TestDBSCANDeterministic(t *testing.T) {
 	}
 }
 
-// TestDBSCANParallelMatchesSequential forces the chunked parallel
-// region-query path and checks it assigns every point exactly as the
-// serial scan does — the chunk-order concatenation must reproduce the
-// ascending-index neighbour lists bit for bit.
+// TestDBSCANParallelMatchesSequential runs the sweep behind DBSCAN on
+// one worker and on four and checks both assign every point alike: each
+// matrix word has one owner, so the neighbourhood rows cannot depend on
+// the schedule.
 func TestDBSCANParallelMatchesSequential(t *testing.T) {
 	pts, _ := blobs(800, 6)
-	defer func(v int) { minParallelDBSCAN = v }(minParallelDBSCAN)
-	minParallelDBSCAN = 1 << 30
-	seq := DBSCAN(pts, feature.Euclidean, 2.0, 3)
-	minParallelDBSCAN = 1
-	par := DBSCAN(pts, feature.Euclidean, 2.0, 3)
+	var seq, par Result
+	withWorkers(1, func() { seq = DBSCAN(pts, feature.Euclidean, 2.0, 3) })
+	withWorkers(4, func() { par = DBSCAN(pts, feature.Euclidean, 2.0, 3) })
 	if par.K != seq.K {
 		t.Fatalf("parallel K = %d, sequential K = %d", par.K, seq.K)
 	}

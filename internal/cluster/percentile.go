@@ -2,23 +2,25 @@ package cluster
 
 import "batcher/internal/feature"
 
-// PairwisePercentile returns the p-th percentile (p clamped to [0,1])
-// of the m(m-1)/2 pairwise distances among sample: the element a full
-// ascending sort of those distances would leave at index
-// int(p*(len-1)). It is the one calibration routine behind both
-// percentile thresholds (DBSCAN's eps and the covering threshold), which
-// differ only in how they draw sample.
-//
-// Only that one order statistic is needed, so the distances are written
-// into an exactly-sized buffer and the element is found by in-place
-// selection — O(m^2) after the O(m^2) dist calls — instead of an
-// O(m^2 log m) sort. The buffer is returned, reordered, for a caller
-// that needs another statistic of the same sample. Fewer than two
-// points have no pairwise distance: the result is (0, nil).
+// PairwisePercentile returns the p-th percentile of the m(m-1)/2
+// pairwise distances among sample — Percentile of PairwiseDistances —
+// together with that buffer, reordered, for a caller that needs another
+// statistic of the same sample. It is the one calibration routine behind
+// both percentile thresholds (DBSCAN's eps and the covering threshold),
+// which differ only in how they draw sample. Fewer than two points have
+// no pairwise distance: the result is (0, nil).
 func PairwisePercentile(sample []feature.Vector, dist feature.Distance, p float64) (float64, []float64) {
+	ds := PairwiseDistances(sample, dist)
+	return Percentile(ds, p), ds
+}
+
+// PairwiseDistances returns dist(sample[i], sample[j]) for every i < j,
+// in row order, in one exactly-sized buffer; nil for fewer than two
+// points.
+func PairwiseDistances(sample []feature.Vector, dist feature.Distance) []float64 {
 	m := len(sample)
 	if m < 2 {
-		return 0, nil
+		return nil
 	}
 	ds := make([]float64, m*(m-1)/2)
 	n := 0
@@ -28,13 +30,30 @@ func PairwisePercentile(sample []feature.Vector, dist feature.Distance, p float6
 			n++
 		}
 	}
-	if p < 0 {
+	return ds
+}
+
+// Percentile reorders ds in place and returns its p-th percentile: the
+// element a full ascending sort would leave at index int(p*(len-1)),
+// with p clamped to [0,1] and a NaN p read as unset (0, the minimum) —
+// it would otherwise pass both clamps and index with int(NaN). An empty
+// ds yields 0.
+//
+// Only that one order statistic is needed, so it is found by in-place
+// selection — O(len) — instead of an O(len log len) sort, and ds can be
+// asked again for another percentile: an order statistic does not
+// depend on the arrangement selection left behind.
+func Percentile(ds []float64, p float64) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	if !(p > 0) {
 		p = 0
 	}
 	if p > 1 {
 		p = 1
 	}
-	return selectKth(ds, int(p*float64(len(ds)-1))), ds
+	return selectKth(ds, int(p*float64(len(ds)-1)))
 }
 
 // selectInsertionMax is the range length at or below which selectKth

@@ -174,6 +174,32 @@ func TestEpsPercentileMatchesSortedOracle(t *testing.T) {
 	}
 }
 
+// TestPercentileTwiceFromOneBuffer: a second percentile taken from the
+// buffer the first selection reordered is the one a fresh buffer gives —
+// what lets the two calibrations of an unsampled window share their
+// distances.
+func TestPercentileTwiceFromOneBuffer(t *testing.T) {
+	rnd := rand.New(rand.NewSource(16))
+	for _, n := range []int{2, 3, 40, 120} {
+		pts := make([]feature.Vector, n)
+		for i := range pts {
+			pts[i] = feature.Vector{float64(rnd.Intn(6)), rnd.Float64()}
+		}
+		for _, dist := range []feature.Distance{feature.Euclidean, feature.CosineDistance} {
+			for _, ps := range [][2]float64{{0.05, 0.08}, {0.08, 0.05}, {1, 0}, {0.5, 0.5}} {
+				shared := PairwiseDistances(pts, dist)
+				first, second := Percentile(shared, ps[0]), Percentile(shared, ps[1])
+				wantFirst, _ := PairwisePercentile(pts, dist, ps[0])
+				wantSecond, _ := PairwisePercentile(pts, dist, ps[1])
+				if !sameFloat(first, wantFirst) || !sameFloat(second, wantSecond) {
+					t.Fatalf("n=%d p=%v: shared buffer gave (%v, %v), fresh buffers (%v, %v)",
+						n, ps, first, second, wantFirst, wantSecond)
+				}
+			}
+		}
+	}
+}
+
 func TestPairwisePercentileBufferAndBounds(t *testing.T) {
 	if v, ds := PairwisePercentile(nil, feature.Euclidean, 0.5); v != 0 || ds != nil {
 		t.Errorf("no points: got (%v, %v), want (0, nil)", v, ds)
@@ -189,6 +215,17 @@ func TestPairwisePercentileBufferAndBounds(t *testing.T) {
 	}
 	if v, _ := PairwisePercentile(pts, feature.Euclidean, -1); v != 1 {
 		t.Errorf("p=-1 clamps to the minimum: got %v, want 1", v)
+	}
+	// NaN passes both p < 0 and p > 1; int(NaN) used to index the buffer
+	// at -9223372036854775808.
+	if v, _ := PairwisePercentile(pts, feature.Euclidean, math.NaN()); v != 1 {
+		t.Errorf("p=NaN reads as unset, the minimum: got %v, want 1", v)
+	}
+	if v := EpsPercentile(pts, feature.Euclidean, math.NaN(), 3, 1); !(v >= 1) {
+		t.Errorf("sampled p=NaN: got %v, want a pairwise distance", v)
+	}
+	if v := Percentile(nil, 0.5); v != 0 {
+		t.Errorf("Percentile of no distances = %v, want 0", v)
 	}
 	sort.Float64s(ds)
 	want := []float64{1, 2, 3, 4, 6, 7}

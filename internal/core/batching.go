@@ -3,9 +3,6 @@ package core
 import (
 	"math/rand"
 	"sort"
-
-	"batcher/internal/cluster"
-	"batcher/internal/feature"
 )
 
 // Batches is a list of question batches, each a list of indices into the
@@ -21,44 +18,24 @@ func (bs Batches) Flatten() []int {
 	return out
 }
 
-// makeBatches groups question indices into batches of size b following the
-// configured strategy (Section III-A). The union of batches is always
-// exactly the question set.
-func makeBatches(cfg Config, vecs []feature.Vector) Batches {
-	n := len(vecs)
+// makeBatches groups the n question indices into batches of size b
+// following the configured strategy (Section III-A); the clustering
+// strategies read the questions' clusters off geo. The union of batches
+// is always exactly the question set.
+func makeBatches(cfg Config, n int, geo geometry) Batches {
 	if n == 0 {
 		return nil
 	}
 	b := cfg.BatchSize
 	rnd := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.Batching == RandomBatching || b == 1 {
+	if !cfg.clustersQuestions() {
 		return randomBatches(n, b, rnd)
 	}
-	groups := clusterQuestions(cfg, vecs)
-	switch cfg.Batching {
-	case SimilarityBatching:
+	groups := geo.clusters(n, cfg.ClusterMinPts)
+	if cfg.Batching == SimilarityBatching {
 		return similarityBatches(groups, b, rnd)
-	case DiversityBatching:
-		return diversityBatches(groups, b)
-	default:
-		return randomBatches(n, b, rnd)
 	}
-}
-
-// clusterQuestions runs DBSCAN with a percentile-calibrated eps and
-// returns clusters (noise points as singletons).
-func clusterQuestions(cfg Config, vecs []feature.Vector) [][]int {
-	eps := cluster.EpsPercentile(vecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
-	if eps <= 0 {
-		// Degenerate geometry (identical vectors): one cluster.
-		all := make([]int, len(vecs))
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}
-	}
-	res := cluster.DBSCAN(vecs, cfg.Distance, eps, cfg.ClusterMinPts)
-	return res.Clusters()
+	return diversityBatches(groups, b)
 }
 
 // randomBatches shuffles indices and chunks them.

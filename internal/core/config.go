@@ -107,6 +107,10 @@ type Config struct {
 	// Extractor maps pairs to feature vectors; default structure-aware LR.
 	Extractor feature.Extractor
 	// Distance over feature vectors; default Euclidean (paper's choice).
+	// It must be symmetric to the bit and safe for concurrent calls (see
+	// feature.Distance): the clustering and covering relations of a
+	// window are defined by Distance(v[i], v[j]) for i <= j, evaluated
+	// once and read in both directions.
 	Distance feature.Distance
 	// CoverPercentile calibrates the covering threshold t as this
 	// percentile of the all-question pairwise distances; paper uses the

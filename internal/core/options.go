@@ -25,7 +25,11 @@ func WithSelection(s SelectStrategy) Option { return func(c *Config) { c.Selecti
 // (default structure-aware Levenshtein ratio, the paper's BATCHER-LR).
 func WithExtractor(e feature.Extractor) Option { return func(c *Config) { c.Extractor = e } }
 
-// WithDistance sets the distance over feature vectors (default Euclidean).
+// WithDistance sets the distance over feature vectors (default
+// Euclidean). d must be symmetric to the bit — d(a, b) and d(b, a) the
+// same float64 — and safe for concurrent calls, as feature.Distance
+// requires: a window's pairs are evaluated once, as d(v[i], v[j]) for
+// i <= j, and the result stands for (j, i) too.
 func WithDistance(d feature.Distance) Option { return func(c *Config) { c.Distance = d } }
 
 // WithCoverPercentile sets the covering threshold percentile (default

@@ -58,18 +58,21 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 	}
 	qVecs := feature.ExtractAllWith(ps, cfg.Extractor, questions)
 	// A self-pooled window (the pipeline without a Config.Pool) passes
-	// one slice as both arguments; its vectors are extracted once. Both
+	// one slice as both arguments; its vectors are extracted once and its
+	// distances measured once, for clustering and covering together. Both
 	// sides are only ever read.
+	selfPooled := len(pool) == len(questions) && &pool[0] == &questions[0]
 	dVecs := qVecs
-	if len(pool) != len(questions) || &pool[0] != &questions[0] {
+	if !selfPooled {
 		dVecs = feature.ExtractAllWith(ps, cfg.Extractor, pool)
 	}
+	geo := windowGeometry(cfg, qVecs, selfPooled)
 
-	batches := makeBatches(cfg, qVecs)
+	batches := makeBatches(cfg, len(qVecs), geo)
 	if err := checkPartition(batches, len(questions)); err != nil {
 		return nil, err
 	}
-	p.sel = selectDemos(cfg, batches, qVecs, dVecs, pool)
+	p.sel = selectDemos(cfg, batches, qVecs, dVecs, pool, geo)
 	model, err := llm.Lookup(cfg.Model)
 	if err != nil {
 		return nil, err

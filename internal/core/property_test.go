@@ -32,7 +32,7 @@ func TestBatchingPartitionProperty(t *testing.T) {
 			Seed:      seed,
 		}.applyDefaults()
 		cfg.BatchSize = b
-		batches := makeBatches(cfg, vecs)
+		batches := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
 		return checkPartition(batches, n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -52,7 +52,7 @@ func TestBatchSizeBoundProperty(t *testing.T) {
 		}
 		cfg := Config{BatchSize: b, Batching: BatchStrategies()[int(strat)%3], Seed: seed}.applyDefaults()
 		cfg.BatchSize = b
-		for _, batch := range makeBatches(cfg, vecs) {
+		for _, batch := range makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false)) {
 			if len(batch) > b {
 				return false
 			}
@@ -84,7 +84,7 @@ func TestSelectionLabeledSupersetProperty(t *testing.T) {
 		pool := dummyPool(nd)
 		cfg := Config{Selection: strat, Seed: seed}.applyDefaults()
 		batches := randomBatches(nq, 8, rnd)
-		sel := selectDemos(cfg, batches, qVecs, dVecs, pool)
+		sel := selectDemos(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
 		labeled := map[int]bool{}
 		for i, di := range sel.labeled {
 			if di < 0 || di >= nd {
@@ -132,7 +132,7 @@ func TestCoveringWithinThresholdProperty(t *testing.T) {
 		cfg.CoverPercentile = 0.3
 		batches := randomBatches(nq, 8, rnd)
 		tval := coverThreshold(cfg, qVecs)
-		sel := coveringSelection(cfg, batches, qVecs, dVecs, pool)
+		sel := coveringSelection(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
 		for bi, batch := range batches {
 			for _, qi := range batch {
 				coverable := false

@@ -27,7 +27,7 @@ type selection struct {
 
 // selectDemos runs the configured demonstration selection strategy
 // (Section IV) over the generated batches.
-func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair) selection {
+func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair, geo geometry) selection {
 	var sel selection
 	switch cfg.Selection {
 	case TopKBatch:
@@ -35,7 +35,7 @@ func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, poo
 	case TopKQuestion:
 		sel = topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	case CoveringSelection:
-		sel = coveringSelection(cfg, batches, qVecs, dVecs, pool)
+		sel = coveringSelection(cfg, batches, qVecs, dVecs, pool, geo)
 	case VoteKSelection:
 		sel = voteKSelection(cfg, batches, qVecs, dVecs)
 	default:
@@ -127,12 +127,22 @@ func topKQuestionSelection(cfg Config, batches Batches, qVecs, dVecs []feature.V
 
 // coveringSelection implements Section V: stage 1 selects a minimal
 // demonstration set covering all questions (unit weights), stage 2 covers
-// each batch from that set minimizing total token weight.
-func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair) selection {
-	t := coverThreshold(cfg, qVecs)
+// each batch from that set minimizing total token weight. Demonstration d
+// covers question q iff Distance(dVecs[d], qVecs[q]) < geo.t. A
+// self-pooled window has that relation as bits already (geo.below) and
+// neither stage calls Distance; any other pool evaluates its rectangular
+// relation here, once for stage 1 and again per batch.
+func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair, geo geometry) selection {
+	covers := func(d, q int) bool { return cfg.Distance(dVecs[d], qVecs[q]) < geo.t }
 	// Stage 1: Demonstration Set Generation over the full question set.
-	ds := setcover.GreedyThreshold(len(dVecs), len(qVecs),
-		func(d, q int) float64 { return cfg.Distance(dVecs[d], qVecs[q]) }, t, nil)
+	var ds []int
+	if geo.below != nil {
+		words := cluster.RowWords(len(qVecs))
+		covers = func(d, q int) bool { return geo.below[d*words+q>>6]>>(q&63)&1 != 0 }
+		ds = setcover.GreedyRows(len(dVecs), len(qVecs), geo.below, nil)
+	} else {
+		ds = setcover.Greedy(setcover.Instance{NumQuestions: len(qVecs), NumDemos: len(dVecs), Covers: covers})
+	}
 	// Token weights for stage 2: the price of including each selected
 	// demonstration in a prompt.
 	weights := make([]float64, len(ds))
@@ -144,10 +154,8 @@ func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vecto
 		picked := setcover.Greedy(setcover.Instance{
 			NumQuestions: len(batch),
 			NumDemos:     len(ds),
-			Covers: func(d, q int) bool {
-				return cfg.Distance(dVecs[ds[d]], qVecs[batch[q]]) < t
-			},
-			Weight: func(d int) float64 { return weights[d] },
+			Covers:       func(d, q int) bool { return covers(ds[d], batch[q]) },
+			Weight:       func(d int) float64 { return weights[d] },
 		})
 		ids := make([]int, 0, len(picked))
 		for _, pi := range picked {
@@ -165,12 +173,10 @@ func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vecto
 // configured percentile of sampled all-question pairwise distances
 // (Section VI-A: the 8th percentile balances labeling cost and accuracy).
 // The sample is the first DistanceSampleCap entries of a permutation
-// seeded apart from the clustering calibration's; the percentile itself
-// — clamped to [0,1] and found by selection — is
-// cluster.PairwisePercentile's.
+// seeded apart from the clustering calibration's.
 func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 	sample := qVecs
-	if cfg.DistanceSampleCap > 0 && len(sample) > cfg.DistanceSampleCap {
+	if cfg.samples(len(qVecs)) {
 		rnd := rand.New(rand.NewSource(cfg.Seed + 2))
 		perm := rnd.Perm(len(qVecs))
 		sample = make([]feature.Vector, cfg.DistanceSampleCap)
@@ -178,7 +184,15 @@ func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 			sample[i] = qVecs[perm[i]]
 		}
 	}
-	t, ds := cluster.PairwisePercentile(sample, cfg.Distance, cfg.CoverPercentile)
+	return coverThresholdOf(cluster.PairwiseDistances(sample, cfg.Distance), cfg.CoverPercentile)
+}
+
+// coverThresholdOf is the covering threshold given the sample's pairwise
+// distances ds, which it reorders: their p-th percentile as
+// cluster.Percentile finds it, or a positive stand-in when that is not
+// positive.
+func coverThresholdOf(ds []float64, p float64) float64 {
+	t := cluster.Percentile(ds, p)
 	if t <= 0 {
 		// Fewer than two questions, or duplicate-heavy geometry: fall
 		// back to the smallest positive distance so covering remains

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -111,11 +112,11 @@ func TestCoveringSelectionCoversAllCoverable(t *testing.T) {
 	qVecs := vecsFrom(0, 0.01, 0.02, 5, 5.01, 5.02)
 	dVecs := vecsFrom(0.005, 5.005, 100)
 	pool := dummyPool(3)
-	cfg := Config{BatchSize: 3, CoverPercentile: 0.3, Seed: 1}.applyDefaults()
+	cfg := Config{BatchSize: 3, Selection: CoveringSelection, CoverPercentile: 0.3, Seed: 1}.applyDefaults()
 	cfg.BatchSize = 3
 	cfg.CoverPercentile = 0.3
 	batches := Batches{{0, 1, 2}, {3, 4, 5}}
-	sel := coveringSelection(cfg, batches, qVecs, dVecs, pool)
+	sel := coveringSelection(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
 	if len(sel.labeled) != 2 {
 		t.Fatalf("labeled = %v, want the two near demos", sel.labeled)
 	}
@@ -136,10 +137,10 @@ func TestCoveringCheaperThanTopKQuestion(t *testing.T) {
 	qVecs := vecsFrom(0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
 	dVecs := vecsFrom(0.035, 10, 11, 12, 13, 14, 15, 16)
 	pool := dummyPool(len(dVecs))
-	cfg := Config{BatchSize: 8, Seed: 1}.applyDefaults()
+	cfg := Config{BatchSize: 8, Selection: CoveringSelection, Seed: 1}.applyDefaults()
 	cfg.CoverPercentile = 0.5
 	batches := Batches{{0, 1, 2, 3, 4, 5, 6, 7}}
-	cover := coveringSelection(cfg, batches, qVecs, dVecs, pool)
+	cover := coveringSelection(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
 	topkq := topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	if len(cover.labeled) >= len(topkq.labeled) {
 		// topk-question with k=1 will pick demo 0 for all questions here,
@@ -291,5 +292,36 @@ func TestCoverPercentileAboveOneClamps(t *testing.T) {
 	}
 	if got.Ledger.Total() != want.Ledger.Total() {
 		t.Errorf("ledger total: p=1.5 %v, p=1 %v", got.Ledger.Total(), want.Ledger.Total())
+	}
+}
+
+// TestNaNPercentilesDoNotPanic: WithCoverPercentile(math.NaN()) and
+// WithClusterEpsPercentile(math.NaN()) pass applyDefaults (NaN <= 0 is
+// false) and both clamps, and used to index the distance buffer with
+// int(NaN) ("index out of range [-9223372036854775808]"). A NaN
+// percentile reads as unset where the index is computed — the smallest
+// distance — so the run is the one a vanishing percentile gives.
+func TestNaNPercentilesDoNotPanic(t *testing.T) {
+	questions, pool := testWorkload(t, "Beer", 24)
+	resolve := func(opts ...Option) *Result {
+		t.Helper()
+		f := New(newSimClient(questions, pool, 1), append([]Option{
+			WithBatching(DiversityBatching), WithSelection(CoveringSelection), WithSeed(1)}, opts...)...)
+		res, err := f.Resolve(context.Background(), questions, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for name, opt := range map[string]func(float64) Option{
+		"CoverPercentile": WithCoverPercentile, "ClusterEpsPercentile": WithClusterEpsPercentile,
+	} {
+		got, want := resolve(opt(math.NaN())), resolve(opt(1e-300))
+		if !reflect.DeepEqual(got.Pred, want.Pred) || got.DemosLabeled != want.DemosLabeled ||
+			got.PromptTokens != want.PromptTokens || got.Ledger.Total() != want.Ledger.Total() {
+			t.Errorf("%s NaN: %d demos / %d prompt tokens / $%v, at 1e-300: %d / %d / $%v", name,
+				got.DemosLabeled, got.PromptTokens, got.Ledger.Total(),
+				want.DemosLabeled, want.PromptTokens, want.Ledger.Total())
+		}
 	}
 }

@@ -454,7 +454,15 @@ func CosineDistance(a, b Vector) float64 {
 	return 1 - dot/(math.Sqrt(na)*math.Sqrt(nb))
 }
 
-// Distance is a distance function over feature vectors.
+// Distance is a distance function over feature vectors. It need not be a
+// metric (CosineDistance is not), but it must be symmetric to the bit —
+// Distance(a, b) and Distance(b, a) are the same float64, any NaN
+// counting as the same value — pure, and safe for concurrent calls:
+// clustering and covering evaluate a window's pairs once, as
+// Distance(v[i], v[j]) for i <= j only, across several goroutines, and
+// read the result for (j, i) too. Distance(a, a) is evaluated like any
+// other pair and may be non-zero. Euclidean and CosineDistance satisfy
+// all of this.
 type Distance func(a, b Vector) float64
 
 // MeanSimilarity returns the mean of the components of a structure-aware

@@ -210,6 +210,51 @@ func TestCosineDistance(t *testing.T) {
 	}
 }
 
+// TestDistancesSymmetricToTheBit pins the Distance contract the shared
+// distance sweep rests on: swapping the arguments changes nothing, not
+// even the last bit, for vectors of unequal length, zero vectors and
+// components that are infinite or NaN. (Any two NaN results count as
+// equal: every comparison against a threshold reads them alike.)
+func TestDistancesSymmetricToTheBit(t *testing.T) {
+	rnd := rand.New(rand.NewSource(16))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e-320, 1e300}
+	randVec := func() Vector {
+		v := make(Vector, rnd.Intn(7))
+		zero := rnd.Intn(5) == 0
+		for i := range v {
+			switch {
+			case zero:
+			case rnd.Intn(6) == 0:
+				v[i] = special[rnd.Intn(len(special))]
+			default:
+				v[i] = rnd.NormFloat64() * math.Pow(10, float64(rnd.Intn(7)-3))
+			}
+		}
+		return v
+	}
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+	}
+	for name, dist := range map[string]Distance{"Euclidean": Euclidean, "CosineDistance": CosineDistance} {
+		for i := 0; i < 20000; i++ {
+			a, b := randVec(), randVec()
+			if ab, ba := dist(a, b), dist(b, a); !same(ab, ba) {
+				t.Fatalf("%s(%v, %v) = %v (%#x), swapped %v (%#x)",
+					name, a, b, ab, math.Float64bits(ab), ba, math.Float64bits(ba))
+			}
+		}
+	}
+	// The diagonal is a distance like any other, not 0 by definition: a
+	// zero vector is at cosine distance 1 from itself, so it is outside
+	// its own ε-neighbourhood for any eps < 1.
+	if got := CosineDistance(Vector{0, 0}, Vector{0, 0}); got != 1 {
+		t.Errorf("CosineDistance(0, 0) = %v, want 1", got)
+	}
+	if got := Euclidean(Vector{0, 0}, Vector{0, 0}); got != 0 {
+		t.Errorf("Euclidean(0, 0) = %v, want 0", got)
+	}
+}
+
 func TestExtractAll(t *testing.T) {
 	pairs := []entity.Pair{
 		{A: rec("a", "x", "1"), B: rec("b", "x", "1")},

@@ -54,45 +54,59 @@ type Instance struct {
 // Questions that no candidate covers are ignored (they cap the reachable
 // value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
 //
-// The cover relation is evaluated exactly once, into a bit matrix held in
-// a single allocation: row d has bit q set iff Covers(d, q), so the
-// matrix takes NumDemos * ceil(NumQuestions/64) words whatever its
-// density. Rows are built by demonstration across workpool workers above
-// minParallelCover cells; fn(d) writes row d and nothing else, so the
-// matrix — and with it the selection — does not depend on how the rows
-// were scheduled. A demonstration's marginal gain is then
-// popcount(row &^ covered). Gains only shrink as the selection grows, so
-// the last gain computed for a demonstration bounds its current one from
-// above, and a pick skips every demonstration whose bound cannot beat the
-// best candidate found so far under the tie-break order — the pick is the
-// one a full rescan would make.
+// Greedy evaluates the cover relation exactly once, into the bit matrix
+// GreedyRows takes, and runs GreedyRows on it. Rows are built by
+// demonstration across workpool workers above minParallelCover cells;
+// fn(d) writes row d and nothing else, so the matrix — and with it the
+// selection — does not depend on how the rows were scheduled. A caller
+// that already holds the relation as rows (a pool that is its own
+// question set gets them from cluster.Sweep) calls GreedyRows directly.
 func Greedy(inst Instance) []int {
 	nd, nq := inst.NumDemos, inst.NumQuestions
 	words := (nq + 63) / 64
 	rows := make([]uint64, nd*words)
-	// bound[d] is the last marginal gain computed for d: exact when
-	// computed, an upper bound afterwards.
-	bound := make([]int, nd)
 	workers := 1
 	if nd*nq >= minParallelCover {
 		workers = workpool.Workers()
 	}
 	workpool.For(workers, nd, func(d int) {
 		row := rows[d*words : (d+1)*words]
-		n := 0
 		for q := 0; q < nq; q++ {
 			if inst.Covers(d, q) {
 				row[q>>6] |= 1 << (q & 63)
-				n++
 			}
 		}
-		bound[d] = n
 	})
+	return GreedyRows(nd, nq, rows, inst.Weight)
+}
+
+// GreedyRows is Greedy over a prebuilt cover relation: rows holds nd
+// rows of ceil(nq/64) words in one slice, bit q of row d set iff
+// demonstration d covers question q, so the matrix takes
+// nd * ceil(nq/64) words whatever its density. rows is read, never
+// written. weight is Instance.Weight: nil means unit weights.
+//
+// A demonstration's marginal gain is popcount(row &^ covered). Gains only
+// shrink as the selection grows, so the last gain computed for a
+// demonstration bounds its current one from above, and a pick skips
+// every demonstration whose bound cannot beat the best candidate found
+// so far under the tie-break order — the pick is the one a full rescan
+// would make.
+func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
+	words := (nq + 63) / 64
+	// bound[d] is the last marginal gain computed for d: exact when
+	// computed, an upper bound afterwards.
+	bound := make([]int, nd)
+	for d := range bound {
+		for _, r := range rows[d*words : (d+1)*words] {
+			bound[d] += bits.OnesCount64(r)
+		}
+	}
 	weights := make([]float64, nd)
 	for d := range weights {
 		w := 1.0
-		if inst.Weight != nil {
-			w = inst.Weight(d)
+		if weight != nil {
+			w = weight(d)
 		}
 		if w <= 0 {
 			w = 1e-12 // guard: nonpositive weights would loop forever

@@ -3,6 +3,7 @@ package setcover
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -339,6 +340,37 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGreedyRowsReadsPrebuiltRows: GreedyRows on a caller-built matrix
+// picks what Greedy picks from the predicate, and leaves the matrix as
+// it found it — covering selection runs stage 2 off the same rows.
+func TestGreedyRowsReadsPrebuiltRows(t *testing.T) {
+	rnd := rand.New(rand.NewSource(16))
+	for _, n := range []int{1, 64, 65, 200} {
+		words := (n + 63) / 64
+		rows := make([]uint64, n*words)
+		for d := 0; d < n; d++ {
+			for q := 0; q < n; q++ {
+				if d == q || rnd.Float64() < 0.05 {
+					rows[d*words+q>>6] |= 1 << (q & 63)
+				}
+			}
+		}
+		before := append([]uint64(nil), rows...)
+		weight := func(d int) float64 { return float64(1 + d%3) }
+		got := GreedyRows(n, n, rows, weight)
+		want := Greedy(Instance{
+			NumQuestions: n, NumDemos: n, Weight: weight,
+			Covers: func(d, q int) bool { return before[d*words+q>>6]>>(q&63)&1 != 0 },
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: GreedyRows picked %v, Greedy %v", n, got, want)
+		}
+		if !reflect.DeepEqual(rows, before) {
+			t.Fatalf("n=%d: GreedyRows wrote to its rows", n)
 		}
 	}
 }
