@@ -12,6 +12,8 @@ package repro_bench
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -26,7 +28,9 @@ import (
 	"batcher/internal/metrics"
 	"batcher/internal/pipeline"
 	"batcher/internal/profile"
+	"batcher/internal/runstore"
 	"batcher/internal/setcover"
+	"batcher/internal/shard"
 	"batcher/internal/strsim"
 )
 
@@ -577,6 +581,166 @@ func BenchmarkWindowGeometry(b *testing.B) {
 			return len(prep.LabeledPool())
 		})
 	}
+}
+
+// BenchmarkRecovery times the path an operator waits on after
+// -merge-shards or a crash: merging shard journals, opening the merged
+// journal for replay, and — for scale — what the live journal's appends
+// cost with their flush policy on. The set is the benchmark's
+// merge_replay shape built straight through the runstore API: 4 shards,
+// 30 windows of 512 pairs in batches of 8, so ~1 950 records. Each step
+// reports MB/s over the journal bytes it reads or writes and the fsyncs
+// it issues per op — a merge is one sequential write and one flush,
+// the live journal pays one fsync per 16 records for crash safety.
+func BenchmarkRecovery(b *testing.B) {
+	const shards, windows, windowPairs, batchSize = 4, 30, 512, 8
+	ctx := context.Background()
+	meta := runstore.RunMeta{
+		Model: "gpt-3.5-turbo-0301", Seed: 1, BatchSize: batchSize, NumDemos: 8,
+		Batching: "diversity", Selection: "covering", StreamWindow: windowPairs,
+		RowsA: 8000, RowsB: 8000, TableHash: "feedc0de4badf00d01234567", CreatedUnix: 1700000000,
+	}
+	// writeWindow journals stream window g as j's window idx.
+	writeWindow := func(j *runstore.Journal, idx, g int) {
+		key := func(q int) string { return fmt.Sprintf("a%d|b%d", g*windowPairs+q, (g*windowPairs+q)*7%8000) }
+		labeled := make([]int, 48)
+		for i := range labeled {
+			labeled[i] = i * 10
+		}
+		err := j.WindowStart(runstore.WindowStart{Index: idx, Offset: idx * windowPairs, Size: windowPairs, Labeled: labeled, Global: g, Key: key(0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for bi := 0; bi < windowPairs/batchSize; bi++ {
+			bd := runstore.BatchDone{
+				Window: idx, Batch: bi, Calls: 1, InputTokens: 1000 + bi, OutputTokens: 60 + bi%9,
+				APIDollars: 0.001049 + float64(bi)*1e-7,
+			}
+			for q := bi * batchSize; q < (bi+1)*batchSize; q++ {
+				bd.Questions = append(bd.Questions, q)
+				bd.Keys = append(bd.Keys, key(q))
+				bd.Pred = append(bd.Pred, entity.Label(q%2))
+			}
+			if err := j.BatchDone(bd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dirBytes := func(dir string) int64 {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var n int64
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+
+	root := b.TempDir()
+	shardDirs := make([]string, shards)
+	var shardBytes int64
+	for i := range shardDirs {
+		shardDirs[i] = filepath.Join(root, fmt.Sprintf("shard-%d", i))
+		j, err := runstore.OpenJournal(ctx, shardDirs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := meta
+		m.RunID, m.Shard = j.RunID(), shard.Spec{Index: i, Count: shards}.String()
+		if err := j.WriteMeta(m); err != nil {
+			b.Fatal(err)
+		}
+		owned := 0
+		for g := 0; g < windows; g++ {
+			if shard.Assign(fmt.Sprintf("a%d|b%d", g*windowPairs, g*windowPairs*7%8000), shards) == i {
+				writeWindow(j, owned, g)
+				owned++
+			}
+		}
+		if err := j.Done(runstore.RunDone{Windows: windows, Owned: owned}); err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		shardBytes += dirBytes(shardDirs[i])
+	}
+	merged := filepath.Join(root, "merged")
+	if _, err := shard.Merge(ctx, shardDirs, merged); err != nil {
+		b.Fatal(err)
+	}
+	mergedBytes := dirBytes(merged)
+
+	b.Run("Merge", func(b *testing.B) {
+		out := b.TempDir()
+		b.SetBytes(shardBytes + mergedBytes)
+		b.ReportAllocs()
+		syncs := 0
+		for i := 0; i < b.N; i++ {
+			sum, err := shard.Merge(ctx, shardDirs, filepath.Join(out, fmt.Sprint(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			syncs += sum.Syncs
+		}
+		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
+	})
+	b.Run("OpenMerged", func(b *testing.B) {
+		b.SetBytes(mergedBytes)
+		b.ReportAllocs()
+		syncs := 0
+		for i := 0; i < b.N; i++ {
+			j, err := runstore.OpenJournal(ctx, merged)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if j.State().Windows() != windows {
+				b.Fatalf("merged journal reopened with %d windows, want %d", j.State().Windows(), windows)
+			}
+			if err := j.Close(); err != nil {
+				b.Fatal(err)
+			}
+			syncs += j.Syncs()
+		}
+		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
+	})
+	b.Run("AppendLive-2000", func(b *testing.B) {
+		out := b.TempDir()
+		b.ReportAllocs()
+		syncs := 0
+		for i := 0; i < b.N; i++ {
+			dir := filepath.Join(out, fmt.Sprint(i))
+			j, err := runstore.OpenJournal(ctx, dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := meta
+			m.RunID = j.RunID()
+			if err := j.WriteMeta(m); err != nil {
+				b.Fatal(err)
+			}
+			for w := 0; w < windows; w++ { // 30 x (1 + 64) + meta + done = 1 952 records
+				writeWindow(j, w, w)
+			}
+			if err := j.Done(runstore.RunDone{Windows: windows, Owned: windows}); err != nil {
+				b.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				b.Fatal(err)
+			}
+			syncs += j.Syncs()
+			if i == 0 {
+				b.SetBytes(dirBytes(dir))
+			}
+		}
+		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
+	})
 }
 
 // BenchmarkAblationClustering compares the clustering substrate choices:

@@ -122,8 +122,8 @@ func (f *Framework) Resolve(ctx context.Context, questions, pool []entity.Pair) 
 // batch's predictions, token usage, and cost delta as it completes, in
 // deterministic ascending batch order. Setup failures (bad model, broken
 // partition) surface as the returned error; mid-run failures surface on
-// Stream.Err after exhaustion. Cancelling ctx stops the run between LLM
-// calls and aborts in-flight HTTP requests on live clients.
+// Stream.Err after exhaustion. Cancelling ctx stops the run at the next
+// batch boundary; a batch in flight finishes (see Prepared.Start).
 //
 // ResolveStream is Prepare followed immediately by Start. Callers that
 // want to overlap the CPU-bound front half of one resolution with the

@@ -100,9 +100,20 @@ func (p *Prepared) LabeledPool() []int { return p.sel.labeled }
 
 // Start launches the LLM execution half and returns its Stream, which
 // yields each batch's predictions, token usage, and cost delta in
-// ascending batch order. Cancelling ctx stops the run between LLM
-// calls; the Stream must be consumed or Closed. An empty question set
-// returns an already-exhausted Stream.
+// ascending batch order. The Stream must be consumed or Closed. An empty
+// question set returns an already-exhausted Stream.
+//
+// Cancellation contract (the one every caller of a Stream inherits:
+// Resolve, ResolveStream, and the pipeline executor stopping sibling
+// windows after a failure): cancelling ctx, its deadline passing, or
+// Closing the Stream stops the run at the next batch boundary. No
+// further batch starts, but a batch that has started finishes — its
+// calls run under context.WithoutCancel(ctx), so an in-flight call ends
+// by answering or by its client's own timeout, never by this
+// cancellation. The batch is the unit of billing and of journaling: cut
+// between a cascade's billed cheap call and its escalation, or inside a
+// call the backend has already counted, its spend would reach no ledger
+// and no journal, and a resume would pay for it a second time.
 func (p *Prepared) Start(ctx context.Context) *Stream {
 	if ctx == nil {
 		ctx = context.Background()

@@ -225,7 +225,7 @@ func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchRes
 	if !p.cascade {
 		resp, trimmed, err := f.callWithTrim(ctx, p.model, llm.TierDefault, demos, qs)
 		if err != nil {
-			if f.degradable(ctx, err) {
+			if f.degradable(err) {
 				return f.degrade(br, len(batch), nil), nil
 			}
 			return BatchResult{}, err
@@ -246,7 +246,7 @@ func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchRes
 	if br.VoteMargin >= f.cfg.EscalateMargin {
 		resp, trimmed, err := f.callWithTrim(ctx, p.cheap, llm.TierCheap, demos, qs)
 		if err != nil {
-			if f.degradable(ctx, err) {
+			if f.degradable(err) {
 				// The cheap tier itself is down: nothing answered yet.
 				return f.degrade(br, len(batch), nil), nil
 			}
@@ -271,7 +271,7 @@ func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchRes
 	// splits them per tier.
 	resp, trimmed, err := f.callWithTrim(ctx, p.model, llm.TierExpensive, demos, qs)
 	if err != nil {
-		if f.degradable(ctx, err) {
+		if f.degradable(err) {
 			// Only the expensive tier is refusing; the cheap spend above
 			// stays on the batch so a repairing resume does not re-bill it.
 			return f.degrade(br, len(batch), cheapPred), nil
@@ -290,10 +290,11 @@ func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchRes
 }
 
 // degradable reports whether err is the one failure the degradation
-// policy absorbs: a circuit-breaker refusal, with the caller still
-// alive and a policy other than fail-fast configured.
-func (f *Framework) degradable(ctx context.Context, err error) bool {
-	return f.cfg.Degrade != DegradeFailFast && ctx.Err() == nil && errors.Is(err, llm.ErrCircuitOpen)
+// policy absorbs: a circuit-breaker refusal, with a policy other than
+// fail-fast configured. (Whether the caller is still alive does not
+// enter: a started batch runs to its end either way.)
+func (f *Framework) degradable(err error) bool {
+	return f.cfg.Degrade != DegradeFailFast && errors.Is(err, llm.ErrCircuitOpen)
 }
 
 // degrade completes br under the degradation policy: the cheap tier's
@@ -329,7 +330,8 @@ func anyUnknown(pred []entity.Label) bool {
 }
 
 // runSequential is the single-worker producer: one batch at a time, with
-// a cancellation check between calls.
+// a cancellation check between batches and none inside one (the
+// contract on Prepared.Start).
 func (s *Stream) runSequential(ctx context.Context, p *execPlan) {
 	defer close(s.ch)
 	defer s.cancel()
@@ -338,7 +340,7 @@ func (s *Stream) runSequential(ctx context.Context, p *execPlan) {
 			s.setErr(&BatchError{Batch: bi, Err: err})
 			return
 		}
-		br, err := p.f.runBatch(ctx, p, bi)
+		br, err := p.f.runBatch(context.WithoutCancel(ctx), p, bi)
 		if err != nil {
 			s.setErr(&BatchError{Batch: bi, Err: err})
 			return
@@ -351,7 +353,8 @@ func (s *Stream) runSequential(ctx context.Context, p *execPlan) {
 // batch count, so small runs never spawn idle goroutines) and re-emits
 // completions in ascending batch order. On the first failure the derived
 // context is cancelled, which drains the jobs channel and stops every
-// worker without leaking goroutines.
+// worker at its next batch boundary (the contract on Prepared.Start)
+// without leaking goroutines.
 func (s *Stream) runParallel(ctx context.Context, p *execPlan, workers int) {
 	defer close(s.ch)
 	defer s.cancel()
@@ -375,7 +378,7 @@ func (s *Stream) runParallel(ctx context.Context, p *execPlan, workers int) {
 					if !ok {
 						return
 					}
-					br, err := p.f.runBatch(ctx, p, bi)
+					br, err := p.f.runBatch(context.WithoutCancel(ctx), p, bi)
 					if err != nil {
 						err = &BatchError{Batch: bi, Err: err}
 					}

@@ -57,7 +57,7 @@ func (r *CSVReader) Read() (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%s: row %d: %w", r.name, r.row+2, err)
 	}
-	id := fmt.Sprintf("%s#%d", r.name, r.row)
+	id := ""
 	vals := make([]string, 0, len(r.attrs))
 	for i := range r.header {
 		v := ""
@@ -65,12 +65,13 @@ func (r *CSVReader) Read() (Record, error) {
 			v = raw[i]
 		}
 		if i == r.idCol {
-			if v != "" {
-				id = v
-			}
+			id = v
 			continue
 		}
 		vals = append(vals, v)
+	}
+	if id == "" { // no id column, or an empty cell: name the row instead
+		id = fmt.Sprintf("%s#%d", r.name, r.row)
 	}
 	r.row++
 	return NewRecord(id, r.attrs, vals), nil

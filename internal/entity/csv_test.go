@@ -41,6 +41,59 @@ func TestCSVReaderIncremental(t *testing.T) {
 	if _, err := r.Read(); err != io.EOF {
 		t.Fatalf("repeated read err = %v, want io.EOF", err)
 	}
+
+	// Without an id column every row is named by its position, and an id
+	// column a short row does not reach counts as an empty cell.
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"name,city\ngolden dragon,soho\nblue bayou,tribeca\n", []string{"fix#0", "fix#1"}},
+		{"name,id\ngolden dragon,r1\nblue bayou\n", []string{"r1", "fix#1"}},
+	} {
+		r, err := NewCSVReader(strings.NewReader(tc.in), "fix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			rec, err := r.Read()
+			if err != nil || rec.ID != want {
+				t.Errorf("%q row %d: ID = %q, %v; want %q", tc.in, i, rec.ID, err, want)
+			}
+		}
+	}
+}
+
+// TestCSVReaderReadAllocs pins what a row costs: the fallback ID is
+// formatted only for a row that needs it, so a row carrying its own id
+// allocates strictly less than one that does not.
+func TestCSVReaderReadAllocs(t *testing.T) {
+	const rows = 200
+	perRow := func(row string) float64 {
+		in := "id,name,city\n" + strings.Repeat(row, rows+1)
+		r, err := NewCSVReader(strings.NewReader(in), "fix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(rows, func() {
+			if _, err := r.Read(); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+		if n != rows+1 { // AllocsPerRun warms up with one extra call
+			t.Fatalf("read %d rows, want %d", n, rows+1)
+		}
+		return allocs
+	}
+	withID, withoutID := perRow("r1,golden dragon,soho\n"), perRow(",golden dragon,soho\n")
+	if withID != 2 {
+		t.Errorf("a row with an id costs %v allocations, want 2 (the row's text and its value slice)", withID)
+	}
+	if withoutID <= withID {
+		t.Errorf("a row without an id costs %v allocations, a row with one %v: the fallback ID is not what differs", withoutID, withID)
+	}
 }
 
 func TestCSVReaderRowsDoNotAlias(t *testing.T) {

@@ -2,8 +2,6 @@ package runstore
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,11 +80,7 @@ func OpenCache(ctx context.Context, inner llm.Client, dir string, maxBytes int64
 		maxBytes: maxBytes,
 		entries:  map[string]*cacheVal{},
 	}
-	last, err := readSegments(ctx, dir, "cache", func(raw json.RawMessage) error {
-		var rec cacheRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("runstore: decode cache record: %w", err)
-		}
+	last, err := readSegments(ctx, dir, "cache", func(rec *cacheRecord) error {
 		c.used++
 		if old, ok := c.entries[rec.Key]; ok {
 			c.bytes -= old.size
@@ -198,6 +192,9 @@ func (c *Cache) compact() error {
 	keep, evict := all[:cut], all[cut:]
 
 	// Write survivors to the next segment, fsync, then drop old segments.
+	// Until that fsync the survivors are durable in the old segments, so
+	// the rewrite is a copy and holds the batched flushes: it needs the
+	// one sync below, before the first delete, and no other.
 	oldNames, _, err := listSegments(c.dir, "cache")
 	if err != nil {
 		return err
@@ -205,6 +202,8 @@ func (c *Cache) compact() error {
 	if err := c.log.rotate(); err != nil {
 		return err
 	}
+	c.log.hold = true
+	defer func() { c.log.hold = false }()
 	// Oldest first: reload stamps recency in read order, so writing in
 	// ascending use order makes a reopened cache's LRU ranking match the
 	// one that produced the segment (instead of inverting it and letting

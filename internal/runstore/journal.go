@@ -2,7 +2,6 @@ package runstore
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -428,11 +427,7 @@ func OpenJournal(ctx context.Context, dir string) (*Journal, error) {
 	seen := map[batchKey]bool{}
 	degSeen := map[batchKey]bool{}
 	wseen := map[int]bool{}
-	last, err := readSegments(ctx, dir, "journal", func(raw json.RawMessage) error {
-		var rec journalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("runstore: decode journal record: %w", err)
-		}
+	last, err := readSegments(ctx, dir, "journal", func(rec *journalRecord) error {
 		switch {
 		case rec.Meta != nil:
 			if state.meta == nil { // first wins
@@ -489,6 +484,24 @@ func OpenJournal(ctx context.Context, dir string) (*Journal, error) {
 	}, nil
 }
 
+// OpenDerivedJournal opens the journal stored in dir, as OpenJournal
+// does, for writing a copy of records that are already durable somewhere
+// else (the shard journals a merge reads). Such a journal protects no
+// spend of its own — losing it costs a re-merge, not a re-billed call —
+// so the live flush policy is suspended: neither WriteMeta nor the
+// batched append fsyncs. Done and Close still do, so by the time the
+// caller can report the copy as complete every byte of it is on disk,
+// and a crash before that leaves a journal without a terminal record.
+// Segment rotation flushes as always.
+func OpenDerivedJournal(ctx context.Context, dir string) (*Journal, error) {
+	j, err := OpenJournal(ctx, dir)
+	if err != nil {
+		return nil, err
+	}
+	j.log.hold = true
+	return j, nil
+}
+
 // RunID names the run: by convention the journal directory's base name.
 func (j *Journal) RunID() string { return filepath.Base(j.dir) }
 
@@ -510,8 +523,8 @@ func (j *Journal) WriteMeta(m RunMeta) error {
 		return err
 	}
 	// Make the fingerprint durable before any batch spend is journaled
-	// against it.
-	return j.log.sync()
+	// against it (a derived journal records no spend of its own).
+	return j.log.policySync()
 }
 
 // WindowStart journals a window's start (its layout and annotation
@@ -585,6 +598,14 @@ func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.log.sync()
+}
+
+// Syncs returns how many fsyncs this Journal has issued since it was
+// opened: the durability tax as a count, for benchmarks and reports.
+func (j *Journal) Syncs() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.syncs
 }
 
 // Close flushes, fsyncs, and closes the journal. The Journal must not be

@@ -10,12 +10,15 @@ import (
 	"strings"
 
 	"batcher/internal/runstore"
+	"batcher/internal/workpool"
 )
 
 // The coordinator's refusals are typed so callers (and tests) can tell
-// a broken shard set from a broken invocation. Every refusal happens
-// before the output journal is touched: a merge either completes or
-// leaves nothing behind but an empty directory.
+// a broken shard set from a broken invocation. Every refusal of a shard
+// set happens before the output directory is touched, and a non-empty
+// output is refused with at most an empty directory created: a refused
+// merge leaves nothing behind. (A crash mid-write is not a refusal; see
+// Merge.)
 var (
 	// ErrShardMeta reports that a shard journal's fingerprint is
 	// unusable: missing, not a shard journal at all, or disagreeing with
@@ -51,6 +54,9 @@ type Summary struct {
 	// journal: the shards' shared fingerprint with the shard spec
 	// cleared and the run ID renamed to the output directory.
 	Meta runstore.RunMeta
+	// Syncs is the number of fsyncs issued writing the output journal: a
+	// merge is one sequential write flushed before Merge returns.
+	Syncs int
 }
 
 // shardJournal is one validated input journal.
@@ -199,22 +205,40 @@ func collectWindows(s *shardJournal, n, total int, byGlobal map[int]globalWindow
 // single-process run byte for byte — predictions, per-tier ledger
 // buckets, auto-resolved counts — with zero LLM calls.
 //
-// Refusals are typed: ErrShardMeta, ErrShardSet, ErrShardWindows, and
-// ErrShardIncomplete distinguish the ways a shard set can be wrong, and
-// all are raised before anything is written. outDir must be empty (or
-// not yet exist); the merged journal's run ID is outDir's base name.
+// The shard journals are loaded concurrently and validated in argument
+// order. Refusals are typed: ErrShardMeta, ErrShardSet, ErrShardWindows,
+// and ErrShardIncomplete distinguish the ways a shard set can be wrong,
+// and all are raised before anything is written — for a set broken in
+// several ways, the error a one-by-one walk of shardDirs meets first.
+// outDir must be empty (or not yet exist); the merged journal's run ID
+// is outDir's base name.
+//
+// The merged journal is a copy of records the shard journals hold
+// durably, so it is written in one pass and flushed once: Merge returns
+// only after every byte of it is on disk, terminal record last. A crash
+// before that leaves outDir holding a journal without a terminal record
+// — it opens as an unfinished run, never as a complete one — and since
+// outDir is then no longer empty, merging again needs it emptied first.
+// The shard journals are only ever read.
 func Merge(ctx context.Context, shardDirs []string, outDir string) (*Summary, error) {
 	if len(shardDirs) == 0 {
 		return nil, fmt.Errorf("%w: no shard journals given", ErrShardSet)
 	}
 	n := len(shardDirs)
+	// Reading and decoding the journals is the bulk of a merge, so they
+	// load side by side; the walk below keeps refusals in argument order.
+	loaded := make([]*shardJournal, n)
+	loadErrs := make([]error, n)
+	workpool.For(workpool.Workers(), n, func(i int) {
+		loaded[i], loadErrs[i] = loadShard(ctx, shardDirs[i])
+	})
 	shards := make([]*shardJournal, 0, n)
 	byIndex := make(map[int]*shardJournal, n)
-	for _, dir := range shardDirs {
-		s, err := loadShard(ctx, dir)
-		if err != nil {
-			return nil, err
+	for i, dir := range shardDirs {
+		if loadErrs[i] != nil {
+			return nil, loadErrs[i]
 		}
+		s := loaded[i]
 		if s.spec.Count != n {
 			return nil, fmt.Errorf("%w: %s is shard %s but %d journals were given",
 				ErrShardSet, dir, s.spec, n)
@@ -272,7 +296,8 @@ func Merge(ctx context.Context, shardDirs []string, outDir string) (*Summary, er
 // drops its shard spec so the pipeline replays the journal as an
 // ordinary (unsharded) resumed run.
 func writeMerged(ctx context.Context, shards []*shardJournal, byGlobal map[int]globalWindow, total, pairs int, outDir string) (*Summary, error) {
-	out, err := runstore.OpenJournal(ctx, outDir)
+	// A copy of durable records: flushed once, by Done and Close below.
+	out, err := runstore.OpenDerivedJournal(ctx, outDir)
 	if err != nil {
 		return nil, err
 	}
@@ -315,5 +340,5 @@ func writeMerged(ctx context.Context, shards []*shardJournal, byGlobal map[int]g
 	if err := out.Close(); err != nil {
 		return nil, err
 	}
-	return &Summary{Shards: len(shards), Windows: total, Pairs: pairs, Meta: meta}, nil
+	return &Summary{Shards: len(shards), Windows: total, Pairs: pairs, Meta: meta, Syncs: out.Syncs()}, nil
 }

@@ -1,10 +1,14 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"batcher/internal/entity"
@@ -433,6 +437,105 @@ func TestMergeRefusesNonEmptyOutput(t *testing.T) {
 	}
 	if _, err := shard.Merge(context.Background(), dirs, out); err == nil {
 		t.Error("second merge into the same directory succeeded")
+	}
+}
+
+// TestMergeFlushesOnceAndRefusesItsOwnCrashedOutput: a merge is one
+// sequential write flushed at the end (Done's fsync and Close's), so a
+// crash mid-merge leaves an output journal cut somewhere before its
+// terminal record. Whatever the cut, once the fingerprint line is whole
+// a re-merge into that directory is refused like any non-empty output
+// and leaves the bytes alone; the operator empties it and merges again.
+func TestMergeFlushesOnceAndRefusesItsOwnCrashedOutput(t *testing.T) {
+	dir := t.TempDir()
+	dirs, _ := shardSet(t, dir, 3, 8)
+	out := filepath.Join(dir, "merged")
+	sum, err := shard.Merge(context.Background(), dirs, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Syncs < 1 || sum.Syncs > 2 {
+		t.Errorf("merge issued %d fsyncs, want the terminal record's and Close's only", sum.Syncs)
+	}
+	seg := "journal-000001.jsonl"
+	data, err := os.ReadFile(filepath.Join(out, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstLine := bytes.IndexByte(data, '\n') + 1
+	for cut := firstLine; cut <= len(data)-2; cut += 7 {
+		crashed := filepath.Join(t.TempDir(), "merged")
+		if err := os.MkdirAll(crashed, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, seg), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := mergeErr(t, dirs, crashed)
+		if !strings.Contains(err.Error(), "is not empty") {
+			t.Fatalf("output cut at %d of %d bytes: error = %v, want the non-empty refusal", cut, len(data), err)
+		}
+		entries, err := os.ReadDir(crashed)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("output cut at %d: refused merge left %d entries, %v", cut, len(entries), err)
+		}
+		if after, _ := os.ReadFile(filepath.Join(crashed, seg)); !bytes.Equal(after, data[:cut]) {
+			t.Fatalf("output cut at %d: refused merge rewrote the crashed segment", cut)
+		}
+	}
+}
+
+// TestMergeParallelLoadKeepsArgumentOrder: the shard journals load side
+// by side, but a set with several broken members is refused with the
+// error a one-by-one walk in argument order meets first — whichever
+// load finishes first, at any GOMAXPROCS.
+func TestMergeParallelLoadKeepsArgumentOrder(t *testing.T) {
+	const n, total = 4, 12
+	dir := t.TempDir()
+	dirs, owned := shardSet(t, dir, n, total)
+	rewrite := func(i int, mutate func(meta *runstore.RunMeta, done **runstore.RunDone)) {
+		if err := os.RemoveAll(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+		meta := baseMeta()
+		meta.Shard = shard.Spec{Index: i, Count: n}.String()
+		done := &runstore.RunDone{Windows: total, Owned: len(owned[i])}
+		mutate(&meta, &done)
+		writeShard(t, dirs[i], meta, owned[i], done)
+	}
+	// Shard 0 loads but fails validation (wrong count), shard 1 has no
+	// terminal record, shard 3 is corrupt in the middle of its segment.
+	rewrite(0, func(meta *runstore.RunMeta, _ **runstore.RunDone) {
+		meta.Shard = shard.Spec{Index: 0, Count: n + 1}.String()
+	})
+	rewrite(1, func(_ *runstore.RunMeta, done **runstore.RunDone) { *done = nil })
+	seg := filepath.Join(dirs[3], "journal-000001.jsonl")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reversed := []string{dirs[3], dirs[2], dirs[1], dirs[0]}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS_%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for round := 0; round < 20; round++ {
+				out := filepath.Join(t.TempDir(), "merged")
+				if err := mergeErr(t, dirs, out); !errors.Is(err, shard.ErrShardSet) || !strings.Contains(err.Error(), dirs[0]) {
+					t.Fatalf("round %d: error = %v, want shard 0's ErrShardSet", round, err)
+				}
+				if err := mergeErr(t, dirs[1:], out); !errors.Is(err, shard.ErrShardIncomplete) || !strings.Contains(err.Error(), dirs[1]) {
+					t.Fatalf("round %d, without shard 0: error = %v, want shard 1's ErrShardIncomplete", round, err)
+				}
+				if err := mergeErr(t, reversed, out); !strings.Contains(err.Error(), "corrupt record") {
+					t.Fatalf("round %d, reversed: error = %v, want shard 3's corruption", round, err)
+				}
+			}
+		})
 	}
 }
 
