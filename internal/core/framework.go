@@ -92,43 +92,36 @@ func (r *Result) Apply(br BatchResult) {
 // the framework reads a label only when it "annotates" the pair, and each
 // annotation is charged to the ledger once.
 //
-// Resolve is ResolveStream fully consumed: on mid-run failure (including
-// ctx cancellation) it returns the partial Result accumulated so far
-// together with a *BatchError wrapping the cause. The partial Result
-// covers every batch below BatchError.Batch — sequentially that is every
-// batch that completed; under parallelism, completions beyond the first
-// failed batch cannot be delivered in order and are dropped, so real API
-// spend can exceed the partial ledger by those in-flight calls.
+// Resolve is Prepare followed by Prepared.Run folding each batch straight
+// into the Result (no goroutine, no channel, at Parallelism 1): on
+// mid-run failure (including ctx cancellation) it returns the partial
+// Result accumulated so far together with Run's *BatchError. The partial
+// Result covers every batch below BatchError.Batch — sequentially that
+// is every batch that completed; under parallelism, completions above
+// the first failed batch are dropped (Run's contiguous-prefix rule), so
+// real API spend can exceed the partial ledger by those in-flight calls.
 // Setup-phase failures — a cancelled ctx before any batch started, an
 // unknown model, a broken partition — return a nil Result and a bare
 // error instead, so check the Result for nil (or errors.As for
 // *BatchError) before reading partial predictions.
 func (f *Framework) Resolve(ctx context.Context, questions, pool []entity.Pair) (*Result, error) {
-	stream, err := f.ResolveStream(ctx, questions, pool)
+	p, err := f.Prepare(ctx, questions, pool)
 	if err != nil {
 		return nil, err
 	}
-	res := stream.NewResult()
-	for br := range stream.All() {
-		res.Apply(br)
-	}
-	if err := stream.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	res := p.NewResult()
+	return res, p.Run(ctx, res.Apply)
 }
 
-// ResolveStream starts a resolution and returns a Stream yielding each
-// batch's predictions, token usage, and cost delta as it completes, in
-// deterministic ascending batch order. Setup failures (bad model, broken
-// partition) surface as the returned error; mid-run failures surface on
-// Stream.Err after exhaustion. Cancelling ctx stops the run at the next
-// batch boundary; a batch in flight finishes (see Prepared.Start).
+// ResolveStream is Prepare followed immediately by Start: it returns a
+// Stream yielding each batch's predictions, token usage, and cost delta
+// under Prepared.Run's stop and delivery contract. Setup failures (bad
+// model, broken partition) surface as the returned error; mid-run
+// failures surface on Stream.Err after exhaustion.
 //
-// ResolveStream is Prepare followed immediately by Start. Callers that
-// want to overlap the CPU-bound front half of one resolution with the
-// LLM calls of another (the pipeline's window executor) use the two
-// halves directly.
+// Callers that want to overlap the CPU-bound front half of one
+// resolution with the LLM calls of another (the pipeline's window
+// executor) use Prepare and Run directly.
 func (f *Framework) ResolveStream(ctx context.Context, questions, pool []entity.Pair) (*Stream, error) {
 	p, err := f.Prepare(ctx, questions, pool)
 	if err != nil {

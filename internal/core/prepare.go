@@ -12,10 +12,11 @@ import (
 // ResolveStream so the pipeline's executor can run it concurrently with
 // other windows' LLM calls: feature extraction, question batching, and
 // demonstration selection are done; no LLM call has been made and
-// nothing has been billed yet. Start launches the execution half.
+// nothing has been billed yet. Run is the execution half; Start runs it
+// behind a Stream.
 //
-// A Prepared is immutable after Prepare returns and must be Started at
-// most once.
+// A Prepared is immutable after Prepare returns and must be Run (or
+// Started) at most once.
 type Prepared struct {
 	f         *Framework
 	questions []entity.Pair
@@ -98,57 +99,41 @@ func (p *Prepared) Batches() Batches { return p.batches }
 // ascending order. The slice is shared; callers must not mutate it.
 func (p *Prepared) LabeledPool() []int { return p.sel.labeled }
 
-// Start launches the LLM execution half and returns its Stream, which
-// yields each batch's predictions, token usage, and cost delta in
-// ascending batch order. The Stream must be consumed or Closed. An empty
-// question set returns an already-exhausted Stream.
-//
-// Cancellation contract (the one every caller of a Stream inherits:
-// Resolve, ResolveStream, and the pipeline executor stopping sibling
-// windows after a failure): cancelling ctx, its deadline passing, or
-// Closing the Stream stops the run at the next batch boundary. No
-// further batch starts, but a batch that has started finishes — its
-// calls run under context.WithoutCancel(ctx), so an in-flight call ends
-// by answering or by its client's own timeout, never by this
-// cancellation. The batch is the unit of billing and of journaling: cut
-// between a cascade's billed cheap call and its escalation, or inside a
-// call the backend has already counted, its spend would reach no ledger
-// and no journal, and a resume would pay for it a second time.
+// NewResult returns a Result primed for folding this run's batches: one
+// Unknown prediction per question and the up-front labeling cost
+// recorded. Feed each BatchResult to Result.Apply as it arrives — this
+// is exactly how Resolve accumulates its return value.
+func (p *Prepared) NewResult() *Result {
+	res := &Result{
+		Pred:         make([]entity.Label, len(p.questions)),
+		Batches:      p.batches,
+		DemosLabeled: len(p.sel.labeled),
+		LabeledPool:  p.sel.labeled,
+		BatchMargins: make([]float64, len(p.batches)),
+	}
+	for i := range res.Pred {
+		res.Pred[i] = entity.Unknown
+	}
+	// Annotation happens up front, as in Figure 2's "Manual Labeling".
+	res.Ledger.AddLabels(len(p.sel.labeled))
+	return res
+}
+
+// Start runs Run on a goroutine of its own and returns a Stream that
+// yields each batch as the consumer takes it — Run's contract, with
+// Stream.Close as one more way to stop at the next batch boundary. The
+// Stream must be consumed or Closed. An empty question set yields an
+// exhausted Stream.
 func (p *Prepared) Start(ctx context.Context) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := &Stream{ch: make(chan BatchResult)}
-	if len(p.questions) == 0 {
-		st.cancel = func() {}
-		close(st.ch)
-		return st
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	st.batches = p.batches
-	st.labeledPool = p.sel.labeled
-	st.cancel = cancel
-
-	// Never spawn more workers than batches: a small run under high
-	// parallelism would otherwise park idle goroutines on the jobs channel.
-	workers := p.f.cfg.Parallelism
-	if workers > len(p.batches) {
-		workers = len(p.batches)
-	}
-	plan := &execPlan{
-		f:         p.f,
-		model:     p.model,
-		cheap:     p.cheap,
-		cascade:   p.cascade,
-		batches:   p.batches,
-		sel:       p.sel,
-		questions: p.questions,
-		pool:      p.pool,
-	}
-	if workers <= 1 {
-		go st.runSequential(runCtx, plan)
-	} else {
-		go st.runParallel(runCtx, plan, workers)
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	st := &Stream{prep: p, ch: make(chan BatchResult), cancel: cancel}
+	go func() {
+		defer close(st.ch)
+		defer cancel()
+		st.setErr(p.Run(ctx, st.emit))
+	}()
 	return st
 }

@@ -47,13 +47,14 @@ type BatchResult struct {
 	Degraded bool
 }
 
-// BatchError is the typed error ResolveStream and Resolve report when a
-// run fails mid-flight: it names the first batch that did not complete
-// and wraps the underlying cause (which may be ctx.Err()).
+// BatchError is the typed error Run (and so Resolve and Stream.Err)
+// reports when a run fails mid-flight: it names the first batch that was
+// not delivered — the resume point — and wraps that batch's own cause.
 type BatchError struct {
 	// Batch is the index of the failed or never-started batch.
 	Batch int
-	// Err is the underlying cause.
+	// Err is the error Batch's calls returned, or ctx.Err() when the run
+	// was stopped before Batch started.
 	Err error
 }
 
@@ -69,8 +70,7 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // finished cleanly. A Stream must be consumed or Closed, otherwise the
 // producer goroutines leak.
 type Stream struct {
-	batches     Batches
-	labeledPool []int
+	prep *Prepared
 
 	ch     chan BatchResult
 	cancel context.CancelFunc
@@ -82,39 +82,18 @@ type Stream struct {
 
 // Batches returns the planned question batches. It is available
 // immediately, before any batch completes.
-func (s *Stream) Batches() Batches { return s.batches }
+func (s *Stream) Batches() Batches { return s.prep.batches }
 
 // DemosLabeled returns the number of distinct pool pairs annotated up
 // front (the run's labeling cost in pairs).
-func (s *Stream) DemosLabeled() int { return len(s.labeledPool) }
+func (s *Stream) DemosLabeled() int { return len(s.prep.sel.labeled) }
 
 // LabeledPool returns the pool indices of the annotated pairs, in
 // ascending order. The slice is shared; callers must not mutate it.
-func (s *Stream) LabeledPool() []int { return s.labeledPool }
+func (s *Stream) LabeledPool() []int { return s.prep.sel.labeled }
 
-// NewResult returns a Result primed for folding this stream's batches:
-// one Unknown prediction per question and the up-front labeling cost
-// recorded. Feed each BatchResult to Result.Apply as it arrives — this
-// is exactly how Resolve accumulates its return value.
-func (s *Stream) NewResult() *Result {
-	n := 0
-	for _, b := range s.batches {
-		n += len(b)
-	}
-	res := &Result{
-		Pred:         make([]entity.Label, n),
-		Batches:      s.batches,
-		DemosLabeled: len(s.labeledPool),
-		LabeledPool:  s.labeledPool,
-		BatchMargins: make([]float64, len(s.batches)),
-	}
-	for i := range res.Pred {
-		res.Pred[i] = entity.Unknown
-	}
-	// Annotation happens up front, as in Figure 2's "Manual Labeling".
-	res.Ledger.AddLabels(len(s.labeledPool))
-	return res
-}
+// NewResult is Prepared.NewResult for this stream's run.
+func (s *Stream) NewResult() *Result { return s.prep.NewResult() }
 
 // Next blocks until the next batch completes, returning ok=false once the
 // stream is exhausted (normally or on failure — check Err to tell apart).
@@ -172,34 +151,111 @@ func (s *Stream) setErr(err error) {
 	s.mu.Unlock()
 }
 
-// emit delivers one completed batch. The send blocks until the consumer
-// takes it: sequentially, a batch whose LLM call already completed (and
-// was billed) is always delivered, making cancellation deterministic —
-// it only takes effect between batches. Under parallelism the same holds
-// for the contiguous prefix below the first failed batch; completions
-// beyond that gap cannot be delivered in order and are dropped. Close
-// drains the channel, so an abandoning consumer cannot deadlock the
+// emit is Start's delivery callback for Prepared.Run: an unbuffered send,
+// so a batch is delivered only when the consumer takes it and a consumer
+// that stops receiving stops the run's claiming (the contract on Run).
+// Close drains the channel, so an abandoning consumer cannot wedge the
 // producer.
 func (s *Stream) emit(br BatchResult) {
 	s.ch <- br
 }
 
-// execPlan is everything the execution half needs to run batches: the
-// prepared inputs plus the cascade tiering decision. It exists so the
-// producer goroutines carry one value instead of seven parameters.
-type execPlan struct {
-	f         *Framework
-	model     llm.Model // the (expensive, on cascade runs) main model
-	cheap     llm.Model // the cheap tier; valid only when cascade is set
-	cascade   bool
-	batches   Batches
-	sel       selection
-	questions []entity.Pair
-	pool      []entity.Pair
+// Run is the one batch engine under Resolve, ResolveStream/Start and the
+// pipeline's window runner: it executes the prepared batches with up to
+// Config.Parallelism LLM calls in flight and hands each completed batch
+// to emit. It returns nil when every batch was delivered and a
+// *BatchError otherwise. A Prepared must be Run (or Started) at most once.
+//
+// The stop and delivery contract, stated here once for every caller:
+//
+//   - Stop at the next batch boundary. Cancelling ctx, its deadline
+//     passing, or a batch failing stops the run: no further batch
+//     starts. A batch that has started finishes — its calls run under
+//     context.WithoutCancel(ctx), so an in-flight call ends by answering
+//     or by its client's own timeout, never by this cancellation. The
+//     batch is the unit of billing and of journaling: cut between a
+//     cascade's billed cheap call and its escalation, or inside a call
+//     the backend has already counted, its spend would reach no ledger
+//     and no journal, and a resume would pay for it a second time.
+//   - Ascending, serialised delivery. emit is called for batch 0, 1, 2, …
+//     in that order and never concurrently, whichever worker finished
+//     first; a batch that completes ahead of a lower one waits in its
+//     slot while its worker goes on to the next batch.
+//   - Contiguous prefix. Every batch below the returned BatchError.Batch
+//     was delivered and nothing at or above it was: completions above
+//     the first failed batch cannot be delivered in order and are
+//     dropped (see Resolve for what that means for a partial ledger).
+//     BatchError.Err is that batch's own error, or ctx.Err() when the
+//     run was stopped before the batch started.
+//   - Backpressure. A worker delivers while holding the engine's mutex,
+//     so while emit blocks no batch is claimed and at most
+//     Parallelism − 1 already-started batches finish. This cannot
+//     deadlock: the lock is local to this call, so emit's consumer can
+//     never need it, and making the other workers wait for the consumer
+//     is the point of holding it. (erlint's locksend check is lexical
+//     and cannot see a send behind emit; this paragraph is its stand-in.)
+//
+// min(Parallelism, batches) workers run, and the calling goroutine is one
+// of them: at Parallelism 1 Run starts no goroutine and is a plain loop.
+func (p *Prepared) Run(ctx context.Context, emit func(BatchResult)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := len(p.batches)
+	callCtx := context.WithoutCancel(ctx)
+	// A slot parks batch i's outcome until every batch below i is delivered.
+	type slot struct {
+		br  BatchResult
+		err error
+		ran bool
+	}
+	var (
+		mu      sync.Mutex
+		slots   = make([]slot, n)
+		claimed int  // batches started so far: the next index to claim
+		next    int  // batches delivered so far: the next index to emit
+		failed  bool // some batch returned an error
+	)
+	work := func() {
+		mu.Lock()
+		for claimed < n && !failed && ctx.Err() == nil {
+			bi := claimed
+			claimed++
+			mu.Unlock()
+			br, err := p.runBatch(callCtx, bi)
+			mu.Lock()
+			slots[bi] = slot{br: br, err: err, ran: true}
+			failed = failed || err != nil
+			for next < n && slots[next].ran && slots[next].err == nil {
+				emit(slots[next].br)
+				next++
+			}
+		}
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for range min(p.f.cfg.Parallelism, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if next == n {
+		return nil
+	}
+	// Claims ascend, so the first undelivered batch either ran and failed
+	// or was never claimed because ctx ended first.
+	if slots[next].ran {
+		return &BatchError{Batch: next, Err: slots[next].err}
+	}
+	return &BatchError{Batch: next, Err: ctx.Err()}
 }
 
 // margin returns batch bi's vote-k margin (1 when margins are absent).
-func (p *execPlan) margin(bi int) float64 {
+func (p *Prepared) margin(bi int) float64 {
 	if bi < len(p.sel.margins) {
 		return p.sel.margins[bi]
 	}
@@ -214,7 +270,8 @@ func (p *execPlan) margin(bi int) float64 {
 // questions — only the model and tier differ — so caches key the two
 // attempts apart by tier, and resume re-derives the same escalation
 // decision from the same cached cheap completion.
-func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchResult, error) {
+func (p *Prepared) runBatch(ctx context.Context, bi int) (BatchResult, error) {
+	f := p.f
 	demos := f.annotate(p.pool, p.sel.perBatch[bi])
 	batch := p.batches[bi]
 	qs := make([]entity.Pair, len(batch))
@@ -222,70 +279,48 @@ func (f *Framework) runBatch(ctx context.Context, p *execPlan, bi int) (BatchRes
 		qs[i] = p.questions[qi]
 	}
 	br := BatchResult{Index: bi, Questions: batch, VoteMargin: p.margin(bi)}
-	if !p.cascade {
-		resp, trimmed, err := f.callWithTrim(ctx, p.model, llm.TierDefault, demos, qs)
+	// attempt makes one tier's call and folds its answer, tokens and
+	// spend into br; both of a cascade's attempts accumulate on the batch
+	// and the ledger splits them per tier. A refusal the degradation
+	// policy absorbs completes the batch as degraded instead (see
+	// degrade), standing on cheapPred when the cheap tier had answered.
+	attempt := func(model llm.Model, tier llm.Tier, bucket string, cheapPred []entity.Label) error {
+		resp, trimmed, err := f.callWithTrim(ctx, model, tier, demos, qs)
 		if err != nil {
-			if f.degradable(err) {
-				return f.degrade(br, len(batch), nil), nil
+			if !f.degradable(err) {
+				return err
 			}
-			return BatchResult{}, err
+			br = f.degrade(br, len(batch), cheapPred)
+			return nil
 		}
 		br.Pred = prompt.ParseAnswersAny(resp.Completion, len(batch))
-		br.InputTokens = resp.InputTokens
-		br.OutputTokens = resp.OutputTokens
-		br.TrimmedDemos = trimmed
+		br.Tier = bucket
+		br.InputTokens += resp.InputTokens
+		br.OutputTokens += resp.OutputTokens
+		br.TrimmedDemos += trimmed
 		// A cache-served batch made no API call: its tokens are zero and it
 		// must not inflate the ledger's call count either, or resumed and
 		// cached runs would report more calls than were ever billed.
 		if !resp.CacheHit {
-			br.Ledger.AddCall(p.model.Pricing, resp.InputTokens, resp.OutputTokens)
+			br.Ledger.AddTierCall(bucket, model.Pricing, resp.InputTokens, resp.OutputTokens)
 		}
-		return br, nil
+		return nil
 	}
-	var cheapPred []entity.Label
-	if br.VoteMargin >= f.cfg.EscalateMargin {
-		resp, trimmed, err := f.callWithTrim(ctx, p.cheap, llm.TierCheap, demos, qs)
-		if err != nil {
-			if f.degradable(err) {
-				// The cheap tier itself is down: nothing answered yet.
-				return f.degrade(br, len(batch), nil), nil
-			}
-			return BatchResult{}, err
+	var err error
+	switch {
+	case !p.cascade:
+		err = attempt(p.model, llm.TierDefault, "", nil)
+	case br.VoteMargin >= f.cfg.EscalateMargin:
+		err = attempt(p.cheap, llm.TierCheap, cost.TierCheap, nil)
+		if err == nil && !br.Degraded && anyUnknown(br.Pred) {
+			err = attempt(p.model, llm.TierExpensive, cost.TierExpensive, br.Pred)
 		}
-		pred := prompt.ParseAnswersAny(resp.Completion, len(batch))
-		br.InputTokens += resp.InputTokens
-		br.OutputTokens += resp.OutputTokens
-		br.TrimmedDemos += trimmed
-		if !resp.CacheHit {
-			br.Ledger.AddTierCall(cost.TierCheap, p.cheap.Pricing, resp.InputTokens, resp.OutputTokens)
-		}
-		if !anyUnknown(pred) {
-			br.Pred = pred
-			br.Tier = cost.TierCheap
-			return br, nil
-		}
-		cheapPred = pred
+	default: // low margin: the cheap tier is skipped
+		err = attempt(p.model, llm.TierExpensive, cost.TierExpensive, nil)
 	}
-	// Escalate: low margin skipped the cheap tier, or its answer carried
-	// Unknowns. Both attempts' tokens accumulate on the batch; the ledger
-	// splits them per tier.
-	resp, trimmed, err := f.callWithTrim(ctx, p.model, llm.TierExpensive, demos, qs)
 	if err != nil {
-		if f.degradable(err) {
-			// Only the expensive tier is refusing; the cheap spend above
-			// stays on the batch so a repairing resume does not re-bill it.
-			return f.degrade(br, len(batch), cheapPred), nil
-		}
 		return BatchResult{}, err
 	}
-	br.Pred = prompt.ParseAnswersAny(resp.Completion, len(batch))
-	br.InputTokens += resp.InputTokens
-	br.OutputTokens += resp.OutputTokens
-	br.TrimmedDemos += trimmed
-	if !resp.CacheHit {
-		br.Ledger.AddTierCall(cost.TierExpensive, p.model.Pricing, resp.InputTokens, resp.OutputTokens)
-	}
-	br.Tier = cost.TierExpensive
 	return br, nil
 }
 
@@ -327,125 +362,4 @@ func anyUnknown(pred []entity.Label) bool {
 		}
 	}
 	return false
-}
-
-// runSequential is the single-worker producer: one batch at a time, with
-// a cancellation check between batches and none inside one (the
-// contract on Prepared.Start).
-func (s *Stream) runSequential(ctx context.Context, p *execPlan) {
-	defer close(s.ch)
-	defer s.cancel()
-	for bi := range p.batches {
-		if err := ctx.Err(); err != nil {
-			s.setErr(&BatchError{Batch: bi, Err: err})
-			return
-		}
-		br, err := p.f.runBatch(context.WithoutCancel(ctx), p, bi)
-		if err != nil {
-			s.setErr(&BatchError{Batch: bi, Err: err})
-			return
-		}
-		s.emit(br)
-	}
-}
-
-// runParallel fans batches over a bounded worker pool (capped at the
-// batch count, so small runs never spawn idle goroutines) and re-emits
-// completions in ascending batch order. On the first failure the derived
-// context is cancelled, which drains the jobs channel and stops every
-// worker at its next batch boundary (the contract on Prepared.Start)
-// without leaking goroutines.
-func (s *Stream) runParallel(ctx context.Context, p *execPlan, workers int) {
-	defer close(s.ch)
-	defer s.cancel()
-
-	type outcome struct {
-		br  BatchResult
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan outcome, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case bi, ok := <-jobs:
-					if !ok {
-						return
-					}
-					br, err := p.f.runBatch(context.WithoutCancel(ctx), p, bi)
-					if err != nil {
-						err = &BatchError{Batch: bi, Err: err}
-					}
-					// Send unconditionally: a completed batch was billed,
-					// and dropping it in a race with cancellation would
-					// falsify partial ledgers. This cannot deadlock: the
-					// collector drains results until close, and any
-					// batch it cannot re-emit it discards itself.
-					results <- outcome{br: br, err: err}
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for bi := range p.batches {
-			select {
-			case jobs <- bi:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder completions so consumers see batches 0,1,2,... regardless
-	// of which worker finished first. After a failure, keep draining and
-	// delivering: batches that completed (and were billed) concurrently
-	// with the failure still reach the consumer as long as they extend
-	// the contiguous prefix, so partial ledgers stay truthful.
-	pending := make(map[int]BatchResult)
-	next := 0
-	var cause error
-	for out := range results {
-		if out.err != nil {
-			if cause == nil {
-				var be *BatchError
-				if errors.As(out.err, &be) {
-					cause = be.Err
-				} else {
-					cause = out.err
-				}
-				s.cancel() // stop scheduling further batches
-			}
-			continue
-		}
-		pending[out.br.Index] = out.br
-		for {
-			br, ok := pending[next]
-			if !ok {
-				break
-			}
-			s.emit(br)
-			delete(pending, next)
-			next++
-		}
-	}
-	if next < len(p.batches) {
-		if cause == nil {
-			// No batch-level error: the parent context must have died.
-			cause = ctx.Err()
-		}
-		// Batch names the first batch that was NOT delivered — the
-		// resume point for a caller that wants to retry the remainder.
-		s.setErr(&BatchError{Batch: next, Err: cause})
-	}
 }

@@ -3,9 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"batcher/internal/entity"
 	"batcher/internal/llm"
@@ -361,4 +366,304 @@ func TestParallelFailureDeliversContiguousPrefix(t *testing.T) {
 	if res.Ledger.Calls() != be.Batch {
 		t.Errorf("partial ledger records %d calls, want %d (the delivered prefix)", res.Ledger.Calls(), be.Batch)
 	}
+}
+
+// engineClient is the gate-and-count client of the batch-engine tests. A
+// sequential dry run teaches it which batch each prompt belongs to;
+// after that it logs every call's start and end by batch index, parks
+// the calls of held batches until the test releases them, and fails the
+// batches told to fail. Tests synchronise on its started/ended channels
+// and on the gates, never on time.
+type engineClient struct {
+	inner   llm.Client
+	learn   bool
+	batchOf map[string]int
+
+	hold map[int]chan struct{} // fixed before the run starts
+	fail map[int]error         // fixed before the run starts
+
+	started, ended chan int // one send per call, buffered for every batch
+
+	mu  sync.Mutex
+	log []string // "start 3", "end 3", and whatever the test notes
+}
+
+func (c *engineClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if c.learn {
+		c.batchOf[req.Prompt] = len(c.batchOf)
+		return c.inner.Complete(ctx, req)
+	}
+	bi, ok := c.batchOf[req.Prompt]
+	if !ok {
+		return llm.Response{}, errors.New("engineClient: prompt not seen in the dry run")
+	}
+	c.note("start %d", bi)
+	c.started <- bi
+	if gate := c.hold[bi]; gate != nil {
+		<-gate
+	}
+	resp, err := llm.Response{}, c.fail[bi]
+	if err == nil {
+		resp, err = c.inner.Complete(ctx, req)
+	}
+	c.note("end %d", bi)
+	c.ended <- bi
+	return resp, err
+}
+
+func (c *engineClient) note(format string, args ...any) {
+	c.mu.Lock()
+	c.log = append(c.log, fmt.Sprintf(format, args...))
+	c.mu.Unlock()
+}
+
+// pos returns the log position of event, or -1 when it never happened.
+func (c *engineClient) pos(format string, args ...any) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Index(c.log, fmt.Sprintf(format, args...))
+}
+
+// starts counts the batches whose call has started so far.
+func (c *engineClient) starts() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, ev := range c.log {
+		if strings.HasPrefix(ev, "start ") {
+			n++
+		}
+	}
+	return n
+}
+
+// holdBatches parks the calls of batches [0, n) and returns their release.
+func (c *engineClient) holdBatches(n int) (release func(bi int)) {
+	for bi := range n {
+		c.hold[bi] = make(chan struct{})
+	}
+	return func(bi int) { close(c.hold[bi]) }
+}
+
+// await receives n events from ch and returns them sorted.
+func await(ch <-chan int, n int) []int {
+	got := make([]int, n)
+	for i := range got {
+		got[i] = <-ch
+	}
+	slices.Sort(got)
+	return got
+}
+
+// newEngineRun prepares an 8-batch resolution at the given Parallelism
+// over an engineClient that already knows its prompts.
+func newEngineRun(t *testing.T, parallelism int) (*Prepared, *engineClient) {
+	t.Helper()
+	questions, pool := testWorkload(t, "IA", 64)
+	c := &engineClient{
+		inner:   newSimClient(questions, pool, 9),
+		learn:   true,
+		batchOf: map[string]int{},
+		hold:    map[int]chan struct{}{},
+		fail:    map[int]error{},
+	}
+	dry, err := New(c, WithSeed(9)).Resolve(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(dry.Batches)
+	if len(c.batchOf) != n || n < 6 {
+		t.Fatalf("dry run: %d prompts for %d batches, want one each and at least 6", len(c.batchOf), n)
+	}
+	c.learn = false
+	c.started, c.ended = make(chan int, n), make(chan int, n)
+	prep, err := New(c, WithSeed(9), WithParallelism(parallelism)).Prepare(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep, c
+}
+
+// drain consumes the rest of st and returns the delivered batch indices.
+func drain(st *Stream) []int {
+	var got []int
+	for br := range st.All() {
+		got = append(got, br.Index)
+	}
+	return got
+}
+
+// ascending returns 0, 1, …, n-1.
+func ascending(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+func TestBatchErrorCarriesTheNamedBatchsOwnError(t *testing.T) {
+	err0, err1 := errors.New("batch 0 exploded"), errors.New("batch 1 exploded")
+	for _, tc := range []struct {
+		name      string
+		fail      map[int]error
+		order     []int // the order the two parked calls return in
+		wantBatch int
+		wantErr   error
+	}{
+		{"both fail, upper returns first", map[int]error{0: err0, 1: err1}, []int{1, 0}, 0, err0},
+		{"both fail, lower returns first", map[int]error{0: err0, 1: err1}, []int{0, 1}, 0, err0},
+		{"only upper fails, returns first", map[int]error{1: err1}, []int{1, 0}, 1, err1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prep, c := newEngineRun(t, 2)
+			c.fail = tc.fail
+			release := c.holdBatches(2)
+			st := prep.Start(context.Background())
+			await(c.started, 2)
+			for _, bi := range tc.order {
+				release(bi)
+				// The call has returned before the next one is let go.
+				for <-c.ended != bi {
+				}
+			}
+			got := drain(st)
+			var be *BatchError
+			if !errors.As(st.Err(), &be) {
+				t.Fatalf("Err = %v, want *BatchError", st.Err())
+			}
+			if be.Batch != tc.wantBatch || be.Err != tc.wantErr {
+				t.Errorf("Err = batch %d: %v, want batch %d: %v", be.Batch, be.Err, tc.wantBatch, tc.wantErr)
+			}
+			if !slices.Equal(got, ascending(tc.wantBatch)) {
+				t.Errorf("delivered %v, want the prefix below batch %d", got, tc.wantBatch)
+			}
+		})
+	}
+}
+
+// TestSequentialDeliveryIsUnbuffered pins what Parallelism 1 has always
+// meant: a completed batch is handed to the consumer before the next one
+// starts, and a cancellation that lands while it waits to be taken still
+// delivers it and starts nothing more.
+func TestSequentialDeliveryIsUnbuffered(t *testing.T) {
+	prep, c := newEngineRun(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := prep.Start(ctx)
+	const cancelAt = 3
+	for b := 0; ; b++ {
+		if b <= cancelAt {
+			// Batch b's call has returned: the worker is at, or on its way
+			// to, the delivery the consumer has not yet asked for.
+			if got := <-c.ended; got != b {
+				t.Fatalf("call %d ended, want %d", got, b)
+			}
+		}
+		if b == cancelAt {
+			cancel()
+		}
+		c.note("take %d", b)
+		br, ok := st.Next()
+		if !ok {
+			if b != cancelAt+1 {
+				t.Fatalf("stream ended after %d batches, want %d", b, cancelAt+1)
+			}
+			break
+		}
+		if br.Index != b {
+			t.Fatalf("received batch %d, want %d", br.Index, b)
+		}
+	}
+	for b := 1; b <= cancelAt; b++ {
+		if start, take := c.pos("start %d", b), c.pos("take %d", b-1); start < take {
+			t.Errorf("batch %d started (event %d) before the consumer asked for batch %d (event %d)", b, start, b-1, take)
+		}
+	}
+	if n := c.starts(); n != cancelAt+1 {
+		t.Errorf("%d batches started, want %d: none may be claimed after cancel", n, cancelAt+1)
+	}
+	var be *BatchError
+	if !errors.As(st.Err(), &be) || be.Batch != cancelAt+1 || be.Err != context.Canceled {
+		t.Errorf("Err = %v, want batch %d: context canceled", st.Err(), cancelAt+1)
+	}
+}
+
+// TestBackpressureStopsClaiming: while the consumer is not receiving, the
+// worker holding the next delivery keeps every other worker from
+// claiming, so only the Parallelism − 1 batches already started finish.
+func TestBackpressureStopsClaiming(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("parallelism %d", workers), func(t *testing.T) {
+			prep, c := newEngineRun(t, workers)
+			release := c.holdBatches(workers)
+			st := prep.Start(context.Background())
+			await(c.started, workers)
+			// Batch 0 completes and waits for a consumer that is not there;
+			// only then do the other workers' calls return.
+			release(0)
+			await(c.ended, 1)
+			for bi := 1; bi < workers; bi++ {
+				release(bi)
+			}
+			await(c.ended, workers-1)
+			c.note("resume")
+			if got, want := drain(st), ascending(len(prep.Batches())); !slices.Equal(got, want) {
+				t.Errorf("delivered %v, want %v", got, want)
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for bi := workers; bi < len(prep.Batches()); bi++ {
+				if start, resume := c.pos("start %d", bi), c.pos("resume"); start < resume {
+					t.Errorf("batch %d was claimed (event %d) while the consumer was away (back at event %d)", bi, start, resume)
+				}
+			}
+		})
+	}
+}
+
+// TestCancelStopsAtTheBatchBoundary: cancelled while every worker is
+// inside a call, the run completes and delivers exactly those batches
+// and claims nothing after, at every Parallelism alike.
+func TestCancelStopsAtTheBatchBoundary(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism %d", workers), func(t *testing.T) {
+			prep, c := newEngineRun(t, workers)
+			release := c.holdBatches(workers)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			st := prep.Start(ctx)
+			if got := await(c.started, workers); !slices.Equal(got, ascending(workers)) {
+				t.Fatalf("in flight: %v, want the lowest %d batches", got, workers)
+			}
+			cancel()
+			for bi := range workers {
+				release(bi)
+			}
+			if got := drain(st); !slices.Equal(got, ascending(workers)) {
+				t.Errorf("delivered %v, want exactly the %d batches in flight at cancel", got, workers)
+			}
+			if n := c.starts(); n != workers {
+				t.Errorf("%d batches started, want %d: none may be claimed after cancel", n, workers)
+			}
+			var be *BatchError
+			if !errors.As(st.Err(), &be) || be.Batch != workers || be.Err != context.Canceled {
+				t.Errorf("Err = %v, want batch %d: context canceled", st.Err(), workers)
+			}
+		})
+	}
+	t.Run("expired deadline keeps its name", func(t *testing.T) {
+		prep, c := newEngineRun(t, 2)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+		defer cancel()
+		st := prep.Start(ctx)
+		if got := drain(st); len(got) != 0 || c.starts() != 0 {
+			t.Errorf("delivered %v after %d starts, want nothing claimed", got, c.starts())
+		}
+		var be *BatchError
+		if !errors.As(st.Err(), &be) || be.Batch != 0 || be.Err != context.DeadlineExceeded {
+			t.Errorf("Err = %v, want batch 0: context deadline exceeded", st.Err())
+		}
+	})
 }

@@ -25,9 +25,10 @@ type window struct {
 // inflight is one window travelling through the executor. The
 // dispatcher fills the identity fields (pos, rw, keys, profiles) and the
 // journal decisions (verifyErr, replay); the runner goroutine fills
-// prepErr, stream, and results before closing prepped; the committer
-// reads everything after <-prepped. That close is the only
-// synchronization the struct needs.
+// prepErr, prep, cancel and results before closing prepped, and runErr
+// before closing results; the committer reads the former after
+// <-prepped and the latter after draining results. Those two closes are
+// the only synchronization the struct needs.
 type inflight struct {
 	pos winPos
 	// rw is the cascade-routed window: rw.full is the blocked window,
@@ -48,20 +49,25 @@ type inflight struct {
 	// prepped is closed by the runner once the fields below are final.
 	prepped chan struct{}
 	prepErr error
-	// stream and results stay nil for windows with nothing to execute:
-	// replayed, mismatched, unpreparable, or fully auto-resolved.
-	stream *core.Stream
-	// results is fully buffered (one slot per batch), so the runner
-	// always drains its stream to completion even if the committer
+	// prep, cancel and results stay nil for windows with nothing to
+	// execute: replayed, mismatched, unpreparable, or fully auto-resolved.
+	prep *core.Prepared
+	// cancel stops the window's remaining batches at the next boundary.
+	cancel context.CancelFunc
+	// results is fully buffered (one slot per batch), so the runner's
+	// sends never block and it runs to its end even if the committer
 	// abandons the run — no goroutine or LLM-call leak either way.
 	results chan core.BatchResult
+	// runErr is prep.Run's terminal error, final once results is closed.
+	runErr error
 }
 
 // run executes the window off the committer's critical path: the
 // CPU-bound front half (Prepare: profile reuse, feature extraction,
-// batching, demonstration selection) and then the LLM calls, forwarding
-// each completed batch into the buffered results channel. Windows with
-// nothing to execute are the committer's alone.
+// batching, demonstration selection) and then the LLM calls
+// (Prepared.Run, this goroutine being one of its workers), each
+// completed batch going straight into the buffered results channel.
+// Windows with nothing to execute are the committer's alone.
 func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pair) {
 	if w.verifyErr != nil || w.replay != nil || len(w.rw.amb) == 0 {
 		close(w.prepped)
@@ -71,8 +77,9 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 	// salvage journals a WindowStart for every dispatched window, and
 	// window starts must stay contiguous or the windows behind this one
 	// could not record their completed (billed) batches. A cancelled run
-	// still stops promptly — the stream below checks ctx before its
-	// first LLM call — it just pays this window's CPU-only prep first.
+	// still stops promptly — Run below checks ctx before it claims each
+	// batch, the first included, at every Parallelism — it just pays
+	// this window's CPU-only prep first.
 	prep, err := f.Prepare(feature.WithProfiles(context.WithoutCancel(ctx), w.profiles), w.rw.amb, pool)
 	// Extraction is done; a single-window run must not keep the whole
 	// run's profiles alive across its LLM phase.
@@ -82,12 +89,12 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 		close(w.prepped)
 		return
 	}
-	w.stream = prep.Start(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w.prep, w.cancel = prep, cancel
 	w.results = make(chan core.BatchResult, len(prep.Batches()))
 	close(w.prepped)
-	for br := range w.stream.All() {
-		w.results <- br
-	}
+	w.runErr = prep.Run(ctx, func(br core.BatchResult) { w.results <- br })
 	close(w.results)
 }
 
@@ -101,18 +108,18 @@ func (w *inflight) startRecord() runstore.WindowStart {
 		Global: w.pos.global,
 		Key:    w.pos.key,
 	}
-	if w.stream != nil {
-		ws.Labeled = w.stream.LabeledPool()
+	if w.prep != nil {
+		ws.Labeled = w.prep.LabeledPool()
 	}
 	return ws
 }
 
-// stop cancels the window's remaining calls and waits for its runner.
+// stop cancels the window's remaining batches and waits for its runner.
 func (w *inflight) stop() {
-	if w.stream == nil {
+	if w.prep == nil {
 		return
 	}
-	w.stream.Close()
+	w.cancel()
 	for range w.results {
 	}
 }
@@ -415,10 +422,10 @@ func (e *executor) gather(iw *inflight) (*core.Result, error) {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
-	if iw.stream == nil {
+	if iw.prep == nil {
 		return &core.Result{}, nil
 	}
-	res := iw.stream.NewResult()
+	res := iw.prep.NewResult()
 	for br := range iw.results {
 		res.Apply(br)
 		if j == nil {
@@ -429,7 +436,7 @@ func (e *executor) gather(iw *inflight) (*core.Result, error) {
 			return res, fmt.Errorf("journal: %w", err)
 		}
 	}
-	return res, iw.stream.Err()
+	return res, iw.runErr
 }
 
 // salvage drains the windows still in flight after a failure, in
@@ -447,7 +454,7 @@ func (e *executor) salvage() {
 		if j != nil && j.WindowStart(iw.startRecord()) != nil {
 			j = nil
 		}
-		if iw.stream == nil {
+		if iw.prep == nil {
 			continue
 		}
 		for br := range iw.results {
