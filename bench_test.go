@@ -403,25 +403,21 @@ func BenchmarkBlockingWindowedPipeline(b *testing.B) {
 // --- Hot-path kernel benches: string wrappers vs prebuilt profiles ----
 
 // BenchmarkStrsimKernels contrasts the one-shot string entry points
-// (which build operand profiles per call) against prebuilt-profile
-// kernels (the blocking/feature hot path: precompute once, compare
-// allocation-free everywhere).
+// (which build operand profiles per call) against the prebuilt-profile
+// Jaccard kernel (the blocking/feature hot path: precompute once,
+// compare allocation-free everywhere). LevenshteinRatio, the LR
+// extractor's similarity, has only the string form: it runs the
+// pooled-scratch DP directly.
 func BenchmarkStrsimKernels(b *testing.B) {
 	x := "Apple iPhone 13 Pro Max 256GB graphite smartphone"
 	y := "iphone 13 pro 256 gb graphite apple (renewed)"
 	in := profile.NewInterner()
-	bld := profile.NewBuilder(in, 3)
+	bld := profile.NewBuilder(in, 0)
 	px, py := bld.Build(x), bld.Build(y)
-	b.Run("Levenshtein/Strings", func(b *testing.B) {
+	b.Run("LevenshteinRatio/Strings", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			strsim.Levenshtein(x, y)
-		}
-	})
-	b.Run("Levenshtein/Profiles", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			profile.Levenshtein(px, py)
+			strsim.LevenshteinRatio(x, y)
 		}
 	})
 	b.Run("Jaccard/Strings", func(b *testing.B) {
@@ -434,30 +430,6 @@ func BenchmarkStrsimKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			profile.Jaccard(px, py)
-		}
-	})
-	b.Run("Cosine/Strings", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			strsim.Cosine(x, y)
-		}
-	})
-	b.Run("Cosine/Profiles", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			profile.Cosine(px, py)
-		}
-	})
-	b.Run("QGramJaccard/Strings", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			strsim.QGramJaccard(x, y, 3)
-		}
-	})
-	b.Run("QGramJaccard/Profiles", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			profile.QGramJaccard(px, py)
 		}
 	})
 }
@@ -743,10 +715,10 @@ func BenchmarkRecovery(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationClustering compares the clustering substrate choices:
-// DBSCAN (the paper's pick, used inside the framework) against K-Means on
-// the same question features, reporting wall-clock cost and the cluster
-// counts each produces on the WA question geometry.
+// BenchmarkAblationClustering measures the clustering substrate, DBSCAN
+// (the paper's pick, used inside the framework), on the question
+// features, reporting wall-clock cost and the cluster count it produces
+// on the WA question geometry.
 func BenchmarkAblationClustering(b *testing.B) {
 	qs, _, _ := ablationWorkload(b, "AB", 400)
 	ex := feature.NewLR()
@@ -756,14 +728,6 @@ func BenchmarkAblationClustering(b *testing.B) {
 		var k int
 		for i := 0; i < b.N; i++ {
 			res := cluster.DBSCAN(vecs, feature.Euclidean, eps, 3)
-			k = res.K
-		}
-		b.ReportMetric(float64(k), "clusters")
-	})
-	b.Run("KMeans", func(b *testing.B) {
-		var k int
-		for i := 0; i < b.N; i++ {
-			res := cluster.KMeans(vecs, 16, 50, 1)
 			k = res.K
 		}
 		b.ReportMetric(float64(k), "clusters")

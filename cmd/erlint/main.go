@@ -1,7 +1,8 @@
 // Command erlint runs the project-invariant static-analysis suite over
 // the module: determinism on journaled paths, context threading, pooled
-// scratch hygiene, cost-ledger discipline, error wrapping, and lock
-// scope around channel sends. It exits 0 when the tree is clean (every
+// scratch hygiene, cost-ledger discipline, error wrapping, lock scope
+// around channel sends, and no exported internal/ code that only tests
+// reach. It exits 0 when the tree is clean (every
 // remaining violation justified in .erlint.allow) and 1 when there are
 // findings, printing them one per line (or as JSON with -json).
 //

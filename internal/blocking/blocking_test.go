@@ -145,3 +145,34 @@ func TestEvaluateEmptyGold(t *testing.T) {
 		t.Errorf("degenerate stats = %+v", s)
 	}
 }
+
+// Stats summarizes a blocker's output against gold matches for quality
+// reporting: pair completeness (recall of true matches) and reduction
+// ratio versus the full cross product.
+type Stats struct {
+	Candidates       int
+	CrossProduct     int
+	PairCompleteness float64
+	ReductionRatio   float64
+}
+
+// Evaluate computes blocking stats. gold maps Pair.Key() of true matches.
+func Evaluate(cands []entity.Pair, gold map[string]bool, sizeA, sizeB int) Stats {
+	found := 0
+	for _, p := range cands {
+		if gold[p.Key()] {
+			found++
+		}
+	}
+	s := Stats{
+		Candidates:   len(cands),
+		CrossProduct: sizeA * sizeB,
+	}
+	if len(gold) > 0 {
+		s.PairCompleteness = float64(found) / float64(len(gold))
+	}
+	if s.CrossProduct > 0 {
+		s.ReductionRatio = 1 - float64(len(cands))/float64(s.CrossProduct)
+	}
+	return s
+}

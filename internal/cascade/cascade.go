@@ -178,9 +178,6 @@ func (pf *Prefilter) RouteOne(p entity.Pair) Route {
 	}
 }
 
-// Thresholds returns the routing thresholds (tauLo, tauHi).
-func (pf *Prefilter) Thresholds() (lo, hi float64) { return pf.tauLo, pf.tauHi }
-
 // WithThresholds returns a copy of the pre-filter routing at different
 // thresholds, sharing the trained scorer. Threshold sweeps train once
 // and clone per (tauLo, tauHi) point.

@@ -71,8 +71,8 @@ func TestWithThresholds(t *testing.T) {
 	pf, test := trainedPrefilter(t, Config{})
 	strict := pf.WithThresholds(0.001, 0.999)
 	loose := pf.WithThresholds(0.4, 0.6)
-	if lo, hi := strict.Thresholds(); lo != 0.001 || hi != 0.999 {
-		t.Fatalf("thresholds = %v, %v", lo, hi)
+	if strict.tauLo != 0.001 || strict.tauHi != 0.999 {
+		t.Fatalf("thresholds = %v, %v", strict.tauLo, strict.tauHi)
 	}
 	rs := strict.RouteAll(test)
 	rl := loose.RouteAll(test)

@@ -1,17 +1,15 @@
-// Package cluster implements the unsupervised clustering and
-// nearest-neighbour machinery used by question batching and demonstration
-// selection: DBSCAN (the paper's default), K-Means (alternative), and a
-// brute-force kNN index over feature vectors.
+// Package cluster implements the unsupervised clustering used by
+// question batching and demonstration selection: DBSCAN (the paper's
+// default) with its percentile-calibrated eps, and the one-pass pairwise
+// distance sweep that feeds it.
 //
 // All algorithms operate on feature.Vector slices with a pluggable
 // feature.Distance and are deterministic for a fixed seed.
 package cluster
 
 import (
-	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 
 	"batcher/internal/feature"
 )
@@ -156,159 +154,4 @@ func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sa
 	}
 	eps, _ := PairwisePercentile(sample, dist, p)
 	return eps
-}
-
-// KMeans clusters points into k clusters with Lloyd's algorithm and
-// k-means++ seeding. It uses Euclidean geometry regardless of dist (the
-// centroid update assumes it); callers wanting cosine should normalize
-// inputs. maxIter bounds the Lloyd iterations.
-func KMeans(points []feature.Vector, k, maxIter int, seed int64) Result {
-	n := len(points)
-	if n == 0 || k <= 0 {
-		return Result{Assign: make([]int, n), K: 0}
-	}
-	if k > n {
-		k = n
-	}
-	rnd := rand.New(rand.NewSource(seed))
-	centroids := seedPlusPlus(points, k, rnd)
-	assign := make([]int, n)
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, p := range points {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := feature.Euclidean(p, cent); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-		// Recompute centroids.
-		dim := len(points[0])
-		sums := make([]feature.Vector, k)
-		counts := make([]int, k)
-		for c := range sums {
-			sums[c] = make(feature.Vector, dim)
-		}
-		for i, p := range points {
-			c := assign[i]
-			counts[c]++
-			for d := 0; d < dim && d < len(p); d++ {
-				sums[c][d] += p[d]
-			}
-		}
-		for c := range sums {
-			if counts[c] == 0 {
-				// Re-seed an empty cluster at a random point.
-				centroids[c] = points[rnd.Intn(n)].Clone()
-				continue
-			}
-			for d := range sums[c] {
-				sums[c][d] /= float64(counts[c])
-			}
-			centroids[c] = sums[c]
-		}
-	}
-	return Result{Assign: assign, K: k}
-}
-
-// seedPlusPlus picks k initial centroids with D^2 weighting.
-func seedPlusPlus(points []feature.Vector, k int, rnd *rand.Rand) []feature.Vector {
-	n := len(points)
-	centroids := make([]feature.Vector, 0, k)
-	centroids = append(centroids, points[rnd.Intn(n)].Clone())
-	d2 := make([]float64, n)
-	for len(centroids) < k {
-		var sum float64
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := feature.Euclidean(p, c); d < best {
-					best = d
-				}
-			}
-			d2[i] = best * best
-			sum += d2[i]
-		}
-		if sum == 0 {
-			// All points coincide with centroids; duplicate one.
-			centroids = append(centroids, points[rnd.Intn(n)].Clone())
-			continue
-		}
-		r := rnd.Float64() * sum
-		acc := 0.0
-		pick := n - 1
-		for i, w := range d2 {
-			acc += w
-			if acc >= r {
-				pick = i
-				break
-			}
-		}
-		centroids = append(centroids, points[pick].Clone())
-	}
-	return centroids
-}
-
-// Neighbor is a kNN search hit.
-type Neighbor struct {
-	// Index is the position of the hit in the indexed collection.
-	Index int
-	// Dist is its distance to the query.
-	Dist float64
-}
-
-// KNNIndex is a brute-force exact nearest-neighbour index. It is adequate
-// for the benchmark scales here (up to tens of thousands of vectors) and
-// keeps the dependency surface at zero.
-type KNNIndex struct {
-	points []feature.Vector
-	dist   feature.Distance
-}
-
-// NewKNNIndex builds an index over points with the given distance.
-func NewKNNIndex(points []feature.Vector, dist feature.Distance) *KNNIndex {
-	return &KNNIndex{points: points, dist: dist}
-}
-
-// Len returns the number of indexed points.
-func (ix *KNNIndex) Len() int { return len(ix.points) }
-
-// Query returns the k nearest indexed points to q, ordered by increasing
-// distance with index as the tiebreak (deterministic).
-func (ix *KNNIndex) Query(q feature.Vector, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	ns := make([]Neighbor, len(ix.points))
-	for i, p := range ix.points {
-		ns[i] = Neighbor{Index: i, Dist: ix.dist(q, p)}
-	}
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].Index < ns[j].Index
-	})
-	if k > len(ns) {
-		k = len(ns)
-	}
-	return ns[:k]
-}
-
-// Nearest returns the single nearest neighbour, or a Neighbor with
-// Index -1 if the index is empty.
-func (ix *KNNIndex) Nearest(q feature.Vector) Neighbor {
-	ns := ix.Query(q, 1)
-	if len(ns) == 0 {
-		return Neighbor{Index: -1, Dist: math.Inf(1)}
-	}
-	return ns[0]
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -162,113 +161,10 @@ func TestEpsPercentileDegenerate(t *testing.T) {
 	}
 }
 
-func TestKMeansSeparatedBlobs(t *testing.T) {
-	pts, truth := blobs(90, 7)
-	res := KMeans(pts, 3, 50, 1)
-	if res.K != 3 {
-		t.Fatalf("KMeans K = %d", res.K)
-	}
-	blobToCluster := map[int]int{}
-	for i, c := range res.Assign {
-		if prev, ok := blobToCluster[truth[i]]; ok && prev != c {
-			t.Fatalf("blob %d split across kmeans clusters", truth[i])
-		}
-		blobToCluster[truth[i]] = c
-	}
-	if len(blobToCluster) != 3 {
-		t.Errorf("blobs merged: %v", blobToCluster)
-	}
-}
-
-func TestKMeansKLargerThanN(t *testing.T) {
-	pts := []feature.Vector{{0, 0}, {1, 1}}
-	res := KMeans(pts, 10, 10, 1)
-	if res.K != 2 {
-		t.Errorf("K clamped = %d, want 2", res.K)
-	}
-}
-
-func TestKMeansEmpty(t *testing.T) {
-	res := KMeans(nil, 3, 10, 1)
-	if res.K != 0 {
-		t.Errorf("KMeans(empty) K = %d", res.K)
-	}
-}
-
-func TestKMeansDeterministicForSeed(t *testing.T) {
-	pts, _ := blobs(60, 8)
-	a := KMeans(pts, 3, 50, 42)
-	b := KMeans(pts, 3, 50, 42)
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("KMeans not deterministic for fixed seed")
-		}
-	}
-}
-
-func TestKNNQueryOrdering(t *testing.T) {
-	pts := []feature.Vector{{0}, {5}, {1}, {10}}
-	ix := NewKNNIndex(pts, feature.Euclidean)
-	ns := ix.Query(feature.Vector{0.4}, 3)
-	if len(ns) != 3 {
-		t.Fatalf("Query returned %d", len(ns))
-	}
-	wantOrder := []int{0, 2, 1}
-	for i, w := range wantOrder {
-		if ns[i].Index != w {
-			t.Errorf("neighbor %d = index %d, want %d", i, ns[i].Index, w)
-		}
-	}
-	for i := 1; i < len(ns); i++ {
-		if ns[i].Dist < ns[i-1].Dist {
-			t.Error("neighbors not sorted by distance")
-		}
-	}
-}
-
-func TestKNNQueryKClamped(t *testing.T) {
-	ix := NewKNNIndex([]feature.Vector{{0}, {1}}, feature.Euclidean)
-	if got := len(ix.Query(feature.Vector{0}, 10)); got != 2 {
-		t.Errorf("Query k>n returned %d", got)
-	}
-	if got := ix.Query(feature.Vector{0}, 0); got != nil {
-		t.Errorf("Query k=0 returned %v", got)
-	}
-}
-
-func TestKNNNearestEmpty(t *testing.T) {
-	ix := NewKNNIndex(nil, feature.Euclidean)
-	n := ix.Nearest(feature.Vector{1})
-	if n.Index != -1 || !math.IsInf(n.Dist, 1) {
-		t.Errorf("Nearest on empty = %+v", n)
-	}
-}
-
-func TestKNNTieBreakByIndex(t *testing.T) {
-	pts := []feature.Vector{{1}, {1}, {1}}
-	ix := NewKNNIndex(pts, feature.Euclidean)
-	ns := ix.Query(feature.Vector{1}, 3)
-	for i, n := range ns {
-		if n.Index != i {
-			t.Errorf("tie-break order: got %d at rank %d", n.Index, i)
-		}
-	}
-}
-
 func BenchmarkDBSCAN(b *testing.B) {
 	pts, _ := blobs(400, 9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DBSCAN(pts, feature.Euclidean, 2.0, 3)
-	}
-}
-
-func BenchmarkKNNQuery(b *testing.B) {
-	pts, _ := blobs(1000, 10)
-	ix := NewKNNIndex(pts, feature.Euclidean)
-	q := feature.Vector{1, 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Query(q, 8)
 	}
 }

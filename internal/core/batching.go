@@ -9,15 +9,6 @@ import (
 // question set.
 type Batches [][]int
 
-// Flatten returns all question indices in batch order.
-func (bs Batches) Flatten() []int {
-	var out []int
-	for _, b := range bs {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // makeBatches groups the n question indices into batches of size b
 // following the configured strategy (Section III-A); the clustering
 // strategies read the questions' clusters off geo. The union of batches

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"batcher/internal/feature"
@@ -170,17 +169,6 @@ func TestMakeBatchesIdenticalVectors(t *testing.T) {
 		cfg := Config{BatchSize: 4, Batching: strat, Seed: 1}.applyDefaults()
 		bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
 		checkIsPartition(t, bs, 10)
-	}
-}
-
-func TestBatchesFlatten(t *testing.T) {
-	bs := Batches{{2, 0}, {1}}
-	got := bs.Flatten()
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Errorf("Flatten = %v", got)
-		}
 	}
 }
 

@@ -295,28 +295,31 @@ func TestCoverPercentileAboveOneClamps(t *testing.T) {
 	}
 }
 
-// TestNaNPercentilesDoNotPanic: WithCoverPercentile(math.NaN()) and
-// WithClusterEpsPercentile(math.NaN()) pass applyDefaults (NaN <= 0 is
-// false) and both clamps, and used to index the distance buffer with
+// TestNaNPercentilesDoNotPanic: a NaN Config.CoverPercentile or
+// Config.ClusterEpsPercentile passes applyDefaults (NaN <= 0 is false)
+// and both clamps, and used to index the distance buffer with
 // int(NaN) ("index out of range [-9223372036854775808]"). A NaN
 // percentile reads as unset where the index is computed — the smallest
 // distance — so the run is the one a vanishing percentile gives.
 func TestNaNPercentilesDoNotPanic(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 24)
-	resolve := func(opts ...Option) *Result {
+	resolve := func(set func(*Config)) *Result {
 		t.Helper()
-		f := New(newSimClient(questions, pool, 1), append([]Option{
-			WithBatching(DiversityBatching), WithSelection(CoveringSelection), WithSeed(1)}, opts...)...)
+		cfg := Config{Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1}
+		set(&cfg)
+		f := NewFromConfig(newSimClient(questions, pool, 1), cfg)
 		res, err := f.Resolve(context.Background(), questions, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for name, opt := range map[string]func(float64) Option{
-		"CoverPercentile": WithCoverPercentile, "ClusterEpsPercentile": WithClusterEpsPercentile,
+	for name, field := range map[string]func(*Config) *float64{
+		"CoverPercentile":      func(c *Config) *float64 { return &c.CoverPercentile },
+		"ClusterEpsPercentile": func(c *Config) *float64 { return &c.ClusterEpsPercentile },
 	} {
-		got, want := resolve(opt(math.NaN())), resolve(opt(1e-300))
+		at := func(p float64) func(*Config) { return func(c *Config) { *field(c) = p } }
+		got, want := resolve(at(math.NaN())), resolve(at(1e-300))
 		if !reflect.DeepEqual(got.Pred, want.Pred) || got.DemosLabeled != want.DemosLabeled ||
 			got.PromptTokens != want.PromptTokens || got.Ledger.Total() != want.Ledger.Total() {
 			t.Errorf("%s NaN: %d demos / %d prompt tokens / $%v, at 1e-300: %d / %d / $%v", name,

@@ -44,7 +44,7 @@ func TestCallWithTrimSplitsBatches(t *testing.T) {
 	// Budget below a full batch prompt but above a half batch: forces
 	// demo trimming, then batch splitting, and finally succeeds.
 	probe := prompt.Build(prompt.DefaultTaskDescription, nil, questions[:8])
-	client := &tinyContextClient{budget: probe.Tokens()/2 + 40}
+	client := &tinyContextClient{budget: tokens.Count(probe.Text)/2 + 40}
 	f := NewFromConfig(client, Config{Selection: FixedSelection, Seed: 1})
 	res, err := f.Resolve(context.Background(), questions, pool)
 	if err != nil {

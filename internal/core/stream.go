@@ -88,10 +88,6 @@ func (s *Stream) Batches() Batches { return s.prep.batches }
 // front (the run's labeling cost in pairs).
 func (s *Stream) DemosLabeled() int { return len(s.prep.sel.labeled) }
 
-// LabeledPool returns the pool indices of the annotated pairs, in
-// ascending order. The slice is shared; callers must not mutate it.
-func (s *Stream) LabeledPool() []int { return s.prep.sel.labeled }
-
 // NewResult is Prepared.NewResult for this stream's run.
 func (s *Stream) NewResult() *Result { return s.prep.NewResult() }
 

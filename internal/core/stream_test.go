@@ -292,8 +292,8 @@ func TestOptionsApplyAndCompose(t *testing.T) {
 		cfg.Parallelism != 3 || cfg.Seed != 42 || !cfg.JSONAnswers {
 		t.Errorf("options not applied: %+v", cfg)
 	}
-	// WithConfig overlays wholesale; later options still win.
-	f2 := New(llm.NewSimulated(nil, 1), WithConfig(Config{BatchSize: 2}), WithBatchSize(5))
+	// Options compose in order: a later option wins.
+	f2 := New(llm.NewSimulated(nil, 1), WithBatchSize(2), WithBatchSize(5))
 	if f2.Config().BatchSize != 5 {
 		t.Errorf("later option lost: %d", f2.Config().BatchSize)
 	}

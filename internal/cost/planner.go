@@ -1,9 +1,6 @@
 package cost
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Plan projects the monetary cost of an ER campaign before running it —
 // the calculation the paper's introduction walks through for the 500k-
@@ -37,10 +34,13 @@ func (p Plan) Prompts() int {
 	return (p.Questions + b - 1) / b
 }
 
-// InputTokens projects total prompt tokens.
+// InputTokens projects total prompt tokens: every prompt carries the
+// task description and its demonstrations, and every question is
+// serialized exactly once — so a partial last batch is billed for the
+// questions it holds, and BatchSize <= 0 bills like 1, as in Prompts.
 func (p Plan) InputTokens() int {
-	perPrompt := p.DescriptionTokens + (p.DemosPerPrompt+min(p.BatchSize, p.Questions))*p.TokensPerPair
-	return p.Prompts() * perPrompt
+	perPrompt := p.DescriptionTokens + p.DemosPerPrompt*p.TokensPerPair
+	return p.Prompts()*perPrompt + p.Questions*p.TokensPerPair
 }
 
 // OutputTokens projects total completion tokens.
@@ -68,103 +68,6 @@ func (p Plan) String() string {
 		p.APIDollars(), p.LabelDollars(), p.TotalDollars())
 }
 
-// WallClock projects the LLM-bound wall-clock of the campaign under a
-// measured per-call latency and the pipeline's execution knobs:
-// parallelism batch prompts in flight per window, questions matched in
-// stream windows of streamWindow pairs (<= 0 collects everything into
-// one window), and inFlightWindows windows pipelined concurrently.
-// The projection counts only LLM latency — the CPU front half is
-// assumed to hide inside it, which is what pipelined execution
-// arranges — so it is a lower bound that tightens as latency grows.
-func (p Plan) WallClock(perCall time.Duration, parallelism, streamWindow, inFlightWindows int) time.Duration {
-	if p.Questions <= 0 || perCall <= 0 {
-		return 0
-	}
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	if streamWindow <= 0 || streamWindow > p.Questions {
-		streamWindow = p.Questions
-	}
-	if inFlightWindows <= 0 {
-		inFlightWindows = 1
-	}
-	b := p.BatchSize
-	if b <= 0 {
-		b = 1
-	}
-	// A window resolves its prompts in ceil(prompts/parallelism) serial
-	// rounds; windows themselves proceed in groups of inFlightWindows.
-	promptsPerWindow := (streamWindow + b - 1) / b
-	roundsPerWindow := (promptsPerWindow + parallelism - 1) / parallelism
-	windows := (p.Questions + streamWindow - 1) / streamWindow
-	turns := (windows + inFlightWindows - 1) / inFlightWindows
-	return time.Duration(turns*roundsPerWindow) * perCall
-}
-
-// TierLoad is one tier's share of a cascade plan: how many prompts land
-// on it, at what per-call latency, priced by its own rate card. It is
-// the per-tier generalization of the single (perCall, Pricing) pair
-// WallClock and APIDollars assume.
-type TierLoad struct {
-	// Prompts is the number of API calls this tier answers.
-	Prompts int
-	// PerCall is the tier's measured per-call latency.
-	PerCall time.Duration
-	// Pricing is the tier's rate card.
-	Pricing Pricing
-	// InputTokens and OutputTokens are the tier's projected token totals.
-	InputTokens  int
-	OutputTokens int
-}
-
-// Dollars returns the tier's projected API charge.
-func (t TierLoad) Dollars() float64 {
-	return t.Pricing.APICost(t.InputTokens, t.OutputTokens)
-}
-
-// WallClockTiered projects the LLM-bound wall-clock of a cascade run
-// whose prompts split across tiers with distinct latencies. Execution
-// knobs mean what they do in WallClock; each tier's prompts are assumed
-// spread evenly over the run's windows, and within a window the tiers'
-// call rounds serialize (an escalated batch waits on its cheap attempt).
-func (p Plan) WallClockTiered(tiers []TierLoad, parallelism, streamWindow, inFlightWindows int) time.Duration {
-	if p.Questions <= 0 {
-		return 0
-	}
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	if streamWindow <= 0 || streamWindow > p.Questions {
-		streamWindow = p.Questions
-	}
-	if inFlightWindows <= 0 {
-		inFlightWindows = 1
-	}
-	windows := (p.Questions + streamWindow - 1) / streamWindow
-	turns := (windows + inFlightWindows - 1) / inFlightWindows
-	var wall time.Duration
-	for _, t := range tiers {
-		if t.Prompts <= 0 || t.PerCall <= 0 {
-			continue
-		}
-		promptsPerWindow := (t.Prompts + windows - 1) / windows
-		rounds := (promptsPerWindow + parallelism - 1) / parallelism
-		wall += time.Duration(turns*rounds) * t.PerCall
-	}
-	return wall
-}
-
-// TieredDollars sums the tiers' projected API charges — the cascade
-// counterpart of APIDollars.
-func TieredDollars(tiers []TierLoad) float64 {
-	var usd float64
-	for _, t := range tiers {
-		usd += t.Dollars()
-	}
-	return usd
-}
-
 // CompareBatchSizes returns the projected total for each candidate batch
 // size, holding everything else fixed — the planning sweep behind the
 // paper's batch-size choice.
@@ -176,11 +79,4 @@ func (p Plan) CompareBatchSizes(sizes []int) map[int]float64 {
 		out[b] = q.TotalDollars()
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

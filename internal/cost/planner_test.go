@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func samplePlan() Plan {
@@ -44,6 +43,33 @@ func TestPlanTokenArithmetic(t *testing.T) {
 	}
 	if got := p.OutputTokens(); got != 6000 {
 		t.Errorf("OutputTokens = %d", got)
+	}
+}
+
+// TestPlanInputTokensAgreeWithPrompts pins InputTokens to the prompt
+// count Prompts reports: BatchSize <= 0 is standard prompting (one
+// question per prompt, like BatchSize 1), and a partial last batch
+// carries only the questions left over.
+func TestPlanInputTokensAgreeWithPrompts(t *testing.T) {
+	cases := []struct {
+		name      string
+		questions int
+		batchSize int
+		want      int
+	}{
+		{"batch size 1", 1001, 1, 1001 * (40 + 8*90 + 90)},
+		{"batch size 0 is standard prompting", 1001, 0, 1001 * (40 + 8*90 + 90)},
+		{"negative batch size is standard prompting", 1001, -3, 1001 * (40 + 8*90 + 90)},
+		{"remainder bills only its questions", 1001, 8, 126*(40+8*90) + 1001*90},
+		{"exact division", 1000, 8, 125 * (40 + (8+8)*90)},
+		{"batch larger than the campaign", 5, 8, 40 + (8+5)*90},
+	}
+	for _, c := range cases {
+		p := samplePlan()
+		p.Questions, p.BatchSize = c.questions, c.batchSize
+		if got := p.InputTokens(); got != c.want {
+			t.Errorf("%s: InputTokens = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -90,41 +116,6 @@ func TestPlanBatchingSavesMoney(t *testing.T) {
 	ratio := std.APIDollars() / batch.APIDollars()
 	if ratio < 3 || ratio > 9 {
 		t.Errorf("projected API saving %.1fx outside the paper's band", ratio)
-	}
-}
-
-func TestPlanWallClock(t *testing.T) {
-	p := samplePlan() // 1000 questions, batch 8
-	// Window 100 -> 13 prompts/window -> 2 rounds at parallelism 8;
-	// 10 windows sequentially = 20 rounds of 200ms.
-	seq := p.WallClock(200*time.Millisecond, 8, 100, 1)
-	if seq != 4*time.Second {
-		t.Errorf("sequential projection = %v, want 4s", seq)
-	}
-	// 4 windows in flight: 10 windows in 3 turns -> 6 rounds.
-	pipe := p.WallClock(200*time.Millisecond, 8, 100, 4)
-	if pipe != 1200*time.Millisecond {
-		t.Errorf("pipelined projection = %v, want 1.2s", pipe)
-	}
-	if pipe >= seq {
-		t.Errorf("pipelining should shrink the projection: %v vs %v", pipe, seq)
-	}
-	// More in-flight windows than windows: floor at one window's latency.
-	if got := p.WallClock(200*time.Millisecond, 8, 100, 64); got != 400*time.Millisecond {
-		t.Errorf("over-pipelined projection = %v, want one window (400ms)", got)
-	}
-	// Collected mode (streamWindow <= 0): one window of everything.
-	if got := p.WallClock(200*time.Millisecond, 1, 0, 8); got != 25*time.Second {
-		t.Errorf("collected projection = %v, want 125 rounds (25s)", got)
-	}
-	// Degenerate inputs project zero.
-	if got := p.WallClock(0, 8, 100, 4); got != 0 {
-		t.Errorf("zero latency projects %v", got)
-	}
-	empty := p
-	empty.Questions = 0
-	if got := empty.WallClock(time.Second, 1, 0, 1); got != 0 {
-		t.Errorf("no questions projects %v", got)
 	}
 }
 

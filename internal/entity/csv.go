@@ -44,10 +44,6 @@ func NewCSVReader(r io.Reader, name string) (*CSVReader, error) {
 	return out, nil
 }
 
-// Attrs returns the table's attribute names (the header minus the id
-// column). The slice is shared; callers must not mutate it.
-func (r *CSVReader) Attrs() []string { return r.attrs }
-
 // Read returns the next record, or io.EOF after the last row.
 func (r *CSVReader) Read() (Record, error) {
 	raw, err := r.cr.Read()

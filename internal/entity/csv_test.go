@@ -8,6 +8,11 @@ import (
 
 const csvFixture = "id,name,city\nr1,golden dragon,soho\nr2,blue bayou,tribeca\n,empty id row,downtown\n"
 
+// Attrs returns the table's attribute names (the header minus the id
+// column) as the tests observe them; production code reads them off
+// each Record.
+func (r *CSVReader) Attrs() []string { return r.attrs }
+
 func TestCSVReaderIncremental(t *testing.T) {
 	r, err := NewCSVReader(strings.NewReader(csvFixture), "fix")
 	if err != nil {

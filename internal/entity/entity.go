@@ -13,7 +13,6 @@ package entity
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -67,15 +66,6 @@ func (r Record) Serialize() string {
 		b.WriteString(r.Values[i])
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy of the record.
-func (r Record) Clone() Record {
-	return Record{
-		ID:     r.ID,
-		Attrs:  append([]string(nil), r.Attrs...),
-		Values: append([]string(nil), r.Values...),
-	}
 }
 
 // Label is the ground-truth matching status of a pair.
@@ -233,12 +223,6 @@ func Labels(pairs []Pair) []Label {
 		out[i] = p.Truth
 	}
 	return out
-}
-
-// SortByKey orders pairs deterministically by their Key. It is used by
-// components that need a canonical order independent of generation order.
-func SortByKey(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key() < pairs[j].Key() })
 }
 
 // WithoutLabels returns a copy of pairs with Truth reset to Unknown.

@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,15 +49,6 @@ func TestNewRecordPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	NewRecord("x", []string{"a", "b"}, []string{"1"})
-}
-
-func TestRecordClone(t *testing.T) {
-	r := rec("a1", "title", "x")
-	c := r.Clone()
-	c.Values[0] = "mutated"
-	if r.Values[0] != "x" {
-		t.Error("Clone shares value storage with original")
-	}
 }
 
 func TestPairSerializeContainsSep(t *testing.T) {
@@ -225,18 +215,6 @@ func TestWithoutLabels(t *testing.T) {
 	// Originals must be untouched.
 	if pairs[0].Truth != Match {
 		t.Error("WithoutLabels mutated input")
-	}
-}
-
-func TestSortByKeyDeterministic(t *testing.T) {
-	pairs := makePairs(10, 10)
-	rnd := rand.New(rand.NewSource(1))
-	rnd.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-	SortByKey(pairs)
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i-1].Key() > pairs[i].Key() {
-			t.Fatal("SortByKey result not ordered")
-		}
 	}
 }
 

@@ -54,19 +54,9 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
-// BenchRecord is one benchmark result in the shape `go test -bench
-// -benchmem` reports: nanoseconds, bytes, and allocations per
-// operation.
-type BenchRecord struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
 // BenchFile is a complete BENCH_*.json document: the environment
-// header plus named results. Values are typically BenchRecord, but
-// sweeps with richer per-cell data (see PipelineBenchFile) may use
-// their own record shapes.
+// header plus named results, each sweep in its own per-cell record
+// shape (see PipelineBenchFile, CascadeBenchFile).
 type BenchFile struct {
 	BenchMeta
 	Results map[string]any `json:"results"`

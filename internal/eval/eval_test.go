@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"batcher/internal/baselines"
 	"batcher/internal/core"
 )
 
@@ -255,20 +254,6 @@ func TestRunFigure7Crossover(t *testing.T) {
 	FormatFigure7(&sb, series)
 	if !strings.Contains(sb.String(), "BatchER") {
 		t.Error("FormatFigure7 missing series")
-	}
-}
-
-func TestCrossoverSize(t *testing.T) {
-	series := Figure7Series{Points: []baselines.LearningCurvePoint{
-		{TrainSize: 50, F1: 40},
-		{TrainSize: 200, F1: 70},
-		{TrainSize: 1000, F1: 90},
-	}}
-	if got := series.CrossoverSize(65); got != 200 {
-		t.Errorf("CrossoverSize(65) = %d, want 200", got)
-	}
-	if got := series.CrossoverSize(95); got != -1 {
-		t.Errorf("CrossoverSize(95) = %d, want -1", got)
 	}
 }
 

@@ -160,14 +160,3 @@ func FormatFigure7(w io.Writer, series []Figure7Series) {
 		fprintf(w, "\n")
 	}
 }
-
-// CrossoverSize returns the smallest training size at which the series
-// reaches or exceeds target F1, or -1 if it never does.
-func (s Figure7Series) CrossoverSize(target float64) int {
-	for _, p := range s.Points {
-		if p.F1 >= target {
-			return p.TrainSize
-		}
-	}
-	return -1
-}

@@ -26,9 +26,6 @@ import (
 // Vector is a dense feature vector.
 type Vector []float64
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
-
 // Extractor maps an entity pair to a feature vector. Implementations must
 // be deterministic and safe for concurrent use.
 type Extractor interface {
@@ -60,10 +57,6 @@ type Structure struct {
 	// already runs pooled-scratch DP), so for it the per-record entity
 	// builds and cache bookkeeping would be pure overhead.
 	profSim func(a, b *profile.Profile) float64
-	// profTokens marks profSim as a token-set kernel, so ProfileOpts
-	// requests token data; edit-distance kernels would get cheaper
-	// rune-only attribute profiles (see EntityOpts.AttrTokens).
-	profTokens bool
 }
 
 // NewLR returns the Levenshtein-ratio structure-aware extractor (the
@@ -75,7 +68,7 @@ func NewLR() *Structure {
 
 // NewJAC returns the Jaccard structure-aware extractor (BATCHER-JAC).
 func NewJAC() *Structure {
-	return &Structure{Sim: strsim.Jaccard, Label: "JAC", profSim: profile.Jaccard, profTokens: true}
+	return &Structure{Sim: strsim.Jaccard, Label: "JAC", profSim: profile.Jaccard}
 }
 
 // unionAttrs returns the pair's union schema — A's attributes followed
@@ -128,7 +121,7 @@ func (s *Structure) ProfileOpts() profile.EntityOpts {
 	if s.profSim == nil {
 		return profile.EntityOpts{}
 	}
-	return profile.EntityOpts{Attrs: true, AttrTokens: s.profTokens}
+	return profile.EntityOpts{Attrs: true}
 }
 
 // ExtractProfiled implements ProfiledExtractor: Extract over the
@@ -322,90 +315,6 @@ func normalize(v Vector) {
 	for i := range v {
 		v[i] /= n
 	}
-}
-
-// Hybrid concatenates structure-aware similarities with a down-weighted
-// semantic embedding — an extension point beyond the paper's two extractor
-// families, for schemas where some signal lives outside aligned attributes
-// (e.g. free-text description fields). The semantic block is scaled by
-// Blend so the structural components dominate distances, matching the
-// paper's Finding 6.
-type Hybrid struct {
-	// Struct is the structure-aware component (default LR).
-	Struct *Structure
-	// Sem is the semantic component (default 64-bucket embedding; kept
-	// small so it flavors rather than swamps the structural signal).
-	Sem *Semantic
-	// Blend scales the semantic block (default 0.25).
-	Blend float64
-}
-
-// NewHybrid returns a hybrid extractor with defaults.
-func NewHybrid() *Hybrid {
-	return &Hybrid{Struct: NewLR(), Sem: &Semantic{Buckets: 64}, Blend: 0.25}
-}
-
-// Extract implements Extractor.
-func (h *Hybrid) Extract(p entity.Pair) Vector {
-	return h.combine(h.structOrDefault().Extract(p), h.semOrDefault().Extract(p))
-}
-
-// combine concatenates the structural block with the blend-scaled
-// semantic block. Both extraction paths funnel here so their outputs
-// cannot diverge.
-func (h *Hybrid) combine(st, sem Vector) Vector {
-	blend := h.Blend
-	if blend <= 0 {
-		blend = 0.25
-	}
-	out := make(Vector, 0, len(st)+len(sem))
-	out = append(out, st...)
-	for _, x := range sem {
-		out = append(out, x*blend)
-	}
-	return out
-}
-
-// Dim implements Extractor.
-func (h *Hybrid) Dim(m int) int {
-	return h.structOrDefault().Dim(m) + h.semOrDefault().Dim(m)
-}
-
-// Name implements Extractor.
-func (h *Hybrid) Name() string { return "HYB" }
-
-// ProfileOpts implements ProfiledExtractor: the union of the two
-// components' needs (attribute profiles only when the structural
-// component has a profile-kernel similarity).
-func (h *Hybrid) ProfileOpts() profile.EntityOpts {
-	st := h.structOrDefault().ProfileOpts()
-	return profile.EntityOpts{
-		Attrs:      st.Attrs,
-		AttrTokens: st.AttrTokens,
-		Serialized: true,
-		SepToken:   h.semOrDefault().ProfileOpts().SepToken,
-	}
-}
-
-// ExtractProfiled implements ProfiledExtractor, delegating each block
-// to the component's fast path (either component transparently falls
-// back to its string path when the profiles lack its data).
-func (h *Hybrid) ExtractProfiled(p entity.Pair, pa, pb *profile.Entity) Vector {
-	return h.combine(h.structOrDefault().ExtractProfiled(p, pa, pb), h.semOrDefault().ExtractProfiled(p, pa, pb))
-}
-
-func (h *Hybrid) structOrDefault() *Structure {
-	if h.Struct == nil {
-		return NewLR()
-	}
-	return h.Struct
-}
-
-func (h *Hybrid) semOrDefault() *Semantic {
-	if h.Sem == nil {
-		return &Semantic{Buckets: 64}
-	}
-	return h.Sem
 }
 
 // Euclidean returns the Euclidean distance between two vectors. Vectors of

@@ -281,6 +281,9 @@ func TestMeanSimilarity(t *testing.T) {
 	}
 }
 
+// Clone returns a copy of v.
+func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
+
 func TestVectorClone(t *testing.T) {
 	v := Vector{1, 2}
 	c := v.Clone()

@@ -16,9 +16,9 @@ import (
 // vector for the same pair — the profiles only change the cost, never
 // the value — and, like Extract, must be safe for concurrent use.
 //
-// The built-in Structure, Semantic, and Hybrid extractors implement
-// it, but only token-kernel similarity benefits: NewJAC and the
-// semantic stream declare needs, while NewLR (edit distance is parity
+// The built-in Structure and Semantic extractors implement it, but
+// only token-kernel similarity benefits: NewJAC and the semantic
+// stream declare needs, while NewLR (edit distance is parity
 // per comparison on the string path, so profiles would be pure
 // bookkeeping overhead) and any Structure with a custom Sim function
 // report no needs and transparently stay on the string path.
@@ -96,7 +96,7 @@ func NewProfiles(ex Extractor) *Profiles {
 	}
 	return &Profiles{
 		opts: opts,
-		bld:  profile.NewBuilder(in, opts.Q),
+		bld:  profile.NewBuilder(in, 0),
 		a:    make(map[string]profEntry),
 		b:    make(map[string]profEntry),
 	}

@@ -21,8 +21,9 @@ import (
 //
 // where <file> is the module-root-relative path (slash-separated),
 // <decl> is the enclosing top-level declaration as findings print it
-// ("Journal.Append", "Scratch", "var levPool") with spaces replaced by
-// dots ("var.levPool"), or "*" to match any declaration in the file.
+// ("Journal.Append", "Scratch", "var levPool", "const maxLevScratch",
+// "type Profile") with spaces replaced by dots ("var.levPool",
+// "const.maxLevScratch"), or "*" to match any declaration in the file.
 type Allowlist struct {
 	root    string
 	entries []*allowEntry

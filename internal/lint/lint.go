@@ -16,7 +16,8 @@ type Finding struct {
 	// Pos locates the violation.
 	Pos token.Position `json:"pos"`
 	// Decl names the enclosing top-level declaration ("Type.Method",
-	// "Func", "var name"), the unit .erlint.allow entries match on.
+	// "Func", "var name", "const name", "type name"), the unit
+	// .erlint.allow entries match on.
 	Decl string `json:"decl"`
 	// Message states the violated invariant and the offending construct.
 	Message string `json:"message"`
@@ -77,7 +78,7 @@ func (p *Pass) enclosingDecl(pos token.Pos) string {
 					switch s := spec.(type) {
 					case *ast.ValueSpec:
 						if len(s.Names) > 0 {
-							return "var " + s.Names[0].Name
+							return d.Tok.String() + " " + s.Names[0].Name
 						}
 					case *ast.TypeSpec:
 						return "type " + s.Name.Name
@@ -91,20 +92,30 @@ func (p *Pass) enclosingDecl(pos token.Pos) string {
 
 // funcDeclName renders "Recv.Name" for methods, "Name" for functions.
 func funcDeclName(d *ast.FuncDecl) string {
+	if id := recvTypeIdent(d); id != nil {
+		return id.Name + "." + d.Name.Name
+	}
+	return d.Name.Name
+}
+
+// recvTypeIdent returns the identifier naming a method's receiver base
+// type, or nil for plain functions.
+func recvTypeIdent(d *ast.FuncDecl) *ast.Ident {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return d.Name.Name
+		return nil
 	}
 	t := d.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
 	}
-	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver
-		t = idx.X
+	switch x := t.(type) { // generic receiver
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
 	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + d.Name.Name
-	}
-	return d.Name.Name
+	id, _ := t.(*ast.Ident)
+	return id
 }
 
 // PkgTail returns the last element of the package import path — the
@@ -180,6 +191,7 @@ func Analyzers() []*Analyzer {
 		LedgerBypass,
 		ErrWrap,
 		LockSend,
+		DeadExport,
 	}
 }
 

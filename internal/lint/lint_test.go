@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -39,5 +40,40 @@ func TestAllowlistFormat(t *testing.T) {
 	}
 	if _, err := LoadAllowlist(root, filepath.Join(root, AllowFile)); err != nil {
 		t.Fatalf("parsing %s: %v", AllowFile, err)
+	}
+}
+
+// TestAllowlistNamesConstDecls pins how a const finding is named: an
+// entry for `const.Limit` suppresses deadexport's finding on the const
+// in its golden tree, while `var.Limit` does not and is itself reported
+// as unused.
+func TestAllowlistNamesConstDecls(t *testing.T) {
+	root := filepath.Join("testdata", "src", "deadexport")
+	prog, err := LoadTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		decl       string
+		suppressed bool
+	}{{"const.Limit", true}, {"var.Limit", false}} {
+		path := filepath.Join(t.TempDir(), AllowFile)
+		entry := "deadexport internal/lib/lib.go " + c.decl + " -- fixture\n"
+		if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		allow, err := LoadAllowlist(root, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported, unused := false, false
+		for _, f := range Run(prog, []*Analyzer{DeadExport}, allow) {
+			reported = reported || (f.Analyzer == DeadExport.Name && f.Decl == "const Limit")
+			unused = unused || f.Analyzer == "allowlist"
+		}
+		if reported == c.suppressed || unused == c.suppressed {
+			t.Errorf("entry %s: const finding reported=%v, entry unused=%v; want suppressed=%v",
+				c.decl, reported, unused, c.suppressed)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package lint is erlint: a zero-dependency static-analysis suite that
 // machine-checks the project invariants generic linters cannot know
 // about — deterministic iteration on journaled paths, context threading,
-// sync.Pool hygiene, cost-ledger discipline, error wrapping, and lock
-// scope around channel sends. It is built entirely on the standard
-// library's go/parser, go/ast, and go/types; there is no dependency on
-// golang.org/x/tools.
+// sync.Pool hygiene, cost-ledger discipline, error wrapping, lock scope
+// around channel sends, and no exported internal/ code that only tests
+// reach. It is built entirely on the standard library's go/parser,
+// go/ast, and go/types; there is no dependency on golang.org/x/tools.
 //
 // The suite runs three ways: the cmd/erlint CLI (exit non-zero on
 // findings, -json for machine output), the in-repo lint_test.go gate
@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the program under analysis.
@@ -48,12 +49,10 @@ type Program struct {
 	Fset *token.FileSet
 	// Pkgs is sorted by import path.
 	Pkgs []*Package
-	// byPath indexes Pkgs.
-	byPath map[string]*Package
+	// refs is deadexport's whole-program reference set, built on first use.
+	refsOnce sync.Once
+	refs     *exportRefs
 }
-
-// Lookup returns the loaded package with the given import path, or nil.
-func (p *Program) Lookup(path string) *Package { return p.byPath[path] }
 
 // loader accumulates parsed-but-unchecked packages and type-checks them
 // on demand, resolving intra-program imports to each other and
@@ -169,14 +168,13 @@ func (l *loader) finish() (*Program, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	prog := &Program{Fset: l.fset, byPath: make(map[string]*Package)}
+	prog := &Program{Fset: l.fset}
 	for _, path := range paths {
 		p, err := l.check(path)
 		if err != nil {
 			return nil, err
 		}
 		prog.Pkgs = append(prog.Pkgs, p)
-		prog.byPath[path] = p
 	}
 	return prog, nil
 }

@@ -25,8 +25,6 @@ type Cached struct {
 	max     int
 	order   *list.List               // front = most recent
 	entries map[string]*list.Element // key -> element of cacheEntry
-	hits    int
-	misses  int
 }
 
 type cacheEntry struct {
@@ -80,7 +78,6 @@ func (c *Cached) Complete(ctx context.Context, req Request) (Response, error) {
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		resp := el.Value.(*cacheEntry).resp
-		c.hits++
 		c.mu.Unlock()
 		// A cache hit costs nothing: zero out billed tokens and flag the
 		// hit so cost accounting skips the call.
@@ -89,7 +86,6 @@ func (c *Cached) Complete(ctx context.Context, req Request) (Response, error) {
 		resp.CacheHit = true
 		return resp, nil
 	}
-	c.misses++
 	c.mu.Unlock()
 
 	resp, err := c.inner.Complete(ctx, req)
@@ -111,71 +107,4 @@ func (c *Cached) Complete(ctx context.Context, req Request) (Response, error) {
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
 	return resp, nil
-}
-
-// Stats returns cache hit and miss counts.
-func (c *Cached) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached responses.
-func (c *Cached) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// UsageTracker wraps a Client and aggregates token usage per model. It is
-// safe for concurrent use and composes with any other middleware.
-type UsageTracker struct {
-	inner Client
-
-	mu    sync.Mutex
-	usage map[string]*Usage
-}
-
-// Usage is the per-model aggregate.
-type Usage struct {
-	Calls        int
-	InputTokens  int
-	OutputTokens int
-	Errors       int
-}
-
-// NewUsageTracker returns a tracking wrapper.
-func NewUsageTracker(inner Client) *UsageTracker {
-	return &UsageTracker{inner: inner, usage: make(map[string]*Usage)}
-}
-
-// Complete implements Client.
-func (u *UsageTracker) Complete(ctx context.Context, req Request) (Response, error) {
-	resp, err := u.inner.Complete(ctx, req)
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	s, ok := u.usage[req.Model]
-	if !ok {
-		s = &Usage{}
-		u.usage[req.Model] = s
-	}
-	if err != nil {
-		s.Errors++
-		return resp, err
-	}
-	s.Calls++
-	s.InputTokens += resp.InputTokens
-	s.OutputTokens += resp.OutputTokens
-	return resp, nil
-}
-
-// Snapshot returns a copy of the per-model usage table.
-func (u *UsageTracker) Snapshot() map[string]Usage {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	out := make(map[string]Usage, len(u.usage))
-	for m, s := range u.usage {
-		out[m] = *s
-	}
-	return out
 }

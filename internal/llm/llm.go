@@ -184,17 +184,3 @@ func Lookup(name string) (Model, error) {
 	}
 	return m, nil
 }
-
-// MustLookup is Lookup for names known at compile time.
-func MustLookup(name string) Model {
-	m, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Models lists registry names in a fixed report order.
-func Models() []string {
-	return []string{GPT35Turbo0301, GPT35Turbo0613, GPT4, Llama2Chat70B}
-}

@@ -59,32 +59,17 @@ func TestLookup(t *testing.T) {
 }
 
 func TestGPT4TenTimesGPT35(t *testing.T) {
-	g4 := MustLookup(GPT4)
-	g35 := MustLookup(GPT35Turbo0301)
+	g4, err := Lookup(GPT4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g35, err := Lookup(GPT35Turbo0301)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g4.Pricing.InputPer1K != 10*g35.Pricing.InputPer1K {
 		t.Errorf("GPT-4 should be 10x GPT-3.5: %v vs %v", g4.Pricing.InputPer1K, g35.Pricing.InputPer1K)
 	}
-}
-
-func TestModelsOrder(t *testing.T) {
-	ms := Models()
-	if len(ms) != 4 || ms[0] != GPT35Turbo0301 {
-		t.Errorf("Models() = %v", ms)
-	}
-	for _, name := range ms {
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("listed model %q not in registry", name)
-		}
-	}
-}
-
-func TestMustLookupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup(bad) did not panic")
-		}
-	}()
-	MustLookup("bogus")
 }
 
 func buildBatch(t *testing.T, demos []prompt.Demo, qs []entity.Pair) Request {

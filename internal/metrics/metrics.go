@@ -44,9 +44,6 @@ func (c *Confusion) AddAll(gold, pred []entity.Label) {
 	}
 }
 
-// Total returns the number of scored pairs.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Precision returns TP/(TP+FP); 0 when nothing was predicted positive.
 func (c Confusion) Precision() float64 {
 	if c.TP+c.FP == 0 {
@@ -71,15 +68,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 100 * 2 * p * r / (p + r)
-}
-
-// Accuracy returns the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(t)
 }
 
 // String summarizes the matrix.

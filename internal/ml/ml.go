@@ -307,38 +307,6 @@ func (a *adam) step(k int, g float64) float64 {
 	return mhat / (math.Sqrt(vhat) + eps)
 }
 
-// Evaluate returns accuracy of the classifier on data.
-func Evaluate(c Classifier, data []Example) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, ex := range data {
-		if Predict(c, ex.X) == (ex.Y == 1) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(data))
-}
-
-// LogLoss returns the mean cross-entropy of the classifier on data.
-func LogLoss(c Classifier, data []Example) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, ex := range data {
-		p := c.Prob(ex.X)
-		p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-		if ex.Y == 1 {
-			sum += -math.Log(p)
-		} else {
-			sum += -math.Log(1 - p)
-		}
-	}
-	return sum / float64(len(data))
-}
-
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // CheckDims validates that all examples share the same dimensionality.

@@ -180,18 +180,6 @@ func TestStandardizerEmpty(t *testing.T) {
 	}
 }
 
-func TestLogLoss(t *testing.T) {
-	perfect := &LogReg{W: []float64{100}, B: -50} // step at 0.5
-	data := []Example{{X: []float64{1}, Y: 1}, {X: []float64{0}, Y: 0}}
-	if ll := LogLoss(perfect, data); ll > 0.01 {
-		t.Errorf("LogLoss of near-perfect model = %v", ll)
-	}
-	random := &LogReg{W: []float64{0}, B: 0}
-	if ll := LogLoss(random, data); math.Abs(ll-math.Log(2)) > 1e-9 {
-		t.Errorf("LogLoss of coin flip = %v, want ln2", ll)
-	}
-}
-
 func TestCheckDims(t *testing.T) {
 	good := []Example{{X: []float64{1, 2}}, {X: []float64{3, 4}}}
 	if err := CheckDims(good); err != nil {
@@ -233,4 +221,18 @@ func BenchmarkTrainMLP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TrainMLP(train, MLPConfig{Hidden: 8, Epochs: 20, Seed: int64(i)})
 	}
+}
+
+// Evaluate returns accuracy of the classifier on data.
+func Evaluate(c Classifier, data []Example) float64 {
+	if len(data) == 0 {
+		return 0
+	}
+	correct := 0
+	for _, ex := range data {
+		if Predict(c, ex.X) == (ex.Y == 1) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(data))
 }

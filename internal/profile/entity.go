@@ -9,11 +9,6 @@ type EntityOpts struct {
 	// Attrs builds one Profile per attribute value (structure-aware
 	// extractors, per-attribute kernels).
 	Attrs bool
-	// AttrTokens additionally builds the attribute profiles' token data
-	// (sequence, distinct IDs, frequencies, norm) for token-set
-	// kernels. Leave false for edit-distance-only consumers (LR): their
-	// profiles carry just the rune view, a fraction of the build cost.
-	AttrTokens bool
 	// Serialized builds the token-ID sequence of the record's
 	// serialization S(e) (semantics-based extractors).
 	Serialized bool
@@ -22,8 +17,6 @@ type EntityOpts struct {
 	// is resolved once at entity-build time (see Entity.SepID) so
 	// pair-level consumers never touch the interner's write path.
 	SepToken string
-	// Q is the gram size for the attribute profiles, 0 for none.
-	Q int
 }
 
 // Enabled reports whether the options request any profile data at all.
@@ -55,16 +48,9 @@ func BuildEntity(b *Builder, r entity.Record, opts EntityOpts) *Entity {
 	if opts.Attrs {
 		e.attrs = r.Attrs
 		e.profs = make([]*Profile, len(r.Values))
-		q := b.q
-		b.q = opts.Q
 		for i, v := range r.Values {
-			if opts.AttrTokens || opts.Q > 0 {
-				e.profs[i] = b.Build(v)
-			} else {
-				e.profs[i] = b.BuildLev(v)
-			}
+			e.profs[i] = b.Build(v)
 		}
-		b.q = q
 	}
 	if opts.Serialized {
 		// Tokens of S(e) = "a1: v1, a2: v2, ...": the separators ": "

@@ -1,21 +1,22 @@
 // Package profile implements precomputed entity profiles for the
 // CPU-bound front half of the pipeline (blocking, feature extraction,
-// clustering input). A Profile is built once per string — interned token
-// IDs, q-gram signatures, token frequencies, rune buffers, cached norms —
-// and every subsequent comparison runs allocation-free over sorted-slice
-// merges instead of rebuilding hash sets per call.
+// clustering input). A Profile is built once per string — its sorted
+// distinct interned token IDs — and every subsequent comparison runs
+// allocation-free over sorted-slice merges instead of rebuilding hash
+// sets per call.
 //
 // The package has three layers:
 //
 //   - Interner: a shared, concurrency-safe string-to-uint32 table that
-//     also caches per-token derived data (runes, FNV base hash, hashed
+//     also caches per-token derived data (FNV base hash, hashed
 //     embedding features) so it is computed once per distinct token.
 //   - Builder: a single-goroutine profile factory with reusable scratch
-//     buffers; several Builders may share one Interner.
-//   - kernels: Jaccard, overlap, cosine, q-gram Jaccard, Levenshtein
-//     (pooled-scratch, ASCII fast path), and Monge-Elkan over Profiles,
-//     producing bit-identical results to the classic string-based
-//     implementations in internal/strsim.
+//     buffers; several Builders may share one Interner. It also hashes
+//     q-gram signatures and token-ID sets for the blockers.
+//   - kernels: Jaccard over Profiles, plus the one-shot string forms of
+//     Jaccard and the Levenshtein ratio (pooled-scratch DP, ASCII fast
+//     path) that internal/strsim wraps, bit-identical to the classic
+//     string-based implementations.
 package profile
 
 import (
@@ -218,9 +219,6 @@ func (in *Interner) info(id uint32) *tokenInfo {
 	in.mu.RUnlock()
 	return t
 }
-
-// Token returns the text of an interned token.
-func (in *Interner) Token(id uint32) string { return in.info(id).text }
 
 // TokenHash returns the cached FNV-64a base hash of an interned token,
 // the per-token input to MinHash signatures.

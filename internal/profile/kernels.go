@@ -1,11 +1,10 @@
 package profile
 
-// The comparison kernels. All take prebuilt Profiles, allocate nothing
-// per call (Levenshtein variants use pooled scratch), and reproduce the
-// exact arithmetic of the classic string-based implementations so the
-// strsim wrappers stay bit-identical. Every kernel panics when its
-// operands were built against different interners — their token IDs
-// would be incomparable.
+// The comparison kernels. They take prebuilt Profiles, allocate nothing
+// per call, and reproduce the exact arithmetic of the classic
+// string-based implementations so the strsim wrappers stay
+// bit-identical. Every kernel panics when its operands were built
+// against different interners — their token IDs would be incomparable.
 
 // sameInterner guards against mixing profiles from different interners.
 func sameInterner(a, b *Profile) {
@@ -45,135 +44,4 @@ func Jaccard(a, b *Profile) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// Overlap returns the overlap coefficient |A ∩ B| / min(|A|, |B|) of
-// the token sets. Empty-versus-empty scores 1; empty-versus-nonempty 0.
-func Overlap(a, b *Profile) float64 {
-	sameInterner(a, b)
-	if len(a.tokens) == 0 && len(b.tokens) == 0 {
-		return 1
-	}
-	if len(a.tokens) == 0 || len(b.tokens) == 0 {
-		return 0
-	}
-	inter := intersectCount(a.tokens, b.tokens)
-	m := len(a.tokens)
-	if len(b.tokens) < m {
-		m = len(b.tokens)
-	}
-	return float64(inter) / float64(m)
-}
-
-// Cosine returns the cosine similarity of the token frequency vectors,
-// using the norms cached at build time. Empty-versus-empty scores 1.
-func Cosine(a, b *Profile) float64 {
-	sameInterner(a, b)
-	if len(a.seq) == 0 && len(b.seq) == 0 {
-		return 1
-	}
-	if len(a.seq) == 0 || len(b.seq) == 0 {
-		return 0
-	}
-	var dot float64
-	i, j := 0, 0
-	for i < len(a.tokens) && j < len(b.tokens) {
-		switch {
-		case a.tokens[i] < b.tokens[j]:
-			i++
-		case a.tokens[i] > b.tokens[j]:
-			j++
-		default:
-			dot += float64(a.freq[i]) * float64(b.freq[j])
-			i++
-			j++
-		}
-	}
-	return dot / (a.norm * b.norm)
-}
-
-// QGramJaccard returns the Jaccard similarity of the q-gram signature
-// sets. Both profiles must carry signatures of the same gram size.
-func QGramJaccard(a, b *Profile) float64 {
-	sameInterner(a, b)
-	if a.gramQ < 1 || b.gramQ < 1 {
-		panic("profile: QGramJaccard needs profiles built with a gram size")
-	}
-	if a.gramQ != b.gramQ {
-		panic("profile: QGramJaccard gram sizes differ")
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(a.grams) && j < len(b.grams) {
-		switch {
-		case a.grams[i] < b.grams[j]:
-			i++
-		case a.grams[i] > b.grams[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	union := len(a.grams) + len(b.grams) - inter
-	if union == 0 {
-		// Possible only at q = 1 over two empty strings (no padding
-		// grams exist); identical empties score 1.
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// MongeElkan returns the directed Monge-Elkan hybrid similarity: for
-// each token occurrence of a (in text order), the best LevenshteinRatio
-// against any token of b, averaged. Token edit distances run on the
-// interner's cached rune forms with pooled scratch.
-func MongeElkan(a, b *Profile) float64 {
-	sameInterner(a, b)
-	return mongeElkanSeq(a.in, a.seq, b.tokens)
-}
-
-// mongeElkanSeq is the directed Monge-Elkan core over interned IDs:
-// seq is the x side's token sequence (duplicates kept), tokens the y
-// side's distinct token IDs.
-func mongeElkanSeq(in *Interner, seq, tokens []uint32) float64 {
-	if len(seq) == 0 && len(tokens) == 0 {
-		return 1
-	}
-	if len(seq) == 0 || len(tokens) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, xid := range seq {
-		x := in.info(xid)
-		best := 0.0
-		for _, yid := range tokens {
-			if s := tokenLevRatio(x, in.info(yid)); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(seq))
-}
-
-// SymMongeElkan returns the symmetric Monge-Elkan similarity: the mean
-// of the two directed scores.
-func SymMongeElkan(a, b *Profile) float64 {
-	return (MongeElkan(a, b) + MongeElkan(b, a)) / 2
-}
-
-// tokenLevRatio is LevenshteinRatio over two interned tokens, using
-// their cached rune forms.
-func tokenLevRatio(x, y *tokenInfo) float64 {
-	if x.text == y.text {
-		return 1
-	}
-	la, lb := x.runeLen, y.runeLen
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	d := levViews(runeView{s: x.text, rs: x.runes, n: la}, runeView{s: y.text, rs: y.runes, n: lb})
-	return 1 - float64(d)/float64(la+lb)
 }

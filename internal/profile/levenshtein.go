@@ -58,51 +58,12 @@ func (v runeView) at(i int) rune {
 	return rune(v.s[i])
 }
 
-// viewOf adapts a profile's cached rune data.
-func viewOf(p *Profile) runeView {
-	return runeView{s: p.text, rs: p.runes, n: p.runeLen}
-}
-
-// Levenshtein returns the edit distance between the profiled texts:
-// minimum single-rune insertions, deletions, substitutions. It runs in
-// O(len(a)*len(b)) time, O(min) pooled space, and allocates nothing in
-// steady state for ASCII inputs. Equal texts short-circuit to 0 — on
-// dirty-but-overlapping ER data many aligned attribute values match
-// exactly, and the O(n) equality check dodges their O(n^2) DP.
-func Levenshtein(a, b *Profile) int {
-	if a.text == b.text {
-		return 0
-	}
-	return levViews(viewOf(a), viewOf(b))
-}
-
-// LevenshteinRatio returns the paper's LR similarity (Eq. 5):
-// 1 - LED(x, y) / (len(x) + len(y)), over rune lengths. Two empty
-// strings yield 1, as do any two equal texts (short-circuited).
-func LevenshteinRatio(a, b *Profile) float64 {
-	if a.text == b.text {
-		return 1
-	}
-	la, lb := a.runeLen, b.runeLen
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	d := levViews(viewOf(a), viewOf(b))
-	return 1 - float64(d)/float64(la+lb)
-}
-
-// LevenshteinStrings is the one-shot form: the edit distance between
-// two plain strings with pooled scratch and the ASCII fast path, no
-// profile required.
-func LevenshteinStrings(a, b string) int {
-	if a == b {
-		return 0
-	}
-	return levViews(stringView(a), stringView(b))
-}
-
-// LevenshteinRatioStrings is the one-shot LR similarity over plain
-// strings.
+// LevenshteinRatioStrings is the paper's LR similarity (Eq. 5) over
+// plain strings: 1 - LED(a, b) / (len(a) + len(b)), over rune lengths.
+// Two empty strings yield 1, as do any two equal strings
+// (short-circuited: on dirty-but-overlapping ER data many aligned
+// attribute values match exactly, and the O(n) equality check dodges
+// their O(n^2) DP).
 func LevenshteinRatioStrings(a, b string) float64 {
 	if a == b {
 		return 1

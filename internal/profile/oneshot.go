@@ -1,11 +1,6 @@
 package profile
 
-import (
-	"math"
-	"slices"
-)
-
-func sqrt64(x float64) float64 { return math.Sqrt(x) }
+import "slices"
 
 // One-shot comparison helpers: the strsim string wrappers funnel here.
 // They run entirely in pooled builder scratch — tokenizing into reused
@@ -15,154 +10,33 @@ func sqrt64(x float64) float64 { return math.Sqrt(x) }
 // arithmetic of the profile kernels.
 
 // uniquePair tokenizes both operands into the builder's two unique-ID
-// scratches with parallel frequency counts. Both slices are valid until
-// the next builder call.
-func (b *Builder) uniquePair(x, y string) (tx, ty []uint32, fx, fy []uint32) {
-	b.seq = b.appendTokenSeq(x, b.seq[:0], false)
-	b.uniq, b.freqA = countUnique(b.seq, b.uniq[:0], b.freqA[:0])
-	b.seqB = b.appendTokenSeq(y, b.seqB[:0], false)
-	b.uniqB, b.freqB = countUnique(b.seqB, b.uniqB[:0], b.freqB[:0])
-	return b.uniq, b.uniqB, b.freqA, b.freqB
+// scratches. Both slices are valid until the next builder call.
+func (b *Builder) uniquePair(x, y string) (tx, ty []uint32) {
+	b.seq = b.appendTokenSeq(x, b.seq[:0])
+	b.uniq = sortedUnique(b.seq, b.uniq[:0])
+	b.seqB = b.appendTokenSeq(y, b.seqB[:0])
+	b.uniqB = sortedUnique(b.seqB, b.uniqB[:0])
+	return b.uniq, b.uniqB
 }
 
-// countUnique sorts a copy of seq into uniq and produces parallel
-// occurrence counts.
-func countUnique(seq []uint32, uniq, freq []uint32) ([]uint32, []uint32) {
-	uniq = append(uniq, seq...)
-	slices.Sort(uniq)
-	w := 0
-	for i := 0; i < len(uniq); {
-		j := i + 1
-		for j < len(uniq) && uniq[j] == uniq[i] {
-			j++
-		}
-		uniq[w] = uniq[i]
-		freq = append(freq, uint32(j-i))
-		w++
-		i = j
-	}
-	return uniq[:w], freq
+// sortedUnique appends the distinct IDs of seq to dst in ascending
+// order.
+func sortedUnique(seq, dst []uint32) []uint32 {
+	dst = append(dst, seq...)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // JaccardStrings is the one-shot token-set Jaccard similarity.
 func JaccardStrings(x, y string) float64 {
 	b := Scratch(0)
 	defer b.Release()
-	tx, ty, _, _ := b.uniquePair(x, y)
+	tx, ty := b.uniquePair(x, y)
 	if len(tx) == 0 && len(ty) == 0 {
 		return 1
 	}
 	inter := intersectCount(tx, ty)
 	union := len(tx) + len(ty) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// OverlapStrings is the one-shot token-set overlap coefficient.
-func OverlapStrings(x, y string) float64 {
-	b := Scratch(0)
-	defer b.Release()
-	tx, ty, _, _ := b.uniquePair(x, y)
-	if len(tx) == 0 && len(ty) == 0 {
-		return 1
-	}
-	if len(tx) == 0 || len(ty) == 0 {
-		return 0
-	}
-	inter := intersectCount(tx, ty)
-	m := len(tx)
-	if len(ty) < m {
-		m = len(ty)
-	}
-	return float64(inter) / float64(m)
-}
-
-// CosineStrings is the one-shot token-frequency cosine similarity.
-func CosineStrings(x, y string) float64 {
-	b := Scratch(0)
-	defer b.Release()
-	tx, ty, fx, fy := b.uniquePair(x, y)
-	if len(tx) == 0 && len(ty) == 0 {
-		return 1
-	}
-	if len(tx) == 0 || len(ty) == 0 {
-		return 0
-	}
-	var dot, nx, ny float64
-	i, j := 0, 0
-	for i < len(tx) && j < len(ty) {
-		switch {
-		case tx[i] < ty[j]:
-			i++
-		case tx[i] > ty[j]:
-			j++
-		default:
-			dot += float64(fx[i]) * float64(fy[j])
-			i++
-			j++
-		}
-	}
-	for _, c := range fx {
-		nx += float64(c) * float64(c)
-	}
-	for _, c := range fy {
-		ny += float64(c) * float64(c)
-	}
-	return dot / (sqrt64(nx) * sqrt64(ny))
-}
-
-// MongeElkanStrings is the one-shot directed Monge-Elkan similarity.
-func MongeElkanStrings(x, y string) float64 {
-	b := Scratch(0)
-	defer b.Release()
-	b.seq = b.appendTokenSeq(x, b.seq[:0], false)
-	b.seqB = b.appendTokenSeq(y, b.seqB[:0], false)
-	b.uniqB, b.freqB = countUnique(b.seqB, b.uniqB[:0], b.freqB[:0])
-	return mongeElkanSeq(b.in, b.seq, b.uniqB)
-}
-
-// SymMongeElkanStrings is the one-shot symmetric Monge-Elkan
-// similarity: the mean of the two directed scores.
-func SymMongeElkanStrings(x, y string) float64 {
-	b := Scratch(0)
-	defer b.Release()
-	b.seq = b.appendTokenSeq(x, b.seq[:0], false)
-	b.seqB = b.appendTokenSeq(y, b.seqB[:0], false)
-	b.uniq, b.freqA = countUnique(b.seq, b.uniq[:0], b.freqA[:0])
-	b.uniqB, b.freqB = countUnique(b.seqB, b.uniqB[:0], b.freqB[:0])
-	xy := mongeElkanSeq(b.in, b.seq, b.uniqB)
-	yx := mongeElkanSeq(b.in, b.seqB, b.uniq)
-	return (xy + yx) / 2
-}
-
-// QGramJaccardStrings is the one-shot q-gram signature Jaccard
-// similarity (NUL pad sentinel).
-func QGramJaccardStrings(x, y string, q int) float64 {
-	b := Scratch(q)
-	defer b.Release()
-	gx := b.GramHashes(x)
-	// GramHashes reuses b.grams; move x's grams to the second scratch
-	// before hashing y.
-	b.gramsB = append(b.gramsB[:0], gx...)
-	gx = b.gramsB
-	gy := b.GramHashes(y)
-	inter := 0
-	i, j := 0, 0
-	for i < len(gx) && j < len(gy) {
-		switch {
-		case gx[i] < gy[j]:
-			i++
-		case gx[i] > gy[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	union := len(gx) + len(gy) - inter
 	if union == 0 {
 		return 1
 	}

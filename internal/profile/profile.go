@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"unicode"
@@ -15,56 +14,15 @@ import (
 // (e.g. "c#").
 const gramSentinel = rune(0)
 
-// Profile is the precomputed, immutable comparison form of one string.
-// Build it once per entity/attribute and compare it allocation-free with
-// the package kernels. Profiles are only comparable when built against
-// the same Interner (kernels panic otherwise).
+// Profile is the precomputed, immutable comparison form of one string:
+// its distinct tokens. Build it once per entity/attribute and compare it
+// allocation-free with the package kernels. Profiles are only comparable
+// when built against the same Interner (kernels panic otherwise).
 type Profile struct {
 	in *Interner
-	// text is the original string (case preserved, as Levenshtein needs).
-	text string
-	// runes is the decoded text, nil when text is pure ASCII.
-	runes []rune
-	// runeLen is the text length in runes.
-	runeLen int
-	// seq lists the token IDs in text order, duplicates kept.
-	seq []uint32
-	// tokens lists the distinct token IDs in ascending ID order, with
-	// freq holding the parallel occurrence counts.
+	// tokens lists the distinct token IDs in ascending ID order.
 	tokens []uint32
-	freq   []uint32
-	// grams lists the distinct q-gram signature hashes in ascending
-	// order; gramQ is the gram size (0 when grams were not built).
-	grams []uint64
-	gramQ int
-	// norm is the L2 norm of the token frequency vector.
-	norm float64
 }
-
-// Text returns the original string the profile was built from.
-func (p *Profile) Text() string { return p.text }
-
-// RuneLen returns the text length in runes.
-func (p *Profile) RuneLen() int { return p.runeLen }
-
-// TokenSeq returns the token IDs in text order, duplicates kept. The
-// slice is shared; callers must not modify it.
-func (p *Profile) TokenSeq() []uint32 { return p.seq }
-
-// Tokens returns the distinct token IDs in ascending order. The slice
-// is shared; callers must not modify it.
-func (p *Profile) Tokens() []uint32 { return p.tokens }
-
-// Grams returns the distinct q-gram signature hashes in ascending
-// order (nil when the builder had no gram size configured). The slice
-// is shared; callers must not modify it.
-func (p *Profile) Grams() []uint64 { return p.grams }
-
-// GramQ returns the gram size the signatures were built with, 0 if none.
-func (p *Profile) GramQ() int { return p.gramQ }
-
-// Interner returns the interner the profile's token IDs refer to.
-func (p *Profile) Interner() *Interner { return p.in }
 
 // Builder constructs Profiles against a shared Interner. A Builder owns
 // reusable scratch buffers and is therefore single-goroutine; concurrent
@@ -80,17 +38,14 @@ type Builder struct {
 	seq   []uint32
 	uniq  []uint32
 	grams []uint64
-	// Second-operand and frequency scratches for the one-shot string
-	// comparisons (oneshot.go).
-	seqB   []uint32
-	uniqB  []uint32
-	freqA  []uint32
-	freqB  []uint32
-	gramsB []uint64
+	// Second-operand scratches for the one-shot string comparisons
+	// (oneshot.go).
+	seqB  []uint32
+	uniqB []uint32
 }
 
-// NewBuilder returns a builder over in producing q-gram signatures of
-// size q (q = 0 disables gram signatures; q must not be negative).
+// NewBuilder returns a builder over in whose GramHashes produces q-gram
+// signatures of size q (q = 0 disables them; q must not be negative).
 func NewBuilder(in *Interner, q int) *Builder {
 	if q < 0 {
 		panic("profile: negative gram size")
@@ -101,96 +56,27 @@ func NewBuilder(in *Interner, q int) *Builder {
 // Interner returns the interner the builder assigns token IDs from.
 func (b *Builder) Interner() *Interner { return b.in }
 
-// SetQ changes the gram size for subsequently built profiles.
-func (b *Builder) SetQ(q int) {
-	if q < 0 {
-		panic("profile: negative gram size")
-	}
-	b.q = q
-}
-
-// Build computes the full profile of text: token sequence, sorted
-// distinct tokens with frequencies and cached norm, q-gram signatures
-// (when the builder has a gram size), and the rune buffer for edit
-// distances. Allocation is bounded by the profile's own storage; all
-// intermediate work happens in the builder's reusable scratch.
+// Build computes the profile of text: its sorted distinct token IDs.
+// Allocation is bounded by the profile's own storage; all intermediate
+// work happens in the builder's reusable scratch.
 func (b *Builder) Build(text string) *Profile {
-	p := &Profile{in: b.in, text: text, gramQ: b.q}
-
-	ascii := true
-	for i := 0; i < len(text); i++ {
-		if text[i] >= utf8.RuneSelf {
-			ascii = false
-			break
-		}
-	}
-	if ascii {
-		p.runeLen = len(text)
-	} else {
-		p.runes = []rune(text)
-		p.runeLen = len(p.runes)
-	}
-
-	b.seq = b.appendTokenSeq(text, b.seq[:0], b.q > 0)
-	p.seq = append([]uint32(nil), b.seq...)
-
-	// Distinct tokens + frequencies into builder scratch (one shared
-	// run-length dedup, see countUnique), then copied out at exact size.
-	b.uniq, b.freqA = countUnique(b.seq, b.uniq[:0], b.freqA[:0])
+	p := &Profile{in: b.in}
+	b.seq = b.appendTokenSeq(text, b.seq[:0])
+	// Distinct tokens into builder scratch, then copied out at exact size.
+	b.uniq = sortedUnique(b.seq, b.uniq[:0])
 	if len(b.uniq) > 0 {
 		p.tokens = append(make([]uint32, 0, len(b.uniq)), b.uniq...)
-		p.freq = append(make([]uint32, 0, len(b.freqA)), b.freqA...)
-	}
-	var norm2 float64
-	for _, c := range p.freq {
-		norm2 += float64(c) * float64(c)
-	}
-	p.norm = math.Sqrt(norm2)
-
-	if b.q > 0 {
-		b.grams = b.appendGramHashes(b.grams[:0], b.q)
-		p.grams = append([]uint64(nil), b.grams...)
-	}
-	return p
-}
-
-// BuildLev builds a rune-only profile of text: just the view the
-// Levenshtein kernels need, skipping tokenization, frequencies, and
-// gram signatures. The token-set and cosine kernels must not be given
-// such a profile (they would see an empty token set); it exists for
-// edit-distance-only consumers like the LR feature extractor.
-func (b *Builder) BuildLev(text string) *Profile {
-	p := &Profile{in: b.in, text: text}
-	ascii := true
-	for i := 0; i < len(text); i++ {
-		if text[i] >= utf8.RuneSelf {
-			ascii = false
-			break
-		}
-	}
-	if ascii {
-		p.runeLen = len(text)
-	} else {
-		p.runes = []rune(text)
-		p.runeLen = len(p.runes)
 	}
 	return p
 }
 
 // appendTokenSeq lowers text rune by rune, splits it on non-letter /
 // non-digit boundaries exactly as strsim.Tokenize does, interns each
-// token, and appends the IDs to dst in text order. When keepLow is true
-// the lowered runes are also retained in b.low for gram hashing.
-func (b *Builder) appendTokenSeq(text string, dst []uint32, keepLow bool) []uint32 {
-	if keepLow {
-		b.low = b.low[:0]
-	}
+// token, and appends the IDs to dst in text order.
+func (b *Builder) appendTokenSeq(text string, dst []uint32) []uint32 {
 	b.tok = b.tok[:0]
 	for _, r := range text {
 		lr := unicode.ToLower(r)
-		if keepLow {
-			b.low = append(b.low, lr)
-		}
 		if isTokenRune(lr) {
 			b.tok = utf8.AppendRune(b.tok, lr)
 			continue
@@ -212,7 +98,7 @@ func (b *Builder) appendTokenSeq(text string, dst []uint32, keepLow bool) []uint
 // is the light path for consumers that only need the sequence, e.g.
 // sort-key construction and serialized-entity token streams.
 func (b *Builder) AppendTokenSeq(text string, dst []uint32) []uint32 {
-	return b.appendTokenSeq(text, dst, false)
+	return b.appendTokenSeq(text, dst)
 }
 
 // appendGramHashes hashes every q-rune window of the lowered text in
@@ -241,10 +127,8 @@ func (b *Builder) appendGramHashes(dst []uint64, q int) []uint64 {
 // ascending ID order. The returned slice is builder scratch, valid only
 // until the next builder call; callers needing retention must copy.
 func (b *Builder) UniqueTokenIDs(text string) []uint32 {
-	b.seq = b.appendTokenSeq(text, b.seq[:0], false)
-	b.uniq = append(b.uniq[:0], b.seq...)
-	slices.Sort(b.uniq)
-	b.uniq = slices.Compact(b.uniq)
+	b.seq = b.appendTokenSeq(text, b.seq[:0])
+	b.uniq = sortedUnique(b.seq, b.uniq[:0])
 	return b.uniq
 }
 

@@ -1,8 +1,8 @@
 package profile
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -46,56 +46,6 @@ func refJaccard(a, b string) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-func refOverlap(a, b string) float64 {
-	sa, sb := refTokenSet(a), refTokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(inter) / float64(m)
-}
-
-func refCosine(a, b string) float64 {
-	ta, tb := refTokenize(a), refTokenize(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	fa := make(map[string]int)
-	for _, t := range ta {
-		fa[t]++
-	}
-	fb := make(map[string]int)
-	for _, t := range tb {
-		fb[t]++
-	}
-	var dot, na, nb float64
-	for t, c := range fa {
-		na += float64(c * c)
-		if cb, ok := fb[t]; ok {
-			dot += float64(c * cb)
-		}
-	}
-	for _, c := range fb {
-		nb += float64(c * c)
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 func refLevenshtein(a, b string) int {
@@ -173,27 +123,6 @@ func refQGramJaccard(a, b string, q int) float64 {
 	return float64(inter) / float64(union)
 }
 
-func refMongeElkan(a, b string) float64 {
-	ta, tb := refTokenize(a), refTokenize(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := refLevRatio(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
-}
-
 // --- generators --------------------------------------------------------
 
 // randText produces adversarial mixed text: words, digits, punctuation,
@@ -217,6 +146,24 @@ func randText(r *rand.Rand) string {
 
 // --- equivalence properties --------------------------------------------
 
+// gramJaccard is the Jaccard similarity of two strings' q-gram
+// signatures as Builder.GramHashes computes them for the q-gram blocker.
+func gramJaccard(bld *Builder, a, b string) float64 {
+	ga := slices.Clone(bld.GramHashes(a))
+	gb := bld.GramHashes(b)
+	inter := 0
+	for _, h := range ga {
+		if _, ok := slices.BinarySearch(gb, h); ok {
+			inter++
+		}
+	}
+	union := len(ga) + len(gb) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
 func TestKernelsMatchReferenceExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	in := NewInterner()
@@ -227,26 +174,8 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 		if got, want := Jaccard(pa, pb), refJaccard(a, b); got != want {
 			t.Fatalf("Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
 		}
-		if got, want := Overlap(pa, pb), refOverlap(a, b); got != want {
-			t.Fatalf("Overlap(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := Cosine(pa, pb), refCosine(a, b); got != want {
-			t.Fatalf("Cosine(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := Levenshtein(pa, pb), refLevenshtein(a, b); got != want {
-			t.Fatalf("Levenshtein(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := LevenshteinRatio(pa, pb), refLevRatio(a, b); got != want {
-			t.Fatalf("LevenshteinRatio(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := QGramJaccard(pa, pb), refQGramJaccard(a, b, 3); got != want {
-			t.Fatalf("QGramJaccard(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := MongeElkan(pa, pb), refMongeElkan(a, b); got != want {
-			t.Fatalf("MongeElkan(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := LevenshteinStrings(a, b), refLevenshtein(a, b); got != want {
-			t.Fatalf("LevenshteinStrings(%q,%q) = %v, ref %v", a, b, got, want)
+		if got, want := gramJaccard(bld, a, b), refQGramJaccard(a, b, 3); got != want {
+			t.Fatalf("GramHashes Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
 		}
 		if got, want := LevenshteinRatioStrings(a, b), refLevRatio(a, b); got != want {
 			t.Fatalf("LevenshteinRatioStrings(%q,%q) = %v, ref %v", a, b, got, want)
@@ -254,40 +183,29 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 		if got, want := JaccardStrings(a, b), refJaccard(a, b); got != want {
 			t.Fatalf("JaccardStrings(%q,%q) = %v, ref %v", a, b, got, want)
 		}
-		if got, want := OverlapStrings(a, b), refOverlap(a, b); got != want {
-			t.Fatalf("OverlapStrings(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := CosineStrings(a, b), refCosine(a, b); got != want {
-			t.Fatalf("CosineStrings(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := QGramJaccardStrings(a, b, 3), refQGramJaccard(a, b, 3); got != want {
-			t.Fatalf("QGramJaccardStrings(%q,%q) = %v, ref %v", a, b, got, want)
-		}
 	}
 }
 
 func TestKernelsQ1Empty(t *testing.T) {
-	in := NewInterner()
-	bld := NewBuilder(in, 1)
-	pe := bld.Build("")
-	if got := QGramJaccard(pe, pe); got != 1 {
-		t.Errorf("QGramJaccard(empty,empty,q=1) = %v, want 1", got)
+	// At q = 1 there is no padding, so the empty string has no grams
+	// at all and a one-rune string exactly one.
+	bld := NewBuilder(NewInterner(), 1)
+	if g := bld.GramHashes(""); len(g) != 0 {
+		t.Errorf("GramHashes(empty, q=1) = %v, want none", g)
 	}
-	pa := bld.Build("a")
-	if got := QGramJaccard(pe, pa); got != 0 {
-		t.Errorf("QGramJaccard(empty,a,q=1) = %v, want 0", got)
+	if g := bld.GramHashes("a"); len(g) != 1 {
+		t.Errorf("GramHashes(a, q=1) = %v, want one gram", g)
 	}
 }
 
 func TestGramSentinelDoesNotCollide(t *testing.T) {
-	in := NewInterner()
-	bld := NewBuilder(in, 3)
+	bld := NewBuilder(NewInterner(), 3)
 	// A trailing literal '#' must behave like any ordinary character:
 	// with the classic '#' pad it would merge with the padding and
 	// inflate overlap ("ab#" vs "ab" scored 0.8); with the \x00 pad it
 	// scores the same as any other appended character.
-	withHash := QGramJaccard(bld.Build("ab#"), bld.Build("ab"))
-	withX := QGramJaccard(bld.Build("abx"), bld.Build("ab"))
+	withHash := gramJaccard(bld, "ab#", "ab")
+	withX := gramJaccard(bld, "abx", "ab")
 	if withHash != withX {
 		t.Errorf("literal '#' still special: sim(ab#,ab)=%v, sim(abx,ab)=%v", withHash, withX)
 	}
@@ -295,13 +213,13 @@ func TestGramSentinelDoesNotCollide(t *testing.T) {
 		t.Errorf("pad collision inflation: sim(ab#,ab)=%v, want < 0.5", withHash)
 	}
 	// "c#" vs "c" likewise must not be inflated past "cx" vs "c".
-	cs := QGramJaccard(bld.Build("c#"), bld.Build("c"))
-	cx := QGramJaccard(bld.Build("cx"), bld.Build("c"))
+	cs := gramJaccard(bld, "c#", "c")
+	cx := gramJaccard(bld, "cx", "c")
 	if cs != cx {
 		t.Errorf("sim(c#,c)=%v differs from sim(cx,c)=%v", cs, cx)
 	}
 	// Identity still holds.
-	if got := QGramJaccard(bld.Build("c#"), bld.Build("c#")); got != 1 {
+	if got := gramJaccard(bld, "c#", "c#"); got != 1 {
 		t.Errorf("sim(c#,c#)=%v, want 1", got)
 	}
 }
@@ -326,7 +244,7 @@ func TestInternerConcurrentUse(t *testing.T) {
 			var last [3]uint32
 			for i := 0; i < 500; i++ {
 				p := bld.Build("shared tokens appear everywhere")
-				copy(last[:], p.Tokens())
+				copy(last[:], p.tokens)
 			}
 			done <- last
 		}(g)
@@ -345,7 +263,7 @@ func TestEntityProfiles(t *testing.T) {
 	r := recordOf("a1", []string{"title", "price"}, []string{"Apple iPhone 13", "999"})
 	e := BuildEntity(bld, r, EntityOpts{Attrs: true, Serialized: true})
 	p, ok := e.Attr("title")
-	if !ok || p.Text() != "Apple iPhone 13" {
+	if !ok || !slices.Equal(p.tokens, bld.UniqueTokenIDs("Apple iPhone 13")) {
 		t.Fatalf("Attr(title) = %v, %v", p, ok)
 	}
 	if _, ok := e.Attr("missing"); ok {
@@ -358,8 +276,8 @@ func TestEntityProfiles(t *testing.T) {
 		t.Fatalf("SerialTokens len = %d, want %d (%v)", len(got), len(want), want)
 	}
 	for i, id := range got {
-		if in.Token(id) != want[i] {
-			t.Errorf("serial token %d = %q, want %q", i, in.Token(id), want[i])
+		if got := in.info(id).text; got != want[i] {
+			t.Errorf("serial token %d = %q, want %q", i, got, want[i])
 		}
 	}
 }

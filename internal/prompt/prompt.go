@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"batcher/internal/entity"
-	"batcher/internal/tokens"
 )
 
 // DefaultTaskDescription is the instruction header used by all experiments.
@@ -45,9 +44,6 @@ type Prompt struct {
 	// NumQuestions is the number of questions embedded in Text.
 	NumQuestions int
 }
-
-// Tokens returns the token count of the prompt text.
-func (p Prompt) Tokens() int { return tokens.Count(p.Text) }
 
 // SerializeEntity renders one record for prompt embedding:
 // "attr1: val1 ; attr2: val2". Newlines in values are flattened to spaces

@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"batcher/internal/entity"
+	"batcher/internal/tokens"
 )
+
+// Tokens returns the token count of the prompt text, as the tests
+// measure prompts.
+func (p Prompt) Tokens() int { return tokens.Count(p.Text) }
 
 func rec(id string, kv ...string) entity.Record {
 	var attrs, vals []string

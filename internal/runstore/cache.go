@@ -246,20 +246,6 @@ func (c *Cache) Stats() (hits, misses int) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of cached responses currently held.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Sync forces buffered entries to durable storage immediately.
-func (c *Cache) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log.sync()
-}
-
 // Close flushes, fsyncs, and closes the store. The Cache must not be
 // used afterwards.
 func (c *Cache) Close() error {

@@ -11,6 +11,13 @@ import (
 	"batcher/internal/llm"
 )
 
+// Len returns the number of cached responses currently held.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // countClient counts completions and answers deterministically per prompt.
 type countClient struct {
 	mu    sync.Mutex

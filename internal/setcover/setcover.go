@@ -7,14 +7,12 @@
 //     token weight of demonstrations covering a batch.
 //
 // The package exposes the generic greedy routine over an abstract coverage
-// relation plus the Hk-bound helpers quoted in the paper's approximation
-// guarantees. The relation is evaluated once into a bit matrix — one row
+// relation. The relation is evaluated once into a bit matrix — one row
 // of question bits per demonstration — and the greedy loop runs on word
 // operations over those rows.
 package setcover
 
 import (
-	"math"
 	"math/bits"
 
 	"batcher/internal/workpool"
@@ -165,57 +163,4 @@ func GreedyThreshold(numDemos, numQuestions int, dist func(d, q int) float64, t 
 		Covers:       func(d, q int) bool { return dist(d, q) < t },
 		Weight:       weight,
 	})
-}
-
-// Coverage reports how many of the nq questions the selection covers under
-// the instance's predicate, and whether all coverable questions are
-// covered.
-func Coverage(inst Instance, selection []int) (covered int, complete bool) {
-	cov := make([]bool, inst.NumQuestions)
-	for _, d := range selection {
-		for q := 0; q < inst.NumQuestions; q++ {
-			if inst.Covers(d, q) {
-				cov[q] = true
-			}
-		}
-	}
-	reachable := make([]bool, inst.NumQuestions)
-	for d := 0; d < inst.NumDemos; d++ {
-		for q := 0; q < inst.NumQuestions; q++ {
-			if inst.Covers(d, q) {
-				reachable[q] = true
-			}
-		}
-	}
-	complete = true
-	for q := 0; q < inst.NumQuestions; q++ {
-		if cov[q] {
-			covered++
-		} else if reachable[q] {
-			complete = false
-		}
-	}
-	return covered, complete
-}
-
-// Hk returns the k-th harmonic number H_k = sum_{i=1..k} 1/i, the factor in
-// the greedy algorithm's Hk·OPT approximation bound quoted in Section V-A.
-func Hk(k int) float64 {
-	var h float64
-	for i := 1; i <= k; i++ {
-		h += 1 / float64(i)
-	}
-	return h
-}
-
-// BatchCoverBound returns the paper's quoted approximation ratio for the
-// Batch Covering greedy, ln|B| - ln ln|B| + Θ(1), evaluated with the Θ(1)
-// term as 1. For |B| < 3 the bound degenerates; we return 1 (the greedy is
-// optimal for one question and near-optimal for two).
-func BatchCoverBound(batchSize int) float64 {
-	if batchSize < 3 {
-		return 1
-	}
-	l := math.Log(float64(batchSize))
-	return l - math.Log(l) + 1
 }

@@ -208,6 +208,47 @@ func bruteForceOpt(cover [][]bool) int {
 	return best
 }
 
+// Coverage reports how many of the nq questions the selection covers under
+// the instance's predicate, and whether all coverable questions are
+// covered.
+func Coverage(inst Instance, selection []int) (covered int, complete bool) {
+	cov := make([]bool, inst.NumQuestions)
+	for _, d := range selection {
+		for q := 0; q < inst.NumQuestions; q++ {
+			if inst.Covers(d, q) {
+				cov[q] = true
+			}
+		}
+	}
+	reachable := make([]bool, inst.NumQuestions)
+	for d := 0; d < inst.NumDemos; d++ {
+		for q := 0; q < inst.NumQuestions; q++ {
+			if inst.Covers(d, q) {
+				reachable[q] = true
+			}
+		}
+	}
+	complete = true
+	for q := 0; q < inst.NumQuestions; q++ {
+		if cov[q] {
+			covered++
+		} else if reachable[q] {
+			complete = false
+		}
+	}
+	return covered, complete
+}
+
+// Hk returns the k-th harmonic number H_k = sum_{i=1..k} 1/i, the factor in
+// the greedy algorithm's Hk·OPT approximation bound quoted in Section V-A.
+func Hk(k int) float64 {
+	var h float64
+	for i := 1; i <= k; i++ {
+		h += 1 / float64(i)
+	}
+	return h
+}
+
 // greedyLists is Greedy as it was written over per-demonstration cover
 // lists, rescanning every list on every pick. It is kept as the oracle:
 // the bit-matrix Greedy must return the same indices in the same order.
@@ -407,23 +448,6 @@ func TestHk(t *testing.T) {
 	}
 	if got := Hk(4); math.Abs(got-(1+0.5+1.0/3+0.25)) > 1e-12 {
 		t.Errorf("Hk(4) = %v", got)
-	}
-}
-
-func TestBatchCoverBound(t *testing.T) {
-	if got := BatchCoverBound(1); got != 1 {
-		t.Errorf("bound(1) = %v", got)
-	}
-	if got := BatchCoverBound(2); got != 1 {
-		t.Errorf("bound(2) = %v", got)
-	}
-	b8 := BatchCoverBound(8)
-	want := math.Log(8) - math.Log(math.Log(8)) + 1
-	if math.Abs(b8-want) > 1e-12 {
-		t.Errorf("bound(8) = %v, want %v", b8, want)
-	}
-	if BatchCoverBound(64) <= BatchCoverBound(8) {
-		t.Error("bound should grow with batch size")
 	}
 }
 

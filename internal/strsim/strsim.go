@@ -1,8 +1,7 @@
 // Package strsim implements the string similarity primitives used by the
-// structure-aware feature extractor and the blocker: Levenshtein edit
-// distance and ratio (Eq. 5 of the paper), Jaccard similarity over token
-// sets (Eq. 4), q-gram sets, cosine similarity over token multisets,
-// overlap coefficient, and Monge-Elkan hybrid similarity.
+// structure-aware feature extractors: the Levenshtein ratio (Eq. 5 of the
+// paper) and Jaccard similarity over token sets (Eq. 4), plus the
+// tokenizer both share.
 //
 // All similarity functions return values in [0, 1], with 1 meaning
 // identical, and treat two empty strings as identical (similarity 1).
@@ -22,14 +21,6 @@ import (
 	"batcher/internal/profile"
 )
 
-// Levenshtein returns the edit distance between a and b: the minimum number
-// of single-rune insertions, deletions, and substitutions that transform a
-// into b. It runs in O(len(a)*len(b)) time and O(min) pooled space, with an
-// ASCII fast path that allocates nothing in steady state.
-func Levenshtein(a, b string) int {
-	return profile.LevenshteinStrings(a, b)
-}
-
 // LevenshteinRatio returns the paper's LR similarity (Eq. 5):
 //
 //	LR(x, y) = 1 - LED(x, y) / (len(x) + len(y))
@@ -48,94 +39,8 @@ func Tokenize(s string) []string {
 	})
 }
 
-// TokenSet returns the set of distinct tokens of s.
-func TokenSet(s string) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range Tokenize(s) {
-		set[t] = true
-	}
-	return set
-}
-
 // Jaccard returns the Jaccard similarity (Eq. 4) between the token sets of
 // a and b: |A ∩ B| / |A ∪ B|. Two strings with no tokens yield 1.
 func Jaccard(a, b string) float64 {
 	return profile.JaccardStrings(a, b)
-}
-
-// JaccardSets returns the Jaccard similarity of two prebuilt token sets.
-func JaccardSets(sa, sb map[string]bool) float64 {
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// Overlap returns the overlap coefficient |A ∩ B| / min(|A|, |B|) of the
-// token sets of a and b. Empty-versus-empty yields 1; empty-versus-nonempty
-// yields 0.
-func Overlap(a, b string) float64 {
-	return profile.OverlapStrings(a, b)
-}
-
-// Cosine returns the cosine similarity between the token frequency vectors
-// of a and b. Empty-versus-empty yields 1.
-func Cosine(a, b string) float64 {
-	return profile.CosineStrings(a, b)
-}
-
-// QGrams returns the set of q-grams (length-q rune substrings) of s,
-// padded with q-1 leading and trailing '#' characters so boundary
-// characters contribute as many grams as interior ones. q must be >= 1.
-//
-// Deprecated-in-spirit: this legacy form keeps the '#' pad, which
-// collides with literal '#' characters in the input. The q-gram kernel
-// behind QGramJaccard uses a non-collidable NUL sentinel instead; prefer
-// profile.Builder gram signatures for new code.
-func QGrams(s string, q int) map[string]bool {
-	if q < 1 {
-		panic("strsim: q must be >= 1")
-	}
-	pad := strings.Repeat("#", q-1)
-	rs := []rune(pad + strings.ToLower(s) + pad)
-	set := make(map[string]bool)
-	for i := 0; i+q <= len(rs); i++ {
-		set[string(rs[i:i+q])] = true
-	}
-	return set
-}
-
-// QGramJaccard returns the Jaccard similarity of the q-gram sets of a and b.
-//
-// Unlike the legacy QGrams map form, the padding sentinel is U+0000, so a
-// literal '#' in the input is an ordinary character and cannot inflate the
-// overlap by colliding with the pad (the "c#" bug).
-func QGramJaccard(a, b string, q int) float64 {
-	if q < 1 {
-		panic("strsim: q must be >= 1")
-	}
-	return profile.QGramJaccardStrings(a, b, q)
-}
-
-// MongeElkan returns the Monge-Elkan hybrid similarity of a and b: for each
-// token of a, the best LevenshteinRatio against any token of b, averaged.
-// It is asymmetric; SymMongeElkan averages both directions.
-func MongeElkan(a, b string) float64 {
-	return profile.MongeElkanStrings(a, b)
-}
-
-// SymMongeElkan is the symmetric Monge-Elkan similarity: the mean of the
-// two directed scores.
-func SymMongeElkan(a, b string) float64 {
-	return profile.SymMongeElkanStrings(a, b)
 }

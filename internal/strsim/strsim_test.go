@@ -1,10 +1,42 @@
 package strsim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
+
+	"batcher/internal/profile"
 )
+
+// levenshtein recovers the edit distance from LevenshteinRatio, the
+// package's entry into the shared pooled DP: LR = 1 - d/(|a|+|b|) over
+// rune lengths.
+func levenshtein(a, b string) int {
+	n := utf8.RuneCountInString(a) + utf8.RuneCountInString(b)
+	return int(math.Round((1 - LevenshteinRatio(a, b)) * float64(n)))
+}
+
+// gramJaccard is the Jaccard similarity of the q-gram signatures
+// profile.Builder.GramHashes computes for the q-gram blocker.
+func gramJaccard(a, b string, q int) float64 {
+	bld := profile.NewBuilder(profile.NewInterner(), q)
+	ga := slices.Clone(bld.GramHashes(a))
+	gb := bld.GramHashes(b)
+	inter := 0
+	for _, h := range ga {
+		if _, ok := slices.BinarySearch(gb, h); ok {
+			inter++
+		}
+	}
+	union := len(ga) + len(gb) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
 
 func TestLevenshteinBasics(t *testing.T) {
 	cases := []struct {
@@ -22,14 +54,14 @@ func TestLevenshteinBasics(t *testing.T) {
 		{"listen", "silent", 4},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
+		if got := levenshtein(c.a, c.b); got != c.want {
 			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestLevenshteinUnicode(t *testing.T) {
-	if got := Levenshtein("café", "cafe"); got != 1 {
+	if got := levenshtein("café", "cafe"); got != 1 {
 		t.Errorf("Levenshtein over runes = %d, want 1", got)
 	}
 }
@@ -47,14 +79,14 @@ func TestLevenshteinProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		a, b, c := randString(r, 12), randString(r, 12), randString(r, 12)
-		dab, dba := Levenshtein(a, b), Levenshtein(b, a)
+		dab, dba := levenshtein(a, b), levenshtein(b, a)
 		if dab != dba {
 			t.Fatalf("symmetry violated: d(%q,%q)=%d d(%q,%q)=%d", a, b, dab, b, a, dba)
 		}
 		if dab == 0 && a != b {
 			t.Fatalf("identity of indiscernibles violated for %q,%q", a, b)
 		}
-		dac, dcb := Levenshtein(a, c), Levenshtein(c, b)
+		dac, dcb := levenshtein(a, c), levenshtein(c, b)
 		if dab > dac+dcb {
 			t.Fatalf("triangle inequality violated: d(%q,%q)=%d > %d+%d via %q", a, b, dab, dac, dcb, c)
 		}
@@ -83,7 +115,7 @@ func TestLevenshteinRatio(t *testing.T) {
 	// Paper Section VI-G example: "listen" vs "silent" — LR penalizes
 	// character order while set measures (character q=1 grams) do not.
 	lr := LevenshteinRatio("listen", "silent")
-	cg := QGramJaccard("listen", "silent", 1)
+	cg := gramJaccard("listen", "silent", 1)
 	if lr >= cg {
 		t.Errorf("expected LR (%v) < char-gram Jaccard (%v) for anagrams", lr, cg)
 	}
@@ -166,71 +198,34 @@ func TestJaccardSymmetricAndBounded(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	if got := Overlap("a b", "a b c d"); !close(got, 1) {
-		t.Errorf("Overlap subset = %v, want 1", got)
-	}
-	if got := Overlap("", "a"); got != 0 {
-		t.Errorf("Overlap(empty, nonempty) = %v, want 0", got)
-	}
-	if got := Overlap("", ""); got != 1 {
-		t.Errorf("Overlap(empty, empty) = %v, want 1", got)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	if got := Cosine("a b c", "a b c"); !close(got, 1) {
-		t.Errorf("Cosine identical = %v, want 1", got)
-	}
-	if got := Cosine("a", "b"); got != 0 {
-		t.Errorf("Cosine disjoint = %v, want 0", got)
-	}
-	got := Cosine("a a b", "a b b")
-	if got <= 0.5 || got >= 1 {
-		t.Errorf("Cosine multiset = %v, want in (0.5, 1)", got)
-	}
-}
-
 func TestQGrams(t *testing.T) {
-	g := QGrams("ab", 2)
-	for _, want := range []string{"#a", "ab", "b#"} {
-		if !g[want] {
-			t.Errorf("QGrams(ab,2) missing %q: %v", want, g)
-		}
+	bld := profile.NewBuilder(profile.NewInterner(), 2)
+	g := slices.Clone(bld.GramHashes("ab"))
+	// Two padded boundary grams plus "ab", sorted and distinct.
+	if len(g) != 3 || !slices.IsSorted(g) {
+		t.Errorf("GramHashes(ab, q=2) = %v, want 3 sorted grams", g)
 	}
-	if len(g) != 3 {
-		t.Errorf("QGrams(ab,2) size = %d, want 3", len(g))
+	if got := bld.GramHashes("AB"); !slices.Equal(got, g) {
+		t.Errorf("grams are case-sensitive: %v vs %v", got, g)
 	}
 }
 
 func TestQGramsPanicsOnZeroQ(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("QGrams(q=0) did not panic")
+			t.Error("GramHashes(q=0) did not panic")
 		}
 	}()
-	QGrams("abc", 0)
-}
-
-func TestQGramJaccard(t *testing.T) {
-	same := QGramJaccard("iphone", "iphone", 3)
-	if !close(same, 1) {
-		t.Errorf("QGramJaccard identical = %v", same)
-	}
-	near := QGramJaccard("iphone-13", "iphone-14", 3)
-	far := QGramJaccard("iphone-13", "galaxy-s9", 3)
-	if near <= far {
-		t.Errorf("expected near (%v) > far (%v)", near, far)
-	}
+	profile.NewBuilder(profile.NewInterner(), 0).GramHashes("abc")
 }
 
 func TestQGramJaccardPadSentinelNotCollidable(t *testing.T) {
 	// Regression for the '#' padding collision: a literal '#' in the
 	// input used to merge with the pad sentinel and inflate the q-gram
-	// overlap (QGramJaccard("ab#", "ab", 3) scored 0.8). With the NUL
+	// overlap (the "ab#" and "ab" 3-gram sets scored 0.8). With the NUL
 	// sentinel, '#' is an ordinary character.
-	hash := QGramJaccard("ab#", "ab", 3)
-	plain := QGramJaccard("abx", "ab", 3)
+	hash := gramJaccard("ab#", "ab", 3)
+	plain := gramJaccard("abx", "ab", 3)
 	if hash != plain {
 		t.Errorf("literal '#' still treated as padding: sim(ab#,ab)=%v, sim(abx,ab)=%v", hash, plain)
 	}
@@ -239,35 +234,11 @@ func TestQGramJaccardPadSentinelNotCollidable(t *testing.T) {
 	}
 	// "c#"-style inputs: identical strings still score 1, and '#' does
 	// not buy extra similarity against the '#'-less form.
-	if got := QGramJaccard("c#", "c#", 2); got != 1 {
+	if got := gramJaccard("c#", "c#", 2); got != 1 {
 		t.Errorf("sim(c#,c#) = %v, want 1", got)
 	}
-	if cs, cx := QGramJaccard("c#", "c", 2), QGramJaccard("cx", "c", 2); cs != cx {
+	if cs, cx := gramJaccard("c#", "c", 2), gramJaccard("cx", "c", 2); cs != cx {
 		t.Errorf("sim(c#,c)=%v differs from sim(cx,c)=%v", cs, cx)
-	}
-}
-
-func TestMongeElkan(t *testing.T) {
-	if got := MongeElkan("", ""); !close(got, 1) {
-		t.Errorf("MongeElkan(empty,empty) = %v", got)
-	}
-	if got := MongeElkan("abc def", ""); got != 0 {
-		t.Errorf("MongeElkan(x,empty) = %v, want 0", got)
-	}
-	// Token reorder should not hurt Monge-Elkan.
-	if got := MongeElkan("john smith", "smith john"); !close(got, 1) {
-		t.Errorf("MongeElkan reorder = %v, want 1", got)
-	}
-}
-
-func TestSymMongeElkanSymmetric(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		a := randString(r, 8) + " " + randString(r, 8)
-		b := randString(r, 8) + " " + randString(r, 8)
-		if !close(SymMongeElkan(a, b), SymMongeElkan(b, a)) {
-			t.Fatalf("SymMongeElkan asymmetric on %q,%q", a, b)
-		}
 	}
 }
 
@@ -288,12 +259,12 @@ func TestPaperExampleFeatureValues(t *testing.T) {
 	}
 }
 
-func BenchmarkLevenshtein(b *testing.B) {
+func BenchmarkLevenshteinRatio(b *testing.B) {
 	x := "Here Comes the Fuzz"
 	y := "Here Comes The Fuzz [Explicit]"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Levenshtein(x, y)
+		LevenshteinRatio(x, y)
 	}
 }
 

@@ -149,10 +149,3 @@ func (c *Counter) splitWord(w string) []string {
 	}
 	return pieces
 }
-
-// EstimateWords returns an approximate token count from a word count using
-// the 0.75 words-per-token rule. It is used only for documentation-level
-// estimates; billing paths call Count on real strings.
-func EstimateWords(words int) int {
-	return (words*4 + 2) / 3
-}

@@ -105,15 +105,6 @@ func TestSplitReassemblesLetters(t *testing.T) {
 	}
 }
 
-func TestEstimateWords(t *testing.T) {
-	if got := EstimateWords(60); got != 80 {
-		t.Errorf("EstimateWords(60) = %d, want 80", got)
-	}
-	if got := EstimateWords(0); got != 0 {
-		t.Errorf("EstimateWords(0) = %d, want 0", got)
-	}
-}
-
 func BenchmarkCount(b *testing.B) {
 	s := strings.Repeat("title: Apple iPhone 13 Pro Max 256GB graphite smartphone, price: 1099.00 ", 8)
 	b.ReportAllocs()
