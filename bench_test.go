@@ -489,10 +489,15 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 // of token-blocked candidates of the eval.PipelineBenchSpec tables, cut
 // into a 512-pair window (the benchmark's -stream-window) and a
 // 4096-pair one (towards the collect-then-match shape). Thresholds are
-// the percentile calibrations core uses, at its default percentiles and
-// sample cap. Every step also reports its Config.Distance calls per op,
-// counted on one untimed run with a counting distance so the timed runs
-// pay for no counter.
+// cluster.EpsPercentile calibrations at core's default percentiles and
+// sample cap: at 512 points the ones core calibrates (the window is its
+// own sample); at 4 096 the GreedyThreshold arm's t is drawn with
+// EpsPercentile's seeded shuffle, where core samples t with a rand.Perm
+// at Seed+2, so it is close to core's but not equal. Calibrate-512 is
+// core's unsampled calibration: one PairwiseDistances buffer, both
+// percentiles selected from it. Every step also reports its
+// Config.Distance calls per op, counted on one untimed run with a
+// counting distance so the timed runs pay for no counter.
 func BenchmarkWindowGeometry(b *testing.B) {
 	d, err := datagen.GenerateCustom(eval.PipelineBenchSpec(4000), 1)
 	if err != nil {
@@ -525,6 +530,12 @@ func BenchmarkWindowGeometry(b *testing.B) {
 	}
 	run("EpsPercentile-512", "", func(dist feature.Distance) int {
 		cluster.EpsPercentile(vecs[:512], dist, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+		return 0
+	})
+	run("Calibrate-512", "", func(dist feature.Distance) int {
+		ds := cluster.PairwiseDistances(vecs[:512], dist)
+		cluster.Percentile(ds, cfg.ClusterEpsPercentile)
+		cluster.Percentile(ds, cfg.CoverPercentile)
 		return 0
 	})
 	for _, n := range []int{512, 4096} {

@@ -57,7 +57,7 @@ func (r Result) Clusters() [][]int {
 // symmetric (see feature.Distance) and safe for concurrent calls; every
 // feature.Distance in this repo is both.
 func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts int) Result {
-	within, _ := Sweep(points, dist, eps, true, 0, false)
+	within, _ := Sweep(points, dist, nil, eps, true, 0, false)
 	return DBSCANRows(len(points), within, minPts)
 }
 
@@ -135,9 +135,9 @@ func DBSCANRows(n int, within []uint64, minPts int) Result {
 // EpsPercentile estimates a DBSCAN eps from the data: the p-th percentile
 // (p clamped to [0,1]) of pairwise distances on a sample of at most
 // sampleCap points, drawn by a seeded shuffle when the input is larger.
-// This mirrors the paper's percentile-based threshold calibration; the
-// order statistic itself is PairwisePercentile's, found by selection
-// over the O(sample^2) distances.
+// This mirrors the paper's percentile-based threshold calibration, and
+// is Percentile of the sample's PairwiseDistances; fewer than two points
+// have no pairwise distance and yield 0.
 func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sampleCap int, seed int64) float64 {
 	sample := points
 	if n := len(points); sampleCap > 0 && n > sampleCap {
@@ -152,6 +152,5 @@ func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sa
 			sample[i] = points[idx[i]]
 		}
 	}
-	eps, _ := PairwisePercentile(sample, dist, p)
-	return eps
+	return Percentile(PairwiseDistances(sample, dist), p)
 }

@@ -171,44 +171,110 @@ func bitAt(rows []uint64, n, i, j int) bool {
 	return rows[i*RowWords(n)+j>>6]>>(j&63)&1 != 0
 }
 
-// TestSweepMatchesDoubleLoop compares both relations against the plain
-// n x n double loop, with eps == t sitting exactly on pairwise distances
-// so a <= / < mix-up shows, on one worker and on four.
+// TestSweepMatchesDoubleLoop compares the relations Sweep builds against
+// the plain n x n double loop, with eps == t sitting exactly on pairwise
+// distances so a <= / < mix-up shows: measured by the sweep itself and
+// read from the PairwiseDistances buffer, each relation alone and both
+// together, on one worker and on four. Under cosine distance the zero
+// vectors sit outside their own neighbourhood (CosineDistance(0, 0) is
+// 1), which only an evaluated diagonal gets right.
 func TestSweepMatchesDoubleLoop(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 2, 63, 64, 65, 129, 300} {
+	ownOutside := 0 // points the threshold puts outside their own neighbourhood
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 130, 512} {
 		for name, pts := range geometries(n, rnd) {
 			dist := feature.Distance(feature.Euclidean)
 			if name == "zeros" {
 				dist = feature.CosineDistance
 			}
 			thr := somePairDistance(pts, dist, rnd)
-			for _, workers := range []int{1, 4} {
-				var within, below []uint64
-				withWorkers(workers, func() { within, below = Sweep(pts, dist, thr, true, thr, true) })
-				if len(within) != n*RowWords(n) || len(below) != n*RowWords(n) {
-					t.Fatalf("n=%d: matrices of %d and %d words, want %d", n, len(within), len(below), n*RowWords(n))
+			full := make([][]float64, n)
+			differ := false
+			for i := range full {
+				full[i] = make([]float64, n)
+				for j := range full[i] {
+					full[i][j] = dist(pts[i], pts[j])
+					differ = differ || full[i][j] == thr
 				}
-				differ := false
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						d := dist(pts[i], pts[j])
-						if bitAt(within, n, i, j) != (d <= thr) {
-							t.Fatalf("n=%d %s workers=%d: within(%d,%d) = %v, dist %v, eps %v", n, name, workers, i, j, !(d <= thr), d, thr)
-						}
-						if bitAt(below, n, i, j) != (d < thr) {
-							t.Fatalf("n=%d %s workers=%d: below(%d,%d) = %v, dist %v, t %v", n, name, workers, i, j, !(d < thr), d, thr)
-						}
-						differ = differ || d == thr
+				if !(full[i][i] <= thr) {
+					ownOutside++
+				}
+			}
+			if n >= 2 && !differ {
+				t.Fatalf("n=%d %s: no pair at the threshold, the test cannot tell <= from <", n, name)
+			}
+			ds := PairwiseDistances(pts, dist)
+			for _, rel := range []struct{ within, below bool }{{true, false}, {false, true}, {true, true}} {
+				for _, feed := range []struct {
+					name string
+					ds   []float64
+				}{{"dist", nil}, {"buffer", ds}} {
+					for _, workers := range []int{1, 4} {
+						var within, below []uint64
+						withWorkers(workers, func() { within, below = Sweep(pts, dist, feed.ds, thr, rel.within, thr, rel.below) })
+						at := fmt.Sprintf("n=%d %s within=%v below=%v fed by %s, workers=%d", n, name, rel.within, rel.below, feed.name, workers)
+						checkRelation(t, at+": within", within, rel.within, full, func(d float64) bool { return d <= thr })
+						checkRelation(t, at+": below", below, rel.below, full, func(d float64) bool { return d < thr })
 					}
 				}
-				if n >= 2 && !differ {
-					t.Fatalf("n=%d %s: no pair at the threshold, the test cannot tell <= from <", n, name)
+			}
+		}
+	}
+	if ownOutside == 0 {
+		t.Error("no point sat outside its own neighbourhood: the test cannot tell an evaluated diagonal from an assumed 0")
+	}
+}
+
+// checkRelation compares a Sweep matrix to holds over the full distance
+// matrix: nil when not asked for, bit (i, j) == holds(full[i][j]), and
+// no bit set past column n-1 (popcounts read whole words).
+func checkRelation(t *testing.T, at string, rows []uint64, asked bool, full [][]float64, holds func(float64) bool) {
+	t.Helper()
+	n := len(full)
+	if !asked {
+		if rows != nil {
+			t.Fatalf("%s: %d words, not asked for", at, len(rows))
+		}
+		return
+	}
+	if len(rows) != n*RowWords(n) {
+		t.Fatalf("%s: %d words, want %d", at, len(rows), n*RowWords(n))
+	}
+	for i := range full {
+		for j, d := range full[i] {
+			if bitAt(rows, n, i, j) != holds(d) {
+				t.Fatalf("%s: bit (%d,%d) = %v at distance %v", at, i, j, !holds(d), d)
+			}
+		}
+		if last := rows[(i+1)*RowWords(n)-1]; n&63 != 0 && last>>(n&63) != 0 {
+			t.Fatalf("%s: row %d has bits set past column %d", at, i, n-1)
+		}
+	}
+}
+
+// TestPairwiseDistancesMatchesSerialLoop: the buffer filled across
+// workers is the serial double loop's, bit for bit, in row order.
+func TestPairwiseDistancesMatchesSerialLoop(t *testing.T) {
+	rnd := rand.New(rand.NewSource(22))
+	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 130, 512} {
+		for name, pts := range geometries(n, rnd) {
+			for _, dist := range []feature.Distance{feature.Euclidean, feature.CosineDistance} {
+				var want []float64
+				for i := range pts {
+					for j := i + 1; j < n; j++ {
+						want = append(want, dist(pts[i], pts[j]))
+					}
 				}
-				// Bits past column n-1 stay clear: popcounts read whole words.
-				for i := 0; i < n; i++ {
-					if last := within[(i+1)*RowWords(n)-1] | below[(i+1)*RowWords(n)-1]; n&63 != 0 && last>>(n&63) != 0 {
-						t.Fatalf("n=%d: row %d has bits set past column %d", n, i, n-1)
+				for _, workers := range []int{1, 4} {
+					var got []float64
+					withWorkers(workers, func() { got = PairwiseDistances(pts, dist) })
+					if len(got) != len(want) || (n < 2) != (got == nil) {
+						t.Fatalf("n=%d %s workers=%d: %d distances (nil %v), want %d", n, name, workers, len(got), got == nil, len(want))
+					}
+					for k := range want {
+						if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("n=%d %s workers=%d: slot %d = %v, serial loop %v", n, name, workers, k, got[k], want[k])
+						}
 					}
 				}
 			}
@@ -217,16 +283,17 @@ func TestSweepMatchesDoubleLoop(t *testing.T) {
 }
 
 // TestSweepBuildsOnlyWhatIsAsked: a relation not asked for costs no
-// matrix, and asking for none costs no distance call.
+// matrix, asking for none costs no distance call, and a sweep fed the
+// PairwiseDistances buffer calls dist for the diagonal only.
 func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 	pts, _ := blobs(70, 3)
 	calls := 0
 	dist := func(a, b feature.Vector) float64 { calls++; return feature.Euclidean(a, b) }
 	withWorkers(1, func() {
-		if w, b := Sweep(pts, dist, 1, false, 1, false); w != nil || b != nil || calls != 0 {
+		if w, b := Sweep(pts, dist, nil, 1, false, 1, false); w != nil || b != nil || calls != 0 {
 			t.Errorf("nothing asked: got %d and %d words after %d calls", len(w), len(b), calls)
 		}
-		w, b := Sweep(pts, dist, 2, true, 1, false)
+		w, b := Sweep(pts, dist, nil, 2, true, 1, false)
 		if w == nil || b != nil {
 			t.Errorf("within only: got within=%v below=%v", w != nil, b != nil)
 		}
@@ -235,9 +302,15 @@ func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 			t.Errorf("within only: %d distance calls, want n(n+1)/2 = %d", calls, want)
 		}
 		calls = 0
-		Sweep(pts, dist, 2, true, 1, true)
+		Sweep(pts, dist, nil, 2, true, 1, true)
 		if calls != want {
 			t.Errorf("both relations: %d distance calls, want n(n+1)/2 = %d", calls, want)
+		}
+		ds := PairwiseDistances(pts, dist)
+		calls = 0
+		Sweep(pts, dist, ds, 2, true, 1, true)
+		if calls != 70 {
+			t.Errorf("both relations from the buffer: %d distance calls, want the n = 70 diagonal ones", calls)
 		}
 	})
 }

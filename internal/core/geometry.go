@@ -31,22 +31,32 @@ func (c Config) clustersQuestions() bool {
 }
 
 // windowGeometry calibrates the thresholds the configuration needs and
-// then evaluates cfg.Distance once per unordered pair of questions, for
-// both relations at once. selfPooled says the demonstration pool is the
-// question set (qVecs are its vectors too), which is what makes the
+// then has cfg.Distance evaluated once per unordered pair of questions,
+// for both relations at once. selfPooled says the demonstration pool is
+// the question set (qVecs are its vectors too), which is what makes the
 // cover relation one of the sweep's.
+//
+// A window no larger than DistanceSampleCap is its own calibration
+// sample, for both thresholds, in index order: its pairwise distances
+// are measured once, both percentiles are selected from that buffer
+// (which selection only reads), and the sweep reads its relations from
+// the same buffer, adding only the n diagonal calls. A larger window
+// draws each threshold's seeded sample and the sweep measures the
+// window itself.
 func windowGeometry(cfg Config, qVecs []feature.Vector, selfPooled bool) geometry {
 	clustering := cfg.clustersQuestions()
 	covering := cfg.Selection == CoveringSelection
 	var eps float64
 	var g geometry
-	if clustering && covering && !cfg.samples(len(qVecs)) {
-		// Both calibration samples are the window itself in index order:
-		// one distance buffer, two selections, dropped before the sweep
-		// allocates its matrices.
-		ds := cluster.PairwiseDistances(qVecs, cfg.Distance)
-		eps = cluster.Percentile(ds, cfg.ClusterEpsPercentile)
-		g.t = coverThresholdOf(ds, cfg.CoverPercentile)
+	var ds []float64
+	if (clustering || covering) && !cfg.samples(len(qVecs)) {
+		ds = cluster.PairwiseDistances(qVecs, cfg.Distance)
+		if clustering {
+			eps = cluster.Percentile(ds, cfg.ClusterEpsPercentile)
+		}
+		if covering {
+			g.t = coverThresholdOf(ds, cfg.CoverPercentile)
+		}
 	} else {
 		if clustering {
 			eps = cluster.EpsPercentile(qVecs, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
@@ -55,7 +65,7 @@ func windowGeometry(cfg Config, qVecs []feature.Vector, selfPooled bool) geometr
 			g.t = coverThreshold(cfg, qVecs)
 		}
 	}
-	g.within, g.below = cluster.Sweep(qVecs, cfg.Distance,
+	g.within, g.below = cluster.Sweep(qVecs, cfg.Distance, ds,
 		eps, clustering && !(eps <= 0), g.t, covering && selfPooled)
 	return g
 }

@@ -70,44 +70,63 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 	}
 }
 
-// TestPrepareSelfPooledDistanceBudget pins what a self-pooled diversity +
-// covering Prepare may spend on Config.Distance: one call per unordered
-// pair of the window (diagonal included) for clustering and covering
-// together, the two percentile calibrations over m = min(n,
-// DistanceSampleCap) points, and the vote margins' |labeled| calls per
-// question. Stage-2 batch covering reads bits.
+// TestPrepareSelfPooledDistanceBudget pins what a self-pooled Prepare may
+// spend on Config.Distance. A window of at most DistanceSampleCap
+// questions is its own calibration sample: one call per unordered pair
+// (diagonal included) serves both percentiles and both relations, plus
+// the vote margins' |labeled| calls per question — exactly that for
+// diversity + covering, at most that when only one of the two reads the
+// distances. A larger window adds the two percentile calibrations over
+// DistanceSampleCap sampled points. Stage-2 batch covering reads bits.
 func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
+	var calls atomic.Int64
+	counting := func(a, b feature.Vector) float64 { calls.Add(1); return feature.Euclidean(a, b) }
+	prepare := func(t *testing.T, cfg Config, window, pool []entity.Pair) (*Framework, *Prepared, int64) {
+		t.Helper()
+		cfg.Seed, cfg.Distance = 1, counting
+		f := NewFromConfig(llm.NewSimulated(nil, 1), cfg)
+		calls.Store(0)
+		prep, err := f.Prepare(context.Background(), window, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, prep, calls.Load()
+	}
 	for _, n := range []int{512, 1500} {
 		window, _ := testWorkload(t, "WA", n)
 		if len(window) != n {
 			t.Fatalf("workload has %d pairs, need %d", len(window), n)
 		}
-		var calls atomic.Int64
-		cfg := Config{
-			Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1,
-			Distance: func(a, b feature.Vector) float64 { calls.Add(1); return feature.Euclidean(a, b) },
-		}
-		f := NewFromConfig(llm.NewSimulated(nil, 1), cfg)
-		prep, err := f.Prepare(context.Background(), window, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		selfPooled := calls.Load()
-		m := min(n, f.Config().DistanceSampleCap)
+		f, prep, selfPooled := prepare(t, Config{Batching: DiversityBatching, Selection: CoveringSelection}, window, window)
 		sweep, labeled := n*(n+1)/2, len(prep.LabeledPool())
-		if budget := sweep + 2*(m*(m-1)/2) + labeled*n; selfPooled > int64(budget) || selfPooled < int64(sweep) {
+		if m := f.Config().DistanceSampleCap; n <= m {
+			if want := sweep + labeled*n; selfPooled != int64(want) {
+				t.Errorf("n=%d: %d Distance calls, want n(n+1)/2 + |labeled|·n = %d (%d labeled)", n, selfPooled, want, labeled)
+			}
+		} else if budget := sweep + 2*(m*(m-1)/2) + labeled*n; selfPooled > int64(budget) || selfPooled < int64(sweep) {
 			t.Errorf("n=%d: %d Distance calls, want between the sweep's %d and %d (%d labeled)",
 				n, selfPooled, sweep, budget, labeled)
 		}
 		// The rectangular path pays for the cover relation on its own,
 		// and again per batch.
-		calls.Store(0)
-		if _, err := f.Prepare(context.Background(), window, append([]entity.Pair(nil), window...)); err != nil {
-			t.Fatal(err)
-		}
-		if cloned := calls.Load(); cloned < selfPooled+int64(n*n) {
+		_, _, cloned := prepare(t, f.Config(), window, append([]entity.Pair(nil), window...))
+		if cloned < selfPooled+int64(n*n) {
 			t.Errorf("n=%d: cloned pool made %d Distance calls, self-pooled %d: expected n^2 = %d more",
 				n, cloned, selfPooled, n*n)
+		}
+	}
+	// One relation only: the calibration buffer still feeds the sweep.
+	window, _ := testWorkload(t, "WA", 512)
+	n := len(window)
+	for name, cfg := range map[string]Config{
+		"clustering only": {Batching: DiversityBatching, Selection: FixedSelection},
+		"covering only":   {Batching: RandomBatching, Selection: CoveringSelection},
+	} {
+		_, prep, got := prepare(t, cfg, window, window)
+		labeled := len(prep.LabeledPool())
+		if budget := n*(n+1)/2 + labeled*n; got > int64(budget) || got < int64(n*(n-1)/2) {
+			t.Errorf("%s, n=%d: %d Distance calls, want at most n(n+1)/2 + |labeled|·n = %d (%d labeled)",
+				name, n, got, budget, labeled)
 		}
 	}
 }

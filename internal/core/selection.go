@@ -188,7 +188,7 @@ func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 }
 
 // coverThresholdOf is the covering threshold given the sample's pairwise
-// distances ds, which it reorders: their p-th percentile as
+// distances ds, which it only reads: their p-th percentile as
 // cluster.Percentile finds it, or a positive stand-in when that is not
 // positive.
 func coverThresholdOf(ds []float64, p float64) float64 {
