@@ -27,9 +27,12 @@
 //
 // Pipeline runs can be made durable: OpenRunJournal records every
 // answered batch on disk so an interrupted run resumes from the first
-// unanswered window, and NewDiskCachedClient persists LLM responses so
-// re-runs and overlapping experiments never pay for the same answer
-// twice. See docs/ARCHITECTURE.md and the README's operations cookbook.
+// unanswered window. NewClientStack builds the transport around a base
+// client — chaos, per-tier circuit breakers, retries, hedging and a
+// persistent response cache, in the one order they depend on — and
+// reads all their counters back through one Stats snapshot, so re-runs
+// and overlapping experiments never pay for the same answer twice. See
+// docs/ARCHITECTURE.md and the README's operations cookbook.
 //
 // The package re-exports the domain types a caller needs (Record, Pair,
 // Dataset, strategies), so downstream users never import internal
@@ -45,7 +48,6 @@ import (
 	"batcher/internal/cost"
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
-	"batcher/internal/feature"
 	"batcher/internal/llm"
 	"batcher/internal/metrics"
 	"batcher/internal/prompt"
@@ -133,52 +135,6 @@ func SplitPairs(pairs []Pair) Split { return entity.SplitPairs(pairs) }
 // WithoutLabels strips gold labels, producing an unlabeled pool.
 func WithoutLabels(pairs []Pair) []Pair { return entity.WithoutLabels(pairs) }
 
-// Option configures a Matcher. It is the same functional option type the
-// core framework consumes, so facade and core options compose freely.
-type Option = core.Option
-
-// WithBatchSize sets questions per prompt (default 8; 1 = standard
-// prompting).
-func WithBatchSize(n int) Option { return core.WithBatchSize(n) }
-
-// WithNumDemos sets the per-batch demonstration budget (default 8).
-func WithNumDemos(n int) Option { return core.WithNumDemos(n) }
-
-// WithBatching sets the question batching strategy.
-func WithBatching(b BatchStrategy) Option { return core.WithBatching(b) }
-
-// WithSelection sets the demonstration selection strategy.
-func WithSelection(s SelectStrategy) Option { return core.WithSelection(s) }
-
-// WithModel sets the underlying LLM by registry name.
-func WithModel(name string) Option { return core.WithModel(name) }
-
-// WithSeed fixes all randomized steps for reproducibility.
-func WithSeed(seed int64) Option { return core.WithSeed(seed) }
-
-// WithLRFeatures selects the structure-aware Levenshtein-ratio extractor
-// (default, the paper's BATCHER-LR).
-func WithLRFeatures() Option { return core.WithExtractor(feature.NewLR()) }
-
-// WithJaccardFeatures selects the structure-aware Jaccard extractor
-// (BATCHER-JAC).
-func WithJaccardFeatures() Option { return core.WithExtractor(feature.NewJAC()) }
-
-// WithSemanticFeatures selects the semantics-based embedding extractor
-// (BATCHER-SEM).
-func WithSemanticFeatures() Option { return core.WithExtractor(feature.NewSEM()) }
-
-// WithCoverPercentile sets the covering threshold percentile (default
-// 0.08, the paper's 8th percentile).
-func WithCoverPercentile(p float64) Option { return core.WithCoverPercentile(p) }
-
-// WithTemperature sets the sampling temperature (default 0.01).
-func WithTemperature(t float64) Option { return core.WithTemperature(t) }
-
-// WithJSONAnswers requests structured JSON replies from the LLM instead
-// of the paper's free-text format (an extension; parsing accepts both).
-func WithJSONAnswers() Option { return core.WithJSONAnswers() }
-
 // Matcher is a configured BATCHER instance.
 type Matcher struct {
 	fw *core.Framework
@@ -188,10 +144,7 @@ type Matcher struct {
 // (batch size 8, diversity batching, covering selection, LR features,
 // GPT-3.5-turbo-0301, temperature 0.01).
 func New(client Client, opts ...Option) *Matcher {
-	all := make([]Option, 0, len(opts)+2)
-	all = append(all, WithBatching(DiversityBatching), WithSelection(CoveringSelection))
-	all = append(all, opts...)
-	return &Matcher{fw: core.New(client, all...)}
+	return &Matcher{fw: core.NewFromConfig(client, resolve(opts))}
 }
 
 // NewWithConfig builds a Matcher from an explicit Config.

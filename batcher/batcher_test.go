@@ -64,6 +64,69 @@ func TestOptionsApply(t *testing.T) {
 	}
 }
 
+// TestOptionsApplyAndCompose covers the engine knobs the facade options
+// set on top of the basics, and that options compose in order.
+func TestOptionsApplyAndCompose(t *testing.T) {
+	client := NewSimulatedClient(nil, 1)
+	cfg := New(client,
+		WithParallelism(3),
+		WithSeed(42),
+		WithJSONAnswers(),
+		WithBatching(SimilarityBatching),
+		WithSelection(TopKBatch),
+		WithCheapModel(GPT35Turbo0301),
+		WithEscalateMargin(0.25),
+		WithDegrade(DegradeCheapOnly),
+	).Config()
+	if cfg.Parallelism != 3 || cfg.Seed != 42 || !cfg.JSONAnswers {
+		t.Errorf("parallelism/seed/json = %d/%d/%v", cfg.Parallelism, cfg.Seed, cfg.JSONAnswers)
+	}
+	// An explicit strategy overrides the facade default.
+	if cfg.Batching != SimilarityBatching || cfg.Selection != TopKBatch {
+		t.Errorf("batching/selection = %v/%v", cfg.Batching, cfg.Selection)
+	}
+	if cfg.CheapModel != GPT35Turbo0301 || cfg.EscalateMargin != 0.25 || cfg.Degrade != DegradeCheapOnly {
+		t.Errorf("cascade = %q/%v/%v", cfg.CheapModel, cfg.EscalateMargin, cfg.Degrade)
+	}
+	// Options compose in order: a later option wins.
+	if got := New(client, WithBatchSize(2), WithBatchSize(5)).Config().BatchSize; got != 5 {
+		t.Errorf("later option lost: %d", got)
+	}
+}
+
+// TestOptionDefaultsMatchConfigDefaults: with no options, New and
+// RunPipeline both resolve to the facade default — the paper's best
+// design point, diversity batching with covering selection — and to
+// core's paper defaults for every other field.
+func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
+	client := NewSimulatedClient(nil, 1)
+	want := NewWithConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection}).Config()
+	for name, got := range map[string]Config{
+		"New":         New(client).Config(),
+		"RunPipeline": NewWithConfig(client, resolve(PipelineConfig{}.Matcher)).Config(),
+	} {
+		if got.BatchSize != want.BatchSize || got.NumDemos != want.NumDemos ||
+			got.Batching != want.Batching || got.Selection != want.Selection ||
+			got.CoverPercentile != want.CoverPercentile ||
+			got.ClusterEpsPercentile != want.ClusterEpsPercentile ||
+			got.ClusterMinPts != want.ClusterMinPts ||
+			got.Model != want.Model || got.Temperature != want.Temperature ||
+			got.TaskDescription != want.TaskDescription ||
+			got.DistanceSampleCap != want.DistanceSampleCap ||
+			got.Parallelism != want.Parallelism ||
+			got.JSONAnswers != want.JSONAnswers ||
+			got.CheapModel != want.CheapModel || got.Degrade != want.Degrade {
+			t.Errorf("%s defaults diverge:\n got %+v\nwant %+v", name, got, want)
+		}
+		if got.Extractor.Name() != want.Extractor.Name() {
+			t.Errorf("%s default extractor = %q, want %q", name, got.Extractor.Name(), want.Extractor.Name())
+		}
+	}
+	if want.Batching != DiversityBatching || want.Selection != CoveringSelection || want.BatchSize != 8 {
+		t.Errorf("facade default = %v/%v/%d, want diversity/cover/8", want.Batching, want.Selection, want.BatchSize)
+	}
+}
+
 func TestExtractorOptions(t *testing.T) {
 	client := NewSimulatedClient(nil, 1)
 	for _, tc := range []struct {

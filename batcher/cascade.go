@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"batcher/internal/cascade"
-	"batcher/internal/core"
 	"batcher/internal/cost"
 	"batcher/internal/llm"
 )
@@ -39,17 +38,6 @@ func TrainCascadePrefilter(labeled []Pair, cfg CascadeConfig) (*CascadePrefilter
 func BootstrapLabels(pairs []Pair) []Pair {
 	return cascade.BootstrapLabels(pairs)
 }
-
-// WithCheapModel enables tiered matching inside the batch matcher: the
-// ambiguous band is first answered by this cheaper model, and a batch
-// escalates to the main (expensive) model only when its vote-k margin
-// falls below the escalation margin or the cheap model answers Unknown.
-func WithCheapModel(name string) Option { return core.WithCheapModel(name) }
-
-// WithEscalateMargin sets the vote-k margin below which a cheap-tier
-// batch escalates to the expensive model (default 0: escalate only on
-// Unknown answers).
-func WithEscalateMargin(m float64) Option { return core.WithEscalateMargin(m) }
 
 // NewTieredClient routes each request to the cheap or expensive backend
 // by its tier, for cascades whose tiers live on different endpoints.

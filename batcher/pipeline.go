@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"batcher/internal/blocking"
-	"batcher/internal/core"
 	"batcher/internal/llm"
 	"batcher/internal/pipeline"
 	"batcher/internal/runstore"
@@ -106,13 +105,9 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA,
 	} else {
 		blocker = &blocking.TokenBlocker{Attr: cfg.BlockAttr, MinShared: minShared, MaxPostings: 512}
 	}
-	mcfg := core.Config{Batching: DiversityBatching, Selection: CoveringSelection}
-	for _, opt := range cfg.Matcher {
-		opt(&mcfg)
-	}
 	return pipeline.Run(ctx, pipeline.Config{
 		Blocker:         blocker,
-		Matcher:         mcfg,
+		Matcher:         resolve(cfg.Matcher),
 		Pool:            cfg.Pool,
 		MaxCandidates:   cfg.MaxCandidates,
 		StreamWindow:    cfg.StreamWindow,
@@ -162,25 +157,6 @@ func OpenRunJournal(ctx context.Context, dir, runID string, resume bool) (*RunJo
 	return j, nil
 }
 
-// DiskCache is a persistent LLM response cache: llm hits survive process
-// restarts and can be shared (sequentially) across experiments. Cache
-// hits bill zero tokens and are excluded from the ledger's call count.
-type DiskCache = runstore.Cache
-
-// NewDiskCachedClient wraps a client with a disk-backed response cache
-// stored in dir, content-addressed by the full request (model, system
-// prompt, prompt, temperature, max-tokens). maxBytes bounds the store
-// (<= 0 uses a 256 MiB default); least-recently-used responses are
-// compacted away past the bound. Close it after the run to flush. ctx
-// bounds the replay of existing cache segments at open.
-func NewDiskCachedClient(ctx context.Context, inner Client, dir string, maxBytes int64) (*DiskCache, error) {
-	return runstore.OpenCache(ctx, inner, dir, maxBytes)
-}
-
-// WithParallelism dispatches up to n batch prompts concurrently. Results
-// are identical to sequential execution; only wall-clock changes.
-func WithParallelism(n int) Option { return core.WithParallelism(n) }
-
 // NewCachedClient wraps any client with an LRU response cache: repeated
 // identical prompts are served locally and bill zero tokens.
 func NewCachedClient(inner Client, maxEntries int) Client {
@@ -191,10 +167,4 @@ func NewCachedClient(inner Client, maxEntries int) Client {
 // bucket, matching proprietary API quotas.
 func NewRateLimitedClient(inner Client, requestsPerMinute int) Client {
 	return llm.NewRateLimited(inner, requestsPerMinute)
-}
-
-// NewRetryingClient wraps a client with bounded exponential-backoff
-// retries on transient errors.
-func NewRetryingClient(inner Client, maxAttempts int) Client {
-	return llm.NewRetrying(inner, maxAttempts, 0)
 }

@@ -192,9 +192,6 @@ func TestClientWrappersConstruct(t *testing.T) {
 	if NewRateLimitedClient(inner, 60) == nil {
 		t.Error("rate limited nil")
 	}
-	if NewRetryingClient(inner, 3) == nil {
-		t.Error("retrying nil")
-	}
 }
 
 func TestRunPipelineCascade(t *testing.T) {

@@ -5,27 +5,23 @@
 //
 //	erbench [-exp all|table3|table4|table5|table6|table7|fig6|fig7]
 //	        [-datasets WA,AB,...] [-seeds 1,2,3] [-qcap N] [-poolcap N]
-//	erbench -exp pipeline [-json] [-rows N] [-window N]
-//	        [-latencies 50,200,800] [-inflight 1,2,4,8]
 //	erbench -exp cascade [-json] [-rows N] [-window N] [-trainpairs N]
 //	        [-taus 0.05:0.95,0.1:0.9] [-margins 0,0.25]
 //
 // With no flags it runs every experiment on all eight datasets with three
 // seeds, printing each table in the paper's layout.
 //
-// -exp pipeline (not part of "all") sweeps pipeline.Run wall-clock over
-// simulated LLM latency x InFlightWindows. With -json the sweep is
-// emitted to stdout as a BENCH_*-style document (goos/goarch/cpu/date +
-// per-cell records) — this is how BENCH_pipeline.json is generated:
-//
-//	erbench -exp pipeline -json > BENCH_pipeline.json
-//
 // -exp cascade (not part of "all") sweeps the model cascade's cost/F1
 // frontier: an all-expensive baseline, then one run per (tau-lo:tau-hi)
 // routing band x escalation margin with the calibrated pre-filter and
-// tiered routing in play. BENCH_cascade.json is generated the same way:
+// tiered routing in play. With -json the sweep is emitted to stdout as
+// a BENCH_*-style document (goos/goarch/cpu/date + per-point records) —
+// this is how BENCH_cascade.json is generated:
 //
 //	erbench -exp cascade -json > BENCH_cascade.json
+//
+// Wall-clock and per-layer timings of an ermatch-shaped run are the
+// benchmark module's job: bash benchmark/run.sh.
 package main
 
 import (
@@ -53,61 +49,19 @@ func splitList(s string) []string {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table4, table5, table6, table7, fig6, fig7, ablations, findings, pipeline")
+	exp := flag.String("exp", "all", "experiment: all, table3, table4, table5, table6, table7, fig6, fig7, ablations, extended, findings, cascade")
 	datasets := flag.String("datasets", "", "comma-separated dataset codes (default all)")
 	seeds := flag.String("seeds", "1,2,3", "comma-separated run seeds")
 	qcap := flag.Int("qcap", 0, "cap on test questions per dataset (0 = all)")
 	poolcap := flag.Int("poolcap", 0, "cap on demonstration pool size (0 = all)")
-	jsonOut := flag.Bool("json", false, "emit a BENCH_*-style JSON document to stdout (pipeline and cascade experiments only)")
-	rows := flag.Int("rows", 0, "pipeline/cascade sweep: records per table (0 = default 8000)")
-	window := flag.Int("window", 0, "pipeline/cascade sweep: StreamWindow (0 = default 512)")
-	latencies := flag.String("latencies", "", "pipeline sweep: simulated LLM latencies in ms (default 50,200,800)")
-	inflight := flag.String("inflight", "", "pipeline sweep: InFlightWindows values (default 1,2,4,8)")
+	jsonOut := flag.Bool("json", false, "emit a BENCH_*-style JSON document to stdout (cascade experiment only)")
+	rows := flag.Int("rows", 0, "cascade sweep: records per table (0 = default 8000)")
+	window := flag.Int("window", 0, "cascade sweep: StreamWindow (0 = default 512)")
 	trainpairs := flag.Int("trainpairs", 0, "cascade sweep: labeled pairs for pre-filter training (0 = default 500)")
 	taus := flag.String("taus", "", "cascade sweep: lo:hi routing thresholds (default 0.05:0.95,0.1:0.9,0.2:0.8)")
 	margins := flag.String("margins", "", "cascade sweep: vote-k escalation margins (default 0,0.01,0.25)")
 	flag.Parse()
 
-	ints := func(name, s string) []int {
-		if s == "" {
-			return nil
-		}
-		var vs []int
-		for _, f := range strings.Split(s, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "erbench: bad %s %q: %v\n", name, f, err)
-				os.Exit(2)
-			}
-			vs = append(vs, v)
-		}
-		return vs
-	}
-
-	if *exp == "pipeline" {
-		po := eval.PipelineBenchOptions{
-			Rows:        *rows,
-			Window:      *window,
-			LatenciesMS: ints("latency", *latencies),
-			InFlight:    ints("inflight value", *inflight),
-		}
-		start := time.Now()
-		cells, err := eval.RunPipelineBench(po, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erbench: pipeline: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			if err := eval.WriteBenchJSON(os.Stdout, eval.PipelineBenchFile(po, cells)); err != nil {
-				fmt.Fprintf(os.Stderr, "erbench: pipeline: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			eval.FormatPipelineBench(os.Stdout, cells)
-		}
-		fmt.Fprintf(os.Stderr, "[pipeline done in %v]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 	if *exp == "cascade" {
 		co := eval.CascadeBenchOptions{
 			Rows:       *rows,
@@ -150,7 +104,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		fmt.Fprintln(os.Stderr, "erbench: -json is only supported with -exp pipeline or -exp cascade")
+		fmt.Fprintln(os.Stderr, "erbench: -json is only supported with -exp cascade")
 		os.Exit(2)
 	}
 

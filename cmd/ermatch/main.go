@@ -199,50 +199,35 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("parsing -degrade: %w", err))
 	}
-	var client batcher.Client
+	var base batcher.Client
 	if *apiBase != "" {
-		client = batcher.NewOpenAIClient(*apiBase, *apiKey)
+		base = batcher.NewOpenAIClient(*apiBase, *apiKey)
 	} else {
-		client = batcher.NewSimulatedClient(nil, *seed)
+		base = batcher.NewSimulatedClient(nil, *seed)
 	}
-	// Resilience middleware composes innermost-first around the base
-	// client: chaos (fault injection, tests only), then the breaker, then
-	// retrying, then hedging. The disk cache wraps outside all of them, so
-	// cached answers never consume retry budget or trip the breaker.
-	var chaosC *batcher.ChaosClient
+	// The resilience flags only switch layers on; NewClientStack owns
+	// their order, with the disk cache outermost.
+	stackCfg := batcher.StackConfig{
+		ChaosSeed:       *chaosSeed,
+		BreakerFails:    *breakerFails,
+		BreakerCooldown: *breakerCooldown,
+		Retries:         *retries,
+		RetryBase:       *retryBase,
+		RetrySeed:       *seed,
+		HedgeAfter:      *hedgeAfter,
+		CacheDir:        *cacheDir,
+		CacheBytes:      *cacheMB << 20,
+	}
 	if *chaosFlag != "" {
-		profile, err := chaosProfile(*chaosFlag)
-		if err != nil {
+		if stackCfg.Chaos, err = chaosProfile(*chaosFlag); err != nil {
 			fatal(err)
 		}
-		chaosC = batcher.NewChaosClient(client, profile, *chaosSeed)
-		client = chaosC
 	}
-	var breaker *batcher.BreakerClient
-	if *breakerFails > 0 {
-		breaker = batcher.NewBreakerClient(client, *breakerFails, *breakerCooldown)
-		client = breaker
+	client, err := batcher.NewClientStack(ctx, base, stackCfg)
+	if err != nil {
+		fatal(fmt.Errorf("opening -cache-dir %s: %w", *cacheDir, err))
 	}
-	var retryC *batcher.RetryingClient
-	if *retries > 1 {
-		retryC = batcher.NewRetryingClientSeeded(client, *retries, *retryBase, *seed)
-		client = retryC
-	}
-	var hedgedC *batcher.HedgedClient
-	if *hedgeAfter > 0 {
-		hedgedC = batcher.NewHedgedClient(client, *hedgeAfter)
-		client = hedgedC
-	}
-	var cache *batcher.DiskCache
-	if *cacheDir != "" {
-		var err error
-		cache, err = batcher.NewDiskCachedClient(ctx, client, *cacheDir, *cacheMB<<20)
-		if err != nil {
-			fatal(fmt.Errorf("opening -cache-dir %s: %w", *cacheDir, err))
-		}
-		defer cache.Close()
-		client = cache
-	}
+	defer client.Close()
 	var prefilter *batcher.CascadePrefilter
 	matcher := []batcher.Option{batcher.WithModel(*model), batcher.WithSeed(*seed)}
 	if degrade != batcher.DegradeFailFast {
@@ -390,10 +375,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ermatch: closing journal: %v\n", err)
 		}
 	}
-	if cache != nil {
-		if err := cache.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "ermatch: closing cache: %v\n", err)
-		}
+	if err := client.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: closing cache: %v\n", err)
 	}
 	w.Flush()
 	if writeErr == nil {
@@ -430,30 +413,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ermatch: %d of %d pairs replayed from run journal %q\n",
 			rep.Replayed, rep.Candidates, runName)
 	}
-	if cache != nil {
-		h, m := cache.Stats()
+	if *cacheDir != "" {
+		h, m := client.CacheStats()
 		fmt.Fprintf(os.Stderr, "ermatch: response cache: %d hits / %d misses\n", h, m)
 	}
-	var res batcher.Resilience
-	if retryC != nil {
-		res.Retries = retryC.Retries()
-	}
-	if breaker != nil {
-		res.BreakerOpens = breaker.Opens()
-		res.BreakerRejections = breaker.Rejections()
-	}
-	if hedgedC != nil {
-		st := hedgedC.Stats()
-		res.HedgesLaunched = st.Launched
-		res.HedgesWon = st.Won
-		res.WasteCalls = st.WasteCalls
-		res.WasteInputTokens = st.WasteInputTokens
-		res.WasteOutputTokens = st.WasteOutputTokens
-		res.WasteDollars = batcher.HedgeWasteDollars(*model, st)
-	}
-	if chaosC != nil {
-		res.FaultsInjected = chaosC.Injected()
-	}
+	res := client.Stats()
 	res.DegradedWindows = rep.Degraded
 	if res.Any() {
 		fmt.Fprintf(os.Stderr, "ermatch: resilience: %s\n", res.String())

@@ -14,9 +14,10 @@
 //     windows, arriving back at the baseline ledger with nothing billed
 //     twice.
 //
-// The middleware composes innermost-first — chaos, then breaker, then
-// retrying — with the disk cache outermost, so cached answers never
-// consume retry budget or trip the breaker.
+// Every client is built by NewClientStack, which owns the layer order —
+// chaos, then breaker, then retrying, with the disk cache outermost, so
+// cached answers never consume retry budget or trip the breaker — and
+// reads every layer's counters back through one Stats snapshot.
 //
 // Run with:
 //
@@ -75,12 +76,19 @@ func main() {
 	// of them. Injected faults never reach the backend and never bill, so
 	// the ledger matches the baseline exactly.
 	fmt.Println("--- fault storm: chaos absorbed by retries ---")
-	storm := batcher.FaultProfile{Throttle: 0.25, Overload: 0.25, Transport: 0.2, Torn: 0.15, MaxFaults: 2}
-	chaos := batcher.NewChaosClient(sim, storm, 42)
-	retry := batcher.NewRetryingClientSeeded(chaos, 5, 0, 42)
-	stormRep := run("storm", retry, nil)
+	storm, err := batcher.NewClientStack(ctx, sim, batcher.StackConfig{
+		Chaos:     batcher.FaultProfile{Throttle: 0.25, Overload: 0.25, Transport: 0.2, Torn: 0.15, MaxFaults: 2},
+		ChaosSeed: 42,
+		Retries:   5,
+		RetrySeed: 42,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	stormRep := run("storm", storm, nil)
+	st := storm.Stats()
 	fmt.Printf("storm: %d faults injected, %d retries; ledger identical to baseline: %v\n",
-		chaos.Injected(), retry.Retries(),
+		st.FaultsInjected, st.Retries,
 		base.Result.Ledger.String() == stormRep.Result.Ledger.String())
 
 	// Part 3a: a total outage. Every request is faulted, the breaker
@@ -91,10 +99,15 @@ func main() {
 	fmt.Println("--- outage: breaker opens, run degrades ---")
 	runDir := filepath.Join(dir, "runs")
 	cacheDir := filepath.Join(dir, "cache")
-	outage := batcher.NewChaosClient(sim, batcher.FaultProfile{Overload: 1, MaxFaults: 1 << 30}, 7)
-	breaker := batcher.NewBreakerClient(outage, 2, time.Hour)
-	stack := batcher.NewRetryingClientSeeded(breaker, 3, 0, 7)
-	cache, err := batcher.NewDiskCachedClient(ctx, stack, cacheDir, 0)
+	outage, err := batcher.NewClientStack(ctx, sim, batcher.StackConfig{
+		Chaos:           batcher.FaultProfile{Overload: 1, MaxFaults: 1 << 30},
+		ChaosSeed:       7,
+		BreakerFails:    2,
+		BreakerCooldown: time.Hour,
+		Retries:         3,
+		RetrySeed:       7,
+		CacheDir:        cacheDir,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,16 +115,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	degRep := run("outage", cache, journal)
-	res := batcher.Resilience{
-		Retries:           stack.Retries(),
-		BreakerOpens:      breaker.Opens(),
-		BreakerRejections: breaker.Rejections(),
-		FaultsInjected:    outage.Injected(),
-		DegradedWindows:   degRep.Degraded,
-	}
+	degRep := run("outage", outage, journal)
+	res := outage.Stats()
+	res.DegradedWindows = degRep.Degraded
 	fmt.Printf("outage: resilience: %s\n", res.String())
-	cache.Close()
+	outage.Close()
 	journal.Close()
 
 	// Part 3b: the backend recovers; resuming the same journal repairs
@@ -119,17 +127,17 @@ func main() {
 	// their windows, so the resume re-resolves them — and arrives at the
 	// baseline's ledger, with nothing paid twice.
 	fmt.Println("--- repair: resume once the backend recovers ---")
-	cache2, err := batcher.NewDiskCachedClient(ctx, sim, cacheDir, 0)
+	healthy, err := batcher.NewClientStack(ctx, sim, batcher.StackConfig{CacheDir: cacheDir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cache2.Close()
+	defer healthy.Close()
 	journal2, err := batcher.OpenRunJournal(ctx, runDir, "beer-faults", true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer journal2.Close()
-	repaired := run("repair", cache2, journal2)
+	repaired := run("repair", healthy, journal2)
 	fmt.Printf("repair: %d degraded windows left; ledger identical to baseline: %v\n",
 		repaired.Degraded,
 		base.Result.Ledger.String() == repaired.Result.Ledger.String())

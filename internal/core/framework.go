@@ -17,20 +17,10 @@ type Framework struct {
 	client llm.Client
 }
 
-// New returns a Framework over client with the given options applied on
-// top of the paper's defaults. With no options it is equivalent to
-// NewFromConfig(client, Config{}).
-func New(client llm.Client, opts ...Option) *Framework {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewFromConfig(client, cfg)
-}
-
-// NewFromConfig returns a Framework from an explicit Config (the internal
-// resolved form of the functional options), with defaults applied. It
-// exists for callers that sweep or serialize configurations.
+// NewFromConfig returns a Framework over client from an explicit
+// Config, with every unset field resolved to the paper's defaults:
+// NewFromConfig(client, Config{}) is the paper's experimental setup.
+// The facade's functional options are closures over this Config.
 func NewFromConfig(client llm.Client, cfg Config) *Framework {
 	return &Framework{cfg: cfg.applyDefaults(), client: client}
 }

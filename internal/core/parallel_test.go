@@ -128,7 +128,7 @@ func TestRunGoroutineBudget(t *testing.T) {
 	t.Run("Resolve at parallelism 1", func(t *testing.T) {
 		questions, pool := testWorkload(t, "Beer", 40)
 		client := &goroutineWitness{inner: newSimClient(questions, pool, 1), caller: goroutineID()}
-		if _, err := New(client, WithSeed(1)).Resolve(context.Background(), questions, pool); err != nil {
+		if _, err := NewFromConfig(client, Config{Seed: 1}).Resolve(context.Background(), questions, pool); err != nil {
 			t.Fatal(err)
 		}
 		if client.calls < 2 {

@@ -265,7 +265,7 @@ func TestCoverThresholdMatchesSortedOracle(t *testing.T) {
 	}
 }
 
-// TestCoverPercentileAboveOneClamps: WithCoverPercentile(1.5) used to
+// TestCoverPercentileAboveOneClamps: CoverPercentile 1.5 used to
 // index past the distance buffer ("index out of range [7] with length
 // 6" on four questions). The percentile is clamped to [0, 1], so the
 // run is the p = 1 run.
@@ -273,9 +273,10 @@ func TestCoverPercentileAboveOneClamps(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 4)
 	resolve := func(p float64) *Result {
 		t.Helper()
-		f := New(newSimClient(questions, pool, 1),
-			WithBatching(DiversityBatching), WithSelection(CoveringSelection),
-			WithSeed(1), WithCoverPercentile(p))
+		f := NewFromConfig(newSimClient(questions, pool, 1), Config{
+			Batching: DiversityBatching, Selection: CoveringSelection,
+			Seed: 1, CoverPercentile: p,
+		})
 		res, err := f.Resolve(context.Background(), questions, pool)
 		if err != nil {
 			t.Fatalf("CoverPercentile %v: %v", p, err)

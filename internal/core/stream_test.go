@@ -35,7 +35,7 @@ func (g *gatedClient) Complete(ctx context.Context, req llm.Request) (llm.Respon
 func TestResolveStreamYieldsBeforeRunFinishes(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 40)
 	client := &gatedClient{inner: newSimClient(questions, pool, 1), gateAt: 2, gate: make(chan struct{})}
-	f := New(client, WithBatching(DiversityBatching), WithSelection(CoveringSelection), WithSeed(1))
+	f := NewFromConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1})
 	st, err := f.ResolveStream(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +84,10 @@ func TestResolveStreamParallelDeterministicOrder(t *testing.T) {
 	questions, pool := testWorkload(t, "IA", 64)
 	run := func(parallelism int) ([]int, []entity.Label) {
 		client := newSimClient(questions, pool, 9)
-		f := New(client,
-			WithBatching(DiversityBatching), WithSelection(CoveringSelection),
-			WithSeed(9), WithParallelism(parallelism))
+		f := NewFromConfig(client, Config{
+			Batching: DiversityBatching, Selection: CoveringSelection,
+			Seed: 9, Parallelism: parallelism,
+		})
 		st, err := f.ResolveStream(context.Background(), questions, pool)
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +142,7 @@ func TestResolveContextCancelMidRunReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	client := &cancellingClient{inner: newSimClient(questions, pool, 1), cancel: cancel, after: 2}
-	f := New(client, WithSeed(1))
+	f := NewFromConfig(client, Config{Seed: 1})
 	res, err := f.Resolve(ctx, questions, pool)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
@@ -183,7 +184,7 @@ func TestResolveContextCancelParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	client := &cancellingClient{inner: newSimClient(questions, pool, 2), cancel: cancel, after: 3}
-	f := New(client, WithSeed(2), WithParallelism(4))
+	f := NewFromConfig(client, Config{Seed: 2, Parallelism: 4})
 	res, err := f.Resolve(ctx, questions, pool)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -197,7 +198,7 @@ func TestResolveStreamPreCancelled(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	f := New(newSimClient(questions, pool, 1))
+	f := NewFromConfig(newSimClient(questions, pool, 1), Config{})
 	if _, err := f.ResolveStream(ctx, questions, pool); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled ResolveStream err = %v", err)
 	}
@@ -209,7 +210,7 @@ func TestResolveStreamPreCancelled(t *testing.T) {
 func TestStreamCloseAbandonsRun(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 40)
 	client := newSimClient(questions, pool, 3)
-	f := New(client, WithSeed(3))
+	f := NewFromConfig(client, Config{Seed: 3})
 	st, err := f.ResolveStream(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +230,7 @@ func TestStreamCloseAbandonsRun(t *testing.T) {
 }
 
 func TestResolveStreamEmptyQuestions(t *testing.T) {
-	f := New(llm.NewSimulated(nil, 1))
+	f := NewFromConfig(llm.NewSimulated(nil, 1), Config{})
 	st, err := f.ResolveStream(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -253,58 +254,12 @@ func TestBatchErrorUnwrap(t *testing.T) {
 	}
 }
 
-func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
-	// New(client) with zero options must resolve to exactly the paper's
-	// defaults, i.e. Config{}.applyDefaults().
-	got := New(llm.NewSimulated(nil, 1)).Config()
-	want := Config{}.applyDefaults()
-	if got.BatchSize != want.BatchSize || got.NumDemos != want.NumDemos ||
-		got.Batching != want.Batching || got.Selection != want.Selection ||
-		got.CoverPercentile != want.CoverPercentile ||
-		got.ClusterEpsPercentile != want.ClusterEpsPercentile ||
-		got.ClusterMinPts != want.ClusterMinPts ||
-		got.Model != want.Model || got.Temperature != want.Temperature ||
-		got.TaskDescription != want.TaskDescription ||
-		got.DistanceSampleCap != want.DistanceSampleCap ||
-		got.Parallelism != want.Parallelism ||
-		got.JSONAnswers != want.JSONAnswers {
-		t.Errorf("option defaults diverge:\n got %+v\nwant %+v", got, want)
-	}
-	if got.Extractor.Name() != want.Extractor.Name() {
-		t.Errorf("default extractor = %q, want %q", got.Extractor.Name(), want.Extractor.Name())
-	}
-}
-
-func TestOptionsApplyAndCompose(t *testing.T) {
-	f := New(llm.NewSimulated(nil, 1),
-		WithBatchSize(4),
-		WithNumDemos(6),
-		WithModel(llm.GPT4),
-		WithTemperature(0.5),
-		WithCoverPercentile(0.2),
-		WithParallelism(3),
-		WithSeed(42),
-		WithJSONAnswers(),
-	)
-	cfg := f.Config()
-	if cfg.BatchSize != 4 || cfg.NumDemos != 6 || cfg.Model != llm.GPT4 ||
-		cfg.Temperature != 0.5 || cfg.CoverPercentile != 0.2 ||
-		cfg.Parallelism != 3 || cfg.Seed != 42 || !cfg.JSONAnswers {
-		t.Errorf("options not applied: %+v", cfg)
-	}
-	// Options compose in order: a later option wins.
-	f2 := New(llm.NewSimulated(nil, 1), WithBatchSize(2), WithBatchSize(5))
-	if f2.Config().BatchSize != 5 {
-		t.Errorf("later option lost: %d", f2.Config().BatchSize)
-	}
-}
-
 func TestWorkerCapAtBatchCount(t *testing.T) {
 	// Parallelism far above the batch count must still complete cleanly
 	// (workers are capped at len(batches)).
 	questions, pool := testWorkload(t, "Beer", 16)
 	client := newSimClient(questions, pool, 7)
-	f := New(client, WithSeed(7), WithParallelism(64))
+	f := NewFromConfig(client, Config{Seed: 7, Parallelism: 64})
 	res, err := f.Resolve(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +296,7 @@ func (c *failAfter) Complete(ctx context.Context, req llm.Request) (llm.Response
 func TestParallelFailureDeliversContiguousPrefix(t *testing.T) {
 	questions, pool := testWorkload(t, "IA", 64)
 	client := &failAfter{inner: newSimClient(questions, pool, 9), after: 3}
-	f := New(client, WithSeed(9), WithParallelism(4))
+	f := NewFromConfig(client, Config{Seed: 9, Parallelism: 4})
 	res, err := f.Resolve(context.Background(), questions, pool)
 	var be *BatchError
 	if !errors.As(err, &be) {
@@ -467,7 +422,7 @@ func newEngineRun(t *testing.T, parallelism int) (*Prepared, *engineClient) {
 		hold:    map[int]chan struct{}{},
 		fail:    map[int]error{},
 	}
-	dry, err := New(c, WithSeed(9)).Resolve(context.Background(), questions, pool)
+	dry, err := NewFromConfig(c, Config{Seed: 9}).Resolve(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +432,7 @@ func newEngineRun(t *testing.T, parallelism int) (*Prepared, *engineClient) {
 	}
 	c.learn = false
 	c.started, c.ended = make(chan int, n), make(chan int, n)
-	prep, err := New(c, WithSeed(9), WithParallelism(parallelism)).Prepare(context.Background(), questions, pool)
+	prep, err := NewFromConfig(c, Config{Seed: 9, Parallelism: parallelism}).Prepare(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,22 +552,38 @@ func TestBackpressureStopsClaiming(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism %d", workers), func(t *testing.T) {
 			prep, c := newEngineRun(t, workers)
 			release := c.holdBatches(workers)
-			st := prep.Start(context.Background())
+			// The consumer is away for batch 0's delivery: emit parks until
+			// back closes. Waiting for emit itself, not for batch 0's call to
+			// end, is what proves its worker holds the engine — between the
+			// two, a released sibling may legitimately claim the next batch.
+			emitting, back := make(chan struct{}), make(chan struct{})
+			var got []int
+			done := make(chan error, 1)
+			go func() {
+				done <- prep.Run(context.Background(), func(br BatchResult) {
+					if br.Index == 0 {
+						close(emitting)
+						<-back
+					}
+					got = append(got, br.Index)
+				})
+			}()
 			await(c.started, workers)
 			// Batch 0 completes and waits for a consumer that is not there;
 			// only then do the other workers' calls return.
 			release(0)
-			await(c.ended, 1)
+			<-emitting
 			for bi := 1; bi < workers; bi++ {
 				release(bi)
 			}
-			await(c.ended, workers-1)
+			await(c.ended, workers)
 			c.note("resume")
-			if got, want := drain(st), ascending(len(prep.Batches())); !slices.Equal(got, want) {
-				t.Errorf("delivered %v, want %v", got, want)
-			}
-			if err := st.Err(); err != nil {
+			close(back)
+			if err := <-done; err != nil {
 				t.Fatal(err)
+			}
+			if want := ascending(len(prep.Batches())); !slices.Equal(got, want) {
+				t.Errorf("delivered %v, want %v", got, want)
 			}
 			for bi := workers; bi < len(prep.Batches()); bi++ {
 				if start, resume := c.pos("start %d", bi), c.pos("resume"); start < resume {

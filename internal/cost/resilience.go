@@ -29,7 +29,7 @@ type Resilience struct {
 	// discarded. This spend is real — the provider bills it — but it is
 	// out-of-band: it never enters the run ledger because the ledger
 	// tracks the answers that produced predictions. WasteDollars prices
-	// the waste at the run's model rates.
+	// each loser at the rates of the model its request named.
 	WasteCalls        int64
 	WasteInputTokens  int64
 	WasteOutputTokens int64

@@ -56,7 +56,7 @@ func cpuModel() string {
 
 // BenchFile is a complete BENCH_*.json document: the environment
 // header plus named results, each sweep in its own per-cell record
-// shape (see PipelineBenchFile, CascadeBenchFile).
+// shape (see CascadeBenchFile).
 type BenchFile struct {
 	BenchMeta
 	Results map[string]any `json:"results"`

@@ -178,7 +178,7 @@ func TestMiddlewareComposition(t *testing.T) {
 	// Retrying around cache around inner: the cached hit reaches the
 	// outer layer with zero tokens, proving composition works.
 	inner := &counting{}
-	stack := NewRetrying(NewCached(inner, 10), 3, time.Millisecond)
+	stack := newRetrying(NewCached(inner, 10), 3, time.Millisecond)
 	req := Request{Model: "m", Prompt: "p"}
 	var in int
 	for range 2 {

@@ -145,7 +145,7 @@ func TestRetryingShortCircuitsPermanentHTTP(t *testing.T) {
 	for name, c := range faultClients(srv.URL) {
 		t.Run(name, func(t *testing.T) {
 			hits.Store(0)
-			r := NewRetrying(c, 5, time.Millisecond)
+			r := newRetrying(c, 5, time.Millisecond)
 			r.sleep = func(time.Duration) {}
 			_, err := r.Complete(context.Background(), Request{Model: "m", Prompt: "p"})
 			if !errors.Is(err, ErrPermanent) {
@@ -180,7 +180,7 @@ func TestRetryingHonorsRetryAfter(t *testing.T) {
 	for name, c := range faultClients(srv.URL) {
 		t.Run(name, func(t *testing.T) {
 			hits.Store(0)
-			r := NewRetrying(c, 3, time.Millisecond)
+			r := newRetrying(c, 3, time.Millisecond)
 			var slept []time.Duration
 			r.sleep = func(d time.Duration) { slept = append(slept, d) }
 			resp, err := r.Complete(context.Background(), Request{Model: "m", Prompt: "p"})

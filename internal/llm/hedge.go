@@ -2,6 +2,9 @@ package llm
 
 import (
 	"context"
+	"maps"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -22,6 +25,30 @@ type HedgeStats struct {
 	// completions consumed.
 	WasteInputTokens  int64
 	WasteOutputTokens int64
+
+	// byModel splits the waste tokens by Request.Model, so each loser
+	// is priced at the rates of the model it asked for.
+	byModel map[string]modelWaste
+}
+
+// modelWaste is one model's share of the hedging waste.
+type modelWaste struct{ calls, in, out int64 }
+
+// WasteDollars prices the waste at the registry rates of each loser's
+// own Request.Model — on a cascade, cheap-tier losers at cheap-tier
+// prices — summing models in sorted name order so the total is the same
+// float on every run. Unknown models price at zero.
+func (s HedgeStats) WasteDollars() float64 {
+	var usd float64
+	for _, name := range slices.Sorted(maps.Keys(s.byModel)) {
+		m, err := Lookup(name)
+		if err != nil {
+			continue
+		}
+		w := s.byModel[name]
+		usd += m.Pricing.APICost(int(w.in), int(w.out))
+	}
+	return usd
 }
 
 // hedgeResult carries one attempt's outcome across goroutines.
@@ -34,10 +61,11 @@ type hedgeResult struct {
 // the primary attempt has not answered within Delay — or fails
 // transiently sooner — a second identical attempt is launched and the
 // first success wins. The loser is cancelled immediately; if it
-// completes anyway its tokens are tallied in HedgeStats as waste, so
-// the extra spend is visible even though only the winner reaches the
-// run's ledger. A permanent error from either attempt ends the race:
-// the other attempt would be told the same thing.
+// completes anyway its tokens are tallied in HedgeStats as waste, per
+// request model, so the extra spend is visible even though only the
+// winner reaches the run's ledger. A permanent error from either
+// attempt ends the race: the other attempt would be told the same
+// thing.
 type Hedged struct {
 	inner Client
 	// delay is how long the primary may run before the hedge launches.
@@ -45,42 +73,50 @@ type Hedged struct {
 	// sleep is stubbed in tests; nil uses a ctx-aware timer.
 	sleep func(time.Duration)
 
-	launched   atomic.Int64
-	won        atomic.Int64
-	wasteCalls atomic.Int64
-	wasteIn    atomic.Int64
-	wasteOut   atomic.Int64
+	launched atomic.Int64
+	won      atomic.Int64
+
+	mu    sync.Mutex
+	waste map[string]modelWaste
 }
 
 // NewHedged returns a hedging wrapper that launches a second attempt
 // after delay. delay <= 0 disables hedging (calls pass straight
 // through).
 func NewHedged(inner Client, delay time.Duration) *Hedged {
-	return &Hedged{inner: inner, delay: delay}
+	return &Hedged{inner: inner, delay: delay, waste: map[string]modelWaste{}}
 }
 
 // Stats snapshots the wrapper's counters.
 func (h *Hedged) Stats() HedgeStats {
-	return HedgeStats{
-		Launched:          h.launched.Load(),
-		Won:               h.won.Load(),
-		WasteCalls:        h.wasteCalls.Load(),
-		WasteInputTokens:  h.wasteIn.Load(),
-		WasteOutputTokens: h.wasteOut.Load(),
+	s := HedgeStats{Launched: h.launched.Load(), Won: h.won.Load()}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s.byModel = maps.Clone(h.waste)
+	for _, w := range s.byModel {
+		s.WasteCalls += w.calls
+		s.WasteInputTokens += w.in
+		s.WasteOutputTokens += w.out
 	}
+	return s
 }
 
 // harvest drains a cancelled loser in the background, tallying its
-// work as waste if it completed anyway. Cache hits cost nothing and
-// are not waste.
-func (h *Hedged) harvest(ch <-chan hedgeResult) {
+// work as waste under the request's model if it completed anyway.
+// Cache hits cost nothing and are not waste.
+func (h *Hedged) harvest(model string, ch <-chan hedgeResult) {
 	go func() {
 		r := <-ch
-		if r.err == nil && !r.resp.CacheHit {
-			h.wasteCalls.Add(1)
-			h.wasteIn.Add(int64(r.resp.InputTokens))
-			h.wasteOut.Add(int64(r.resp.OutputTokens))
+		if r.err != nil || r.resp.CacheHit {
+			return
 		}
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		w := h.waste[model]
+		w.calls++
+		w.in += int64(r.resp.InputTokens)
+		w.out += int64(r.resp.OutputTokens)
+		h.waste[model] = w
 	}()
 }
 
@@ -155,10 +191,10 @@ func (h *Hedged) Complete(ctx context.Context, req Request) (Response, error) {
 				cancelHed()
 			}
 			if primCh != nil {
-				h.harvest(primCh)
+				h.harvest(req.Model, primCh)
 			}
 			if hedCh != nil {
-				h.harvest(hedCh)
+				h.harvest(req.Model, hedCh)
 			}
 			return r.resp, nil
 		}
@@ -166,10 +202,10 @@ func (h *Hedged) Complete(ctx context.Context, req Request) (Response, error) {
 			cancelPrim()
 			cancelHed()
 			if primCh != nil {
-				h.harvest(primCh)
+				h.harvest(req.Model, primCh)
 			}
 			if hedCh != nil {
-				h.harvest(hedCh)
+				h.harvest(req.Model, hedCh)
 			}
 			return r.resp, r.err
 		}

@@ -116,15 +116,9 @@ type Retrying struct {
 	retries atomic.Int64
 }
 
-// NewRetrying returns a retrying wrapper with the given attempt budget
-// and a fixed jitter seed; use NewRetryingSeeded to vary the jitter
-// stream (e.g. per shard).
-func NewRetrying(inner Client, maxAttempts int, baseDelay time.Duration) *Retrying {
-	return NewRetryingSeeded(inner, maxAttempts, baseDelay, 1)
-}
-
-// NewRetryingSeeded is NewRetrying with an explicit jitter seed, so
-// backoff schedules are reproducible yet distinct across processes.
+// NewRetryingSeeded returns a retrying wrapper with the given attempt
+// budget and jitter seed, so backoff schedules are reproducible yet
+// distinct across processes (e.g. per shard).
 func NewRetryingSeeded(inner Client, maxAttempts int, baseDelay time.Duration, seed int64) *Retrying {
 	if maxAttempts < 1 {
 		maxAttempts = 1

@@ -35,13 +35,19 @@ func (s *scripted) Complete(context.Context, Request) (Response, error) {
 	return r, e
 }
 
+// newRetrying is NewRetryingSeeded at jitter seed 1, the fixed seed
+// these tests were written against.
+func newRetrying(inner Client, maxAttempts int, baseDelay time.Duration) *Retrying {
+	return NewRetryingSeeded(inner, maxAttempts, baseDelay, 1)
+}
+
 func TestRetryingSucceedsAfterTransient(t *testing.T) {
 	transient := errors.New("rate limited")
 	inner := &scripted{
 		resps: []Response{{}, {}, {Completion: "ok"}},
 		errs:  []error{transient, transient, nil},
 	}
-	r := NewRetrying(inner, 3, time.Millisecond)
+	r := newRetrying(inner, 3, time.Millisecond)
 	var slept []time.Duration
 	r.sleep = func(d time.Duration) { slept = append(slept, d) }
 	resp, err := r.Complete(context.Background(), Request{})
@@ -68,7 +74,7 @@ func TestRetryingSucceedsAfterTransient(t *testing.T) {
 func TestRetryingGivesUp(t *testing.T) {
 	transient := errors.New("boom")
 	inner := &scripted{errs: []error{transient, transient, transient}}
-	r := NewRetrying(inner, 3, 0)
+	r := newRetrying(inner, 3, 0)
 	r.sleep = func(time.Duration) {}
 	_, err := r.Complete(context.Background(), Request{})
 	if !errors.Is(err, transient) {
@@ -82,7 +88,7 @@ func TestRetryingGivesUp(t *testing.T) {
 func TestRetryingPermanentErrorsNotRetried(t *testing.T) {
 	for _, perm := range []error{ErrContextLength, ErrUnknownModel} {
 		inner := &scripted{errs: []error{perm, nil}}
-		r := NewRetrying(inner, 5, 0)
+		r := newRetrying(inner, 5, 0)
 		r.sleep = func(time.Duration) {}
 		_, err := r.Complete(context.Background(), Request{})
 		if !errors.Is(err, perm) {
@@ -96,7 +102,7 @@ func TestRetryingPermanentErrorsNotRetried(t *testing.T) {
 
 func TestRetryingMinAttempts(t *testing.T) {
 	inner := &scripted{resps: []Response{{Completion: "x"}}}
-	r := NewRetrying(inner, 0, 0) // clamped to 1
+	r := newRetrying(inner, 0, 0) // clamped to 1
 	if _, err := r.Complete(context.Background(), Request{}); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +262,7 @@ func TestRetryingStopsOnContextCancel(t *testing.T) {
 	transient := errors.New("flaky")
 	inner := &scripted{errs: []error{transient, transient, transient}}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewRetrying(inner, 5, time.Millisecond)
+	r := newRetrying(inner, 5, time.Millisecond)
 	r.sleep = func(time.Duration) { cancel() } // cancel during the first backoff
 	_, err := r.Complete(ctx, Request{})
 	if !errors.Is(err, context.Canceled) {
@@ -271,7 +277,7 @@ func TestRetryingPreCancelledContext(t *testing.T) {
 	inner := &scripted{resps: []Response{{Completion: "x"}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRetrying(inner, 3, 0)
+	r := newRetrying(inner, 3, 0)
 	if _, err := r.Complete(ctx, Request{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v", err)
 	}
@@ -309,7 +315,7 @@ func TestRetryingRetriesInnerClientTimeout(t *testing.T) {
 	// it is transient and must be retried.
 	timeoutErr := fmt.Errorf("Post \"/chat\": %w", context.DeadlineExceeded)
 	inner := &scripted{resps: []Response{{}, {Completion: "ok"}}, errs: []error{timeoutErr, nil}}
-	r := NewRetrying(inner, 3, 0)
+	r := newRetrying(inner, 3, 0)
 	r.sleep = func(time.Duration) {}
 	resp, err := r.Complete(context.Background(), Request{})
 	if err != nil {

@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,6 +275,65 @@ func TestHedgedCountsLoserWaste(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("loser completion never tallied as waste")
+}
+
+// gatedFirst parks each model's first call until release closes and
+// then completes it with a large usage, ignoring cancellation like a
+// response already on the wire; every later call answers at once.
+type gatedFirst struct {
+	mu      sync.Mutex
+	seen    map[string]bool
+	release chan struct{}
+}
+
+func (g *gatedFirst) Complete(_ context.Context, req Request) (Response, error) {
+	g.mu.Lock()
+	first := !g.seen[req.Model]
+	g.seen[req.Model] = true
+	g.mu.Unlock()
+	if first {
+		<-g.release
+		return Response{Completion: "late", InputTokens: 1000, OutputTokens: 100}, nil
+	}
+	return Response{Completion: "fast", InputTokens: 1, OutputTokens: 1}, nil
+}
+
+// TestHedgedPricesWastePerRequestModel: a cascade's hedging losers are
+// priced at the model each one asked for. Pricing the summed waste at
+// the expensive model's rates — one model for the whole run — bills
+// the cheap tier's loser 10x/15x too high.
+func TestHedgedPricesWastePerRequestModel(t *testing.T) {
+	inner := &gatedFirst{seen: map[string]bool{}, release: make(chan struct{})}
+	h := NewHedged(inner, time.Hour)
+	h.sleep = func(time.Duration) {} // the hedge launches at once
+	for _, model := range []string{GPT4, GPT35Turbo0301} {
+		resp, err := h.Complete(context.Background(), Request{Model: model})
+		if err != nil || resp.Completion != "fast" {
+			t.Fatalf("%s: resp = %q/%v", model, resp.Completion, err)
+		}
+	}
+	close(inner.release)
+	deadline := time.Now().Add(2 * time.Second)
+	for h.Stats().WasteCalls < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("loser completions never tallied as waste")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s := h.Stats()
+	if s.WasteCalls != 2 || s.WasteInputTokens != 2000 || s.WasteOutputTokens != 200 {
+		t.Fatalf("waste = %d calls, %d/%d tokens, want 2, 2000/200", s.WasteCalls, s.WasteInputTokens, s.WasteOutputTokens)
+	}
+	expensive, _ := Lookup(GPT4)
+	cheap, _ := Lookup(GPT35Turbo0301)
+	want := cheap.Pricing.APICost(1000, 100) + expensive.Pricing.APICost(1000, 100)
+	if got := s.WasteDollars(); got != want {
+		t.Errorf("WasteDollars = %v, want %v (each loser at its own model's rates)", got, want)
+	}
+	oneModel := expensive.Pricing.APICost(int(s.WasteInputTokens), int(s.WasteOutputTokens))
+	if oneModel == want {
+		t.Fatalf("pricing all waste at %s gives the per-model sum too; the test cannot tell them apart", GPT4)
+	}
 }
 
 func TestChaosDeterministicAcrossInstances(t *testing.T) {

@@ -136,7 +136,7 @@ func runChaosAbortResume(t *testing.T, streamWindow, inFlight int) {
 		t.Fatal(err)
 	}
 	c1, err := runstore.OpenCache(context.Background(),
-		llm.NewRetrying(llm.NewChaos(backend, profile, 9), 1, 0),
+		llm.NewRetryingSeeded(llm.NewChaos(backend, profile, 9), 1, 0, 1),
 		filepath.Join(dir, "cache"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func runChaosAbortResume(t *testing.T, streamWindow, inFlight int) {
 	defer j2.Close()
 	chaos2 := llm.NewChaos(backend, profile, 9)
 	c2, err := runstore.OpenCache(context.Background(),
-		llm.NewRetrying(chaos2, 3, 0), filepath.Join(dir, "cache"), 0)
+		llm.NewRetryingSeeded(chaos2, 3, 0, 1), filepath.Join(dir, "cache"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestChaosShardMergeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			c, err := runstore.OpenCache(context.Background(),
-				llm.NewRetrying(llm.NewChaos(backend, stormProfile(), int64(100+i)), 1, 0), cdir, 0)
+				llm.NewRetryingSeeded(llm.NewChaos(backend, stormProfile(), int64(100+i)), 1, 0, 1), cdir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +310,7 @@ func TestDegradeUnknownOutageThenRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	breaker := llm.NewBreaker(llm.NewChaos(backend, outageProfile(), 7), 2, time.Hour)
-	stack := llm.NewRetrying(breaker, 3, 0)
+	stack := llm.NewRetryingSeeded(breaker, 3, 0, 1)
 	c1, err := runstore.OpenCache(context.Background(), stack, filepath.Join(dir, "cache"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestDegradeCheapOnlyCascadeThenRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expStack := llm.NewRetrying(llm.NewBreaker(llm.NewChaos(exp, outageProfile(), 11), 2, time.Hour), 3, 0)
+	expStack := llm.NewRetryingSeeded(llm.NewBreaker(llm.NewChaos(exp, outageProfile(), 11), 2, time.Hour), 3, 0, 1)
 	c1, err := runstore.OpenCache(context.Background(),
 		llm.NewTiered(cheap, expStack), filepath.Join(dir, "cache"), 0)
 	if err != nil {

@@ -174,7 +174,8 @@ func TestRunPipelinedMatchesSequential(t *testing.T) {
 // BenchmarkPipelineInFlight measures the pipelining win under a small
 // simulated LLM latency: K=4 should overlap most of the per-window call
 // latency that K=1 pays serially. CI runs it with -benchtime=1x as a
-// race-enabled smoke; BENCH_pipeline.json carries the real sweep.
+// race-enabled smoke; the benchmark module's latency_overlap workload
+// (bash benchmark/run.sh) carries the end-to-end number.
 func BenchmarkPipelineInFlight(b *testing.B) {
 	ta, tb := syntheticTables(512)
 	for _, k := range []int{1, 4} {
