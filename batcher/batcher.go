@@ -34,6 +34,11 @@
 // and overlapping experiments never pay for the same answer twice. See
 // docs/ARCHITECTURE.md and the README's operations cookbook.
 //
+// Raw tables load through OpenCSVTable, row by row, or ReadCSVTable,
+// which collects them. BlockTables, BlockTablesStream and RunPipeline
+// block with the same token-overlap blocker and the same defaults; no
+// entry point takes a custom blocker.
+//
 // The package re-exports the domain types a caller needs (Record, Pair,
 // Dataset, strategies), so downstream users never import internal
 // packages.
@@ -123,17 +128,9 @@ const (
 	Llama2Chat70B  = llm.Llama2Chat70B
 )
 
-// NewRecord builds a record from parallel attribute/value slices.
-func NewRecord(id string, attrs, values []string) Record {
-	return entity.NewRecord(id, attrs, values)
-}
-
 // SplitPairs partitions labeled pairs 3:1:1 (train/valid/test),
 // stratified by class, as in the paper's experimental setup.
 func SplitPairs(pairs []Pair) Split { return entity.SplitPairs(pairs) }
-
-// WithoutLabels strips gold labels, producing an unlabeled pool.
-func WithoutLabels(pairs []Pair) []Pair { return entity.WithoutLabels(pairs) }
 
 // Matcher is a configured BATCHER instance.
 type Matcher struct {
@@ -197,11 +194,8 @@ func NewOpenAIClient(baseURL, apiKey string) Client {
 	return &llm.OpenAICompatible{BaseURL: baseURL, APIKey: apiKey}
 }
 
-// Benchmarks lists the built-in synthetic benchmark names (the Table II
-// clones): WA, AB, AG, DS, DA, FZ, IA, Beer.
-func Benchmarks() []string { return datagen.Names() }
-
-// LoadBenchmark generates a synthetic benchmark clone by name.
+// LoadBenchmark generates a synthetic benchmark clone by name: one of
+// the Table II clones WA, AB, AG, DS, DA, FZ, IA, Beer.
 func LoadBenchmark(name string, seed int64) (*Dataset, error) {
 	return datagen.GenerateByName(name, seed)
 }
@@ -220,22 +214,28 @@ func GenerateBenchmark(spec CustomBenchmark, seed int64) (*Dataset, error) {
 	return datagen.GenerateCustom(spec, seed)
 }
 
-// Blocker produces candidate pairs from two tables. Custom
-// implementations plug into RunPipeline via internal adapters; implement
-// StreamBlocker as well to generate candidates incrementally.
-type Blocker = blocking.Blocker
-
-// StreamBlocker is a Blocker whose BlockStream yields candidates one at
-// a time — identical pairs and order to Block, with memory bounded by
-// the tableB index instead of the candidate set. All built-in blockers
-// implement it.
-type StreamBlocker = blocking.StreamBlocker
+// tokenBlocker builds the token-overlap blocker behind BlockTables,
+// BlockTablesStream and RunPipeline, so minShared <= 0 resolves to the
+// same default of 2 on every entry point.
+func tokenBlocker(attr string, minShared int) *blocking.TokenBlocker {
+	if minShared <= 0 {
+		minShared = 2
+	}
+	return &blocking.TokenBlocker{Attr: attr, MinShared: minShared, MaxPostings: 512}
+}
 
 // BlockTables produces candidate pairs from two raw tables with
-// token-overlap blocking on the given attribute (empty = all attributes).
+// token-overlap blocking on the given attribute (empty = all attributes),
+// pairing records that share at least minShared tokens (<= 0 means 2).
+// It is BlockTablesStream collected into a slice.
 func BlockTables(tableA, tableB []Record, attr string, minShared int) []Pair {
-	b := &blocking.TokenBlocker{Attr: attr, MinShared: minShared, MaxPostings: 512}
-	return b.Block(tableA, tableB)
+	var pairs []Pair
+	// Under a context that is never cancelled the stream yields no
+	// error, so only the pairs are read.
+	for p := range BlockTablesStream(context.Background(), tableA, tableB, attr, minShared) {
+		pairs = append(pairs, p)
+	}
+	return pairs
 }
 
 // BlockTablesStream is the streaming form of BlockTables: candidates are
@@ -243,8 +243,7 @@ func BlockTables(tableA, tableB []Record, attr string, minShared int) []Pair {
 // consumed in bounded memory. The sequence yields a non-nil error and
 // stops if ctx is cancelled mid-generation.
 func BlockTablesStream(ctx context.Context, tableA, tableB []Record, attr string, minShared int) iter.Seq2[Pair, error] {
-	b := &blocking.TokenBlocker{Attr: attr, MinShared: minShared, MaxPostings: 512}
-	return b.BlockStream(ctx, tableA, tableB)
+	return tokenBlocker(attr, minShared).BlockStream(ctx, tableA, tableB)
 }
 
 // CostPlan projects a campaign's dollars before running it.

@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// record builds a record from parallel attribute/value slices.
+func record(id string, attrs, values []string) Record {
+	return Record{ID: id, Attrs: attrs, Values: values}
+}
+
 func loadSmall(t *testing.T) (questions, pool []Pair) {
 	t.Helper()
 	d, err := LoadBenchmark("Beer", 1)
@@ -144,37 +149,17 @@ func TestExtractorOptions(t *testing.T) {
 	}
 }
 
-func TestBenchmarksList(t *testing.T) {
-	bs := Benchmarks()
-	if len(bs) != 8 {
-		t.Fatalf("Benchmarks() = %v", bs)
-	}
-	if bs[0] != "WA" || bs[7] != "Beer" {
-		t.Errorf("order = %v", bs)
-	}
-}
-
 func TestLoadBenchmarkUnknown(t *testing.T) {
 	if _, err := LoadBenchmark("nope", 1); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
 
-func TestWithoutLabelsPublic(t *testing.T) {
-	questions, _ := loadSmall(t)
-	un := WithoutLabels(questions)
-	for _, p := range un {
-		if p.Truth != Unknown {
-			t.Fatal("labels survived WithoutLabels")
-		}
-	}
-}
-
 func TestBlockTables(t *testing.T) {
-	ta := []Record{NewRecord("a1", []string{"title"}, []string{"hoppy amber ale"})}
+	ta := []Record{record("a1", []string{"title"}, []string{"hoppy amber ale"})}
 	tb := []Record{
-		NewRecord("b1", []string{"title"}, []string{"hoppy amber lager"}),
-		NewRecord("b2", []string{"title"}, []string{"unrelated stout"}),
+		record("b1", []string{"title"}, []string{"hoppy amber lager"}),
+		record("b2", []string{"title"}, []string{"unrelated stout"}),
 	}
 	pairs := BlockTables(ta, tb, "title", 2)
 	if len(pairs) != 1 || pairs[0].B.ID != "b1" {
@@ -186,8 +171,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table.csv")
 	recs := []Record{
-		NewRecord("r1", []string{"title", "price"}, []string{"widget, deluxe", "9.99"}),
-		NewRecord("r2", []string{"title", "price"}, []string{"gadget \"pro\"", ""}),
+		record("r1", []string{"title", "price"}, []string{"widget, deluxe", "9.99"}),
+		record("r2", []string{"title", "price"}, []string{"gadget \"pro\"", ""}),
 	}
 	if err := WriteCSVTable(path, recs); err != nil {
 		t.Fatal(err)
@@ -213,12 +198,15 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestParseCSVTableNoID(t *testing.T) {
-	in := strings.NewReader("title,price\nwidget,9.99\n")
-	recs, err := ParseCSVTable(in, "test")
+	path := filepath.Join(t.TempDir(), "test.csv")
+	if err := os.WriteFile(path, []byte("title,price\nwidget,9.99\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadCSVTable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || !strings.HasPrefix(recs[0].ID, "test#") {
+	if len(recs) != 1 || !strings.HasPrefix(recs[0].ID, path+"#") {
 		t.Errorf("recs = %v", recs)
 	}
 	if len(recs[0].Attrs) != 2 {
@@ -227,7 +215,11 @@ func TestParseCSVTableNoID(t *testing.T) {
 }
 
 func TestParseCSVTableEmpty(t *testing.T) {
-	if _, err := ParseCSVTable(strings.NewReader(""), "empty"); err == nil {
+	path := filepath.Join(t.TempDir(), "empty.csv")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCSVTable(path); err == nil {
 		t.Error("empty csv should fail on header read")
 	}
 }

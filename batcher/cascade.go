@@ -1,10 +1,7 @@
 package batcher
 
 import (
-	"time"
-
 	"batcher/internal/cascade"
-	"batcher/internal/cost"
 	"batcher/internal/llm"
 )
 
@@ -20,13 +17,10 @@ type CascadePrefilter = cascade.Prefilter
 // defaults (tau 0.05/0.95, Platt scaling).
 type CascadeConfig = cascade.Config
 
-// TierUsage is one tier's share of a cost ledger's API spend, as
-// returned by Ledger.TierBreakdown on cascade runs.
-type TierUsage = cost.TierUsage
-
 // TrainCascadePrefilter fits the calibrated pre-filter on labeled pairs
 // (both classes must be present). Labels cost money in practice — bill
-// them at LabelCostPerPair when comparing cascade totals to a flat run.
+// them at the ledger's per-pair labeling rate when comparing cascade
+// totals to a flat run.
 func TrainCascadePrefilter(labeled []Pair, cfg CascadeConfig) (*CascadePrefilter, error) {
 	return cascade.Train(labeled, cfg)
 }
@@ -46,14 +40,3 @@ func BootstrapLabels(pairs []Pair) []Pair {
 func NewTieredClient(cheap, expensive Client) Client {
 	return llm.NewTiered(cheap, expensive)
 }
-
-// NewLatencyClient adds a fixed per-call delay to a client, for
-// simulating a remote backend's latency in planning experiments.
-func NewLatencyClient(inner Client, d time.Duration) Client {
-	return llm.NewLatency(inner, d)
-}
-
-// LabelCostPerPair is the assumed dollar cost of one human-annotated
-// pair, used by the ledger's labeling column and by cascade accounting
-// for pre-filter training labels.
-const LabelCostPerPair = cost.LabelPerPair

@@ -3,28 +3,16 @@ package batcher
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"iter"
 	"os"
 
 	"batcher/internal/entity"
 )
 
-// CSVReader streams records from a CSV table one row at a time — the
-// incremental counterpart of ParseCSVTable for tables too large to
-// materialize. See OpenCSVTable for the file-backed variant.
-type CSVReader = entity.CSVReader
-
-// NewCSVReader wraps r for incremental reading; name is used in record
-// IDs and error messages. The header row is consumed immediately.
-func NewCSVReader(r io.Reader, name string) (*CSVReader, error) {
-	return entity.NewCSVReader(r, name)
-}
-
 // CSVTable is an open CSV file streaming records row by row. Close it
 // when done; Records yields until EOF or error.
 type CSVTable struct {
-	*CSVReader
+	r *entity.CSVReader
 	f *os.File
 }
 
@@ -32,11 +20,13 @@ type CSVTable struct {
 func (t *CSVTable) Close() error { return t.f.Close() }
 
 // Records returns a single-use iterator over the remaining rows.
-func (t *CSVTable) Records() iter.Seq2[Record, error] { return t.All() }
+func (t *CSVTable) Records() iter.Seq2[Record, error] { return t.r.All() }
 
-// OpenCSVTable opens a CSV file for incremental reading. Rows are parsed
-// on demand, so arbitrarily large tables can be scanned in constant
-// memory:
+// OpenCSVTable opens a CSV file for incremental reading. The first row
+// is the header (attribute names); an "id" column, if present, becomes
+// the record ID and is excluded from attributes, otherwise row numbers
+// are used. Rows are parsed on demand, so arbitrarily large tables can
+// be scanned in constant memory:
 //
 //	tbl, err := batcher.OpenCSVTable("items.csv")
 //	defer tbl.Close()
@@ -51,30 +41,19 @@ func OpenCSVTable(path string) (*CSVTable, error) {
 		f.Close()
 		return nil, fmt.Errorf("batcher: %w", err)
 	}
-	return &CSVTable{CSVReader: r, f: f}, nil
+	return &CSVTable{r: r, f: f}, nil
 }
 
-// ReadCSVTable reads a CSV file into records. The first row is the header
-// (attribute names); an "id" column, if present, becomes the record ID and
-// is excluded from attributes, otherwise row numbers are used.
+// ReadCSVTable reads a whole CSV file into records: OpenCSVTable with
+// every row collected.
 func ReadCSVTable(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	tbl, err := OpenCSVTable(path)
 	if err != nil {
-		return nil, fmt.Errorf("batcher: open table: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ParseCSVTable(f, path)
-}
-
-// ParseCSVTable reads CSV records from r; name is used in error messages.
-// It is the collect-all form of NewCSVReader.
-func ParseCSVTable(r io.Reader, name string) ([]Record, error) {
-	cr, err := entity.NewCSVReader(r, name)
-	if err != nil {
-		return nil, fmt.Errorf("batcher: %w", err)
-	}
+	defer tbl.Close()
 	var out []Record
-	for rec, err := range cr.All() {
+	for rec, err := range tbl.Records() {
 		if err != nil {
 			return nil, fmt.Errorf("batcher: %w", err)
 		}

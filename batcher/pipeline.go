@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"batcher/internal/blocking"
-	"batcher/internal/llm"
 	"batcher/internal/pipeline"
 	"batcher/internal/runstore"
 )
@@ -83,9 +82,6 @@ type PipelineConfig struct {
 // PipelineReport is the outcome of RunPipeline.
 type PipelineReport = pipeline.Report
 
-// PipelineMatch is one matched record ID pair.
-type PipelineMatch = pipeline.Match
-
 // PipelineProgress is a point-in-time snapshot of a pipeline run.
 type PipelineProgress = pipeline.Progress
 
@@ -95,15 +91,9 @@ type PipelineProgress = pipeline.Progress
 // report (billed spend, answered predictions) is returned alongside the
 // error; failures before any window was folded return a nil report.
 func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA, tableB []Record) (*PipelineReport, error) {
-	var blocker blocking.Blocker
-	minShared := cfg.MinSharedTokens
-	if minShared <= 0 {
-		minShared = 2
-	}
+	var blocker blocking.Blocker = tokenBlocker(cfg.BlockAttr, cfg.MinSharedTokens)
 	if cfg.UseMinHash {
 		blocker = &blocking.MinHashBlocker{Attr: cfg.BlockAttr}
-	} else {
-		blocker = &blocking.TokenBlocker{Attr: cfg.BlockAttr, MinShared: minShared, MaxPostings: 512}
 	}
 	return pipeline.Run(ctx, pipeline.Config{
 		Blocker:         blocker,
@@ -125,11 +115,6 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA,
 // delta. Passing it in PipelineConfig.Journal makes the run resumable
 // after a crash or interrupt.
 type RunJournal = runstore.Journal
-
-// RunMeta is the run fingerprint stamped into a journal; resuming
-// requires a compatible fingerprint (same tables, model, seed, window
-// size, pool mode).
-type RunMeta = runstore.RunMeta
 
 // ErrRunMismatch is returned when a journal cannot be resumed by the
 // current run: its fingerprint or candidate stream differs.
@@ -155,16 +140,4 @@ func OpenRunJournal(ctx context.Context, dir, runID string, resume bool) (*RunJo
 		return nil, fmt.Errorf("batcher: run %q already has journaled state; resume it or pick a new run ID", runID)
 	}
 	return j, nil
-}
-
-// NewCachedClient wraps any client with an LRU response cache: repeated
-// identical prompts are served locally and bill zero tokens.
-func NewCachedClient(inner Client, maxEntries int) Client {
-	return llm.NewCached(inner, maxEntries)
-}
-
-// NewRateLimitedClient wraps a client with a requests-per-minute token
-// bucket, matching proprietary API quotas.
-func NewRateLimitedClient(inner Client, requestsPerMinute int) Client {
-	return llm.NewRateLimited(inner, requestsPerMinute)
 }

@@ -2,7 +2,10 @@ package batcher
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"batcher/internal/llm"
 )
 
 func TestRunPipelinePublic(t *testing.T) {
@@ -149,6 +152,54 @@ func TestBlockTablesStreamPublic(t *testing.T) {
 	}
 }
 
+// TestMinSharedDefaultSharedByEntryPoints: minShared <= 0 means the
+// documented default of 2 on every facade entry point that blocks, so a
+// cascade pre-filter sampled through BlockTablesStream trains on the
+// candidates RunPipeline then matches.
+func TestMinSharedDefaultSharedByEntryPoints(t *testing.T) {
+	ds, err := LoadBenchmark("Beer", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, tb := ds.TableA[:100], ds.TableB[:100]
+	keys := func(pairs []Pair) []string {
+		out := make([]string, len(pairs))
+		for i, p := range pairs {
+			out[i] = p.Key()
+		}
+		return out
+	}
+	want := keys(BlockTables(ta, tb, "beer_name", 2))
+	if len(want) == 0 || len(want) == len(keys(BlockTables(ta, tb, "beer_name", 1))) {
+		t.Fatalf("workload cannot tell MinShared 1 from 2 (%d candidates)", len(want))
+	}
+	var streamed []Pair
+	for p, err := range BlockTablesStream(context.Background(), ta, tb, "beer_name", 0) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, p)
+	}
+	var piped []Pair
+	_, err = RunPipeline(context.Background(), PipelineConfig{
+		BlockAttr: "beer_name",
+		Matcher:   []Option{WithSeed(1)},
+		OnPair:    func(p Pair, _ Label) { piped = append(piped, p) },
+	}, NewSimulatedClient(ds.Pairs, 1), ta, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]string{
+		"BlockTables":       keys(BlockTables(ta, tb, "beer_name", 0)),
+		"BlockTablesStream": keys(streamed),
+		"RunPipeline":       keys(piped),
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s at minShared 0: %d candidates, want the MinShared-2 set of %d", name, len(got), len(want))
+		}
+	}
+}
+
 func TestRunPipelineCandidateGuard(t *testing.T) {
 	ds, _ := LoadBenchmark("Beer", 1)
 	client := NewSimulatedClient(nil, 1)
@@ -157,40 +208,21 @@ func TestRunPipelineCandidateGuard(t *testing.T) {
 	}
 }
 
-func TestCachedClientPublic(t *testing.T) {
-	ds, _ := LoadBenchmark("Beer", 1)
-	split := SplitPairs(ds.Pairs)
-	qs := split.Test[:16]
-	inner := NewSimulatedClient(ds.Pairs, 1)
-	cached := NewCachedClient(inner, 100)
-	m1 := New(cached, WithSeed(1))
-	r1, err := m1.Match(context.Background(), qs, split.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second identical run: all prompts served from cache, zero API cost.
-	m2 := New(cached, WithSeed(1))
-	r2, err := m2.Match(context.Background(), qs, split.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Ledger.API() <= 0 {
-		t.Error("first run should bill")
-	}
-	if r2.Ledger.API() != 0 {
-		t.Errorf("cached rerun billed $%v", r2.Ledger.API())
-	}
-	for i := range r1.Pred {
-		if r1.Pred[i] != r2.Pred[i] {
-			t.Fatal("cached rerun changed predictions")
+// TestClientWrappersConstruct: NewTieredClient, the one wrapper the
+// facade offers beside NewClientStack and NewDiskCachedClient, routes
+// each request by its tier.
+func TestClientWrappersConstruct(t *testing.T) {
+	cheap := &countingBackend{inner: NewSimulatedClient(nil, 1)}
+	expensive := &countingBackend{inner: NewSimulatedClient(nil, 1)}
+	tiered := NewTieredClient(cheap, expensive)
+	for _, tier := range []llm.Tier{llm.TierDefault, llm.TierCheap, llm.TierExpensive} {
+		req := Request{Model: GPT35Turbo0301, Prompt: "Question 1: a [SEP] b", Tier: tier}
+		if _, err := tiered.Complete(context.Background(), req); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestClientWrappersConstruct(t *testing.T) {
-	inner := NewSimulatedClient(nil, 1)
-	if NewRateLimitedClient(inner, 60) == nil {
-		t.Error("rate limited nil")
+	if c, e := cheap.calls.Load(), expensive.calls.Load(); c != 2 || e != 1 {
+		t.Errorf("calls = %d cheap / %d expensive, want 2/1", c, e)
 	}
 }
 
@@ -243,7 +275,11 @@ func TestBootstrapLabelsPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labeled := BootstrapLabels(WithoutLabels(ds.Pairs[:60]))
+	unlabeled := append([]Pair(nil), ds.Pairs[:60]...)
+	for i := range unlabeled {
+		unlabeled[i].Truth = Unknown
+	}
+	labeled := BootstrapLabels(unlabeled)
 	if len(labeled) != 60 {
 		t.Fatalf("got %d pairs, want 60", len(labeled))
 	}

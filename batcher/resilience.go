@@ -26,9 +26,6 @@ import (
 // sent. Match classes with errors.Is against the Err* sentinels.
 type APIError = llm.APIError
 
-// ErrorKind classifies an APIError for retry and breaker decisions.
-type ErrorKind = llm.ErrorKind
-
 // Error classes, matchable via errors.Is on any transport error.
 var (
 	// ErrThrottled marks rate limiting (HTTP 429): transient, and the

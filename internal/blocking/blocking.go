@@ -4,12 +4,11 @@
 // exists so the library ships a complete pipeline: the cmd/ermatch tool
 // and the examples block raw tables before matching.
 //
-// Four blockers are provided — token overlap, q-gram, MinHash LSH, and
-// sorted neighborhood — all built on one shared inverted-index core with
-// a parallel sharded index build. Every blocker implements both Blocker
-// (materialize the full candidate slice) and StreamBlocker (yield pairs
-// incrementally with memory bounded by the tableB index), and the two
-// paths produce identical pairs in identical order.
+// Two blockers are provided — token overlap and MinHash LSH — both built
+// on one shared inverted-index core with a parallel sharded index build.
+// Each implements Blocker, whose one method streams: tableB is indexed
+// once and tableA walks through it row by row, so peak memory stays
+// bounded by the tableB index instead of the candidate set.
 package blocking
 
 import (
@@ -22,9 +21,14 @@ import (
 
 // Blocker produces candidate pairs from two tables.
 type Blocker interface {
-	// Block returns candidate pairs (a, b) with a from tableA and b from
-	// tableB, deduplicated, in deterministic order.
-	Block(tableA, tableB []entity.Record) []entity.Pair
+	// BlockStream yields candidate pairs (a, b) with a from tableA and b
+	// from tableB, deduplicated, in (row A, row B) order, one at a time,
+	// so the consumer can overlap downstream work (LLM matching) with
+	// generation. The sequence yields a non-nil error and stops if ctx is
+	// cancelled mid-generation; otherwise every element carries a nil
+	// error. Breaking out of the range loop simply abandons the stream
+	// (no cleanup needed).
+	BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error]
 }
 
 // TokenBlocker pairs records sharing at least MinShared tokens on the
@@ -53,7 +57,7 @@ type tokenTermer struct {
 }
 
 func (b *TokenBlocker) newTermer(in *profile.Interner) termer {
-	t := &tokenTermer{attr: b.Attr, bld: profile.NewBuilder(in, 0)}
+	t := &tokenTermer{attr: b.Attr, bld: profile.NewBuilder(in)}
 	if len(b.StopTokens) > 0 {
 		t.stop = make(map[uint32]bool, len(b.StopTokens))
 		for tok := range b.StopTokens {
@@ -85,69 +89,7 @@ func (b *TokenBlocker) minSharedOrDefault() int {
 	return b.MinShared
 }
 
-// Block implements Blocker with an inverted index over tokens.
-func (b *TokenBlocker) Block(tableA, tableB []entity.Record) []entity.Pair {
-	return blockByIndex(tableA, tableB, b, b.minSharedOrDefault(), b.MaxPostings)
-}
-
-// BlockStream implements StreamBlocker.
+// BlockStream implements Blocker with an inverted index over tokens.
 func (b *TokenBlocker) BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
 	return streamByIndex(ctx, tableA, tableB, b, b.minSharedOrDefault(), b.MaxPostings)
-}
-
-// QGramBlocker pairs records sharing at least MinShared q-grams on the key
-// attribute, surviving token-level typos that defeat TokenBlocker.
-type QGramBlocker struct {
-	// Attr is the blocking key attribute; empty means all attributes.
-	Attr string
-	// Q is the gram size (default 3).
-	Q int
-	// MinShared is the minimum number of shared grams (default 2).
-	MinShared int
-	// MaxPostings caps per-gram list length. Zero means 256.
-	MaxPostings int
-}
-
-// settings resolves the configured minimum shared grams and posting cap
-// with their defaults (the gram size default lives in newTermer).
-func (b *QGramBlocker) settings() (minShared, maxPost int) {
-	minShared = b.MinShared
-	if minShared < 1 {
-		minShared = 2
-	}
-	maxPost = b.MaxPostings
-	if maxPost <= 0 {
-		maxPost = 256
-	}
-	return minShared, maxPost
-}
-
-// Block implements Blocker.
-func (b *QGramBlocker) Block(tableA, tableB []entity.Record) []entity.Pair {
-	minShared, maxPost := b.settings()
-	return blockByIndex(tableA, tableB, b, minShared, maxPost)
-}
-
-// qgramTermer extracts a record's distinct q-gram signature hashes.
-type qgramTermer struct {
-	attr string
-	bld  *profile.Builder
-}
-
-func (b *QGramBlocker) newTermer(in *profile.Interner) termer {
-	q := b.Q
-	if q <= 0 {
-		q = 3
-	}
-	return &qgramTermer{attr: b.Attr, bld: profile.NewBuilder(in, q)}
-}
-
-func (t *qgramTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
-	return append(dst, t.bld.GramHashes(keyText(t.attr, r))...)
-}
-
-// BlockStream implements StreamBlocker.
-func (b *QGramBlocker) BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
-	minShared, maxPost := b.settings()
-	return streamByIndex(ctx, tableA, tableB, b, minShared, maxPost)
 }

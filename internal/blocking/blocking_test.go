@@ -25,7 +25,7 @@ func TestTokenBlockerFindsSharedTokens(t *testing.T) {
 		rec("b2", "title", "dell xps laptop"),
 	}
 	b := &TokenBlocker{Attr: "title", MinShared: 1}
-	pairs := b.Block(ta, tb)
+	pairs := collect(t, b, ta, tb)
 	if len(pairs) != 1 {
 		t.Fatalf("candidates = %d, want 1", len(pairs))
 	}
@@ -41,7 +41,7 @@ func TestTokenBlockerMinShared(t *testing.T) {
 		rec("b2", "title", "apple iphone 14"),   // shares 2 tokens
 	}
 	b := &TokenBlocker{Attr: "title", MinShared: 2}
-	pairs := b.Block(ta, tb)
+	pairs := collect(t, b, ta, tb)
 	if len(pairs) != 1 || pairs[0].B.ID != "b2" {
 		t.Errorf("MinShared=2 candidates = %v", pairs)
 	}
@@ -50,9 +50,9 @@ func TestTokenBlockerMinShared(t *testing.T) {
 func TestTokenBlockerStopTokens(t *testing.T) {
 	ta := []entity.Record{rec("a1", "title", "the apple device")}
 	tb := []entity.Record{rec("b1", "title", "the samsung device pro")}
-	without := (&TokenBlocker{Attr: "title", MinShared: 1}).Block(ta, tb)
-	with := (&TokenBlocker{Attr: "title", MinShared: 1,
-		StopTokens: map[string]bool{"the": true, "device": true}}).Block(ta, tb)
+	without := collect(t, &TokenBlocker{Attr: "title", MinShared: 1}, ta, tb)
+	with := collect(t, &TokenBlocker{Attr: "title", MinShared: 1,
+		StopTokens: map[string]bool{"the": true, "device": true}}, ta, tb)
 	if len(without) != 1 {
 		t.Fatalf("baseline candidates = %d", len(without))
 	}
@@ -68,7 +68,7 @@ func TestTokenBlockerMaxPostings(t *testing.T) {
 		tb = append(tb, rec("b"+string(rune('a'+i)), "title", "common"))
 	}
 	b := &TokenBlocker{Attr: "title", MinShared: 1, MaxPostings: 10}
-	if pairs := b.Block(ta, tb); len(pairs) != 0 {
+	if pairs := collect(t, b, ta, tb); len(pairs) != 0 {
 		t.Errorf("over-frequent token survived: %d pairs", len(pairs))
 	}
 }
@@ -77,7 +77,7 @@ func TestTokenBlockerAllAttrs(t *testing.T) {
 	ta := []entity.Record{rec("a1", "name", "x", "brand", "acme")}
 	tb := []entity.Record{rec("b1", "name", "y", "brand", "acme")}
 	b := &TokenBlocker{MinShared: 1}
-	if pairs := b.Block(ta, tb); len(pairs) != 1 {
+	if pairs := collect(t, b, ta, tb); len(pairs) != 1 {
 		t.Errorf("all-attr blocking missed brand overlap: %d", len(pairs))
 	}
 }
@@ -90,34 +90,12 @@ func TestTokenBlockerDeterministicOrder(t *testing.T) {
 		rec("b2", "title", "widget three"),
 	}
 	b := &TokenBlocker{Attr: "title", MinShared: 1}
-	p1 := b.Block(ta, tb)
-	p2 := b.Block(ta, tb)
+	p1 := collect(t, b, ta, tb)
+	p2 := collect(t, b, ta, tb)
 	for i := range p1 {
 		if p1[i].Key() != p2[i].Key() {
 			t.Fatal("non-deterministic order")
 		}
-	}
-}
-
-func TestQGramBlockerSurvivesTypo(t *testing.T) {
-	ta := []entity.Record{rec("a1", "title", "panasonic")}
-	tb := []entity.Record{rec("b1", "title", "panasonc")} // typo, zero shared tokens
-	tok := &TokenBlocker{Attr: "title", MinShared: 1}
-	if pairs := tok.Block(ta, tb); len(pairs) != 0 {
-		t.Fatal("token blocker unexpectedly matched typo")
-	}
-	qg := &QGramBlocker{Attr: "title", Q: 3, MinShared: 3}
-	if pairs := qg.Block(ta, tb); len(pairs) != 1 {
-		t.Errorf("qgram blocker missed typo pair: %d", len(pairs))
-	}
-}
-
-func TestQGramBlockerDefaults(t *testing.T) {
-	ta := []entity.Record{rec("a1", "title", "hello world")}
-	tb := []entity.Record{rec("b1", "title", "hello word")}
-	b := &QGramBlocker{Attr: "title"}
-	if pairs := b.Block(ta, tb); len(pairs) != 1 {
-		t.Errorf("default qgram blocker = %d pairs", len(pairs))
 	}
 }
 

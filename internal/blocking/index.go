@@ -31,7 +31,7 @@ type termSource interface {
 }
 
 // termer extracts the distinct index terms of one record — interned
-// token IDs, q-gram signature hashes, or LSH band keys — as uint64s.
+// token IDs or LSH band keys — as uint64s.
 // Implementations must emit each term at most once per record; term
 // order is irrelevant. A termer is single-goroutine.
 type termer interface {
@@ -93,6 +93,13 @@ func (ix *invertedIndex) lookup(term uint64) []termPost {
 	return ix.posts[lo:hi]
 }
 
+// minIndexChunk is the fewest rows one index-build worker takes. Workers
+// scale to the table, not the machine: each should own a meaningful
+// chunk of rows, otherwise small tables on many-core hosts pay
+// per-worker setup for sub-millisecond work. Only tests change it, to
+// force a parallel build on small tables.
+var minIndexChunk = 1024
+
 // buildIndex constructs the inverted index over table: contiguous row
 // chunks are profiled concurrently — each worker owning its own
 // termer/builder scratch over the shared interner — into chunk-local
@@ -100,11 +107,7 @@ func (ix *invertedIndex) lookup(term uint64) []termPost {
 // sorted by (term, row). Within a term, rows come out ascending, exactly
 // as a sequential index build would produce.
 func buildIndex(table []entity.Record, src termSource, in *profile.Interner, maxPostings int) *invertedIndex {
-	// Scale workers to the table, not the machine: each worker should own
-	// a meaningful chunk of rows, otherwise small tables on many-core
-	// hosts pay per-worker setup for sub-millisecond work.
-	const minChunk = 1024
-	workers := (len(table) + minChunk - 1) / minChunk
+	workers := (len(table) + minIndexChunk - 1) / minIndexChunk
 	if p := runtime.GOMAXPROCS(0); workers > p {
 		workers = p
 	}

@@ -3,11 +3,9 @@ package blocking
 import (
 	"context"
 	"iter"
-	"sort"
 
 	"batcher/internal/entity"
 	"batcher/internal/profile"
-	"batcher/internal/strsim"
 )
 
 // MinHashBlocker pairs records whose token sets collide in at least one
@@ -56,7 +54,7 @@ func (b *MinHashBlocker) newTermer(in *profile.Interner) termer {
 	bands, rows := b.bands(), b.rows()
 	return &minhashTermer{
 		attr:  b.Attr,
-		bld:   profile.NewBuilder(in, 0),
+		bld:   profile.NewBuilder(in),
 		sig:   make([]uint64, bands*rows),
 		bands: bands,
 		rows:  rows,
@@ -103,131 +101,9 @@ func (t *minhashTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
 	return dst
 }
 
-// Block implements Blocker.
-func (b *MinHashBlocker) Block(tableA, tableB []entity.Record) []entity.Pair {
-	return blockByIndex(tableA, tableB, b, 1, 0)
-}
-
-// BlockStream implements StreamBlocker: any band collision (minShared 1)
+// BlockStream implements Blocker: any band collision (minShared 1)
 // makes a candidate, with no posting cap — an over-full bucket is the
 // S-curve speaking, not an indexing artifact.
 func (b *MinHashBlocker) BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
 	return streamByIndex(ctx, tableA, tableB, b, 1, 0)
-}
-
-// SortedNeighborhood implements the classic sorted-neighborhood blocker:
-// both tables are merged, sorted by a key derived from the blocking
-// attribute, and a fixed-size window slides over the sorted order pairing
-// cross-table records that fall within it. Robust to moderate key noise
-// when the sort key uses a prefix.
-type SortedNeighborhood struct {
-	// Attr is the blocking key attribute; empty means all attributes.
-	Attr string
-	// Window is the sliding window size (default 5).
-	Window int
-	// KeyPrefix truncates the sort key to this many bytes (default 8);
-	// shorter prefixes tolerate more suffix noise.
-	KeyPrefix int
-}
-
-// Block implements Blocker. It calls the sort-and-slide core directly
-// rather than collecting BlockStream, so no context is manufactured on
-// a path whose callers have none to offer.
-func (s *SortedNeighborhood) Block(tableA, tableB []entity.Record) []entity.Pair {
-	return s.block(tableA, tableB)
-}
-
-// BlockStream implements StreamBlocker. Sorted neighborhood's output
-// contract orders pairs globally by Key, so the pair set is materialized
-// and sorted before the first yield — unlike the index blockers, its
-// peak memory is O(candidates). Streaming still lets downstream stages
-// start early and honors cancellation between yields.
-func (s *SortedNeighborhood) BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
-	return func(yield func(entity.Pair, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(entity.Pair{}, err)
-			return
-		}
-		yieldPairs(ctx, s.block(tableA, tableB), yield)
-	}
-}
-
-// block generates the sorted, deduplicated pair slice.
-func (s *SortedNeighborhood) block(tableA, tableB []entity.Record) []entity.Pair {
-	window := s.Window
-	if window <= 0 {
-		window = 5
-	}
-	prefix := s.KeyPrefix
-	if prefix <= 0 {
-		prefix = 8
-	}
-	type entry struct {
-		key   string
-		idx   int
-		fromA bool
-	}
-	// The sort key is the record's tokens, lexicographically sorted and
-	// concatenated, truncated to the prefix. Unlike the index blockers,
-	// no interner helps here — each record's key is consumed once — so
-	// the key builder just reuses a byte scratch for the join instead of
-	// allocating one intermediate string per token.
-	var buf []byte
-	key := func(r entity.Record) string {
-		toks := strsim.Tokenize(keyText(s.Attr, r))
-		sort.Strings(toks)
-		buf = buf[:0]
-		for _, t := range toks {
-			buf = append(buf, t...)
-			if len(buf) >= prefix {
-				break
-			}
-		}
-		if len(buf) > prefix {
-			buf = buf[:prefix]
-		}
-		return string(buf)
-	}
-	entries := make([]entry, 0, len(tableA)+len(tableB))
-	for i, r := range tableA {
-		entries = append(entries, entry{key: key(r), idx: i, fromA: true})
-	}
-	for j, r := range tableB {
-		entries = append(entries, entry{key: key(r), idx: j, fromA: false})
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].key != entries[j].key {
-			return entries[i].key < entries[j].key
-		}
-		// Table A first within equal keys for determinism.
-		return entries[i].fromA && !entries[j].fromA
-	})
-	seen := make(map[string]bool)
-	var pairs []entity.Pair
-	for i, e := range entries {
-		if !e.fromA {
-			continue
-		}
-		lo := i - window + 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		for k := lo; k < hi; k++ {
-			other := entries[k]
-			if other.fromA {
-				continue
-			}
-			p := entity.Pair{A: tableA[e.idx], B: tableB[other.idx], Truth: entity.Unknown}
-			if !seen[p.Key()] {
-				seen[p.Key()] = true
-				pairs = append(pairs, p)
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key() < pairs[j].Key() })
-	return pairs
 }

@@ -18,7 +18,7 @@ func TestMinHashBlockerFindsSimilarSets(t *testing.T) {
 	// 16 bands x 2 rows puts the S-curve threshold low enough that a
 	// Jaccard-0.7 pair collides with near certainty.
 	b := &MinHashBlocker{Attr: "title", Bands: 16, Rows: 2}
-	pairs := b.Block(ta, tb)
+	pairs := collect(t, b, ta, tb)
 	found := map[string]bool{}
 	for _, p := range pairs {
 		found[p.B.ID] = true
@@ -63,7 +63,7 @@ func TestMinHashBlockerSCurve(t *testing.T) {
 			}
 			ta := []entity.Record{rec("a", "title", makeTitle(base, 10))}
 			tb := []entity.Record{rec("b", "title", makeTitle(base, overlap))}
-			if len(b.Block(ta, tb)) > 0 {
+			if len(collect(t, b, ta, tb)) > 0 {
 				hits++
 			}
 		}
@@ -82,8 +82,8 @@ func TestMinHashBlockerDeterministic(t *testing.T) {
 	d, _ := datagen.GenerateByName("Beer", 1)
 	ta, tb := d.TableA[:50], d.TableB[:50]
 	b := &MinHashBlocker{Attr: "beer_name"}
-	p1 := b.Block(ta, tb)
-	p2 := b.Block(ta, tb)
+	p1 := collect(t, b, ta, tb)
+	p2 := collect(t, b, ta, tb)
 	if len(p1) != len(p2) {
 		t.Fatal("non-deterministic candidate count")
 	}
@@ -96,78 +96,13 @@ func TestMinHashBlockerDeterministic(t *testing.T) {
 
 func TestMinHashBlockerEmptyTables(t *testing.T) {
 	b := &MinHashBlocker{}
-	if pairs := b.Block(nil, nil); len(pairs) != 0 {
+	if pairs := collect(t, b, nil, nil); len(pairs) != 0 {
 		t.Errorf("empty tables produced %d pairs", len(pairs))
 	}
 }
 
-func TestSortedNeighborhoodFindsNearKeys(t *testing.T) {
-	ta := []entity.Record{rec("a1", "name", "golden dragon")}
-	tb := []entity.Record{
-		rec("b1", "name", "golden dragon uptown"),
-		rec("b2", "name", "zzz totally unrelated zzz"),
-	}
-	s := &SortedNeighborhood{Attr: "name", Window: 3}
-	pairs := s.Block(ta, tb)
-	found := map[string]bool{}
-	for _, p := range pairs {
-		found[p.B.ID] = true
-	}
-	if !found["b1"] {
-		t.Error("adjacent key pair missed")
-	}
-}
-
-func TestSortedNeighborhoodWindowLimits(t *testing.T) {
-	// Many B records between A and its twin push the twin outside a
-	// window of 1 but not a window of 50.
-	var tb []entity.Record
-	for i := 0; i < 20; i++ {
-		tb = append(tb, rec(fmt.Sprintf("b%02d", i), "name", fmt.Sprintf("m%02d filler", i)))
-	}
-	tb = append(tb, rec("btwin", "name", "zz target zz"))
-	ta := []entity.Record{rec("a1", "name", "zz target zz")}
-	narrow := (&SortedNeighborhood{Attr: "name", Window: 1}).Block(ta, tb)
-	wide := (&SortedNeighborhood{Attr: "name", Window: 50}).Block(ta, tb)
-	if len(wide) <= len(narrow) {
-		t.Errorf("wider window should produce more candidates: %d vs %d", len(wide), len(narrow))
-	}
-	foundTwin := false
-	for _, p := range wide {
-		if p.B.ID == "btwin" {
-			foundTwin = true
-		}
-	}
-	if !foundTwin {
-		t.Error("wide window missed the identical-key twin")
-	}
-}
-
-func TestSortedNeighborhoodTokenOrderInsensitive(t *testing.T) {
-	// The sort key uses sorted tokens, so reordering survives.
-	ta := []entity.Record{rec("a1", "name", "dragon golden")}
-	tb := []entity.Record{rec("b1", "name", "golden dragon")}
-	s := &SortedNeighborhood{Attr: "name", Window: 2}
-	if pairs := s.Block(ta, tb); len(pairs) != 1 {
-		t.Errorf("token-reordered twin missed: %d pairs", len(pairs))
-	}
-}
-
-func TestSortedNeighborhoodNoDuplicates(t *testing.T) {
-	d, _ := datagen.GenerateByName("Beer", 2)
-	s := &SortedNeighborhood{Attr: "beer_name", Window: 6}
-	pairs := s.Block(d.TableA[:80], d.TableB[:80])
-	seen := map[string]bool{}
-	for _, p := range pairs {
-		if seen[p.Key()] {
-			t.Fatalf("duplicate candidate %s", p.Key())
-		}
-		seen[p.Key()] = true
-	}
-}
-
 func TestBlockersOnBenchmarkRecall(t *testing.T) {
-	// All three blockers should recover a healthy share of true matches
+	// Both blockers should recover a healthy share of true matches
 	// on an easy benchmark clone.
 	d, _ := datagen.GenerateByName("FZ", 1)
 	gold := map[string]bool{}
@@ -179,10 +114,9 @@ func TestBlockersOnBenchmarkRecall(t *testing.T) {
 	blockers := map[string]Blocker{
 		"token":   &TokenBlocker{Attr: "name", MinShared: 1},
 		"minhash": &MinHashBlocker{Attr: "name", Bands: 16, Rows: 2},
-		"snm":     &SortedNeighborhood{Attr: "name", Window: 10},
 	}
 	for name, b := range blockers {
-		cands := b.Block(d.TableA, d.TableB)
+		cands := collect(t, b, d.TableA, d.TableB)
 		stats := Evaluate(cands, gold, len(d.TableA), len(d.TableB))
 		if stats.PairCompleteness < 0.5 {
 			t.Errorf("%s: pair completeness %.2f, want >= 0.5", name, stats.PairCompleteness)
@@ -199,16 +133,6 @@ func BenchmarkMinHashBlocker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blocker.Block(d.TableA, d.TableB)
-	}
-}
-
-func BenchmarkSortedNeighborhood(b *testing.B) {
-	d, _ := datagen.GenerateByName("Beer", 1)
-	blocker := &SortedNeighborhood{Attr: "beer_name"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blocker.Block(d.TableA, d.TableB)
+		collect(b, blocker, d.TableA, d.TableB)
 	}
 }

@@ -9,75 +9,6 @@ import (
 	"batcher/internal/profile"
 )
 
-// StreamBlocker is a Blocker that can also yield its candidate pairs
-// incrementally. BlockStream produces exactly the pairs of Block, in the
-// same order, but one at a time — peak memory stays bounded by the
-// blocker's index over tableB instead of the full candidate set, and the
-// consumer can overlap downstream work (LLM matching) with generation.
-//
-// The sequence yields a non-nil error and stops if ctx is cancelled
-// mid-generation; otherwise every element carries a nil error. Breaking
-// out of the range loop simply abandons the stream (no cleanup needed).
-type StreamBlocker interface {
-	Blocker
-	BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error]
-}
-
-// Stream returns b's native streaming path when it implements
-// StreamBlocker, and otherwise adapts b.Block by materializing the full
-// candidate slice once and yielding from it. The adapter keeps legacy
-// third-party Blockers usable in streaming pipelines, at their old
-// memory cost.
-func Stream(ctx context.Context, b Blocker, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
-	if sb, ok := b.(StreamBlocker); ok {
-		return sb.BlockStream(ctx, tableA, tableB)
-	}
-	return func(yield func(entity.Pair, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(entity.Pair{}, err)
-			return
-		}
-		yieldPairs(ctx, b.Block(tableA, tableB), yield)
-	}
-}
-
-// yieldPairs streams a materialized pair slice, checking cancellation
-// between yields. Shared by the legacy-Blocker adapter and blockers
-// whose output contract forces materialization (sorted neighborhood).
-func yieldPairs(ctx context.Context, pairs []entity.Pair, yield func(entity.Pair, error) bool) {
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			yield(entity.Pair{}, err)
-			return
-		}
-		if !yield(p, nil) {
-			return
-		}
-	}
-}
-
-// Collect drains a candidate stream into a slice, stopping at the first
-// error. It is the inverse of Stream: Collect(b.BlockStream(ctx, a, b))
-// equals b.Block(a, b) for every StreamBlocker in this package.
-func Collect(seq iter.Seq2[entity.Pair, error]) ([]entity.Pair, error) {
-	var pairs []entity.Pair
-	for p, err := range seq {
-		if err != nil {
-			return pairs, err
-		}
-		pairs = append(pairs, p)
-	}
-	return pairs, nil
-}
-
-// collectAll implements the legacy Block contract on top of a stream:
-// with a background context the stream cannot fail, so the error is
-// ignored by construction.
-func collectAll(seq iter.Seq2[entity.Pair, error]) []entity.Pair {
-	pairs, _ := Collect(seq)
-	return pairs
-}
-
 // indexMatcher is the per-call state of the inverted-index blockers:
 // the index over tableB, a termer over the shared per-call interner for
 // profiling tableA rows, and dense reused scratch. counts[j] is the
@@ -136,7 +67,7 @@ func (m *indexMatcher) rowCandidates(ra entity.Record) []int32 {
 }
 
 // streamByIndex is the shared streaming candidate generator behind the
-// inverted-index blockers (token, q-gram, MinHash): it indexes tableB
+// inverted-index blockers (token, MinHash): it indexes tableB
 // once, then walks tableA row by row yielding that row's candidates in
 // ascending row order. Cancellation is checked once per tableA row.
 func streamByIndex(ctx context.Context, tableA, tableB []entity.Record, src termSource, minShared, maxPostings int) iter.Seq2[entity.Pair, error] {
@@ -158,33 +89,4 @@ func streamByIndex(ctx context.Context, tableA, tableB []entity.Record, src term
 			}
 		}
 	}
-}
-
-// blockByIndex is the materializing Block path of the index blockers.
-// It produces exactly streamByIndex's pairs in the same order, but
-// collects row-index pairs packed into uint64s first and sizes the
-// final pair slice exactly once — the dominant allocation of a large
-// Block call is the result itself, not append-growth waste.
-func blockByIndex(tableA, tableB []entity.Record, src termSource, minShared, maxPostings int) []entity.Pair {
-	m := newIndexMatcher(tableB, src, minShared, maxPostings)
-	var packed chunks[uint64]
-	for i, ra := range tableA {
-		for _, j := range m.rowCandidates(ra) {
-			packed.append(uint64(i)<<32 | uint64(uint32(j)))
-		}
-	}
-	if packed.n == 0 {
-		return nil
-	}
-	pairs := make([]entity.Pair, 0, packed.n)
-	emit := func(blk []uint64) {
-		for _, pk := range blk {
-			pairs = append(pairs, entity.Pair{A: tableA[pk>>32], B: tableB[uint32(pk)], Truth: entity.Unknown})
-		}
-	}
-	for _, blk := range packed.full {
-		emit(blk)
-	}
-	emit(packed.cur)
-	return pairs
 }

@@ -3,26 +3,100 @@ package blocking
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
+	"batcher/internal/profile"
 )
 
-// streamBlockers returns one configured instance of each blocker, all of
-// which must implement StreamBlocker.
-func streamBlockers() map[string]StreamBlocker {
-	return map[string]StreamBlocker{
-		"token":        &TokenBlocker{Attr: "title", MinShared: 1},
-		"token-capped": &TokenBlocker{MinShared: 2, MaxPostings: 8, StopTokens: map[string]bool{"the": true}},
-		"qgram":        &QGramBlocker{Attr: "title"},
-		"qgram-tight":  &QGramBlocker{Attr: "title", Q: 2, MinShared: 3, MaxPostings: 32},
-		"minhash":      &MinHashBlocker{Attr: "title", Bands: 16, Rows: 2},
-		"minhash-seed": &MinHashBlocker{Seed: 7},
-		"snm":          &SortedNeighborhood{Attr: "title", Window: 4},
-		"snm-allattrs": &SortedNeighborhood{Window: 7, KeyPrefix: 5},
+// drain collects a candidate stream, stopping at the first error.
+func drain(seq iter.Seq2[entity.Pair, error]) ([]entity.Pair, error) {
+	var pairs []entity.Pair
+	for p, err := range seq {
+		if err != nil {
+			return pairs, err
+		}
+		pairs = append(pairs, p)
 	}
+	return pairs, nil
+}
+
+// collect drains b's stream under a live context, failing on an error.
+func collect(t testing.TB, b Blocker, tableA, tableB []entity.Record) []entity.Pair {
+	t.Helper()
+	pairs, err := drain(b.BlockStream(context.Background(), tableA, tableB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs
+}
+
+// indexBlocker is a blocker built on the shared inverted-index core.
+type indexBlocker interface {
+	Blocker
+	termSource
+}
+
+// refCase is one configured blocker with the minShared and posting cap
+// its BlockStream resolves to.
+type refCase struct {
+	b                      indexBlocker
+	minShared, maxPostings int
+}
+
+// streamBlockers returns one configured instance of each blocker shape.
+func streamBlockers() map[string]refCase {
+	return map[string]refCase{
+		"token":        {&TokenBlocker{Attr: "title", MinShared: 1}, 1, 0},
+		"token-capped": {&TokenBlocker{MinShared: 2, MaxPostings: 8, StopTokens: map[string]bool{"the": true}}, 2, 8},
+		"token-stop":   {&TokenBlocker{Attr: "title", StopTokens: map[string]bool{"w01": true, "w02": true, "W03": true}}, 1, 0},
+		"minhash":      {&MinHashBlocker{Attr: "title", Bands: 16, Rows: 2}, 1, 0},
+		"minhash-seed": {&MinHashBlocker{Seed: 7}, 1, 0},
+	}
+}
+
+// refBlock is the brute-force reference for the index blockers: a
+// nested loop over every (row A, row B) pair in order, over each
+// record's terms from the blocker's own termer. A term counts toward
+// minShared only when at most maxPostings tableB rows hold it (zero
+// means no cap), as the inverted index drops longer posting lists.
+func refBlock(c refCase, tableA, tableB []entity.Record) []entity.Pair {
+	tr := c.b.newTermer(profile.NewInterner())
+	terms := func(r entity.Record) map[uint64]bool {
+		set := map[uint64]bool{}
+		for _, t := range tr.appendTerms(r, nil) {
+			set[t] = true
+		}
+		return set
+	}
+	rowsB := make([]map[uint64]bool, len(tableB))
+	postings := map[uint64]int{}
+	for j, r := range tableB {
+		rowsB[j] = terms(r)
+		for t := range rowsB[j] {
+			postings[t]++
+		}
+	}
+	var out []entity.Pair
+	for _, ra := range tableA {
+		rowA := terms(ra)
+		for j, rb := range tableB {
+			shared := 0
+			for t := range rowA {
+				if rowsB[j][t] && (c.maxPostings <= 0 || postings[t] <= c.maxPostings) {
+					shared++
+				}
+			}
+			if shared >= c.minShared {
+				out = append(out, entity.Pair{A: ra, B: rb, Truth: entity.Unknown})
+			}
+		}
+	}
+	return out
 }
 
 // randomTables builds two synthetic tables with overlapping vocabulary so
@@ -51,10 +125,20 @@ func randomTables(seed int64, nA, nB int) ([]entity.Record, []entity.Record) {
 	return makeTable("a", nA), makeTable("b", nB)
 }
 
-// TestBlockStreamMatchesBlock is the core streaming property: for every
-// blocker, BlockStream yields exactly the pairs of Block, in the same
-// order, on randomized and benchmark-shaped tables.
-func TestBlockStreamMatchesBlock(t *testing.T) {
+// withIndexChunk runs f with the index build split into chunks of the
+// given row count.
+func withIndexChunk(chunk int, f func()) {
+	saved := minIndexChunk
+	minIndexChunk = chunk
+	defer func() { minIndexChunk = saved }()
+	f()
+}
+
+// TestBlockStreamMatchesBruteForce pins every blocker's stream to the
+// nested-loop reference — same pairs, same (row A, row B) order — on
+// randomized, benchmark-shaped and empty tables, with the tableB index
+// built by one worker and by GOMAXPROCS workers.
+func TestBlockStreamMatchesBruteForce(t *testing.T) {
 	d, err := datagen.GenerateByName("Beer", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -69,25 +153,29 @@ func TestBlockStreamMatchesBlock(t *testing.T) {
 	cases["emptyA"] = tables{nil, d.TableB[:10]}
 	cases["emptyB"] = tables{d.TableA[:10], nil}
 
-	for bname, blocker := range streamBlockers() {
-		for cname, tb := range cases {
-			// Benchmark tables have no "title" attribute; attr-specific
-			// blockers then key on the empty string, which is still a
-			// valid (if degenerate) equivalence case.
-			want := blocker.Block(tb.a, tb.b)
-			got, err := Collect(blocker.BlockStream(context.Background(), tb.a, tb.b))
-			if err != nil {
-				t.Fatalf("%s/%s: stream error: %v", bname, cname, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: stream yielded %d pairs, Block returned %d", bname, cname, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Key() != want[i].Key() || got[i].Truth != want[i].Truth {
-					t.Fatalf("%s/%s: pair %d differs: stream %s, Block %s", bname, cname, i, got[i].Key(), want[i].Key())
+	// A chunk of one row gives every table here min(rows, GOMAXPROCS)
+	// workers; a chunk larger than any table gives one.
+	workers := map[string]int{"1worker": 1 << 30, fmt.Sprintf("%dworkers", runtime.GOMAXPROCS(0)): 1}
+	for wname, chunk := range workers {
+		withIndexChunk(chunk, func() {
+			for bname, c := range streamBlockers() {
+				for cname, tb := range cases {
+					// Benchmark tables have no "title" attribute; attr-specific
+					// blockers then key on the empty string, which is still a
+					// valid (if degenerate) case.
+					want := refBlock(c, tb.a, tb.b)
+					got := collect(t, c.b, tb.a, tb.b)
+					if len(got) != len(want) {
+						t.Fatalf("%s/%s/%s: stream yielded %d pairs, reference %d", wname, bname, cname, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Key() != want[i].Key() || got[i].Truth != want[i].Truth {
+							t.Fatalf("%s/%s/%s: pair %d differs: stream %s, reference %s", wname, bname, cname, i, got[i].Key(), want[i].Key())
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -96,8 +184,9 @@ func TestBlockStreamMatchesBlock(t *testing.T) {
 // unaffected by the abandoned one.
 func TestBlockStreamEarlyBreak(t *testing.T) {
 	ta, tb := randomTables(5, 40, 40)
-	for name, blocker := range streamBlockers() {
-		full := blocker.Block(ta, tb)
+	for name, c := range streamBlockers() {
+		blocker := c.b
+		full := collect(t, blocker, ta, tb)
 		if len(full) < 2 {
 			continue
 		}
@@ -114,7 +203,7 @@ func TestBlockStreamEarlyBreak(t *testing.T) {
 				break
 			}
 		}
-		again, err := Collect(blocker.BlockStream(context.Background(), ta, tb))
+		again, err := drain(blocker.BlockStream(context.Background(), ta, tb))
 		if err != nil || len(again) != len(full) {
 			t.Fatalf("%s: stream after abandoned stream: %d pairs, err %v", name, len(again), err)
 		}
@@ -126,8 +215,9 @@ func TestBlockStreamEarlyBreak(t *testing.T) {
 // instead of running to completion.
 func TestBlockStreamCancelMidStream(t *testing.T) {
 	ta, tb := randomTables(6, 50, 50)
-	for name, blocker := range streamBlockers() {
-		full := blocker.Block(ta, tb)
+	for name, c := range streamBlockers() {
+		blocker := c.b
+		full := collect(t, blocker, ta, tb)
 		if len(full) < 3 {
 			continue
 		}
@@ -152,7 +242,7 @@ func TestBlockStreamCancelMidStream(t *testing.T) {
 		if len(got) >= len(full) {
 			t.Fatalf("%s: cancellation did not stop generation (%d pairs)", name, len(got))
 		}
-		// The yielded prefix must still match Block's order.
+		// The yielded prefix must still match the full stream's order.
 		for i, p := range got {
 			if p.Key() != full[i].Key() {
 				t.Fatalf("%s: prefix pair %d = %s, want %s", name, i, p.Key(), full[i].Key())
@@ -167,8 +257,8 @@ func TestBlockStreamPreCancelled(t *testing.T) {
 	ta, tb := randomTables(7, 20, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, blocker := range streamBlockers() {
-		pairs, err := Collect(blocker.BlockStream(ctx, ta, tb))
+	for name, c := range streamBlockers() {
+		pairs, err := drain(c.b.BlockStream(ctx, ta, tb))
 		if err != context.Canceled {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -178,65 +268,20 @@ func TestBlockStreamPreCancelled(t *testing.T) {
 	}
 }
 
-// TestStreamAdapterForLegacyBlockers verifies Stream falls back to Block
-// for a Blocker that lacks a native streaming path.
-type legacyOnlyBlocker struct{ inner Blocker }
-
-func (l legacyOnlyBlocker) Block(a, b []entity.Record) []entity.Pair { return l.inner.Block(a, b) }
-
-func TestStreamAdapterForLegacyBlockers(t *testing.T) {
-	ta, tb := randomTables(8, 30, 30)
-	inner := &TokenBlocker{Attr: "title", MinShared: 1}
-	want := inner.Block(ta, tb)
-	got, err := Collect(Stream(context.Background(), legacyOnlyBlocker{inner}, ta, tb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("adapter yielded %d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Key() != want[i].Key() {
-			t.Fatalf("adapter pair %d = %s, want %s", i, got[i].Key(), want[i].Key())
-		}
-	}
-	// The adapter must also honor cancellation.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Collect(Stream(ctx, legacyOnlyBlocker{inner}, ta, tb)); err != context.Canceled {
-		t.Fatalf("adapter pre-cancel err = %v", err)
-	}
-	// And prefer the native path when present.
-	n := 0
-	for _, err := range Stream(context.Background(), inner, ta, tb) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(want) {
-		t.Fatalf("native path yielded %d pairs, want %d", n, len(want))
-	}
-}
-
 // TestParallelIndexDeterministic re-blocks a larger table repeatedly: the
 // sharded parallel index build must never change candidate order.
 func TestParallelIndexDeterministic(t *testing.T) {
 	ta, tb := randomTables(9, 300, 400)
-	for name, blocker := range map[string]StreamBlocker{
-		"token": &TokenBlocker{Attr: "title", MinShared: 1, MaxPostings: 64},
-		"qgram": &QGramBlocker{Attr: "title"},
-	} {
-		base := blocker.Block(ta, tb)
-		for run := 0; run < 3; run++ {
-			again := blocker.Block(ta, tb)
-			if len(again) != len(base) {
-				t.Fatalf("%s: run %d produced %d pairs, want %d", name, run, len(again), len(base))
-			}
-			for i := range base {
-				if base[i].Key() != again[i].Key() {
-					t.Fatalf("%s: run %d pair %d differs", name, run, i)
-				}
+	blocker := &TokenBlocker{Attr: "title", MinShared: 1, MaxPostings: 64}
+	base := collect(t, blocker, ta, tb)
+	for run := 0; run < 3; run++ {
+		again := collect(t, blocker, ta, tb)
+		if len(again) != len(base) {
+			t.Fatalf("run %d produced %d pairs, want %d", run, len(again), len(base))
+		}
+		for i := range base {
+			if base[i].Key() != again[i].Key() {
+				t.Fatalf("run %d pair %d differs", run, i)
 			}
 		}
 	}

@@ -134,7 +134,10 @@ func TestBootstrapLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlabeled := entity.WithoutLabels(d.Pairs[:200])
+	unlabeled := append([]entity.Pair(nil), d.Pairs[:200]...)
+	for i := range unlabeled {
+		unlabeled[i].Truth = entity.Unknown
+	}
 	boot := BootstrapLabels(unlabeled)
 	if len(boot) != len(unlabeled) {
 		t.Fatalf("length changed: %d -> %d", len(unlabeled), len(boot))

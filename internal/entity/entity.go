@@ -224,16 +224,3 @@ func Labels(pairs []Pair) []Label {
 	}
 	return out
 }
-
-// WithoutLabels returns a copy of pairs with Truth reset to Unknown.
-// BATCHER's unlabeled demonstration pool is produced this way: labels exist
-// in the benchmark, but the framework must not observe them until a pair is
-// explicitly "annotated".
-func WithoutLabels(pairs []Pair) []Pair {
-	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		p.Truth = Unknown
-		out[i] = p
-	}
-	return out
-}

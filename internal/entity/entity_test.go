@@ -204,20 +204,6 @@ func TestInterleaveMixesClasses(t *testing.T) {
 	}
 }
 
-func TestWithoutLabels(t *testing.T) {
-	pairs := makePairs(3, 3)
-	un := WithoutLabels(pairs)
-	for _, p := range un {
-		if p.Truth != Unknown {
-			t.Fatalf("pair %s still labeled %v", p.Key(), p.Truth)
-		}
-	}
-	// Originals must be untouched.
-	if pairs[0].Truth != Match {
-		t.Error("WithoutLabels mutated input")
-	}
-}
-
 func TestDatasetMatchesAndNumAttrs(t *testing.T) {
 	d := &Dataset{
 		Name:   "T",

@@ -96,7 +96,7 @@ func NewProfiles(ex Extractor) *Profiles {
 	}
 	return &Profiles{
 		opts: opts,
-		bld:  profile.NewBuilder(in, 0),
+		bld:  profile.NewBuilder(in),
 		a:    make(map[string]profEntry),
 		b:    make(map[string]profEntry),
 	}

@@ -26,74 +26,6 @@ func sleepCtx(ctx context.Context, d time.Duration, stub func(time.Duration)) er
 	}
 }
 
-// RateLimited wraps a Client with a token-bucket limiter on requests per
-// minute, the shape proprietary APIs actually enforce. It is safe for
-// concurrent use, and a cancelled context releases a waiting caller
-// immediately instead of holding it until the bucket refills.
-type RateLimited struct {
-	inner Client
-
-	mu       sync.Mutex
-	capacity float64
-	tokens   float64
-	refill   float64 // tokens per second
-	last     time.Time
-	now      func() time.Time
-	sleep    func(time.Duration) // test stub; nil uses a ctx-aware timer
-}
-
-// NewRateLimited returns a wrapper allowing requestsPerMinute calls with a
-// burst of the same size.
-func NewRateLimited(inner Client, requestsPerMinute int) *RateLimited {
-	if requestsPerMinute <= 0 {
-		requestsPerMinute = 1
-	}
-	return &RateLimited{
-		inner:    inner,
-		capacity: float64(requestsPerMinute),
-		tokens:   float64(requestsPerMinute),
-		refill:   float64(requestsPerMinute) / 60,
-		now:      time.Now,
-	}
-}
-
-// Complete implements Client, blocking until the bucket grants a token or
-// ctx is cancelled.
-func (r *RateLimited) Complete(ctx context.Context, req Request) (Response, error) {
-	if err := r.wait(ctx); err != nil {
-		return Response{}, err
-	}
-	return r.inner.Complete(ctx, req)
-}
-
-func (r *RateLimited) wait(ctx context.Context) error {
-	for {
-		r.mu.Lock()
-		now := r.now()
-		if !r.last.IsZero() {
-			r.tokens += now.Sub(r.last).Seconds() * r.refill
-			if r.tokens > r.capacity {
-				r.tokens = r.capacity
-			}
-		}
-		r.last = now
-		if r.tokens >= 1 {
-			r.tokens--
-			r.mu.Unlock()
-			return nil
-		}
-		need := (1 - r.tokens) / r.refill
-		d := time.Duration(need * float64(time.Second))
-		r.mu.Unlock()
-		if err := sleepCtx(ctx, d, r.sleep); err != nil {
-			return err
-		}
-		// Re-check the bucket rather than admitting unconditionally:
-		// several goroutines may have slept on the same deficit, and
-		// only as many as the refill actually covers may proceed.
-	}
-}
-
 // Retrying wraps a Client with bounded, class-aware retries: any
 // non-transient error (see Transient) short-circuits after one
 // attempt, transient errors back off with seeded full jitter —

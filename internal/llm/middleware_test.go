@@ -111,63 +111,6 @@ func TestRetryingMinAttempts(t *testing.T) {
 	}
 }
 
-func TestRateLimitedAllowsBurst(t *testing.T) {
-	inner := &scripted{resps: make([]Response, 10)}
-	rl := NewRateLimited(inner, 10)
-	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	var slept time.Duration
-	rl.sleep = func(d time.Duration) { slept += d }
-	for i := 0; i < 10; i++ {
-		if _, err := rl.Complete(context.Background(), Request{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if slept != 0 {
-		t.Errorf("burst within capacity slept %v", slept)
-	}
-}
-
-func TestRateLimitedBlocksPastCapacity(t *testing.T) {
-	inner := &scripted{resps: make([]Response, 3)}
-	rl := NewRateLimited(inner, 2)
-	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	var slept time.Duration
-	rl.sleep = func(d time.Duration) {
-		slept += d
-		now = now.Add(d) // simulate the passage of time
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := rl.Complete(context.Background(), Request{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if slept <= 0 {
-		t.Error("third call within the same instant should have slept")
-	}
-}
-
-func TestRateLimitedRefills(t *testing.T) {
-	inner := &scripted{resps: make([]Response, 4)}
-	rl := NewRateLimited(inner, 60) // 1 per second refill
-	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	var slept time.Duration
-	rl.sleep = func(d time.Duration) { slept += d; now = now.Add(d) }
-	// Drain the bucket.
-	for i := 0; i < 3; i++ {
-		rl.Complete(context.Background(), Request{})
-	}
-	// Advance a minute: bucket refills fully; next call must not sleep.
-	now = now.Add(time.Minute)
-	before := slept
-	rl.Complete(context.Background(), Request{})
-	if slept != before {
-		t.Error("call after refill should not sleep")
-	}
-}
-
 func TestOpenAICompatibleHappyPath(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/chat/completions" {
@@ -283,29 +226,6 @@ func TestRetryingPreCancelledContext(t *testing.T) {
 	}
 	if inner.calls != 0 {
 		t.Errorf("calls = %d, want 0", inner.calls)
-	}
-}
-
-func TestRateLimitedReleasedByContextCancel(t *testing.T) {
-	inner := &scripted{resps: make([]Response, 2)}
-	rl := NewRateLimited(inner, 1) // 1 rpm: second call would wait ~a minute
-	now := time.Unix(0, 0)
-	rl.now = func() time.Time { return now }
-	if _, err := rl.Complete(context.Background(), Request{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, err := rl.Complete(ctx, Request{})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancelled wait blocked %v", elapsed)
-	}
-	if inner.calls != 1 {
-		t.Errorf("inner calls = %d, want 1", inner.calls)
 	}
 }
 

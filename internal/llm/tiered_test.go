@@ -43,23 +43,6 @@ func TestTieredRoutesByRequestTier(t *testing.T) {
 	}
 }
 
-func TestTieredComposesWithCache(t *testing.T) {
-	cheap := &tagging{tag: "cheap"}
-	expensive := &tagging{tag: "expensive"}
-	c := NewCached(NewTiered(cheap, expensive), 10)
-	reqCheap := Request{Model: "a", Prompt: "p", Tier: TierCheap}
-	reqExp := Request{Model: "b", Prompt: "p", Tier: TierExpensive}
-	c.Complete(context.Background(), reqCheap)
-	c.Complete(context.Background(), reqExp)
-	r, _ := c.Complete(context.Background(), reqExp)
-	if !r.CacheHit || r.Completion != "expensive" {
-		t.Errorf("expected cached expensive answer, got %+v", r)
-	}
-	if cheap.calls != 1 || expensive.calls != 1 {
-		t.Errorf("calls = %d cheap / %d expensive, want 1/1", cheap.calls, expensive.calls)
-	}
-}
-
 func TestTierString(t *testing.T) {
 	for tier, want := range map[Tier]string{
 		TierDefault:   "default",

@@ -271,7 +271,7 @@ func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA
 		}
 	}
 	w := newWindow()
-	for p, err := range blocking.Stream(ctx, blocker, tableA, tableB) {
+	for p, err := range blocker.BlockStream(ctx, tableA, tableB) {
 		if err != nil {
 			return window{}, fmt.Errorf("pipeline: blocking: %w", err)
 		}

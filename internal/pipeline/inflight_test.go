@@ -171,6 +171,25 @@ func TestRunPipelinedMatchesSequential(t *testing.T) {
 	}
 }
 
+// latencyClient delays every call by d before forwarding it, standing
+// in for a remote backend's round trip: the simulator alone answers in
+// microseconds, which hides the latency in-flight windows overlap.
+type latencyClient struct {
+	inner llm.Client
+	d     time.Duration
+}
+
+func (c latencyClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	t := time.NewTimer(c.d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return c.inner.Complete(ctx, req)
+	case <-ctx.Done():
+		return llm.Response{}, ctx.Err()
+	}
+}
+
 // BenchmarkPipelineInFlight measures the pipelining win under a small
 // simulated LLM latency: K=4 should overlap most of the per-window call
 // latency that K=1 pays serially. CI runs it with -benchtime=1x as a
@@ -181,7 +200,7 @@ func BenchmarkPipelineInFlight(b *testing.B) {
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("inflight_%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				client := llm.NewLatency(llm.NewSimulated(nil, 1), 2*time.Millisecond)
+				client := latencyClient{inner: llm.NewSimulated(nil, 1), d: 2 * time.Millisecond}
 				rep, err := Run(context.Background(), Config{
 					Blocker:         &blocking.TokenBlocker{Attr: "title", MinShared: 2},
 					Matcher:         fastMatcher(),

@@ -40,10 +40,9 @@ import (
 
 // Config wires the two stages together.
 type Config struct {
-	// Blocker produces candidates; nil defaults to token-overlap blocking
-	// on all attributes with MinShared 2. Blockers implementing
-	// blocking.StreamBlocker generate candidates incrementally; plain
-	// Blockers are adapted (materializing their full slice once).
+	// Blocker streams the candidates; nil defaults to token-overlap
+	// blocking on all attributes with MinShared 2. The executor ranges
+	// over its BlockStream directly, filling windows as pairs arrive.
 	Blocker blocking.Blocker
 	// Matcher configures the BATCHER stage; zero value gets the paper's
 	// defaults.

@@ -25,6 +25,19 @@ func syntheticTables(n int) ([]entity.Record, []entity.Record) {
 	return ta, tb
 }
 
+// blockAll drains b's candidate stream.
+func blockAll(t *testing.T, b blocking.Blocker, tableA, tableB []entity.Record) []entity.Pair {
+	t.Helper()
+	var pairs []entity.Pair
+	for p, err := range b.BlockStream(context.Background(), tableA, tableB) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, p)
+	}
+	return pairs
+}
+
 // fastMatcher is a cheap deterministic matcher config for large runs.
 func fastMatcher() core.Config {
 	return core.Config{Batching: core.RandomBatching, Selection: core.FixedSelection, Seed: 1}
@@ -78,12 +91,12 @@ func TestRunStreamWindowBoundedBuffer(t *testing.T) { runBoundedBuffer(t, 10000,
 func TestRunPipelinedBoundedBuffer(t *testing.T) { runBoundedBuffer(t, 4000, 128, 4) }
 
 // TestRunWindowedCandidateOrder verifies a windowed run feeds OnPair
-// every candidate in exactly the blocker's Block order, and that Matches
+// every candidate in exactly the blocker's stream order, and that Matches
 // agrees with the aggregate predictions.
 func TestRunWindowedCandidateOrder(t *testing.T) {
 	d, ta, tb := benchTables(t)
 	blocker := &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2}
-	want := blocker.Block(ta, tb)
+	want := blockAll(t, blocker, ta, tb)
 	if len(want) < 10 {
 		t.Fatalf("workload too small: %d candidates", len(want))
 	}
@@ -105,7 +118,7 @@ func TestRunWindowedCandidateOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("OnPair saw %d candidates, Block produced %d", len(got), len(want))
+		t.Fatalf("OnPair saw %d candidates, the blocker produced %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].Key() != want[i].Key() {
@@ -137,7 +150,7 @@ func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	split := entity.SplitPairs(d.Pairs)
 	mcfg := fastMatcher()
 
-	candidates := blocker.Block(ta, tb)
+	candidates := blockAll(t, blocker, ta, tb)
 	manual, err := core.NewFromConfig(llm.NewSimulated(llm.BuildOracle(d.Pairs), 1), mcfg).
 		Resolve(context.Background(), candidates, split.Train)
 	if err != nil {

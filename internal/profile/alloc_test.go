@@ -9,7 +9,7 @@ import "testing"
 
 func allocProfiles() (*Profile, *Profile) {
 	in := NewInterner()
-	bld := NewBuilder(in, 3)
+	bld := NewBuilder(in)
 	pa := bld.Build("apple iphone 13 pro max 256gb graphite")
 	pb := bld.Build("iphone 13 pro 256 gb graphite apple smartphone")
 	return pa, pb
@@ -34,7 +34,7 @@ func TestLevenshteinAllocsSteadyState(t *testing.T) {
 
 func TestBuildAllocsBounded(t *testing.T) {
 	in := NewInterner()
-	bld := NewBuilder(in, 3)
+	bld := NewBuilder(in)
 	text := "apple iphone 13 pro max 256gb graphite smartphone"
 	bld.Build(text) // intern the vocabulary once
 	// Steady state: one profile struct plus its own slices (seq, tokens,

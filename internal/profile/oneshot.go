@@ -29,7 +29,7 @@ func sortedUnique(seq, dst []uint32) []uint32 {
 
 // JaccardStrings is the one-shot token-set Jaccard similarity.
 func JaccardStrings(x, y string) float64 {
-	b := Scratch(0)
+	b := Scratch()
 	defer b.Release()
 	tx, ty := b.uniquePair(x, y)
 	if len(tx) == 0 && len(ty) == 0 {

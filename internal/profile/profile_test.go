@@ -93,36 +93,6 @@ func refLevRatio(a, b string) float64 {
 	return 1 - float64(refLevenshtein(a, b))/float64(la+lb)
 }
 
-// refQGrams builds literal gram sets over the lowered runes with the
-// non-collidable sentinel, the semantics the hashed signatures encode.
-func refQGrams(s string, q int) map[string]bool {
-	pad := strings.Repeat("\x00", q-1)
-	rs := []rune(pad + strings.ToLower(s) + pad)
-	set := make(map[string]bool)
-	for i := 0; i+q <= len(rs); i++ {
-		set[string(rs[i:i+q])] = true
-	}
-	return set
-}
-
-func refQGramJaccard(a, b string, q int) float64 {
-	sa, sb := refQGrams(a, q), refQGrams(b, q)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for g := range sa {
-		if sb[g] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // --- generators --------------------------------------------------------
 
 // randText produces adversarial mixed text: words, digits, punctuation,
@@ -146,36 +116,15 @@ func randText(r *rand.Rand) string {
 
 // --- equivalence properties --------------------------------------------
 
-// gramJaccard is the Jaccard similarity of two strings' q-gram
-// signatures as Builder.GramHashes computes them for the q-gram blocker.
-func gramJaccard(bld *Builder, a, b string) float64 {
-	ga := slices.Clone(bld.GramHashes(a))
-	gb := bld.GramHashes(b)
-	inter := 0
-	for _, h := range ga {
-		if _, ok := slices.BinarySearch(gb, h); ok {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 func TestKernelsMatchReferenceExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	in := NewInterner()
-	bld := NewBuilder(in, 3)
+	bld := NewBuilder(in)
 	for i := 0; i < 2000; i++ {
 		a, b := randText(r), randText(r)
 		pa, pb := bld.Build(a), bld.Build(b)
 		if got, want := Jaccard(pa, pb), refJaccard(a, b); got != want {
 			t.Fatalf("Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
-		}
-		if got, want := gramJaccard(bld, a, b), refQGramJaccard(a, b, 3); got != want {
-			t.Fatalf("GramHashes Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
 		}
 		if got, want := LevenshteinRatioStrings(a, b), refLevRatio(a, b); got != want {
 			t.Fatalf("LevenshteinRatioStrings(%q,%q) = %v, ref %v", a, b, got, want)
@@ -186,47 +135,9 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 	}
 }
 
-func TestKernelsQ1Empty(t *testing.T) {
-	// At q = 1 there is no padding, so the empty string has no grams
-	// at all and a one-rune string exactly one.
-	bld := NewBuilder(NewInterner(), 1)
-	if g := bld.GramHashes(""); len(g) != 0 {
-		t.Errorf("GramHashes(empty, q=1) = %v, want none", g)
-	}
-	if g := bld.GramHashes("a"); len(g) != 1 {
-		t.Errorf("GramHashes(a, q=1) = %v, want one gram", g)
-	}
-}
-
-func TestGramSentinelDoesNotCollide(t *testing.T) {
-	bld := NewBuilder(NewInterner(), 3)
-	// A trailing literal '#' must behave like any ordinary character:
-	// with the classic '#' pad it would merge with the padding and
-	// inflate overlap ("ab#" vs "ab" scored 0.8); with the \x00 pad it
-	// scores the same as any other appended character.
-	withHash := gramJaccard(bld, "ab#", "ab")
-	withX := gramJaccard(bld, "abx", "ab")
-	if withHash != withX {
-		t.Errorf("literal '#' still special: sim(ab#,ab)=%v, sim(abx,ab)=%v", withHash, withX)
-	}
-	if withHash >= 0.5 {
-		t.Errorf("pad collision inflation: sim(ab#,ab)=%v, want < 0.5", withHash)
-	}
-	// "c#" vs "c" likewise must not be inflated past "cx" vs "c".
-	cs := gramJaccard(bld, "c#", "c")
-	cx := gramJaccard(bld, "cx", "c")
-	if cs != cx {
-		t.Errorf("sim(c#,c)=%v differs from sim(cx,c)=%v", cs, cx)
-	}
-	// Identity still holds.
-	if got := gramJaccard(bld, "c#", "c#"); got != 1 {
-		t.Errorf("sim(c#,c#)=%v, want 1", got)
-	}
-}
-
 func TestDifferentInternersPanic(t *testing.T) {
-	pa := NewBuilder(NewInterner(), 0).Build("a")
-	pb := NewBuilder(NewInterner(), 0).Build("a")
+	pa := NewBuilder(NewInterner()).Build("a")
+	pb := NewBuilder(NewInterner()).Build("a")
 	defer func() {
 		if recover() == nil {
 			t.Error("comparing cross-interner profiles did not panic")
@@ -240,7 +151,7 @@ func TestInternerConcurrentUse(t *testing.T) {
 	done := make(chan [3]uint32, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			bld := NewBuilder(in, 2)
+			bld := NewBuilder(in)
 			var last [3]uint32
 			for i := 0; i < 500; i++ {
 				p := bld.Build("shared tokens appear everywhere")
@@ -259,7 +170,7 @@ func TestInternerConcurrentUse(t *testing.T) {
 
 func TestEntityProfiles(t *testing.T) {
 	in := NewInterner()
-	bld := NewBuilder(in, 0)
+	bld := NewBuilder(in)
 	r := recordOf("a1", []string{"title", "price"}, []string{"Apple iPhone 13", "999"})
 	e := BuildEntity(bld, r, EntityOpts{Attrs: true, Serialized: true})
 	p, ok := e.Attr("title")
@@ -283,10 +194,7 @@ func TestEntityProfiles(t *testing.T) {
 }
 
 func TestScratchReleaseCapsVocabulary(t *testing.T) {
-	b := Scratch(2)
-	if b.q != 2 {
-		t.Errorf("Scratch gram size = %d, want 2", b.q)
-	}
+	b := Scratch()
 	if !b.retainable() {
 		t.Error("fresh scratch builder not retainable")
 	}
@@ -297,7 +205,7 @@ func TestScratchReleaseCapsVocabulary(t *testing.T) {
 		t.Error("oversized scratch builder still retainable")
 	}
 	b.Release() // must drop, not pool
-	if nb := NewBuilder(NewInterner(), 0); nb.retainable() {
+	if nb := NewBuilder(NewInterner()); nb.retainable() {
 		t.Error("non-pooled builder claims retainable")
 	}
 }

@@ -30,9 +30,9 @@ type cacheVal struct {
 	size int64
 }
 
-// Cache is a disk-backed LLM response cache: llm.Cached's contract
-// (identical requests are served locally, bill zero tokens, and set
-// Response.CacheHit) with a store that survives process restarts.
+// Cache is a disk-backed LLM response cache: identical requests are
+// served locally, bill zero tokens, and set Response.CacheHit, from a
+// store that survives process restarts.
 // Entries are content-addressed by llm.CacheKey — the full request
 // identity — so any number of experiments can share one cache directory
 // (sequentially; the directory is single-writer) and re-runs of

@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,16 +19,21 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// countClient counts completions and answers deterministically per prompt.
+// countClient counts completions and answers deterministically per
+// prompt, or fails with err while it is set.
 type countClient struct {
 	mu    sync.Mutex
 	calls int
+	err   error
 }
 
 func (c *countClient) Complete(_ context.Context, req llm.Request) (llm.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
+	if c.err != nil {
+		return llm.Response{}, c.err
+	}
 	return llm.Response{
 		Completion:   "answer to " + req.Prompt,
 		InputTokens:  len(req.Prompt),
@@ -65,6 +71,74 @@ func TestCacheHitSkipsInnerAndBillsZero(t *testing.T) {
 	}
 	if h, m := c.Stats(); h != 1 || m != 1 {
 		t.Errorf("stats = %d/%d", h, m)
+	}
+}
+
+// A failed inner call is returned as is and leaves nothing behind: the
+// retry reaches the backend again.
+func TestCacheErrorNotCached(t *testing.T) {
+	boom := errors.New("boom")
+	inner := &countClient{err: boom}
+	c, err := OpenCache(context.Background(), inner, t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := llm.Request{Model: "m", Prompt: "p"}
+	if _, err := c.Complete(context.Background(), req); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if c.Len() != 0 {
+		t.Errorf("failed call cached: Len = %d", c.Len())
+	}
+	inner.err = nil
+	r, err := c.Complete(context.Background(), req)
+	if err != nil {
+		t.Fatalf("second attempt err = %v", err)
+	}
+	if r.CacheHit || inner.calls != 2 {
+		t.Errorf("second attempt CacheHit=%v after %d inner calls, want a miss after 2", r.CacheHit, inner.calls)
+	}
+}
+
+// tagClient answers every request with its tag.
+type tagClient struct {
+	tag   string
+	calls int
+}
+
+func (c *tagClient) Complete(context.Context, llm.Request) (llm.Response, error) {
+	c.calls++
+	return llm.Response{Completion: c.tag, InputTokens: 1, OutputTokens: 1}, nil
+}
+
+// Requests that differ only in their cascade tier are different
+// requests: over a tier router, each tier's answer is cached and served
+// on its own, never for the other tier.
+func TestCacheTiersNeverServeEachOther(t *testing.T) {
+	cheap, expensive := &tagClient{tag: "cheap"}, &tagClient{tag: "expensive"}
+	c, err := OpenCache(context.Background(), llm.NewTiered(cheap, expensive), t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reqs := map[string]llm.Request{
+		"cheap":     {Model: "m", Prompt: "p", Tier: llm.TierCheap},
+		"expensive": {Model: "m", Prompt: "p", Tier: llm.TierExpensive},
+	}
+	for pass := 0; pass < 2; pass++ {
+		for want, req := range reqs {
+			r, err := c.Complete(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Completion != want || r.CacheHit != (pass == 1) {
+				t.Errorf("pass %d, tier %s: got %q (CacheHit=%v)", pass, want, r.Completion, r.CacheHit)
+			}
+		}
+	}
+	if cheap.calls != 1 || expensive.calls != 1 {
+		t.Errorf("calls = %d cheap / %d expensive, want 1/1", cheap.calls, expensive.calls)
 	}
 }
 

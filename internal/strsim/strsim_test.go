@@ -3,12 +3,10 @@ package strsim
 import (
 	"math"
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
-
-	"batcher/internal/profile"
 )
 
 // levenshtein recovers the edit distance from LevenshteinRatio, the
@@ -19,19 +17,23 @@ func levenshtein(a, b string) int {
 	return int(math.Round((1 - LevenshteinRatio(a, b)) * float64(n)))
 }
 
-// gramJaccard is the Jaccard similarity of the q-gram signatures
-// profile.Builder.GramHashes computes for the q-gram blocker.
-func gramJaccard(a, b string, q int) float64 {
-	bld := profile.NewBuilder(profile.NewInterner(), q)
-	ga := slices.Clone(bld.GramHashes(a))
-	gb := bld.GramHashes(b)
+// charJaccard is the Jaccard similarity of two strings' distinct
+// lowered runes: a set measure blind to character order.
+func charJaccard(a, b string) float64 {
+	sa, sb := map[rune]bool{}, map[rune]bool{}
+	for _, r := range strings.ToLower(a) {
+		sa[r] = true
+	}
+	for _, r := range strings.ToLower(b) {
+		sb[r] = true
+	}
 	inter := 0
-	for _, h := range ga {
-		if _, ok := slices.BinarySearch(gb, h); ok {
+	for r := range sa {
+		if sb[r] {
 			inter++
 		}
 	}
-	union := len(ga) + len(gb) - inter
+	union := len(sa) + len(sb) - inter
 	if union == 0 {
 		return 1
 	}
@@ -115,7 +117,7 @@ func TestLevenshteinRatio(t *testing.T) {
 	// Paper Section VI-G example: "listen" vs "silent" — LR penalizes
 	// character order while set measures (character q=1 grams) do not.
 	lr := LevenshteinRatio("listen", "silent")
-	cg := gramJaccard("listen", "silent", 1)
+	cg := charJaccard("listen", "silent")
 	if lr >= cg {
 		t.Errorf("expected LR (%v) < char-gram Jaccard (%v) for anagrams", lr, cg)
 	}
@@ -195,50 +197,6 @@ func TestJaccardSymmetricAndBounded(t *testing.T) {
 		if ab < 0 || ab > 1 {
 			t.Fatalf("Jaccard out of range: %v", ab)
 		}
-	}
-}
-
-func TestQGrams(t *testing.T) {
-	bld := profile.NewBuilder(profile.NewInterner(), 2)
-	g := slices.Clone(bld.GramHashes("ab"))
-	// Two padded boundary grams plus "ab", sorted and distinct.
-	if len(g) != 3 || !slices.IsSorted(g) {
-		t.Errorf("GramHashes(ab, q=2) = %v, want 3 sorted grams", g)
-	}
-	if got := bld.GramHashes("AB"); !slices.Equal(got, g) {
-		t.Errorf("grams are case-sensitive: %v vs %v", got, g)
-	}
-}
-
-func TestQGramsPanicsOnZeroQ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GramHashes(q=0) did not panic")
-		}
-	}()
-	profile.NewBuilder(profile.NewInterner(), 0).GramHashes("abc")
-}
-
-func TestQGramJaccardPadSentinelNotCollidable(t *testing.T) {
-	// Regression for the '#' padding collision: a literal '#' in the
-	// input used to merge with the pad sentinel and inflate the q-gram
-	// overlap (the "ab#" and "ab" 3-gram sets scored 0.8). With the NUL
-	// sentinel, '#' is an ordinary character.
-	hash := gramJaccard("ab#", "ab", 3)
-	plain := gramJaccard("abx", "ab", 3)
-	if hash != plain {
-		t.Errorf("literal '#' still treated as padding: sim(ab#,ab)=%v, sim(abx,ab)=%v", hash, plain)
-	}
-	if hash >= 0.5 {
-		t.Errorf("pad collision inflation: sim(ab#,ab)=%v, want < 0.5", hash)
-	}
-	// "c#"-style inputs: identical strings still score 1, and '#' does
-	// not buy extra similarity against the '#'-less form.
-	if got := gramJaccard("c#", "c#", 2); got != 1 {
-		t.Errorf("sim(c#,c#) = %v, want 1", got)
-	}
-	if cs, cx := gramJaccard("c#", "c", 2), gramJaccard("cx", "c", 2); cs != cx {
-		t.Errorf("sim(c#,c)=%v differs from sim(cx,c)=%v", cs, cx)
 	}
 }
 
