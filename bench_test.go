@@ -11,7 +11,9 @@ package repro_bench
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -484,9 +486,12 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 // EpsPercentile's seeded shuffle, where core samples t with a rand.Perm
 // at Seed+2, so it is close to core's but not equal. Calibrate-512 is
 // core's unsampled calibration: one PairwiseDistances buffer, both
-// percentiles selected from it. Every step also reports its
-// Config.Distance calls per op, counted on one untimed run with a
-// counting distance so the timed runs pay for no counter.
+// percentiles selected from it. The Sweep-4096 arms time cluster.Sweep
+// without a distance buffer, which calls Distance once per pair of
+// distinct vectors, and report how many of the 4 096 are distinct. Every
+// step also reports its Config.Distance calls per op, counted on one
+// untimed run with a counting distance so the timed runs pay for no
+// counter.
 func BenchmarkWindowGeometry(b *testing.B) {
 	d, err := datagen.GenerateCustom(eval.PipelineBenchSpec(4000), 1)
 	if err != nil {
@@ -541,6 +546,36 @@ func BenchmarkWindowGeometry(b *testing.B) {
 			return cluster.DBSCAN(qv, dist, eps, cfg.ClusterMinPts).K
 		})
 	}
+	// The sweep as Prepare runs it above the sample cap — no distance
+	// buffer, both relations — on three vector sets with their distinct
+	// share reported: the LR vectors above, JAC vectors of the same
+	// candidates (few distinct values) and LR vectors of datagen DS's test
+	// split (mostly distinct).
+	dsData, err := datagen.GenerateByName("DS", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsTest := entity.SplitPairs(dsData.Pairs).Test
+	if len(dsTest) < 4096 {
+		b.Fatalf("DS test split has %d pairs, need 4096", len(dsTest))
+	}
+	for _, set := range []struct {
+		name string
+		vecs []feature.Vector
+	}{
+		{"LR", vecs},
+		{"JAC", feature.ExtractAll(feature.NewJAC(), cands[:4096])},
+		{"LR-DS", feature.ExtractAll(cfg.Extractor, dsTest[:4096])},
+	} {
+		qv := set.vecs
+		eps := cluster.EpsPercentile(qv, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
+		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
+		u := distinctVectors(qv)
+		run("Sweep-4096-"+set.name, "distinct", func(dist feature.Distance) int {
+			cluster.Sweep(qv, dist, nil, eps, true, t, true)
+			return u
+		})
+	}
 	for _, n := range []int{512, 4096} {
 		window := cands[:n]
 		run(fmt.Sprintf("Prepare-%d-selfpooled", n), "labeled", func(dist feature.Distance) int {
@@ -553,6 +588,21 @@ func BenchmarkWindowGeometry(b *testing.B) {
 			return len(prep.LabeledPool())
 		})
 	}
+}
+
+// distinctVectors counts the distinct values among vs, two vectors being
+// the same value when they have the same length and the same float64
+// bits in every component.
+func distinctVectors(vs []feature.Vector) int {
+	seen := map[string]bool{}
+	for _, v := range vs {
+		key := make([]byte, 0, 8*len(v))
+		for _, x := range v {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		seen[string(key)] = true
+	}
+	return len(seen)
 }
 
 // BenchmarkRecovery times the path an operator waits on after

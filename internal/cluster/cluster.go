@@ -52,10 +52,10 @@ func (r Result) Clusters() [][]int {
 // results are deterministic.
 //
 // The ε-neighbourhood relation dist <= eps is evaluated once, by Sweep,
-// into a bit matrix — n(n+1)/2 dist calls, across workpool workers — and
-// DBSCANRows expands the clusters over its rows. dist must therefore be
-// symmetric (see feature.Distance) and safe for concurrent calls; every
-// feature.Distance in this repo is both.
+// into a bit matrix — U(U+1)/2 dist calls for U distinct points, across
+// workpool workers — and DBSCANRows expands the clusters over its rows.
+// dist must therefore be symmetric and pure (see feature.Distance) and
+// safe for concurrent calls; every feature.Distance in this repo is.
 func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts int) Result {
 	within, _ := Sweep(points, dist, nil, eps, true, 0, false)
 	return DBSCANRows(len(points), within, minPts)

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"math"
+	"math/bits"
+
 	"batcher/internal/feature"
 	"batcher/internal/workpool"
 )
@@ -9,9 +12,9 @@ import (
 // matrix.
 func RowWords(n int) int { return (n + 63) / 64 }
 
-// Sweep evaluates dist once per unordered pair of points and returns the
-// threshold relations asked for as n x n bit matrices, each one
-// allocation of n rows of RowWords(n) words with bit j of row i at
+// Sweep evaluates dist once per unordered pair of distinct points and
+// returns the threshold relations asked for as n x n bit matrices, each
+// one allocation of n rows of RowWords(n) words with bit j of row i at
 // rows[i*RowWords(n)+j>>6] >> (j&63):
 //
 //   - withinRows, when within is set: dist <= eps, DBSCAN's
@@ -22,18 +25,28 @@ func RowWords(n int) int { return (n + 63) / 64 }
 // A relation not asked for is returned nil and its threshold ignored.
 //
 // Both are relations over the same distances, so one pass serves them:
-// the distance of points i and j is read for i <= j only — n(n+1)/2
-// pairs — and each hit sets bit (i, j) and its mirror (j, i). That is
-// the relation the full n x n scan defines exactly when dist is
-// symmetric, which feature.Distance requires. The diagonal is evaluated
-// like any other pair, never assumed to be 0: a distance may put a point
-// outside its own neighbourhood (CosineDistance does, for the zero
-// vector).
+// the distance of points i and j is read for i <= j only and each hit
+// sets bit (i, j) and its mirror (j, i). That is the relation the full
+// n x n scan defines exactly when dist is symmetric, which
+// feature.Distance requires. The diagonal is evaluated like any other
+// pair, never assumed to be 0: a distance may put a point outside its own
+// neighbourhood (CosineDistance does, for the zero vector).
 //
 // ds, when not nil, is PairwiseDistances(points, dist) — the caller
 // measured the off-diagonal pairs already, to calibrate eps and t — and
 // the sweep reads them from it, calling dist only for the n diagonal
-// pairs. A nil ds has the sweep call dist for every pair i <= j.
+// pairs.
+//
+// A nil ds has the sweep measure the points itself, once per value: the
+// points are grouped by exact value (length and the float64 bits of
+// every component) into U classes, and dist is called once for every
+// unordered pair of the classes' first points, U(U+1)/2 calls. That is
+// exact because a feature.Distance is a function of the bits of its two
+// vectors: every member of a class is at the same distance from any
+// point, and dist(r, r) of a class's first point r is the distance of
+// every pair inside the class. The class relations are then expanded to
+// the points; when every point is its own class they already are the
+// point relations.
 //
 // The pass runs across workpool workers, one task per block of 64 rows,
 // so dist must be safe for concurrent calls. Task b visits the 64 x 64
@@ -45,10 +58,30 @@ func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps flo
 	if !within && !below {
 		return nil, nil
 	}
-	n := len(points)
-	if ds != nil && len(ds) != n*(n-1)/2 {
-		panic("cluster: Sweep given a distance buffer of another point set")
+	if ds != nil {
+		if n := len(points); len(ds) != n*(n-1)/2 {
+			panic("cluster: Sweep given a distance buffer of another point set")
+		}
+		return sweepTiles(points, dist, ds, eps, within, t, below)
 	}
+	vc := groupByValue(points)
+	if len(vc.first) == len(points) {
+		return sweepTiles(points, dist, nil, eps, within, t, below)
+	}
+	reps := make([]feature.Vector, len(vc.first))
+	for c, i := range vc.first {
+		reps[c] = points[i]
+	}
+	withinRows, belowRows = sweepTiles(reps, dist, nil, eps, within, t, below)
+	vc.listMembers()
+	return vc.expand(withinRows), vc.expand(belowRows)
+}
+
+// sweepTiles is Sweep's tile loop over the points as given: it reads the
+// off-diagonal distances from ds when ds is not nil and calls dist for
+// every pair i <= j otherwise.
+func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows []uint64) {
+	n := len(points)
 	words := RowWords(n)
 	if within {
 		withinRows = make([]uint64, n*words)
@@ -122,4 +155,130 @@ func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps flo
 		}
 	})
 	return withinRows, belowRows
+}
+
+// valueClasses partitions a point set by exact value: two points share a
+// class when they have the same length and the same math.Float64bits in
+// every component. -0 and +0, or two NaN payloads, are different values
+// here; that only shares less.
+type valueClasses struct {
+	// of[i] is point i's class. Classes are numbered in order of first
+	// occurrence, so first[c], class c's first point, ascends with c.
+	of, first []int32
+	// start and member list every class's points in ascending order:
+	// class c's are member[start[c]:start[c+1]]. Set by listMembers.
+	start, member []int32
+}
+
+// groupByValue numbers the points' classes through an open-addressed
+// hash table of class numbers: a hash and a comparison or two per point,
+// and no allocation per class.
+func groupByValue(points []feature.Vector) valueClasses {
+	n := len(points)
+	vc := valueClasses{of: make([]int32, n), first: make([]int32, 0, n)}
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	// slots holds class+1, or 0 for an empty slot, at a load of at most
+	// one half.
+	slots := make([]int32, size)
+	mask := uint64(size - 1)
+	for i, v := range points {
+		s := valueHash(v) & mask
+		for {
+			c := slots[s] - 1
+			if c < 0 {
+				c = int32(len(vc.first))
+				slots[s] = c + 1
+				vc.first = append(vc.first, int32(i))
+			} else if !sameBits(points[vc.first[c]], v) {
+				s = (s + 1) & mask
+				continue
+			}
+			vc.of[i] = c
+			break
+		}
+	}
+	return vc
+}
+
+// valueHash hashes a vector's length and component bits.
+func valueHash(v feature.Vector) uint64 {
+	h := uint64(len(v))
+	for _, x := range v {
+		h = (bits.RotateLeft64(h, 23) ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+	}
+	// The splitmix64 finalizer, so that the low bits the table indexes by
+	// depend on every bit of every component.
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// sameBits reports whether a and b are the same value: equal lengths and
+// bit-identical components.
+func sameBits(a, b feature.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// listMembers sets start and member by a counting sort of of.
+func (vc *valueClasses) listMembers() {
+	u := len(vc.first)
+	// Class c is counted at start[c+2]; after the prefix sums start[c+1]
+	// is where its members begin, and placing them advances it to where
+	// they end, which is where class c+1's begin.
+	start := make([]int32, u+2)
+	for _, c := range vc.of {
+		start[c+2]++
+	}
+	for k := 2; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	vc.member = make([]int32, len(vc.of))
+	for i, c := range vc.of {
+		vc.member[start[c+1]] = int32(i)
+		start[c+1]++
+	}
+	vc.start = start[:u+1]
+}
+
+// expand writes the n x n matrix of a relation from its U x U class
+// matrix, nil for nil: two points are related exactly when their classes
+// are. A class's first point gets its row from the set bits of the class
+// row, one bit per member of each related class, and every other member
+// a word copy of that row, so the cost is the bits set plus the rows
+// copied. There is one task per class, and it writes only its own
+// members' rows.
+func (vc *valueClasses) expand(classRows []uint64) []uint64 {
+	if classRows == nil {
+		return nil
+	}
+	n, u := len(vc.of), len(vc.first)
+	words, classWords := RowWords(n), RowWords(u)
+	rows := make([]uint64, n*words)
+	workpool.For(workpool.Workers(), u, func(c int) {
+		own := vc.member[vc.start[c]:vc.start[c+1]]
+		row := rows[int(own[0])*words:][:words]
+		for w, m := range classRows[c*classWords : (c+1)*classWords] {
+			for ; m != 0; m &= m - 1 {
+				d := w<<6 | bits.TrailingZeros64(m)
+				for _, j := range vc.member[vc.start[d]:vc.start[d+1]] {
+					row[j>>6] |= 1 << (j & 63)
+				}
+			}
+		}
+		for _, i := range own[1:] {
+			copy(rows[int(i)*words:][:words], row)
+		}
+	})
+	return rows
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"batcher/internal/feature"
@@ -171,13 +173,55 @@ func bitAt(rows []uint64, n, i, j int) bool {
 	return rows[i*RowWords(n)+j>>6]>>(j&63)&1 != 0
 }
 
+// namedGeometry is a point set with the distance it is swept under.
+type namedGeometry struct {
+	name string
+	pts  []feature.Vector
+	dist feature.Distance
+}
+
+// duplicateGeometries are the point sets that exercise Sweep's grouping
+// by value: points drawn from small palettes, each point its own copy of
+// its value, plus an all-distinct and an all-equal set. The palettes
+// hold values that are different to the bit but close or equal under the
+// distance: -0 next to +0, [x] next to [x, 0] (Euclidean distance 0),
+// a NaN component (at distance NaN from everything, itself included)
+// and, under cosine distance, zero vectors of several lengths, the empty
+// one among them (at distance 1 from everything).
+func duplicateGeometries(n int, rnd *rand.Rand) []namedGeometry {
+	negZero := math.Copysign(0, -1)
+	palette := []feature.Vector{{0, 1}, {negZero, 1}, {1}, {1, 0}, {2, 0.5}, {0.5, 2}, {3, 3}, {math.NaN(), 1}}
+	zeros := []feature.Vector{{}, {0}, {0, 0}, {negZero, 0}, {1, 1}, {1, 1, 0}, {2, 0}, {math.NaN(), 1}}
+	draw := func(from []feature.Vector) []feature.Vector {
+		pts := make([]feature.Vector, n)
+		for i := range pts {
+			pts[i] = append(feature.Vector{}, from[rnd.Intn(len(from))]...)
+		}
+		return pts
+	}
+	distinct := make([]feature.Vector, n)
+	equal := make([]feature.Vector, n)
+	for i := range distinct {
+		distinct[i] = feature.Vector{float64(i % 7), rnd.Float64()}
+		equal[i] = feature.Vector{1.5, -2}
+	}
+	return []namedGeometry{
+		{"palette", draw(palette), feature.Euclidean},
+		{"zero palette", draw(zeros), feature.CosineDistance},
+		{"distinct", distinct, feature.Euclidean},
+		{"equal", equal, feature.Euclidean},
+	}
+}
+
 // TestSweepMatchesDoubleLoop compares the relations Sweep builds against
 // the plain n x n double loop, with eps == t sitting exactly on pairwise
 // distances so a <= / < mix-up shows: measured by the sweep itself and
 // read from the PairwiseDistances buffer, each relation alone and both
 // together, on one worker and on four. Under cosine distance the zero
 // vectors sit outside their own neighbourhood (CosineDistance(0, 0) is
-// 1), which only an evaluated diagonal gets right.
+// 1), which only an evaluated diagonal gets right. The duplicate-heavy
+// sets check the sweep that groups points by value; the buffer, which
+// feeds windows of at most the sample cap, is read at up to 512 points.
 func TestSweepMatchesDoubleLoop(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
 	ownOutside := 0 // points the threshold puts outside their own neighbourhood
@@ -187,41 +231,134 @@ func TestSweepMatchesDoubleLoop(t *testing.T) {
 			if name == "zeros" {
 				dist = feature.CosineDistance
 			}
+			full := doubleLoop(pts, dist)
 			thr := somePairDistance(pts, dist, rnd)
-			full := make([][]float64, n)
-			differ := false
-			for i := range full {
-				full[i] = make([]float64, n)
-				for j := range full[i] {
-					full[i][j] = dist(pts[i], pts[j])
-					differ = differ || full[i][j] == thr
-				}
-				if !(full[i][i] <= thr) {
-					ownOutside++
-				}
-			}
-			if n >= 2 && !differ {
-				t.Fatalf("n=%d %s: no pair at the threshold, the test cannot tell <= from <", n, name)
-			}
-			ds := PairwiseDistances(pts, dist)
-			for _, rel := range []struct{ within, below bool }{{true, false}, {false, true}, {true, true}} {
-				for _, feed := range []struct {
-					name string
-					ds   []float64
-				}{{"dist", nil}, {"buffer", ds}} {
-					for _, workers := range []int{1, 4} {
-						var within, below []uint64
-						withWorkers(workers, func() { within, below = Sweep(pts, dist, feed.ds, thr, rel.within, thr, rel.below) })
-						at := fmt.Sprintf("n=%d %s within=%v below=%v fed by %s, workers=%d", n, name, rel.within, rel.below, feed.name, workers)
-						checkRelation(t, at+": within", within, rel.within, full, func(d float64) bool { return d <= thr })
-						checkRelation(t, at+": below", below, rel.below, full, func(d float64) bool { return d < thr })
-					}
+			ownOutside += checkSweep(t, fmt.Sprintf("n=%d %s", n, name), pts, dist, full, thr, true)
+		}
+	}
+	for _, n := range []int{2, 63, 64, 65, 130, 512, 1500} {
+		for _, g := range duplicateGeometries(n, rnd) {
+			full := doubleLoop(g.pts, g.dist)
+			// The threshold is a distance of some pair, the diagonal
+			// included, that is not NaN.
+			thr := 1.0
+			for k, first := 0, rnd.Intn(n*n); k < n*n; k++ {
+				c := (first + k) % (n * n)
+				if d := full[c/n][c%n]; d == d {
+					thr = d
+					break
 				}
 			}
+			ownOutside += checkSweep(t, fmt.Sprintf("n=%d %s", n, g.name), g.pts, g.dist, full, thr, n <= 512)
 		}
 	}
 	if ownOutside == 0 {
 		t.Error("no point sat outside its own neighbourhood: the test cannot tell an evaluated diagonal from an assumed 0")
+	}
+}
+
+// doubleLoop is dist over every ordered pair of pts, the diagonal
+// included.
+func doubleLoop(pts []feature.Vector, dist feature.Distance) [][]float64 {
+	full := make([][]float64, len(pts))
+	for i := range full {
+		full[i] = make([]float64, len(pts))
+		for j := range full[i] {
+			full[i][j] = dist(pts[i], pts[j])
+		}
+	}
+	return full
+}
+
+// checkSweep runs Sweep on pts at eps == t == thr for each relation alone
+// and both together, measured by the sweep and, when fromBuffer, read
+// from the PairwiseDistances buffer, on one worker and on four, and
+// compares each matrix with full. It returns the number of points thr
+// puts outside their own neighbourhood.
+func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Distance, full [][]float64, thr float64, fromBuffer bool) (ownOutside int) {
+	t.Helper()
+	onThreshold, allNaN := false, true
+	for i := range full {
+		for _, d := range full[i] {
+			onThreshold = onThreshold || d == thr
+			allNaN = allNaN && d != d
+		}
+		if !(full[i][i] <= thr) {
+			ownOutside++
+		}
+	}
+	if len(pts) >= 2 && !onThreshold && !allNaN {
+		t.Fatalf("%s: no pair at the threshold, the test cannot tell <= from <", at)
+	}
+	feeds := []struct {
+		name string
+		ds   []float64
+	}{{"dist", nil}}
+	if fromBuffer {
+		feeds = append(feeds, struct {
+			name string
+			ds   []float64
+		}{"buffer", PairwiseDistances(pts, dist)})
+	}
+	for _, rel := range []struct{ within, below bool }{{true, false}, {false, true}, {true, true}} {
+		for _, feed := range feeds {
+			for _, workers := range []int{1, 4} {
+				var within, below []uint64
+				withWorkers(workers, func() { within, below = Sweep(pts, dist, feed.ds, thr, rel.within, thr, rel.below) })
+				at := fmt.Sprintf("%s within=%v below=%v fed by %s, workers=%d", at, rel.within, rel.below, feed.name, workers)
+				checkRelation(t, at+": within", within, rel.within, full, func(d float64) bool { return d <= thr })
+				checkRelation(t, at+": below", below, rel.below, full, func(d float64) bool { return d < thr })
+			}
+		}
+	}
+	return ownOutside
+}
+
+// distinctVectors counts the distinct values among pts, two vectors being
+// the same value when they have the same length and the same float64
+// bits in every component.
+func distinctVectors(pts []feature.Vector) int {
+	seen := map[string]bool{}
+	for _, v := range pts {
+		key := make([]byte, 0, 8*len(v))
+		for _, x := range v {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		seen[string(key)] = true
+	}
+	return len(seen)
+}
+
+// TestSweepCallsDistanceOncePerDistinctPair: a sweep that measures the
+// points itself calls dist exactly once per unordered pair of distinct
+// values, U(U+1)/2 times, whatever the number of workers, and so does
+// DBSCAN through it.
+func TestSweepCallsDistanceOncePerDistinctPair(t *testing.T) {
+	rnd := rand.New(rand.NewSource(25))
+	sawShared := false
+	for _, n := range []int{1, 2, 65, 130, 512, 1500} {
+		for _, g := range duplicateGeometries(n, rnd) {
+			u := distinctVectors(g.pts)
+			sawShared = sawShared || u < n
+			want := int64(u * (u + 1) / 2)
+			var calls atomic.Int64
+			dist := func(a, b feature.Vector) float64 { calls.Add(1); return g.dist(a, b) }
+			for _, workers := range []int{1, 4} {
+				calls.Store(0)
+				withWorkers(workers, func() { Sweep(g.pts, dist, nil, 1, true, 1, true) })
+				if got := calls.Load(); got != want {
+					t.Errorf("n=%d %s, workers=%d: %d distance calls, want U(U+1)/2 = %d for U = %d", n, g.name, workers, got, want, u)
+				}
+			}
+			calls.Store(0)
+			DBSCAN(g.pts, dist, 1, 3)
+			if got := calls.Load(); got != want {
+				t.Errorf("n=%d %s: DBSCAN made %d distance calls, want U(U+1)/2 = %d for U = %d", n, g.name, got, want, u)
+			}
+		}
+	}
+	if !sawShared {
+		t.Error("every point set was all-distinct: the test cannot tell a grouped sweep from a plain one")
 	}
 }
 

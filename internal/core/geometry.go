@@ -42,7 +42,7 @@ func (c Config) clustersQuestions() bool {
 // (which selection only reads), and the sweep reads its relations from
 // the same buffer, adding only the n diagonal calls. A larger window
 // draws each threshold's seeded sample and the sweep measures the
-// window itself.
+// window itself, once per unordered pair of distinct vectors.
 func windowGeometry(cfg Config, qVecs []feature.Vector, selfPooled bool) geometry {
 	clustering := cfg.clustersQuestions()
 	covering := cfg.Selection == CoveringSelection

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -77,7 +79,9 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 // the vote margins' |labeled| calls per question — exactly that for
 // diversity + covering, at most that when only one of the two reads the
 // distances. A larger window adds the two percentile calibrations over
-// DistanceSampleCap sampled points. Stage-2 batch covering reads bits.
+// DistanceSampleCap sampled points, and its sweep calls Distance once per
+// unordered pair of the window's U distinct vectors, U(U+1)/2 times.
+// Stage-2 batch covering reads bits.
 func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 	var calls atomic.Int64
 	counting := func(a, b feature.Vector) float64 { calls.Add(1); return feature.Euclidean(a, b) }
@@ -98,14 +102,17 @@ func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 			t.Fatalf("workload has %d pairs, need %d", len(window), n)
 		}
 		f, prep, selfPooled := prepare(t, Config{Batching: DiversityBatching, Selection: CoveringSelection}, window, window)
-		sweep, labeled := n*(n+1)/2, len(prep.LabeledPool())
+		labeled := len(prep.LabeledPool())
 		if m := f.Config().DistanceSampleCap; n <= m {
-			if want := sweep + labeled*n; selfPooled != int64(want) {
+			if want := n*(n+1)/2 + labeled*n; selfPooled != int64(want) {
 				t.Errorf("n=%d: %d Distance calls, want n(n+1)/2 + |labeled|·n = %d (%d labeled)", n, selfPooled, want, labeled)
 			}
-		} else if budget := sweep + 2*(m*(m-1)/2) + labeled*n; selfPooled > int64(budget) || selfPooled < int64(sweep) {
-			t.Errorf("n=%d: %d Distance calls, want between the sweep's %d and %d (%d labeled)",
-				n, selfPooled, sweep, budget, labeled)
+		} else {
+			u := distinctVectors(feature.ExtractAll(f.Config().Extractor, window))
+			if want := u*(u+1)/2 + 2*(m*(m-1)/2) + labeled*n; selfPooled != int64(want) {
+				t.Errorf("n=%d: %d Distance calls, want U(U+1)/2 + 2·m(m−1)/2 + |labeled|·n = %d (U = %d distinct vectors, %d labeled)",
+					n, selfPooled, want, u, labeled)
+			}
 		}
 		// The rectangular path pays for the cover relation on its own,
 		// and again per batch.
@@ -129,6 +136,21 @@ func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 				name, n, got, budget, labeled)
 		}
 	}
+}
+
+// distinctVectors counts the distinct values among vs, two vectors being
+// the same value when they have the same length and the same float64
+// bits in every component.
+func distinctVectors(vs []feature.Vector) int {
+	seen := map[string]bool{}
+	for _, v := range vs {
+		key := make([]byte, 0, 8*len(v))
+		for _, x := range v {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		seen[string(key)] = true
+	}
+	return len(seen)
 }
 
 // countingExtractor counts Extract calls on the string path.

@@ -369,9 +369,13 @@ func CosineDistance(a, b Vector) float64 {
 // counting as the same value — pure, and safe for concurrent calls:
 // clustering and covering evaluate a window's pairs once, as
 // Distance(v[i], v[j]) for i <= j only, across several goroutines, and
-// read the result for (j, i) too. Distance(a, a) is evaluated like any
-// other pair and may be non-zero. Euclidean and CosineDistance satisfy
-// all of this.
+// read the result for (j, i) too. Pure means a function of the two
+// vectors' float64 bits (their lengths and math.Float64bits of every
+// component) and nothing else, so vectors with the same bits are at the
+// same distance from everything: the sweep measures each distinct vector
+// once and shares the result with its copies. Distance(a, a) is evaluated
+// like any other pair and may be non-zero. Euclidean and CosineDistance
+// satisfy all of this.
 type Distance func(a, b Vector) float64
 
 // MeanSimilarity returns the mean of the components of a structure-aware

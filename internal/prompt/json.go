@@ -70,24 +70,22 @@ func FormatAnswersJSON(labels []entity.Label) string {
 // ParseAnswersAny extracts labels from a completion in either format:
 // JSON documents are decoded (tolerating surrounding prose, as models
 // sometimes wrap JSON in commentary); anything else falls back to the
-// liberal text parser.
+// liberal text parser. On either path a question answered both ways is
+// Unknown.
 func ParseAnswersAny(completion string, n int) []entity.Label {
 	if doc, ok := extractJSON(completion); ok {
-		out := make([]entity.Label, n)
-		for i := range out {
-			out[i] = entity.Unknown
-		}
+		out := unanswered(n)
 		for _, a := range doc.Answers {
 			if a.Question < 1 || a.Question > n {
 				continue
 			}
 			if a.Match {
-				out[a.Question-1] = entity.Match
+				answer(out, a.Question-1, entity.Match)
 			} else {
-				out[a.Question-1] = entity.NonMatch
+				answer(out, a.Question-1, entity.NonMatch)
 			}
 		}
-		return out
+		return settle(out)
 	}
 	return ParseAnswers(completion, n)
 }

@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +79,30 @@ func TestParseAnswersAnyMalformedJSON(t *testing.T) {
 	out := ParseAnswersAny(completion, 1)
 	if out[0] != entity.NonMatch {
 		t.Errorf("malformed JSON should fall back to text: %v", out)
+	}
+}
+
+// TestContradictoryAnswersAreUnknown: a question answered both Yes and No
+// parses to Unknown on the text path and the JSON path, whichever answer
+// comes last and whatever follows; agreeing repeats keep their label.
+func TestContradictoryAnswersAreUnknown(t *testing.T) {
+	U, M, N := entity.Unknown, entity.Match, entity.NonMatch
+	for _, tc := range []struct {
+		completion string
+		want       []entity.Label
+	}{
+		{"Question 2: Yes\nQuestion 2: No", []entity.Label{U, U}},
+		{"Question 1: No\nQuestion 1: Yes\nQuestion 2: No", []entity.Label{U, N}},
+		{"Q1: yes\nQ1: no\nQ1: yes\n2. No", []entity.Label{U, N}},
+		{"Question 1: Yes\nQ1: match\nA2: different\nQuestion 2: No", []entity.Label{M, N}},
+		{`{"answers":[{"question":2,"match":true},{"question":1,"match":true},{"question":2,"match":false}]}`, []entity.Label{M, U}},
+		{`{"answers":[{"question":1,"match":false},{"question":1,"match":false},{"question":1,"match":true},{"question":1,"match":false}]}`, []entity.Label{U, U}},
+		{`{"answers":[{"question":1,"match":false},{"question":2,"match":true},{"question":1,"match":false}]}`, []entity.Label{N, M}},
+	} {
+		got := ParseAnswersAny(tc.completion, len(tc.want))
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q parsed to %v, want %v", tc.completion, got, tc.want)
+		}
 	}
 }
 

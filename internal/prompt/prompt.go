@@ -223,12 +223,10 @@ func FormatAnswers(labels []entity.Label) string {
 // "Question 3: Yes", "Q3: no", "3. Yes", "A3: No, because..." all parse.
 // Questions with no parseable answer are Unknown; callers decide how to
 // score them (the paper counts them as non-matches, the conservative
-// choice for precision).
+// choice for precision). A question answered more than once keeps its
+// label when the answers agree and is Unknown when they do not.
 func ParseAnswers(completion string, n int) []entity.Label {
-	out := make([]entity.Label, n)
-	for i := range out {
-		out[i] = entity.Unknown
-	}
+	out := unanswered(n)
 	for _, raw := range strings.Split(completion, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" {
@@ -241,9 +239,45 @@ func ParseAnswers(completion string, n int) []entity.Label {
 		rest = strings.ToLower(strings.TrimLeft(rest, ":.-) \t"))
 		switch {
 		case strings.HasPrefix(rest, "yes") || strings.HasPrefix(rest, "match") || strings.HasPrefix(rest, "same"):
-			out[idx-1] = entity.Match
+			answer(out, idx-1, entity.Match)
 		case strings.HasPrefix(rest, "no") || strings.HasPrefix(rest, "different") || strings.HasPrefix(rest, "not"):
-			out[idx-1] = entity.NonMatch
+			answer(out, idx-1, entity.NonMatch)
+		}
+	}
+	return settle(out)
+}
+
+// contradicted marks, while a completion is being read, a question it has
+// answered both ways. settle reports it as Unknown.
+const contradicted entity.Label = -2
+
+// unanswered returns n Unknown labels.
+func unanswered(n int) []entity.Label {
+	out := make([]entity.Label, n)
+	for i := range out {
+		out[i] = entity.Unknown
+	}
+	return out
+}
+
+// answer records label l for question i: the first answer sets it, an
+// agreeing one changes nothing, and a disagreeing one makes the question
+// contradicted for good.
+func answer(out []entity.Label, i int, l entity.Label) {
+	switch out[i] {
+	case entity.Unknown:
+		out[i] = l
+	case l, contradicted:
+	default:
+		out[i] = contradicted
+	}
+}
+
+// settle turns every contradicted question into Unknown and returns out.
+func settle(out []entity.Label) []entity.Label {
+	for i, l := range out {
+		if l == contradicted {
+			out[i] = entity.Unknown
 		}
 	}
 	return out
