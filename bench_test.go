@@ -605,6 +605,47 @@ func distinctVectors(vs []feature.Vector) int {
 	return len(seen)
 }
 
+// BenchmarkSelection times demonstration selection the way the paper's
+// tables run it: one 512-question window of datagen DS's test split
+// against the whole training split as a separate pool (≈ 17 k pairs,
+// uncapped), diversity batching, one sub-benchmark per selection
+// strategy. Profiles are built once and shared, so each op is Prepare's
+// feature extraction, batching and selection; dist-calls/op counts the
+// distance evaluations of one Prepare.
+func BenchmarkSelection(b *testing.B) {
+	d, err := datagen.GenerateByName("DS", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := entity.SplitPairs(d.Pairs)
+	window, pool := split.Test[:512], split.Train
+	for _, s := range []core.SelectStrategy{core.TopKBatch, core.TopKQuestion, core.VoteKSelection, core.CoveringSelection} {
+		b.Run(s.String(), func(b *testing.B) {
+			base := core.Config{Batching: core.DiversityBatching, Selection: s, Seed: 1}
+			cfg := core.NewFromConfig(llm.NewSimulated(nil, 1), base).Config()
+			ctx := feature.WithProfiles(context.Background(), feature.NewProfiles(cfg.Extractor))
+			prepare := func(dist feature.Distance) int {
+				c := base
+				c.Distance = dist
+				prep, err := core.NewFromConfig(llm.NewSimulated(nil, 1), c).Prepare(ctx, window, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(prep.LabeledPool())
+			}
+			var calls atomic.Int64
+			labeled := prepare(func(x, y feature.Vector) float64 { calls.Add(1); return cfg.Distance(x, y) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prepare(cfg.Distance)
+			}
+			b.ReportMetric(float64(calls.Load()), "dist-calls/op")
+			b.ReportMetric(float64(labeled), "labeled")
+		})
+	}
+}
+
 // BenchmarkRecovery times the path an operator waits on after
 // -merge-shards or a crash: merging shard journals, opening the merged
 // journal for replay, and — for scale — what the live journal's appends
