@@ -46,7 +46,7 @@ func TestSimilarityBatchesFromSameCluster(t *testing.T) {
 	// 3 clusters of 8: every similarity batch must stay within a cluster.
 	vecs := clusteredVecs(3, 8)
 	cfg := Config{BatchSize: 8, Batching: SimilarityBatching, Seed: 1}.applyDefaults()
-	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
+	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, nil, false))
 	checkIsPartition(t, bs, len(vecs))
 	for _, b := range bs {
 		cluster := b[0] / 8
@@ -89,7 +89,7 @@ func TestSimilarityRemainderExactPartner(t *testing.T) {
 func TestDiversityBatchesSpanClusters(t *testing.T) {
 	vecs := clusteredVecs(8, 3) // 8 clusters of 3, b=8
 	cfg := Config{BatchSize: 8, Batching: DiversityBatching, Seed: 1}.applyDefaults()
-	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
+	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, nil, false))
 	checkIsPartition(t, bs, len(vecs))
 	// First batches must contain one question from each cluster.
 	first := bs[0]
@@ -146,7 +146,7 @@ func TestMakeBatchesBatchSizeOne(t *testing.T) {
 	cfg := Config{BatchSize: 1, Batching: DiversityBatching, Seed: 1}.applyDefaults()
 	// applyDefaults would reset BatchSize<=0 but 1 is legal.
 	cfg.BatchSize = 1
-	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
+	bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, nil, false))
 	checkIsPartition(t, bs, 6)
 	if len(bs) != 6 {
 		t.Errorf("standard prompting should yield one batch per question: %d", len(bs))
@@ -167,7 +167,7 @@ func TestMakeBatchesIdenticalVectors(t *testing.T) {
 	}
 	for _, strat := range BatchStrategies() {
 		cfg := Config{BatchSize: 4, Batching: strat, Seed: 1}.applyDefaults()
-		bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, false))
+		bs := makeBatches(cfg, len(vecs), windowGeometry(cfg, vecs, nil, false))
 		checkIsPartition(t, bs, 10)
 	}
 }

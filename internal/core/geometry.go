@@ -3,6 +3,7 @@ package core
 import (
 	"batcher/internal/cluster"
 	"batcher/internal/feature"
+	"batcher/internal/setcover"
 )
 
 // geometry is everything question batching and covering-based selection
@@ -18,10 +19,10 @@ type geometry struct {
 	within []uint64
 	// t is the covering threshold; set only for CoveringSelection.
 	t float64
-	// below is the cover relation dist < t as cluster.Sweep rows, pool
-	// index by question index. Nil unless the selection is covering and
-	// the pool is the question set itself; otherwise covering evaluates
-	// its rectangular pool x question relation on its own.
+	// below is the cover relation dist < t as bit rows, pool index by
+	// question index: cluster.Sweep's when the pool is the question set
+	// itself, setcover.Rows' over the rectangular pool x question
+	// relation otherwise. Nil unless the selection is covering.
 	below []uint64
 }
 
@@ -33,8 +34,9 @@ func (c Config) clustersQuestions() bool {
 // windowGeometry calibrates the thresholds the configuration needs and
 // then has cfg.Distance evaluated once per unordered pair of questions,
 // for both relations at once. selfPooled says the demonstration pool is
-// the question set (qVecs are its vectors too), which is what makes the
-// cover relation one of the sweep's.
+// the question set (dVecs is qVecs), which is what makes the cover
+// relation one of the sweep's; any other pool has its cover relation
+// measured once per (pool, question) cell.
 //
 // A window no larger than DistanceSampleCap is its own calibration
 // sample, for both thresholds, in index order: its pairwise distances
@@ -43,7 +45,7 @@ func (c Config) clustersQuestions() bool {
 // the same buffer, adding only the n diagonal calls. A larger window
 // draws each threshold's seeded sample and the sweep measures the
 // window itself, once per unordered pair of distinct vectors.
-func windowGeometry(cfg Config, qVecs []feature.Vector, selfPooled bool) geometry {
+func windowGeometry(cfg Config, qVecs, dVecs []feature.Vector, selfPooled bool) geometry {
 	clustering := cfg.clustersQuestions()
 	covering := cfg.Selection == CoveringSelection
 	var eps float64
@@ -67,6 +69,9 @@ func windowGeometry(cfg Config, qVecs []feature.Vector, selfPooled bool) geometr
 	}
 	g.within, g.below = cluster.Sweep(qVecs, cfg.Distance, ds,
 		eps, clustering && !(eps <= 0), g.t, covering && selfPooled)
+	if covering && !selfPooled {
+		g.below = setcover.Rows(len(dVecs), len(qVecs), func(d, q int) bool { return cfg.Distance(dVecs[d], qVecs[q]) < g.t })
+	}
 	return g
 }
 

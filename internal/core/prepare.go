@@ -67,7 +67,7 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 	if !selfPooled {
 		dVecs = feature.ExtractAllWith(ps, cfg.Extractor, pool)
 	}
-	geo := windowGeometry(cfg, qVecs, selfPooled)
+	geo := windowGeometry(cfg, qVecs, dVecs, selfPooled)
 
 	batches := makeBatches(cfg, len(qVecs), geo)
 	if err := checkPartition(batches, len(questions)); err != nil {

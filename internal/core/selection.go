@@ -35,7 +35,7 @@ func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, poo
 	case TopKQuestion:
 		sel = topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	case CoveringSelection:
-		sel = coveringSelection(cfg, batches, qVecs, dVecs, pool, geo)
+		sel = coveringSelection(batches, len(qVecs), pool, geo)
 	case VoteKSelection:
 		sel = voteKSelection(cfg, batches, qVecs, dVecs)
 	default:
@@ -64,45 +64,32 @@ func fixedSelection(cfg Config, batches Batches, poolSize int) selection {
 }
 
 // topKBatchSelection picks the NumDemos pool entries nearest to each batch
-// under the batch-to-demo distance of Eq. (6):
-// dist*(B, d) = min over q in B of dist(q, d).
+// under the batch-to-demo distance of Eq. (6).
 func topKBatchSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vector) selection {
 	var sel selection
 	labeled := make(map[int]bool)
 	for _, batch := range batches {
-		type cand struct {
-			idx  int
-			dist float64
-		}
-		cands := make([]cand, len(dVecs))
-		for di, dv := range dVecs {
-			best := math.Inf(1)
-			for _, qi := range batch {
-				if d := cfg.Distance(qVecs[qi], dv); d < best {
-					best = d
-				}
-			}
-			cands[di] = cand{idx: di, dist: best}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dist != cands[j].dist {
-				return cands[i].dist < cands[j].dist
-			}
-			return cands[i].idx < cands[j].idx
+		ids := nearest(len(dVecs), cfg.NumDemos, func(di int) float64 {
+			return batchDistance(cfg, batch, qVecs, dVecs[di])
 		})
-		k := cfg.NumDemos
-		if k > len(cands) {
-			k = len(cands)
-		}
-		ids := make([]int, 0, k)
-		for _, c := range cands[:k] {
-			ids = append(ids, c.idx)
-			labeled[c.idx] = true
+		for _, di := range ids {
+			labeled[di] = true
 		}
 		sel.perBatch = append(sel.perBatch, ids)
 	}
 	sel.labeled = sortedKeys(labeled)
 	return sel
+}
+
+// batchDistance is Eq. (6)'s dist*(B, d) = min over q in B of dist(q, d).
+func batchDistance(cfg Config, batch []int, qVecs []feature.Vector, d feature.Vector) float64 {
+	best := math.Inf(1)
+	for _, qi := range batch {
+		if x := cfg.Distance(qVecs[qi], d); x < best {
+			best = x
+		}
+	}
+	return best
 }
 
 // topKQuestionSelection picks, for every question in a batch, its k
@@ -114,7 +101,7 @@ func topKQuestionSelection(cfg Config, batches Batches, qVecs, dVecs []feature.V
 	for _, batch := range batches {
 		chosen := make(map[int]bool)
 		for _, qi := range batch {
-			for _, di := range nearestK(cfg.Distance, qVecs[qi], dVecs, k) {
+			for _, di := range nearest(len(dVecs), k, func(di int) float64 { return cfg.Distance(qVecs[qi], dVecs[di]) }) {
 				chosen[di] = true
 				labeled[di] = true
 			}
@@ -125,24 +112,16 @@ func topKQuestionSelection(cfg Config, batches Batches, qVecs, dVecs []feature.V
 	return sel
 }
 
-// coveringSelection implements Section V: stage 1 selects a minimal
-// demonstration set covering all questions (unit weights), stage 2 covers
-// each batch from that set minimizing total token weight. Demonstration d
-// covers question q iff Distance(dVecs[d], qVecs[q]) < geo.t. A
-// self-pooled window has that relation as bits already (geo.below) and
-// neither stage calls Distance; any other pool evaluates its rectangular
-// relation here, once for stage 1 and again per batch.
-func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair, geo geometry) selection {
-	covers := func(d, q int) bool { return cfg.Distance(dVecs[d], qVecs[q]) < geo.t }
+// coveringSelection implements Section V over geo.below, the cover
+// relation of the nq questions (bit q of pool row d set iff
+// Distance(dVecs[d], qVecs[q]) < geo.t): stage 1 selects a minimal
+// demonstration set covering all questions (unit weights), stage 2
+// covers each batch from that set minimizing total token weight. Both
+// stages read bits; neither measures a distance.
+func coveringSelection(batches Batches, nq int, pool []entity.Pair, geo geometry) selection {
+	words := cluster.RowWords(nq)
 	// Stage 1: Demonstration Set Generation over the full question set.
-	var ds []int
-	if geo.below != nil {
-		words := cluster.RowWords(len(qVecs))
-		covers = func(d, q int) bool { return geo.below[d*words+q>>6]>>(q&63)&1 != 0 }
-		ds = setcover.GreedyRows(len(dVecs), len(qVecs), geo.below, nil)
-	} else {
-		ds = setcover.Greedy(setcover.Instance{NumQuestions: len(qVecs), NumDemos: len(dVecs), Covers: covers})
-	}
+	ds := setcover.GreedyRows(len(pool), nq, geo.below, nil)
 	// Token weights for stage 2: the price of including each selected
 	// demonstration in a prompt.
 	weights := make([]float64, len(ds))
@@ -151,12 +130,10 @@ func coveringSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vecto
 	}
 	var sel selection
 	for _, batch := range batches {
-		picked := setcover.Greedy(setcover.Instance{
-			NumQuestions: len(batch),
-			NumDemos:     len(ds),
-			Covers:       func(d, q int) bool { return covers(ds[d], batch[q]) },
-			Weight:       func(d int) float64 { return weights[d] },
+		rows := setcover.Rows(len(ds), len(batch), func(d, q int) bool {
+			return geo.below[ds[d]*words+batch[q]>>6]>>(batch[q]&63)&1 != 0
 		})
+		picked := setcover.GreedyRows(len(ds), len(batch), rows, func(d int) float64 { return weights[d] })
 		ids := make([]int, 0, len(picked))
 		for _, pi := range picked {
 			ids = append(ids, ds[pi])
@@ -208,30 +185,34 @@ func coverThresholdOf(ds []float64, p float64) float64 {
 	return t
 }
 
-// nearestK returns the indices of the k nearest vectors in pool to q.
-func nearestK(dist feature.Distance, q feature.Vector, pool []feature.Vector, k int) []int {
-	type cand struct {
-		idx  int
-		dist float64
-	}
-	cands := make([]cand, len(pool))
-	for i, p := range pool {
-		cands[i] = cand{idx: i, dist: dist(q, p)}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
+// nearest returns the indices i in [0, n) of the k smallest dist(i), in
+// ascending (distance, index) order, with NaN ranked after every number
+// so the order is total. It calls dist once per index and keeps the
+// best k by insertion, O(n·k): selection asks for a handful of the
+// nearest out of a pool of thousands.
+func nearest(n, k int, dist func(i int) float64) []int {
+	k = max(0, min(k, n))
+	idx := make([]int, 0, k)
+	ds := make([]float64, 0, k)
+	for i := 0; i < n; i++ {
+		d := dist(i)
+		// j is d's rank among the kept: after every distance it does
+		// not precede, so equal distances keep index order.
+		j := len(ds)
+		for j > 0 && (d < ds[j-1] || ds[j-1] != ds[j-1] && d == d) {
+			j--
 		}
-		return cands[i].idx < cands[j].idx
-	})
-	if k > len(cands) {
-		k = len(cands)
+		if j == k {
+			continue
+		}
+		if len(ds) < k {
+			ds, idx = append(ds, 0), append(idx, 0)
+		}
+		copy(ds[j+1:], ds[j:])
+		copy(idx[j+1:], idx[j:])
+		ds[j], idx[j] = d, i
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].idx
-	}
-	return out
+	return idx
 }
 
 func sortedKeys(m map[int]bool) []int {

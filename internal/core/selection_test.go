@@ -116,7 +116,7 @@ func TestCoveringSelectionCoversAllCoverable(t *testing.T) {
 	cfg.BatchSize = 3
 	cfg.CoverPercentile = 0.3
 	batches := Batches{{0, 1, 2}, {3, 4, 5}}
-	sel := coveringSelection(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
+	sel := coveringSelection(batches, len(qVecs), pool, windowGeometry(cfg, qVecs, dVecs, false))
 	if len(sel.labeled) != 2 {
 		t.Fatalf("labeled = %v, want the two near demos", sel.labeled)
 	}
@@ -140,7 +140,7 @@ func TestCoveringCheaperThanTopKQuestion(t *testing.T) {
 	cfg := Config{BatchSize: 8, Selection: CoveringSelection, Seed: 1}.applyDefaults()
 	cfg.CoverPercentile = 0.5
 	batches := Batches{{0, 1, 2, 3, 4, 5, 6, 7}}
-	cover := coveringSelection(cfg, batches, qVecs, dVecs, pool, windowGeometry(cfg, qVecs, false))
+	cover := coveringSelection(batches, len(qVecs), pool, windowGeometry(cfg, qVecs, dVecs, false))
 	topkq := topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	if len(cover.labeled) >= len(topkq.labeled) {
 		// topk-question with k=1 will pick demo 0 for all questions here,
@@ -179,12 +179,66 @@ func TestCoverThresholdDegenerate(t *testing.T) {
 
 func TestNearestK(t *testing.T) {
 	pool := vecsFrom(10, 0, 5)
-	got := nearestK(feature.Euclidean, feature.Vector{1}, pool, 2)
+	dist := func(i int) float64 { return feature.Euclidean(feature.Vector{1}, pool[i]) }
+	got := nearest(len(pool), 2, dist)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("nearestK = %v, want [1 2]", got)
+		t.Errorf("nearest = %v, want [1 2]", got)
 	}
-	if got := nearestK(feature.Euclidean, feature.Vector{1}, pool, 99); len(got) != 3 {
+	if got := nearest(len(pool), 99, dist); len(got) != 3 {
 		t.Errorf("k clamp failed: %v", got)
+	}
+}
+
+// TestNearestMatchesSortOracle: nearest is a stable sort by distance
+// with NaN after every number, cut at k, and it calls dist exactly once
+// per index — on random distances, palettes so small that most
+// distances tie (±0 among them), and sets salted with +Inf and NaN.
+func TestNearestMatchesSortOracle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	nan := math.NaN()
+	palettes := []struct {
+		name   string
+		values []float64 // nil: uniform on [0, 1)
+	}{
+		{"random", nil},
+		{"ties", []float64{0, math.Copysign(0, -1), 1, 1, 2}},
+		{"inf-nan", []float64{0.5, math.Inf(1), nan, 0.25, math.Copysign(0, -1), nan}},
+		{"all-nan", []float64{nan}},
+		{"all-inf", []float64{math.Inf(1)}},
+		{"infs-nan", []float64{math.Inf(1), nan}},
+	}
+	for _, n := range []int{0, 1, 2, 7, 64, 300} {
+		for _, p := range palettes {
+			ds := make([]float64, n)
+			for i := range ds {
+				if p.values == nil {
+					ds[i] = rnd.Float64()
+				} else {
+					ds[i] = p.values[rnd.Intn(len(p.values))]
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				x, y := ds[want[a]], ds[want[b]]
+				return x < y || (math.IsNaN(y) && !math.IsNaN(x))
+			})
+			for _, k := range []int{0, 1, n - 1, n, n + 5} {
+				calls := make([]int, n)
+				got := nearest(n, k, func(i int) float64 { calls[i]++; return ds[i] })
+				w := want[:max(0, min(k, n))]
+				if len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+					t.Fatalf("%s n=%d k=%d: nearest = %v, oracle %v (distances %v)", p.name, n, k, got, w, ds)
+				}
+				for i, c := range calls {
+					if c != 1 {
+						t.Fatalf("%s n=%d k=%d: dist(%d) called %d times, want once", p.name, n, k, i, c)
+					}
+				}
+			}
+		}
 	}
 }
 

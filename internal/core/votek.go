@@ -30,58 +30,32 @@ func voteKSelection(cfg Config, batches Batches, qVecs, dVecs []feature.Vector) 
 		budget = len(dVecs)
 	}
 	annotated := voteK(cfg, dVecs, budget)
-	annVecs := make([]feature.Vector, len(annotated))
-	for i, di := range annotated {
-		annVecs[i] = dVecs[di]
-	}
 	var sel selection
 	sel.labeled = append([]int(nil), annotated...)
 	sort.Ints(sel.labeled)
 	perBatchK := cfg.NumDemos
 	for _, batch := range batches {
 		chosen := make(map[int]bool)
-		// Nearest annotated demo per question, then fill to the budget by
-		// batch distance.
+		// Nearest annotated demo per question (ties to the earlier
+		// annotation), then fill to the budget by batch distance.
 		for _, qi := range batch {
-			best, bestD := -1, math.Inf(1)
-			for ai, av := range annVecs {
-				if d := cfg.Distance(qVecs[qi], av); d < bestD {
-					best, bestD = ai, d
-				}
-			}
-			if best >= 0 {
-				chosen[annotated[best]] = true
+			for _, ai := range nearest(len(annotated), 1, func(ai int) float64 {
+				return cfg.Distance(qVecs[qi], dVecs[annotated[ai]])
+			}) {
+				chosen[annotated[ai]] = true
 			}
 		}
 		if len(chosen) < perBatchK {
-			type cand struct {
-				idx  int
-				dist float64
+			var rest []int // unchosen annotated pool indices, ascending
+			for _, di := range sel.labeled {
+				if !chosen[di] {
+					rest = append(rest, di)
+				}
 			}
-			var cands []cand
-			for ai, av := range annVecs {
-				if chosen[annotated[ai]] {
-					continue
-				}
-				best := math.Inf(1)
-				for _, qi := range batch {
-					if d := cfg.Distance(qVecs[qi], av); d < best {
-						best = d
-					}
-				}
-				cands = append(cands, cand{idx: annotated[ai], dist: best})
-			}
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].dist != cands[j].dist {
-					return cands[i].dist < cands[j].dist
-				}
-				return cands[i].idx < cands[j].idx
-			})
-			for _, c := range cands {
-				if len(chosen) >= perBatchK {
-					break
-				}
-				chosen[c.idx] = true
+			for _, ri := range nearest(len(rest), perBatchK-len(chosen), func(ri int) float64 {
+				return batchDistance(cfg, batch, qVecs, dVecs[rest[ri]])
+			}) {
+				chosen[rest[ri]] = true
 			}
 		}
 		sel.perBatch = append(sel.perBatch, sortedKeys(chosen))
@@ -169,26 +143,16 @@ func voteK(cfg Config, dVecs []feature.Vector, budget int) []int {
 	votes := make([]float64, n)
 	neighbors := make([][]int, n)
 	for i := 0; i < n; i++ {
-		type nd struct {
-			j int
-			d float64
-		}
-		nds := make([]nd, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		// other maps a rank among the n-1 items other than i to its index.
+		other := func(p int) int {
+			if p >= i {
+				return p + 1
 			}
-			nds = append(nds, nd{j: j, d: cfg.Distance(dVecs[i], dVecs[j])})
+			return p
 		}
-		sort.Slice(nds, func(a, b int) bool {
-			if nds[a].d != nds[b].d {
-				return nds[a].d < nds[b].d
-			}
-			return nds[a].j < nds[b].j
-		})
-		for _, x := range nds[:k] {
-			votes[x.j]++
-			neighbors[i] = append(neighbors[i], x.j)
+		for _, p := range nearest(n-1, k, func(p int) float64 { return cfg.Distance(dVecs[i], dVecs[other(p)]) }) {
+			votes[other(p)]++
+			neighbors[i] = append(neighbors[i], other(p))
 		}
 	}
 	// Greedy pick with a decay discount: once an item is selected, votes

@@ -6,10 +6,9 @@
 //   - Batch Covering (Section V-B): token-count weights, minimize the total
 //     token weight of demonstrations covering a batch.
 //
-// The package exposes the generic greedy routine over an abstract coverage
-// relation. The relation is evaluated once into a bit matrix — one row
-// of question bits per demonstration — and the greedy loop runs on word
-// operations over those rows.
+// The cover relation is a bit matrix — one row of question bits per
+// demonstration — which Rows builds from a predicate (or a caller
+// already holds), and GreedyRows runs on word operations over it.
 package setcover
 
 import (
@@ -19,48 +18,19 @@ import (
 )
 
 // minParallelCover is the cell count (demonstrations x questions) at
-// which Greedy builds its cover matrix across workpool workers. Below
-// it — every per-batch covering call — the whole relation costs less to
-// evaluate than the goroutines would to start. Package variable rather
-// than constant so tests can force both paths.
+// which Rows builds its matrix across workpool workers. Below it — every
+// per-batch covering call — the whole relation costs less to evaluate
+// than the goroutines would to start. Package variable rather than
+// constant so tests can force both paths.
 var minParallelCover = 1 << 14
 
-// Instance describes a weighted set cover instance: nq questions, nd
-// candidate demonstrations, a coverage predicate, and per-demonstration
-// weights.
-type Instance struct {
-	// NumQuestions is the number of elements to cover.
-	NumQuestions int
-	// NumDemos is the number of candidate covering sets.
-	NumDemos int
-	// Covers reports whether demonstration d covers question q. It must
-	// be safe for concurrent calls: Greedy evaluates large instances
-	// from several goroutines.
-	Covers func(d, q int) bool
-	// Weight is the cost of selecting demonstration d. Nil means unit
-	// weights.
-	Weight func(d int) float64
-}
-
-// Greedy runs Algorithm 1: starting from the empty selection, repeatedly
-// add the demonstration maximizing (marginal covered questions) / weight
-// until the selection covers every question that the full candidate set
-// can cover. Ties go to the higher raw gain, then to the lower index.
-// The returned slice lists selected demonstration indices in selection
-// order.
-//
-// Questions that no candidate covers are ignored (they cap the reachable
-// value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
-//
-// Greedy evaluates the cover relation exactly once, into the bit matrix
-// GreedyRows takes, and runs GreedyRows on it. Rows are built by
-// demonstration across workpool workers above minParallelCover cells;
-// fn(d) writes row d and nothing else, so the matrix — and with it the
-// selection — does not depend on how the rows were scheduled. A caller
-// that already holds the relation as rows (a pool that is its own
-// question set gets them from cluster.Sweep) calls GreedyRows directly.
-func Greedy(inst Instance) []int {
-	nd, nq := inst.NumDemos, inst.NumQuestions
+// Rows evaluates covers(d, q) once per cell into the bit matrix
+// GreedyRows takes: nd rows of ceil(nq/64) words in one slice, bit q of
+// row d set iff covers(d, q). Rows are built by demonstration across
+// workpool workers from minParallelCover cells on, so covers must be
+// safe for concurrent calls; each task writes its own row and nothing
+// else, so the matrix does not depend on how the rows were scheduled.
+func Rows(nd, nq int, covers func(d, q int) bool) []uint64 {
 	words := (nq + 63) / 64
 	rows := make([]uint64, nd*words)
 	workers := 1
@@ -70,19 +40,25 @@ func Greedy(inst Instance) []int {
 	workpool.For(workers, nd, func(d int) {
 		row := rows[d*words : (d+1)*words]
 		for q := 0; q < nq; q++ {
-			if inst.Covers(d, q) {
+			if covers(d, q) {
 				row[q>>6] |= 1 << (q & 63)
 			}
 		}
 	})
-	return GreedyRows(nd, nq, rows, inst.Weight)
+	return rows
 }
 
-// GreedyRows is Greedy over a prebuilt cover relation: rows holds nd
-// rows of ceil(nq/64) words in one slice, bit q of row d set iff
-// demonstration d covers question q, so the matrix takes
-// nd * ceil(nq/64) words whatever its density. rows is read, never
-// written. weight is Instance.Weight: nil means unit weights.
+// GreedyRows runs Algorithm 1 on the cover relation rows (see Rows):
+// starting from the empty selection, repeatedly add the demonstration
+// maximizing (marginal covered questions) / weight until the selection
+// covers every question that the full candidate set can cover. Ties go
+// to the higher raw gain, then to the lower index. The returned slice
+// lists selected demonstration indices in selection order. rows is
+// read, never written. weight(d) is the cost of selecting demonstration
+// d; nil means unit weights.
+//
+// Questions that no candidate covers are ignored (they cap the reachable
+// value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
 //
 // A demonstration's marginal gain is popcount(row &^ covered). Gains only
 // shrink as the selection grows, so the last gain computed for a
@@ -157,10 +133,6 @@ func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
 // GreedyThreshold is a convenience wrapper for the geometric case used by
 // BATCHER: demonstration d covers question q iff dist(d, q) < t.
 func GreedyThreshold(numDemos, numQuestions int, dist func(d, q int) float64, t float64, weight func(d int) float64) []int {
-	return Greedy(Instance{
-		NumQuestions: numQuestions,
-		NumDemos:     numDemos,
-		Covers:       func(d, q int) bool { return dist(d, q) < t },
-		Weight:       weight,
-	})
+	rows := Rows(numDemos, numQuestions, func(d, q int) bool { return dist(d, q) < t })
+	return GreedyRows(numDemos, numQuestions, rows, weight)
 }

@@ -8,10 +8,26 @@ import (
 	"testing"
 )
 
-// matrixInstance builds an Instance from an explicit boolean cover matrix
+// instance is a set cover instance stated as a predicate: nq questions,
+// nd candidate demonstrations, a coverage predicate, and
+// per-demonstration weights (nil means unit weights).
+type instance struct {
+	NumQuestions int
+	NumDemos     int
+	Covers       func(d, q int) bool
+	Weight       func(d int) float64
+}
+
+// greedy runs GreedyRows on the relation Rows builds from inst.
+func greedy(inst instance) []int {
+	rows := Rows(inst.NumDemos, inst.NumQuestions, inst.Covers)
+	return GreedyRows(inst.NumDemos, inst.NumQuestions, rows, inst.Weight)
+}
+
+// matrixInstance builds an instance from an explicit boolean cover matrix
 // cover[d][q].
-func matrixInstance(cover [][]bool, weights []float64) Instance {
-	inst := Instance{
+func matrixInstance(cover [][]bool, weights []float64) instance {
+	inst := instance{
 		NumDemos:     len(cover),
 		NumQuestions: 0,
 		Covers:       func(d, q int) bool { return cover[d][q] },
@@ -33,7 +49,7 @@ func TestGreedyCoversAll(t *testing.T) {
 		{false, false, true},
 	}
 	inst := matrixInstance(cover, nil)
-	sel := Greedy(inst)
+	sel := greedy(inst)
 	if _, complete := Coverage(inst, sel); !complete {
 		t.Fatalf("selection %v does not cover all questions", sel)
 	}
@@ -49,7 +65,7 @@ func TestGreedyPrefersHighCoverage(t *testing.T) {
 		{true, true, true, true},
 		{false, false, true, false},
 	}
-	sel := Greedy(matrixInstance(cover, nil))
+	sel := greedy(matrixInstance(cover, nil))
 	if len(sel) != 1 || sel[0] != 1 {
 		t.Errorf("greedy = %v, want [1]", sel)
 	}
@@ -65,7 +81,7 @@ func TestGreedyWeighted(t *testing.T) {
 	}
 	weights := []float64{100, 1, 1}
 	inst := matrixInstance(cover, weights)
-	sel := Greedy(inst)
+	sel := greedy(inst)
 	if _, complete := Coverage(inst, sel); !complete {
 		t.Fatalf("incomplete cover %v", sel)
 	}
@@ -85,7 +101,7 @@ func TestGreedyUncoverableQuestionIgnored(t *testing.T) {
 		{false, true, false},
 	}
 	inst := matrixInstance(cover, nil)
-	sel := Greedy(inst)
+	sel := greedy(inst)
 	covered, complete := Coverage(inst, sel)
 	if !complete {
 		t.Error("expected complete over coverable subset")
@@ -96,15 +112,15 @@ func TestGreedyUncoverableQuestionIgnored(t *testing.T) {
 }
 
 func TestGreedyEmptyInstance(t *testing.T) {
-	sel := Greedy(Instance{NumQuestions: 0, NumDemos: 0, Covers: func(d, q int) bool { return false }})
+	sel := greedy(instance{NumQuestions: 0, NumDemos: 0, Covers: func(d, q int) bool { return false }})
 	if len(sel) != 0 {
 		t.Errorf("greedy on empty = %v", sel)
 	}
 }
 
 func TestGreedyNoDemos(t *testing.T) {
-	inst := Instance{NumQuestions: 5, NumDemos: 0, Covers: func(d, q int) bool { return true }}
-	if sel := Greedy(inst); len(sel) != 0 {
+	inst := instance{NumQuestions: 5, NumDemos: 0, Covers: func(d, q int) bool { return true }}
+	if sel := greedy(inst); len(sel) != 0 {
 		t.Errorf("greedy with no demos = %v", sel)
 	}
 }
@@ -112,7 +128,7 @@ func TestGreedyNoDemos(t *testing.T) {
 func TestGreedyZeroWeightGuard(t *testing.T) {
 	cover := [][]bool{{true}}
 	inst := matrixInstance(cover, []float64{0})
-	sel := Greedy(inst)
+	sel := greedy(inst)
 	if len(sel) != 1 {
 		t.Errorf("zero-weight demo not handled: %v", sel)
 	}
@@ -125,7 +141,7 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 		{true, true},
 	}
 	for i := 0; i < 10; i++ {
-		sel := Greedy(matrixInstance(cover, nil))
+		sel := greedy(matrixInstance(cover, nil))
 		if len(sel) != 1 || sel[0] != 0 {
 			t.Fatalf("tie-break unstable: %v", sel)
 		}
@@ -151,7 +167,7 @@ func TestGreedyApproximationOnRandomInstances(t *testing.T) {
 			cover[rnd.Intn(nd)][q] = true
 		}
 		inst := matrixInstance(cover, nil)
-		sel := Greedy(inst)
+		sel := greedy(inst)
 		if _, complete := Coverage(inst, sel); !complete {
 			t.Fatalf("trial %d: greedy incomplete", trial)
 		}
@@ -211,7 +227,7 @@ func bruteForceOpt(cover [][]bool) int {
 // Coverage reports how many of the nq questions the selection covers under
 // the instance's predicate, and whether all coverable questions are
 // covered.
-func Coverage(inst Instance, selection []int) (covered int, complete bool) {
+func Coverage(inst instance, selection []int) (covered int, complete bool) {
 	cov := make([]bool, inst.NumQuestions)
 	for _, d := range selection {
 		for q := 0; q < inst.NumQuestions; q++ {
@@ -249,10 +265,11 @@ func Hk(k int) float64 {
 	return h
 }
 
-// greedyLists is Greedy as it was written over per-demonstration cover
-// lists, rescanning every list on every pick. It is kept as the oracle:
-// the bit-matrix Greedy must return the same indices in the same order.
-func greedyLists(inst Instance) []int {
+// greedyLists is Algorithm 1 as it was written over per-demonstration
+// cover lists, rescanning every list on every pick. It is kept as the
+// oracle: GreedyRows over Rows must return the same indices in the same
+// order.
+func greedyLists(inst instance) []int {
 	weight := inst.Weight
 	if weight == nil {
 		weight = func(int) float64 { return 1 }
@@ -328,8 +345,8 @@ func forceCoverPath(parallel bool, fn func()) {
 	fn()
 }
 
-// TestGreedyMatchesListOracle is the exactness contract of the
-// bit-matrix Greedy: same indices, same order as the list-based
+// TestGreedyMatchesListOracle is the exactness contract of GreedyRows
+// over Rows: same indices, same order as the list-based
 // implementation, on random weighted instances that exercise ties, the
 // nonpositive-weight guard, uncoverable questions, row widths around
 // the 64-bit word boundary, and both the serial and the parallel build.
@@ -366,7 +383,7 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 					want := greedyLists(inst)
 					for _, parallel := range []bool{false, true} {
 						forceCoverPath(parallel, func() {
-							got := Greedy(inst)
+							got := greedy(inst)
 							if len(got) != len(want) {
 								t.Fatalf("nq=%d nd=%d density=%v weighted=%v parallel=%v: picked %v, oracle %v",
 									nq, nd, density, weighted, parallel, got, want)
@@ -386,8 +403,9 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 }
 
 // TestGreedyRowsReadsPrebuiltRows: GreedyRows on a caller-built matrix
-// picks what Greedy picks from the predicate, and leaves the matrix as
-// it found it — covering selection runs stage 2 off the same rows.
+// picks what it picks from the matrix Rows builds out of the predicate,
+// and leaves the matrix as it found it — covering selection runs stage 2
+// off the same rows.
 func TestGreedyRowsReadsPrebuiltRows(t *testing.T) {
 	rnd := rand.New(rand.NewSource(16))
 	for _, n := range []int{1, 64, 65, 200} {
@@ -403,12 +421,12 @@ func TestGreedyRowsReadsPrebuiltRows(t *testing.T) {
 		before := append([]uint64(nil), rows...)
 		weight := func(d int) float64 { return float64(1 + d%3) }
 		got := GreedyRows(n, n, rows, weight)
-		want := Greedy(Instance{
+		want := greedy(instance{
 			NumQuestions: n, NumDemos: n, Weight: weight,
 			Covers: func(d, q int) bool { return before[d*words+q>>6]>>(q&63)&1 != 0 },
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: GreedyRows picked %v, Greedy %v", n, got, want)
+			t.Fatalf("n=%d: GreedyRows picked %v, over Rows %v", n, got, want)
 		}
 		if !reflect.DeepEqual(rows, before) {
 			t.Fatalf("n=%d: GreedyRows wrote to its rows", n)
@@ -481,6 +499,6 @@ func BenchmarkGreedyMediumInstance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Greedy(inst)
+		greedy(inst)
 	}
 }
