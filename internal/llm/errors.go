@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -160,14 +161,15 @@ func classifyStatus(status int) ErrorKind {
 // parseRetryAfter reads the integer-seconds form of a Retry-After
 // header. The HTTP-date form is deliberately ignored: resolving it
 // needs wall-clock time, and every live API this package targets sends
-// delta-seconds.
+// delta-seconds. A value too large for a time.Duration reads as absent,
+// like any other unparseable one.
 func parseRetryAfter(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
 	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
+	if err != nil || secs < 0 || int64(secs) > math.MaxInt64/int64(time.Second) {
 		return 0
 	}
 	return time.Duration(secs) * time.Second

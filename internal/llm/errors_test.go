@@ -125,4 +125,16 @@ func TestParseRetryAfter(t *testing.T) {
 	if d := parseRetryAfter(h); d != 0 {
 		t.Errorf("negative header = %v", d)
 	}
+	// Seconds past time.Duration's range read as absent: the product
+	// would wrap, to 290.448384ms and to a negative hint respectively.
+	for _, v := range []string{"18446744074", "9300000000"} {
+		h.Set("Retry-After", v)
+		if d := parseRetryAfter(h); d != 0 {
+			t.Errorf("overflowing header %s = %v, want 0", v, d)
+		}
+	}
+	h.Set("Retry-After", "9223372036") // the largest whole-second Duration
+	if d := parseRetryAfter(h); d != 9223372036*time.Second {
+		t.Errorf("largest representable header = %v", d)
+	}
 }
