@@ -143,7 +143,8 @@ func voteK(cfg Config, dVecs []feature.Vector, budget int) []int {
 	votes := make([]float64, n)
 	neighbors := make([][]int, n)
 	for i := 0; i < n; i++ {
-		// other maps a rank among the n-1 items other than i to its index.
+		// other maps position p among the n-1 items other than i to its
+		// index.
 		other := func(p int) int {
 			if p >= i {
 				return p + 1
