@@ -199,7 +199,7 @@ func nearest(n, k int, dist func(i int) float64) []int {
 		// j is d's rank among the kept: after every distance it does
 		// not precede, so equal distances keep index order.
 		j := len(ds)
-		for j > 0 && (d < ds[j-1] || ds[j-1] != ds[j-1] && d == d) {
+		for j > 0 && (d < ds[j-1] || math.IsNaN(ds[j-1]) && !math.IsNaN(d)) {
 			j--
 		}
 		if j == k {
