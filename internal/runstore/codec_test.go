@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,8 +126,9 @@ func codecRecords(rng *rand.Rand) []any {
 
 // TestLineCodecMatchesEncodingJSON is the codec's differential test: a
 // line built by hand is byte-equal to the marshalled envelope, splits
-// back into the parts encoding/json reads from it, and a segment written
-// through segLog.append holds exactly those lines.
+// back into the parts encoding/json reads from it, a segment written
+// through segLog.append holds exactly those lines, and its journal
+// records read back as the values json.Unmarshal makes of them.
 func TestLineCodecMatchesEncodingJSON(t *testing.T) {
 	recs := codecRecords(rand.New(rand.NewSource(1)))
 	dir := t.TempDir()
@@ -177,6 +179,52 @@ func TestLineCodecMatchesEncodingJSON(t *testing.T) {
 	})
 	if err != nil || n != len(recs) {
 		t.Fatalf("read %d of %d records back, err = %v", n, len(recs), err)
+	}
+
+	// The journal records among them, written through segLog.append and
+	// read back through readSegments as journal records, decode to what
+	// json.Unmarshal makes of their payloads; and the hand decoder takes
+	// exactly the payloads the hand encoder wrote.
+	var journal []journalRecord
+	for _, rec := range recs {
+		if jr, ok := rec.(journalRecord); ok {
+			journal = append(journal, jr)
+		}
+	}
+	jl := openSegLog(dir, "journal", 0, 0)
+	for _, rec := range journal {
+		if err := jl.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+	n, hand := 0, 0
+	_, err = readSegments(context.Background(), dir, "journal", func(got *journalRecord) error {
+		payload, _ := json.Marshal(journal[n])
+		var want journalRecord
+		if err := json.Unmarshal(payload, &want); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("record %d %s reads back as %+v, json.Unmarshal gives %+v", n, payload, *got, want)
+		}
+		_, encoded := appendJournalRecord(nil, &journal[n])
+		if _, decoded := parseJournalRecord(payload); decoded != encoded {
+			t.Fatalf("record %d %s: hand encoder took it %v, hand decoder %v", n, payload, encoded, decoded)
+		}
+		if encoded {
+			hand++
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != len(journal) {
+		t.Fatalf("read %d of %d journal records back, err = %v", n, len(journal), err)
+	}
+	if hand == 0 {
+		t.Fatal("no record took the hand codec")
 	}
 }
 
@@ -302,5 +350,89 @@ func FuzzSplitLine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkSplitDifferential(t, line)
+	})
+}
+
+// nearCanonicalPayloads are journal payloads at and around the shape the
+// hand encoder writes: canonical ones the hand decoder takes, and
+// variants — white space, key order, escapes, unknown or mis-cased keys,
+// numbers the field cannot hold, trailing bytes — it must leave to
+// json.Unmarshal.
+var nearCanonicalPayloads = []string{
+	`{"window":{"index":1,"offset":2,"size":3}}`,
+	`{"window":{"index":1,"offset":2,"size":3} }`,
+	`{"window":{"offset":2,"index":1,"size":3}}`,
+	`{"window":{"index":1,"offset":2,"size":3,"key":"a&b"}}`,
+	`{"window":{"index":1,"offset":2,"size":3,"key":"a\u0026b"}}`,
+	`{"window":{"index":1,"offset":2,"size":3,"extra":1}}`,
+	`{"window":{"Index":1,"offset":2,"size":3}}`,
+	`{"window":{"index":1.0,"offset":2,"size":3}}`,
+	`{"window":{"index":-0,"offset":2,"size":3}}`,
+	`{"window":{"index":01,"offset":2,"size":3}}`,
+	`{"window":{"index":9223372036854775808,"offset":2,"size":3}}`,
+	`{"window":{"index":-9223372036854775808,"offset":2,"size":3}}`,
+	`{"window":{"index":1,"offset":2,"size":3,"labeled":null,"global":0,"key":""}}`,
+	`{"window":{"index":1,"offset":2,"size":3,"labeled":[1,]}}`,
+	`{"window":null}`,
+	`{"window":{"index":1,"offset":2,"size":3},"batch":{"window":1}}`,
+	`{"window":{"index":1,"offset":2,"size":3}}{}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":0.001049}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[128],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":0}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[-129],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":0}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":1e400}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":1e-400}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":1.}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":"1"}}`,
+	`{"batch":{"window":0,"batch":1,"questions":null,"keys":null,"pred":null,"calls":0,"in_tokens":0,"out_tokens":0,"api_dollars":-0,"degraded":false}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[],"keys":[],"pred":[],"calls":0,"in_tokens":0,"out_tokens":0,"api_dollars":2.5E+21,"tiers":[]}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0,1],"keys":["a]b","c,d"],"pred":[1,0],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":5e-7,"tier":"cheap","tiers":[{"tier":"cheap","calls":1,"in":2,"out":3,"usd":5e-7}],"degraded":true}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":0,"tiers":[null]}}`,
+	`{"batch":{"window":0,"batch":1,"questions":[0],"keys":["a|b"],"pred":[1],"calls":1,"in_tokens":2,"out_tokens":3,"api_dollars":0,"degraded":true,"tier":"cheap"}}`,
+	"{\"batch\":{\"window\":0,\"batch\":1,\"questions\":[0],\"keys\":[\"\xff\"],\"pred\":[1],\"calls\":1,\"in_tokens\":2,\"out_tokens\":3,\"api_dollars\":0}}",
+	`{"batch":{"window":"seven"}}`,
+	`{"meta":{"run_id":"r"}}`,
+	`{"done":{"windows":1,"owned":1}}`,
+	`{}`, `null`, `[]`, `7`,
+}
+
+// FuzzJournalRecord holds the journal record codec to encoding/json on
+// arbitrary payload bytes: decoding succeeds exactly when json.Unmarshal
+// does, with a DeepEqual value, or fails with the same error; and a
+// value json.Unmarshal produced re-encodes to json.Marshal's bytes.
+func FuzzJournalRecord(f *testing.F) {
+	for _, rec := range codecRecords(rand.New(rand.NewSource(1))) {
+		if payload, err := json.Marshal(rec); err == nil {
+			f.Add(payload)
+		}
+	}
+	for _, line := range nearCanonicalLines() {
+		f.Add(line)
+	}
+	for _, payload := range nearCanonicalPayloads {
+		f.Add([]byte(payload))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var want, got journalRecord
+		jerr := json.Unmarshal(payload, &want)
+		err := decodeRecord(payload, &got)
+		if (err == nil) != (jerr == nil) {
+			t.Fatalf("%q: codec err = %v, json.Unmarshal err = %v", payload, err, jerr)
+		}
+		if jerr != nil {
+			var syntax, jsyntax *json.SyntaxError
+			var typ, jtyp *json.UnmarshalTypeError
+			if errors.As(err, &syntax) != errors.As(jerr, &jsyntax) || errors.As(err, &typ) != errors.As(jerr, &jtyp) || err.Error() != jerr.Error() {
+				t.Fatalf("%q: codec err = %v, json.Unmarshal err = %v", payload, err, jerr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: codec decodes %+v, json.Unmarshal %+v", payload, got, want)
+		}
+		enc, err := encodeRecord(nil, want)
+		jenc, jerr := json.Marshal(want)
+		if (err == nil) != (jerr == nil) || !bytes.Equal(enc, jenc) {
+			t.Fatalf("%+v: codec encodes %q (err %v), json.Marshal %q (err %v)", want, enc, err, jenc, jerr)
+		}
 	})
 }

@@ -296,23 +296,24 @@ func (s *RunState) WindowComplete(i, size int) bool {
 
 // WindowPreds assembles the window's predictions in question order from
 // its journaled batches. ok is false unless the batches cover all size
-// questions exactly.
+// questions exactly. Coverage counts distinct questions: an answer,
+// Unknown included, journaled twice never stands in for a question no
+// batch answered.
 func (s *RunState) WindowPreds(i, size int) ([]entity.Label, bool) {
 	w := s.window(i)
 	if w == nil || size <= 0 {
 		return nil, false
 	}
 	preds := make([]entity.Label, size)
+	seen := make([]bool, size)
 	covered := 0
-	for j := range preds {
-		preds[j] = entity.Unknown
-	}
 	for _, b := range w.batches {
 		for k, qi := range b.Questions {
 			if qi < 0 || qi >= size || k >= len(b.Pred) {
 				return nil, false
 			}
-			if preds[qi] == entity.Unknown {
+			if !seen[qi] {
+				seen[qi] = true
 				covered++
 			}
 			preds[qi] = b.Pred[k]

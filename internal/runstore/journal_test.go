@@ -330,3 +330,54 @@ func TestLedgerDollarsRoundTripExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowPredsCountsEachQuestionOnce pins that coverage counts
+// distinct questions: a question journaled twice, in two batches or
+// twice in one, must not stand in for a question no batch answered —
+// even when every answer is Unknown, which the old count could not tell
+// from "not yet answered".
+func TestWindowPredsCountsEachQuestionOnce(t *testing.T) {
+	unknown := func(n int) []entity.Label {
+		p := make([]entity.Label, n)
+		for i := range p {
+			p[i] = entity.Unknown
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		batches []BatchDone
+	}{
+		{"two batches", []BatchDone{
+			{Window: 0, Batch: 0, Questions: []int{0}, Keys: []string{"k0"}, Pred: unknown(1)},
+			{Window: 0, Batch: 1, Questions: []int{0}, Keys: []string{"k0"}, Pred: unknown(1)},
+		}},
+		{"one batch", []BatchDone{
+			{Window: 0, Batch: 0, Questions: []int{0, 0}, Keys: []string{"k0", "k0"}, Pred: unknown(2)},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(context.Background(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.WindowStart(WindowStart{Index: 0, Size: 2}); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range tc.batches {
+				if err := j.BatchDone(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j, st := reopen(t, j, dir)
+			defer j.Close()
+			if preds, ok := st.WindowPreds(0, 2); ok {
+				t.Errorf("WindowPreds = %v, ok; question 1 was never answered", preds)
+			}
+			if st.WindowComplete(0, 2) {
+				t.Error("window reported complete with question 1 unanswered")
+			}
+		})
+	}
+}

@@ -147,6 +147,7 @@ type segLog struct {
 
 	f        *os.File
 	w        *bufio.Writer
+	payload  []byte // append's scratch: one record's payload
 	line     []byte // append's scratch: one encoded line
 	seg      int
 	segBytes int64
@@ -197,6 +198,10 @@ func listSegments(dir, prefix string) ([]string, int, error) {
 // checksummed payload that is JSON but not a T. Returns the highest
 // existing segment index so writers can start a fresh segment after it.
 //
+// Payloads decode through decodeRecord: journal window and batch records
+// by hand when their bytes are canonical, everything else, and every
+// error, through json.Unmarshal.
+//
 // ctx is honored between segment files: replaying a large journal or
 // cache directory stops promptly once the caller cancels.
 func readSegments[T any](ctx context.Context, dir, prefix string, fn func(rec *T) error) (int, error) {
@@ -225,7 +230,7 @@ func readSegments[T any](ctx context.Context, dir, prefix string, fn func(rec *T
 			var rec *T // stays nil for a bad line
 			if crc, payload, ok := splitLine(line); ok && crc32.Checksum(payload, castagnoli) == crc {
 				rec = new(T)
-				if err := json.Unmarshal(payload, rec); err != nil {
+				if err := decodeRecord(payload, rec); err != nil {
 					var syntax *json.SyntaxError
 					if !errors.As(err, &syntax) {
 						f.Close()
@@ -271,13 +276,15 @@ func openSegLog(dir, prefix string, lastSeg int, syncEvery int) *segLog {
 	}
 }
 
-// append marshals rec once, frames it with its checksum (appendLine),
-// and writes it as one line, rotating and fsync-batching as configured.
+// append encodes rec once (encodeRecord), frames it with its checksum
+// (appendLine), and writes it as one line, rotating and fsync-batching
+// as configured.
 func (l *segLog) append(rec any) error {
-	payload, err := json.Marshal(rec)
+	payload, err := encodeRecord(l.payload[:0], rec)
 	if err != nil {
 		return fmt.Errorf("runstore: encode record: %w", err)
 	}
+	l.payload = payload[:0]
 	l.line = append(appendLine(l.line[:0], payload), '\n')
 	if l.f == nil || l.segBytes >= l.maxSeg {
 		if err := l.rotate(); err != nil {
