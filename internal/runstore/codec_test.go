@@ -436,3 +436,70 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 	})
 }
+
+// fillEveryField sets every exported field reachable from v to a value
+// no field has yet: distinct numbers, plain strings, true, and slices of
+// two filled elements. A field of a kind it does not know fails the test,
+// so a new field cannot slip past it unfilled.
+func fillEveryField(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*next % 100))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) / 1024)
+	case reflect.String:
+		v.SetString("s" + strconv.Itoa(*next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillEveryField(t, v.Index(i), next)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillEveryField(t, v.Field(i), next)
+			}
+		}
+	default:
+		t.Fatalf("fillEveryField: %s has kind %s", v.Type(), v.Kind())
+	}
+}
+
+// TestJournalCodecCoversEveryField holds the hand codec to every field
+// of the records it takes: a window start and a batch with every field,
+// nested tier usages included, set (and with none set) must take the
+// hand encoder, encode to json.Marshal's bytes, and decode by hand to
+// what json.Unmarshal reads. A field added to WindowStart, BatchDone or
+// cost.TierUsage that record.go does not write and read fails here.
+func TestJournalCodecCoversEveryField(t *testing.T) {
+	var w WindowStart
+	var b BatchDone
+	next := 0
+	fillEveryField(t, reflect.ValueOf(&w).Elem(), &next)
+	fillEveryField(t, reflect.ValueOf(&b).Elem(), &next)
+	for _, rec := range []journalRecord{{Window: &w}, {Batch: &b}, {Window: &WindowStart{}}, {Batch: &BatchDone{}}} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := appendJournalRecord(nil, &rec); !ok {
+			t.Fatalf("hand encoder declined %s", want)
+		}
+		got, err := encodeRecord(nil, rec)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("encodeRecord = %s (err %v), json.Marshal = %s", got, err, want)
+		}
+		var wantRec journalRecord
+		if err := json.Unmarshal(want, &wantRec); err != nil {
+			t.Fatal(err)
+		}
+		gotRec, ok := parseJournalRecord(want)
+		if !ok || !reflect.DeepEqual(gotRec, wantRec) {
+			t.Fatalf("%s: hand decoder = %+v, %v; json.Unmarshal = %+v", want, gotRec, ok, wantRec)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package runstore
 import (
 	"bytes"
 	"context"
-	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,9 +12,6 @@ import (
 	"batcher/internal/cost"
 	"batcher/internal/entity"
 )
-
-var recordFixture = flag.Bool("record-fixture", false,
-	"write testdata/journal_v1 from the journal under test (only at the commit that introduces a format version)")
 
 // fixtureDir is the committed journal written by the first journal
 // format; see TestJournalFixtureOpens.
@@ -106,71 +102,6 @@ var fixtureBatches = [][]BatchDone{
 // fixtureDone is the fixture's terminal record.
 var fixtureDone = RunDone{Windows: 6, Owned: 4}
 
-// writeJournalFixture writes the fixture through the Journal API as two
-// processes would: the first journals windows 0 and 1 and dies halfway
-// through writing window 2's start, leaving a torn last line in segment
-// 1; the second resumes, re-announces what is already journaled (no-ops),
-// and writes windows 2 and 3 and the terminal record into segment 2.
-func writeJournalFixture(t *testing.T, dir string) {
-	t.Helper()
-	ctx := context.Background()
-	j, err := OpenJournal(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteMeta(fixtureMeta); err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 2; w++ {
-		if err := j.WindowStart(fixtureStarts[w]); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range fixtureBatches[w] {
-			if err := j.BatchDone(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	torn := appendLine(nil, []byte(`{"window":{"index":2,"offset":7,"size":2,"global":5}}`))
-	f, err := os.OpenFile(filepath.Join(dir, segName("journal", 1)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err = OpenJournal(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.WriteMeta(fixtureMeta); err != nil {
-		t.Fatal(err)
-	}
-	for w := range fixtureStarts {
-		if err := j.WindowStart(fixtureStarts[w]); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range fixtureBatches[w] {
-			if err := j.BatchDone(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := j.Done(fixtureDone); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestJournalFixtureOpens opens testdata/journal_v1, a journal recorded
 // by the first journal format and committed byte for byte: every record
 // kind and every optional field, nil and empty slices, dollars on both
@@ -179,16 +110,18 @@ func writeJournalFixture(t *testing.T, dir string) {
 // decoded RunState, and re-appending every record read from it must
 // reproduce its bytes exactly, apart from the torn line.
 //
+// The fixture was recorded through the Journal API by the encoding/json
+// journal code, before the hand-written record codec, as two processes
+// would write it. The first wrote fixtureMeta and windows 0 and 1 into
+// segment 1; then half of window 2's start line was appended by hand, as
+// a crash mid-write leaves it. The second reopened the journal,
+// re-announced what was already journaled (no-ops), and wrote windows 2
+// and 3 and fixtureDone into segment 2.
+//
 // The fixture is never rewritten. Every later journal format version
-// must still open it and decode this same state; a new version records
-// a fixture of its own beside it.
+// must still open it and decode this same state; a new version commits
+// a fixture of its own, in its own directory, beside it.
 func TestJournalFixtureOpens(t *testing.T) {
-	if *recordFixture {
-		if err := os.RemoveAll(fixtureDir); err != nil {
-			t.Fatal(err)
-		}
-		writeJournalFixture(t, fixtureDir)
-	}
 	dir := t.TempDir()
 	var want []byte // the fixture's bytes without the torn line
 	for seg := 1; seg <= 2; seg++ {
