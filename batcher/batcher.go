@@ -74,7 +74,7 @@ type (
 	Split = entity.Split
 	// Result is the outcome of a Match call.
 	Result = core.Result
-	// Stream is an in-flight MatchStream resolution.
+	// Stream is a MatchStream resolution, run by ranging its All.
 	Stream = core.Stream
 	// BatchResult is one completed batch yielded by a Stream.
 	BatchResult = core.BatchResult
@@ -165,12 +165,19 @@ func (m *Matcher) Match(ctx context.Context, questions, pool []Pair) (*Result, e
 	return m.fw.Resolve(ctx, questions, pool)
 }
 
-// MatchStream starts a resolution and returns a Stream yielding each
-// batch's predictions, token usage, and cost delta as it completes, in
-// deterministic batch order. Consume it with Next or All, then check
-// Err; abandoning a stream requires Close.
+// MatchStream prepares a resolution and returns a Stream over it: ranging
+// stream.All runs the batches, yielding each batch's predictions, token
+// usage, and cost delta as it completes, in deterministic batch order;
+// Err then reports how the run ended. Nothing is called or billed until
+// All is ranged, breaking out of the loop stops the run at the next batch
+// boundary, and the run has ended when the loop has. Setup failures (bad
+// model, broken partition, a cancelled ctx) surface as the returned error.
 func (m *Matcher) MatchStream(ctx context.Context, questions, pool []Pair) (*Stream, error) {
-	return m.fw.ResolveStream(ctx, questions, pool)
+	p, err := m.fw.Prepare(ctx, questions, pool)
+	if err != nil {
+		return nil, err
+	}
+	return p.Start(ctx), nil
 }
 
 // Score computes the confusion matrix of predictions against the gold

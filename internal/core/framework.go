@@ -103,23 +103,6 @@ func (f *Framework) Resolve(ctx context.Context, questions, pool []entity.Pair) 
 	return res, p.Run(ctx, res.Apply)
 }
 
-// ResolveStream is Prepare followed immediately by Start: it returns a
-// Stream yielding each batch's predictions, token usage, and cost delta
-// under Prepared.Run's stop and delivery contract. Setup failures (bad
-// model, broken partition) surface as the returned error; mid-run
-// failures surface on Stream.Err after exhaustion.
-//
-// Callers that want to overlap the CPU-bound front half of one
-// resolution with the LLM calls of another (the pipeline's window
-// executor) use Prepare and Run directly.
-func (f *Framework) ResolveStream(ctx context.Context, questions, pool []entity.Pair) (*Stream, error) {
-	p, err := f.Prepare(ctx, questions, pool)
-	if err != nil {
-		return nil, err
-	}
-	return p.Start(ctx), nil
-}
-
 // annotate reveals gold labels for the selected pool pairs, producing
 // prompt demonstrations.
 func (f *Framework) annotate(pool []entity.Pair, ids []int) []prompt.Demo {

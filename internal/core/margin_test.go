@@ -54,10 +54,11 @@ func TestVoteMarginSurfacedOnStream(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 24)
 	client := newSimClient(questions, pool, 1)
 	f := NewFromConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1})
-	stream, err := f.ResolveStream(context.Background(), questions, pool)
+	prep, err := f.Prepare(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stream := prep.Start(context.Background())
 	res := stream.NewResult()
 	for br := range stream.All() {
 		if br.VoteMargin < 0 || br.VoteMargin > 1 {

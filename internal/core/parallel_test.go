@@ -78,11 +78,12 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 	n := len(prep.Batches())
 	release := c.holdBatches(1)
 	st := prep.Start(context.Background())
+	delivered := drainAsync(st)
 	if got := await(c.ended, n-1); !slices.Equal(got, ascending(n)[1:]) {
 		t.Fatalf("completed behind the parked batch 0: %v, want every other batch", got)
 	}
 	release(0)
-	if got := drain(st); !slices.Equal(got, ascending(n)) {
+	if got := <-delivered; !slices.Equal(got, ascending(n)) {
 		t.Errorf("delivered %v, want ascending order", got)
 	}
 	if err := st.Err(); err != nil {

@@ -8,15 +8,15 @@ import (
 	"batcher/internal/llm"
 )
 
-// Prepared is the CPU-bound front half of a resolution, split out of
-// ResolveStream so the pipeline's executor can run it concurrently with
+// Prepared is the CPU-bound front half of a resolution, kept apart from
+// its execution so the pipeline's executor can run it concurrently with
 // other windows' LLM calls: feature extraction, question batching, and
 // demonstration selection are done; no LLM call has been made and
-// nothing has been billed yet. Run is the execution half; Start runs it
-// behind a Stream.
+// nothing has been billed yet. Run is the execution half; Start binds it
+// to a context behind a Stream.
 //
-// A Prepared is immutable after Prepare returns and must be Run (or
-// Started) at most once.
+// A Prepared is immutable after Prepare returns and must be Run (or its
+// Stream ranged) at most once.
 type Prepared struct {
 	f         *Framework
 	questions []entity.Pair
@@ -34,8 +34,7 @@ type Prepared struct {
 // extraction, batching, partition verification, demonstration
 // selection, and model lookup. It makes no LLM calls and bills nothing.
 // Setup failures (a dead ctx, an unknown model, a broken partition)
-// surface here, exactly the errors ResolveStream reports before
-// streaming starts.
+// surface here, before any batch can run.
 func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) (*Prepared, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -119,21 +118,15 @@ func (p *Prepared) NewResult() *Result {
 	return res
 }
 
-// Start runs Run on a goroutine of its own and returns a Stream that
-// yields each batch as the consumer takes it — Run's contract, with
-// Stream.Close as one more way to stop at the next batch boundary. The
-// Stream must be consumed or Closed. An empty question set yields an
-// exhausted Stream.
+// Start binds ctx to a Stream over this run and starts nothing: the run
+// happens while the Stream's All is ranged, and cancelling ctx stops it
+// at the next batch boundary. An empty question set yields an empty
+// Stream.
 func (p *Prepared) Start(ctx context.Context) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	st := &Stream{prep: p, ch: make(chan BatchResult), cancel: cancel}
-	go func() {
-		defer close(st.ch)
-		defer cancel()
-		st.setErr(p.Run(ctx, st.emit))
-	}()
+	st := &Stream{prep: p}
+	st.all = func(yield func(BatchResult) bool) { st.run(ctx, yield) }
 	return st
 }

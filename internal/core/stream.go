@@ -13,7 +13,7 @@ import (
 	"batcher/internal/prompt"
 )
 
-// BatchResult is one completed batch emitted by ResolveStream: the
+// BatchResult is one completed batch delivered by Prepared.Run: the
 // predictions for that batch's questions plus the per-batch token usage
 // and cost delta. Consumers can fold deltas into running totals without
 // waiting for the full run.
@@ -64,20 +64,15 @@ func (e *BatchError) Error() string { return fmt.Sprintf("core: batch %d: %v", e
 // Unwrap exposes the cause to errors.Is/As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// Stream is an in-flight resolution returned by ResolveStream. Batches
-// arrive on Next (or All) as they complete, in deterministic ascending
-// batch order; after the stream is exhausted, Err reports whether the run
-// finished cleanly. A Stream must be consumed or Closed, otherwise the
-// producer goroutines leak.
+// Stream is a prepared resolution bound to a context by Prepared.Start.
+// Nothing runs until All is ranged: the range loop is the run, and it
+// yields each batch in deterministic ascending order as it completes.
+// When the loop has ended, Err reports whether the run finished cleanly.
 type Stream struct {
-	prep *Prepared
-
-	ch     chan BatchResult
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
+	prep   *Prepared
+	all    iter.Seq[BatchResult] // run under Start's ctx
+	ranged bool
 	err    error
-	closed bool
 }
 
 // Batches returns the planned question batches. It is available
@@ -91,76 +86,57 @@ func (s *Stream) DemosLabeled() int { return len(s.prep.sel.labeled) }
 // NewResult is Prepared.NewResult for this stream's run.
 func (s *Stream) NewResult() *Result { return s.prep.NewResult() }
 
-// Next blocks until the next batch completes, returning ok=false once the
-// stream is exhausted (normally or on failure — check Err to tell apart).
-func (s *Stream) Next() (BatchResult, bool) {
-	br, ok := <-s.ch
-	return br, ok
-}
+// All returns the run as a single-use iterator: ranging it runs
+// Prepared.Run under Run's stop and delivery contract, with the
+// consumer's break as one more way to stop at the next batch boundary.
+// The loop body runs on the ranging goroutine; a consumer that stops
+// taking batches stops the run's claiming, and at Parallelism 1 a batch
+// starts only after the previous one was taken. However the loop ends —
+// run out, broken or panicking — the run has ended when All returns. A
+// second range yields nothing and makes no call.
+func (s *Stream) All() iter.Seq[BatchResult] { return s.all }
 
-// All returns a single-use iterator over the remaining batches. Breaking
-// out of the range loop Closes the stream: the run is cancelled and
-// drained, and — because the stop was the consumer's choice — Err stays
-// nil unless the run had already failed on its own.
-func (s *Stream) All() iter.Seq[BatchResult] {
-	return func(yield func(BatchResult) bool) {
-		for {
-			br, ok := s.Next()
-			if !ok {
-				return
-			}
-			if !yield(br) {
-				s.Close()
-				return
-			}
+// Err returns the terminal error once All's loop has run out: nil when
+// every batch was delivered, Run's *BatchError otherwise. It is nil
+// before the first range and after a consumer's break, which is a clean
+// stop rather than a failure.
+func (s *Stream) Err() error { return s.err }
+
+// run is All's iterator. Run works on a goroutine of its own and hands
+// each batch across an unbuffered channel, so yield is only ever called
+// here, on the ranging goroutine. The deferred cancel and drain end the
+// run before run returns, whichever way the loop ended.
+func (s *Stream) run(ctx context.Context, yield func(BatchResult) bool) {
+	if s.ranged {
+		return
+	}
+	s.ranged = true
+	ctx, cancel := context.WithCancel(ctx)
+	ch := make(chan BatchResult)
+	var err error
+	go func() {
+		defer close(ch)
+		err = s.prep.Run(ctx, func(br BatchResult) { ch <- br })
+	}()
+	defer func() {
+		cancel()
+		for range ch {
+		}
+	}()
+	for br := range ch {
+		if !yield(br) {
+			return
 		}
 	}
+	s.err = err
 }
 
-// Err returns the terminal error, or nil if the run completed (or is
-// still running). After Next reports ok=false a non-nil Err is always a
-// *BatchError.
-func (s *Stream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close cancels the run and drains any in-flight batches. It is safe to
-// call multiple times and after exhaustion. A consumer-initiated Close is
-// a clean stop, not a failure: Err stays nil unless the run had already
-// failed before Close was called.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cancel()
-	for range s.ch {
-	}
-}
-
-func (s *Stream) setErr(err error) {
-	s.mu.Lock()
-	if !s.closed && s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-// emit is Start's delivery callback for Prepared.Run: an unbuffered send,
-// so a batch is delivered only when the consumer takes it and a consumer
-// that stops receiving stops the run's claiming (the contract on Run).
-// Close drains the channel, so an abandoning consumer cannot wedge the
-// producer.
-func (s *Stream) emit(br BatchResult) {
-	s.ch <- br
-}
-
-// Run is the one batch engine under Resolve, ResolveStream/Start and the
+// Run is the one batch engine under Resolve, Stream.All and the
 // pipeline's window runner: it executes the prepared batches with up to
 // Config.Parallelism LLM calls in flight and hands each completed batch
 // to emit. It returns nil when every batch was delivered and a
-// *BatchError otherwise. A Prepared must be Run (or Started) at most once.
+// *BatchError otherwise. A Prepared must be Run (or its Stream ranged)
+// at most once.
 //
 // The stop and delivery contract, stated here once for every caller:
 //

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -36,33 +38,32 @@ func TestResolveStreamYieldsBeforeRunFinishes(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 40)
 	client := &gatedClient{inner: newSimClient(questions, pool, 1), gateAt: 2, gate: make(chan struct{})}
 	f := NewFromConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1})
-	st, err := f.ResolveStream(context.Background(), questions, pool)
+	prep, err := f.Prepare(context.Background(), questions, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := prep.Start(context.Background())
 	if len(st.Batches()) < 2 {
 		t.Fatalf("workload produced %d batches, need >= 2", len(st.Batches()))
 	}
-	// The second LLM call is parked, so receiving the first batch here
-	// proves the stream yields incrementally rather than materializing
-	// the whole run.
-	first, ok := st.Next()
-	if !ok {
-		t.Fatalf("stream closed before first batch: %v", st.Err())
-	}
-	if first.Index != 0 {
-		t.Errorf("first batch index = %d, want 0", first.Index)
-	}
-	if done := int(client.calls.Load()); done >= len(st.Batches()) {
-		t.Errorf("full run finished (%d calls) before first yield was consumed", done)
-	}
-	if first.Ledger.Calls() != 1 || first.InputTokens <= 0 {
-		t.Errorf("batch delta malformed: calls=%d inTokens=%d", first.Ledger.Calls(), first.InputTokens)
-	}
-	close(client.gate)
-	got := 1
-	prev := 0
+	got := 0
+	prev := -1
 	for br := range st.All() {
+		if got == 0 {
+			// The second LLM call is parked, so receiving the first batch
+			// here proves the stream yields incrementally rather than
+			// materializing the whole run.
+			if br.Index != 0 {
+				t.Errorf("first batch index = %d, want 0", br.Index)
+			}
+			if done := int(client.calls.Load()); done >= len(st.Batches()) {
+				t.Errorf("full run finished (%d calls) before first yield was consumed", done)
+			}
+			if br.Ledger.Calls() != 1 || br.InputTokens <= 0 {
+				t.Errorf("batch delta malformed: calls=%d inTokens=%d", br.Ledger.Calls(), br.InputTokens)
+			}
+			close(client.gate)
+		}
 		got++
 		if br.Index != prev+1 {
 			t.Errorf("batch order broken: %d after %d", br.Index, prev)
@@ -88,10 +89,11 @@ func TestResolveStreamParallelDeterministicOrder(t *testing.T) {
 			Batching: DiversityBatching, Selection: CoveringSelection,
 			Seed: 9, Parallelism: parallelism,
 		})
-		st, err := f.ResolveStream(context.Background(), questions, pool)
+		prep, err := f.Prepare(context.Background(), questions, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := prep.Start(context.Background())
 		var order []int
 		pred := make([]entity.Label, len(questions))
 		for br := range st.All() {
@@ -199,43 +201,22 @@ func TestResolveStreamPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := NewFromConfig(newSimClient(questions, pool, 1), Config{})
-	if _, err := f.ResolveStream(ctx, questions, pool); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled ResolveStream err = %v", err)
+	if _, err := f.Prepare(ctx, questions, pool); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled Prepare err = %v", err)
 	}
 	if _, err := f.Resolve(ctx, questions, pool); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled Resolve err = %v", err)
 	}
 }
 
-func TestStreamCloseAbandonsRun(t *testing.T) {
-	questions, pool := testWorkload(t, "Beer", 40)
-	client := newSimClient(questions, pool, 3)
-	f := NewFromConfig(client, Config{Seed: 3})
-	st, err := f.ResolveStream(context.Background(), questions, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Next(); !ok {
-		t.Fatalf("no first batch: %v", st.Err())
-	}
-	st.Close()
-	if _, ok := st.Next(); ok {
-		t.Error("stream still yielding after Close")
-	}
-	// A consumer-initiated stop is not a run failure.
-	if err := st.Err(); err != nil {
-		t.Errorf("Err after deliberate Close = %v, want nil", err)
-	}
-	st.Close() // idempotent
-}
-
 func TestResolveStreamEmptyQuestions(t *testing.T) {
 	f := NewFromConfig(llm.NewSimulated(nil, 1), Config{})
-	st, err := f.ResolveStream(context.Background(), nil, nil)
+	prep, err := f.Prepare(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Next(); ok {
+	st := prep.Start(context.Background())
+	for range st.All() {
 		t.Error("empty stream yielded a batch")
 	}
 	if st.Err() != nil {
@@ -439,12 +420,21 @@ func newEngineRun(t *testing.T, parallelism int) (*Prepared, *engineClient) {
 	return prep, c
 }
 
-// drain consumes the rest of st and returns the delivered batch indices.
+// drain ranges st and returns the delivered batch indices.
 func drain(st *Stream) []int {
 	var got []int
 	for br := range st.All() {
 		got = append(got, br.Index)
 	}
+	return got
+}
+
+// drainAsync ranges st on a goroutine of its own, a consumer that is
+// always ready, and sends the delivered batch indices once All returns;
+// st.Err may be read after the receive.
+func drainAsync(st *Stream) <-chan []int {
+	got := make(chan []int, 1)
+	go func() { got <- drain(st) }()
 	return got
 }
 
@@ -475,6 +465,7 @@ func TestBatchErrorCarriesTheNamedBatchsOwnError(t *testing.T) {
 			c.fail = tc.fail
 			release := c.holdBatches(2)
 			st := prep.Start(context.Background())
+			delivered := drainAsync(st)
 			await(c.started, 2)
 			for _, bi := range tc.order {
 				release(bi)
@@ -482,7 +473,7 @@ func TestBatchErrorCarriesTheNamedBatchsOwnError(t *testing.T) {
 				for <-c.ended != bi {
 				}
 			}
-			got := drain(st)
+			got := <-delivered
 			var be *BatchError
 			if !errors.As(st.Err(), &be) {
 				t.Fatalf("Err = %v, want *BatchError", st.Err())
@@ -507,28 +498,31 @@ func TestSequentialDeliveryIsUnbuffered(t *testing.T) {
 	defer cancel()
 	st := prep.Start(ctx)
 	const cancelAt = 3
-	for b := 0; ; b++ {
-		if b <= cancelAt {
-			// Batch b's call has returned: the worker is at, or on its way
-			// to, the delivery the consumer has not yet asked for.
-			if got := <-c.ended; got != b {
-				t.Fatalf("call %d ended, want %d", got, b)
+	// "take b" marks the consumer asking for batch b: before the range
+	// for batch 0, at the end of batch b-1's loop body after that.
+	c.note("take 0")
+	taken, ended := 0, 0
+	for br := range st.All() {
+		b := br.Index
+		if b != taken {
+			t.Fatalf("received batch %d, want %d", b, taken)
+		}
+		taken++
+		// Up to cancelAt, batch b+1's call has returned before the body
+		// goes on: the worker is at, or on its way to, the delivery the
+		// consumer has not yet asked for.
+		for ; ended <= min(b+1, cancelAt); ended++ {
+			if got := <-c.ended; got != ended {
+				t.Fatalf("call %d ended, want %d", got, ended)
 			}
 		}
-		if b == cancelAt {
+		if b+1 == cancelAt {
 			cancel()
 		}
-		c.note("take %d", b)
-		br, ok := st.Next()
-		if !ok {
-			if b != cancelAt+1 {
-				t.Fatalf("stream ended after %d batches, want %d", b, cancelAt+1)
-			}
-			break
-		}
-		if br.Index != b {
-			t.Fatalf("received batch %d, want %d", br.Index, b)
-		}
+		c.note("take %d", b+1)
+	}
+	if taken != cancelAt+1 {
+		t.Fatalf("stream ended after %d batches, want %d", taken, cancelAt+1)
 	}
 	for b := 1; b <= cancelAt; b++ {
 		if start, take := c.pos("start %d", b), c.pos("take %d", b-1); start < take {
@@ -605,6 +599,7 @@ func TestCancelStopsAtTheBatchBoundary(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			st := prep.Start(ctx)
+			delivered := drainAsync(st)
 			if got := await(c.started, workers); !slices.Equal(got, ascending(workers)) {
 				t.Fatalf("in flight: %v, want the lowest %d batches", got, workers)
 			}
@@ -612,7 +607,7 @@ func TestCancelStopsAtTheBatchBoundary(t *testing.T) {
 			for bi := range workers {
 				release(bi)
 			}
-			if got := drain(st); !slices.Equal(got, ascending(workers)) {
+			if got := <-delivered; !slices.Equal(got, ascending(workers)) {
 				t.Errorf("delivered %v, want exactly the %d batches in flight at cancel", got, workers)
 			}
 			if n := c.starts(); n != workers {
@@ -637,4 +632,162 @@ func TestCancelStopsAtTheBatchBoundary(t *testing.T) {
 			t.Errorf("Err = %v, want batch 0: context deadline exceeded", st.Err())
 		}
 	})
+}
+
+// TestStreamBodyRunsOnTheRangingGoroutine: however many workers Run
+// starts, the loop body runs on the goroutine that ranges All, so a
+// panic or t.Fatal in it lands where the consumer can handle it.
+func TestStreamBodyRunsOnTheRangingGoroutine(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism %d", workers), func(t *testing.T) {
+			prep, _ := newEngineRun(t, workers)
+			st := prep.Start(context.Background())
+			caller := goroutineID()
+			var elsewhere []int
+			for br := range st.All() {
+				if goroutineID() != caller {
+					elsewhere = append(elsewhere, br.Index)
+				}
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(elsewhere) != 0 {
+				t.Errorf("batches %v reached the loop body off the ranging goroutine", elsewhere)
+			}
+		})
+	}
+}
+
+// streamCreated matches the stack footer of a goroutine that All or Run
+// started.
+var streamCreated = regexp.MustCompile(`created by batcher/internal/core\.\(\*(Stream\)\.run|Prepared\)\.Run) in goroutine \d+\n`)
+
+// streamGoroutines counts the live goroutines that All and Run started.
+func streamGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return len(streamCreated.FindAll(buf[:runtime.Stack(buf, true)], -1))
+}
+
+// awaitNoStreamGoroutines polls for a bounded time: a goroutine that has
+// closed the channel or called wg.Done may still be unwinding when All
+// returns, but none may still be running for long.
+func awaitNoStreamGoroutines(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for streamGoroutines() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines started by All still alive after it returned", streamGoroutines())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStreamLeavesNoGoroutine: whether the loop runs out, breaks or the
+// run fails, nothing All started outlives it.
+func TestStreamLeavesNoGoroutine(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, ending := range []string{"runs out", "breaks", "fails"} {
+			t.Run(fmt.Sprintf("parallelism %d %s", workers, ending), func(t *testing.T) {
+				prep, c := newEngineRun(t, workers)
+				if ending == "fails" {
+					c.fail[2] = errors.New("batch 2 exploded")
+				}
+				st := prep.Start(context.Background())
+				alive := 0
+				for br := range st.All() {
+					if br.Index == 0 {
+						alive = streamGoroutines()
+					}
+					if ending == "breaks" {
+						break
+					}
+				}
+				if alive == 0 {
+					t.Error("no goroutine of All's was alive inside the loop: the check below would be vacuous")
+				}
+				awaitNoStreamGoroutines(t)
+				if err := st.Err(); (err != nil) != (ending == "fails") {
+					t.Errorf("Err = %v after the loop %s", err, ending)
+				}
+			})
+		}
+	}
+}
+
+// TestStreamRunsOnlyWhenRanged: Start makes no call, and neither does a
+// second range, which leaves Err as the first range left it.
+func TestStreamRunsOnlyWhenRanged(t *testing.T) {
+	for _, fails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failing run %v", fails), func(t *testing.T) {
+			prep, c := newEngineRun(t, 2)
+			if fails {
+				c.fail[2] = errors.New("batch 2 exploded")
+			}
+			st := prep.Start(context.Background())
+			if len(st.Batches()) != len(prep.Batches()) || st.DemosLabeled() != len(prep.LabeledPool()) ||
+				st.NewResult() == nil || st.Err() != nil {
+				t.Fatal("an unranged stream does not describe its run")
+			}
+			select {
+			case bi := <-c.started:
+				t.Fatalf("batch %d called before All was ranged", bi)
+			case <-time.After(100 * time.Millisecond):
+			}
+			first := drain(st)
+			calls, err := c.starts(), st.Err()
+			if calls == 0 || (err != nil) != fails {
+				t.Fatalf("first range: %d calls, Err = %v", calls, err)
+			}
+			// Empty the call logs so that a second run could not block on them.
+			await(c.started, calls)
+			await(c.ended, calls)
+			if again := drain(st); len(again) != 0 {
+				t.Errorf("second range yielded %v after %v", again, first)
+			}
+			if c.starts() != calls {
+				t.Errorf("second range made %d calls", c.starts()-calls)
+			}
+			if st.Err() != err {
+				t.Errorf("second range changed Err from %v to %v", err, st.Err())
+			}
+		})
+	}
+}
+
+// TestStreamBreakAbandonsRun: a break at batch 0 is a clean stop that
+// ends the run before All returns. At Parallelism 1 the worker can have
+// started at most batch 1 by then; above it a worker may claim further
+// batches until a delivery blocks, so only the freeze is pinned.
+func TestStreamBreakAbandonsRun(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("parallelism %d", workers), func(t *testing.T) {
+			prep, c := newEngineRun(t, workers)
+			st := prep.Start(context.Background())
+			for br := range st.All() {
+				if br.Index != 0 {
+					t.Fatalf("first batch index = %d, want 0", br.Index)
+				}
+				break
+			}
+			calls := c.starts()
+			// A consumer-initiated stop is not a run failure.
+			if err := st.Err(); err != nil {
+				t.Errorf("Err after break = %v, want nil", err)
+			}
+			if workers == 1 && calls > 2 {
+				t.Errorf("%d calls after a break at batch 0, want at most 2", calls)
+			}
+			// Once nothing All started is left, no call can still begin.
+			awaitNoStreamGoroutines(t)
+			if c.starts() != calls {
+				t.Errorf("calls grew from %d to %d after All returned", calls, c.starts())
+			}
+			await(c.started, calls)
+			await(c.ended, calls)
+			if got := drain(st); len(got) != 0 {
+				t.Errorf("stream still yielding %v after break", got)
+			}
+		})
+	}
 }

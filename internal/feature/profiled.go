@@ -170,9 +170,9 @@ func (ps *Profiles) entityLocked(side map[string]profEntry, key string, fp uint6
 // profilesKey carries a *Profiles through a context.
 type profilesKey struct{}
 
-// WithProfiles attaches a profile cache to ctx. core.ResolveStream
-// extracts features through the attached cache, so a pipeline producer
-// that pre-warmed it hands the matcher ready-made profiles.
+// WithProfiles attaches a profile cache to ctx. core.Prepare extracts
+// features through the attached cache, so a pipeline producer that
+// pre-warmed it hands the matcher ready-made profiles.
 func WithProfiles(ctx context.Context, ps *Profiles) context.Context {
 	if ps == nil {
 		return ctx

@@ -224,7 +224,10 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// isTestFile reports whether pos lies in a _test.go file.
+// isTestFile reports whether pos lies in a _test.go file. A position
+// in no file at all — go/types records an inline constraint such as
+// [T int | int64] as an interface with none — is not in one.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.File(pos).Name(), "_test.go")
+	f := fset.File(pos)
+	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }

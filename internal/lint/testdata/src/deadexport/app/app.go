@@ -13,5 +13,5 @@ func Run() int {
 	sizes := lib.Map([]int{w.Size()}, func(n int) int { return n + 1 })
 	var st lib.Stack[int]
 	st.Push(sizes[0])
-	return len(describe()) + s.Area() + sizes[0]
+	return len(describe()) + s.Area() + lib.Sum(sizes[0], 1)
 }

@@ -61,6 +61,26 @@ func Map[T any](xs []T, f func(T) T) []T {
 	return out
 }
 
+// Sum has an inline union constraint, which go/types records as an
+// interface with no position: app calls it.
+func Sum[T int | int64](xs ...T) T {
+	var total T
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
+
+// Product has an inline union constraint too, and only lib_test.go
+// calls it.
+func Product[T int | int64](xs ...T) T { // want `exported func Product has no reference`
+	total := T(1)
+	for _, x := range xs {
+		total *= x
+	}
+	return total
+}
+
 // Stack is generic: app uses it only as Stack[int].
 type Stack[T any] struct{ items []T }
 
