@@ -29,7 +29,6 @@ import (
 	"batcher/internal/llm"
 	"batcher/internal/metrics"
 	"batcher/internal/pipeline"
-	"batcher/internal/profile"
 	"batcher/internal/runstore"
 	"batcher/internal/setcover"
 	"batcher/internal/shard"
@@ -391,20 +390,16 @@ func BenchmarkBlockingWindowedPipeline(b *testing.B) {
 	b.ReportMetric(float64(cands), "candidates")
 }
 
-// --- Hot-path kernel benches: string wrappers vs prebuilt profiles ----
+// --- Hot-path kernel benches ------------------------------------------
 
-// BenchmarkStrsimKernels contrasts the one-shot string entry points
-// (which build operand profiles per call) against the prebuilt-profile
-// Jaccard kernel (the blocking/feature hot path: precompute once,
-// compare allocation-free everywhere). LevenshteinRatio, the LR
-// extractor's similarity, has only the string form: it runs the
-// pooled-scratch DP directly.
+// BenchmarkStrsimKernels times the two per-attribute similarities of the
+// structure-aware extractors: LevenshteinRatio (LR) runs the
+// pooled-scratch DP, Jaccard (JAC) tokenizes both operands into pooled
+// scratch and merges the sorted token IDs. Both allocate nothing in
+// steady state.
 func BenchmarkStrsimKernels(b *testing.B) {
 	x := "Apple iPhone 13 Pro Max 256GB graphite smartphone"
 	y := "iphone 13 pro 256 gb graphite apple (renewed)"
-	in := profile.NewInterner()
-	bld := profile.NewBuilder(in)
-	px, py := bld.Build(x), bld.Build(y)
 	b.Run("LevenshteinRatio/Strings", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -417,17 +412,11 @@ func BenchmarkStrsimKernels(b *testing.B) {
 			strsim.Jaccard(x, y)
 		}
 	})
-	b.Run("Jaccard/Profiles", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			profile.Jaccard(px, py)
-		}
-	})
 }
 
 // featureWorkload synthesizes a candidate window with realistic record
-// reuse: nA x nB records crossed into pairs so each record appears in
-// many candidates, exactly the shape profile sharing exploits.
+// reuse: nRec records per side crossed into pairs so each record appears
+// in many candidates, as in a blocked window.
 func featureWorkload(nRec, nPairs int) []entity.Pair {
 	recs := func(side string) []entity.Record {
 		out := make([]entity.Record, nRec)
@@ -450,11 +439,10 @@ func featureWorkload(nRec, nPairs int) []entity.Pair {
 	return pairs
 }
 
-// BenchmarkFeatureExtraction contrasts per-pair string extraction (the
-// legacy path) against profile-based batch extraction for the JAC and
-// semantic extractors — the token-kernel paths that profile; LR stays
-// on the string path by design — on a 2k-pair window over 200 records
-// per side.
+// BenchmarkFeatureExtraction contrasts a sequential per-pair Extract loop
+// against ExtractAll, which fans the same calls out across CPUs, for the
+// JAC and semantic extractors on a 2k-pair window over 200 records per
+// side.
 func BenchmarkFeatureExtraction(b *testing.B) {
 	pairs := featureWorkload(200, 2000)
 	for _, ex := range []feature.Extractor{feature.NewJAC(), feature.NewSEM()} {
@@ -466,7 +454,7 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 				}
 			}
 		})
-		b.Run(ex.Name()+"/Profiled", func(b *testing.B) {
+		b.Run(ex.Name()+"/ExtractAll", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				feature.ExtractAll(ex, pairs)
@@ -609,9 +597,9 @@ func distinctVectors(vs []feature.Vector) int {
 // tables run it: one 512-question window of datagen DS's test split
 // against the whole training split as a separate pool (≈ 17 k pairs,
 // uncapped), diversity batching, one sub-benchmark per selection
-// strategy. Profiles are built once and shared, so each op is Prepare's
-// feature extraction, batching and selection; dist-calls/op counts the
-// distance evaluations of one Prepare.
+// strategy. Each op is Prepare's feature extraction, batching and
+// selection; dist-calls/op counts the distance evaluations of one
+// Prepare.
 func BenchmarkSelection(b *testing.B) {
 	d, err := datagen.GenerateByName("DS", 1)
 	if err != nil {
@@ -623,11 +611,10 @@ func BenchmarkSelection(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			base := core.Config{Batching: core.DiversityBatching, Selection: s, Seed: 1}
 			cfg := core.NewFromConfig(llm.NewSimulated(nil, 1), base).Config()
-			ctx := feature.WithProfiles(context.Background(), feature.NewProfiles(cfg.Extractor))
 			prepare := func(dist feature.Distance) int {
 				c := base
 				c.Distance = dist
-				prep, err := core.NewFromConfig(llm.NewSimulated(nil, 1), c).Prepare(ctx, window, pool)
+				prep, err := core.NewFromConfig(llm.NewSimulated(nil, 1), c).Prepare(context.Background(), window, pool)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,7 +101,7 @@ func (ix *invertedIndex) lookup(term uint64) []termPost {
 var minIndexChunk = 1024
 
 // buildIndex constructs the inverted index over table: contiguous row
-// chunks are profiled concurrently — each worker owning its own
+// chunks are tokenized concurrently — each worker owning its own
 // termer/builder scratch over the shared interner — into chunk-local
 // posting accumulators, which are then flattened in chunk order and
 // sorted by (term, row). Within a term, rows come out ascending, exactly

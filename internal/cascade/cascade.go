@@ -1,5 +1,5 @@
 // Package cascade implements the calibrated pre-filter of the model
-// cascade: a cheap learned scorer over profile-kernel features, fitted
+// cascade: a cheap learned scorer over token-Jaccard features, fitted
 // with Platt or isotonic calibration so its probabilities support
 // three-way routing — Auto-Yes above tau-hi, Auto-No below tau-lo, and
 // an Ambiguous band in between that is the only traffic the LLM tiers
@@ -57,8 +57,8 @@ type Config struct {
 	// makes no shape assumption.
 	Isotonic bool
 	// Extractor maps pairs to feature vectors; default the Jaccard
-	// profile-kernel extractor (cheap: ~15ns per kernel on interned
-	// profiles).
+	// extractor (cheap: one allocation-free one-shot kernel per
+	// attribute).
 	Extractor feature.Extractor
 	// Seed drives the learned scorer's training.
 	Seed int64

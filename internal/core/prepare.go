@@ -29,8 +29,7 @@ type Prepared struct {
 	cascade bool
 }
 
-// Prepare runs the CPU-bound front half of a resolution: entity
-// profiles (from ctx via feature.WithProfiles, or built fresh), feature
+// Prepare runs the CPU-bound front half of a resolution: feature
 // extraction, batching, partition verification, demonstration
 // selection, and model lookup. It makes no LLM calls and bills nothing.
 // Setup failures (a dead ctx, an unknown model, a broken partition)
@@ -47,16 +46,7 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 		return nil, err
 	}
 	cfg := f.cfg
-	// Feature extraction runs on entity profiles computed once per
-	// record and shared between the question and pool sides. A pipeline
-	// producer that pre-built this window's profiles hands them down via
-	// feature.WithProfiles on ctx; otherwise a resolution-local cache is
-	// built here and dropped with the call.
-	ps := feature.ProfilesFrom(ctx)
-	if ps == nil {
-		ps = feature.NewProfiles(cfg.Extractor)
-	}
-	qVecs := feature.ExtractAllWith(ps, cfg.Extractor, questions)
+	qVecs := feature.ExtractAll(cfg.Extractor, questions)
 	// A self-pooled window (the pipeline without a Config.Pool) passes
 	// one slice as both arguments; its vectors are extracted once and its
 	// distances measured once, for clustering and covering together. Both
@@ -64,7 +54,7 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 	selfPooled := len(pool) == len(questions) && &pool[0] == &questions[0]
 	dVecs := qVecs
 	if !selfPooled {
-		dVecs = feature.ExtractAllWith(ps, cfg.Extractor, pool)
+		dVecs = feature.ExtractAll(cfg.Extractor, pool)
 	}
 	geo := windowGeometry(cfg, qVecs, dVecs, selfPooled)
 

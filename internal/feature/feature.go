@@ -11,7 +11,8 @@
 //
 // Extractors implement a common interface so the clustering and selection
 // stages are agnostic to the choice, mirroring the design space's
-// pluggability.
+// pluggability. Extraction is per pair: ExtractAll maps an extractor's
+// Extract over a slice, across CPUs for batches of 64 pairs or more.
 package feature
 
 import (
@@ -19,8 +20,8 @@ import (
 	"math"
 
 	"batcher/internal/entity"
-	"batcher/internal/profile"
 	"batcher/internal/strsim"
+	"batcher/internal/workpool"
 )
 
 // Vector is a dense feature vector.
@@ -49,26 +50,17 @@ type Structure struct {
 	Sim StringSim
 	// Label names the variant.
 	Label string
-	// profSim is the profile-kernel form of Sim, set by the NewJAC
-	// constructor. When nil (a custom Sim, or an edit-distance Sim like
-	// NewLR's), the extractor stays on the string path — ProfileOpts
-	// reports no needs. Only token-set kernels benefit from precomputed
-	// profiles; Levenshtein is parity per comparison (the string path
-	// already runs pooled-scratch DP), so for it the per-record entity
-	// builds and cache bookkeeping would be pure overhead.
-	profSim func(a, b *profile.Profile) float64
 }
 
 // NewLR returns the Levenshtein-ratio structure-aware extractor (the
-// paper's best-performing choice, BATCHER-LR). It extracts on the
-// string path: edit distance gains nothing from token profiles.
+// paper's best-performing choice, BATCHER-LR).
 func NewLR() *Structure {
 	return &Structure{Sim: strsim.LevenshteinRatio, Label: "LR"}
 }
 
 // NewJAC returns the Jaccard structure-aware extractor (BATCHER-JAC).
 func NewJAC() *Structure {
-	return &Structure{Sim: strsim.Jaccard, Label: "JAC", profSim: profile.Jaccard}
+	return &Structure{Sim: strsim.Jaccard, Label: "JAC"}
 }
 
 // unionAttrs returns the pair's union schema — A's attributes followed
@@ -114,35 +106,6 @@ func (s *Structure) Dim(m int) int { return m }
 
 // Name implements Extractor.
 func (s *Structure) Name() string { return s.Label }
-
-// ProfileOpts implements ProfiledExtractor: per-attribute profiles when
-// the similarity has a profile-kernel form, nothing otherwise.
-func (s *Structure) ProfileOpts() profile.EntityOpts {
-	if s.profSim == nil {
-		return profile.EntityOpts{}
-	}
-	return profile.EntityOpts{Attrs: true}
-}
-
-// ExtractProfiled implements ProfiledExtractor: Extract over the
-// records' precomputed attribute profiles.
-func (s *Structure) ExtractProfiled(p entity.Pair, pa, pb *profile.Entity) Vector {
-	if s.profSim == nil || !pa.Opts().Attrs || !pb.Opts().Attrs {
-		return s.Extract(p)
-	}
-	attrs := unionAttrs(p)
-	v := make(Vector, len(attrs))
-	for i, attr := range attrs {
-		qa, oka := pa.Attr(attr)
-		qb, okb := pb.Attr(attr)
-		if !oka || !okb {
-			v[i] = 0
-			continue
-		}
-		v[i] = s.profSim(qa, qb)
-	}
-	return v
-}
 
 // Semantic is the semantics-based extractor: a dense embedding of the
 // serialized pair text. It stands in for SBERT/RoBERTa sentence encoders.
@@ -216,93 +179,6 @@ func (s *Semantic) Dim(int) int {
 // Name implements Extractor.
 func (s *Semantic) Name() string { return "SEM" }
 
-// ProfileOpts implements ProfiledExtractor: the serialized token
-// stream, with the pair separator pre-resolved per entity.
-func (s *Semantic) ProfileOpts() profile.EntityOpts {
-	return profile.EntityOpts{Serialized: true, SepToken: "sep"}
-}
-
-// ExtractProfiled implements ProfiledExtractor. The pair text's token
-// sequence is the concatenation of A's serialized tokens, the "sep"
-// token, and B's serialized tokens, so the embedding accumulates the
-// same features in the same order as Extract — bit-identical output —
-// without serializing, lowering, or hashing feature strings per pair:
-// every per-token hash comes from the interner's cache. The loops are
-// spelled as package helpers rather than closures so the only
-// allocation per pair is the output vector itself.
-func (s *Semantic) ExtractProfiled(p entity.Pair, pa, pb *profile.Entity) Vector {
-	if !pa.Opts().Serialized || !pb.Opts().Serialized {
-		return s.Extract(p)
-	}
-	dim := s.Buckets
-	if dim <= 0 {
-		dim = DefaultSemanticDim
-	}
-	v := make(Vector, dim)
-	in := pa.Interner()
-	// The separator ID was resolved at entity-build time; the fallback
-	// intern only runs for hand-built entities without a SepToken, so
-	// the parallel per-pair path never touches the interner's lock.
-	sep, ok := pa.SepID()
-	if !ok {
-		sep = in.Intern("sep")
-	}
-	seqA, seqB := pa.SerialTokens(), pb.SerialTokens()
-	semEmitSeq(v, in, seqA)
-	semEmitToken(v, in, sep)
-	semEmitSeq(v, in, seqB)
-	// Bigrams of adjacent tokens over the combined sequence, in the
-	// same second pass the string path makes.
-	prev, has := semBigramSeq(v, in, seqA, 0, false)
-	prev, has = semBigramStep(v, in, prev, has, sep)
-	semBigramSeq(v, in, seqB, prev, has)
-	normalize(v)
-	return v
-}
-
-// semAdd folds one hashed feature into the bucket vector, with the same
-// index and sign derivation as the string path's addFeature.
-func semAdd(v Vector, x uint64, weight float64) {
-	idx := int(x % uint64(len(v)))
-	sign := 1.0
-	if (x>>32)&1 == 1 {
-		sign = -1
-	}
-	v[idx] += sign * weight
-}
-
-// semEmitToken adds one token's word and trigram features.
-func semEmitToken(v Vector, in *profile.Interner, id uint32) {
-	word, grams := in.TokenFeatureHashes(id)
-	semAdd(v, word, 1)
-	for _, g := range grams {
-		semAdd(v, g, 0.5)
-	}
-}
-
-// semEmitSeq adds every token's features in sequence order.
-func semEmitSeq(v Vector, in *profile.Interner, seq []uint32) {
-	for _, id := range seq {
-		semEmitToken(v, in, id)
-	}
-}
-
-// semBigramStep advances the bigram scan by one token.
-func semBigramStep(v Vector, in *profile.Interner, prev uint32, has bool, id uint32) (uint32, bool) {
-	if has {
-		semAdd(v, in.BigramFeatureHash(prev, id), 0.7)
-	}
-	return id, true
-}
-
-// semBigramSeq scans a token sequence, continuing from (prev, has).
-func semBigramSeq(v Vector, in *profile.Interner, seq []uint32, prev uint32, has bool) (uint32, bool) {
-	for _, id := range seq {
-		prev, has = semBigramStep(v, in, prev, has, id)
-	}
-	return prev, has
-}
-
 func normalize(v Vector) {
 	var n float64
 	for _, x := range v {
@@ -315,6 +191,27 @@ func normalize(v Vector) {
 	for i := range v {
 		v[i] /= n
 	}
+}
+
+// minParallelExtract is the batch size below which ExtractAll stays
+// sequential: goroutine fan-out costs more than it saves on tiny
+// batches.
+const minParallelExtract = 64
+
+// ExtractAll maps the extractor over a pair slice: out[i] is
+// ex.Extract(pairs[i]). Batches of minParallelExtract pairs or more fan
+// out across CPUs (Extractor implementations are documented
+// concurrent-safe); the output is the same either way.
+func ExtractAll(ex Extractor, pairs []entity.Pair) []Vector {
+	out := make([]Vector, len(pairs))
+	workers := workpool.Workers()
+	if len(pairs) < minParallelExtract {
+		workers = 1
+	}
+	workpool.For(workers, len(pairs), func(i int) {
+		out[i] = ex.Extract(pairs[i])
+	})
+	return out
 }
 
 // Euclidean returns the Euclidean distance between two vectors. Vectors of

@@ -9,21 +9,11 @@ import (
 	"batcher/internal/blocking"
 	"batcher/internal/core"
 	"batcher/internal/entity"
-	"batcher/internal/feature"
 	"batcher/internal/runstore"
 )
 
-// window is one producer-to-dispatcher handoff: candidate pairs plus
-// their entity profiles, built as the pairs arrive so that profile
-// construction overlaps earlier windows' matching, and dropped once the
-// window is prepared, which bounds profile memory by the windows in flight.
-type window struct {
-	pairs    []entity.Pair
-	profiles *feature.Profiles
-}
-
 // inflight is one window travelling through the executor. The
-// dispatcher fills the identity fields (pos, rw, keys, profiles) and the
+// dispatcher fills the identity fields (pos, rw, keys) and the
 // journal decisions (verifyErr, replay); the runner goroutine fills
 // prepErr, prep, cancel and results before closing prepped, and runErr
 // before closing results; the committer reads the former after
@@ -37,8 +27,6 @@ type inflight struct {
 	rw routedWindow
 	// keys are the matched pairs' identities; nil without a journal.
 	keys []string
-	// profiles are rw.full's entity profiles, held until Prepare returns.
-	profiles *feature.Profiles
 	// verifyErr is a journal/stream mismatch detected at dispatch; the
 	// window is not run and the committer fails the run when it reaches
 	// it (in order, so earlier windows still commit first).
@@ -63,8 +51,8 @@ type inflight struct {
 }
 
 // run executes the window off the committer's critical path: the
-// CPU-bound front half (Prepare: profile reuse, feature extraction,
-// batching, demonstration selection) and then the LLM calls
+// CPU-bound front half (Prepare: feature extraction, batching,
+// demonstration selection) and then the LLM calls
 // (Prepared.Run, this goroutine being one of its workers), each
 // completed batch going straight into the buffered results channel.
 // Windows with nothing to execute are the committer's alone.
@@ -80,10 +68,7 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 	// still stops promptly — Run below checks ctx before it claims each
 	// batch, the first included, at every Parallelism — it just pays
 	// this window's CPU-only prep first.
-	prep, err := f.Prepare(feature.WithProfiles(context.WithoutCancel(ctx), w.profiles), w.rw.amb, pool)
-	// Extraction is done; a single-window run must not keep the whole
-	// run's profiles alive across its LLM phase.
-	w.profiles = nil
+	prep, err := f.Prepare(context.WithoutCancel(ctx), w.rw.amb, pool)
 	if err != nil {
 		w.prepErr = err
 		close(w.prepped)
@@ -128,7 +113,7 @@ func (w *inflight) stop() {
 //
 //   - The producer (goroutine) streams candidates from the blocker into
 //     StreamWindow-sized windows — a single unbounded one when
-//     StreamWindow <= 0 — warming entity profiles as pairs arrive.
+//     StreamWindow <= 0.
 //   - The dispatcher (goroutine) admits at most K = max(1,
 //     InFlightWindows) windows past a semaphore, skips windows another
 //     shard owns, routes each through the cascade pre-filter, decides
@@ -147,9 +132,9 @@ type executor struct {
 	// jstate is the journal content loaded at open; nil without a journal.
 	jstate *runstore.RunState
 
-	windows chan window    // producer → dispatcher, unbuffered: direct handoff
-	sem     chan struct{}  // one slot per in-flight window, capacity K
-	ordered chan *inflight // dispatcher → committer, in window order
+	windows chan []entity.Pair // producer → dispatcher, unbuffered: direct handoff
+	sem     chan struct{}      // one slot per in-flight window, capacity K
+	ordered chan *inflight     // dispatcher → committer, in window order
 
 	blocked       atomic.Int64 // candidates generated so far, for Progress
 	blockingDone  atomic.Bool
@@ -177,7 +162,7 @@ func newExecutor(cfg Config, f *core.Framework) *executor {
 	e := &executor{
 		cfg:     cfg,
 		f:       f,
-		windows: make(chan window),
+		windows: make(chan []entity.Pair),
 		sem:     make(chan struct{}, k),
 		// Sends never block: at most K windows hold the semaphore, and a
 		// window stays in the channel only until the committer receives it.
@@ -207,7 +192,7 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 		if err == nil {
 			e.blockingTime = time.Since(t0)
 			e.blockingDone.Store(true)
-			if len(tail.pairs) > 0 {
+			if len(tail) > 0 {
 				err = e.handoff(bctx, tail)
 			}
 		}
@@ -262,36 +247,29 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 // StreamWindow pairs to the dispatcher and returns the unfinished tail —
 // every candidate when StreamWindow <= 0, since no window ever fills.
 // The MaxCandidates guard trips the moment the cap is crossed.
-func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) (window, error) {
-	size, extractor := e.cfg.StreamWindow, e.f.Config().Extractor
-	newWindow := func() window {
-		return window{
-			pairs:    make([]entity.Pair, 0, max(0, size)),
-			profiles: feature.NewProfiles(extractor),
-		}
-	}
-	w := newWindow()
+func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) ([]entity.Pair, error) {
+	size := e.cfg.StreamWindow
+	w := make([]entity.Pair, 0, max(0, size))
 	for p, err := range blocker.BlockStream(ctx, tableA, tableB) {
 		if err != nil {
-			return window{}, fmt.Errorf("pipeline: blocking: %w", err)
+			return nil, fmt.Errorf("pipeline: blocking: %w", err)
 		}
-		w.pairs = append(w.pairs, p)
-		w.profiles.Warm(p)
+		w = append(w, p)
 		n := e.blocked.Add(1)
 		if e.cfg.MaxCandidates > 0 && int(n) > e.cfg.MaxCandidates {
-			return window{}, fmt.Errorf("pipeline: blocking exceeded the %d-candidate cap", e.cfg.MaxCandidates)
+			return nil, fmt.Errorf("pipeline: blocking exceeded the %d-candidate cap", e.cfg.MaxCandidates)
 		}
-		if len(w.pairs) == size {
+		if len(w) == size {
 			if err := e.handoff(ctx, w); err != nil {
-				return window{}, err
+				return nil, err
 			}
-			w = newWindow()
+			w = make([]entity.Pair, 0, size)
 		}
 	}
 	return w, nil
 }
 
-func (e *executor) handoff(ctx context.Context, w window) error {
+func (e *executor) handoff(ctx context.Context, w []entity.Pair) error {
 	select {
 	case e.windows <- w:
 		return nil
@@ -318,15 +296,15 @@ func (e *executor) dispatch(ctx context.Context) {
 		if !ok {
 			return
 		}
-		if n := e.buffered.Add(int64(len(w.pairs))); n > e.peak {
+		if n := e.buffered.Add(int64(len(w))); n > e.peak {
 			e.peak = n
 		}
 		// The partition key is fixed before any routing: every shard
 		// walking this stream computes the same owner for this window.
-		key := w.pairs[0].Key()
+		key := w[0].Key()
 		if !e.cfg.Shard.Owns(key) {
 			// Not ours: hand the slot and buffer space back.
-			e.buffered.Add(-int64(len(w.pairs)))
+			e.buffered.Add(-int64(len(w)))
 			<-e.sem
 			gIdx++
 			continue
@@ -334,16 +312,15 @@ func (e *executor) dispatch(ctx context.Context) {
 		// Routing happens here, serially, so every window's ambiguous
 		// offset is fixed before the next window is admitted — the
 		// journal coordinates cannot depend on runner timing.
-		rw := routeWindow(e.cfg.Prefilter, w.pairs)
+		rw := routeWindow(e.cfg.Prefilter, w)
 		pool := e.cfg.Pool
 		if pool == nil {
 			pool = rw.amb
 		}
 		iw := &inflight{
-			pos:      winPos{idx: wIdx, offset: offset, global: gIdx, key: key},
-			rw:       rw,
-			profiles: w.profiles,
-			prepped:  make(chan struct{}),
+			pos:     winPos{idx: wIdx, offset: offset, global: gIdx, key: key},
+			rw:      rw,
+			prepped: make(chan struct{}),
 		}
 		if e.cfg.Journal != nil {
 			iw.keys = pairKeys(rw.amb)

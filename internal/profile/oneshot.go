@@ -7,7 +7,7 @@ import "slices"
 // buffers against the pooled interner, merging in place — so a one-shot
 // string comparison allocates nothing in steady state (only genuinely
 // new vocabulary pays interner inserts), while reproducing the exact
-// arithmetic of the profile kernels.
+// arithmetic of the classic map-based implementations.
 
 // uniquePair tokenizes both operands into the builder's two unique-ID
 // scratches. Both slices are valid until the next builder call.
@@ -25,6 +25,24 @@ func sortedUnique(seq, dst []uint32) []uint32 {
 	dst = append(dst, seq...)
 	slices.Sort(dst)
 	return slices.Compact(dst)
+}
+
+// intersectCount returns |a ∩ b| for two ascending ID slices.
+func intersectCount(a, b []uint32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // JaccardStrings is the one-shot token-set Jaccard similarity.

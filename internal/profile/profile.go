@@ -6,19 +6,10 @@ import (
 	"unicode/utf8"
 )
 
-// Profile is the precomputed, immutable comparison form of one string:
-// its distinct tokens. Build it once per entity/attribute and compare it
-// allocation-free with the package kernels. Profiles are only comparable
-// when built against the same Interner (kernels panic otherwise).
-type Profile struct {
-	in *Interner
-	// tokens lists the distinct token IDs in ascending ID order.
-	tokens []uint32
-}
-
-// Builder constructs Profiles against a shared Interner. A Builder owns
-// reusable scratch buffers and is therefore single-goroutine; concurrent
-// producers each take their own Builder over one shared Interner.
+// Builder tokenizes text into token IDs of a shared Interner. A Builder
+// owns reusable scratch buffers and is therefore single-goroutine;
+// concurrent producers each take their own Builder over one shared
+// Interner.
 type Builder struct {
 	in *Interner
 	// pooled marks builders obtained from Scratch, returnable by Release.
@@ -40,20 +31,6 @@ func NewBuilder(in *Interner) *Builder {
 
 // Interner returns the interner the builder assigns token IDs from.
 func (b *Builder) Interner() *Interner { return b.in }
-
-// Build computes the profile of text: its sorted distinct token IDs.
-// Allocation is bounded by the profile's own storage; all intermediate
-// work happens in the builder's reusable scratch.
-func (b *Builder) Build(text string) *Profile {
-	p := &Profile{in: b.in}
-	b.seq = b.appendTokenSeq(text, b.seq[:0])
-	// Distinct tokens into builder scratch, then copied out at exact size.
-	b.uniq = sortedUnique(b.seq, b.uniq[:0])
-	if len(b.uniq) > 0 {
-		p.tokens = append(make([]uint32, 0, len(b.uniq)), b.uniq...)
-	}
-	return p
-}
 
 // appendTokenSeq lowers text rune by rune, splits it on non-letter /
 // non-digit boundaries exactly as strsim.Tokenize does, interns each
@@ -78,14 +55,6 @@ func (b *Builder) appendTokenSeq(text string, dst []uint32) []uint32 {
 	return dst
 }
 
-// AppendTokenSeq tokenizes text and appends the interned token IDs to
-// dst in text order (duplicates kept), without building a Profile. It
-// is the light path for consumers that only need the sequence, e.g.
-// sort-key construction and serialized-entity token streams.
-func (b *Builder) AppendTokenSeq(text string, dst []uint32) []uint32 {
-	return b.appendTokenSeq(text, dst)
-}
-
 // UniqueTokenIDs tokenizes text and returns its distinct token IDs in
 // ascending ID order. The returned slice is builder scratch, valid only
 // until the next builder call; callers needing retention must copy.
@@ -107,7 +76,7 @@ var scratchPool = sync.Pool{
 }
 
 // Scratch returns a pooled builder bound to a private interner, for
-// one-shot comparisons: build the operand profiles, compare, Release.
+// one-shot comparisons: tokenize both operands, compare, Release.
 // The interner deliberately persists across uses (within the vocabulary
 // cap) so repeated comparisons over similar text reuse token entries.
 func Scratch() *Builder {

@@ -2,17 +2,10 @@ package profile
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"unicode"
-
-	"batcher/internal/entity"
 )
-
-func recordOf(id string, attrs, values []string) entity.Record {
-	return entity.NewRecord(id, attrs, values)
-}
 
 // --- reference implementations: the classic map-based kernels ----------
 
@@ -118,14 +111,8 @@ func randText(r *rand.Rand) string {
 
 func TestKernelsMatchReferenceExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	in := NewInterner()
-	bld := NewBuilder(in)
 	for i := 0; i < 2000; i++ {
 		a, b := randText(r), randText(r)
-		pa, pb := bld.Build(a), bld.Build(b)
-		if got, want := Jaccard(pa, pb), refJaccard(a, b); got != want {
-			t.Fatalf("Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
-		}
 		if got, want := LevenshteinRatioStrings(a, b), refLevRatio(a, b); got != want {
 			t.Fatalf("LevenshteinRatioStrings(%q,%q) = %v, ref %v", a, b, got, want)
 		}
@@ -133,17 +120,6 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 			t.Fatalf("JaccardStrings(%q,%q) = %v, ref %v", a, b, got, want)
 		}
 	}
-}
-
-func TestDifferentInternersPanic(t *testing.T) {
-	pa := NewBuilder(NewInterner()).Build("a")
-	pb := NewBuilder(NewInterner()).Build("a")
-	defer func() {
-		if recover() == nil {
-			t.Error("comparing cross-interner profiles did not panic")
-		}
-	}()
-	Jaccard(pa, pb)
 }
 
 func TestInternerConcurrentUse(t *testing.T) {
@@ -154,8 +130,7 @@ func TestInternerConcurrentUse(t *testing.T) {
 			bld := NewBuilder(in)
 			var last [3]uint32
 			for i := 0; i < 500; i++ {
-				p := bld.Build("shared tokens appear everywhere")
-				copy(last[:], p.tokens)
+				copy(last[:], bld.UniqueTokenIDs("shared tokens appear everywhere"))
 			}
 			done <- last
 		}(g)
@@ -168,38 +143,13 @@ func TestInternerConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestEntityProfiles(t *testing.T) {
-	in := NewInterner()
-	bld := NewBuilder(in)
-	r := recordOf("a1", []string{"title", "price"}, []string{"Apple iPhone 13", "999"})
-	e := BuildEntity(bld, r, EntityOpts{Attrs: true, Serialized: true})
-	p, ok := e.Attr("title")
-	if !ok || !slices.Equal(p.tokens, bld.UniqueTokenIDs("Apple iPhone 13")) {
-		t.Fatalf("Attr(title) = %v, %v", p, ok)
-	}
-	if _, ok := e.Attr("missing"); ok {
-		t.Error("Attr(missing) reported present")
-	}
-	// Serialized tokens must equal tokenize("title: Apple iPhone 13, price: 999").
-	want := refTokenize("title: Apple iPhone 13, price: 999")
-	got := e.SerialTokens()
-	if len(got) != len(want) {
-		t.Fatalf("SerialTokens len = %d, want %d (%v)", len(got), len(want), want)
-	}
-	for i, id := range got {
-		if got := in.info(id).text; got != want[i] {
-			t.Errorf("serial token %d = %q, want %q", i, got, want[i])
-		}
-	}
-}
-
 func TestScratchReleaseCapsVocabulary(t *testing.T) {
 	b := Scratch()
 	if !b.retainable() {
 		t.Error("fresh scratch builder not retainable")
 	}
 	for i := 0; b.Interner().Len() <= maxPooledVocab; i++ {
-		b.Build(tokenName(i))
+		b.UniqueTokenIDs(tokenName(i))
 	}
 	if b.retainable() {
 		t.Error("oversized scratch builder still retainable")

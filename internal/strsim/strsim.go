@@ -6,12 +6,11 @@
 // All similarity functions return values in [0, 1], with 1 meaning
 // identical, and treat two empty strings as identical (similarity 1).
 //
-// These string-based entry points are thin wrappers over one-shot
-// profiles from internal/profile: each call builds the operand profiles
-// in pooled scratch and runs the allocation-free merge kernels. Callers
-// comparing the same strings repeatedly (blocking, feature extraction)
-// should build profiles once and use the profile kernels directly —
-// that is the hot path; these wrappers are the convenience path.
+// These entry points are thin wrappers over the one-shot kernels of
+// internal/profile: each call tokenizes (or, for the Levenshtein ratio,
+// runs the edit-distance DP) in pooled scratch, so in steady state a
+// comparison allocates nothing. They are the per-attribute similarities
+// of the LR and JAC extractors.
 package strsim
 
 import (
