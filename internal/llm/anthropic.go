@@ -1,15 +1,8 @@
 package llm
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"time"
-
-	"batcher/internal/tokens"
 )
 
 // AnthropicCompatible is a Client for endpoints speaking the Anthropic
@@ -50,10 +43,23 @@ type anthropicResponse struct {
 		InputTokens  int `json:"input_tokens"`
 		OutputTokens int `json:"output_tokens"`
 	} `json:"usage"`
-	Error *struct {
-		Type    string `json:"type"`
-		Message string `json:"message"`
-	} `json:"error"`
+	Error *wireError `json:"error"`
+}
+
+func (r *anthropicResponse) apiError() *wireError { return r.Error }
+
+// answer concatenates the text blocks; a reply without text is no answer.
+func (r *anthropicResponse) answer() (string, int, int, string) {
+	var text string
+	for _, block := range r.Content {
+		if block.Type == "text" {
+			text += block.Text
+		}
+	}
+	if text == "" {
+		return "", 0, 0, "empty content"
+	}
+	return text, r.Usage.InputTokens, r.Usage.OutputTokens, ""
 }
 
 // Complete implements Client. The HTTP request is bound to ctx, so
@@ -68,81 +74,20 @@ func (c *AnthropicCompatible) Complete(ctx context.Context, req Request) (Respon
 	if maxTokens <= 0 {
 		maxTokens = 1024
 	}
-	body, err := json.Marshal(anthropicRequest{
-		Model:       req.Model,
-		MaxTokens:   maxTokens,
-		Temperature: req.Temperature,
-		System:      req.System,
-		Messages:    []anthropicMessage{{Role: "user", Content: req.Prompt}},
-	})
-	if err != nil {
-		return Response{}, fmt.Errorf("llm: encode request: %w", err)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/messages", bytes.NewReader(body))
-	if err != nil {
-		return Response{}, fmt.Errorf("llm: build request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	header := http.Header{}
 	if c.APIKey != "" {
-		httpReq.Header.Set("x-api-key", c.APIKey)
+		header.Set("x-api-key", c.APIKey)
 	}
 	version := c.Version
 	if version == "" {
 		version = "2023-06-01"
 	}
-	httpReq.Header.Set("anthropic-version", version)
-	client := c.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	resp, err := client.Do(httpReq)
-	if err != nil {
-		return Response{}, &APIError{Kind: KindTransport, Message: "request failed", Err: err}
-	}
-	// Drain any unread remainder before closing so the connection is
-	// reusable even on error paths.
-	defer drainClose(resp.Body)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "truncated response body", Err: err}
-	}
-	var parsed anthropicResponse
-	jsonErr := json.Unmarshal(data, &parsed)
-	if resp.StatusCode != http.StatusOK {
-		// Classify by status; the body's error message (when it parses)
-		// rides along for the humans.
-		var apiType, apiMsg string
-		if jsonErr == nil && parsed.Error != nil {
-			apiType, apiMsg = parsed.Error.Type, parsed.Error.Message
-		}
-		return Response{}, statusError(resp.StatusCode, resp.Header, apiType, apiMsg)
-	}
-	if jsonErr != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "malformed response body", Err: jsonErr}
-	}
-	if parsed.Error != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindPermanent,
-			Message: fmt.Sprintf("%s: %s", parsed.Error.Type, parsed.Error.Message)}
-	}
-	var text string
-	for _, block := range parsed.Content {
-		if block.Type == "text" {
-			text += block.Text
-		}
-	}
-	if text == "" {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "empty content"}
-	}
-	out := Response{
-		Completion:   text,
-		InputTokens:  parsed.Usage.InputTokens,
-		OutputTokens: parsed.Usage.OutputTokens,
-	}
-	if out.InputTokens == 0 {
-		out.InputTokens = tokens.Count(req.Prompt)
-	}
-	if out.OutputTokens == 0 {
-		out.OutputTokens = tokens.Count(text)
-	}
-	return out, nil
+	header.Set("anthropic-version", version)
+	return roundTrip(ctx, c.HTTPClient, c.BaseURL+"/v1/messages", header, anthropicRequest{
+		Model:       req.Model,
+		MaxTokens:   maxTokens,
+		Temperature: req.Temperature,
+		System:      req.System,
+		Messages:    []anthropicMessage{{Role: "user", Content: req.Prompt}},
+	}, &anthropicResponse{}, req.Prompt)
 }

@@ -1,15 +1,8 @@
 package llm
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"time"
-
-	"batcher/internal/tokens"
 )
 
 // OpenAICompatible is a Client for chat-completions endpoints speaking the
@@ -47,10 +40,17 @@ type chatResponse struct {
 		PromptTokens     int `json:"prompt_tokens"`
 		CompletionTokens int `json:"completion_tokens"`
 	} `json:"usage"`
-	Error *struct {
-		Message string `json:"message"`
-		Type    string `json:"type"`
-	} `json:"error"`
+	Error *wireError `json:"error"`
+}
+
+func (r *chatResponse) apiError() *wireError { return r.Error }
+
+// answer takes the first choice; an empty content is an answer.
+func (r *chatResponse) answer() (string, int, int, string) {
+	if len(r.Choices) == 0 {
+		return "", 0, 0, "empty choices"
+	}
+	return r.Choices[0].Message.Content, r.Usage.PromptTokens, r.Usage.CompletionTokens, ""
 }
 
 // Complete implements Client. The HTTP request is bound to ctx, so
@@ -61,71 +61,14 @@ func (c *OpenAICompatible) Complete(ctx context.Context, req Request) (Response,
 		messages = append(messages, chatMessage{Role: "system", Content: req.System})
 	}
 	messages = append(messages, chatMessage{Role: "user", Content: req.Prompt})
-	body, err := json.Marshal(chatRequest{
+	header := http.Header{}
+	if c.APIKey != "" {
+		header.Set("Authorization", "Bearer "+c.APIKey)
+	}
+	return roundTrip(ctx, c.HTTPClient, c.BaseURL+"/chat/completions", header, chatRequest{
 		Model:       req.Model,
 		Messages:    messages,
 		Temperature: req.Temperature,
 		MaxTokens:   req.MaxTokens,
-	})
-	if err != nil {
-		return Response{}, fmt.Errorf("llm: encode request: %w", err)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/chat/completions", bytes.NewReader(body))
-	if err != nil {
-		return Response{}, fmt.Errorf("llm: build request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if c.APIKey != "" {
-		httpReq.Header.Set("Authorization", "Bearer "+c.APIKey)
-	}
-	client := c.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	resp, err := client.Do(httpReq)
-	if err != nil {
-		return Response{}, &APIError{Kind: KindTransport, Message: "request failed", Err: err}
-	}
-	// Drain any unread remainder before closing so the connection is
-	// reusable even on error paths.
-	defer drainClose(resp.Body)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "truncated response body", Err: err}
-	}
-	var parsed chatResponse
-	jsonErr := json.Unmarshal(data, &parsed)
-	if resp.StatusCode != http.StatusOK {
-		// Classify by status; the body's error message (when it parses)
-		// rides along for the humans.
-		var apiType, apiMsg string
-		if jsonErr == nil && parsed.Error != nil {
-			apiType, apiMsg = parsed.Error.Type, parsed.Error.Message
-		}
-		return Response{}, statusError(resp.StatusCode, resp.Header, apiType, apiMsg)
-	}
-	if jsonErr != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "malformed response body", Err: jsonErr}
-	}
-	if parsed.Error != nil {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindPermanent,
-			Message: fmt.Sprintf("%s: %s", parsed.Error.Type, parsed.Error.Message)}
-	}
-	if len(parsed.Choices) == 0 {
-		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "empty choices"}
-	}
-	out := Response{
-		Completion:   parsed.Choices[0].Message.Content,
-		InputTokens:  parsed.Usage.PromptTokens,
-		OutputTokens: parsed.Usage.CompletionTokens,
-	}
-	// Some compatible servers omit usage; fall back to local counting so
-	// billing never silently records zero.
-	if out.InputTokens == 0 {
-		out.InputTokens = tokens.Count(req.Prompt)
-	}
-	if out.OutputTokens == 0 {
-		out.OutputTokens = tokens.Count(out.Completion)
-	}
-	return out, nil
+	}, &chatResponse{}, req.Prompt)
 }
