@@ -70,7 +70,7 @@ func (b *Builder) UniqueTokenIDs(text string) []uint32 {
 const maxPooledVocab = 4096
 
 // scratchPool recycles one-shot builders (each with a private interner)
-// for the legacy string-based strsim entry points.
+// for the string-based strsim entry points.
 var scratchPool = sync.Pool{
 	New: func() any { return NewBuilder(NewInterner()) },
 }
