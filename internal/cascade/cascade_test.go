@@ -103,6 +103,26 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins the exact fingerprints of pre-filters
+// trained on a fixed set under both calibrators. Journals stamp the
+// fingerprint into RunMeta.Cascade and a resume refuses a mismatch, so
+// a refactor of the scorer's storage must not move a single byte.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, "6e539c7d57c2106af241e4ec"},
+		{Config{Isotonic: true}, "db2f76fa99803c516ab13833"},
+		{Config{Isotonic: true, TauLo: 0.2, TauHi: 0.7, Seed: 3}, "14519b16b2be0a4c4fd338cb"},
+	} {
+		pf, _ := trainedPrefilter(t, tc.cfg)
+		if got := pf.Fingerprint(); got != tc.want {
+			t.Errorf("Fingerprint(%+v) = %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestTrainRejectsBadInput(t *testing.T) {
 	d, err := datagen.GenerateByName("Beer", 1)
 	if err != nil {
