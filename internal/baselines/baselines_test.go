@@ -158,6 +158,32 @@ func TestManualPromptRun(t *testing.T) {
 	}
 }
 
+// cacheServed answers every question "Yes" as a response cache does:
+// CacheHit set and no billed tokens.
+type cacheServed struct{}
+
+func (cacheServed) Complete(context.Context, llm.Request) (llm.Response, error) {
+	return llm.Response{Completion: "Question 1: Yes", CacheHit: true}, nil
+}
+
+// A cache-served answer is no API call: ManualPrompt bills none.
+func TestManualPromptCacheHitsAreNotCalls(t *testing.T) {
+	s := workload(t, "Beer")
+	questions := s.Test[:5]
+	res, err := (&ManualPrompt{}).Run(context.Background(), questions, s.Train, cacheServed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ledger.Calls() != 0 || res.Ledger.API() != 0 {
+		t.Errorf("cache-served run billed %s", res.Ledger.String())
+	}
+	for i, p := range res.Pred {
+		if p != entity.Match {
+			t.Errorf("pred[%d] = %v, want the cached Yes", i, p)
+		}
+	}
+}
+
 func TestCurateDemosBalancedClasses(t *testing.T) {
 	s := workload(t, "IA")
 	mp := &ManualPrompt{NumDemos: 8}

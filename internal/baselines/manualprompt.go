@@ -63,7 +63,10 @@ func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pa
 		if err != nil {
 			return nil, fmt.Errorf("baselines: question %d: %w", i, err)
 		}
-		res.Ledger.AddCall(model.Pricing, resp.InputTokens, resp.OutputTokens)
+		// A cache-served answer made no API call and is not billed.
+		if !resp.CacheHit {
+			res.Ledger.AddCall(model.Pricing, resp.InputTokens, resp.OutputTokens)
+		}
 		res.Pred[i] = prompt.ParseAnswers(resp.Completion, 1)[0]
 	}
 	return res, nil

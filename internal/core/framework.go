@@ -120,19 +120,24 @@ func (f *Framework) annotate(pool []entity.Pair, ids []int) []prompt.Demo {
 	return demos
 }
 
-// callWithTrim sends the batch prompt, dropping demonstrations from the
-// tail until the prompt fits the model's context window. This is the
-// mitigation for the input-length overrun risk Section IV-C attributes to
-// topk-question selection. It returns the response and how many demos
-// were dropped. tier stamps the request for tier routing (llm.NewTiered)
-// and cache identity; single-model runs pass llm.TierDefault.
-func (f *Framework) callWithTrim(ctx context.Context, model llm.Model, tier llm.Tier, demos []prompt.Demo, qs []entity.Pair) (llm.Response, int, error) {
-	trimmed := 0
+// ask answers qs on model and tier, one label per question. Each call
+// that returns is billed to br there and then: its tokens always, and a
+// ledger call under tier's name unless the cache served it (a
+// cache-served answer made no API call). When a prompt overruns the
+// model's context window, ask drops demonstrations from the tail until
+// it fits — the mitigation for the input-length overrun risk Section
+// IV-C attributes to topk-question selection — and, once none are left,
+// asks each half of the batch on its own and joins their labels.
+// br.TrimmedDemos counts the demonstrations dropped from a prompt once
+// its questions have been answered. Single-model runs pass
+// llm.TierDefault; tier also stamps the request for tier routing
+// (llm.NewTiered) and cache identity.
+func (f *Framework) ask(ctx context.Context, model llm.Model, tier llm.Tier, demos []prompt.Demo, qs []entity.Pair, br *BatchResult) ([]entity.Label, error) {
 	format := prompt.TextAnswers
 	if f.cfg.JSONAnswers {
 		format = prompt.JSONAnswers
 	}
-	for {
+	for trimmed := 0; ; trimmed++ {
 		p := prompt.BuildWithFormat(f.cfg.TaskDescription, demos, qs, format)
 		resp, err := f.client.Complete(ctx, llm.Request{
 			Model:       model.Name,
@@ -140,53 +145,49 @@ func (f *Framework) callWithTrim(ctx context.Context, model llm.Model, tier llm.
 			Temperature: f.cfg.Temperature,
 			Tier:        tier,
 		})
-		if err == nil {
-			return resp, trimmed, nil
-		}
-		if !errors.Is(err, llm.ErrContextLength) {
-			return llm.Response{}, trimmed, err
-		}
-		if len(demos) == 0 {
-			// Even the bare prompt is too long; split the batch in half
-			// and merge answers.
-			if len(qs) <= 1 {
-				return llm.Response{}, trimmed, err
+		switch {
+		case err == nil:
+			br.InputTokens += resp.InputTokens
+			br.OutputTokens += resp.OutputTokens
+			br.TrimmedDemos += trimmed
+			if !resp.CacheHit {
+				br.Ledger.AddTierCall(tierName(tier), model.Pricing, resp.InputTokens, resp.OutputTokens)
 			}
+			return prompt.ParseAnswersAny(resp.Completion, len(qs)), nil
+		case !errors.Is(err, llm.ErrContextLength):
+			return nil, err
+		case len(demos) > 0:
+			demos = demos[:len(demos)-1]
+		case len(qs) <= 1:
+			// Even a bare one-question prompt is too long.
+			return nil, err
+		default:
 			mid := len(qs) / 2
-			left, tl, err := f.callWithTrim(ctx, model, tier, nil, qs[:mid])
+			left, err := f.ask(ctx, model, tier, nil, qs[:mid], br)
 			if err != nil {
-				return llm.Response{}, trimmed, err
+				return nil, err
 			}
-			right, tr, err := f.callWithTrim(ctx, model, tier, nil, qs[mid:])
+			right, err := f.ask(ctx, model, tier, nil, qs[mid:], br)
 			if err != nil {
-				return llm.Response{}, trimmed, err
+				return nil, err
 			}
-			merged := mergeResponses(left, right, mid, len(qs)-mid)
-			return merged, trimmed + tl + tr, nil
+			br.TrimmedDemos += trimmed
+			return append(left, right...), nil
 		}
-		demos = demos[:len(demos)-1]
-		trimmed++
 	}
 }
 
-// mergeResponses renumbers and concatenates two split-batch completions so
-// answer parsing sees a single consistent numbering.
-func mergeResponses(left, right llm.Response, leftN, rightN int) llm.Response {
-	leftLabels := prompt.ParseAnswersAny(left.Completion, leftN)
-	rightLabels := prompt.ParseAnswersAny(right.Completion, rightN)
-	// Copy into a fresh slice: appending to leftLabels could alias its
-	// backing array and clobber it for any other holder.
-	all := make([]entity.Label, 0, len(leftLabels)+len(rightLabels))
-	all = append(all, leftLabels...)
-	all = append(all, rightLabels...)
-	return llm.Response{
-		Completion:   prompt.FormatAnswers(all),
-		InputTokens:  left.InputTokens + right.InputTokens,
-		OutputTokens: left.OutputTokens + right.OutputTokens,
-		// Only a fully cache-served split is free; a half-fresh merge
-		// carries the fresh half's billed tokens and counts as a call.
-		CacheHit: left.CacheHit && right.CacheHit,
+// tierName is the ledger's name for calls on tier: cost.TierCheap or
+// cost.TierExpensive on a cascade run, empty (no tier bucket) on a
+// single-model run.
+func tierName(tier llm.Tier) string {
+	switch tier {
+	case llm.TierCheap:
+		return cost.TierCheap
+	case llm.TierExpensive:
+		return cost.TierExpensive
 	}
+	return ""
 }
 
 // checkPartition verifies the batching invariant: every question appears

@@ -10,7 +10,6 @@ import (
 	"batcher/internal/cost"
 	"batcher/internal/entity"
 	"batcher/internal/llm"
-	"batcher/internal/prompt"
 )
 
 // BatchResult is one completed batch delivered by Prepared.Run: the
@@ -251,13 +250,14 @@ func (p *Prepared) runBatch(ctx context.Context, bi int) (BatchResult, error) {
 		qs[i] = p.questions[qi]
 	}
 	br := BatchResult{Index: bi, Questions: batch, VoteMargin: p.margin(bi)}
-	// attempt makes one tier's call and folds its answer, tokens and
-	// spend into br; both of a cascade's attempts accumulate on the batch
-	// and the ledger splits them per tier. A refusal the degradation
-	// policy absorbs completes the batch as degraded instead (see
-	// degrade), standing on cheapPred when the cheap tier had answered.
-	attempt := func(model llm.Model, tier llm.Tier, bucket string, cheapPred []entity.Label) error {
-		resp, trimmed, err := f.callWithTrim(ctx, model, tier, demos, qs)
+	// attempt asks one tier and folds its answer into br; ask has
+	// already billed every call it made to br, so both of a cascade's
+	// attempts accumulate on the batch and the ledger splits them per
+	// tier. A refusal the degradation policy absorbs completes the batch
+	// as degraded instead (see degrade), standing on cheapPred when the
+	// cheap tier had answered.
+	attempt := func(model llm.Model, tier llm.Tier, cheapPred []entity.Label) error {
+		pred, err := f.ask(ctx, model, tier, demos, qs, &br)
 		if err != nil {
 			if !f.degradable(err) {
 				return err
@@ -265,30 +265,20 @@ func (p *Prepared) runBatch(ctx context.Context, bi int) (BatchResult, error) {
 			br = f.degrade(br, len(batch), cheapPred)
 			return nil
 		}
-		br.Pred = prompt.ParseAnswersAny(resp.Completion, len(batch))
-		br.Tier = bucket
-		br.InputTokens += resp.InputTokens
-		br.OutputTokens += resp.OutputTokens
-		br.TrimmedDemos += trimmed
-		// A cache-served batch made no API call: its tokens are zero and it
-		// must not inflate the ledger's call count either, or resumed and
-		// cached runs would report more calls than were ever billed.
-		if !resp.CacheHit {
-			br.Ledger.AddTierCall(bucket, model.Pricing, resp.InputTokens, resp.OutputTokens)
-		}
+		br.Pred, br.Tier = pred, tierName(tier)
 		return nil
 	}
 	var err error
 	switch {
 	case !p.cascade:
-		err = attempt(p.model, llm.TierDefault, "", nil)
+		err = attempt(p.model, llm.TierDefault, nil)
 	case br.VoteMargin >= f.cfg.EscalateMargin:
-		err = attempt(p.cheap, llm.TierCheap, cost.TierCheap, nil)
+		err = attempt(p.cheap, llm.TierCheap, nil)
 		if err == nil && !br.Degraded && anyUnknown(br.Pred) {
-			err = attempt(p.model, llm.TierExpensive, cost.TierExpensive, br.Pred)
+			err = attempt(p.model, llm.TierExpensive, br.Pred)
 		}
 	default: // low margin: the cheap tier is skipped
-		err = attempt(p.model, llm.TierExpensive, cost.TierExpensive, nil)
+		err = attempt(p.model, llm.TierExpensive, nil)
 	}
 	if err != nil {
 		return BatchResult{}, err

@@ -24,20 +24,6 @@ const (
 // the simulator keys off its prefix to know which format to emit.
 const jsonInstruction = `Reply with JSON only, in the form {"answers":[{"question":1,"match":true}, ...]} covering every question.`
 
-// BuildWithFormat renders a batch prompt requesting the chosen answer
-// format. TextAnswers delegates to Build.
-func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
-	if format == TextAnswers {
-		return Build(desc, demos, questions)
-	}
-	base := Build(desc, demos, questions)
-	// Swap the trailing instruction for the JSON one.
-	lines := strings.Split(strings.TrimRight(base.Text, "\n"), "\n")
-	// The final line is the answer instruction emitted by Build.
-	lines[len(lines)-1] = jsonInstruction
-	return Prompt{Text: strings.Join(lines, "\n") + "\n", NumQuestions: base.NumQuestions}
-}
-
 // WantsJSON reports whether a prompt asked for JSON answers.
 func WantsJSON(text string) bool {
 	return strings.Contains(text, `{"answers":[`)

@@ -26,6 +26,29 @@ func TestBuildWithFormatJSON(t *testing.T) {
 	}
 }
 
+// TestBuildWithFormatJSONSwapsOnlyTheInstruction holds the JSON prompt
+// to its definition: the text prompt with its closing instruction line
+// replaced by the JSON one, and every other byte unchanged.
+func TestBuildWithFormatJSONSwapsOnlyTheInstruction(t *testing.T) {
+	demos := []Demo{{Pair: samplePair(7), Label: entity.Match}, {Pair: samplePair(8), Label: entity.NonMatch}}
+	for _, n := range []int{0, 1, 3} {
+		var qs []entity.Pair
+		for i := range n {
+			qs = append(qs, samplePair(byte(i)))
+		}
+		for _, ds := range [][]Demo{nil, demos} {
+			text := Build(DefaultTaskDescription, ds, qs).Text
+			lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+			lines[len(lines)-1] = jsonInstruction
+			want := strings.Join(lines, "\n") + "\n"
+			got := BuildWithFormat(DefaultTaskDescription, ds, qs, JSONAnswers)
+			if got.Text != want || got.NumQuestions != n {
+				t.Errorf("%d questions, %d demos: JSON prompt\n%q\nwant\n%q", n, len(ds), got.Text, want)
+			}
+		}
+	}
+}
+
 func TestBuildWithFormatTextDelegates(t *testing.T) {
 	a := Build(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)})
 	b := BuildWithFormat(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)}, TextAnswers)

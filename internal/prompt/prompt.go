@@ -88,10 +88,17 @@ func ParseEntity(line string) (entity.Record, error) {
 	return entity.NewRecord("", attrs, vals), nil
 }
 
-// Build renders a batch prompt from a task description, demonstrations,
-// and questions, following the paper's Figure 1(b) layout. Passing a
-// single question yields standard prompting (Figure 1(a)).
+// Build renders a batch prompt asking for the paper's text answers; it
+// is BuildWithFormat with TextAnswers.
 func Build(desc string, demos []Demo, questions []entity.Pair) Prompt {
+	return BuildWithFormat(desc, demos, questions, TextAnswers)
+}
+
+// BuildWithFormat renders a batch prompt from a task description,
+// demonstrations, and questions, following the paper's Figure 1(b)
+// layout, and closes it with the reply instruction for format. Passing
+// a single question yields standard prompting (Figure 1(a)).
+func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
 	var b strings.Builder
 	b.WriteString(desc)
 	b.WriteString("\n")
@@ -114,9 +121,12 @@ func Build(desc string, demos []Demo, questions []entity.Pair) Prompt {
 		b.WriteString("Entity A: " + SerializeEntity(q.A) + "\n")
 		b.WriteString("Entity B: " + SerializeEntity(q.B) + "\n")
 	}
-	if len(questions) == 1 {
+	switch {
+	case format == JSONAnswers:
+		b.WriteString("\n" + jsonInstruction + "\n")
+	case len(questions) == 1:
 		b.WriteString("\nAnswer with a single line: \"Question 1: Yes\" or \"Question 1: No\".\n")
-	} else {
+	default:
 		fmt.Fprintf(&b, "\nFor each of Question 1 through Question %d, answer on its own line "+
 			"in the form \"Question i: Yes\" or \"Question i: No\".\n", len(questions))
 	}
@@ -202,20 +212,6 @@ func Parse(text string) (*Parsed, error) {
 		return nil, errors.New("prompt: no questions found")
 	}
 	return p, nil
-}
-
-// FormatAnswers renders a completion answering n questions with the given
-// labels, in the canonical reply format.
-func FormatAnswers(labels []entity.Label) string {
-	var b strings.Builder
-	for i, l := range labels {
-		if l == entity.Match {
-			fmt.Fprintf(&b, "Question %d: Yes\n", i+1)
-		} else {
-			fmt.Fprintf(&b, "Question %d: No\n", i+1)
-		}
-	}
-	return b.String()
 }
 
 // ParseAnswers extracts per-question labels from an LLM completion for a

@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,11 +174,26 @@ func TestParseNoQuestions(t *testing.T) {
 	}
 }
 
+// formatAnswers renders a completion answering the questions with the
+// given labels, in the canonical reply format: the oracle the round-trip
+// tests parse back.
+func formatAnswers(labels []entity.Label) string {
+	var b strings.Builder
+	for i, l := range labels {
+		if l == entity.Match {
+			fmt.Fprintf(&b, "Question %d: Yes\n", i+1)
+		} else {
+			fmt.Fprintf(&b, "Question %d: No\n", i+1)
+		}
+	}
+	return b.String()
+}
+
 func TestFormatAnswers(t *testing.T) {
-	s := FormatAnswers([]entity.Label{entity.Match, entity.NonMatch})
+	s := formatAnswers([]entity.Label{entity.Match, entity.NonMatch})
 	want := "Question 1: Yes\nQuestion 2: No\n"
 	if s != want {
-		t.Errorf("FormatAnswers = %q, want %q", s, want)
+		t.Errorf("formatAnswers = %q, want %q", s, want)
 	}
 }
 
@@ -235,7 +251,7 @@ func TestParseAnswersEmptyCompletion(t *testing.T) {
 
 func TestRoundTripAnswers(t *testing.T) {
 	in := []entity.Label{entity.Match, entity.NonMatch, entity.Match, entity.Match}
-	out := ParseAnswers(FormatAnswers(in), len(in))
+	out := ParseAnswers(formatAnswers(in), len(in))
 	for i := range in {
 		if in[i] != out[i] {
 			t.Fatalf("answer round trip mismatch at %d", i)
