@@ -82,7 +82,8 @@ func (c Config) applyDefaults() Config {
 type Prefilter struct {
 	ex    feature.Extractor
 	std   *ml.Standardizer
-	clf   ml.Classifier
+	base  *ml.LogReg
+	cal   ml.Calibrator
 	tauLo float64
 	tauHi float64
 }
@@ -154,7 +155,8 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 	return &Prefilter{
 		ex:    cfg.Extractor,
 		std:   std,
-		clf:   ml.Calibrated{Base: base, Cal: cal},
+		base:  base,
+		cal:   cal,
 		tauLo: cfg.TauLo,
 		tauHi: cfg.TauHi,
 	}, nil
@@ -162,7 +164,7 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 
 // Prob returns the calibrated match probability of the pair.
 func (pf *Prefilter) Prob(p entity.Pair) float64 {
-	return pf.clf.Prob(pf.std.Apply(pf.ex.Extract(p)))
+	return pf.cal.Calibrate(pf.base.Prob(pf.std.Apply(pf.ex.Extract(p))))
 }
 
 // RouteOne routes a single pair.
@@ -228,16 +230,14 @@ func (pf *Prefilter) RouteAll(pairs []entity.Pair) Routed {
 func (pf *Prefilter) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "tau=%.12g:%.12g\n", pf.tauLo, pf.tauHi)
-	if lr, ok := baseOf(pf.clf).(*ml.LogReg); ok {
-		for _, w := range lr.W {
-			fmt.Fprintf(h, "w=%.12g\n", w)
-		}
-		fmt.Fprintf(h, "b=%.12g\n", lr.B)
+	for _, w := range pf.base.W {
+		fmt.Fprintf(h, "w=%.12g\n", w)
 	}
+	fmt.Fprintf(h, "b=%.12g\n", pf.base.B)
 	for i := range pf.std.Mean {
 		fmt.Fprintf(h, "s=%.12g:%.12g\n", pf.std.Mean[i], pf.std.Std[i])
 	}
-	switch cal := calOf(pf.clf).(type) {
+	switch cal := pf.cal.(type) {
 	case ml.Platt:
 		fmt.Fprintf(h, "platt=%.12g:%.12g\n", cal.A, cal.B)
 	case ml.Isotonic:
@@ -246,20 +246,6 @@ func (pf *Prefilter) Fingerprint() string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:24]
-}
-
-func baseOf(c ml.Classifier) ml.Classifier {
-	if cc, ok := c.(ml.Calibrated); ok {
-		return cc.Base
-	}
-	return c
-}
-
-func calOf(c ml.Classifier) ml.Calibrator {
-	if cc, ok := c.(ml.Calibrated); ok {
-		return cc.Cal
-	}
-	return nil
 }
 
 // BootstrapLabels returns a copy of pairs usable as cascade training

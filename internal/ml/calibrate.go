@@ -152,18 +152,6 @@ func FitIsotonic(scores []float64, ys []bool) Isotonic {
 	return out
 }
 
-// Calibrated composes a base classifier with a calibrator; it is itself
-// a Classifier, so it drops into anything that scores pairs.
-type Calibrated struct {
-	Base Classifier
-	Cal  Calibrator
-}
-
-// Prob implements Classifier.
-func (c Calibrated) Prob(x []float64) float64 {
-	return c.Cal.Calibrate(c.Base.Prob(x))
-}
-
 // logit is the inverse sigmoid, clamped away from 0 and 1 so calibration
 // never sees infinities.
 func logit(p float64) float64 {

@@ -74,15 +74,6 @@ func TestIsotonicMonotoneOnNoisyOrder(t *testing.T) {
 	}
 }
 
-func TestCalibratedComposes(t *testing.T) {
-	base := &LogReg{W: []float64{2}, B: 0}
-	c := Calibrated{Base: base, Cal: Platt{A: 1, B: 0}}
-	x := []float64{0.7}
-	if got, want := c.Prob(x), base.Prob(x); math.Abs(got-want) > 1e-9 {
-		t.Errorf("identity Platt changed probability: %v != %v", got, want)
-	}
-}
-
 func TestFitPlattEmpty(t *testing.T) {
 	cal := FitPlatt(nil, nil)
 	if p := cal.Calibrate(0.7); math.IsNaN(p) || p <= 0 || p >= 1 {
