@@ -2,13 +2,12 @@ package blocking
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"batcher/internal/entity"
 	"batcher/internal/profile"
+	"batcher/internal/workpool"
 )
 
 // keyText returns the blocking text of a record: the named attribute, or
@@ -101,43 +100,25 @@ func (ix *invertedIndex) lookup(term uint64) []termPost {
 var minIndexChunk = 1024
 
 // buildIndex constructs the inverted index over table: contiguous row
-// chunks are tokenized concurrently — each worker owning its own
-// termer/builder scratch over the shared interner — into chunk-local
-// posting accumulators, which are then flattened in chunk order and
-// sorted by (term, row). Within a term, rows come out ascending, exactly
-// as a sequential index build would produce.
+// chunks are tokenized concurrently through workpool.For — each chunk
+// owning its own termer/builder scratch over the shared interner — into
+// chunk-local posting accumulators, which are then flattened in chunk
+// order and sorted by (term, row). Within a term, rows come out
+// ascending, exactly as a sequential index build would produce.
 func buildIndex(table []entity.Record, src termSource, in *profile.Interner, maxPostings int) *invertedIndex {
-	workers := (len(table) + minIndexChunk - 1) / minIndexChunk
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
+	workers := max(1, min((len(table)+minIndexChunk-1)/minIndexChunk, workpool.Workers()))
 	local := make([]chunks[termPost], workers)
 	chunk := (len(table) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(table) {
-			hi = len(table)
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			tr := src.newTermer(in)
-			var terms []uint64
-			for j := lo; j < hi; j++ {
-				terms = tr.appendTerms(table[j], terms[:0])
-				for _, t := range terms {
-					local[c].append(termPost{term: t, row: int32(j)})
-				}
+	workpool.For(workers, workers, func(c int) {
+		tr := src.newTermer(in)
+		var terms []uint64
+		for j := c * chunk; j < min((c+1)*chunk, len(table)); j++ {
+			terms = tr.appendTerms(table[j], terms[:0])
+			for _, t := range terms {
+				local[c].append(termPost{term: t, row: int32(j)})
 			}
-		}(c, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	total := 0
 	for c := range local {
