@@ -190,8 +190,9 @@ func Score(questions []Pair, pred []Label) Confusion {
 
 // NewSimulatedClient returns the offline LLM substrate: a deterministic
 // simulated model whose error behaviour follows the mechanisms identified
-// in the paper (see DESIGN.md §3). labeled supplies the ground truth the
-// simulator answers from; seed decorrelates repeated runs.
+// in the paper (see docs/ARCHITECTURE.md, "Offline substitutions").
+// labeled supplies the ground truth the simulator answers from; seed
+// decorrelates repeated runs.
 func NewSimulatedClient(labeled []Pair, seed int64) Client {
 	return llm.NewSimulated(llm.BuildOracle(labeled), seed)
 }
@@ -199,6 +200,12 @@ func NewSimulatedClient(labeled []Pair, seed int64) Client {
 // NewOpenAIClient returns a live client for OpenAI-compatible endpoints.
 func NewOpenAIClient(baseURL, apiKey string) Client {
 	return &llm.OpenAICompatible{BaseURL: baseURL, APIKey: apiKey}
+}
+
+// NewAnthropicClient returns a live client for endpoints speaking the
+// Anthropic Messages format.
+func NewAnthropicClient(baseURL, apiKey string) Client {
+	return &llm.AnthropicCompatible{BaseURL: baseURL, APIKey: apiKey}
 }
 
 // LoadBenchmark generates a synthetic benchmark clone by name: one of

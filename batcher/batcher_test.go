@@ -3,6 +3,8 @@ package batcher
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -276,5 +278,40 @@ func TestMatchContextCancelReturnsBatchError(t *testing.T) {
 	_, err := m.Match(ctx, questions, pool)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// Both live clients the facade builds reach their endpoint with their
+// own path and key header and read the completion and usage back.
+func TestLiveClientConstructors(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/chat/completions":
+			if got := r.Header.Get("Authorization"); got != "Bearer sk-test" {
+				t.Errorf("OpenAI auth = %q", got)
+			}
+			w.Write([]byte(`{"choices":[{"message":{"content":"Question 1: Yes"}}],"usage":{"prompt_tokens":42,"completion_tokens":5}}`))
+		case "/v1/messages":
+			if got := r.Header.Get("x-api-key"); got != "sk-test" {
+				t.Errorf("Anthropic key = %q", got)
+			}
+			w.Write([]byte(`{"content":[{"type":"text","text":"Question 1: Yes"}],"usage":{"input_tokens":42,"output_tokens":5}}`))
+		default:
+			t.Errorf("unexpected path %s", r.URL.Path)
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	for name, c := range map[string]Client{
+		"openai":    NewOpenAIClient(srv.URL, "sk-test"),
+		"anthropic": NewAnthropicClient(srv.URL, "sk-test"),
+	} {
+		resp, err := c.Complete(context.Background(), Request{Model: "m", Prompt: "same?"})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.Completion != "Question 1: Yes" || resp.InputTokens != 42 || resp.OutputTokens != 5 {
+			t.Errorf("%s: response %+v", name, resp)
+		}
 	}
 }

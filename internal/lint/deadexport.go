@@ -25,7 +25,9 @@ import (
 // it — one the program's non-test code mentions, or one the standard
 // library calls through unnamed (error, fmt.Stringer, the errors
 // package's Unwrap/Is/As) — since dynamic dispatch calls it without
-// naming it; a type with such a method is exempt for the same reason.
+// naming it. A type gets no such exemption: a value of it can reach an
+// interface only where some code names the type, so one that no
+// non-test file names has no use outside tests.
 var DeadExport = &Analyzer{
 	Name: "deadexport",
 	Doc:  "an exported declaration under internal/ must be referenced from a non-test file of the program",
@@ -171,32 +173,19 @@ func (r *exportRefs) addInterface(t types.Type) {
 	}
 }
 
-// dispatched reports whether obj — a method, or a named type through
-// any of its methods — is reachable through an interface: the type, or
-// a pointer to it, implements a collected interface that declares a
-// method of that name.
+// dispatched reports whether obj is a method reachable through an
+// interface: its receiver type, or a pointer to it, implements a
+// collected interface that declares a method of that name.
 func (r *exportRefs) dispatched(obj types.Object) bool {
-	var t types.Type
-	var names []string
-	switch o := obj.(type) {
-	case *types.Func:
-		recv := o.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return false
-		}
-		t, names = recv.Type(), []string{o.Name()}
-	case *types.TypeName:
-		named, ok := o.Type().(*types.Named)
-		if !ok {
-			return false
-		}
-		t = named
-		for m := range named.Methods() {
-			names = append(names, m.Name())
-		}
-	default:
+	fn, ok := obj.(*types.Func)
+	if !ok {
 		return false
 	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -204,7 +193,7 @@ func (r *exportRefs) dispatched(obj types.Object) bool {
 	for it := range r.ifaces {
 		declares := false
 		for m := range it.Methods() {
-			declares = declares || slices.Contains(names, m.Name())
+			declares = declares || m.Name() == fn.Name()
 		}
 		if declares && (types.Implements(t, it) || types.Implements(ptr, it)) {
 			return true

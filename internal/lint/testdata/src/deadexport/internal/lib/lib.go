@@ -38,12 +38,12 @@ type Shape interface {
 // Area is exempt: it satisfies Shape, and app calls it through Shape.
 func (w Widget) Area() int { return w.size * w.size }
 
-// Plug is exempt although only lib_test.go builds one: its Area
-// implements Shape, so it is a pluggable implementation of an interface
-// the program dispatches through.
-type Plug struct{}
+// Plug is a type only lib_test.go builds. Its Area implements Shape,
+// but no value of a type no production code names can reach Shape.
+type Plug struct{} // want `exported type Plug has no reference`
 
-// Area is exempt like Widget.Area.
+// Area is exempt like Widget.Area: it implements an interface the
+// program dispatches through.
 func (Plug) Area() int { return 0 }
 
 // Loop is a type referenced only by its own methods.
