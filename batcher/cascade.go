@@ -27,8 +27,9 @@ func TrainCascadePrefilter(labeled []Pair, cfg CascadeConfig) (*CascadePrefilter
 
 // BootstrapLabels derives training labels for the pre-filter from
 // structural similarity alone, for the unsupervised setting where no
-// labeled pairs exist. Only confidently similar and dissimilar pairs are
-// kept, so the returned slice is smaller than the input.
+// labeled pairs exist. It returns a copy of pairs: a pair that already
+// carries a Truth keeps it, and every other pair is weak-labeled, so the
+// returned slice has one entry per input pair.
 func BootstrapLabels(pairs []Pair) []Pair {
 	return cascade.BootstrapLabels(pairs)
 }

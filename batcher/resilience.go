@@ -92,7 +92,7 @@ type DiskCache = runstore.Cache
 
 // NewDiskCachedClient wraps a client with a disk-backed response cache
 // stored in dir, content-addressed by the full request (model, system
-// prompt, prompt, temperature, max-tokens). maxBytes bounds the store
+// prompt, prompt, temperature, max-tokens, tier). maxBytes bounds the store
 // (<= 0 uses a 256 MiB default); least-recently-used responses are
 // compacted away past the bound. Close it after the run to flush. ctx
 // bounds the replay of existing cache segments at open. To combine the

@@ -1,6 +1,8 @@
 // Package repro_bench holds the root benchmark harness: one testing.B
 // target per table and figure of the paper's evaluation (Section VI),
-// plus ablation benches for the design choices DESIGN.md calls out.
+// plus ablation benches for knobs the paper fixes (see
+// docs/ARCHITECTURE.md, "Offline substitutions", for what the benches
+// run on in place of the paper's models and data).
 //
 // Each bench runs its experiment on reduced-but-representative settings
 // (capped question counts, one seed) so `go test -bench=.` finishes in
@@ -235,8 +237,9 @@ func runConfig(b *testing.B, cfg core.Config, qs, pool []entity.Pair, oracle llm
 }
 
 // BenchmarkAblationCoverThreshold sweeps the covering-threshold percentile
-// (the paper fixes the 8th percentile; DESIGN.md flags the trade-off:
-// smaller t -> more labels, larger t -> lower accuracy).
+// (the paper fixes the 8th percentile; docs/ARCHITECTURE.md, "Offline
+// substitutions", names the trade-off: smaller t -> more labels, larger
+// t -> lower accuracy).
 func BenchmarkAblationCoverThreshold(b *testing.B) {
 	qs, pool, oracle := ablationWorkload(b, "WA", 160)
 	for i := 0; i < b.N; i++ {

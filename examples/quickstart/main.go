@@ -27,7 +27,8 @@ func main() {
 	pool := split.Train     // unlabeled demonstration pool
 
 	// The simulated LLM stands in for GPT-3.5; it answers from the gold
-	// labels with an error model calibrated to the paper (DESIGN.md §3).
+	// labels with an error model calibrated to the paper (see
+	// docs/ARCHITECTURE.md, "Offline substitutions").
 	client := batcher.NewSimulatedClient(append(append([]batcher.Pair(nil), questions...), pool...), 1)
 
 	m := batcher.New(client,

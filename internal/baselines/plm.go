@@ -2,13 +2,14 @@
 // the PLM-based matchers Ditto, JointBERT, and RobEM, and the LLM-based
 // ManualPrompt approach of Narayan et al.
 //
-// Offline substitution (DESIGN.md §3): the PLM matchers are real trainable
-// classifiers — a head over a dense text embedding of the serialized pair
-// (standing in for a fine-tuned transformer encoder). The embedding is
-// high-dimensional and task-agnostic, so heads need hundreds-to-thousands
-// of labeled pairs before they generalize, which reproduces Figure 7's
-// sample-efficiency crossover against BATCHER from genuine optimization
-// rather than a lookup table. Per-baseline profiles (capacity, imbalance
+// Offline substitution (docs/ARCHITECTURE.md, "Offline substitutions"):
+// the PLM matchers are real trainable classifiers — a head over a dense
+// text embedding of the serialized pair (standing in for a fine-tuned
+// transformer encoder). The embedding is high-dimensional and
+// task-agnostic, so heads need hundreds-to-thousands of labeled pairs
+// before they generalize, which reproduces Figure 7's sample-efficiency
+// crossover against BATCHER from genuine optimization rather than a
+// lookup table. Per-baseline profiles (capacity, imbalance
 // handling) mirror each system's published traits: JointBERT's extra
 // objective gives it a capacity edge at scale; RobEM's class-imbalance
 // fixes help it on skewed datasets.

@@ -10,7 +10,7 @@
 // The per-dataset Hardness knob controls how aggressive match perturbation
 // and hard-negative closeness are; it is calibrated so the relative
 // difficulty ordering of the original benchmarks (AG hardest, FZ easiest)
-// carries over. See DESIGN.md §3.
+// carries over. See docs/ARCHITECTURE.md, "Offline substitutions".
 package datagen
 
 import (

@@ -5,9 +5,10 @@
 //     capturing attribute-matching signal; and
 //   - the semantics-based extractor, which embeds the serialized pair with a
 //     dense sentence encoder. Offline we substitute SBERT with a hashed
-//     character-n-gram embedding (see DESIGN.md §3): it is content-based and
-//     task-agnostic, which is exactly the property the paper's Table VII
-//     attributes the semantic extractor's deficit to.
+//     character-n-gram embedding (see docs/ARCHITECTURE.md, "Offline
+//     substitutions"): it is content-based and task-agnostic, which is
+//     exactly the property the paper's Table VII attributes the semantic
+//     extractor's deficit to.
 //
 // Extractors implement a common interface so the clustering and selection
 // stages are agnostic to the choice, mirroring the design space's

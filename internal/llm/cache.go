@@ -8,9 +8,9 @@ import (
 )
 
 // CacheKey hashes the full request identity: model, system prompt, user
-// prompt, temperature, and max-tokens. Every field that can change the
-// completion participates, so configs differing only in, say, the system
-// prompt can never serve each other stale hits. The key is stable across
+// prompt, temperature, max-tokens, and tier. Every field that can change
+// the completion participates, so configs differing only in, say, the
+// system prompt can never serve each other stale hits. The key is stable across
 // processes; persistent caches (runstore.Cache) index their on-disk
 // entries by it.
 func CacheKey(req Request) string {

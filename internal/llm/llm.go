@@ -4,7 +4,7 @@
 // this offline reproduction — a deterministic simulated LLM whose error
 // model encodes the mechanisms the paper identifies (demonstration
 // relevance, intra-batch contrast, copy-answer bias, pair ambiguity). See
-// DESIGN.md §3 for the substitution rationale.
+// docs/ARCHITECTURE.md, "Offline substitutions", for the rationale.
 package llm
 
 import (

@@ -19,7 +19,7 @@
 //
 //   - Cache is a persistent LLM response cache keyed by the full request
 //     identity (llm.CacheKey: model, system prompt, user prompt,
-//     temperature, max-tokens). It serves re-runs and overlapping
+//     temperature, max-tokens, tier). It serves re-runs and overlapping
 //     experiments for free, and on resume it absorbs the partially
 //     answered window: re-issued prompts hit the cache, bill zero
 //     tokens, and are excluded from the ledger's call count.
