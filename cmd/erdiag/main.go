@@ -12,6 +12,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"batcher/internal/core"
@@ -23,13 +24,24 @@ import (
 )
 
 func main() {
-	ex := feature.NewLR()
 	names := datagen.Names()
 	if len(os.Args) > 1 {
 		names = os.Args[1:]
 	}
+	if err := run(names, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "erdiag: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run writes two diagnostic lines per named dataset to w.
+func run(names []string, w io.Writer) error {
+	ex := feature.NewLR()
 	for _, name := range names {
-		d, _ := datagen.GenerateByName(name, 1)
+		d, err := datagen.GenerateByName(name, 1)
+		if err != nil {
+			return err
+		}
 		split := entity.SplitPairs(d.Pairs)
 		qs, pool := split.Test, split.Train
 		all := append(append([]entity.Pair{}, qs...), pool...)
@@ -43,12 +55,12 @@ func main() {
 			f := core.NewFromConfig(llm.NewSimulated(oracle, 1), cfg)
 			res, err := f.Resolve(context.Background(), qs, pool)
 			if err != nil {
-				panic(err)
+				return fmt.Errorf("dataset %s, %s prompting: %w", name, mode, err)
 			}
 			var c metrics.Confusion
 			c.AddAll(entity.Labels(qs), res.Pred)
-			// error breakdown by class
-			var fnDec, fnBnd, fnEasy, fpDec, fpBnd, fpEasy int
+			// error breakdown by class: deceptive, boundary, easy
+			var fn, fp [3]int
 			for i, p := range qs {
 				if res.Pred[i] == p.Truth || (res.Pred[i] == entity.Unknown && p.Truth == entity.NonMatch) {
 					continue
@@ -61,27 +73,14 @@ func main() {
 					cls = 1
 				}
 				if p.Truth == entity.Match {
-					switch cls {
-					case 0:
-						fnDec++
-					case 1:
-						fnBnd++
-					default:
-						fnEasy++
-					}
+					fn[cls]++
 				} else {
-					switch cls {
-					case 0:
-						fpDec++
-					case 1:
-						fpBnd++
-					default:
-						fpEasy++
-					}
+					fp[cls]++
 				}
 			}
-			fmt.Printf("%-5s %-6s %s  FN(dec/bnd/easy)=%d/%d/%d FP=%d/%d/%d\n",
-				name, mode, c.String(), fnDec, fnBnd, fnEasy, fpDec, fpBnd, fpEasy)
+			fmt.Fprintf(w, "%-5s %-6s %s  FN(dec/bnd/easy)=%d/%d/%d FP=%d/%d/%d\n",
+				name, mode, c.String(), fn[0], fn[1], fn[2], fp[0], fp[1], fp[2])
 		}
 	}
+	return nil
 }
