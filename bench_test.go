@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -236,68 +237,51 @@ func runConfig(b *testing.B, cfg core.Config, qs, pool []entity.Pair, oracle llm
 	return c, res
 }
 
+// benchAblation times an internal/eval ablation sweep and reports each
+// setting's F1, labelled pairs and API milli-dollars on the first
+// dataset, from the first iteration.
+func benchAblation(b *testing.B, sweep func() ([]eval.AblationResult, error)) {
+	for i := 0; i < b.N; i++ {
+		res, err := sweep()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			continue
+		}
+		for _, p := range res[0].Points {
+			name := strings.ReplaceAll(p.Setting, " ", "-")
+			b.ReportMetric(p.F1, "F1-"+name)
+			b.ReportMetric(float64(p.Labels), "labels-"+name)
+			b.ReportMetric(p.API*1000, "m$-api-"+name)
+		}
+	}
+}
+
 // BenchmarkAblationCoverThreshold sweeps the covering-threshold percentile
 // (the paper fixes the 8th percentile; docs/ARCHITECTURE.md, "Offline
 // substitutions", names the trade-off: smaller t -> more labels, larger
 // t -> lower accuracy).
 func BenchmarkAblationCoverThreshold(b *testing.B) {
-	qs, pool, oracle := ablationWorkload(b, "WA", 160)
-	for i := 0; i < b.N; i++ {
-		for _, pct := range []float64{0.02, 0.08, 0.25} {
-			cfg := core.Config{Batching: core.DiversityBatching, Selection: core.CoveringSelection, CoverPercentile: pct}
-			c, res := runConfig(b, cfg, qs, pool, oracle)
-			if i == 0 {
-				b.ReportMetric(c.F1(), "F1-p"+pctLabel(pct))
-				b.ReportMetric(float64(res.DemosLabeled), "labels-p"+pctLabel(pct))
-			}
-		}
-	}
-}
-
-func pctLabel(p float64) string {
-	switch {
-	case p <= 0.02:
-		return "02"
-	case p <= 0.08:
-		return "08"
-	default:
-		return "25"
-	}
+	benchAblation(b, func() ([]eval.AblationResult, error) {
+		return eval.RunAblationCoverThreshold(benchOpts("WA"), []float64{0.02, 0.08, 0.25})
+	})
 }
 
 // BenchmarkAblationBatchSize sweeps the batch size (the paper fixes 8 to
 // stay inside context limits; bigger batches amortize more tokens).
 func BenchmarkAblationBatchSize(b *testing.B) {
-	qs, pool, oracle := ablationWorkload(b, "DA", 160)
-	for i := 0; i < b.N; i++ {
-		for _, size := range []int{2, 8, 16} {
-			cfg := core.Config{BatchSize: size, Batching: core.DiversityBatching, Selection: core.CoveringSelection}
-			c, res := runConfig(b, cfg, qs, pool, oracle)
-			if i == 0 {
-				label := map[int]string{2: "b2", 8: "b8", 16: "b16"}[size]
-				b.ReportMetric(c.F1(), "F1-"+label)
-				b.ReportMetric(res.Ledger.API()*1000, "m$-api-"+label)
-			}
-		}
-	}
+	benchAblation(b, func() ([]eval.AblationResult, error) {
+		return eval.RunAblationBatchSize(benchOpts("DA"), []int{2, 8, 16})
+	})
 }
 
 // BenchmarkAblationDistance compares Euclidean (the paper's choice)
 // against cosine distance for clustering and selection.
 func BenchmarkAblationDistance(b *testing.B) {
-	qs, pool, oracle := ablationWorkload(b, "WA", 160)
-	for i := 0; i < b.N; i++ {
-		for _, d := range []struct {
-			name string
-			fn   feature.Distance
-		}{{"euclid", feature.Euclidean}, {"cosine", feature.CosineDistance}} {
-			cfg := core.Config{Batching: core.DiversityBatching, Selection: core.CoveringSelection, Distance: d.fn}
-			c, _ := runConfig(b, cfg, qs, pool, oracle)
-			if i == 0 {
-				b.ReportMetric(c.F1(), "F1-"+d.name)
-			}
-		}
-	}
+	benchAblation(b, func() ([]eval.AblationResult, error) {
+		return eval.RunAblationDistance(benchOpts("WA"))
+	})
 }
 
 // BenchmarkAblationVoteK compares the paper's covering-based selection

@@ -1,9 +1,12 @@
 package eval
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"strconv"
 
+	"batcher/internal/core"
 	"batcher/internal/feature"
 )
 
@@ -24,160 +27,99 @@ type AblationResult struct {
 	Points  []AblationPoint
 }
 
+// setting is one point of an ablation sweep: its label and the edit it
+// makes to the paper's best design point.
+type setting struct {
+	name string
+	edit func(*core.Config)
+}
+
+// sweep runs every setting on every dataset at the first seed.
+func sweep(o Options, name string, settings []setting) ([]AblationResult, error) {
+	o = o.withDefaults()
+	var out []AblationResult
+	for _, ds := range o.Datasets {
+		w, err := loadWorkload(ds, o)
+		if err != nil {
+			return nil, err
+		}
+		res := AblationResult{Dataset: ds, Name: name}
+		for _, s := range settings {
+			cfg := defaultBest()
+			s.edit(&cfg)
+			c, r, err := runFramework(w, cfg, o.Seeds[0])
+			if err != nil {
+				return nil, err
+			}
+			res.Points = append(res.Points, AblationPoint{
+				Setting: s.name,
+				F1:      c.F1(),
+				API:     r.Ledger.API(),
+				Label:   r.Ledger.Labeling(),
+				Labels:  r.DemosLabeled,
+			})
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
 // RunAblationCoverThreshold sweeps the covering-threshold percentile.
 // The paper fixes the 8th percentile after observing exactly this
 // trade-off: a smaller t forces more demonstrations (labeling cost up),
 // a larger t lets distant demonstrations "cover" questions they do not
 // actually help (accuracy down).
 func RunAblationCoverThreshold(o Options, percentiles []float64) ([]AblationResult, error) {
-	o = o.withDefaults()
 	if len(percentiles) == 0 {
 		percentiles = []float64{0.02, 0.05, 0.08, 0.15, 0.3}
 	}
-	var out []AblationResult
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Dataset: name, Name: "cover-threshold"}
-		for _, p := range percentiles {
-			cfg := defaultBest()
-			cfg.CoverPercentile = p
-			c, r, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, AblationPoint{
-				Setting: pctName(p),
-				F1:      c.F1(),
-				API:     r.Ledger.API(),
-				Label:   r.Ledger.Labeling(),
-				Labels:  r.DemosLabeled,
-			})
-		}
-		out = append(out, res)
+	var settings []setting
+	for _, p := range percentiles {
+		settings = append(settings, setting{pctName(p), func(c *core.Config) { c.CoverPercentile = p }})
 	}
-	return out, nil
+	return sweep(o, "cover-threshold", settings)
 }
 
+// pctName labels a percentile as an ordinal: 0.02 is "t=2nd pct".
 func pctName(p float64) string {
-	switch {
-	case p < 0.03:
-		return "t=2nd pct"
-	case p < 0.06:
-		return "t=5th pct"
-	case p < 0.1:
-		return "t=8th pct"
-	case p < 0.2:
-		return "t=15th pct"
-	default:
-		return "t=30th pct"
+	n := int(math.Round(p * 100))
+	suffix := "th"
+	if n%100/10 != 1 && n%10 >= 1 && n%10 <= 3 {
+		suffix = []string{"st", "nd", "rd"}[n%10-1]
 	}
+	return fmt.Sprintf("t=%d%s pct", n, suffix)
 }
 
 // RunAblationBatchSize sweeps the batch size. The paper fixes 8 so no
 // design point exceeds the context window; larger batches amortize more
 // tokens but risk overruns and answer-alignment slips.
 func RunAblationBatchSize(o Options, sizes []int) ([]AblationResult, error) {
-	o = o.withDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{1, 2, 4, 8, 16}
 	}
-	var out []AblationResult
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Dataset: name, Name: "batch-size"}
-		for _, b := range sizes {
-			cfg := defaultBest()
-			cfg.BatchSize = b
-			c, r, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, AblationPoint{
-				Setting: "b=" + strconv.Itoa(b),
-				F1:      c.F1(),
-				API:     r.Ledger.API(),
-				Label:   r.Ledger.Labeling(),
-				Labels:  r.DemosLabeled,
-			})
-		}
-		out = append(out, res)
+	var settings []setting
+	for _, b := range sizes {
+		settings = append(settings, setting{"b=" + strconv.Itoa(b), func(c *core.Config) { c.BatchSize = b }})
 	}
-	return out, nil
+	return sweep(o, "batch-size", settings)
 }
 
 // RunAblationDistance compares Euclidean (the paper's choice) against
 // cosine distance for clustering and selection.
 func RunAblationDistance(o Options) ([]AblationResult, error) {
-	o = o.withDefaults()
-	var out []AblationResult
-	dists := []struct {
-		name string
-		fn   feature.Distance
-	}{
-		{"euclidean", feature.Euclidean},
-		{"cosine", feature.CosineDistance},
-	}
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Dataset: name, Name: "distance"}
-		for _, d := range dists {
-			cfg := defaultBest()
-			cfg.Distance = d.fn
-			c, r, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, AblationPoint{
-				Setting: d.name,
-				F1:      c.F1(),
-				API:     r.Ledger.API(),
-				Label:   r.Ledger.Labeling(),
-				Labels:  r.DemosLabeled,
-			})
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return sweep(o, "distance", []setting{
+		{"euclidean", func(c *core.Config) { c.Distance = feature.Euclidean }},
+		{"cosine", func(c *core.Config) { c.Distance = feature.CosineDistance }},
+	})
 }
 
 // RunAblationParallelism verifies that parallel batch dispatch is
 // result-identical to sequential dispatch while exercising the pool.
 func RunAblationParallelism(o Options) ([]AblationResult, error) {
-	o = o.withDefaults()
-	var out []AblationResult
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Dataset: name, Name: "parallelism"}
-		for _, par := range []int{1, 4} {
-			cfg := defaultBest()
-			cfg.Parallelism = par
-			c, r, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, AblationPoint{
-				Setting: "p=" + strconv.Itoa(par),
-				F1:      c.F1(),
-				API:     r.Ledger.API(),
-				Label:   r.Ledger.Labeling(),
-				Labels:  r.DemosLabeled,
-			})
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return sweep(o, "parallelism", []setting{
+		{"p=1", func(c *core.Config) { c.Parallelism = 1 }},
+		{"p=4", func(c *core.Config) { c.Parallelism = 4 }},
+	})
 }
 
 // FormatAblations renders ablation sweeps.

@@ -62,6 +62,17 @@ func TestAblationParallelismIdentical(t *testing.T) {
 	}
 }
 
+func TestPctNameOrdinals(t *testing.T) {
+	for p, want := range map[float64]string{
+		0.01: "t=1st pct", 0.02: "t=2nd pct", 0.03: "t=3rd pct", 0.08: "t=8th pct", 0.11: "t=11th pct",
+		0.12: "t=12th pct", 0.13: "t=13th pct", 0.21: "t=21st pct", 0.25: "t=25th pct", 0.3: "t=30th pct",
+	} {
+		if got := pctName(p); got != want {
+			t.Errorf("pctName(%v) = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestFormatAblations(t *testing.T) {
 	var sb strings.Builder
 	FormatAblations(&sb, []AblationResult{{
