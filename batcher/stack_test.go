@@ -213,20 +213,26 @@ func (c *expensiveDown) Complete(ctx context.Context, req Request) (Response, er
 func TestClientStackBreakerPerTier(t *testing.T) {
 	questions, pool := loadSmall(t)
 	labeled := append(append([]Pair(nil), questions...), pool...)
+	opts := []Option{WithSeed(1), WithModel(GPT4), WithCheapModel(GPT35Turbo0301), WithDegrade(DegradeCheapOnly)}
 	match := func(client Client) *Result {
 		t.Helper()
-		res, err := New(client, WithSeed(1), WithModel(GPT4), WithCheapModel(GPT35Turbo0301),
-			WithDegrade(DegradeCheapOnly)).Match(context.Background(), questions, pool)
+		res, err := New(client, opts...).Match(context.Background(), questions, pool)
 		if err != nil {
 			t.Fatalf("degraded cascade failed instead of completing: %v", err)
 		}
 		return res
 	}
+	// The batch plan is made before any call, so any client shows it.
+	plan, err := New(NewSimulatedClient(labeled, 1), opts...).MatchStream(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := plan.Batches()
 
 	shared := &expensiveDown{inner: NewSimulatedClient(labeled, 1)}
 	res := match(llm.NewRetryingSeeded(llm.NewBreaker(shared, 2, time.Hour), 3, 0, 1))
-	if res.Degraded != len(res.Batches) {
-		t.Fatalf("one shared breaker degraded %d of %d batches, want all", res.Degraded, len(res.Batches))
+	if res.Degraded != len(batches) {
+		t.Fatalf("one shared breaker degraded %d of %d batches, want all", res.Degraded, len(batches))
 	}
 
 	backend := &expensiveDown{inner: NewSimulatedClient(labeled, 1)}
@@ -241,11 +247,11 @@ func TestClientStackBreakerPerTier(t *testing.T) {
 			unknown++
 		}
 	}
-	if want := len(res.Batches[0]); unknown != want {
+	if want := len(batches[0]); unknown != want {
 		t.Errorf("Unknown answers = %d, want %d (the escalated batch's only)", unknown, want)
 	}
-	if n := backend.cheap.Load(); n != int64(len(res.Batches)) {
-		t.Errorf("cheap-tier calls = %d, want one per batch (%d)", n, len(res.Batches))
+	if n := backend.cheap.Load(); n != int64(len(batches)) {
+		t.Errorf("cheap-tier calls = %d, want one per batch (%d)", n, len(batches))
 	}
 	if st := s.Stats(); st.BreakerOpens != 1 || st.BreakerRejections != 1 {
 		t.Errorf("breaker opens/rejections = %d/%d, want 1/1 (the expensive tier's)", st.BreakerOpens, st.BreakerRejections)

@@ -282,8 +282,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("merging shard journals: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "ermatch: merged %d shard journals: %d windows, %d matcher pairs\n",
-			sum.Shards, sum.Windows, sum.Pairs)
+		fmt.Fprintf(os.Stderr, "ermatch: merged %d shard journals: %d windows, %d matcher pairs, %d fsyncs\n",
+			sum.Shards, sum.Windows, sum.Pairs, sum.Syncs)
 		// Replaying the merged journal through the ordinary resume path
 		// reproduces the single-process run's rows and ledger without an
 		// LLM call; the fingerprint check makes a flag mismatch loud.

@@ -153,8 +153,8 @@ func TestManualPromptRun(t *testing.T) {
 	if c.F1() < 50 {
 		t.Errorf("ManualPrompt F1 = %.1f, implausibly low", c.F1())
 	}
-	if len(res.Demos) != 6 {
-		t.Errorf("default demos = %d, want 6", len(res.Demos))
+	if demos := mp.CurateDemos(s.Train); len(demos) != 6 {
+		t.Errorf("default demos = %d, want 6", len(demos))
 	}
 }
 

@@ -33,7 +33,6 @@ type ManualPrompt struct {
 type Result struct {
 	Pred   []entity.Label
 	Ledger cost.Ledger
-	Demos  []prompt.Demo
 }
 
 // Run answers each question with standard prompting. reference supplies
@@ -45,7 +44,7 @@ func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pa
 		return nil, err
 	}
 	demos := m.CurateDemos(reference)
-	res := &Result{Pred: make([]entity.Label, len(questions)), Demos: demos}
+	res := &Result{Pred: make([]entity.Label, len(questions))}
 	desc := m.TaskDescription
 	if desc == "" {
 		desc = prompt.DefaultTaskDescription

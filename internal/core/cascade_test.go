@@ -58,9 +58,10 @@ func TestCascadeCheapAnswersStayCheap(t *testing.T) {
 	if len(tiers) != 1 || tiers[0].Tier != cost.TierCheap {
 		t.Fatalf("tier breakdown = %+v, want cheap only", tiers)
 	}
-	if tiers[0].Calls != len(res.Batches) || tiers[0].Calls != res.Ledger.Calls() {
+	nb := len(plannedBatches(t, f, questions, pool))
+	if tiers[0].Calls != nb || tiers[0].Calls != res.Ledger.Calls() {
 		t.Errorf("cheap calls = %d, batches = %d, total calls = %d",
-			tiers[0].Calls, len(res.Batches), res.Ledger.Calls())
+			tiers[0].Calls, nb, res.Ledger.Calls())
 	}
 	if !strings.Contains(res.Ledger.String(), "cheap=$") {
 		t.Errorf("ledger string lacks tier split: %s", res.Ledger.String())
@@ -78,8 +79,9 @@ func TestCascadeEscalatesOnUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cheap.count() != len(res.Batches) {
-		t.Errorf("cheap calls = %d, want one per batch (%d)", cheap.count(), len(res.Batches))
+	nb := len(plannedBatches(t, f, questions, pool))
+	if cheap.count() != nb {
+		t.Errorf("cheap calls = %d, want one per batch (%d)", cheap.count(), nb)
 	}
 	answered := 0
 	for _, p := range res.Pred {
@@ -104,8 +106,8 @@ func TestCascadeEscalatesOnUnknown(t *testing.T) {
 			expCalls, expUSD = u.Calls, u.Dollars
 		}
 	}
-	if cheapCalls != len(res.Batches) || expCalls != len(res.Batches) {
-		t.Errorf("calls = %d cheap / %d expensive, want %d each", cheapCalls, expCalls, len(res.Batches))
+	if cheapCalls != nb || expCalls != nb {
+		t.Errorf("calls = %d cheap / %d expensive, want %d each", cheapCalls, expCalls, nb)
 	}
 	if got, want := res.Ledger.Calls(), cheapCalls+expCalls; got != want {
 		t.Errorf("total calls %d != tier sum %d", got, want)
@@ -135,8 +137,9 @@ func TestCascadeMarginSkipsCheapTier(t *testing.T) {
 	if len(tiers) != 1 || tiers[0].Tier != cost.TierExpensive {
 		t.Fatalf("tier breakdown = %+v, want expensive only", tiers)
 	}
-	if tiers[0].Calls != len(res.Batches) {
-		t.Errorf("expensive calls = %d, want %d", tiers[0].Calls, len(res.Batches))
+	nb := len(plannedBatches(t, f, questions, pool))
+	if tiers[0].Calls != nb {
+		t.Errorf("expensive calls = %d, want %d", tiers[0].Calls, nb)
 	}
 }
 

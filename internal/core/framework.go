@@ -28,31 +28,25 @@ func NewFromConfig(client llm.Client, cfg Config) *Framework {
 // Config returns the effective configuration (defaults applied).
 func (f *Framework) Config() Config { return f.cfg }
 
-// Result is the outcome of resolving a question set.
+// Result is the outcome of resolving a question set, holding only what
+// adds up across windows: when a pipeline splits a run into windows,
+// its Report.Result concatenates their predictions and sums the rest.
+// What belongs to one window's plan stays on Prepared — Batches and
+// LabeledPool — and each batch's vote-k margin rides on its
+// BatchResult.
 type Result struct {
 	// Pred holds one label per input question, aligned by index. Unknown
 	// means the LLM's answer was missing or unparseable; metrics treat it
 	// as a non-match.
 	Pred []entity.Label
-	// Batches records the generated question batches (index lists).
-	Batches Batches
 	// DemosLabeled is the number of distinct pool pairs annotated.
 	DemosLabeled int
-	// LabeledPool lists the pool indices of those annotated pairs, in
-	// ascending order. Callers that resolve several question sets over
-	// one shared pool use it to avoid double-counting labeling spend.
-	LabeledPool []int
 	// Ledger accumulates the run's monetary cost.
 	Ledger cost.Ledger
 	// PromptTokens is the total input tokens across batch prompts.
 	PromptTokens int
 	// TrimmedDemos counts demonstrations dropped to fit context windows.
 	TrimmedDemos int
-	// BatchMargins records each batch's vote-k disagreement margin,
-	// aligned with Batches. Populated as batches complete (entries for
-	// batches that never completed stay 0); nil on aggregated results
-	// whose batches span several streams.
-	BatchMargins []float64
 	// Degraded counts batches answered by the degradation policy
 	// instead of the LLM (see Config.Degrade); their predictions are
 	// placeholders a later resume can repair.
@@ -60,8 +54,8 @@ type Result struct {
 }
 
 // Apply folds one completed batch into the result: predictions, API
-// cost, token and trim counters, and the batch's vote margin. Pair it
-// with Stream.NewResult to accumulate a streaming run incrementally.
+// cost, and the token, trim and degraded counters. Pair it with
+// Stream.NewResult to accumulate a streaming run incrementally.
 func (r *Result) Apply(br BatchResult) {
 	for i, qi := range br.Questions {
 		r.Pred[qi] = br.Pred[i]
@@ -71,9 +65,6 @@ func (r *Result) Apply(br BatchResult) {
 	r.TrimmedDemos += br.TrimmedDemos
 	if br.Degraded {
 		r.Degraded++
-	}
-	if br.Index >= 0 && br.Index < len(r.BatchMargins) {
-		r.BatchMargins[br.Index] = br.VoteMargin
 	}
 }
 

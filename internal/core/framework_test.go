@@ -32,6 +32,18 @@ func newSimClient(questions, pool []entity.Pair, seed int64) llm.Client {
 	return llm.NewSimulated(llm.BuildOracle(all), seed)
 }
 
+// plannedBatches returns the batches f plans for questions over pool.
+// Prepare is deterministic and makes no LLM call, so this is the plan
+// Resolve runs.
+func plannedBatches(t *testing.T, f *Framework, questions, pool []entity.Pair) Batches {
+	t.Helper()
+	p, err := f.Prepare(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Batches()
+}
+
 func TestResolveEndToEnd(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 40)
 	client := newSimClient(questions, pool, 1)

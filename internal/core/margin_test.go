@@ -47,9 +47,9 @@ func TestVoteMarginsDegenerate(t *testing.T) {
 	}
 }
 
-// The margin must surface on every stream delta and on the folded
-// Result, for all selection strategies — it is the cascade's routing
-// signal even when vote-k selection is not in use.
+// The margin must surface on every batch the stream delivers, for all
+// selection strategies — it is the cascade's routing signal even when
+// vote-k selection is not in use.
 func TestVoteMarginSurfacedOnStream(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 24)
 	client := newSimClient(questions, pool, 1)
@@ -59,17 +59,17 @@ func TestVoteMarginSurfacedOnStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := prep.Start(context.Background())
-	res := stream.NewResult()
+	delivered := 0
 	for br := range stream.All() {
 		if br.VoteMargin < 0 || br.VoteMargin > 1 {
 			t.Errorf("batch %d margin %v outside [0,1]", br.Index, br.VoteMargin)
 		}
-		res.Apply(br)
+		delivered++
 	}
 	if err := stream.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BatchMargins) != len(res.Batches) {
-		t.Fatalf("BatchMargins has %d entries for %d batches", len(res.BatchMargins), len(res.Batches))
+	if delivered != len(prep.Batches()) {
+		t.Fatalf("stream delivered %d margins for %d batches", delivered, len(prep.Batches()))
 	}
 }

@@ -95,10 +95,7 @@ func (p *Prepared) LabeledPool() []int { return p.sel.labeled }
 func (p *Prepared) NewResult() *Result {
 	res := &Result{
 		Pred:         make([]entity.Label, len(p.questions)),
-		Batches:      p.batches,
 		DemosLabeled: len(p.sel.labeled),
-		LabeledPool:  p.sel.labeled,
-		BatchMargins: make([]float64, len(p.batches)),
 	}
 	for i := range res.Pred {
 		res.Pred[i] = entity.Unknown

@@ -245,8 +245,9 @@ func TestWorkerCapAtBatchCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Batches) >= 64 {
-		t.Fatalf("workload too large for the cap to matter: %d batches", len(res.Batches))
+	nb := len(plannedBatches(t, f, questions, pool))
+	if nb >= 64 {
+		t.Fatalf("workload too large for the cap to matter: %d batches", nb)
 	}
 	answered := 0
 	for _, p := range res.Pred {
@@ -289,7 +290,7 @@ func TestParallelFailureDeliversContiguousPrefix(t *testing.T) {
 	// BatchError.Batch is the resume point: every batch below it was
 	// delivered (and billed into the partial ledger), nothing at or
 	// above it was.
-	for bi, batch := range res.Batches {
+	for bi, batch := range plannedBatches(t, f, questions, pool) {
 		for _, qi := range batch {
 			if bi < be.Batch && res.Pred[qi] == entity.Unknown {
 				t.Errorf("batch %d below resume point %d left question %d unanswered", bi, be.Batch, qi)
@@ -403,11 +404,11 @@ func newEngineRun(t *testing.T, parallelism int) (*Prepared, *engineClient) {
 		hold:    map[int]chan struct{}{},
 		fail:    map[int]error{},
 	}
-	dry, err := NewFromConfig(c, Config{Seed: 9}).Resolve(context.Background(), questions, pool)
-	if err != nil {
+	dry := NewFromConfig(c, Config{Seed: 9})
+	if _, err := dry.Resolve(context.Background(), questions, pool); err != nil {
 		t.Fatal(err)
 	}
-	n := len(dry.Batches)
+	n := len(plannedBatches(t, dry, questions, pool))
 	if len(c.batchOf) != n || n < 6 {
 		t.Fatalf("dry run: %d prompts for %d batches, want one each and at least 6", len(c.batchOf), n)
 	}

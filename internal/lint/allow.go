@@ -30,12 +30,11 @@ type Allowlist struct {
 }
 
 type allowEntry struct {
-	line          int
-	analyzer      string
-	file          string
-	decl          string
-	justification string
-	used          bool
+	line     int
+	analyzer string
+	file     string
+	decl     string
+	used     bool
 }
 
 // AllowFile is the allowlist's conventional name at the module root.
@@ -69,12 +68,11 @@ func LoadAllowlist(root, path string) (*Allowlist, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("%s:%d: want `analyzer file decl -- justification`, got %d fields", path, lineNo, len(fields))
 		}
-		just = strings.TrimSpace(just)
-		if just == "" {
+		if strings.TrimSpace(just) == "" {
 			return nil, fmt.Errorf("%s:%d: empty justification", path, lineNo)
 		}
 		al.entries = append(al.entries, &allowEntry{
-			line: lineNo, analyzer: fields[0], file: fields[1], decl: fields[2], justification: just,
+			line: lineNo, analyzer: fields[0], file: fields[1], decl: fields[2],
 		})
 	}
 	if err := sc.Err(); err != nil {

@@ -26,7 +26,6 @@ var ctxPackages = []string{"core", "pipeline", "llm", "blocking", "runstore"}
 // around an unexported syscall helper is still caught.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "context.Context must be the first parameter, and exported I/O or LLM-calling functions in core/pipeline/llm/blocking/runstore must take one",
 	Run:  runCtxFirst,
 }
 
@@ -137,7 +136,7 @@ func ioFuncs(pass *Pass) map[types.Object]string {
 				if !ok {
 					return true
 				}
-				callee := pass.calleeObj(call)
+				callee := calleeObj(pass.Pkg.Info, call)
 				if callee == nil || callee.Pkg() != pass.Pkg.Types {
 					return true
 				}
@@ -168,7 +167,7 @@ func directIOReason(pass *Pass, fd *ast.FuncDecl) string {
 			r = "calls the LLM client"
 			return false
 		}
-		obj := pass.calleeObj(call)
+		obj := calleeObj(pass.Pkg.Info, call)
 		if obj == nil || obj.Pkg() == nil {
 			return true
 		}

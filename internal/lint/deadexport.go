@@ -28,9 +28,15 @@ import (
 // naming it. A type gets no such exemption: a value of it can reach an
 // interface only where some code names the type, so one that no
 // non-test file names has no use outside tests.
+//
+// An exported, named field of an exported struct must be read by a
+// non-test file. The field an assignment or ++/-- targets (through any
+// indexing or dereference) and a composite-literal key are writes. A
+// whole-struct == or !=, and a value passed to fmt, reflect or
+// encoding/json, read every field it holds. json-tagged fields are
+// exempt: an encoder may be their reader.
 var DeadExport = &Analyzer{
 	Name: "deadexport",
-	Doc:  "an exported declaration under internal/ must be referenced from a non-test file of the program",
 	Run:  runDeadExport,
 }
 
@@ -45,6 +51,20 @@ func runDeadExport(pass *Pass) {
 			return
 		}
 		pass.Report(id, "exported %s %s has no reference outside _test.go files: delete it, or move it into a _test.go file if a test keeps it as an oracle", kind, name)
+	}
+	checkFields := func(s *ast.TypeSpec) {
+		st, ok := s.Type.(*ast.StructType)
+		if !ok || !s.Name.IsExported() {
+			return
+		}
+		for _, fld := range st.Fields.List {
+			tagged := fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`)
+			for _, id := range fld.Names {
+				if id.IsExported() && !tagged && !refs.read[pass.Pkg.Info.Defs[id]] {
+					pass.Report(id, "exported field %s.%s is never read outside _test.go files: delete it, or read it where the program needs it", s.Name.Name, id.Name)
+				}
+			}
+		}
 	}
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(pass.Fset, f.FileStart) {
@@ -63,6 +83,7 @@ func runDeadExport(pass *Pass) {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						check(s.Name, "type", s.Name.Name)
+						checkFields(s)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
 							check(id, d.Tok.String(), id.Name)
@@ -79,6 +100,8 @@ type exportRefs struct {
 	// used holds every object a non-test file references from outside
 	// the object's own declaration.
 	used map[types.Object]bool
+	// read holds every struct field a non-test file reads.
+	read map[types.Object]bool
 	// ifaces holds the method-bearing interfaces non-test code mentions,
 	// plus the well-known ones.
 	ifaces map[*types.Interface]bool
@@ -104,7 +127,7 @@ func (p *Program) exportRefs() *exportRefs {
 }
 
 func buildExportRefs(prog *Program) *exportRefs {
-	r := &exportRefs{used: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
+	r := &exportRefs{used: map[types.Object]bool{}, read: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "wellknown.go", wellKnownSrc, 0)
 	if err != nil {
@@ -138,6 +161,7 @@ func buildExportRefs(prog *Program) *exportRefs {
 			if isTestFile(prog.Fset, f.FileStart) {
 				continue
 			}
+			r.collectFieldReads(info, f)
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -165,6 +189,82 @@ func buildExportRefs(prog *Program) *exportRefs {
 		}
 	}
 	return r
+}
+
+// collectFieldReads records in r.read every struct field f reads.
+// ast.Inspect visits a statement before its operands, so a write is
+// marked before its identifier is reached.
+func (r *exportRefs) collectFieldReads(info *types.Info, f *ast.File) {
+	writes := map[*ast.Ident]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				writes[writtenField(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			writes[writtenField(n.X)] = true
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				r.readAll(info.TypeOf(n.X), false, map[types.Type]bool{})
+			}
+		case *ast.CallExpr:
+			if fn := calleeObj(info, n); fn != nil && fn.Pkg() != nil && slices.Contains(reflective, fn.Pkg().Path()) {
+				for _, a := range n.Args {
+					r.readAll(info.TypeOf(a), true, map[types.Type]bool{})
+				}
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !writes[n] {
+				r.read[v.Origin()] = true
+			}
+		}
+		return true
+	})
+}
+
+// reflective lists the packages whose funcs read every field of a value.
+var reflective = []string{"fmt", "reflect", "encoding/json"}
+
+// readAll marks every field of t read, through nested structs and
+// arrays and, when deep, through pointers, slices and maps too.
+func (r *exportRefs) readAll(t types.Type, deep bool, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for f := range u.Fields() {
+			r.read[f.Origin()] = true
+			r.readAll(f.Type(), deep, seen)
+		}
+	case interface{ Elem() types.Type }:
+		if _, array := u.(*types.Array); array || deep {
+			r.readAll(u.Elem(), deep, seen)
+		}
+	}
+}
+
+// writtenField returns the field selector an assignment to e writes,
+// through any indexing, dereference or parentheses, or nil.
+func writtenField(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		default:
+			return nil
+		}
+	}
 }
 
 func (r *exportRefs) addInterface(t types.Type) {

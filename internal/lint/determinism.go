@@ -27,7 +27,6 @@ var determinismPackages = []string{"core", "pipeline", "runstore", "blocking", "
 //     which restores a deterministic order.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no time.Now, math/rand, or order-leaking map iteration in core/pipeline/runstore/blocking/cluster",
 	Run:  runDeterminism,
 }
 
@@ -64,7 +63,7 @@ var randConstructors = map[string]bool{
 // from the process-global source, which is unseeded (v1) or randomly
 // seeded (v2). Methods on seeded *rand.Rand instances pass.
 func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
-	obj := pass.calleeObj(call)
+	obj := calleeObj(pass.Pkg.Info, call)
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
@@ -218,7 +217,7 @@ func sortedAfter(pass *Pass, rng *ast.RangeStmt, target types.Object) bool {
 			if !ok || sorted {
 				return !sorted
 			}
-			obj := pass.calleeObj(call)
+			obj := calleeObj(pass.Pkg.Info, call)
 			if obj == nil || obj.Pkg() == nil {
 				return true
 			}

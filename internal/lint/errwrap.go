@@ -14,7 +14,6 @@ import (
 // runstore.ErrRunMismatch at the CLI.
 var ErrWrap = &Analyzer{
 	Name: "errwrap",
-	Doc:  "fmt.Errorf with an error argument must wrap it with %w so errors.Is/As keep working",
 	Run:  runErrWrap,
 }
 

@@ -19,7 +19,6 @@ import (
 // it lives.
 var LedgerBypass = &Analyzer{
 	Name: "ledgerbypass",
-	Doc:  "llm.Client.Complete may only be called from internal/core, the llm middleware stack, or a wrapping Complete method",
 	Run:  runLedgerBypass,
 }
 

@@ -32,8 +32,6 @@ func (f Finding) String() string {
 type Analyzer struct {
 	// Name is the analyzer's identity in findings and allowlist entries.
 	Name string
-	// Doc is a one-line statement of the guarded invariant.
-	Doc string
 	// Run inspects one package and reports violations via pass.Report.
 	Run func(pass *Pass)
 }
@@ -159,15 +157,15 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // calleeObj resolves a call's callee to a types object: a function,
 // method, or nil for indirect calls through function values.
-func (p *Pass) calleeObj(call *ast.CallExpr) types.Object {
+func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return p.ObjectOf(fn)
+		return info.Uses[fn]
 	case *ast.SelectorExpr:
-		if sel, ok := p.Pkg.Info.Selections[fn]; ok {
+		if sel, ok := info.Selections[fn]; ok {
 			return sel.Obj()
 		}
-		return p.ObjectOf(fn.Sel) // package-qualified call
+		return info.Uses[fn.Sel] // package-qualified call
 	}
 	return nil
 }
@@ -175,7 +173,7 @@ func (p *Pass) calleeObj(call *ast.CallExpr) types.Object {
 // isPkgFunc reports whether call invokes pkgPath.name (e.g. "time",
 // "Now"). pkgPath is the full import path of a non-local package.
 func (p *Pass) isPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	obj := p.calleeObj(call)
+	obj := calleeObj(p.Pkg.Info, call)
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}

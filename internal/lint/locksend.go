@@ -19,7 +19,6 @@ import (
 // sync.Mutex or sync.RWMutex taken by value.
 var LockSend = &Analyzer{
 	Name: "locksend",
-	Doc:  "no channel send while holding a mutex, and no mutex passed or received by value",
 	Run:  runLockSend,
 }
 

@@ -18,7 +18,6 @@ import (
 // .erlint.allow with the pairing spelled out.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
-	Doc:  "sync.Pool Get results must be Put on every return path and must not escape via return values or non-cleanup closures",
 	Run:  runPoolEscape,
 }
 

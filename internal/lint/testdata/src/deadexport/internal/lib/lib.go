@@ -94,5 +94,27 @@ func Tune() int { return helper() }
 // helper is unexported: deadexport never reports it.
 func helper() int { return 2 }
 
+// Stats is live: app builds it and reads some of its fields.
+type Stats struct {
+	// Hits is read by app.
+	Hits int
+	// Misses is written by app, through a composite-literal key and an
+	// increment, and read only by lib_test.go.
+	Misses int // want `exported field Stats.Misses is never read outside _test.go files`
+	// Strict is read by app; only lib_test.go sets it.
+	Strict bool
+	// Raw is read only by lib_test.go, but its json tag exempts it: an
+	// encoder may be what reads it.
+	Raw string `json:"raw"`
+	// note is unexported: deadexport never reports it.
+	note string
+}
+
+// Tally is compared whole by app, which reads every field.
+type Tally struct{ Good, Bad int }
+
+// Note is handed whole to fmt by app, which reads every field.
+type Note struct{ Text string }
+
 // NewWidget is live: app calls it.
 func NewWidget(n int) Widget { return Widget{size: n} }

@@ -12,3 +12,12 @@ func TestOnlyTestsReach(t *testing.T) {
 		t.Fatal("fixture")
 	}
 }
+
+// The only reads of Stats.Misses and Stats.Raw, and the only write of
+// Stats.Strict: a test file's reads do not keep a field alive.
+func TestOnlyTestsRead(t *testing.T) {
+	s := Stats{Strict: true, note: "x"}
+	if s.Misses != 0 || s.Raw != "" || s.note == "" {
+		t.Fatal("fixture")
+	}
+}

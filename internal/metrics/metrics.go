@@ -80,7 +80,6 @@ func (c Confusion) String() string {
 // matching the paper's X.XX±Y.YY reporting.
 type Summary struct {
 	Mean, Std float64
-	N         int
 }
 
 // Summarize aggregates a slice of per-run values.
@@ -99,7 +98,7 @@ func Summarize(values []float64) Summary {
 		d := v - mean
 		ss += d * d
 	}
-	return Summary{Mean: mean, Std: math.Sqrt(ss / float64(n)), N: n}
+	return Summary{Mean: mean, Std: math.Sqrt(ss / float64(n))}
 }
 
 // String renders "mean±std" with two decimals, like Table III.

@@ -80,8 +80,8 @@ func TestResumeAllAutoResolvedRun(t *testing.T) {
 			}
 			if done, ok := j2.State().Done(); !ok {
 				t.Fatal("first run left no terminal record")
-			} else if done.Owned != first.WindowsTotal {
-				t.Fatalf("terminal record owns %d windows, report says %d", done.Owned, first.WindowsTotal)
+			} else if done.Owned != first.Windows || done.Windows != first.Windows {
+				t.Fatalf("terminal record owns %d of %d windows, report says %d", done.Owned, done.Windows, first.Windows)
 			}
 			second, err := Run(ctx, newCfg(j2), backend, ta, tb)
 			if err != nil {
@@ -98,8 +98,8 @@ func TestResumeAllAutoResolvedRun(t *testing.T) {
 				t.Fatalf("resume routed differently: %d/%d vs %d/%d",
 					second.AutoResolved, second.Candidates, first.AutoResolved, first.Candidates)
 			}
-			if second.WindowsTotal != first.WindowsTotal {
-				t.Fatalf("resume saw %d windows, first run %d", second.WindowsTotal, first.WindowsTotal)
+			if second.Windows != first.Windows {
+				t.Fatalf("resume saw %d windows, first run %d", second.Windows, first.Windows)
 			}
 			if api := second.Result.Ledger.API(); api != 0 {
 				t.Fatalf("all-auto resume billed $%v", api)

@@ -206,8 +206,8 @@ func TestChaosShardMergeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalCalls := base.Calls()
-	if baseRep.WindowsTotal < 3 {
-		t.Fatalf("want a multi-window stream, got %d windows", baseRep.WindowsTotal)
+	if baseRep.Windows < 3 {
+		t.Fatalf("want a multi-window stream, got %d windows", baseRep.Windows)
 	}
 
 	dir := t.TempDir()

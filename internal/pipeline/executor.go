@@ -14,11 +14,12 @@ import (
 
 // inflight is one window travelling through the executor. The
 // dispatcher fills the identity fields (pos, rw, keys) and the
-// journal decisions (verifyErr, replay); the runner goroutine fills
-// prepErr, prep, cancel and results before closing prepped, and runErr
-// before closing results; the committer reads the former after
-// <-prepped and the latter after draining results. Those two closes are
-// the only synchronization the struct needs.
+// journal decisions (verifyErr, replay and its labeled); the runner
+// goroutine fills prepErr, prep, labeled, cancel and results before
+// closing prepped, and runErr before closing results; the committer
+// reads the former after <-prepped and the latter after draining
+// results. Those two closes are the only synchronization the struct
+// needs.
 type inflight struct {
 	pos winPos
 	// rw is the cascade-routed window: rw.full is the blocked window,
@@ -34,6 +35,9 @@ type inflight struct {
 	// replay is the fully journaled window's reconstructed result; when
 	// non-nil the window is never prepared or executed.
 	replay *core.Result
+	// labeled is the window's annotated pool indices: journaled for a
+	// replayed window, selected by prep for a live one, nil otherwise.
+	labeled []int
 	// prepped is closed by the runner once the fields below are final.
 	prepped chan struct{}
 	prepErr error
@@ -76,7 +80,7 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	w.prep, w.cancel = prep, cancel
+	w.prep, w.cancel, w.labeled = prep, cancel, prep.LabeledPool()
 	w.results = make(chan core.BatchResult, len(prep.Batches()))
 	close(w.prepped)
 	w.runErr = prep.Run(ctx, func(br core.BatchResult) { w.results <- br })
@@ -86,17 +90,14 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 // startRecord is the window's journal start; a window that never
 // reached the matcher annotated nothing.
 func (w *inflight) startRecord() runstore.WindowStart {
-	ws := runstore.WindowStart{
-		Index:  w.pos.idx,
-		Offset: w.pos.offset,
-		Size:   len(w.rw.amb),
-		Global: w.pos.global,
-		Key:    w.pos.key,
+	return runstore.WindowStart{
+		Index:   w.pos.idx,
+		Offset:  w.pos.offset,
+		Size:    len(w.rw.amb),
+		Global:  w.pos.global,
+		Key:     w.pos.key,
+		Labeled: w.labeled,
 	}
-	if w.prep != nil {
-		ws.Labeled = w.prep.LabeledPool()
-	}
-	return ws
 }
 
 // stop cancels the window's remaining batches and waits for its runner.
@@ -232,7 +233,6 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 		}
 		return rep, err
 	}
-	rep.WindowsTotal = e.streamTotal
 	if j := e.cfg.Journal; j != nil {
 		// The whole stream was seen and every owned window committed.
 		if err := j.Done(runstore.RunDone{Windows: e.streamTotal, Owned: e.streamOwned}); err != nil {
@@ -326,8 +326,8 @@ func (e *executor) dispatch(ctx context.Context) {
 			iw.keys = pairKeys(rw.amb)
 			if err := verifyJournalWindow(e.jstate, iw.pos, iw.keys); err != nil {
 				iw.verifyErr = err
-			} else if res, ok := replayWindow(e.jstate, wIdx, len(rw.amb)); ok {
-				iw.replay = res
+			} else if res, labeled, ok := replayWindow(e.jstate, wIdx, len(rw.amb)); ok {
+				iw.replay, iw.labeled = res, labeled
 			}
 		}
 		e.inflightCount.Add(1)
@@ -358,7 +358,7 @@ func (e *executor) commit(iw *inflight) error {
 	}
 	if res != nil {
 		full := iw.rw.expand(res)
-		foldWindow(e.agg, full, e.sharedLabeled)
+		foldWindow(e.agg, full, iw.labeled, e.sharedLabeled)
 		emitPairs(e.cfg, e.rep, iw.rw.full, full.Pred)
 		e.rep.Candidates += len(iw.rw.full)
 		e.rep.AutoResolved += iw.rw.autoResolved()

@@ -48,12 +48,12 @@ type goldenPhase struct {
 	AutoResolved   int    `json:"auto_resolved"`
 	Matches        int    `json:"matches"`
 	Replayed       int    `json:"replayed"`
-	// Windows and WindowsTotal are pinned on completed runs only: a
-	// crashed run leaves WindowsTotal zero by contract, and whether the
-	// failed window counts into Windows is not part of what this file
-	// holds fixed (windowed modes still pin it through Progress).
-	Windows      int `json:"windows,omitempty"`
-	WindowsTotal int `json:"windows_total,omitempty"`
+	// Windows is pinned on completed runs only: whether a crashed run's
+	// failed window counts into it is not part of what this file holds
+	// fixed (windowed modes still pin it through Progress). The stream's
+	// window count is in the journal's terminal record, which
+	// JournalSHA256 covers.
+	Windows int `json:"windows,omitempty"`
 }
 
 // goldenEntry is one (StreamWindow, InFlightWindows, variant) cell. Crash
@@ -118,7 +118,7 @@ func goldenRun(t *testing.T, cfg Config, client llm.Client, ta, tb []entity.Reco
 		ph.ProgressSHA256 = sha256Lines(c.progSeq)
 	}
 	if completed {
-		ph.Windows, ph.WindowsTotal = rep.Windows, rep.WindowsTotal
+		ph.Windows = rep.Windows
 	}
 	return ph
 }

@@ -163,8 +163,7 @@ type Report struct {
 	Matches []Match
 	// Result is the aggregate across windows: predictions concatenated
 	// in candidate order; ledger, token, trim, label and degraded
-	// counters summed. Batches, BatchMargins and LabeledPool are nil for
-	// every StreamWindow — their indices are window-local.
+	// counters summed.
 	Result *core.Result
 	// BlockingTime and MatchingTime are the stage wall-clock durations:
 	// start to end of the candidate stream (waits to hand a full window
@@ -176,11 +175,6 @@ type Report struct {
 	// and emitted to OnPair but not counted; on a shard run only the
 	// windows this shard owns count.
 	Windows int
-	// WindowsTotal is the total number of windows the candidate stream
-	// produced, owned or not. It equals Windows except on shard runs,
-	// and is set only when the run completes (partial reports leave it
-	// zero).
-	WindowsTotal int
 	// PeakBuffered is the high-water mark of candidate pairs in windows
 	// admitted for execution and not yet committed: at most
 	// InFlightWindows*StreamWindow, every candidate when StreamWindow <= 0.
@@ -258,13 +252,14 @@ func emitPairs(cfg Config, rep *Report, pairs []entity.Pair, preds []entity.Labe
 }
 
 // foldWindow folds one window's (possibly partial) result into the
-// run aggregate. With a shared pool (sharedLabeled non-nil) windows
-// annotate overlapping demonstrations, so each distinct pool pair is
-// billed once across the whole run, as an unwindowed resolution would;
-// self-pooled windows are disjoint and their label costs sum directly.
-// Every window of every run commits through this one helper, which
-// fixes the floating-point fold order of dollar totals.
-func foldWindow(agg, res *core.Result, sharedLabeled map[int]bool) {
+// run aggregate; labeled is the window's annotated pool indices. With a
+// shared pool (sharedLabeled non-nil) windows annotate overlapping
+// demonstrations, so each distinct pool pair is billed once across the
+// whole run, as an unwindowed resolution would; self-pooled windows are
+// disjoint and their label costs sum directly. Every window of every
+// run commits through this one helper, which fixes the floating-point
+// fold order of dollar totals.
+func foldWindow(agg, res *core.Result, labeled []int, sharedLabeled map[int]bool) {
 	agg.Pred = append(agg.Pred, res.Pred...)
 	agg.PromptTokens += res.PromptTokens
 	agg.TrimmedDemos += res.TrimmedDemos
@@ -272,7 +267,7 @@ func foldWindow(agg, res *core.Result, sharedLabeled map[int]bool) {
 	if sharedLabeled != nil {
 		agg.Ledger.MergeAPI(&res.Ledger)
 		fresh := 0
-		for _, di := range res.LabeledPool {
+		for _, di := range labeled {
 			if !sharedLabeled[di] {
 				sharedLabeled[di] = true
 				fresh++

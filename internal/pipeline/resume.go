@@ -156,25 +156,25 @@ func verifyJournalWindow(st *runstore.RunState, pos winPos, keys []string) error
 
 // replayWindow reconstructs a fully journaled window's result without
 // invoking the matcher: predictions in window order, the billed API
-// delta, and the original annotation spend. ok is false when the journal
-// does not cover every pair of the window.
-func replayWindow(st *runstore.RunState, wIdx, size int) (*core.Result, bool) {
+// delta, and the original annotation spend, plus the annotated pool
+// indices. ok is false when the journal does not cover every pair of
+// the window.
+func replayWindow(st *runstore.RunState, wIdx, size int) (*core.Result, []int, bool) {
 	preds, ok := st.WindowPreds(wIdx, size)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	usage, trimmed := st.WindowUsage(wIdx)
 	ws, _ := st.WindowStart(wIdx)
 	res := &core.Result{
 		Pred:         preds,
 		DemosLabeled: len(ws.Labeled),
-		LabeledPool:  ws.Labeled,
 		PromptTokens: usage.InputTokens(),
 		TrimmedDemos: trimmed,
 	}
 	res.Ledger.MergeAPI(&usage)
 	res.Ledger.AddLabels(len(ws.Labeled))
-	return res, true
+	return res, ws.Labeled, true
 }
 
 // mergePartialUsage folds the journaled spend of a partially answered

@@ -147,8 +147,8 @@ func runShardMergeProperty(t *testing.T, sc shardScenario) {
 		t.Fatal(err)
 	}
 	totalCalls := base.Calls()
-	if baseRep.WindowsTotal < 3 {
-		t.Fatalf("want a multi-window stream, got %d windows", baseRep.WindowsTotal)
+	if baseRep.Windows < 3 {
+		t.Fatalf("want a multi-window stream, got %d windows", baseRep.Windows)
 	}
 
 	// Run each shard through its full crash gauntlet.
@@ -174,9 +174,9 @@ func runShardMergeProperty(t *testing.T, sc shardScenario) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if sum.Shards != sc.n || sum.Windows != baseRep.WindowsTotal {
+	if sum.Shards != sc.n || sum.Windows != baseRep.Windows {
 		t.Errorf("merge summary = %d shards / %d windows, want %d / %d",
-			sum.Shards, sum.Windows, sc.n, baseRep.WindowsTotal)
+			sum.Shards, sum.Windows, sc.n, baseRep.Windows)
 	}
 
 	// Replay the merged journal as an ordinary (unsharded) resumed run.

@@ -141,9 +141,7 @@ func TestRunWindowedCandidateOrder(t *testing.T) {
 
 // TestRunCollectedMatchesManualPipeline pins the single-window shape:
 // with StreamWindow zero, Run must equal blocking then one matcher
-// resolution by hand — the paper's collect-then-match semantics. The
-// report carries the fold aggregate, so the window-local Batches,
-// BatchMargins and LabeledPool stay nil as for any other StreamWindow.
+// resolution by hand — the paper's collect-then-match semantics.
 func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	d, ta, tb := benchTables(t)
 	blocker := &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2}
@@ -184,15 +182,12 @@ func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	if onPair != len(candidates) {
 		t.Errorf("OnPair called %d times, want %d", onPair, len(candidates))
 	}
-	if rep.Windows != 1 || rep.WindowsTotal != 1 || rep.PeakBuffered != len(candidates) {
-		t.Errorf("collected mode Windows = %d of %d, PeakBuffered = %d", rep.Windows, rep.WindowsTotal, rep.PeakBuffered)
+	if rep.Windows != 1 || rep.PeakBuffered != len(candidates) {
+		t.Errorf("collected mode Windows = %d, PeakBuffered = %d", rep.Windows, rep.PeakBuffered)
 	}
 	if rep.Result.DemosLabeled != manual.DemosLabeled || rep.Result.PromptTokens != manual.PromptTokens {
 		t.Errorf("labeled/prompt tokens = %d/%d, manual %d/%d",
 			rep.Result.DemosLabeled, rep.Result.PromptTokens, manual.DemosLabeled, manual.PromptTokens)
-	}
-	if rep.Result.Batches != nil || rep.Result.BatchMargins != nil || rep.Result.LabeledPool != nil {
-		t.Error("pipeline report leaked window-local batch state")
 	}
 }
 
@@ -241,9 +236,9 @@ func TestRunWindowedMaxCandidatesTripsIncrementally(t *testing.T) {
 			if rep == nil {
 				t.Fatal("committed windows discarded on the cap trip")
 			}
-			if rep.Candidates != sh.candidates || rep.Windows != sh.windows || rep.WindowsTotal != 0 {
-				t.Errorf("partial report = %d candidates, %d windows (total %d), want %d, %d (total 0)",
-					rep.Candidates, rep.Windows, rep.WindowsTotal, sh.candidates, sh.windows)
+			if rep.Candidates != sh.candidates || rep.Windows != sh.windows {
+				t.Errorf("partial report = %d candidates, %d windows, want %d, %d",
+					rep.Candidates, rep.Windows, sh.candidates, sh.windows)
 			}
 			if len(rep.Result.Pred) != sh.candidates || rep.Result.Ledger.Calls() == 0 {
 				t.Errorf("partial result covers %d pairs with %d calls", len(rep.Result.Pred), rep.Result.Ledger.Calls())
@@ -355,8 +350,8 @@ func runPartialReport(t *testing.T, k int) {
 	if emitted != rep.Candidates {
 		t.Errorf("OnPair saw %d pairs, report has %d", emitted, rep.Candidates)
 	}
-	if rep.Windows < 2 || rep.Windows >= 12 || rep.WindowsTotal != 0 {
-		t.Errorf("partial report counts %d windows (total %d) of a 12-window stream cancelled after 2", rep.Windows, rep.WindowsTotal)
+	if rep.Windows < 2 || rep.Windows >= 12 {
+		t.Errorf("partial report counts %d windows of a 12-window stream cancelled after 2", rep.Windows)
 	}
 }
 

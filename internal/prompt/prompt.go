@@ -41,8 +41,6 @@ type Demo struct {
 type Prompt struct {
 	// Text is the exact string sent to the LLM.
 	Text string
-	// NumQuestions is the number of questions embedded in Text.
-	NumQuestions int
 }
 
 // SerializeEntity renders one record for prompt embedding:
@@ -130,14 +128,13 @@ func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format 
 		fmt.Fprintf(&b, "\nFor each of Question 1 through Question %d, answer on its own line "+
 			"in the form \"Question i: Yes\" or \"Question i: No\".\n", len(questions))
 	}
-	return Prompt{Text: b.String(), NumQuestions: len(questions)}
+	return Prompt{Text: b.String()}
 }
 
 // Parsed is the structure recovered from a prompt text.
 type Parsed struct {
-	Description string
-	Demos       []Demo
-	Questions   []entity.Pair
+	Demos     []Demo
+	Questions []entity.Pair
 }
 
 // Parse recovers the demonstrations and questions embedded in a prompt
@@ -146,18 +143,11 @@ type Parsed struct {
 func Parse(text string) (*Parsed, error) {
 	lines := strings.Split(text, "\n")
 	p := &Parsed{}
-	var descLines []string
+	// Skip the task description, which may itself mention questions.
 	i := 0
-	for ; i < len(lines); i++ {
-		l := strings.TrimSpace(lines[i])
-		if l == "Examples:" || l == "Questions:" {
-			break
-		}
-		if l != "" {
-			descLines = append(descLines, l)
-		}
+	for i < len(lines) && strings.TrimSpace(lines[i]) != "Examples:" && strings.TrimSpace(lines[i]) != "Questions:" {
+		i++
 	}
-	p.Description = strings.Join(descLines, " ")
 	readPair := func(start int) (entity.Pair, int, error) {
 		if start+1 >= len(lines) {
 			return entity.Pair{}, start, errors.New("prompt: truncated pair")

@@ -65,8 +65,8 @@ func TestParseEntityErrors(t *testing.T) {
 
 func TestBuildStandardPrompt(t *testing.T) {
 	p := Build(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)})
-	if p.NumQuestions != 1 {
-		t.Errorf("NumQuestions = %d", p.NumQuestions)
+	if parsed, err := Parse(p.Text); err != nil || len(parsed.Questions) != 1 {
+		t.Errorf("Parse = %+v, %v; want 1 question", parsed, err)
 	}
 	if !strings.Contains(p.Text, "Question 1:") {
 		t.Error("missing question header")
@@ -86,8 +86,8 @@ func TestBuildBatchPrompt(t *testing.T) {
 	}
 	qs := []entity.Pair{samplePair(3), samplePair(4), samplePair(5)}
 	p := Build(DefaultTaskDescription, demos, qs)
-	if p.NumQuestions != 3 {
-		t.Errorf("NumQuestions = %d", p.NumQuestions)
+	if parsed, err := Parse(p.Text); err != nil || len(parsed.Questions) != 3 {
+		t.Errorf("Parse = %+v, %v; want 3 questions", parsed, err)
 	}
 	for _, want := range []string{"Example 1:", "Example 2:", "Question 1:", "Question 3:",
 		"Answer: Yes", "Answer: No", "Question 1 through Question 3"} {
@@ -128,9 +128,6 @@ func TestParseRoundTrip(t *testing.T) {
 	parsed, err := Parse(p.Text)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
-	}
-	if parsed.Description != DefaultTaskDescription {
-		t.Errorf("description = %q", parsed.Description)
 	}
 	if len(parsed.Demos) != 2 {
 		t.Fatalf("parsed %d demos, want 2", len(parsed.Demos))

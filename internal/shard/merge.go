@@ -50,10 +50,6 @@ type Summary struct {
 	// Pairs is the total number of journaled (matcher-facing) pairs
 	// across all windows.
 	Pairs int
-	// Meta is the merged run's fingerprint as written to the output
-	// journal: the shards' shared fingerprint with the shard spec
-	// cleared and the run ID renamed to the output directory.
-	Meta runstore.RunMeta
 	// Syncs is the number of fsyncs issued writing the output journal: a
 	// merge is one sequential write flushed before Merge returns.
 	Syncs int
@@ -340,5 +336,5 @@ func writeMerged(ctx context.Context, shards []*shardJournal, byGlobal map[int]g
 	if err := out.Close(); err != nil {
 		return nil, err
 	}
-	return &Summary{Shards: len(shards), Windows: total, Pairs: pairs, Meta: meta, Syncs: out.Syncs()}, nil
+	return &Summary{Shards: len(shards), Windows: total, Pairs: pairs, Syncs: out.Syncs()}, nil
 }

@@ -142,9 +142,6 @@ func TestMergeValidSet(t *testing.T) {
 	if sum.Shards != 3 || sum.Windows != 8 {
 		t.Errorf("summary = %+v, want 3 shards / 8 windows", sum)
 	}
-	if sum.Meta.Shard != "" || sum.Meta.RunID != "merged" {
-		t.Errorf("merged meta shard=%q run=%q, want cleared spec and run ID 'merged'", sum.Meta.Shard, sum.Meta.RunID)
-	}
 	for i, o := range owned {
 		if len(o) == 0 {
 			t.Logf("shard %d owned no windows (empty-shard merge exercised)", i)
@@ -158,6 +155,9 @@ func TestMergeValidSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	if meta, ok := j.State().Meta(); !ok || meta.Shard != "" || meta.RunID != "merged" {
+		t.Errorf("merged meta shard=%q run=%q, want cleared spec and run ID 'merged'", meta.Shard, meta.RunID)
+	}
 	st := j.State()
 	if st.Windows() != 8 {
 		t.Fatalf("merged journal has %d windows, want 8", st.Windows())
