@@ -32,10 +32,12 @@ import (
 	"batcher/internal/llm"
 	"batcher/internal/metrics"
 	"batcher/internal/pipeline"
+	"batcher/internal/prompt"
 	"batcher/internal/runstore"
 	"batcher/internal/setcover"
 	"batcher/internal/shard"
 	"batcher/internal/strsim"
+	"batcher/internal/tokens"
 )
 
 // benchOpts are the reduced settings shared by the table benches.
@@ -399,6 +401,31 @@ func BenchmarkStrsimKernels(b *testing.B) {
 			strsim.Jaccard(x, y)
 		}
 	})
+}
+
+// BenchmarkPromptText times the two text kernels every LLM call pays:
+// prompt.BuildWithFormat renders a batch of 8 datagen questions with 4
+// demonstrations, and tokens.Count meters the result. The builder
+// allocates its one buffer; the meter allocates nothing.
+func BenchmarkPromptText(b *testing.B) {
+	d, err := datagen.GenerateByName("WA", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	demos := make([]prompt.Demo, 4)
+	for i := range demos {
+		demos[i] = prompt.Demo{Pair: d.Pairs[8+i], Label: d.Pairs[8+i].Truth}
+	}
+	qs := d.Pairs[:8]
+	var bytes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		text := prompt.BuildWithFormat(prompt.DefaultTaskDescription, demos, qs, prompt.TextAnswers).Text
+		tokens.Count(text)
+		bytes = len(text)
+	}
+	b.SetBytes(int64(bytes))
 }
 
 // featureWorkload synthesizes a candidate window with realistic record

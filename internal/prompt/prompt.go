@@ -43,24 +43,8 @@ type Prompt struct {
 	Text string
 }
 
-// SerializeEntity renders one record for prompt embedding:
-// "attr1: val1 ; attr2: val2". Newlines in values are flattened to spaces
-// so one entity always occupies one line.
-func SerializeEntity(r entity.Record) string {
-	var b strings.Builder
-	for i, a := range r.Attrs {
-		if i > 0 {
-			b.WriteString(attrSep)
-		}
-		b.WriteString(a)
-		b.WriteString(": ")
-		b.WriteString(strings.ReplaceAll(r.Values[i], "\n", " "))
-	}
-	return b.String()
-}
-
-// ParseEntity inverts SerializeEntity. Attribute names must not contain
-// ':' or ';'; values may contain anything except the exact " ; " separator.
+// ParseEntity inverts writeEntity. Attribute names must not contain ':'
+// or ';'; values may contain anything except the exact " ; " separator.
 func ParseEntity(line string) (entity.Record, error) {
 	line = strings.TrimSpace(line)
 	if line == "" {
@@ -92,43 +76,152 @@ func Build(desc string, demos []Demo, questions []entity.Pair) Prompt {
 	return BuildWithFormat(desc, demos, questions, TextAnswers)
 }
 
+// Fixed text of a rendered prompt.
+const (
+	examplesHead  = "\nExamples:\n"
+	questionsHead = "\nQuestions:\n"
+	exampleHead   = "Example "
+	questionHead  = "Question "
+	entityA       = "Entity A: "
+	entityB       = "Entity B: "
+	answerYes     = "Answer: Yes, they refer to the same entity.\n"
+	answerNo      = "Answer: No, they refer to different entities.\n"
+	singleReply   = "\nAnswer with a single line: \"Question 1: Yes\" or \"Question 1: No\".\n"
+	batchReply    = "\nFor each of Question 1 through Question "
+	batchReplyEnd = ", answer on its own line in the form \"Question i: Yes\" or \"Question i: No\".\n"
+)
+
 // BuildWithFormat renders a batch prompt from a task description,
 // demonstrations, and questions, following the paper's Figure 1(b)
 // layout, and closes it with the reply instruction for format. Passing
-// a single question yields standard prompting (Figure 1(a)).
+// a single question yields standard prompting (Figure 1(a)). The text is
+// rendered into one buffer sized up front: one allocation per prompt.
 func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
-	var b strings.Builder
-	b.WriteString(desc)
-	b.WriteString("\n")
+	size := len(desc) + 1 + len(questionsHead)
 	if len(demos) > 0 {
-		b.WriteString("\nExamples:\n")
-		for i, d := range demos {
-			fmt.Fprintf(&b, "Example %d:\n", i+1)
-			b.WriteString("Entity A: " + SerializeEntity(d.Pair.A) + "\n")
-			b.WriteString("Entity B: " + SerializeEntity(d.Pair.B) + "\n")
-			if d.Label == entity.Match {
-				b.WriteString("Answer: Yes, they refer to the same entity.\n")
-			} else {
-				b.WriteString("Answer: No, they refer to different entities.\n")
-			}
-		}
+		size += len(examplesHead)
 	}
-	b.WriteString("\nQuestions:\n")
+	for i, d := range demos {
+		size += pairLen(len(exampleHead), i+1, d.Pair) + len(demoAnswer(d.Label))
+	}
 	for i, q := range questions {
-		fmt.Fprintf(&b, "Question %d:\n", i+1)
-		b.WriteString("Entity A: " + SerializeEntity(q.A) + "\n")
-		b.WriteString("Entity B: " + SerializeEntity(q.B) + "\n")
+		size += pairLen(len(questionHead), i+1, q)
 	}
 	switch {
 	case format == JSONAnswers:
-		b.WriteString("\n" + jsonInstruction + "\n")
+		size += len(jsonInstruction) + 2
 	case len(questions) == 1:
-		b.WriteString("\nAnswer with a single line: \"Question 1: Yes\" or \"Question 1: No\".\n")
+		size += len(singleReply)
 	default:
-		fmt.Fprintf(&b, "\nFor each of Question 1 through Question %d, answer on its own line "+
-			"in the form \"Question i: Yes\" or \"Question i: No\".\n", len(questions))
+		size += len(batchReply) + decimalLen(len(questions)) + len(batchReplyEnd)
+	}
+
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(desc)
+	b.WriteByte('\n')
+	if len(demos) > 0 {
+		b.WriteString(examplesHead)
+		for i, d := range demos {
+			writePair(&b, exampleHead, i+1, d.Pair)
+			b.WriteString(demoAnswer(d.Label))
+		}
+	}
+	b.WriteString(questionsHead)
+	for i, q := range questions {
+		writePair(&b, questionHead, i+1, q)
+	}
+	switch {
+	case format == JSONAnswers:
+		b.WriteByte('\n')
+		b.WriteString(jsonInstruction)
+		b.WriteByte('\n')
+	case len(questions) == 1:
+		b.WriteString(singleReply)
+	default:
+		b.WriteString(batchReply)
+		writeInt(&b, len(questions))
+		b.WriteString(batchReplyEnd)
 	}
 	return Prompt{Text: b.String()}
+}
+
+// demoAnswer is the answer line of a demonstration labeled l.
+func demoAnswer(l entity.Label) string {
+	if l == entity.Match {
+		return answerYes
+	}
+	return answerNo
+}
+
+// writePair writes one numbered pair: "<head><i>:", then its two
+// entity lines.
+func writePair(b *strings.Builder, head string, i int, p entity.Pair) {
+	b.WriteString(head)
+	writeInt(b, i)
+	b.WriteString(":\n")
+	b.WriteString(entityA)
+	writeEntity(b, p.A)
+	b.WriteByte('\n')
+	b.WriteString(entityB)
+	writeEntity(b, p.B)
+	b.WriteByte('\n')
+}
+
+// pairLen is the length writePair writes for p under a head of headLen
+// bytes and number i.
+func pairLen(headLen, i int, p entity.Pair) int {
+	return headLen + decimalLen(i) + 2 + len(entityA) + entityLen(p.A) + 1 + len(entityB) + entityLen(p.B) + 1
+}
+
+// writeEntity writes one record as "attr1: val1 ; attr2: val2". Newlines
+// in values are written as spaces so one entity always occupies one line.
+func writeEntity(b *strings.Builder, r entity.Record) {
+	for i, a := range r.Attrs {
+		if i > 0 {
+			b.WriteString(attrSep)
+		}
+		b.WriteString(a)
+		b.WriteString(": ")
+		v := r.Values[i]
+		for {
+			j := strings.IndexByte(v, '\n')
+			if j < 0 {
+				break
+			}
+			b.WriteString(v[:j])
+			b.WriteByte(' ')
+			v = v[j+1:]
+		}
+		b.WriteString(v)
+	}
+}
+
+// entityLen is the length writeEntity writes for r.
+func entityLen(r entity.Record) int {
+	n := 0
+	for i, a := range r.Attrs {
+		if i > 0 {
+			n += len(attrSep)
+		}
+		n += len(a) + 2 + len(r.Values[i])
+	}
+	return n
+}
+
+// writeInt writes the decimal form of i.
+func writeInt(b *strings.Builder, i int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(i), 10))
+}
+
+// decimalLen is the length of the decimal form of a non-negative i.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }
 
 // Parsed is the structure recovered from a prompt text.

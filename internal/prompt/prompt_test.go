@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"batcher/internal/datagen"
 	"batcher/internal/entity"
 	"batcher/internal/tokens"
 )
@@ -26,6 +27,139 @@ func samplePair(i byte) entity.Pair {
 	return entity.Pair{
 		A: rec("a", "title", "iphone-1"+string('0'+i), "id", "025"+string('0'+i)),
 		B: rec("b", "title", "iphone-1"+string('0'+i+1), "id", ""),
+	}
+}
+
+// SerializeEntity renders one record for prompt embedding:
+// "attr1: val1 ; attr2: val2". Newlines in values are flattened to spaces
+// so one entity always occupies one line.
+//
+// It is the concatenating serializer writeEntity replaced, kept with
+// concatBuild as the oracle BuildWithFormat must agree with.
+func SerializeEntity(r entity.Record) string {
+	var b strings.Builder
+	for i, a := range r.Attrs {
+		if i > 0 {
+			b.WriteString(attrSep)
+		}
+		b.WriteString(a)
+		b.WriteString(": ")
+		b.WriteString(strings.ReplaceAll(r.Values[i], "\n", " "))
+	}
+	return b.String()
+}
+
+// concatBuild is the concatenating BuildWithFormat the one-buffer
+// builder replaced, kept as its oracle: the two must agree to the byte.
+func concatBuild(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
+	var b strings.Builder
+	b.WriteString(desc)
+	b.WriteString("\n")
+	if len(demos) > 0 {
+		b.WriteString("\nExamples:\n")
+		for i, d := range demos {
+			fmt.Fprintf(&b, "Example %d:\n", i+1)
+			b.WriteString("Entity A: " + SerializeEntity(d.Pair.A) + "\n")
+			b.WriteString("Entity B: " + SerializeEntity(d.Pair.B) + "\n")
+			if d.Label == entity.Match {
+				b.WriteString("Answer: Yes, they refer to the same entity.\n")
+			} else {
+				b.WriteString("Answer: No, they refer to different entities.\n")
+			}
+		}
+	}
+	b.WriteString("\nQuestions:\n")
+	for i, q := range questions {
+		fmt.Fprintf(&b, "Question %d:\n", i+1)
+		b.WriteString("Entity A: " + SerializeEntity(q.A) + "\n")
+		b.WriteString("Entity B: " + SerializeEntity(q.B) + "\n")
+	}
+	switch {
+	case format == JSONAnswers:
+		b.WriteString("\n" + jsonInstruction + "\n")
+	case len(questions) == 1:
+		b.WriteString("\nAnswer with a single line: \"Question 1: Yes\" or \"Question 1: No\".\n")
+	default:
+		fmt.Fprintf(&b, "\nFor each of Question 1 through Question %d, answer on its own line "+
+			"in the form \"Question i: Yes\" or \"Question i: No\".\n", len(questions))
+	}
+	return Prompt{Text: b.String()}
+}
+
+// mapValues returns pairs with every attribute value replaced by f of it.
+func mapValues(pairs []entity.Pair, f func(string) string) []entity.Pair {
+	rec := func(r entity.Record) entity.Record {
+		vals := make([]string, len(r.Values))
+		for i, v := range r.Values {
+			vals[i] = f(v)
+		}
+		return entity.NewRecord(r.ID, r.Attrs, vals)
+	}
+	out := make([]entity.Pair, len(pairs))
+	for i, p := range pairs {
+		out[i] = entity.Pair{A: rec(p.A), B: rec(p.B), Truth: p.Truth}
+	}
+	return out
+}
+
+// demosOf labels pairs with their truth as demonstrations.
+func demosOf(pairs []entity.Pair) []Demo {
+	out := make([]Demo, len(pairs))
+	for i, p := range pairs {
+		out[i] = Demo{Pair: p, Label: p.Truth}
+	}
+	return out
+}
+
+func TestBuildMatchesConcatOracle(t *testing.T) {
+	values := map[string]func(string) string{
+		"as generated": func(v string) string { return v },
+		"newline": func(v string) string {
+			return v[:len(v)/2] + "\n" + v[len(v)/2:]
+		},
+		"double newline": func(v string) string { return "\n\n" + v + "\n\n" + v + "\n" },
+		"empty":          func(string) string { return "" },
+	}
+	for _, name := range datagen.Names() {
+		d, err := datagen.GenerateByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vname, f := range values {
+			pairs := mapValues(d.Pairs[:16], f)
+			for _, nd := range []int{0, 1, 8} {
+				for _, nq := range []int{1, 8} {
+					for _, format := range []AnswerFormat{TextAnswers, JSONAnswers} {
+						demos, qs := demosOf(pairs[8:8+nd]), pairs[:nq]
+						got := BuildWithFormat(DefaultTaskDescription, demos, qs, format).Text
+						if want := concatBuild(DefaultTaskDescription, demos, qs, format).Text; got != want {
+							t.Errorf("%s, values %s, %d demos, %d questions, format %d:\n%q\nwant\n%q",
+								name, vname, nd, nq, format, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// batchInputs returns the inputs of a recorded-size batch prompt: 8
+// datagen questions and 8 demonstrations.
+func batchInputs(t testing.TB) ([]Demo, []entity.Pair) {
+	d, err := datagen.GenerateByName("WA", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return demosOf(d.Pairs[8:16]), d.Pairs[:8]
+}
+
+func TestBuildWithFormatAllocsOne(t *testing.T) {
+	demos, qs := batchInputs(t)
+	for _, format := range []AnswerFormat{TextAnswers, JSONAnswers} {
+		allocs := testing.AllocsPerRun(100, func() { BuildWithFormat(DefaultTaskDescription, demos, qs, format) })
+		if allocs > 1 {
+			t.Errorf("format %d: BuildWithFormat made %v allocations per call, want at most 1", format, allocs)
+		}
 	}
 }
 

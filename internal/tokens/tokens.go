@@ -10,14 +10,18 @@
 // ratios: all methods are billed with the same meter.
 package tokens
 
-import "unicode"
+import (
+	"unicode"
+	"unicode/utf8"
+)
 
 // Counter segments text into subword tokens and counts them. The zero
 // value is not usable; construct with NewCounter.
 type Counter struct {
 	vocab map[string]bool
-	// maxPiece is the longest vocabulary entry, bounding the greedy scan.
-	maxPiece int
+	// longest[a][b] is the byte length of the longest vocabulary entry
+	// that begins with bytes a, b (0 if none), bounding the greedy scan.
+	longest [256][256]uint8
 }
 
 // defaultVocab lists common English subwords and fragments. Greedy
@@ -51,8 +55,8 @@ func NewCounter() *Counter {
 	c := &Counter{vocab: make(map[string]bool, len(defaultVocab))}
 	for _, p := range defaultVocab {
 		c.vocab[p] = true
-		if len(p) > c.maxPiece {
-			c.maxPiece = len(p)
+		if l := &c.longest[p[0]][p[1]]; len(p) > int(*l) {
+			*l = uint8(len(p))
 		}
 	}
 	return c
@@ -65,87 +69,113 @@ var shared = NewCounter()
 // vocabulary. It is safe for concurrent use.
 func Count(s string) int { return shared.Count(s) }
 
-// Count returns the number of subword tokens in s.
-func (c *Counter) Count(s string) int { return len(c.Split(s)) }
+// wordBuf is the size of Count's stack buffer for the lowercased word
+// being read; a longer word grows it on the heap.
+const wordBuf = 64
 
-// Split segments s into subword tokens. Words are segmented by greedy
-// longest-match against the vocabulary with single-character fallback
-// capped so that a word of length L yields at most ceil(L/4)+1 pieces on
-// vocabulary misses (matching BPE behaviour on unknown words: chunks, not
-// one token per character). Punctuation and digits group into small runs.
-func (c *Counter) Split(s string) []string {
-	var out []string
-	var word []rune
-	flush := func() {
-		if len(word) > 0 {
-			out = append(out, c.splitWord(string(word))...)
+// Count returns the number of subword tokens in s. Words are segmented
+// by greedy longest-match against the vocabulary with a chunked
+// fallback so that a word of length L yields at most ceil(L/4)+1 pieces
+// on vocabulary misses (matching BPE behaviour on unknown words: chunks,
+// not one token per character). A word of at most 4 bytes, or one in
+// the vocabulary, is one token. Digits group into runs of up to 3 per
+// token and punctuation into runs of up to 2. Count builds no pieces and
+// allocates nothing unless a word is longer than wordBuf bytes.
+func (c *Counter) Count(s string) int {
+	var buf [wordBuf]byte
+	word := buf[:0]
+	n := 0
+	// runKind is the class of the last character read outside a word;
+	// runLen counts the characters of a digit or punctuation run that
+	// its last token has covered.
+	runKind, runLen := uint8(space), 0
+	for i := 0; i < len(s); {
+		var class uint8
+		if b := s[i]; b < utf8.RuneSelf {
+			i++
+			if class = asciiClass[b]; class == letter {
+				word = append(word, b|0x20)
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if class = classOf(r); class == letter {
+				word = utf8.AppendRune(word, unicode.ToLower(r))
+			}
+		}
+		if class != letter && len(word) > 0 {
+			n += c.countWord(word)
 			word = word[:0]
 		}
-	}
-	runLen := 0
-	var runKind int // 0 none, 1 digit, 2 punct
-	flushRun := func() { runLen, runKind = 0, 0 }
-	for _, r := range s {
 		switch {
-		case unicode.IsLetter(r):
-			flushRun()
-			word = append(word, unicode.ToLower(r))
-		case unicode.IsDigit(r):
-			flush()
+		case class == digit && (runKind != digit || runLen == 3):
 			// Digits group in runs of up to 3 per token, like GPT BPE.
-			if runKind != 1 || runLen == 3 {
-				out = append(out, "<num>")
-				runKind, runLen = 1, 0
-			}
-			runLen++
-		case unicode.IsSpace(r):
-			flush()
-			flushRun()
-		default:
-			flush()
-			// Punctuation: each run of identical class counts once per
-			// two characters.
-			if runKind != 2 || runLen == 2 {
-				out = append(out, "<punct>")
-				runKind, runLen = 2, 0
-			}
-			runLen++
+			n++
+			runLen = 0
+		case class == punct && (runKind != punct || runLen == 2):
+			// Punctuation: each run counts once per two characters.
+			n++
+			runLen = 0
 		}
+		runKind = class
+		runLen++
 	}
-	flush()
-	return out
+	if len(word) > 0 {
+		n += c.countWord(word)
+	}
+	return n
 }
 
-// splitWord greedily segments a lowercase word against the vocabulary.
-func (c *Counter) splitWord(w string) []string {
-	if len(w) <= 4 || c.vocab[w] {
-		return []string{w}
+// Character classes, in the order Count tests a character for them.
+const (
+	punct = iota // none of the others
+	letter
+	digit
+	space
+)
+
+// classOf returns the class of r.
+func classOf(r rune) uint8 {
+	switch {
+	case unicode.IsLetter(r):
+		return letter
+	case unicode.IsDigit(r):
+		return digit
+	case unicode.IsSpace(r):
+		return space
 	}
-	var pieces []string
-	i := 0
-	for i < len(w) {
-		matched := ""
-		maxLen := len(w) - i
-		if maxLen > c.maxPiece {
-			maxLen = c.maxPiece
-		}
-		for l := maxLen; l >= 2; l-- {
-			if c.vocab[w[i:i+l]] {
-				matched = w[i : i+l]
-				break
-			}
-		}
-		if matched == "" {
-			// Fallback: take a chunk of up to 5 characters, emulating BPE
-			// byte-fallback grouping rather than per-character explosion.
-			l := 5
-			if l > len(w)-i {
-				l = len(w) - i
-			}
-			matched = w[i : i+l]
-		}
-		pieces = append(pieces, matched)
-		i += len(matched)
+	return punct
+}
+
+// asciiClass is classOf of each ASCII character.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for r := range t {
+		t[r] = classOf(rune(r))
 	}
-	return pieces
+	return t
+}()
+
+// countWord counts the pieces of a greedy segmentation of a lowercase
+// word against the vocabulary: at each byte offset the longest entry of
+// at least 2 bytes, else a chunk of up to 5 bytes, emulating BPE
+// byte-fallback grouping rather than per-character explosion.
+func (c *Counter) countWord(w []byte) int {
+	if len(w) <= 4 || len(w) <= int(c.longest[w[0]][w[1]]) && c.vocab[string(w)] {
+		return 1
+	}
+	n := 0
+	for i := 0; i < len(w); n++ {
+		l := 0
+		if i+1 < len(w) {
+			l = min(len(w)-i, int(c.longest[w[i]][w[i+1]]))
+		}
+		for l >= 2 && !c.vocab[string(w[i:i+l])] {
+			l--
+		}
+		if l < 2 {
+			l = min(5, len(w)-i)
+		}
+		i += l
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestCountEmpty(t *testing.T) {
@@ -94,6 +95,100 @@ func TestCountDeterministic(t *testing.T) {
 	if a < 15 || a > 45 {
 		t.Errorf("Count(pair line) = %d, expected realistic band [15,45]", a)
 	}
+}
+
+// Split segments s into subword tokens. Words are segmented by greedy
+// longest-match against the vocabulary with single-character fallback
+// capped so that a word of length L yields at most ceil(L/4)+1 pieces on
+// vocabulary misses (matching BPE behaviour on unknown words: chunks, not
+// one token per character). Punctuation and digits group into small runs.
+//
+// It is the piece-building segmenter Count replaced, kept as the oracle
+// Count must agree with: Count(s) == len(Split(s)).
+func (c *Counter) Split(s string) []string {
+	var out []string
+	var word []rune
+	flush := func() {
+		if len(word) > 0 {
+			out = append(out, c.splitWord(string(word))...)
+			word = word[:0]
+		}
+	}
+	runLen := 0
+	var runKind int // 0 none, 1 digit, 2 punct
+	flushRun := func() { runLen, runKind = 0, 0 }
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r):
+			flushRun()
+			word = append(word, unicode.ToLower(r))
+		case unicode.IsDigit(r):
+			flush()
+			// Digits group in runs of up to 3 per token, like GPT BPE.
+			if runKind != 1 || runLen == 3 {
+				out = append(out, "<num>")
+				runKind, runLen = 1, 0
+			}
+			runLen++
+		case unicode.IsSpace(r):
+			flush()
+			flushRun()
+		default:
+			flush()
+			// Punctuation: each run of identical class counts once per
+			// two characters.
+			if runKind != 2 || runLen == 2 {
+				out = append(out, "<punct>")
+				runKind, runLen = 2, 0
+			}
+			runLen++
+		}
+	}
+	flush()
+	return out
+}
+
+// maxPiece is the longest vocabulary entry, bounding splitWord's scan.
+var maxPiece = func() int {
+	n := 0
+	for _, p := range defaultVocab {
+		n = max(n, len(p))
+	}
+	return n
+}()
+
+// splitWord greedily segments a lowercase word against the vocabulary.
+func (c *Counter) splitWord(w string) []string {
+	if len(w) <= 4 || c.vocab[w] {
+		return []string{w}
+	}
+	var pieces []string
+	i := 0
+	for i < len(w) {
+		matched := ""
+		maxLen := len(w) - i
+		if maxLen > maxPiece {
+			maxLen = maxPiece
+		}
+		for l := maxLen; l >= 2; l-- {
+			if c.vocab[w[i:i+l]] {
+				matched = w[i : i+l]
+				break
+			}
+		}
+		if matched == "" {
+			// Fallback: take a chunk of up to 5 characters, emulating BPE
+			// byte-fallback grouping rather than per-character explosion.
+			l := 5
+			if l > len(w)-i {
+				l = len(w) - i
+			}
+			matched = w[i : i+l]
+		}
+		pieces = append(pieces, matched)
+		i += len(matched)
+	}
+	return pieces
 }
 
 func TestSplitReassemblesLetters(t *testing.T) {
