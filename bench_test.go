@@ -383,9 +383,10 @@ func BenchmarkBlockingWindowedPipeline(b *testing.B) {
 
 // BenchmarkStrsimKernels times the two per-attribute similarities of the
 // structure-aware extractors: LevenshteinRatio (LR) runs the
-// pooled-scratch DP, Jaccard (JAC) tokenizes both operands into pooled
-// scratch and merges the sorted token IDs. Both allocate nothing in
-// steady state.
+// pooled-scratch DP, Jaccard (JAC) tokenizes both operands into one
+// pooled byte buffer, sorts and dedupes each operand's tokens by their
+// bytes and counts the intersection with a merge. Both allocate nothing
+// in steady state.
 func BenchmarkStrsimKernels(b *testing.B) {
 	x := "Apple iPhone 13 Pro Max 256GB graphite smartphone"
 	y := "iphone 13 pro 256 gb graphite apple (renewed)"

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,8 +49,25 @@ func splitList(s string) []string {
 	return fields
 }
 
+// expNames lists every -exp value.
+func expNames() []string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return append(names, "cascade")
+}
+
+// checkExperiment rejects an -exp value that names no experiment.
+func checkExperiment(name string) error {
+	if names := expNames(); !slices.Contains(names, name) {
+		return fmt.Errorf("unknown experiment %q (want one of: %s)", name, strings.Join(names, ", "))
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table4, table5, table6, table7, fig6, fig7, ablations, extended, findings, cascade")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames(), ", "))
 	datasets := flag.String("datasets", "", "comma-separated dataset codes (default all)")
 	seeds := flag.String("seeds", "1,2,3", "comma-separated run seeds")
 	qcap := flag.Int("qcap", 0, "cap on test questions per dataset (0 = all)")
@@ -62,6 +80,10 @@ func main() {
 	margins := flag.String("margins", "", "cascade sweep: vote-k escalation margins (default 0,0.01,0.25)")
 	flag.Parse()
 
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "erbench: %v\n", err)
+		os.Exit(2)
+	}
 	if *exp == "cascade" {
 		co := eval.CascadeBenchOptions{
 			Rows:       *rows,
@@ -121,140 +143,125 @@ func main() {
 		o.Seeds = append(o.Seeds, v)
 	}
 
-	run := func(name string, f func() error) {
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
 		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "erbench: %s: %v\n", name, err)
+		if err := e.run(o); err != nil {
+			fmt.Fprintf(os.Stderr, "erbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
+}
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("table3") {
-		run("table3", func() error {
-			rows, err := eval.RunTable3(o)
+// experiments are the runs -exp all makes, in order. -exp names one of
+// them, "all", or "cascade", which runs alone (see expNames).
+var experiments = []struct {
+	name string
+	run  func(o eval.Options) error
+}{
+	{"table3", func(o eval.Options) error {
+		rows, err := eval.RunTable3(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatTable3(os.Stdout, rows)
+		return nil
+	}},
+	{"fig6", func(o eval.Options) error {
+		bars, err := eval.RunFigure6(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatFigure6(os.Stdout, bars)
+		return nil
+	}},
+	{"table4", func(o eval.Options) error {
+		rows, err := eval.RunTable4(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatTable4(os.Stdout, rows)
+		return nil
+	}},
+	{"fig7", func(o eval.Options) error {
+		series, err := eval.RunFigure7(o, nil)
+		if err != nil {
+			return err
+		}
+		eval.FormatFigure7(os.Stdout, series)
+		return nil
+	}},
+	{"table5", func(o eval.Options) error {
+		rows, err := eval.RunTable5(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatTable5(os.Stdout, rows)
+		return nil
+	}},
+	{"table6", func(o eval.Options) error {
+		rows, err := eval.RunTable6(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatTable6(os.Stdout, rows)
+		frac, err := eval.RunLlama2BatchCheck(o)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Llama2-chat-70B under batch prompting: %.0f%% of questions unanswered (omitted, as in the paper)\n", 100*frac)
+		return nil
+	}},
+	{"table7", func(o eval.Options) error {
+		rows, err := eval.RunTable7(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatTable7(os.Stdout, rows)
+		return nil
+	}},
+	{"ablations", func(o eval.Options) error {
+		if len(o.Datasets) > 2 {
+			o.Datasets = []string{"WA", "DA"} // representative pair
+		}
+		sweeps := []func() ([]eval.AblationResult, error){
+			func() ([]eval.AblationResult, error) { return eval.RunAblationCoverThreshold(o, nil) },
+			func() ([]eval.AblationResult, error) { return eval.RunAblationBatchSize(o, nil) },
+			func() ([]eval.AblationResult, error) { return eval.RunAblationDistance(o) },
+			func() ([]eval.AblationResult, error) { return eval.RunAblationParallelism(o) },
+		}
+		for _, sweep := range sweeps {
+			res, err := sweep()
 			if err != nil {
 				return err
 			}
-			eval.FormatTable3(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fig6") {
-		run("fig6", func() error {
-			bars, err := eval.RunFigure6(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatFigure6(os.Stdout, bars)
-			return nil
-		})
-	}
-	if want("table4") {
-		run("table4", func() error {
-			rows, err := eval.RunTable4(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable4(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("fig7") {
-		run("fig7", func() error {
-			series, err := eval.RunFigure7(o, nil)
-			if err != nil {
-				return err
-			}
-			eval.FormatFigure7(os.Stdout, series)
-			return nil
-		})
-	}
-	if want("table5") {
-		run("table5", func() error {
-			rows, err := eval.RunTable5(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable5(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("table6") {
-		run("table6", func() error {
-			rows, err := eval.RunTable6(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable6(os.Stdout, rows)
-			frac, err := eval.RunLlama2BatchCheck(o)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Llama2-chat-70B under batch prompting: %.0f%% of questions unanswered (omitted, as in the paper)\n", 100*frac)
-			return nil
-		})
-	}
-	if want("table7") {
-		run("table7", func() error {
-			rows, err := eval.RunTable7(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable7(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("ablations") {
-		run("ablations", func() error {
-			ao := o
-			if len(ao.Datasets) > 2 {
-				ao.Datasets = []string{"WA", "DA"} // representative pair
-			}
-			sweeps := []func() ([]eval.AblationResult, error){
-				func() ([]eval.AblationResult, error) { return eval.RunAblationCoverThreshold(ao, nil) },
-				func() ([]eval.AblationResult, error) { return eval.RunAblationBatchSize(ao, nil) },
-				func() ([]eval.AblationResult, error) { return eval.RunAblationDistance(ao) },
-				func() ([]eval.AblationResult, error) { return eval.RunAblationParallelism(ao) },
-			}
-			for _, sweep := range sweeps {
-				res, err := sweep()
-				if err != nil {
-					return err
-				}
-				eval.FormatAblations(os.Stdout, res)
-			}
-			return nil
-		})
-	}
-	if want("extended") {
-		run("extended", func() error {
-			eo := o
-			if eo.QuestionCap == 0 {
-				eo.QuestionCap = 400
-			}
-			rows, err := eval.RunExtendedSelection(eo)
-			if err != nil {
-				return err
-			}
-			eval.FormatExtendedSelection(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("findings") {
-		run("findings", func() error {
-			fo := o
-			if fo.QuestionCap == 0 {
-				fo.QuestionCap = 300 // checks need directions, not scale
-			}
-			findings, err := eval.CheckFindings(fo)
-			if err != nil {
-				return err
-			}
-			eval.FormatFindings(os.Stdout, findings)
-			return nil
-		})
-	}
+			eval.FormatAblations(os.Stdout, res)
+		}
+		return nil
+	}},
+	{"extended", func(o eval.Options) error {
+		if o.QuestionCap == 0 {
+			o.QuestionCap = 400
+		}
+		rows, err := eval.RunExtendedSelection(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatExtendedSelection(os.Stdout, rows)
+		return nil
+	}},
+	{"findings", func(o eval.Options) error {
+		if o.QuestionCap == 0 {
+			o.QuestionCap = 300 // checks need directions, not scale
+		}
+		findings, err := eval.CheckFindings(o)
+		if err != nil {
+			return err
+		}
+		eval.FormatFindings(os.Stdout, findings)
+		return nil
+	}},
 }

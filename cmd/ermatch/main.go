@@ -69,6 +69,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/csv"
 	"errors"
@@ -77,6 +78,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"batcher/batcher"
@@ -182,6 +185,10 @@ func main() {
 	tableB, err := batcher.ReadCSVTable(*pathB)
 	if err != nil {
 		fatal(fmt.Errorf("reading -b: %w", err))
+	}
+	if err := cmp.Or(checkAttr(*attr, *pathA, tableA), checkAttr(*attr, *pathB, tableB)); err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "ermatch: loaded %d + %d records\n", len(tableA), len(tableB))
 
@@ -427,6 +434,16 @@ func main() {
 			rep.Degraded, *runID)
 	}
 	fmt.Fprintf(os.Stderr, "ermatch: %d of %d candidates matched\n", matches, rep.Candidates)
+}
+
+// checkAttr rejects a non-empty -attr that is not a column of the table
+// read from path: blocking on it would see only empty keys. An empty
+// table has no rows to block and passes.
+func checkAttr(attr, path string, table []batcher.Record) error {
+	if attr == "" || len(table) == 0 || slices.Contains(table[0].Attrs, attr) {
+		return nil
+	}
+	return fmt.Errorf("-attr %q is not a column of %s (columns: %s)", attr, path, strings.Join(table[0].Attrs, ", "))
 }
 
 func fatal(err error) {

@@ -16,7 +16,7 @@ import (
 	"iter"
 
 	"batcher/internal/entity"
-	"batcher/internal/profile"
+	"batcher/internal/strsim"
 )
 
 // Blocker produces candidate pairs from two tables.
@@ -39,43 +39,24 @@ type TokenBlocker struct {
 	Attr string
 	// MinShared is the minimum number of shared tokens (>= 1).
 	MinShared int
-	// StopTokens are ignored when indexing (very frequent tokens would
-	// otherwise produce a quadratic candidate set).
-	StopTokens map[string]bool
 	// MaxPostings caps the inverted-list length per token; longer lists
-	// are dropped as too frequent. Zero means no cap.
+	// are dropped as too frequent (a token in most records would
+	// otherwise produce a quadratic candidate set). Zero means no cap.
 	MaxPostings int
 }
 
-// tokenTermer extracts a record's distinct non-stop token IDs. One per
-// goroutine; the stop set is interned once at construction so the
-// per-record filter is an integer lookup.
+// tokenTermer extracts a record's distinct token IDs. One per goroutine.
 type tokenTermer struct {
 	attr string
-	bld  *profile.Builder
-	stop map[uint32]bool
+	bld  *strsim.Builder
 }
 
-func (b *TokenBlocker) newTermer(in *profile.Interner) termer {
-	t := &tokenTermer{attr: b.Attr, bld: profile.NewBuilder(in)}
-	if len(b.StopTokens) > 0 {
-		t.stop = make(map[uint32]bool, len(b.StopTokens))
-		for tok := range b.StopTokens {
-			// Stop tokens are matched against lowercase tokens, exactly
-			// as the map-based filter did; a mixed-case stop entry
-			// interns to a token no record can produce and filters
-			// nothing, preserving the legacy semantics.
-			t.stop[in.Intern(tok)] = true
-		}
-	}
-	return t
+func (b *TokenBlocker) newTermer(in *strsim.Interner) termer {
+	return &tokenTermer{attr: b.Attr, bld: strsim.NewBuilder(in)}
 }
 
 func (t *tokenTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
 	for _, id := range t.bld.UniqueTokenIDs(keyText(t.attr, r)) {
-		if t.stop[id] {
-			continue
-		}
 		dst = append(dst, uint64(id))
 	}
 	return dst

@@ -47,20 +47,6 @@ func TestTokenBlockerMinShared(t *testing.T) {
 	}
 }
 
-func TestTokenBlockerStopTokens(t *testing.T) {
-	ta := []entity.Record{rec("a1", "title", "the apple device")}
-	tb := []entity.Record{rec("b1", "title", "the samsung device pro")}
-	without := collect(t, &TokenBlocker{Attr: "title", MinShared: 1}, ta, tb)
-	with := collect(t, &TokenBlocker{Attr: "title", MinShared: 1,
-		StopTokens: map[string]bool{"the": true, "device": true}}, ta, tb)
-	if len(without) != 1 {
-		t.Fatalf("baseline candidates = %d", len(without))
-	}
-	if len(with) != 0 {
-		t.Errorf("stop tokens not filtered: %d candidates", len(with))
-	}
-}
-
 func TestTokenBlockerMaxPostings(t *testing.T) {
 	var ta, tb []entity.Record
 	ta = append(ta, rec("a1", "title", "common"))

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"batcher/internal/entity"
-	"batcher/internal/profile"
+	"batcher/internal/strsim"
 	"batcher/internal/workpool"
 )
 
@@ -26,7 +26,7 @@ func keyText(attr string, r entity.Record) string {
 // (each owns builder scratch); term values from different termers are
 // comparable because the interner is shared.
 type termSource interface {
-	newTermer(in *profile.Interner) termer
+	newTermer(in *strsim.Interner) termer
 }
 
 // termer extracts the distinct index terms of one record — interned
@@ -105,7 +105,7 @@ var minIndexChunk = 1024
 // chunk-local posting accumulators, which are then flattened in chunk
 // order and sorted by (term, row). Within a term, rows come out
 // ascending, exactly as a sequential index build would produce.
-func buildIndex(table []entity.Record, src termSource, in *profile.Interner, maxPostings int) *invertedIndex {
+func buildIndex(table []entity.Record, src termSource, in *strsim.Interner, maxPostings int) *invertedIndex {
 	workers := max(1, min((len(table)+minIndexChunk-1)/minIndexChunk, workpool.Workers()))
 	local := make([]chunks[termPost], workers)
 	chunk := (len(table) + workers - 1) / workers

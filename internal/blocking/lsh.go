@@ -5,7 +5,7 @@ import (
 	"iter"
 
 	"batcher/internal/entity"
-	"batcher/internal/profile"
+	"batcher/internal/strsim"
 )
 
 // MinHashBlocker pairs records whose token sets collide in at least one
@@ -44,17 +44,19 @@ func (b *MinHashBlocker) rows() int {
 // is hashed exactly once per blocking call.
 type minhashTermer struct {
 	attr        string
-	bld         *profile.Builder
+	in          *strsim.Interner
+	bld         *strsim.Builder
 	sig         []uint64
 	bands, rows int
 	seed        uint64
 }
 
-func (b *MinHashBlocker) newTermer(in *profile.Interner) termer {
+func (b *MinHashBlocker) newTermer(in *strsim.Interner) termer {
 	bands, rows := b.bands(), b.rows()
 	return &minhashTermer{
 		attr:  b.Attr,
-		bld:   profile.NewBuilder(in),
+		in:    in,
+		bld:   strsim.NewBuilder(in),
 		sig:   make([]uint64, bands*rows),
 		bands: bands,
 		rows:  rows,
@@ -70,9 +72,8 @@ func (t *minhashTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
 	for i := range t.sig {
 		t.sig[i] = ^uint64(0)
 	}
-	in := t.bld.Interner()
 	for _, id := range t.bld.UniqueTokenIDs(keyText(t.attr, r)) {
-		base := in.TokenHash(id)
+		base := t.in.TokenHash(id)
 		for i := 0; i < n; i++ {
 			// Salted permutation: a cheap xorshift-style mix of the base
 			// hash with the permutation index and seed.
@@ -86,14 +87,14 @@ func (t *minhashTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
 		}
 	}
 	for band := 0; band < t.bands; band++ {
-		h := profile.FNV64Offset
+		h := strsim.FNV64Offset
 		for k := 0; k < 4; k++ {
-			h = profile.FNV64Byte(h, byte(band>>(8*k)))
+			h = strsim.FNV64Byte(h, byte(band>>(8*k)))
 		}
 		for ri := 0; ri < t.rows; ri++ {
 			v := t.sig[band*t.rows+ri]
 			for k := 0; k < 8; k++ {
-				h = profile.FNV64Byte(h, byte(v>>(8*k)))
+				h = strsim.FNV64Byte(h, byte(v>>(8*k)))
 			}
 		}
 		dst = append(dst, h)

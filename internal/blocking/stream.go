@@ -6,7 +6,7 @@ import (
 	"slices"
 
 	"batcher/internal/entity"
-	"batcher/internal/profile"
+	"batcher/internal/strsim"
 )
 
 // indexMatcher is the per-call state of the inverted-index blockers:
@@ -30,7 +30,7 @@ type indexMatcher struct {
 // index. Everything interned (vocabulary, index, scratch) lives and
 // dies with the blocking call.
 func newIndexMatcher(tableB []entity.Record, src termSource, minShared, maxPostings int) *indexMatcher {
-	in := profile.NewInterner()
+	in := strsim.NewInterner()
 	return &indexMatcher{
 		ix:        buildIndex(tableB, src, in, maxPostings),
 		tr:        src.newTermer(in),

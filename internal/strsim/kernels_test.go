@@ -1,14 +1,18 @@
-package profile
+package strsim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 	"unicode"
 )
 
 // --- reference implementations: the classic map-based kernels ----------
 
+// refTokenize is the tokenizer oracle: strings.FieldsFunc over the
+// lowered text.
 func refTokenize(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
@@ -110,16 +114,77 @@ func randText(r *rand.Rand) string {
 // --- equivalence properties --------------------------------------------
 
 func TestKernelsMatchReferenceExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		a, b := randText(r), randText(r)
-		if got, want := LevenshteinRatioStrings(a, b), refLevRatio(a, b); got != want {
-			t.Fatalf("LevenshteinRatioStrings(%q,%q) = %v, ref %v", a, b, got, want)
+	in := NewInterner()
+	bld := NewBuilder(in)
+	check := func(a, b string) {
+		t.Helper()
+		if got, want := LevenshteinRatio(a, b), refLevRatio(a, b); got != want {
+			t.Fatalf("LevenshteinRatio(%q,%q) = %v, ref %v", a, b, got, want)
 		}
-		if got, want := JaccardStrings(a, b), refJaccard(a, b); got != want {
-			t.Fatalf("JaccardStrings(%q,%q) = %v, ref %v", a, b, got, want)
+		if got, want := Jaccard(a, b), refJaccard(a, b); got != want {
+			t.Fatalf("Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
+		}
+		for _, s := range []string{a, b} {
+			if got, want := Tokenize(s), refTokenize(s); !slices.Equal(got, want) {
+				t.Fatalf("Tokenize(%q) = %q, ref %q", s, got, want)
+			}
+			got := slices.Clone(bld.UniqueTokenIDs(s))
+			var want []uint32
+			for _, tok := range refTokenize(s) {
+				want = append(want, in.internBytes([]byte(tok)))
+			}
+			slices.Sort(want)
+			if want = slices.Compact(want); !slices.Equal(got, want) {
+				t.Fatalf("UniqueTokenIDs(%q) = %v, interned ref tokens %v", s, got, want)
+			}
 		}
 	}
+
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		check(randText(r), randText(r))
+	}
+
+	cfg := &quick.Config{Rand: rand.New(rand.NewSource(12)), MaxCount: 500}
+	if err := quick.Check(func(a, b string) bool { check(a, b); return true }, cfg); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(a, b []byte) bool { check(string(a), string(b)); return true }, cfg); err != nil {
+		t.Error(err)
+	}
+
+	long := strings.Repeat("Zebra 42 ", maxTokenScratch/4) // more token bytes than the pool retains
+	hand := []string{
+		"\xff\xfeabc\xc3", "a\xc3\x28b", "ok\xed\xa0\x80ok", // invalid UTF-8, incl. an encoded surrogate
+		"İstanbul İ", "\u212Aelvin \u212A", "STRAẞE ẞ", // lowercase changes the byte length
+		"a\u0085b", "a\u00a0b", // NEL and NBSP separate
+		"0123456789 ٣٤٥ ①② 12ab34", // Nd digits join, No digits separate
+		long,
+	}
+	for _, a := range hand {
+		for _, b := range hand {
+			if len(a) > maxTokenScratch && len(b) > maxTokenScratch {
+				continue // the reference Levenshtein is quadratic
+			}
+			check(a, b)
+		}
+	}
+}
+
+// FuzzTokenize holds Tokenize and Jaccard to the FieldsFunc oracle on
+// arbitrary text, valid UTF-8 or not.
+func FuzzTokenize(f *testing.F) {
+	f.Add("Here Comes The Fuzz [Explicit]", "here comes the fuzz")
+	f.Add("RTX3050 v2.1", "rtx3050 V2 1")
+	f.Add("\xffİ\u212A ẞ\u0085x\u00a0y", "i̇ k ß")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := Tokenize(a), refTokenize(a); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, ref %q", a, got, want)
+		}
+		if got, want := Jaccard(a, b), refJaccard(a, b); got != want {
+			t.Fatalf("Jaccard(%q,%q) = %v, ref %v", a, b, got, want)
+		}
+	})
 }
 
 func TestInternerConcurrentUse(t *testing.T) {
@@ -141,25 +206,4 @@ func TestInternerConcurrentUse(t *testing.T) {
 			t.Fatalf("interner IDs diverged across goroutines: %v vs %v", got, first)
 		}
 	}
-}
-
-func TestScratchReleaseCapsVocabulary(t *testing.T) {
-	b := Scratch()
-	if !b.retainable() {
-		t.Error("fresh scratch builder not retainable")
-	}
-	for i := 0; b.Interner().Len() <= maxPooledVocab; i++ {
-		b.UniqueTokenIDs(tokenName(i))
-	}
-	if b.retainable() {
-		t.Error("oversized scratch builder still retainable")
-	}
-	b.Release() // must drop, not pool
-	if nb := NewBuilder(NewInterner()); nb.retainable() {
-		t.Error("non-pooled builder claims retainable")
-	}
-}
-
-func tokenName(i int) string {
-	return "tok" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26)) + string(rune('a'+(i/17576)%26))
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package profile
+package strsim
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package profile
+package strsim
 
 // raceEnabled reports a -race build, under which sync.Pool drops pooled
 // items at random and allocation counts of pooled paths mean nothing.
