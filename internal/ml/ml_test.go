@@ -1,8 +1,12 @@
 package ml
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -123,6 +127,46 @@ func TestMLPAdamLearns(t *testing.T) {
 	m := TrainMLP(train, MLPConfig{Hidden: 12, Epochs: 120, LR: 0.02, Seed: 3, Adam: true})
 	if acc := Evaluate(m, test); acc < 0.85 {
 		t.Errorf("Adam MLP accuracy = %.3f, want >= 0.85", acc)
+	}
+}
+
+// mlpWeightsSHA256 is the SHA-256 of every trained parameter's float
+// bits (W1 row by row, B1, W2, B2, little-endian), recorded on amd64.
+const mlpWeightsSHA256 = "cc84e4a5702e71ac78d6eba121c0666367fbafe9ae7d07e8e6bca9e40ed65967"
+
+// TestTrainMLPWeightsPinned holds TrainMLP's update rule to the bit: a
+// fixed dataset with L2, class weighting and a 16-wide hidden layer
+// must train to the recorded weights.
+func TestTrainMLPWeightsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("weights recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	rnd := rand.New(rand.NewSource(21))
+	data := xorData(240, 20)
+	for i := range data {
+		data[i].X = append(data[i].X, rnd.NormFloat64(), rnd.Float64()-0.5, data[i].X[0]*data[i].X[1])
+	}
+	m := TrainMLP(data, MLPConfig{Hidden: 16, Epochs: 25, LR: 0.07, L2: 3e-3, PosWeight: 2.5, Seed: 13})
+	h := sha256.New()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, row := range m.W1 {
+		for _, w := range row {
+			put(w)
+		}
+	}
+	for _, v := range m.B1 {
+		put(v)
+	}
+	for _, v := range m.W2 {
+		put(v)
+	}
+	put(m.B2)
+	if got := hex.EncodeToString(h.Sum(nil)); got != mlpWeightsSHA256 {
+		t.Errorf("trained weights digest = %s, want %s (B2 = %016x)", got, mlpWeightsSHA256, math.Float64bits(m.B2))
 	}
 }
 
