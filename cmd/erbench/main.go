@@ -9,7 +9,10 @@
 //	        [-taus 0.05:0.95,0.1:0.9] [-margins 0,0.25]
 //
 // With no flags it runs every experiment on all eight datasets with three
-// seeds, printing each table in the paper's layout.
+// seeds, printing each table in the paper's layout to stdout; Fig 6,
+// Table V and the ablations run on the paper's subsets unless -datasets
+// names a list. Each experiment's "[name done in ...]" timing line goes
+// to stderr.
 //
 // -exp cascade (not part of "all") sweeps the model cascade's cost/F1
 // frontier: an all-expensive baseline, then one run per (tau-lo:tau-hi)
@@ -68,7 +71,7 @@ func checkExperiment(name string) error {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(expNames(), ", "))
-	datasets := flag.String("datasets", "", "comma-separated dataset codes (default all)")
+	datasets := flag.String("datasets", "", "comma-separated dataset codes (default all, or the experiment's paper subset)")
 	seeds := flag.String("seeds", "1,2,3", "comma-separated run seeds")
 	qcap := flag.Int("qcap", 0, "cap on test questions per dataset (0 = all)")
 	poolcap := flag.Int("poolcap", 0, "cap on demonstration pool size (0 = all)")
@@ -152,7 +155,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "erbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 }
 
@@ -224,9 +228,6 @@ var experiments = []struct {
 		return nil
 	}},
 	{"ablations", func(o eval.Options) error {
-		if len(o.Datasets) > 2 {
-			o.Datasets = []string{"WA", "DA"} // representative pair
-		}
 		sweeps := []func() ([]eval.AblationResult, error){
 			func() ([]eval.AblationResult, error) { return eval.RunAblationCoverThreshold(o, nil) },
 			func() ([]eval.AblationResult, error) { return eval.RunAblationBatchSize(o, nil) },

@@ -104,9 +104,24 @@ func TestRobEMImbalanceHandlingRaisesRecall(t *testing.T) {
 	}
 }
 
+// learningCurve trains p at each training-set size (clamped to the
+// train split) and reports test F1: one line of Figure 7.
+func learningCurve(p *PLM, train, test []entity.Pair, sizes []int, seed int64) ([]LearningCurvePoint, error) {
+	out := make([]LearningCurvePoint, 0, len(sizes))
+	for _, n := range sizes {
+		n = min(n, len(train))
+		fitted, err := p.Train(train, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, LearningCurvePoint{TrainSize: n, F1: fitted.Evaluate(test).F1()})
+	}
+	return out, nil
+}
+
 func TestLearningCurveShape(t *testing.T) {
 	s := workload(t, "IA")
-	pts, err := NewRobEM().LearningCurve(s.Train, s.Test, []int{20, 80, len(s.Train)}, 1)
+	pts, err := learningCurve(NewRobEM(), s.Train, s.Test, []int{20, 80, len(s.Train)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +138,7 @@ func TestLearningCurveShape(t *testing.T) {
 
 func TestLearningCurveClampsSizes(t *testing.T) {
 	s := workload(t, "Beer")
-	pts, err := NewDitto().LearningCurve(s.Train, s.Test, []int{10_000}, 1)
+	pts, err := learningCurve(NewDitto(), s.Train, s.Test, []int{10_000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +246,4 @@ func TestKCenterSpread(t *testing.T) {
 		seen[k] = true
 	}
 	_ = pos
-}
-
-func TestManualPromptUnknownModel(t *testing.T) {
-	mp := &ManualPrompt{Model: "bogus"}
-	if _, err := mp.Run(context.Background(), nil, nil, llm.NewSimulated(nil, 1)); err == nil {
-		t.Error("unknown model should fail")
-	}
 }

@@ -17,16 +17,12 @@ import (
 // demonstrations. The "expert" is simulated by a k-center sweep over the
 // labeled reference set: it picks prototypical, well-spread examples of
 // each class — exactly what a practitioner hand-curating a prompt does.
+// It asks llm.DefaultModel at temperature 0.01 under
+// prompt.DefaultTaskDescription.
 type ManualPrompt struct {
-	// Model is the llm registry name; default GPT-3.5-turbo-0301.
-	Model string
 	// NumDemos is the total demonstration count (split across classes);
 	// default 6, matching the hand-written prompts of [11].
 	NumDemos int
-	// Temperature for LLM calls.
-	Temperature float64
-	// TaskDescription overrides the default instruction header.
-	TaskDescription string
 }
 
 // Result carries predictions and cost for a ManualPrompt run.
@@ -39,26 +35,18 @@ type Result struct {
 // the labeled pairs the expert curates demonstrations from. Cancellation
 // is checked between questions and aborts the run with ctx's error.
 func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pair, client llm.Client) (*Result, error) {
-	model, err := llm.Lookup(m.modelName())
+	model, err := llm.Lookup(llm.DefaultModel)
 	if err != nil {
 		return nil, err
 	}
 	demos := m.CurateDemos(reference)
 	res := &Result{Pred: make([]entity.Label, len(questions))}
-	desc := m.TaskDescription
-	if desc == "" {
-		desc = prompt.DefaultTaskDescription
-	}
-	temp := m.Temperature
-	if temp <= 0 {
-		temp = 0.01
-	}
 	for i, q := range questions {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("baselines: question %d: %w", i, err)
 		}
-		p := prompt.Build(desc, demos, []entity.Pair{q})
-		resp, err := client.Complete(ctx, llm.Request{Model: model.Name, Prompt: p.Text, Temperature: temp})
+		p := prompt.Build(prompt.DefaultTaskDescription, demos, []entity.Pair{q})
+		resp, err := client.Complete(ctx, llm.Request{Model: model.Name, Prompt: p.Text, Temperature: 0.01})
 		if err != nil {
 			return nil, fmt.Errorf("baselines: question %d: %w", i, err)
 		}
@@ -69,13 +57,6 @@ func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pa
 		res.Pred[i] = prompt.ParseAnswers(resp.Completion, 1)[0]
 	}
 	return res, nil
-}
-
-func (m *ManualPrompt) modelName() string {
-	if m.Model == "" {
-		return llm.DefaultModel
-	}
-	return m.Model
 }
 
 // CurateDemos simulates expert prompt design: per class, greedy k-center

@@ -167,21 +167,3 @@ type LearningCurvePoint struct {
 	TrainSize int
 	F1        float64
 }
-
-// LearningCurve trains the baseline at each training-set size and reports
-// test F1, reproducing one line of Figure 7.
-func (p *PLM) LearningCurve(train, test []entity.Pair, sizes []int, seed int64) ([]LearningCurvePoint, error) {
-	out := make([]LearningCurvePoint, 0, len(sizes))
-	for _, n := range sizes {
-		if n > len(train) {
-			n = len(train)
-		}
-		fitted, err := p.Train(train, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		c := fitted.Evaluate(test)
-		out = append(out, LearningCurvePoint{TrainSize: n, F1: c.F1()})
-	}
-	return out, nil
-}

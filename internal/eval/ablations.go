@@ -34,34 +34,28 @@ type setting struct {
 	edit func(*core.Config)
 }
 
-// sweep runs every setting on every dataset at the first seed.
+// sweep runs every setting at the first seed, on AblationDatasets unless
+// o names its own.
 func sweep(o Options, name string, settings []setting) ([]AblationResult, error) {
-	o = o.withDefaults()
-	var out []AblationResult
-	for _, ds := range o.Datasets {
-		w, err := loadWorkload(ds, o)
-		if err != nil {
-			return nil, err
-		}
-		res := AblationResult{Dataset: ds, Name: name}
-		for _, s := range settings {
-			cfg := defaultBest()
-			s.edit(&cfg)
-			c, r, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
+	cfgs := make([]core.Config, len(settings))
+	for i, s := range settings {
+		cfgs[i] = defaultBest()
+		s.edit(&cfgs[i])
+	}
+	return grid(o.subset(AblationDatasets).firstSeed(), frameworks(cfgs...), func(w *workload, c [][]cell) AblationResult {
+		res := AblationResult{Dataset: w.name, Name: name}
+		for i, s := range settings {
+			p := c[i][0]
 			res.Points = append(res.Points, AblationPoint{
 				Setting: s.name,
-				F1:      c.F1(),
-				API:     r.Ledger.API(),
-				Label:   r.Ledger.Labeling(),
-				Labels:  r.DemosLabeled,
+				F1:      p.conf.F1(),
+				API:     p.api,
+				Label:   p.label,
+				Labels:  p.labeled,
 			})
 		}
-		out = append(out, res)
-	}
-	return out, nil
+		return res
+	})
 }
 
 // RunAblationCoverThreshold sweeps the covering-threshold percentile.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,23 @@ func TestAblationBatchSizeCostMonotone(t *testing.T) {
 	pts := res[0].Points
 	if pts[1].API >= pts[0].API {
 		t.Errorf("batch size 8 API $%.4f should undercut size 1 $%.4f", pts[1].API, pts[0].API)
+	}
+}
+
+// Unnamed datasets default to the representative pair; an explicit list
+// runs as given, whatever its length.
+func TestAblationDatasets(t *testing.T) {
+	for _, tc := range []struct{ datasets, want []string }{
+		{nil, AblationDatasets},
+		{[]string{"Beer", "IA", "FZ"}, []string{"Beer", "IA", "FZ"}},
+	} {
+		res, err := RunAblationDistance(Options{Datasets: tc.datasets, Seeds: []int64{1}, QuestionCap: 8, PoolCap: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowDatasets(res, func(r AblationResult) string { return r.Dataset }); !slices.Equal(got, tc.want) {
+			t.Errorf("datasets %v ran %v, want %v", tc.datasets, got, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,6 +124,29 @@ func TestRunTable5DefaultsToPaperSubset(t *testing.T) {
 			t.Error("AB should be excluded from Table V")
 		}
 	}
+	// An explicit list runs as given, even when it names all eight.
+	o.Datasets = allEight
+	rows, err = RunTable5(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowDatasets(rows, func(r Table5Row) string { return r.Dataset }); !slices.Equal(got, allEight) {
+		t.Errorf("explicit datasets ran %v, want %v", got, allEight)
+	}
+}
+
+// allEight names every dataset, in an order unlike datagen.Names().
+var allEight = []string{"WA", "AB", "AG", "DS", "DA", "FZ", "IA", "Beer"}
+
+// rowDatasets lists each row's dataset, dropping adjacent repeats.
+func rowDatasets[R any](rows []R, dataset func(R) string) []string {
+	var out []string
+	for _, r := range rows {
+		if d := dataset(r); len(out) == 0 || out[len(out)-1] != d {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 func TestRunTable6GPT4CostsTenX(t *testing.T) {
@@ -206,6 +230,20 @@ func TestRunFigure6PrecisionMechanism(t *testing.T) {
 	FormatFigure6(&sb, bars)
 	if !strings.Contains(sb.String(), "Precision") {
 		t.Error("FormatFigure6 missing header")
+	}
+	// Unnamed datasets default to the paper's pair; an explicit list
+	// runs as given, even when it names all eight.
+	for _, tc := range []struct{ datasets, want []string }{
+		{nil, Figure6Datasets},
+		{allEight, allEight},
+	} {
+		bars, err := RunFigure6(Options{Datasets: tc.datasets, Seeds: []int64{1}, QuestionCap: 8, PoolCap: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowDatasets(bars, func(b Figure6Bar) string { return b.Dataset }); !slices.Equal(got, tc.want) {
+			t.Errorf("datasets %v ran %v, want %v", tc.datasets, got, tc.want)
+		}
 	}
 }
 

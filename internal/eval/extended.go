@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"batcher/internal/core"
+	"batcher/internal/metrics"
 )
 
 // ExtendedRow compares the paper's covering-based selection against the
@@ -24,38 +25,17 @@ type ExtendedRow struct {
 // set, so it trades a little accuracy for annotate-ahead-of-time
 // convenience; this runner quantifies that trade.
 func RunExtendedSelection(o Options) ([]ExtendedRow, error) {
-	o = o.withDefaults()
-	var rows []ExtendedRow
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		row := ExtendedRow{Dataset: name}
-		for _, strat := range []core.SelectStrategy{core.CoveringSelection, core.VoteKSelection} {
-			var f1Sum, apiSum float64
-			labels := 0
-			for _, seed := range o.Seeds {
-				cfg := core.Config{Batching: core.DiversityBatching, Selection: strat}
-				c, res, err := runFramework(w, cfg, seed)
-				if err != nil {
-					return nil, err
-				}
-				f1Sum += c.F1()
-				apiSum += res.Ledger.API()
-				labels = res.DemosLabeled
-			}
-			n := float64(len(o.Seeds))
-			switch strat {
-			case core.CoveringSelection:
-				row.CoverF1, row.CoverAPI, row.CoverLabels = f1Sum/n, apiSum/n, labels
-			case core.VoteKSelection:
-				row.VoteKF1, row.VoteKAPI, row.VoteKLabels = f1Sum/n, apiSum/n, labels
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	cover := core.Config{Batching: core.DiversityBatching, Selection: core.CoveringSelection}
+	voteK := core.Config{Batching: core.DiversityBatching, Selection: core.VoteKSelection}
+	return grid(o.withDefaults(), frameworks(cover, voteK), func(w *workload, c [][]cell) ExtendedRow {
+		row := ExtendedRow{Dataset: w.name}
+		var f1 metrics.Summary
+		f1, row.CoverAPI, _ = summarize(c[0])
+		row.CoverF1, row.CoverLabels = f1.Mean, c[0][len(c[0])-1].labeled
+		f1, row.VoteKAPI, _ = summarize(c[1])
+		row.VoteKF1, row.VoteKLabels = f1.Mean, c[1][len(c[1])-1].labeled
+		return row
+	})
 }
 
 // FormatExtendedSelection renders the comparison.

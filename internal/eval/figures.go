@@ -2,9 +2,9 @@ package eval
 
 import (
 	"io"
+	"slices"
 
 	"batcher/internal/baselines"
-	"batcher/internal/core"
 	"batcher/internal/metrics"
 )
 
@@ -22,48 +22,35 @@ type Figure6Bar struct {
 // Figure6Datasets are the two datasets the paper breaks down.
 var Figure6Datasets = []string{"WA", "AB"}
 
+// AblationDatasets are the representative pair the ablation sweeps run
+// on when Options names no datasets.
+var AblationDatasets = []string{"WA", "DA"}
+
 // RunFigure6 reproduces Figure 6: precision/recall/F1 of standard versus
-// batch prompting on WA and AB, averaged over seeds.
+// batch prompting over the seeds' summed confusion, on Figure6Datasets
+// unless o names its own.
 func RunFigure6(o Options) ([]Figure6Bar, error) {
-	o = o.withDefaults()
-	if len(o.Datasets) == 8 {
-		o.Datasets = Figure6Datasets
-	}
-	var bars []Figure6Bar
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		methods := []struct {
-			label string
-			cfg   core.Config
-		}{
-			{"Standard", core.Config{BatchSize: 1, Selection: core.FixedSelection}},
-			{"Batch", core.Config{BatchSize: 8, Batching: core.RandomBatching, Selection: core.FixedSelection}},
-		}
-		for _, m := range methods {
+	bars, err := grid(o.subset(Figure6Datasets), frameworks(standardPrompting, batchPrompting), func(w *workload, c [][]cell) []Figure6Bar {
+		var bars []Figure6Bar
+		for i, method := range []string{"Standard", "Batch"} {
 			var agg metrics.Confusion
-			for _, seed := range o.Seeds {
-				c, _, err := runFramework(w, m.cfg, seed)
-				if err != nil {
-					return nil, err
-				}
-				agg.TP += c.TP
-				agg.FP += c.FP
-				agg.FN += c.FN
-				agg.TN += c.TN
+			for _, s := range c[i] {
+				agg.TP += s.conf.TP
+				agg.FP += s.conf.FP
+				agg.FN += s.conf.FN
+				agg.TN += s.conf.TN
 			}
 			bars = append(bars, Figure6Bar{
-				Dataset:   name,
-				Method:    m.label,
+				Dataset:   w.name,
+				Method:    method,
 				Precision: 100 * agg.Precision(),
 				Recall:    100 * agg.Recall(),
 				F1:        agg.F1(),
 			})
 		}
-	}
-	return bars, nil
+		return bars
+	})
+	return slices.Concat(bars...), err
 }
 
 // FormatFigure6 renders the bars as text.
@@ -92,53 +79,55 @@ type Figure7Series struct {
 // DefaultCurveSizes are the training-set sizes swept in Figure 7.
 var DefaultCurveSizes = []int{50, 200, 500, 1000, 2000, 4000}
 
-// RunFigure7 reproduces Figure 7: F1 versus number of labeled training
-// samples for Ditto/JointBERT/RobEM, against BATCHER's flat line.
+// RunFigure7 reproduces Figure 7 at the first seed: F1 versus number of
+// labeled training samples for Ditto/JointBERT/RobEM, against BATCHER's
+// flat line.
 func RunFigure7(o Options, sizes []int) ([]Figure7Series, error) {
-	o = o.withDefaults()
 	if len(sizes) == 0 {
 		sizes = DefaultCurveSizes
 	}
-	var out []Figure7Series
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
+	plms := baselines.PLMs()
+	var clamped []int // the sweep sizes of the workload being run
+	arms := func(w *workload) []arm {
 		// Clamp sweep sizes to the dataset's train split.
-		var clamped []int
+		clamped = nil
 		for _, s := range sizes {
-			if s > len(w.train) {
-				s = len(w.train)
-			}
+			s = min(s, len(w.train))
 			if len(clamped) == 0 || clamped[len(clamped)-1] != s {
 				clamped = append(clamped, s)
 			}
 		}
-		for _, plm := range baselines.PLMs() {
-			pts, err := plm.LearningCurve(w.train, w.questions, clamped, o.Seeds[0])
-			if err != nil {
-				return nil, err
+		var arms []arm
+		for _, plm := range plms {
+			for _, n := range clamped {
+				arms = append(arms, trainPLM(plm, n))
 			}
-			out = append(out, Figure7Series{Dataset: name, Method: plm.Name, Points: pts})
 		}
 		// BATCHER: one run at the best design point; flat across sizes.
-		c, res, err := runFramework(w, defaultBest(), o.Seeds[0])
-		if err != nil {
-			return nil, err
+		return append(arms, framework(defaultBest()))
+	}
+	series, err := grid(o.firstSeed(), arms, func(w *workload, c [][]cell) []Figure7Series {
+		var out []Figure7Series
+		for i, plm := range plms {
+			pts := make([]baselines.LearningCurvePoint, len(clamped))
+			for j, n := range clamped {
+				pts[j] = baselines.LearningCurvePoint{TrainSize: n, F1: c[i*len(clamped)+j][0].conf.F1()}
+			}
+			out = append(out, Figure7Series{Dataset: w.name, Method: plm.Name, Points: pts})
 		}
+		batcher := c[len(c)-1][0]
 		flat := make([]baselines.LearningCurvePoint, len(clamped))
 		for i, s := range clamped {
-			flat[i] = baselines.LearningCurvePoint{TrainSize: s, F1: c.F1()}
+			flat[i] = baselines.LearningCurvePoint{TrainSize: s, F1: batcher.conf.F1()}
 		}
-		out = append(out, Figure7Series{
-			Dataset:      name,
+		return append(out, Figure7Series{
+			Dataset:      w.name,
 			Method:       "BatchER",
 			Points:       flat,
-			LabeledPairs: res.DemosLabeled,
+			LabeledPairs: batcher.labeled,
 		})
-	}
-	return out, nil
+	})
+	return slices.Concat(series...), err
 }
 
 // FormatFigure7 renders the curves as text.

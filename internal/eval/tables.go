@@ -1,12 +1,9 @@
 package eval
 
 import (
-	"context"
 	"io"
 
-	"batcher/internal/baselines"
 	"batcher/internal/core"
-	"batcher/internal/entity"
 	"batcher/internal/feature"
 	"batcher/internal/llm"
 	"batcher/internal/metrics"
@@ -28,41 +25,21 @@ type Table3Row struct {
 // random demonstrations; batch prompting uses batch size 8, standard
 // prompting batch size 1. Scores are mean±σ over the option seeds.
 func RunTable3(o Options) ([]Table3Row, error) {
-	o = o.withDefaults()
-	var rows []Table3Row
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		row := Table3Row{Dataset: name}
-		var stdF1, batchF1 []float64
-		for _, seed := range o.Seeds {
-			stdCfg := core.Config{BatchSize: 1, Selection: core.FixedSelection}
-			c, res, err := runFramework(w, stdCfg, seed)
-			if err != nil {
-				return nil, err
-			}
-			stdF1 = append(stdF1, c.F1())
-			row.StandardAPI += res.Ledger.API()
-
-			batchCfg := core.Config{BatchSize: 8, Batching: core.RandomBatching, Selection: core.FixedSelection}
-			c, res, err = runFramework(w, batchCfg, seed)
-			if err != nil {
-				return nil, err
-			}
-			batchF1 = append(batchF1, c.F1())
-			row.BatchAPI += res.Ledger.API()
-		}
-		n := float64(len(o.Seeds))
-		row.StandardAPI /= n
-		row.BatchAPI /= n
-		row.StandardF1 = metrics.Summarize(stdF1)
-		row.BatchF1 = metrics.Summarize(batchF1)
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return grid(o.withDefaults(), frameworks(standardPrompting, batchPrompting), func(w *workload, c [][]cell) Table3Row {
+		row := Table3Row{Dataset: w.name}
+		row.StandardF1, row.StandardAPI, _ = summarize(c[0])
+		row.BatchF1, row.BatchAPI, _ = summarize(c[1])
+		return row
+	})
 }
+
+// standardPrompting and batchPrompting are Table III's two methods:
+// the same 8 fixed random demonstrations, one question per prompt or a
+// random batch of 8.
+var (
+	standardPrompting = core.Config{BatchSize: 1, Selection: core.FixedSelection}
+	batchPrompting    = core.Config{BatchSize: 8, Batching: core.RandomBatching, Selection: core.FixedSelection}
+)
 
 // FormatTable3 renders rows like the paper's Table III.
 func FormatTable3(w io.Writer, rows []Table3Row) {
@@ -98,38 +75,21 @@ type Table4Row struct {
 // RunTable4 reproduces Table IV: all combinations of question batching and
 // demonstration selection.
 func RunTable4(o Options) ([]Table4Row, error) {
-	o = o.withDefaults()
-	var rows []Table4Row
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
+	var points []core.Config
+	for _, bs := range core.BatchStrategies() {
+		for _, ss := range core.SelectStrategies() {
+			points = append(points, core.Config{Batching: bs, Selection: ss})
 		}
-		row := Table4Row{Dataset: name}
-		for _, bs := range core.BatchStrategies() {
-			for _, ss := range core.SelectStrategies() {
-				cell := Table4Cell{Batching: bs, Selection: ss}
-				var f1s []float64
-				for _, seed := range o.Seeds {
-					cfg := core.Config{Batching: bs, Selection: ss}
-					c, res, err := runFramework(w, cfg, seed)
-					if err != nil {
-						return nil, err
-					}
-					f1s = append(f1s, c.F1())
-					cell.API += res.Ledger.API()
-					cell.Label += res.Ledger.Labeling()
-				}
-				n := float64(len(o.Seeds))
-				cell.API /= n
-				cell.Label /= n
-				cell.F1 = metrics.Summarize(f1s)
-				row.Cells = append(row.Cells, cell)
-			}
-		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return grid(o.withDefaults(), frameworks(points...), func(w *workload, c [][]cell) Table4Row {
+		row := Table4Row{Dataset: w.name}
+		for i, p := range points {
+			cell := Table4Cell{Batching: p.Batching, Selection: p.Selection}
+			cell.F1, cell.API, cell.Label = summarize(c[i])
+			row.Cells = append(row.Cells, cell)
+		}
+		return row
+	})
 }
 
 // Best returns the cell with the highest mean F1.
@@ -184,41 +144,16 @@ type Table5Row struct {
 // evaluated (AB is absent, as noted in Section VI-E).
 var Table5Datasets = []string{"WA", "AG", "DS", "DA", "FZ", "IA", "Beer"}
 
-// RunTable5 reproduces Table V.
+// RunTable5 reproduces Table V at the first seed, on Table5Datasets
+// unless o names its own.
 func RunTable5(o Options) ([]Table5Row, error) {
-	o = o.withDefaults()
-	if len(o.Datasets) == 8 {
-		o.Datasets = Table5Datasets
-	}
-	var rows []Table5Row
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		row := Table5Row{Dataset: name}
-		seed := o.Seeds[0]
-		// ManualPrompt: standard prompting with curated demos.
-		mp := &baselines.ManualPrompt{}
-		client := llm.NewSimulated(w.oracle, seed)
-		mres, err := mp.Run(context.Background(), w.questions, w.train, client)
-		if err != nil {
-			return nil, err
-		}
-		var mc metrics.Confusion
-		mc.AddAll(entity.Labels(w.questions), mres.Pred)
-		row.ManualF1 = mc.F1()
-		row.ManualAPI = mres.Ledger.API()
-		// BATCHER at its best design point.
-		c, res, err := runFramework(w, defaultBest(), seed)
-		if err != nil {
-			return nil, err
-		}
-		row.BatchF1 = c.F1()
-		row.BatchAPI = res.Ledger.API()
-		rows = append(rows, row)
-	}
-	return rows, nil
+	arms := func(*workload) []arm { return []arm{manualPrompt, framework(defaultBest())} }
+	return grid(o.subset(Table5Datasets).firstSeed(), arms, func(w *workload, c [][]cell) Table5Row {
+		manual, batch := c[0][0], c[1][0]
+		return Table5Row{Dataset: w.name,
+			ManualF1: manual.conf.F1(), ManualAPI: manual.api,
+			BatchF1: batch.conf.F1(), BatchAPI: batch.api}
+	})
 }
 
 // FormatTable5 renders Table V.
@@ -252,50 +187,35 @@ var Table6Models = []string{llm.GPT35Turbo0301, llm.GPT35Turbo0613, llm.GPT4}
 
 // RunTable6 reproduces Table VI with the best design point per model.
 func RunTable6(o Options) ([]Table6Row, error) {
-	o = o.withDefaults()
-	var rows []Table6Row
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		row := Table6Row{Dataset: name, ByModel: map[string]Table6Cell{}}
-		for _, model := range Table6Models {
-			cfg := defaultBest()
-			cfg.Model = model
-			c, res, err := runFramework(w, cfg, o.Seeds[0])
-			if err != nil {
-				return nil, err
-			}
-			row.ByModel[model] = Table6Cell{F1: c.F1(), API: res.Ledger.API()}
-		}
-		rows = append(rows, row)
+	cfgs := make([]core.Config, len(Table6Models))
+	for i, model := range Table6Models {
+		cfgs[i] = defaultBest()
+		cfgs[i].Model = model
 	}
-	return rows, nil
+	return grid(o.firstSeed(), frameworks(cfgs...), func(w *workload, c [][]cell) Table6Row {
+		row := Table6Row{Dataset: w.name, ByModel: map[string]Table6Cell{}}
+		for i, model := range Table6Models {
+			row.ByModel[model] = Table6Cell{F1: c[i][0].conf.F1(), API: c[i][0].api}
+		}
+		return row
+	})
 }
 
 // RunLlama2BatchCheck verifies the Section VI-F observation that Llama2
 // fails to produce usable output under batch prompting: it returns the
 // fraction of questions that received no parseable answer.
 func RunLlama2BatchCheck(o Options) (float64, error) {
-	o = o.withDefaults()
-	w, err := loadWorkload(o.Datasets[0], o)
-	if err != nil {
-		return 0, err
-	}
+	o = o.firstSeed()
+	o.Datasets = o.Datasets[:1]
 	cfg := defaultBest()
 	cfg.Model = llm.Llama2Chat70B
-	_, res, err := runFramework(w, cfg, o.Seeds[0])
+	shares, err := grid(o, frameworks(cfg), func(w *workload, c [][]cell) float64 {
+		return float64(c[0][0].unanswered) / float64(len(w.questions))
+	})
 	if err != nil {
 		return 0, err
 	}
-	unanswered := 0
-	for _, p := range res.Pred {
-		if p == entity.Unknown {
-			unanswered++
-		}
-	}
-	return float64(unanswered) / float64(len(res.Pred)), nil
+	return shares[0], nil
 }
 
 // FormatTable6 renders Table VI.
@@ -328,38 +248,16 @@ type Table7Row struct {
 
 // RunTable7 reproduces Table VII with the best design point per extractor.
 func RunTable7(o Options) ([]Table7Row, error) {
-	o = o.withDefaults()
-	var rows []Table7Row
-	for _, name := range o.Datasets {
-		w, err := loadWorkload(name, o)
-		if err != nil {
-			return nil, err
-		}
-		row := Table7Row{Dataset: name}
-		for _, ex := range []feature.Extractor{feature.NewLR(), feature.NewJAC(), feature.NewSEM()} {
-			var sum float64
-			for _, seed := range o.Seeds {
-				cfg := defaultBest()
-				cfg.Extractor = ex
-				c, _, err := runFramework(w, cfg, seed)
-				if err != nil {
-					return nil, err
-				}
-				sum += c.F1()
-			}
-			mean := sum / float64(len(o.Seeds))
-			switch ex.Name() {
-			case "LR":
-				row.LR = mean
-			case "JAC":
-				row.JAC = mean
-			case "SEM":
-				row.SEM = mean
-			}
-		}
-		rows = append(rows, row)
+	var cfgs []core.Config
+	for _, ex := range []feature.Extractor{feature.NewLR(), feature.NewJAC(), feature.NewSEM()} {
+		cfg := defaultBest()
+		cfg.Extractor = ex
+		cfgs = append(cfgs, cfg)
 	}
-	return rows, nil
+	return grid(o.withDefaults(), frameworks(cfgs...), func(w *workload, c [][]cell) Table7Row {
+		mean := func(i int) float64 { f1, _, _ := summarize(c[i]); return f1.Mean }
+		return Table7Row{Dataset: w.name, LR: mean(0), JAC: mean(1), SEM: mean(2)}
+	})
 }
 
 // FormatTable7 renders Table VII.

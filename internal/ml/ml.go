@@ -1,6 +1,6 @@
 // Package ml is a small from-scratch machine-learning substrate: logistic
-// regression and a one-hidden-layer MLP trained with minibatch SGD or
-// Adam, plus feature standardization and class weighting.
+// regression and a one-hidden-layer MLP trained with SGD and an L2
+// penalty, plus feature standardization and class weighting.
 //
 // It exists to give the PLM baseline stand-ins (internal/baselines) real
 // trainable learners with real learning curves — Figure 7's
@@ -157,8 +157,6 @@ type MLPConfig struct {
 	L2        float64
 	PosWeight float64
 	Seed      int64
-	// Adam enables Adam; otherwise plain SGD.
-	Adam bool
 }
 
 // MLP is a one-hidden-layer network with tanh activations.
@@ -184,7 +182,7 @@ func (m *MLP) Prob(x []float64) float64 {
 	return sigmoid(z)
 }
 
-// TrainMLP fits the network with backprop.
+// TrainMLP fits the network with per-example backprop and SGD.
 func TrainMLP(data []Example, cfg MLPConfig) *MLP {
 	if cfg.Hidden <= 0 {
 		cfg.Hidden = 8
@@ -219,10 +217,6 @@ func TrainMLP(data []Example, cfg MLPConfig) *MLP {
 	if len(data) == 0 {
 		return m
 	}
-	var opt *adam
-	if cfg.Adam {
-		opt = newAdam(cfg.Hidden*d + cfg.Hidden + cfg.Hidden + 1)
-	}
 	idx := make([]int, len(data))
 	for i := range idx {
 		idx[i] = i
@@ -250,61 +244,25 @@ func TrainMLP(data []Example, cfg MLPConfig) *MLP {
 			if ex.Y == 1 {
 				g *= cfg.PosWeight
 			}
-			// Backward.
-			k := 0
-			step := func(param *float64, grad float64) {
-				grad += cfg.L2 * *param
-				if opt != nil {
-					*param -= lr * opt.step(k, grad)
-				} else {
-					*param -= lr * grad
-				}
-				k++
-			}
+			// Backward: each parameter w takes w -= lr*(grad + L2*w),
+			// with dh read before W2[h] moves.
 			for h := range m.W2 {
 				dh := g * m.W2[h] * (1 - hid[h]*hid[h])
-				step(&m.W2[h], g*hid[h])
-				for j := range m.W1[h] {
+				m.W2[h] -= lr * (g*hid[h] + cfg.L2*m.W2[h])
+				w1 := m.W1[h]
+				for j := range w1 {
 					xj := 0.0
 					if j < len(ex.X) {
 						xj = ex.X[j]
 					}
-					step(&m.W1[h][j], dh*xj)
+					w1[j] -= lr * (dh*xj + cfg.L2*w1[j])
 				}
-				step(&m.B1[h], dh)
+				m.B1[h] -= lr * (dh + cfg.L2*m.B1[h])
 			}
-			step(&m.B2, g)
+			m.B2 -= lr * (g + cfg.L2*m.B2)
 		}
 	}
 	return m
-}
-
-// adam holds Adam optimizer state for a flat parameter vector.
-type adam struct {
-	m, v []float64
-	t    int
-}
-
-func newAdam(n int) *adam { return &adam{m: make([]float64, n), v: make([]float64, n)} }
-
-// step returns the Adam-adjusted gradient for parameter k. The caller
-// advances k in a fixed order each example; t advances per parameter
-// visit, which is adequate for this scale.
-func (a *adam) step(k int, g float64) float64 {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	if k >= len(a.m) {
-		return g
-	}
-	a.t++
-	a.m[k] = beta1*a.m[k] + (1-beta1)*g
-	a.v[k] = beta2*a.v[k] + (1-beta2)*g*g
-	mhat := a.m[k] / (1 - math.Pow(beta1, float64(a.t/len(a.m)+1)))
-	vhat := a.v[k] / (1 - math.Pow(beta2, float64(a.t/len(a.m)+1)))
-	return mhat / (math.Sqrt(vhat) + eps)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -121,15 +121,6 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestMLPAdamLearns(t *testing.T) {
-	train := xorData(600, 7)
-	test := xorData(300, 8)
-	m := TrainMLP(train, MLPConfig{Hidden: 12, Epochs: 120, LR: 0.02, Seed: 3, Adam: true})
-	if acc := Evaluate(m, test); acc < 0.85 {
-		t.Errorf("Adam MLP accuracy = %.3f, want >= 0.85", acc)
-	}
-}
-
 // mlpWeightsSHA256 is the SHA-256 of every trained parameter's float
 // bits (W1 row by row, B1, W2, B2, little-endian), recorded on amd64.
 const mlpWeightsSHA256 = "cc84e4a5702e71ac78d6eba121c0666367fbafe9ae7d07e8e6bca9e40ed65967"
