@@ -23,7 +23,9 @@ import (
 // Options controls an experiment run.
 type Options struct {
 	// Datasets is the subset of benchmark codes to run; nil means all
-	// eight Table II datasets.
+	// eight Table II datasets, or the paper's subset for Fig 6, Table V
+	// and the ablations (Figure6Datasets, Table5Datasets,
+	// AblationDatasets).
 	Datasets []string
 	// Seeds are the run seeds; the paper averages three runs.
 	Seeds []int64
