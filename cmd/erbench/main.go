@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	erbench [-exp all|table3|table4|table5|table6|table7|fig6|fig7]
+//	erbench [-exp all|table3|fig6|table4|fig7|table5|table6|table7|ablations|extended|findings]
 //	        [-datasets WA,AB,...] [-seeds 1,2,3] [-qcap N] [-poolcap N]
 //	erbench -exp cascade [-json] [-rows N] [-window N] [-trainpairs N]
 //	        [-taus 0.05:0.95,0.1:0.9] [-margins 0,0.25]
@@ -13,6 +13,10 @@
 // Table V and the ablations run on the paper's subsets unless -datasets
 // names a list. Each experiment's "[name done in ...]" timing line goes
 // to stderr.
+//
+// The findings checklist grades the tables printed above it: Tables
+// III-VII, Fig 7 and the Llama2 check. -exp findings runs those six
+// experiments too, at -qcap 300 unless -qcap is set.
 //
 // -exp cascade (not part of "all") sweeps the model cascade's cost/F1
 // frontier: an all-expensive baseline, then one run per (tau-lo:tau-hi)
@@ -36,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"batcher/internal/datagen"
 	"batcher/internal/eval"
 )
 
@@ -65,6 +70,16 @@ func expNames() []string {
 func checkExperiment(name string) error {
 	if names := expNames(); !slices.Contains(names, name) {
 		return fmt.Errorf("unknown experiment %q (want one of: %s)", name, strings.Join(names, ", "))
+	}
+	return nil
+}
+
+// checkDatasets rejects a -datasets code that names no dataset.
+func checkDatasets(codes []string) error {
+	for _, c := range codes {
+		if _, err := datagen.Lookup(c); err != nil {
+			return fmt.Errorf("unknown dataset %q (want one of: %s)", c, strings.Join(datagen.Names(), ", "))
+		}
 	}
 	return nil
 }
@@ -133,9 +148,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	o := eval.Options{QuestionCap: *qcap, PoolCap: *poolcap}
-	if *datasets != "" {
-		o.Datasets = strings.Split(*datasets, ",")
+	o := eval.Options{Datasets: splitList(*datasets), QuestionCap: *qcap, PoolCap: *poolcap}
+	if err := checkDatasets(o.Datasets); err != nil {
+		fmt.Fprintf(os.Stderr, "erbench: %v\n", err)
+		os.Exit(2)
 	}
 	for _, s := range strings.Split(*seeds, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
@@ -146,12 +162,16 @@ func main() {
 		o.Seeds = append(o.Seeds, v)
 	}
 
+	if *exp == "findings" && o.QuestionCap == 0 {
+		o.QuestionCap = 300 // checks need directions, not scale
+	}
+	var p eval.Paper
 	for _, e := range experiments {
-		if *exp != "all" && *exp != e.name {
+		if !e.selectedBy(*exp) {
 			continue
 		}
 		start := time.Now()
-		if err := e.run(o); err != nil {
+		if err := e.run(o, &p); err != nil {
 			fmt.Fprintf(os.Stderr, "erbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
@@ -160,21 +180,34 @@ func main() {
 	}
 }
 
+// experiment is one -exp entry. run prints its result and stores in p
+// what the findings checklist reads; graded marks those entries.
+type experiment struct {
+	name   string
+	graded bool
+	run    func(o eval.Options, p *eval.Paper) error
+}
+
+// selectedBy reports whether -exp exp runs e: "all" runs every entry,
+// and "findings" runs the graded ones before itself, so its checklist
+// grades the tables printed above it.
+func (e experiment) selectedBy(exp string) bool {
+	return exp == "all" || exp == e.name || exp == "findings" && e.graded
+}
+
 // experiments are the runs -exp all makes, in order. -exp names one of
 // them, "all", or "cascade", which runs alone (see expNames).
-var experiments = []struct {
-	name string
-	run  func(o eval.Options) error
-}{
-	{"table3", func(o eval.Options) error {
+var experiments = []experiment{
+	{"table3", true, func(o eval.Options, p *eval.Paper) error {
 		rows, err := eval.RunTable3(o)
 		if err != nil {
 			return err
 		}
+		p.Table3 = rows
 		eval.FormatTable3(os.Stdout, rows)
 		return nil
 	}},
-	{"fig6", func(o eval.Options) error {
+	{"fig6", false, func(o eval.Options, _ *eval.Paper) error {
 		bars, err := eval.RunFigure6(o)
 		if err != nil {
 			return err
@@ -182,52 +215,58 @@ var experiments = []struct {
 		eval.FormatFigure6(os.Stdout, bars)
 		return nil
 	}},
-	{"table4", func(o eval.Options) error {
+	{"table4", true, func(o eval.Options, p *eval.Paper) error {
 		rows, err := eval.RunTable4(o)
 		if err != nil {
 			return err
 		}
+		p.Table4 = rows
 		eval.FormatTable4(os.Stdout, rows)
 		return nil
 	}},
-	{"fig7", func(o eval.Options) error {
+	{"fig7", true, func(o eval.Options, p *eval.Paper) error {
 		series, err := eval.RunFigure7(o, nil)
 		if err != nil {
 			return err
 		}
+		p.Figure7 = series
 		eval.FormatFigure7(os.Stdout, series)
 		return nil
 	}},
-	{"table5", func(o eval.Options) error {
+	{"table5", true, func(o eval.Options, p *eval.Paper) error {
 		rows, err := eval.RunTable5(o)
 		if err != nil {
 			return err
 		}
+		p.Table5 = rows
 		eval.FormatTable5(os.Stdout, rows)
 		return nil
 	}},
-	{"table6", func(o eval.Options) error {
+	{"table6", true, func(o eval.Options, p *eval.Paper) error {
 		rows, err := eval.RunTable6(o)
 		if err != nil {
 			return err
 		}
+		p.Table6 = rows
 		eval.FormatTable6(os.Stdout, rows)
 		frac, err := eval.RunLlama2BatchCheck(o)
 		if err != nil {
 			return err
 		}
+		p.Llama2Unanswered = frac
 		fmt.Printf("Llama2-chat-70B under batch prompting: %.0f%% of questions unanswered (omitted, as in the paper)\n", 100*frac)
 		return nil
 	}},
-	{"table7", func(o eval.Options) error {
+	{"table7", true, func(o eval.Options, p *eval.Paper) error {
 		rows, err := eval.RunTable7(o)
 		if err != nil {
 			return err
 		}
+		p.Table7 = rows
 		eval.FormatTable7(os.Stdout, rows)
 		return nil
 	}},
-	{"ablations", func(o eval.Options) error {
+	{"ablations", false, func(o eval.Options, _ *eval.Paper) error {
 		sweeps := []func() ([]eval.AblationResult, error){
 			func() ([]eval.AblationResult, error) { return eval.RunAblationCoverThreshold(o, nil) },
 			func() ([]eval.AblationResult, error) { return eval.RunAblationBatchSize(o, nil) },
@@ -243,7 +282,7 @@ var experiments = []struct {
 		}
 		return nil
 	}},
-	{"extended", func(o eval.Options) error {
+	{"extended", false, func(o eval.Options, _ *eval.Paper) error {
 		if o.QuestionCap == 0 {
 			o.QuestionCap = 400
 		}
@@ -254,15 +293,8 @@ var experiments = []struct {
 		eval.FormatExtendedSelection(os.Stdout, rows)
 		return nil
 	}},
-	{"findings", func(o eval.Options) error {
-		if o.QuestionCap == 0 {
-			o.QuestionCap = 300 // checks need directions, not scale
-		}
-		findings, err := eval.CheckFindings(o)
-		if err != nil {
-			return err
-		}
-		eval.FormatFindings(os.Stdout, findings)
+	{"findings", false, func(_ eval.Options, p *eval.Paper) error {
+		eval.FormatFindings(os.Stdout, eval.CheckFindings(*p))
 		return nil
 	}},
 }

@@ -123,17 +123,22 @@ func TestResolveStreamParallelDeterministicOrder(t *testing.T) {
 }
 
 // cancellingClient cancels the bound context after `after` successful
-// completions, simulating a caller that gives up mid-run.
+// completions, simulating a caller that gives up mid-run. The count and
+// the cancel share one lock, so no later completion returns before the
+// context is cancelled.
 type cancellingClient struct {
 	inner  llm.Client
 	cancel context.CancelFunc
-	calls  atomic.Int32
+	mu     sync.Mutex
+	calls  int32
 	after  int32
 }
 
 func (c *cancellingClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	resp, err := c.inner.Complete(ctx, req)
-	if c.calls.Add(1) == c.after {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.calls++; c.calls == c.after {
 		c.cancel()
 	}
 	return resp, err

@@ -105,10 +105,22 @@ func TestFormatAblations(t *testing.T) {
 func TestCheckFindings(t *testing.T) {
 	// Reduced but diverse workload: one easy, one hard dataset.
 	o := Options{Datasets: []string{"WA", "IA"}, Seeds: []int64{1, 2}, QuestionCap: 160, PoolCap: 600}
-	findings, err := CheckFindings(o)
-	if err != nil {
-		t.Fatal(err)
+	var p Paper
+	var err error
+	for _, run := range []func(){
+		func() { p.Table3, err = RunTable3(o) },
+		func() { p.Table4, err = RunTable4(o) },
+		func() { p.Figure7, err = RunFigure7(o, []int{50, 400}) }, // finding 3 reads n = 50
+		func() { p.Table5, err = RunTable5(o) },
+		func() { p.Table6, err = RunTable6(o) },
+		func() { p.Llama2Unanswered, err = RunLlama2BatchCheck(o) },
+		func() { p.Table7, err = RunTable7(o) },
+	} {
+		if run(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	findings := CheckFindings(p)
 	if len(findings) != 6 {
 		t.Fatalf("findings = %d, want 6", len(findings))
 	}

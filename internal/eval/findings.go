@@ -8,8 +8,8 @@ import (
 )
 
 // Finding is the outcome of one programmatic check against the paper's
-// six findings (Section VI). Checks run on reduced workloads, so they
-// verify directions and orderings, not exact figures.
+// six findings (Section VI): a direction or an ordering, not an exact
+// figure.
 type Finding struct {
 	// ID is the paper's finding number (1..6).
 	ID int
@@ -21,20 +21,28 @@ type Finding struct {
 	Evidence string
 }
 
-// CheckFindings validates all six findings on the configured workloads
-// and returns one Finding per claim.
-func CheckFindings(o Options) ([]Finding, error) {
-	o = o.withDefaults()
+// Paper holds the results the findings checklist grades, exactly as
+// their runners return them.
+type Paper struct {
+	Table3  []Table3Row
+	Table4  []Table4Row
+	Figure7 []Figure7Series
+	Table5  []Table5Row
+	Table6  []Table6Row
+	// Llama2Unanswered is RunLlama2BatchCheck's result.
+	Llama2Unanswered float64
+	Table7           []Table7Row
+}
+
+// CheckFindings grades the paper's six findings against p and returns
+// one Finding per claim.
+func CheckFindings(p Paper) []Finding {
 	var out []Finding
 
 	// Finding 1: batch prompting saves 4x-7x and is more accurate/stable.
-	t3, err := RunTable3(o)
-	if err != nil {
-		return nil, err
-	}
 	var wins, stableWins int
 	var minSave, maxSave float64
-	for i, r := range t3 {
+	for i, r := range p.Table3 {
 		save := r.StandardAPI / r.BatchAPI
 		if i == 0 || save < minSave {
 			minSave = save
@@ -52,18 +60,14 @@ func CheckFindings(o Options) ([]Finding, error) {
 	out = append(out, Finding{
 		ID:    1,
 		Claim: "Batch prompting brings 4x-7x cost saving with higher, more stable accuracy",
-		Held:  wins*2 >= len(t3) && minSave >= 3,
+		Held:  wins*2 >= len(p.Table3) && minSave >= 3,
 		Evidence: fmt.Sprintf("batch F1 >= standard on %d/%d datasets; saving %.1fx-%.1fx; lower sigma on %d/%d",
-			wins, len(t3), minSave, maxSave, stableWins, len(t3)),
+			wins, len(p.Table3), minSave, maxSave, stableWins, len(p.Table3)),
 	})
 
 	// Finding 2: diversity + covering is the most favorable design point.
-	t4, err := RunTable4(o)
-	if err != nil {
-		return nil, err
-	}
 	var nearBest, cheapest int
-	for _, r := range t4 {
+	for _, r := range p.Table4 {
 		dc := r.Cell(core.DiversityBatching, core.CoveringSelection)
 		best := r.Best()
 		if dc.F1.Mean >= best.F1.Mean-3 {
@@ -82,26 +86,23 @@ func CheckFindings(o Options) ([]Finding, error) {
 	out = append(out, Finding{
 		ID:    2,
 		Claim: "Diversity batching + covering selection: top accuracy at the lowest cost",
-		Held:  nearBest*2 >= len(t4) && cheapest == len(t4),
+		Held:  nearBest*2 >= len(p.Table4) && cheapest == len(p.Table4),
 		Evidence: fmt.Sprintf("within 3 F1 of the best cell on %d/%d datasets; cheapest labeling on %d/%d",
-			nearBest, len(t4), cheapest, len(t4)),
+			nearBest, len(p.Table4), cheapest, len(p.Table4)),
 	})
 
-	// Finding 3: competitive with PLMs trained on far more labels.
-	f7, err := RunFigure7(o, []int{50, 400})
-	if err != nil {
-		return nil, err
-	}
+	// Finding 3: competitive with PLMs trained on far more labels, read
+	// at each curve's first point (n = 50 at Fig 7's sizes).
 	var batcherWins, comparisons int
 	var labelNeed int
-	for _, s := range f7 {
+	for _, s := range p.Figure7 {
 		if s.Method == "BatchER" {
 			labelNeed = s.LabeledPairs
 			continue
 		}
 		comparisons++
 		var batcherF1 float64
-		for _, t := range f7 {
+		for _, t := range p.Figure7 {
 			if t.Dataset == s.Dataset && t.Method == "BatchER" {
 				batcherF1 = t.Points[0].F1
 			}
@@ -119,17 +120,8 @@ func CheckFindings(o Options) ([]Finding, error) {
 	})
 
 	// Finding 4: comparable F1 to ManualPrompt at far lower API cost.
-	t5o := o
-	t5o.Datasets = intersect(o.Datasets, Table5Datasets)
-	if len(t5o.Datasets) == 0 {
-		t5o.Datasets = []string{"DA"}
-	}
-	t5, err := RunTable5(t5o)
-	if err != nil {
-		return nil, err
-	}
 	var comparable, cheaperAPI int
-	for _, r := range t5 {
+	for _, r := range p.Table5 {
 		if r.BatchF1 >= r.ManualF1-5 {
 			comparable++
 		}
@@ -140,18 +132,14 @@ func CheckFindings(o Options) ([]Finding, error) {
 	out = append(out, Finding{
 		ID:    4,
 		Claim: "Comparable or better F1 than manual prompting at ~20% of the API cost",
-		Held:  comparable*2 >= len(t5) && cheaperAPI == len(t5),
+		Held:  comparable*2 >= len(p.Table5) && cheaperAPI == len(p.Table5),
 		Evidence: fmt.Sprintf("comparable F1 on %d/%d datasets; <=35%% API cost on %d/%d",
-			comparable, len(t5), cheaperAPI, len(t5)),
+			comparable, len(p.Table5), cheaperAPI, len(p.Table5)),
 	})
 
 	// Finding 5: GPT-3.5-0301 is the best accuracy/cost trade-off.
-	t6, err := RunTable6(o)
-	if err != nil {
-		return nil, err
-	}
 	var tradeoffWins int
-	for _, r := range t6 {
+	for _, r := range p.Table6 {
 		g35 := r.ByModel["gpt-3.5-turbo-0301"]
 		g3506 := r.ByModel["gpt-3.5-turbo-0613"]
 		g4 := r.ByModel["gpt-4-1106-preview"]
@@ -161,25 +149,17 @@ func CheckFindings(o Options) ([]Finding, error) {
 			tradeoffWins++
 		}
 	}
-	llamaFail, err := RunLlama2BatchCheck(o)
-	if err != nil {
-		return nil, err
-	}
 	out = append(out, Finding{
 		ID:    5,
 		Claim: "GPT-3.5-0301 offers the best accuracy/cost trade-off; Llama2 fails batching",
-		Held:  tradeoffWins*2 >= len(t6) && llamaFail > 0.9,
+		Held:  tradeoffWins*2 >= len(p.Table6) && p.Llama2Unanswered > 0.9,
 		Evidence: fmt.Sprintf("trade-off holds on %d/%d datasets; Llama2 leaves %.0f%% unanswered",
-			tradeoffWins, len(t6), 100*llamaFail),
+			tradeoffWins, len(p.Table6), 100*p.Llama2Unanswered),
 	})
 
 	// Finding 6: structure-aware features beat the semantic extractor.
-	t7, err := RunTable7(o)
-	if err != nil {
-		return nil, err
-	}
 	var structWins int
-	for _, r := range t7 {
+	for _, r := range p.Table7 {
 		structBest := r.LR
 		if r.JAC > structBest {
 			structBest = r.JAC
@@ -191,23 +171,9 @@ func CheckFindings(o Options) ([]Finding, error) {
 	out = append(out, Finding{
 		ID:       6,
 		Claim:    "Structure-aware feature extraction is preferred over semantics-based",
-		Held:     structWins*3 >= len(t7)*2,
-		Evidence: fmt.Sprintf("structure-aware >= semantic on %d/%d datasets", structWins, len(t7)),
+		Held:     structWins*3 >= len(p.Table7)*2,
+		Evidence: fmt.Sprintf("structure-aware >= semantic on %d/%d datasets", structWins, len(p.Table7)),
 	})
-	return out, nil
-}
-
-func intersect(a, b []string) []string {
-	set := map[string]bool{}
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []string
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
 	return out
 }
 

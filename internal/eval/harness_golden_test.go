@@ -106,9 +106,10 @@ func TestHarnessGolden(t *testing.T) {
 		n(k+"votek_labels", r.VoteKLabels)
 		f(k+"votek_api", r.VoteKAPI)
 	}
-	findings, err := CheckFindings(o)
+	t5, err := RunTable5(o)
 	must(err)
-	for _, fd := range findings {
+	paper := Paper{Table3: t3, Table4: t4, Figure7: f7, Table5: t5, Table6: t6, Llama2Unanswered: llama, Table7: t7}
+	for _, fd := range CheckFindings(paper) {
 		k := "findings/" + strconv.Itoa(fd.ID) + "/"
 		got.Values[k+"held"] = strconv.FormatBool(fd.Held)
 		got.Values[k+"evidence"] = fd.Evidence
