@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -491,7 +492,8 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 // core's unsampled calibration: one PairwiseDistances buffer, both
 // percentiles selected from it. The Sweep-4096 arms time cluster.Sweep
 // without a distance buffer, which calls Distance once per pair of
-// distinct vectors, and report how many of the 4 096 are distinct. Every
+// distinct vectors, and report how many of the 4 096 are distinct and
+// the bytes the two relations keep live (retained-B/op). Every
 // step also reports its Config.Distance calls per op, counted on one
 // untimed run with a counting distance so the timed runs pay for no
 // counter.
@@ -508,8 +510,9 @@ func BenchmarkWindowGeometry(b *testing.B) {
 	cfg := core.NewFromConfig(llm.NewSimulated(nil, 1), base).Config()
 	vecs := feature.ExtractAll(cfg.Extractor, cands[:4096])
 	// run times step(cfg.Distance) and reports the calls step(counting
-	// distance) makes, with whatever metric step returns.
-	run := func(name, unit string, step func(dist feature.Distance) int) {
+	// distance) makes, with whatever metric step returns and the extra
+	// metrics given.
+	run := func(name, unit string, step func(dist feature.Distance) int, extra ...func(b *testing.B)) {
 		b.Run(name, func(b *testing.B) {
 			var calls atomic.Int64
 			step(func(x, y feature.Vector) float64 { calls.Add(1); return cfg.Distance(x, y) })
@@ -522,6 +525,9 @@ func BenchmarkWindowGeometry(b *testing.B) {
 			b.ReportMetric(float64(calls.Load()), "dist-calls/op")
 			if unit != "" {
 				b.ReportMetric(float64(out), unit)
+			}
+			for _, report := range extra {
+				report(b)
 			}
 		})
 	}
@@ -574,10 +580,14 @@ func BenchmarkWindowGeometry(b *testing.B) {
 		eps := cluster.EpsPercentile(qv, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
 		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
 		u := distinctVectors(qv)
+		retained := retainedBytes(func() any {
+			within, below := cluster.Sweep(qv, cfg.Distance, nil, eps, true, t, true)
+			return [2]any{within, below}
+		})
 		run("Sweep-4096-"+set.name, "distinct", func(dist feature.Distance) int {
 			cluster.Sweep(qv, dist, nil, eps, true, t, true)
 			return u
-		})
+		}, func(b *testing.B) { b.ReportMetric(retained, "retained-B/op") })
 	}
 	for _, n := range []int{512, 4096} {
 		window := cands[:n]
@@ -591,6 +601,19 @@ func BenchmarkWindowGeometry(b *testing.B) {
 			return len(prep.LabeledPool())
 		})
 	}
+}
+
+// retainedBytes is how much live heap the value build returns holds:
+// the heap in use after a collection, with the value against without.
+func retainedBytes(build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
 // distinctVectors counts the distinct values among vs, two vectors being

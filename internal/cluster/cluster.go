@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"math/rand"
 
+	"batcher/internal/bitrel"
 	"batcher/internal/feature"
 )
 
@@ -52,52 +53,47 @@ func (r Result) Clusters() [][]int {
 // results are deterministic.
 //
 // The ε-neighbourhood relation dist <= eps is evaluated once, by Sweep,
-// into a bit matrix — U(U+1)/2 dist calls for U distinct points, across
+// into bit rows — U(U+1)/2 dist calls for U distinct points, across
 // workpool workers — and DBSCANRows expands the clusters over its rows.
 // dist must therefore be symmetric and pure (see feature.Distance) and
 // safe for concurrent calls; every feature.Distance in this repo is.
 func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts int) Result {
 	within, _ := Sweep(points, dist, nil, eps, true, 0, false)
-	return DBSCANRows(len(points), within, minPts)
+	return DBSCANRows(within, minPts)
 }
 
-// DBSCANRows is DBSCAN over a prebuilt ε-neighbourhood: within holds n
-// rows of RowWords(n) words, bit j of row i set iff j is a neighbour of
-// i (Sweep's layout). It is read, never written.
+// DBSCANRows is DBSCAN over a prebuilt ε-neighbourhood of n points: row
+// i of within holds j iff j is a neighbour of i (Sweep's relation). It
+// is read, never written.
 //
-// A point's neighbour count is its row's popcount, taken once. A cluster
-// grows breadth-first from its seed: a core point's row is masked with
-// the still-unassigned points, and those join the cluster and the queue
-// in ascending index order — so the queue holds each point at most once
-// over the whole run, and the assignment is the one the textbook
-// formulation (scan every point for each region query, queue every
-// neighbour list) produces: there a queued point's second and later
-// occurrences change nothing, and a cluster runs to completion before
-// the next one starts.
-func DBSCANRows(n int, within []uint64, minPts int) Result {
-	words := RowWords(n)
+// A point's neighbour count is its row's popcount, taken once per
+// stored row: points that share a row (equal vectors, see Sweep) share
+// its count. A cluster grows breadth-first from its seed: a core point's
+// row is masked with the still-unassigned points, and those join the
+// cluster and the queue in ascending index order — so the queue holds
+// each point at most once over the whole run, and the assignment is the
+// one the textbook formulation (scan every point for each region query,
+// queue every neighbour list) produces: there a queued point's second
+// and later occurrences change nothing, and a cluster runs to
+// completion before the next one starts.
+func DBSCANRows(within *bitrel.Rel, minPts int) Result {
+	n := within.Len()
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = Noise
 	}
 	// free has bit j set while assign[j] == Noise.
-	free := make([]uint64, words)
+	free := make([]uint64, bitrel.Words(n))
 	for j := 0; j < n; j++ {
 		free[j>>6] |= 1 << (j & 63)
 	}
 	visited := make([]bool, n) // region query done
-	isCore := func(i int) bool {
-		count := 0
-		for _, r := range within[i*words : (i+1)*words] {
-			count += bits.OnesCount64(r)
-		}
-		return count >= minPts
-	}
+	count := within.Counts()
 	var queue []int
 	// claim moves core point i's unassigned neighbours into cluster c
 	// and onto the queue.
 	claim := func(i, c int) {
-		for w, r := range within[i*words : (i+1)*words] {
+		for w, r := range within.Row(i) {
 			for m := r & free[w]; m != 0; m &= m - 1 {
 				j := w<<6 | bits.TrailingZeros64(m)
 				assign[j] = c
@@ -112,7 +108,7 @@ func DBSCANRows(n int, within []uint64, minPts int) Result {
 			continue
 		}
 		visited[i] = true
-		if !isCore(i) {
+		if count[i] < minPts {
 			continue // remains noise unless adopted as a border point
 		}
 		assign[i] = k
@@ -122,7 +118,7 @@ func DBSCANRows(n int, within []uint64, minPts int) Result {
 		for qi := 0; qi < len(queue); qi++ {
 			if j := queue[qi]; !visited[j] {
 				visited[j] = true
-				if isCore(j) {
+				if count[j] >= minPts {
 					claim(j, k)
 				}
 			}

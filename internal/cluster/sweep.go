@@ -4,18 +4,14 @@ import (
 	"math"
 	"math/bits"
 
+	"batcher/internal/bitrel"
 	"batcher/internal/feature"
 	"batcher/internal/workpool"
 )
 
-// RowWords is the number of 64-bit words in one row of an n-column bit
-// matrix.
-func RowWords(n int) int { return (n + 63) / 64 }
-
 // Sweep evaluates dist once per unordered pair of distinct points and
-// returns the threshold relations asked for as n x n bit matrices, each
-// one allocation of n rows of RowWords(n) words with bit j of row i at
-// rows[i*RowWords(n)+j>>6] >> (j&63):
+// returns the threshold relations asked for, each over the n points by
+// the n points:
 //
 //   - withinRows, when within is set: dist <= eps, DBSCAN's
 //     ε-neighbourhood (DBSCANRows reads it);
@@ -35,7 +31,7 @@ func RowWords(n int) int { return (n + 63) / 64 }
 // ds, when not nil, is PairwiseDistances(points, dist) — the caller
 // measured the off-diagonal pairs already, to calibrate eps and t — and
 // the sweep reads them from it, calling dist only for the n diagonal
-// pairs.
+// pairs. Every point then has a row of its own.
 //
 // A nil ds has the sweep measure the points itself, once per value: the
 // points are grouped by exact value (length and the float64 bits of
@@ -44,9 +40,10 @@ func RowWords(n int) int { return (n + 63) / 64 }
 // exact because a feature.Distance is a function of the bits of its two
 // vectors: every member of a class is at the same distance from any
 // point, and dist(r, r) of a class's first point r is the distance of
-// every pair inside the class. The class relations are then expanded to
-// the points; when every point is its own class they already are the
-// point relations.
+// every pair inside the class. So the members of a class have the same
+// row, and each relation stores it once: U rows of bitrel.Words(n)
+// words, which every member reads (bitrel.Shared). When every point is
+// its own class, each has its own row.
 //
 // The pass runs across workpool workers, one task per block of 64 rows,
 // so dist must be safe for concurrent calls. Task b visits the 64 x 64
@@ -54,7 +51,7 @@ func RowWords(n int) int { return (n + 63) / 64 }
 // mirror (c, b); every word of a matrix therefore belongs to exactly one
 // task — the one numbered min(row block, column word) — and the result
 // does not depend on how the tasks were scheduled.
-func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows []uint64) {
+func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
 	if !within && !below {
 		return nil, nil
 	}
@@ -74,20 +71,26 @@ func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps flo
 	}
 	withinRows, belowRows = sweepTiles(reps, dist, nil, eps, within, t, below)
 	vc.listMembers()
-	return vc.expand(withinRows), vc.expand(belowRows)
+	if within {
+		withinRows = vc.spread(withinRows)
+	}
+	if below {
+		belowRows = vc.spread(belowRows)
+	}
+	return withinRows, belowRows
 }
 
 // sweepTiles is Sweep's tile loop over the points as given: it reads the
 // off-diagonal distances from ds when ds is not nil and calls dist for
 // every pair i <= j otherwise.
-func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows []uint64) {
+func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
 	n := len(points)
-	words := RowWords(n)
+	words := bitrel.Words(n)
 	if within {
-		withinRows = make([]uint64, n*words)
+		withinRows = bitrel.New(n, n)
 	}
 	if below {
-		belowRows = make([]uint64, n*words)
+		belowRows = bitrel.New(n, n)
 	}
 	workpool.For(workpool.Workers(), words, func(bi int) {
 		i0, i1 := bi<<6, min(bi<<6+64, n)
@@ -135,10 +138,10 @@ func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, ep
 					fb |= mb[i-i0]
 				}
 				if within {
-					withinRows[i*words+bj] = fw
+					withinRows.Row(i)[bj] = fw
 				}
 				if below {
-					belowRows[i*words+bj] = fb
+					belowRows.Row(i)[bj] = fb
 				}
 			}
 			if bj == bi {
@@ -146,10 +149,10 @@ func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, ep
 			}
 			for j := j0; j < j1; j++ {
 				if within {
-					withinRows[j*words+bi] = mw[j-j0]
+					withinRows.Row(j)[bi] = mw[j-j0]
 				}
 				if below {
-					belowRows[j*words+bi] = mb[j-j0]
+					belowRows.Row(j)[bi] = mb[j-j0]
 				}
 			}
 		}
@@ -251,33 +254,24 @@ func (vc *valueClasses) listMembers() {
 	vc.start = start[:u+1]
 }
 
-// expand writes the n x n matrix of a relation from its U x U class
-// matrix, nil for nil: two points are related exactly when their classes
-// are. A class's first point gets its row from the set bits of the class
-// row, one bit per member of each related class, and every other member
-// a word copy of that row, so the cost is the bits set plus the rows
-// copied. There is one task per class, and it writes only its own
-// members' rows.
-func (vc *valueClasses) expand(classRows []uint64) []uint64 {
-	if classRows == nil {
-		return nil
-	}
-	n, u := len(vc.of), len(vc.first)
-	words, classWords := RowWords(n), RowWords(u)
-	rows := make([]uint64, n*words)
-	workpool.For(workpool.Workers(), u, func(c int) {
-		own := vc.member[vc.start[c]:vc.start[c+1]]
-		row := rows[int(own[0])*words:][:words]
-		for w, m := range classRows[c*classWords : (c+1)*classWords] {
+// spread turns a relation over the U classes into the relation over
+// their n members: two points are related exactly when their classes
+// are, so the result stores one row per class and every member reads
+// its class's row. Class c's row gets one bit per member of
+// each class its class row relates it to, so the cost is the bits set
+// in the U stored rows. There is one task per class, and it writes only
+// its class's row.
+func (vc *valueClasses) spread(classRows *bitrel.Rel) *bitrel.Rel {
+	rows := bitrel.Shared(vc.of, len(vc.first), len(vc.of))
+	workpool.For(workpool.Workers(), len(vc.first), func(c int) {
+		row := rows.Row(int(vc.first[c]))
+		for w, m := range classRows.Row(c) {
 			for ; m != 0; m &= m - 1 {
 				d := w<<6 | bits.TrailingZeros64(m)
 				for _, j := range vc.member[vc.start[d]:vc.start[d+1]] {
 					row[j>>6] |= 1 << (j & 63)
 				}
 			}
-		}
-		for _, i := range own[1:] {
-			copy(rows[int(i)*words:][:words], row)
 		}
 	})
 	return rows

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"batcher/internal/bitrel"
 	"batcher/internal/feature"
 )
 
@@ -115,23 +117,56 @@ func somePairDistance(pts []feature.Vector, dist feature.Distance, rnd *rand.Ran
 
 func TestDBSCANMatchesScanOracle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(16))
+	sawShared := false
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 129, 700} {
+		sets := duplicateGeometries(n, rnd)
 		for name, pts := range geometries(n, rnd) {
 			dist := feature.Distance(feature.Euclidean)
 			if name == "zeros" {
 				dist = feature.CosineDistance
 			}
+			sets = append(sets, namedGeometry{name, pts, dist})
+		}
+		for _, g := range sets {
+			pts, dist := g.pts, g.dist
+			sawShared = sawShared || distinctVectors(pts) < n
 			epss := []float64{0, somePairDistance(pts, dist, rnd), somePairDistance(pts, dist, rnd), 0.9, math.NaN()}
 			for _, eps := range epss {
+				// The rows Sweep shares among equal vectors, and the same
+				// rows copied out to every point.
+				within, _ := Sweep(pts, dist, nil, eps, true, 0, false)
+				full := expanded(within)
 				for _, minPts := range []int{1, 3, n + 1} {
-					got := DBSCAN(pts, dist, eps, minPts)
-					if err := sameResult(got, dbscanScan(pts, dist, eps, minPts)); err != nil {
-						t.Fatalf("n=%d %s eps=%v minPts=%d: %v", n, name, eps, minPts, err)
+					want := dbscanScan(pts, dist, eps, minPts)
+					for _, run := range []struct {
+						name string
+						got  Result
+					}{
+						{"DBSCAN", DBSCAN(pts, dist, eps, minPts)},
+						{"DBSCANRows on shared rows", DBSCANRows(within, minPts)},
+						{"DBSCANRows on the expanded copy", DBSCANRows(full, minPts)},
+					} {
+						if err := sameResult(run.got, want); err != nil {
+							t.Fatalf("n=%d %s eps=%v minPts=%d, %s: %v", n, g.name, eps, minPts, run.name, err)
+						}
 					}
 				}
 			}
 		}
 	}
+	if !sawShared {
+		t.Error("every point set was all-distinct: no relation shared a row")
+	}
+}
+
+// expanded copies r into a relation that stores every row on its own,
+// the n x n matrix a sweep that shared no rows would have built.
+func expanded(r *bitrel.Rel) *bitrel.Rel {
+	e := bitrel.New(r.Len(), r.Cols())
+	for i := range r.Len() {
+		copy(e.Row(i), r.Row(i))
+	}
+	return e
 }
 
 // TestDBSCANContestedBorder: a border point within eps of core points of
@@ -166,11 +201,6 @@ func TestDBSCANContestedBorder(t *testing.T) {
 	if got.Assign[9] != Noise {
 		t.Errorf("outlier assigned to %d", got.Assign[9])
 	}
-}
-
-// bitAt reads bit (i, j) of an n-column Sweep matrix.
-func bitAt(rows []uint64, n, i, j int) bool {
-	return rows[i*RowWords(n)+j>>6]>>(j&63)&1 != 0
 }
 
 // namedGeometry is a point set with the distance it is swept under.
@@ -303,15 +333,66 @@ func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Dist
 	for _, rel := range []struct{ within, below bool }{{true, false}, {false, true}, {true, true}} {
 		for _, feed := range feeds {
 			for _, workers := range []int{1, 4} {
-				var within, below []uint64
+				var within, below *bitrel.Rel
 				withWorkers(workers, func() { within, below = Sweep(pts, dist, feed.ds, thr, rel.within, thr, rel.below) })
 				at := fmt.Sprintf("%s within=%v below=%v fed by %s, workers=%d", at, rel.within, rel.below, feed.name, workers)
 				checkRelation(t, at+": within", within, rel.within, full, func(d float64) bool { return d <= thr })
 				checkRelation(t, at+": below", below, rel.below, full, func(d float64) bool { return d < thr })
+				// A sweep that measures the points shares one row among
+				// equal vectors; one fed the buffer gives every point its
+				// own.
+				if rel.within {
+					checkSharing(t, at+": within", within, pts, feed.ds == nil)
+				}
+				if rel.below {
+					checkSharing(t, at+": below", below, pts, feed.ds == nil)
+				}
+				if rel.within && rel.below && workers == 1 {
+					checkRelation(t, at+": within, expanded", expanded(within), true, full, func(d float64) bool { return d <= thr })
+					checkRelation(t, at+": below, expanded", expanded(below), true, full, func(d float64) bool { return d < thr })
+				}
 			}
 		}
 	}
 	return ownOutside
+}
+
+// checkSharing checks which rows of r read the same storage: row i reads
+// the row of the first point with pts[i]'s value when byValue is set,
+// and its own otherwise.
+func checkSharing(t *testing.T, at string, r *bitrel.Rel, pts []feature.Vector, byValue bool) {
+	t.Helper()
+	firstOf := map[string]int{}
+	owner := map[*uint64]int{}
+	for i, v := range pts {
+		want := i
+		if byValue {
+			k := valueKey(v)
+			if f, seen := firstOf[k]; seen {
+				want = f
+			} else {
+				firstOf[k] = i
+			}
+		}
+		p := &r.Row(i)[0]
+		o, seen := owner[p]
+		if !seen {
+			owner[p], o = i, i
+		}
+		if o != want {
+			t.Fatalf("%s: row %d is stored with row %d, want %d", at, i, o, want)
+		}
+	}
+}
+
+// valueKey is a vector's value as a map key: its length and the float64
+// bits of every component.
+func valueKey(v feature.Vector) string {
+	key := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+	}
+	return string(key)
 }
 
 // distinctVectors counts the distinct values among pts, two vectors being
@@ -320,11 +401,7 @@ func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Dist
 func distinctVectors(pts []feature.Vector) int {
 	seen := map[string]bool{}
 	for _, v := range pts {
-		key := make([]byte, 0, 8*len(v))
-		for _, x := range v {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
-		}
-		seen[string(key)] = true
+		seen[valueKey(v)] = true
 	}
 	return len(seen)
 }
@@ -362,29 +439,35 @@ func TestSweepCallsDistanceOncePerDistinctPair(t *testing.T) {
 	}
 }
 
-// checkRelation compares a Sweep matrix to holds over the full distance
-// matrix: nil when not asked for, bit (i, j) == holds(full[i][j]), and
-// no bit set past column n-1 (popcounts read whole words).
-func checkRelation(t *testing.T, at string, rows []uint64, asked bool, full [][]float64, holds func(float64) bool) {
+// checkRelation compares a Sweep relation to holds over the full
+// distance matrix: nil when not asked for, n rows over n columns, bit
+// (i, j) == holds(full[i][j]), and every row's words those of the double
+// loop, so no bit is set past column n-1 (popcounts read whole words).
+func checkRelation(t *testing.T, at string, rows *bitrel.Rel, asked bool, full [][]float64, holds func(float64) bool) {
 	t.Helper()
 	n := len(full)
 	if !asked {
 		if rows != nil {
-			t.Fatalf("%s: %d words, not asked for", at, len(rows))
+			t.Fatalf("%s: a relation of %d rows, not asked for", at, rows.Len())
 		}
 		return
 	}
-	if len(rows) != n*RowWords(n) {
-		t.Fatalf("%s: %d words, want %d", at, len(rows), n*RowWords(n))
+	if rows.Len() != n || rows.Cols() != n {
+		t.Fatalf("%s: %d x %d, want %d x %d", at, rows.Len(), rows.Cols(), n, n)
 	}
+	want := make([]uint64, bitrel.Words(n))
 	for i := range full {
+		clear(want)
 		for j, d := range full[i] {
-			if bitAt(rows, n, i, j) != holds(d) {
+			if holds(d) {
+				want[j>>6] |= 1 << (j & 63)
+			}
+			if rows.Has(i, j) != holds(d) {
 				t.Fatalf("%s: bit (%d,%d) = %v at distance %v", at, i, j, !holds(d), d)
 			}
 		}
-		if last := rows[(i+1)*RowWords(n)-1]; n&63 != 0 && last>>(n&63) != 0 {
-			t.Fatalf("%s: row %d has bits set past column %d", at, i, n-1)
+		if !slices.Equal(rows.Row(i), want) {
+			t.Fatalf("%s: row %d is %x, want %x", at, i, rows.Row(i), want)
 		}
 	}
 }
@@ -428,7 +511,7 @@ func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 	dist := func(a, b feature.Vector) float64 { calls++; return feature.Euclidean(a, b) }
 	withWorkers(1, func() {
 		if w, b := Sweep(pts, dist, nil, 1, false, 1, false); w != nil || b != nil || calls != 0 {
-			t.Errorf("nothing asked: got %d and %d words after %d calls", len(w), len(b), calls)
+			t.Errorf("nothing asked: got within=%v below=%v after %d calls", w != nil, b != nil, calls)
 		}
 		w, b := Sweep(pts, dist, nil, 2, true, 1, false)
 		if w == nil || b != nil {
@@ -450,4 +533,37 @@ func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 			t.Errorf("both relations from the buffer: %d distance calls, want the n = 70 diagonal ones", calls)
 		}
 	})
+}
+
+// TestSweepStoresOneRowPerDistinctVector: on 4 096 points over 64
+// values, a sweep of both relations allocates less than one n x n bit
+// matrix, because each relation stores one row per distinct vector, and
+// the shared rows still hold the right bits.
+func TestSweepStoresOneRowPerDistinctVector(t *testing.T) {
+	const n, u = 4096, 64
+	rnd := rand.New(rand.NewSource(36))
+	values := make([]feature.Vector, u)
+	for c := range values {
+		values[c] = feature.Vector{rnd.Float64(), rnd.Float64()}
+	}
+	pts := make([]feature.Vector, n)
+	for i := range pts {
+		pts[i] = append(feature.Vector{}, values[rnd.Intn(u)]...)
+	}
+	const eps, thr = 0.4, 0.2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	within, below := Sweep(pts, feature.Euclidean, nil, eps, true, thr, true)
+	runtime.ReadMemStats(&after)
+	matrix := uint64(n * bitrel.Words(n) * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= matrix {
+		t.Errorf("sweep of %d points over %d values allocated %d bytes, want less than one %d x %d bit matrix (%d bytes)", n, u, got, n, n, matrix)
+	}
+	for range 20000 {
+		i, j := rnd.Intn(n), rnd.Intn(n)
+		d := feature.Euclidean(pts[i], pts[j])
+		if within.Has(i, j) != (d <= eps) || below.Has(i, j) != (d < thr) {
+			t.Fatalf("pair (%d,%d) at distance %v: within=%v below=%v", i, j, d, within.Has(i, j), below.Has(i, j))
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"batcher/internal/bitrel"
 	"batcher/internal/cluster"
 	"batcher/internal/feature"
 	"batcher/internal/setcover"
@@ -12,18 +13,18 @@ import (
 // distances, so windowGeometry measures them together and the two stages
 // work on bits.
 type geometry struct {
-	// within is DBSCAN's ε-neighbourhood over the questions as
-	// cluster.Sweep rows. Nil when the configured batching does not
+	// within is DBSCAN's ε-neighbourhood over the questions, as
+	// cluster.Sweep builds it. Nil when the configured batching does not
 	// cluster, or when the calibrated radius is not positive (degenerate
 	// geometry: every question is one cluster).
-	within []uint64
+	within *bitrel.Rel
 	// t is the covering threshold; set only for CoveringSelection.
 	t float64
-	// below is the cover relation dist < t as bit rows, pool index by
-	// question index: cluster.Sweep's when the pool is the question set
-	// itself, setcover.Rows' over the rectangular pool x question
-	// relation otherwise. Nil unless the selection is covering.
-	below []uint64
+	// below is the cover relation dist < t, pool index by question
+	// index: cluster.Sweep's when the pool is the question set itself,
+	// setcover.Rows' over the rectangular pool x question relation
+	// otherwise. Nil unless the selection is covering.
+	below *bitrel.Rel
 }
 
 // clustersQuestions reports whether batching needs question clusters.
@@ -91,5 +92,5 @@ func (g geometry) clusters(n, minPts int) [][]int {
 		}
 		return [][]int{all}
 	}
-	return cluster.DBSCANRows(n, g.within, minPts).Clusters()
+	return cluster.DBSCANRows(g.within, minPts).Clusters()
 }

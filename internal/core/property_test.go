@@ -132,7 +132,7 @@ func TestCoveringWithinThresholdProperty(t *testing.T) {
 		cfg.CoverPercentile = 0.3
 		batches := randomBatches(nq, 8, rnd)
 		tval := coverThreshold(cfg, qVecs)
-		sel := coveringSelection(batches, len(qVecs), pool, windowGeometry(cfg, qVecs, dVecs, false))
+		sel := coveringSelection(batches, pool, windowGeometry(cfg, qVecs, dVecs, false))
 		for bi, batch := range batches {
 			for _, qi := range batch {
 				coverable := false

@@ -35,7 +35,7 @@ func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, poo
 	case TopKQuestion:
 		sel = topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	case CoveringSelection:
-		sel = coveringSelection(batches, len(qVecs), pool, geo)
+		sel = coveringSelection(batches, pool, geo)
 	case VoteKSelection:
 		sel = voteKSelection(cfg, batches, qVecs, dVecs)
 	default:
@@ -113,15 +113,14 @@ func topKQuestionSelection(cfg Config, batches Batches, qVecs, dVecs []feature.V
 }
 
 // coveringSelection implements Section V over geo.below, the cover
-// relation of the nq questions (bit q of pool row d set iff
+// relation of the questions (pool row d holds question q iff
 // Distance(dVecs[d], qVecs[q]) < geo.t): stage 1 selects a minimal
 // demonstration set covering all questions (unit weights), stage 2
 // covers each batch from that set minimizing total token weight. Both
 // stages read bits; neither measures a distance.
-func coveringSelection(batches Batches, nq int, pool []entity.Pair, geo geometry) selection {
-	words := cluster.RowWords(nq)
+func coveringSelection(batches Batches, pool []entity.Pair, geo geometry) selection {
 	// Stage 1: Demonstration Set Generation over the full question set.
-	ds := setcover.GreedyRows(len(pool), nq, geo.below, nil)
+	ds := setcover.GreedyRows(geo.below, nil)
 	// Token weights for stage 2: the price of including each selected
 	// demonstration in a prompt.
 	weights := make([]float64, len(ds))
@@ -130,10 +129,7 @@ func coveringSelection(batches Batches, nq int, pool []entity.Pair, geo geometry
 	}
 	var sel selection
 	for _, batch := range batches {
-		rows := setcover.Rows(len(ds), len(batch), func(d, q int) bool {
-			return geo.below[ds[d]*words+batch[q]>>6]>>(batch[q]&63)&1 != 0
-		})
-		picked := setcover.GreedyRows(len(ds), len(batch), rows, func(d int) float64 { return weights[d] })
+		picked := setcover.GreedyRows(geo.below.Restrict(ds, batch), func(d int) float64 { return weights[d] })
 		ids := make([]int, 0, len(picked))
 		for _, pi := range picked {
 			ids = append(ids, ds[pi])

@@ -116,7 +116,7 @@ func TestCoveringSelectionCoversAllCoverable(t *testing.T) {
 	cfg.BatchSize = 3
 	cfg.CoverPercentile = 0.3
 	batches := Batches{{0, 1, 2}, {3, 4, 5}}
-	sel := coveringSelection(batches, len(qVecs), pool, windowGeometry(cfg, qVecs, dVecs, false))
+	sel := coveringSelection(batches, pool, windowGeometry(cfg, qVecs, dVecs, false))
 	if len(sel.labeled) != 2 {
 		t.Fatalf("labeled = %v, want the two near demos", sel.labeled)
 	}
@@ -140,7 +140,7 @@ func TestCoveringCheaperThanTopKQuestion(t *testing.T) {
 	cfg := Config{BatchSize: 8, Selection: CoveringSelection, Seed: 1}.applyDefaults()
 	cfg.CoverPercentile = 0.5
 	batches := Batches{{0, 1, 2, 3, 4, 5, 6, 7}}
-	cover := coveringSelection(batches, len(qVecs), pool, windowGeometry(cfg, qVecs, dVecs, false))
+	cover := coveringSelection(batches, pool, windowGeometry(cfg, qVecs, dVecs, false))
 	topkq := topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	if len(cover.labeled) >= len(topkq.labeled) {
 		// topk-question with k=1 will pick demo 0 for all questions here,

@@ -6,7 +6,7 @@
 //   - Batch Covering (Section V-B): token-count weights, minimize the total
 //     token weight of demonstrations covering a batch.
 //
-// The cover relation is a bit matrix — one row of question bits per
+// The cover relation is a bitrel.Rel — one row of question bits per
 // demonstration — which Rows builds from a predicate (or a caller
 // already holds), and GreedyRows runs on word operations over it.
 package setcover
@@ -14,6 +14,7 @@ package setcover
 import (
 	"math/bits"
 
+	"batcher/internal/bitrel"
 	"batcher/internal/workpool"
 )
 
@@ -24,21 +25,20 @@ import (
 // constant so tests can force both paths.
 var minParallelCover = 1 << 14
 
-// Rows evaluates covers(d, q) once per cell into the bit matrix
-// GreedyRows takes: nd rows of ceil(nq/64) words in one slice, bit q of
-// row d set iff covers(d, q). Rows are built by demonstration across
-// workpool workers from minParallelCover cells on, so covers must be
-// safe for concurrent calls; each task writes its own row and nothing
-// else, so the matrix does not depend on how the rows were scheduled.
-func Rows(nd, nq int, covers func(d, q int) bool) []uint64 {
-	words := (nq + 63) / 64
-	rows := make([]uint64, nd*words)
+// Rows evaluates covers(d, q) once per cell into the relation
+// GreedyRows takes: nd rows over nq columns, row d holding q iff
+// covers(d, q). Rows are built by demonstration across workpool workers
+// from minParallelCover cells on, so covers must be safe for concurrent
+// calls; each task writes its own row and nothing else, so the relation
+// does not depend on how the rows were scheduled.
+func Rows(nd, nq int, covers func(d, q int) bool) *bitrel.Rel {
+	rows := bitrel.New(nd, nq)
 	workers := 1
 	if nd*nq >= minParallelCover {
 		workers = workpool.Workers()
 	}
 	workpool.For(workers, nd, func(d int) {
-		row := rows[d*words : (d+1)*words]
+		row := rows.Row(d)
 		for q := 0; q < nq; q++ {
 			if covers(d, q) {
 				row[q>>6] |= 1 << (q & 63)
@@ -48,14 +48,16 @@ func Rows(nd, nq int, covers func(d, q int) bool) []uint64 {
 	return rows
 }
 
-// GreedyRows runs Algorithm 1 on the cover relation rows (see Rows):
-// starting from the empty selection, repeatedly add the demonstration
-// maximizing (marginal covered questions) / weight until the selection
-// covers every question that the full candidate set can cover. Ties go
-// to the higher raw gain, then to the lower index. The returned slice
-// lists selected demonstration indices in selection order. rows is
-// read, never written. weight(d) is the cost of selecting demonstration
-// d; nil means unit weights.
+// GreedyRows runs Algorithm 1 on the cover relation rows — row d holds
+// the questions demonstration d covers (see Rows; cluster.Sweep's rows
+// when the pool is the question set): starting from the empty
+// selection, repeatedly add the demonstration maximizing (marginal
+// covered questions) / weight until the selection covers every question
+// that the full candidate set can cover. Ties go to the higher raw
+// gain, then to the lower index. The returned slice lists selected
+// demonstration indices in selection order. rows is read, never
+// written. weight(d) is the cost of selecting demonstration d; nil
+// means unit weights.
 //
 // Questions that no candidate covers are ignored (they cap the reachable
 // value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
@@ -65,17 +67,13 @@ func Rows(nd, nq int, covers func(d, q int) bool) []uint64 {
 // demonstration bounds its current one from above, and a pick skips
 // every demonstration whose bound cannot beat the best candidate found
 // so far under the tie-break order — the pick is the one a full rescan
-// would make.
-func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
-	words := (nq + 63) / 64
+// would make. The first bounds are the rows' popcounts, taken once per
+// stored row.
+func GreedyRows(rows *bitrel.Rel, weight func(d int) float64) []int {
+	nd := rows.Len()
 	// bound[d] is the last marginal gain computed for d: exact when
 	// computed, an upper bound afterwards.
-	bound := make([]int, nd)
-	for d := range bound {
-		for _, r := range rows[d*words : (d+1)*words] {
-			bound[d] += bits.OnesCount64(r)
-		}
-	}
+	bound := rows.Counts()
 	weights := make([]float64, nd)
 	for d := range weights {
 		w := 1.0
@@ -87,7 +85,7 @@ func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
 		}
 		weights[d] = w
 	}
-	covered := make([]uint64, words)
+	covered := make([]uint64, bitrel.Words(rows.Cols()))
 	// beats is the pick order: higher ratio, then higher raw gain; the
 	// ascending scan leaves the lower index on a full tie.
 	beats := func(ratio float64, gain int, bestRatio float64, bestGain int) bool {
@@ -106,7 +104,7 @@ func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
 				continue
 			}
 			gain := 0
-			for i, r := range rows[d*words : (d+1)*words] {
+			for i, r := range rows.Row(d) {
 				gain += bits.OnesCount64(r &^ covered[i])
 			}
 			bound[d] = gain
@@ -123,7 +121,7 @@ func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
 			return out
 		}
 		out = append(out, best)
-		for i, r := range rows[best*words : (best+1)*words] {
+		for i, r := range rows.Row(best) {
 			covered[i] |= r
 		}
 		bound[best] = 0
@@ -134,5 +132,5 @@ func GreedyRows(nd, nq int, rows []uint64, weight func(d int) float64) []int {
 // BATCHER: demonstration d covers question q iff dist(d, q) < t.
 func GreedyThreshold(numDemos, numQuestions int, dist func(d, q int) float64, t float64, weight func(d int) float64) []int {
 	rows := Rows(numDemos, numQuestions, func(d, q int) bool { return dist(d, q) < t })
-	return GreedyRows(numDemos, numQuestions, rows, weight)
+	return GreedyRows(rows, weight)
 }

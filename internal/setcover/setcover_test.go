@@ -1,11 +1,15 @@
 package setcover
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+
+	"batcher/internal/bitrel"
 )
 
 // instance is a set cover instance stated as a predicate: nq questions,
@@ -21,7 +25,7 @@ type instance struct {
 // greedy runs GreedyRows on the relation Rows builds from inst.
 func greedy(inst instance) []int {
 	rows := Rows(inst.NumDemos, inst.NumQuestions, inst.Covers)
-	return GreedyRows(inst.NumDemos, inst.NumQuestions, rows, inst.Weight)
+	return GreedyRows(rows, inst.Weight)
 }
 
 // matrixInstance builds an instance from an explicit boolean cover matrix
@@ -345,13 +349,50 @@ func forceCoverPath(parallel bool, fn func()) {
 	fn()
 }
 
+// sharedRows builds the relation of cover[d][q] over nq questions the
+// way cluster.Sweep stores the rows of equal vectors: one stored row per
+// class, read by every member. byValue puts equal rows in one class;
+// otherwise every row is a class of its own, stored through the mapping
+// all the same. It returns the number of classes too.
+func sharedRows(cover [][]bool, nq int, byValue bool) (*bitrel.Rel, int) {
+	classOf := map[string]int32{}
+	rowOf := make([]int32, len(cover))
+	var firsts []int
+	for d, row := range cover {
+		key := fmt.Sprint(d)
+		if byValue {
+			key = fmt.Sprint(row)
+		}
+		c, seen := classOf[key]
+		if !seen {
+			c = int32(len(firsts))
+			classOf[key] = c
+			firsts = append(firsts, d)
+		}
+		rowOf[d] = c
+	}
+	rel := bitrel.Shared(rowOf, len(firsts), nq)
+	for _, d := range firsts {
+		row := rel.Row(d)
+		for q, covers := range cover[d] {
+			if covers {
+				row[q>>6] |= 1 << (q & 63)
+			}
+		}
+	}
+	return rel, len(firsts)
+}
+
 // TestGreedyMatchesListOracle is the exactness contract of GreedyRows
 // over Rows: same indices, same order as the list-based
 // implementation, on random weighted instances that exercise ties, the
 // nonpositive-weight guard, uncoverable questions, row widths around
 // the 64-bit word boundary, and both the serial and the parallel build.
+// GreedyRows on the same relation with equal rows stored once, and with
+// every row stored through a mapping of its own, picks the same.
 func TestGreedyMatchesListOracle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(29))
+	sawShared := false
 	// A few weights, repeated, so ratio ties and gain ties are common;
 	// zero and negative ones hit the guard.
 	weightPool := []float64{1, 1, 2, 2, 3, 0.5, 0, -1, 7}
@@ -396,9 +437,20 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 							}
 						})
 					}
+					for _, byValue := range []bool{false, true} {
+						rows, classes := sharedRows(cover, nq, byValue)
+						sawShared = sawShared || classes < nd
+						if got := GreedyRows(rows, inst.Weight); !slices.Equal(got, want) {
+							t.Fatalf("nq=%d nd=%d density=%v weighted=%v, %d stored rows: picked %v, oracle %v",
+								nq, nd, density, weighted, classes, got, want)
+						}
+					}
 				}
 			}
 		}
+	}
+	if !sawShared {
+		t.Error("no instance had equal rows: no relation shared a row")
 	}
 }
 
@@ -409,27 +461,31 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 func TestGreedyRowsReadsPrebuiltRows(t *testing.T) {
 	rnd := rand.New(rand.NewSource(16))
 	for _, n := range []int{1, 64, 65, 200} {
-		words := (n + 63) / 64
-		rows := make([]uint64, n*words)
+		rows := bitrel.New(n, n)
 		for d := 0; d < n; d++ {
 			for q := 0; q < n; q++ {
 				if d == q || rnd.Float64() < 0.05 {
-					rows[d*words+q>>6] |= 1 << (q & 63)
+					rows.Row(d)[q>>6] |= 1 << (q & 63)
 				}
 			}
 		}
-		before := append([]uint64(nil), rows...)
+		before := make([][]uint64, n)
+		for d := range before {
+			before[d] = slices.Clone(rows.Row(d))
+		}
 		weight := func(d int) float64 { return float64(1 + d%3) }
-		got := GreedyRows(n, n, rows, weight)
+		got := GreedyRows(rows, weight)
 		want := greedy(instance{
 			NumQuestions: n, NumDemos: n, Weight: weight,
-			Covers: func(d, q int) bool { return before[d*words+q>>6]>>(q&63)&1 != 0 },
+			Covers: func(d, q int) bool { return before[d][q>>6]>>(q&63)&1 != 0 },
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: GreedyRows picked %v, over Rows %v", n, got, want)
 		}
-		if !reflect.DeepEqual(rows, before) {
-			t.Fatalf("n=%d: GreedyRows wrote to its rows", n)
+		for d := range before {
+			if !slices.Equal(rows.Row(d), before[d]) {
+				t.Fatalf("n=%d: GreedyRows wrote to row %d", n, d)
+			}
 		}
 	}
 }
