@@ -52,7 +52,6 @@ func TestOptionsApply(t *testing.T) {
 		WithBatchSize(4),
 		WithNumDemos(6),
 		WithModel(GPT4),
-		WithTemperature(0.5),
 		WithCoverPercentile(0.2),
 		WithJaccardFeatures(),
 	)
@@ -63,8 +62,8 @@ func TestOptionsApply(t *testing.T) {
 	if cfg.Model != GPT4 {
 		t.Errorf("model = %q", cfg.Model)
 	}
-	if cfg.Temperature != 0.5 || cfg.CoverPercentile != 0.2 {
-		t.Errorf("temp/percentile = %v/%v", cfg.Temperature, cfg.CoverPercentile)
+	if cfg.CoverPercentile != 0.2 {
+		t.Errorf("percentile = %v", cfg.CoverPercentile)
 	}
 	if cfg.Extractor.Name() != "JAC" {
 		t.Errorf("extractor = %q", cfg.Extractor.Name())
@@ -117,7 +116,7 @@ func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
 			got.CoverPercentile != want.CoverPercentile ||
 			got.ClusterEpsPercentile != want.ClusterEpsPercentile ||
 			got.ClusterMinPts != want.ClusterMinPts ||
-			got.Model != want.Model || got.Temperature != want.Temperature ||
+			got.Model != want.Model ||
 			got.TaskDescription != want.TaskDescription ||
 			got.DistanceSampleCap != want.DistanceSampleCap ||
 			got.Parallelism != want.Parallelism ||

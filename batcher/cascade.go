@@ -12,9 +12,9 @@ import (
 // PipelineConfig.Prefilter to spend the LLM budget only on hard pairs.
 type CascadePrefilter = cascade.Prefilter
 
-// CascadeConfig tunes pre-filter training: routing thresholds, the
-// calibration method, and the training seed. The zero value uses the
-// defaults (tau 0.05/0.95, Platt scaling).
+// CascadeConfig tunes pre-filter training: the routing thresholds and
+// the training seed. The zero value uses the default thresholds (tau
+// 0.05/0.95); calibration is always Platt scaling.
 type CascadeConfig = cascade.Config
 
 // TrainCascadePrefilter fits the calibrated pre-filter on labeled pairs

@@ -61,9 +61,6 @@ func WithSemanticFeatures() Option { return func(c *Config) { c.Extractor = feat
 // 0.08, the paper's 8th percentile).
 func WithCoverPercentile(p float64) Option { return func(c *Config) { c.CoverPercentile = p } }
 
-// WithTemperature sets the sampling temperature (default 0.01).
-func WithTemperature(t float64) Option { return func(c *Config) { c.Temperature = t } }
-
 // WithJSONAnswers requests structured JSON replies from the LLM instead
 // of the paper's free-text format (an extension; parsing accepts both).
 func WithJSONAnswers() Option { return func(c *Config) { c.JSONAnswers = true } }

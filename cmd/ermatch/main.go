@@ -164,6 +164,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ermatch: -a and -b are required")
 		os.Exit(2)
 	}
+	if *cascadeOn {
+		if err := checkTaus(*tauLo, *tauHi); err != nil {
+			fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	var shardSpec batcher.ShardSpec
 	if *shardFlag != "" {
 		if *mergeShards != "" {
@@ -444,6 +450,21 @@ func checkAttr(attr, path string, table []batcher.Record) error {
 		return nil
 	}
 	return fmt.Errorf("-attr %q is not a column of %s (columns: %s)", attr, path, strings.Join(table[0].Attrs, ", "))
+}
+
+// checkTaus rejects a -tau-lo or -tau-hi that is not above 0, NaN
+// included: the pre-filter would read it as "use the default" and route
+// at a threshold the banner does not print.
+func checkTaus(lo, hi float64) error {
+	for _, tau := range []struct {
+		flag string
+		v    float64
+	}{{"-tau-lo", lo}, {"-tau-hi", hi}} {
+		if !(tau.v > 0) {
+			return fmt.Errorf("%s %v must be above 0", tau.flag, tau.v)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

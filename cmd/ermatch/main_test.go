@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"batcher/batcher"
@@ -26,5 +27,28 @@ func TestCheckAttr(t *testing.T) {
 	const want = `-attr "beer_nme" is not a column of tableA.csv (columns: beer_name, brew_factory_name, style)`
 	if err := checkAttr("beer_nme", "tableA.csv", table); err == nil || err.Error() != want {
 		t.Errorf("checkAttr(\"beer_nme\") = %v, want %s", err, want)
+	}
+}
+
+func TestCheckTaus(t *testing.T) {
+	for _, tc := range [][2]float64{{0.05, 0.95}, {0.2, 0.7}, {1e-9, 1}} {
+		if err := checkTaus(tc[0], tc[1]); err != nil {
+			t.Errorf("checkTaus(%v, %v) = %v, want accepted", tc[0], tc[1], err)
+		}
+	}
+	for _, tc := range []struct {
+		lo, hi float64
+		want   string
+	}{
+		{0, 0.95, "-tau-lo 0 must be above 0"},
+		{-0.1, 0.95, "-tau-lo -0.1 must be above 0"},
+		{math.NaN(), 0.95, "-tau-lo NaN must be above 0"},
+		{0.05, 0, "-tau-hi 0 must be above 0"},
+		{0.05, math.NaN(), "-tau-hi NaN must be above 0"},
+		{0, 0, "-tau-lo 0 must be above 0"},
+	} {
+		if err := checkTaus(tc.lo, tc.hi); err == nil || err.Error() != tc.want {
+			t.Errorf("checkTaus(%v, %v) = %v, want %s", tc.lo, tc.hi, err, tc.want)
+		}
 	}
 }

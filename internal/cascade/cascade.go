@@ -1,9 +1,9 @@
 // Package cascade implements the calibrated pre-filter of the model
 // cascade: a cheap learned scorer over token-Jaccard features, fitted
-// with Platt or isotonic calibration so its probabilities support
-// three-way routing — Auto-Yes above tau-hi, Auto-No below tau-lo, and
-// an Ambiguous band in between that is the only traffic the LLM tiers
-// ever see. Together with core's tier router (Config.CheapModel +
+// with Platt calibration so its probabilities support three-way
+// routing — Auto-Yes above tau-hi, Auto-No below tau-lo, and an
+// Ambiguous band in between that is the only traffic the LLM tiers ever
+// see. Together with core's tier router (Config.CheapModel +
 // llm.NewTiered) it turns the single-model spend into an explicit
 // dollars-per-F1 frontier: auto-resolved pairs are free, the ambiguous
 // band goes to the cheap model in large batches, and only low-margin or
@@ -52,14 +52,6 @@ type Config struct {
 	// below TauLo auto-resolves to non-match, above TauHi to match.
 	// Defaults 0.05 and 0.95.
 	TauLo, TauHi float64
-	// Isotonic selects isotonic-regression calibration instead of the
-	// default Platt scaling. Isotonic needs more calibration data but
-	// makes no shape assumption.
-	Isotonic bool
-	// Extractor maps pairs to feature vectors; default the Jaccard
-	// extractor (cheap: one allocation-free one-shot kernel per
-	// attribute).
-	Extractor feature.Extractor
 	// Seed drives the learned scorer's training.
 	Seed int64
 }
@@ -71,28 +63,28 @@ func (c Config) applyDefaults() Config {
 	if c.TauHi <= 0 {
 		c.TauHi = 0.95
 	}
-	if c.Extractor == nil {
-		c.Extractor = feature.NewJAC()
-	}
 	return c
 }
+
+// jac is the pre-filter's feature extractor, for training, scoring and
+// bootstrap labelling alike: Jaccard is cheap, one allocation-free
+// one-shot kernel per attribute.
+var jac = feature.NewJAC()
 
 // Prefilter is a trained, calibrated router. It is immutable after Train
 // and safe for concurrent use.
 type Prefilter struct {
-	ex    feature.Extractor
 	std   *ml.Standardizer
 	base  *ml.LogReg
-	cal   ml.Calibrator
+	cal   ml.Platt
 	tauLo float64
 	tauHi float64
 }
 
 // Train fits the pre-filter on labeled pairs: a logistic scorer over the
-// extractor's features, then probability calibration on a held-out
-// 30% split (Platt by default, isotonic with cfg.Isotonic). Pairs whose
-// Truth is Unknown are skipped; training needs both classes present —
-// use BootstrapLabels to weak-label an unlabeled sample first.
+// Jaccard features, then Platt calibration on a held-out 30% split.
+// Pairs whose Truth is Unknown are skipped; training needs both classes
+// present — use BootstrapLabels to weak-label an unlabeled sample first.
 func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 	cfg = cfg.applyDefaults()
 	if cfg.TauLo >= cfg.TauHi {
@@ -104,7 +96,7 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 		if p.Truth == entity.Unknown {
 			continue
 		}
-		xs = append(xs, cfg.Extractor.Extract(p))
+		xs = append(xs, jac.Extract(p))
 		ys = append(ys, p.Truth == entity.Match)
 	}
 	if len(xs) < 4 {
@@ -146,17 +138,10 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 	for i, x := range calX {
 		scores[i] = base.Prob(std.Apply(x))
 	}
-	var cal ml.Calibrator
-	if cfg.Isotonic {
-		cal = ml.FitIsotonic(scores, calY)
-	} else {
-		cal = ml.FitPlatt(scores, calY)
-	}
 	return &Prefilter{
-		ex:    cfg.Extractor,
 		std:   std,
 		base:  base,
-		cal:   cal,
+		cal:   ml.FitPlatt(scores, calY),
 		tauLo: cfg.TauLo,
 		tauHi: cfg.TauHi,
 	}, nil
@@ -164,7 +149,7 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 
 // Prob returns the calibrated match probability of the pair.
 func (pf *Prefilter) Prob(p entity.Pair) float64 {
-	return pf.cal.Calibrate(pf.base.Prob(pf.std.Apply(pf.ex.Extract(p))))
+	return pf.cal.Calibrate(pf.base.Prob(pf.std.Apply(jac.Extract(p))))
 }
 
 // RouteOne routes a single pair.
@@ -237,14 +222,7 @@ func (pf *Prefilter) Fingerprint() string {
 	for i := range pf.std.Mean {
 		fmt.Fprintf(h, "s=%.12g:%.12g\n", pf.std.Mean[i], pf.std.Std[i])
 	}
-	switch cal := pf.cal.(type) {
-	case ml.Platt:
-		fmt.Fprintf(h, "platt=%.12g:%.12g\n", cal.A, cal.B)
-	case ml.Isotonic:
-		for i := range cal.Scores {
-			fmt.Fprintf(h, "iso=%.12g:%.12g\n", cal.Scores[i], cal.Values[i])
-		}
-	}
+	fmt.Fprintf(h, "platt=%.12g:%.12g\n", pf.cal.A, pf.cal.B)
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
 
@@ -255,11 +233,10 @@ func (pf *Prefilter) Fingerprint() string {
 // calibrated thresholds will route to the LLM anyway — so the resulting
 // pre-filter remains useful for unsupervised pipelines.
 func BootstrapLabels(pairs []entity.Pair) []entity.Pair {
-	ex := feature.NewJAC()
 	out := make([]entity.Pair, len(pairs))
 	for i, p := range pairs {
 		if p.Truth == entity.Unknown {
-			if feature.MatchEvidence(ex.Extract(p)) >= feature.EvidenceBoundary {
+			if feature.MatchEvidence(jac.Extract(p)) >= feature.EvidenceBoundary {
 				p.Truth = entity.Match
 			} else {
 				p.Truth = entity.NonMatch

@@ -59,14 +59,6 @@ func TestTrainAndRoute(t *testing.T) {
 	}
 }
 
-func TestIsotonicTrainAndRoute(t *testing.T) {
-	pf, test := trainedPrefilter(t, Config{Isotonic: true})
-	r := pf.RouteAll(test)
-	if r.AutoYes+r.AutoNo+len(r.Amb) != len(test) {
-		t.Errorf("routes do not partition under isotonic calibration")
-	}
-}
-
 func TestWithThresholds(t *testing.T) {
 	pf, test := trainedPrefilter(t, Config{})
 	strict := pf.WithThresholds(0.001, 0.999)
@@ -97,14 +89,11 @@ func TestFingerprint(t *testing.T) {
 	if pf.WithThresholds(0.2, 0.8).Fingerprint() == fp {
 		t.Error("threshold change did not change the fingerprint")
 	}
-	iso, _ := trainedPrefilter(t, Config{Isotonic: true})
-	if iso.Fingerprint() == fp {
-		t.Error("calibrator change did not change the fingerprint")
-	}
 }
 
 // TestFingerprintPinned pins the exact fingerprints of pre-filters
-// trained on a fixed set under both calibrators. Journals stamp the
+// trained on a fixed set, at the default and at non-default thresholds
+// and seed. Journals stamp the
 // fingerprint into RunMeta.Cascade and a resume refuses a mismatch, so
 // a refactor of the scorer's storage must not move a single byte.
 func TestFingerprintPinned(t *testing.T) {
@@ -113,8 +102,7 @@ func TestFingerprintPinned(t *testing.T) {
 		want string
 	}{
 		{Config{}, "6e539c7d57c2106af241e4ec"},
-		{Config{Isotonic: true}, "db2f76fa99803c516ab13833"},
-		{Config{Isotonic: true, TauLo: 0.2, TauHi: 0.7, Seed: 3}, "14519b16b2be0a4c4fd338cb"},
+		{Config{TauLo: 0.2, TauHi: 0.7, Seed: 3}, "5bedcd66578a3663c40c663f"},
 	} {
 		pf, _ := trainedPrefilter(t, tc.cfg)
 		if got := pf.Fingerprint(); got != tc.want {

@@ -122,8 +122,6 @@ type Config struct {
 	ClusterMinPts int
 	// Model is the llm registry name; default GPT-3.5-turbo-0301.
 	Model string
-	// Temperature for LLM calls; the paper sets 0.01.
-	Temperature float64
 	// TaskDescription overrides the default instruction header.
 	TaskDescription string
 	// Seed drives all randomized steps (fixed sampling, shuffles).
@@ -182,9 +180,6 @@ func (c Config) applyDefaults() Config {
 	}
 	if c.Model == "" {
 		c.Model = llm.DefaultModel
-	}
-	if c.Temperature <= 0 {
-		c.Temperature = 0.01
 	}
 	if c.TaskDescription == "" {
 		c.TaskDescription = prompt.DefaultTaskDescription

@@ -124,6 +124,7 @@ func (f *Framework) annotate(pool []entity.Pair, ids []int) []prompt.Demo {
 // llm.TierDefault; tier also stamps the request for tier routing
 // (llm.NewTiered) and cache identity.
 func (f *Framework) ask(ctx context.Context, model llm.Model, tier llm.Tier, demos []prompt.Demo, qs []entity.Pair, br *BatchResult) ([]entity.Label, error) {
+	const temperature = 0.01 // the paper's sampling temperature
 	format := prompt.TextAnswers
 	if f.cfg.JSONAnswers {
 		format = prompt.JSONAnswers
@@ -133,7 +134,7 @@ func (f *Framework) ask(ctx context.Context, model llm.Model, tier llm.Tier, dem
 		resp, err := f.client.Complete(ctx, llm.Request{
 			Model:       model.Name,
 			Prompt:      p.Text,
-			Temperature: f.cfg.Temperature,
+			Temperature: temperature,
 			Tier:        tier,
 		})
 		switch {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"batcher/internal/feature"
+	"batcher/internal/llm"
 )
 
 // Pinned margin values on a hand-built 1-D geometry: the margin is
@@ -47,29 +48,36 @@ func TestVoteMarginsDegenerate(t *testing.T) {
 	}
 }
 
-// The margin must surface on every batch the stream delivers, for all
-// selection strategies — it is the cascade's routing signal even when
-// vote-k selection is not in use.
-func TestVoteMarginSurfacedOnStream(t *testing.T) {
+// Only a tiered run reads the vote-k margin, so only a tiered run pays
+// for it: a single-model Prepare holds no margins, and a Prepare with
+// CheapModel set holds one per batch, in [0,1], for every selection
+// strategy — the margin is a property of the annotated geometry, not of
+// vote-k selection.
+func TestMarginsOnlyOnTieredRuns(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 24)
-	client := newSimClient(questions, pool, 1)
-	f := NewFromConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection, Seed: 1})
-	prep, err := f.Prepare(context.Background(), questions, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := prep.Start(context.Background())
-	delivered := 0
-	for br := range stream.All() {
-		if br.VoteMargin < 0 || br.VoteMargin > 1 {
-			t.Errorf("batch %d margin %v outside [0,1]", br.Index, br.VoteMargin)
+	for _, sel := range []SelectStrategy{CoveringSelection, FixedSelection, VoteKSelection} {
+		single := Config{Batching: DiversityBatching, Selection: sel, Seed: 1}
+		tiered := cascadeConfig(1)
+		tiered.Selection = sel
+		for name, cfg := range map[string]Config{"single-model": single, "tiered": tiered} {
+			prep, err := NewFromConfig(llm.NewSimulated(nil, 1), cfg).Prepare(context.Background(), questions, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.CheapModel == "" {
+				if prep.margins != nil {
+					t.Errorf("%s/%s: %d margins computed, want none", name, sel, len(prep.margins))
+				}
+				continue
+			}
+			if len(prep.margins) != len(prep.Batches()) {
+				t.Fatalf("%s/%s: %d margins for %d batches", name, sel, len(prep.margins), len(prep.Batches()))
+			}
+			for bi, m := range prep.margins {
+				if m < 0 || m > 1 {
+					t.Errorf("%s/%s: batch %d margin %v outside [0,1]", name, sel, bi, m)
+				}
+			}
 		}
-		delivered++
-	}
-	if err := stream.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != len(prep.Batches()) {
-		t.Fatalf("stream delivered %d margins for %d batches", delivered, len(prep.Batches()))
 	}
 }

@@ -24,14 +24,18 @@ type Prepared struct {
 	batches   Batches
 	sel       selection
 	model     llm.Model
-	// cheap is the cascade's cheap tier; valid only when cascade is set.
+	// cheap is the cascade's cheap tier and margins its per-batch vote-k
+	// margins, aligned with batches; both are set only on a tiered run
+	// (Config.CheapModel), and cascade says whether this is one.
 	cheap   llm.Model
+	margins []float64
 	cascade bool
 }
 
 // Prepare runs the CPU-bound front half of a resolution: feature
 // extraction, batching, partition verification, demonstration
-// selection, and model lookup. It makes no LLM calls and bills nothing.
+// selection, and model lookup, plus the vote-k margins a tiered run
+// routes on. It makes no LLM calls and bills nothing.
 // Setup failures (a dead ctx, an unknown model, a broken partition)
 // surface here, before any batch can run.
 func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) (*Prepared, error) {
@@ -73,6 +77,7 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 			return nil, err
 		}
 		p.cheap = cheap
+		p.margins = voteMargins(cfg, batches, qVecs, dVecs, p.sel.labeled)
 		p.cascade = true
 	}
 	p.batches = batches

@@ -21,7 +21,8 @@ import (
 // the rectangular cover build: same batches, per-batch demonstrations,
 // annotated set and margins — with the calibration unsampled (one shared
 // distance buffer) and sampled (DistanceSampleCap below n: two seeded
-// samples), under both clustering strategies.
+// samples), under both clustering strategies. Every variant is tiered
+// (CheapModel set), since only a tiered run computes margins.
 func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 	window, _ := testWorkload(t, "Beer", 96)
 	type variant struct {
@@ -44,6 +45,7 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 	for _, v := range variants {
 		f := NewFromConfig(llm.NewSimulated(nil, 1), Config{
 			Batching: v.batching, Selection: v.sel, Extractor: v.ex, Seed: 1, DistanceSampleCap: v.sampleCap,
+			Model: llm.GPT4, CheapModel: llm.GPT35Turbo0301,
 		})
 		aliased, err := f.Prepare(context.Background(), window, window)
 		if err != nil {
@@ -54,8 +56,9 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("%s/%s/%s/cap=%d", v.ex.Name(), v.batching, v.sel, v.sampleCap)
-		if len(aliased.batches) == 0 || len(aliased.sel.labeled) == 0 {
-			t.Fatalf("%s: empty plan (%d batches, %d labeled)", name, len(aliased.batches), len(aliased.sel.labeled))
+		if len(aliased.batches) == 0 || len(aliased.sel.labeled) == 0 || len(aliased.margins) != len(aliased.batches) {
+			t.Fatalf("%s: empty plan (%d batches, %d labeled, %d margins)",
+				name, len(aliased.batches), len(aliased.sel.labeled), len(aliased.margins))
 		}
 		if !reflect.DeepEqual(aliased.batches, cloned.batches) {
 			t.Errorf("%s: batches differ", name)
@@ -66,7 +69,7 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 		if !reflect.DeepEqual(aliased.sel.labeled, cloned.sel.labeled) {
 			t.Errorf("%s: labeled set differs: %v vs %v", name, aliased.sel.labeled, cloned.sel.labeled)
 		}
-		if !reflect.DeepEqual(aliased.sel.margins, cloned.sel.margins) {
+		if !reflect.DeepEqual(aliased.margins, cloned.margins) {
 			t.Errorf("%s: margins differ", name)
 		}
 	}
@@ -75,13 +78,14 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 // TestPrepareSelfPooledDistanceBudget pins what a self-pooled Prepare may
 // spend on Config.Distance. A window of at most DistanceSampleCap
 // questions is its own calibration sample: one call per unordered pair
-// (diagonal included) serves both percentiles and both relations, plus
-// the vote margins' |labeled| calls per question — exactly that for
-// diversity + covering, at most that when only one of the two reads the
-// distances. A larger window adds the two percentile calibrations over
-// DistanceSampleCap sampled points, and its sweep calls Distance once per
-// unordered pair of the window's U distinct vectors, U(U+1)/2 times.
-// Stage-2 batch covering reads bits.
+// (diagonal included) serves both percentiles and both relations —
+// exactly that for diversity + covering, at most that when only one of
+// the two reads the distances. A larger window adds the two percentile
+// calibrations over DistanceSampleCap sampled points, and its sweep
+// calls Distance once per unordered pair of the window's U distinct
+// vectors, U(U+1)/2 times. Stage-2 batch covering reads bits. A tiered
+// run (CheapModel set) adds exactly the vote margins' |labeled| calls
+// per question; a single-model run makes none of them.
 func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 	var calls atomic.Int64
 	counting := func(a, b feature.Vector) float64 { calls.Add(1); return feature.Euclidean(a, b) }
@@ -102,17 +106,29 @@ func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 			t.Fatalf("workload has %d pairs, need %d", len(window), n)
 		}
 		f, prep, selfPooled := prepare(t, Config{Batching: DiversityBatching, Selection: CoveringSelection}, window, window)
-		labeled := len(prep.LabeledPool())
 		if m := f.Config().DistanceSampleCap; n <= m {
-			if want := n*(n+1)/2 + labeled*n; selfPooled != int64(want) {
-				t.Errorf("n=%d: %d Distance calls, want n(n+1)/2 + |labeled|·n = %d (%d labeled)", n, selfPooled, want, labeled)
+			if want := n * (n + 1) / 2; selfPooled != int64(want) {
+				t.Errorf("n=%d: %d Distance calls, want n(n+1)/2 = %d", n, selfPooled, want)
 			}
 		} else {
 			u := distinctVectors(feature.ExtractAll(f.Config().Extractor, window))
-			if want := u*(u+1)/2 + 2*(m*(m-1)/2) + labeled*n; selfPooled != int64(want) {
-				t.Errorf("n=%d: %d Distance calls, want U(U+1)/2 + 2·m(m−1)/2 + |labeled|·n = %d (U = %d distinct vectors, %d labeled)",
-					n, selfPooled, want, u, labeled)
+			if want := u*(u+1)/2 + 2*(m*(m-1)/2); selfPooled != int64(want) {
+				t.Errorf("n=%d: %d Distance calls, want U(U+1)/2 + 2·m(m−1)/2 = %d (U = %d distinct vectors)",
+					n, selfPooled, want, u)
 			}
+		}
+		// The same window on a tiered run pays for the margins on top:
+		// one call per question and annotated demonstration.
+		tieredCfg := f.Config()
+		tieredCfg.Model, tieredCfg.CheapModel = llm.GPT4, llm.GPT35Turbo0301
+		_, tiered, tieredCalls := prepare(t, tieredCfg, window, window)
+		labeled := len(tiered.LabeledPool())
+		if labeled != len(prep.LabeledPool()) {
+			t.Fatalf("n=%d: tiered run labeled %d, single-model %d", n, labeled, len(prep.LabeledPool()))
+		}
+		if tieredCalls != selfPooled+int64(labeled*n) {
+			t.Errorf("n=%d: tiered run made %d Distance calls, single-model %d: want exactly |labeled|·n = %d more",
+				n, tieredCalls, selfPooled, labeled*n)
 		}
 		// A pool that is not the question slice pays for its cover
 		// relation once, n·n cells through setcover.Rows; the sweep
@@ -131,11 +147,9 @@ func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 		"clustering only": {Batching: DiversityBatching, Selection: FixedSelection},
 		"covering only":   {Batching: RandomBatching, Selection: CoveringSelection},
 	} {
-		_, prep, got := prepare(t, cfg, window, window)
-		labeled := len(prep.LabeledPool())
-		if budget := n*(n+1)/2 + labeled*n; got > int64(budget) || got < int64(n*(n-1)/2) {
-			t.Errorf("%s, n=%d: %d Distance calls, want at most n(n+1)/2 + |labeled|·n = %d (%d labeled)",
-				name, n, got, budget, labeled)
+		_, _, got := prepare(t, cfg, window, window)
+		if budget := n * (n + 1) / 2; got > int64(budget) || got < int64(n*(n-1)/2) {
+			t.Errorf("%s, n=%d: %d Distance calls, want at most n(n+1)/2 = %d", name, n, got, budget)
 		}
 	}
 }

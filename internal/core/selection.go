@@ -13,36 +13,28 @@ import (
 )
 
 // selection is the result of demonstration selection: for each batch, the
-// pool indices of its demonstrations, the set of distinct pool indices
-// that had to be annotated, and each batch's vote-k disagreement margin.
+// pool indices of its demonstrations, and the set of distinct pool
+// indices that had to be annotated.
 type selection struct {
 	perBatch [][]int
 	labeled  []int
-	// margins holds voteMargins over the annotated set, aligned with
-	// perBatch. It is computed for every strategy — the margin is a
-	// property of the annotated geometry, not of vote-k selection — so
-	// the cascade's escalation signal is always available.
-	margins []float64
 }
 
 // selectDemos runs the configured demonstration selection strategy
 // (Section IV) over the generated batches.
 func selectDemos(cfg Config, batches Batches, qVecs, dVecs []feature.Vector, pool []entity.Pair, geo geometry) selection {
-	var sel selection
 	switch cfg.Selection {
 	case TopKBatch:
-		sel = topKBatchSelection(cfg, batches, qVecs, dVecs)
+		return topKBatchSelection(cfg, batches, qVecs, dVecs)
 	case TopKQuestion:
-		sel = topKQuestionSelection(cfg, batches, qVecs, dVecs)
+		return topKQuestionSelection(cfg, batches, qVecs, dVecs)
 	case CoveringSelection:
-		sel = coveringSelection(batches, pool, geo)
+		return coveringSelection(batches, pool, geo)
 	case VoteKSelection:
-		sel = voteKSelection(cfg, batches, qVecs, dVecs)
+		return voteKSelection(cfg, batches, qVecs, dVecs)
 	default:
-		sel = fixedSelection(cfg, batches, len(pool))
+		return fixedSelection(cfg, batches, len(pool))
 	}
-	sel.margins = voteMargins(cfg, batches, qVecs, dVecs, sel.labeled)
-	return sel
 }
 
 // fixedSelection samples NumDemos pool indices once and shares them with

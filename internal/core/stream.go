@@ -31,11 +31,6 @@ type BatchResult struct {
 	TrimmedDemos int
 	// Ledger is the API cost delta for this batch alone.
 	Ledger cost.Ledger
-	// VoteMargin is the batch's vote-k disagreement margin in [0,1]:
-	// low values mean the annotated neighbourhood disagrees about this
-	// batch's questions. It is the cascade's pre-call escalation signal
-	// and is reported for every run, cascade or not.
-	VoteMargin float64
 	// Tier names the tier that produced Pred on a cascade run
 	// (cost.TierCheap or cost.TierExpensive); empty on single-model runs.
 	Tier string
@@ -225,14 +220,6 @@ func (p *Prepared) Run(ctx context.Context, emit func(BatchResult)) error {
 	return &BatchError{Batch: next, Err: ctx.Err()}
 }
 
-// margin returns batch bi's vote-k margin (1 when margins are absent).
-func (p *Prepared) margin(bi int) float64 {
-	if bi < len(p.sel.margins) {
-		return p.sel.margins[bi]
-	}
-	return 1
-}
-
 // runBatch annotates, prompts, and parses one batch. On cascade runs it
 // routes the batch through the tiers: straight to the expensive model
 // when the vote-k margin is below the escalation threshold, otherwise
@@ -249,7 +236,7 @@ func (p *Prepared) runBatch(ctx context.Context, bi int) (BatchResult, error) {
 	for i, qi := range batch {
 		qs[i] = p.questions[qi]
 	}
-	br := BatchResult{Index: bi, Questions: batch, VoteMargin: p.margin(bi)}
+	br := BatchResult{Index: bi, Questions: batch}
 	// attempt asks one tier and folds its answer into br; ask has
 	// already billed every call it made to br, so both of a cascade's
 	// attempts accumulate on the batch and the ledger splits them per
@@ -272,7 +259,7 @@ func (p *Prepared) runBatch(ctx context.Context, bi int) (BatchResult, error) {
 	switch {
 	case !p.cascade:
 		err = attempt(p.model, llm.TierDefault, nil)
-	case br.VoteMargin >= f.cfg.EscalateMargin:
+	case p.margins[bi] >= f.cfg.EscalateMargin:
 		err = attempt(p.cheap, llm.TierCheap, nil)
 		if err == nil && !br.Degraded && anyUnknown(br.Pred) {
 			err = attempt(p.model, llm.TierExpensive, br.Pred)

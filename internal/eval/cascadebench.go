@@ -49,6 +49,13 @@ type TauPoint struct {
 	Lo, Hi float64
 }
 
+// The cascade sweep's fixed settings: per-window batch-prompt
+// concurrency, and the seed of data generation, training and matching.
+const (
+	cascadeBenchParallelism = 8
+	cascadeBenchSeed        = 1
+)
+
 // CascadeBenchOptions sizes the cascade cost/F1 frontier behind
 // BENCH_cascade.json: a synthetic Rows x Rows run matched once with the
 // expensive model alone (the baseline every point is judged against) and
@@ -59,8 +66,6 @@ type CascadeBenchOptions struct {
 	Rows int
 	// Window is the pipeline StreamWindow (default 512).
 	Window int
-	// Parallelism is the per-window batch-prompt concurrency (default 8).
-	Parallelism int
 	// TrainPairs is how many labeled pairs the pre-filter is trained on;
 	// each is billed at cost.LabelPerPair against the cascade points
 	// (default 500).
@@ -71,8 +76,6 @@ type CascadeBenchOptions struct {
 	// Margins are the vote-k escalation thresholds to sweep (default 0,
 	// 0.01, 0.25: cheap-tier-only, mixed, and escalate-nearly-all).
 	Margins []float64
-	// Seed seeds data generation, training, and matching (default 1).
-	Seed int64
 }
 
 func (o CascadeBenchOptions) withDefaults() CascadeBenchOptions {
@@ -82,9 +85,6 @@ func (o CascadeBenchOptions) withDefaults() CascadeBenchOptions {
 	if o.Window <= 0 {
 		o.Window = 512
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 8
-	}
 	if o.TrainPairs <= 0 {
 		o.TrainPairs = 500
 	}
@@ -93,9 +93,6 @@ func (o CascadeBenchOptions) withDefaults() CascadeBenchOptions {
 	}
 	if len(o.Margins) == 0 {
 		o.Margins = []float64{0, 0.01, 0.25}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -157,13 +154,13 @@ func trainSample(train []entity.Pair, n int) []entity.Pair {
 // routing configuration varies.
 func RunCascadeBench(o CascadeBenchOptions, progress io.Writer) (*CascadeBenchResult, error) {
 	o = o.withDefaults()
-	d, err := datagen.GenerateCustom(PipelineBenchSpec(o.Rows), o.Seed)
+	d, err := datagen.GenerateCustom(PipelineBenchSpec(o.Rows), cascadeBenchSeed)
 	if err != nil {
 		return nil, err
 	}
 	oracle := llm.BuildOracle(d.Pairs)
 	sample := trainSample(entity.SplitPairs(d.Pairs).Train, o.TrainPairs)
-	pf, err := cascade.Train(sample, cascade.Config{Seed: o.Seed})
+	pf, err := cascade.Train(sample, cascade.Config{Seed: cascadeBenchSeed})
 	if err != nil {
 		return nil, fmt.Errorf("cascadebench: training the pre-filter: %w", err)
 	}
@@ -173,8 +170,8 @@ func RunCascadeBench(o CascadeBenchOptions, progress io.Writer) (*CascadeBenchRe
 		cfg := pipeline.Config{
 			Blocker: &blocking.TokenBlocker{Attr: "title", MinShared: 2},
 			Matcher: core.Config{
-				Seed:           o.Seed,
-				Parallelism:    o.Parallelism,
+				Seed:           cascadeBenchSeed,
+				Parallelism:    cascadeBenchParallelism,
 				Model:          llm.GPT4,
 				CheapModel:     cheapModel,
 				EscalateMargin: margin,
@@ -191,7 +188,7 @@ func RunCascadeBench(o CascadeBenchOptions, progress io.Writer) (*CascadeBenchRe
 				conf.Add(gold, pred)
 			},
 		}
-		client := llm.NewSimulated(oracle, o.Seed)
+		client := llm.NewSimulated(oracle, cascadeBenchSeed)
 		start := time.Now()
 		rep, err := pipeline.Run(context.Background(), cfg, client, d.TableA, d.TableB)
 		if err != nil {
@@ -280,7 +277,7 @@ func CascadeBenchFile(o CascadeBenchOptions, r *CascadeBenchResult) BenchFile {
 	f := BenchFile{
 		BenchMeta: NewBenchMeta(fmt.Sprintf(
 			"Model-cascade matching: cost/F1 frontier of calibrated tiered routing on a synthetic %dx%d run (StreamWindow %d, batch Parallelism %d, seed %d) under simulated LLM tiers (%s cheap, %s expensive). The baseline matches every blocked candidate with the expensive model alone; each cascade point trains a calibrated pre-filter on %d labeled pairs (billed), auto-resolves outside its (tau-lo, tau-hi) band, sends the ambiguous band to the cheap tier, and escalates low-margin or Unknown batches to the expensive tier. cost_reduction_x is baseline total dollars over point total dollars; delta_f1_pts is baseline F1 minus point F1 in points. Regenerate with: go run ./cmd/erbench -exp cascade -json > BENCH_cascade.json",
-			o.Rows, o.Rows, o.Window, o.Parallelism, o.Seed,
+			o.Rows, o.Rows, o.Window, cascadeBenchParallelism, cascadeBenchSeed,
 			llm.GPT35Turbo0301, llm.GPT4, o.TrainPairs)),
 		Results: make(map[string]any, len(r.Points)+1),
 	}

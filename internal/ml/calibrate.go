@@ -1,26 +1,18 @@
 package ml
 
-import (
-	"math"
-	"sort"
-)
-
-// Calibrator maps a raw classifier score in (0,1) to a calibrated
-// probability. Calibration is what makes cascade thresholds meaningful:
-// "p >= 0.95" only licenses auto-resolving a pair if 0.95 really means
-// ~95% of such pairs are matches (see internal/cascade).
-type Calibrator interface {
-	// Calibrate returns the calibrated probability for raw score p.
-	Calibrate(p float64) float64
-}
+import "math"
 
 // Platt is sigmoid calibration: sigmoid(A*logit(p) + B), the standard
-// parametric recalibration of a logistic-family score.
+// parametric recalibration of a logistic-family score. Calibration is
+// what makes cascade thresholds meaningful: "p >= 0.95" only licenses
+// auto-resolving a pair if 0.95 really means ~95% of such pairs are
+// matches (see internal/cascade).
 type Platt struct {
 	A, B float64
 }
 
-// Calibrate implements Calibrator.
+// Calibrate maps a raw classifier score p in (0,1) to a calibrated
+// probability.
 func (c Platt) Calibrate(p float64) float64 {
 	return sigmoid(c.A*logit(p) + c.B)
 }
@@ -68,88 +60,6 @@ func FitPlatt(scores []float64, ys []bool) Platt {
 		b -= lr * gb / float64(n)
 	}
 	return Platt{A: a, B: b}
-}
-
-// Isotonic is a monotone step-function calibrator fitted by
-// pool-adjacent-violators, linearly interpolated between block centers
-// so nearby scores get nearby probabilities.
-type Isotonic struct {
-	// Scores are the block-center raw scores, ascending.
-	Scores []float64
-	// Values are the calibrated probabilities per block, non-decreasing.
-	Values []float64
-}
-
-// Calibrate implements Calibrator: piecewise-linear interpolation over
-// the fitted blocks, clamped to the end blocks outside the fitted range.
-func (c Isotonic) Calibrate(p float64) float64 {
-	n := len(c.Scores)
-	if n == 0 {
-		return p
-	}
-	if p <= c.Scores[0] {
-		return c.Values[0]
-	}
-	if p >= c.Scores[n-1] {
-		return c.Values[n-1]
-	}
-	i := sort.SearchFloat64s(c.Scores, p)
-	// c.Scores[i-1] < p <= c.Scores[i].
-	lo, hi := c.Scores[i-1], c.Scores[i]
-	if hi == lo {
-		return c.Values[i]
-	}
-	frac := (p - lo) / (hi - lo)
-	return c.Values[i-1] + frac*(c.Values[i]-c.Values[i-1])
-}
-
-// FitIsotonic fits isotonic regression on held-out (score, label) pairs
-// by pool-adjacent-violators. Deterministic; ties in score are pooled.
-func FitIsotonic(scores []float64, ys []bool) Isotonic {
-	n := len(scores)
-	if n == 0 || n != len(ys) {
-		return Isotonic{}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-	// Each block pools a run of examples: (sum of scores, sum of labels,
-	// count). PAV merges a block into its predecessor whenever its mean
-	// label would decrease.
-	type block struct {
-		scoreSum, ySum, n float64
-	}
-	blocks := make([]block, 0, n)
-	for _, i := range order {
-		y := 0.0
-		if ys[i] {
-			y = 1
-		}
-		blocks = append(blocks, block{scoreSum: scores[i], ySum: y, n: 1})
-		for len(blocks) >= 2 {
-			last, prev := blocks[len(blocks)-1], blocks[len(blocks)-2]
-			if prev.ySum/prev.n <= last.ySum/last.n {
-				break
-			}
-			blocks = blocks[:len(blocks)-1]
-			blocks[len(blocks)-1] = block{
-				scoreSum: prev.scoreSum + last.scoreSum,
-				ySum:     prev.ySum + last.ySum,
-				n:        prev.n + last.n,
-			}
-		}
-	}
-	out := Isotonic{
-		Scores: make([]float64, len(blocks)),
-		Values: make([]float64, len(blocks)),
-	}
-	for i, b := range blocks {
-		out.Scores[i] = b.scoreSum / b.n
-		out.Values[i] = b.ySum / b.n
-	}
-	return out
 }
 
 // logit is the inverse sigmoid, clamped away from 0 and 1 so calibration

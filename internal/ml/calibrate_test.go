@@ -33,15 +33,9 @@ func TestPlattReliability(t *testing.T) {
 	assertReliable(t, cal, overconfident)
 }
 
-func TestIsotonicReliability(t *testing.T) {
-	scores, ys := calibrationSet(overconfident)
-	cal := FitIsotonic(scores, ys)
-	assertReliable(t, cal, overconfident)
-}
-
-// assertReliable checks the calibrator is monotone and within epsilon of
+// assertReliable checks the calibration is monotone and within epsilon of
 // the empirical (= true, by construction) frequency at every score level.
-func assertReliable(t *testing.T, cal Calibrator, truth func(float64) float64) {
+func assertReliable(t *testing.T, cal Platt, truth func(float64) float64) {
 	t.Helper()
 	const eps = 0.05
 	prev := -1.0
@@ -55,22 +49,6 @@ func assertReliable(t *testing.T, cal Calibrator, truth func(float64) float64) {
 		if want := truth(s); math.Abs(p-want) > eps {
 			t.Errorf("score %.2f: calibrated %.4f, empirical frequency %.4f (|diff| > %.2f)", s, p, want, eps)
 		}
-	}
-}
-
-func TestIsotonicMonotoneOnNoisyOrder(t *testing.T) {
-	// A locally non-monotone empirical curve must still produce a
-	// monotone calibrator (that is the PAV invariant).
-	scores := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	ys := []bool{false, true, false, false, true, true, false, true}
-	cal := FitIsotonic(scores, ys)
-	prev := -1.0
-	for s := 0.0; s <= 1.0; s += 0.01 {
-		p := cal.Calibrate(s)
-		if p < prev-1e-12 {
-			t.Fatalf("isotonic output decreases at %.2f: %.4f < %.4f", s, p, prev)
-		}
-		prev = p
 	}
 }
 

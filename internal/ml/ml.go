@@ -1,11 +1,13 @@
 // Package ml is a small from-scratch machine-learning substrate: logistic
 // regression and a one-hidden-layer MLP trained with SGD and an L2
-// penalty, plus feature standardization and class weighting.
+// penalty, plus feature standardization, class weighting and Platt
+// calibration.
 //
 // It exists to give the PLM baseline stand-ins (internal/baselines) real
 // trainable learners with real learning curves — Figure 7's
 // sample-efficiency crossover comes out of actual optimization, not a
-// lookup table.
+// lookup table — and the cascade pre-filter (internal/cascade) its
+// calibrated scorer.
 package ml
 
 import (

@@ -19,10 +19,12 @@ import (
 )
 
 // minParallelCover is the cell count (demonstrations x questions) at
-// which Rows builds its matrix across workpool workers. Below it — every
-// per-batch covering call — the whole relation costs less to evaluate
-// than the goroutines would to start. Package variable rather than
-// constant so tests can force both paths.
+// which Rows builds its matrix across workpool workers. Below it the
+// whole relation costs less to evaluate than the goroutines would to
+// start. Rows' callers are a separate pool's rectangular pool x question
+// relation in core and GreedyThreshold; per-batch covering restricts an
+// already built relation (bitrel.Rel.Restrict) and never reaches Rows.
+// Package variable rather than constant so tests can force both paths.
 var minParallelCover = 1 << 14
 
 // Rows evaluates covers(d, q) once per cell into the relation
