@@ -133,8 +133,8 @@ func main() {
 		"disk cache size bound in MiB (0 = 256 MiB default)")
 	cascadeOn := flag.Bool("cascade", false,
 		"route candidates through a calibrated pre-filter and tiered models, spending the LLM budget only on hard pairs")
-	tauLo := flag.Float64("tau-lo", 0.05, "cascade: auto-resolve as non-match below this calibrated probability")
-	tauHi := flag.Float64("tau-hi", 0.95, "cascade: auto-resolve as match above this calibrated probability")
+	tauLo := flag.Float64("tau-lo", 0.05, "cascade: auto-resolve as non-match below this calibrated probability (above 0, below -tau-hi)")
+	tauHi := flag.Float64("tau-hi", 0.95, "cascade: auto-resolve as match above this calibrated probability (above -tau-lo, below 1)")
 	cheapModel := flag.String("cheap-model", batcher.GPT35Turbo0301,
 		"cascade: cheap-tier model for the ambiguous band (empty = pre-filter only, no tiering)")
 	escalateMargin := flag.Float64("escalate-margin", 0,
@@ -452,9 +452,13 @@ func checkAttr(attr, path string, table []batcher.Record) error {
 	return fmt.Errorf("-attr %q is not a column of %s (columns: %s)", attr, path, strings.Join(table[0].Attrs, ", "))
 }
 
-// checkTaus rejects a -tau-lo or -tau-hi that is not above 0, NaN
-// included: the pre-filter would read it as "use the default" and route
-// at a threshold the banner does not print.
+// checkTaus rejects cascade thresholds outside 0 < -tau-lo < -tau-hi < 1
+// before any table is read. One not above 0 (NaN included) the
+// pre-filter would read as "use the default", routing at a threshold
+// the banner does not print. One at or above 1 is beyond every
+// calibrated probability, so a -tau-hi there could never auto-resolve a
+// match. An inverted or empty band the pre-filter refuses only after a
+// training sample is blocked.
 func checkTaus(lo, hi float64) error {
 	for _, tau := range []struct {
 		flag string
@@ -463,6 +467,12 @@ func checkTaus(lo, hi float64) error {
 		if !(tau.v > 0) {
 			return fmt.Errorf("%s %v must be above 0", tau.flag, tau.v)
 		}
+		if tau.v >= 1 {
+			return fmt.Errorf("%s %v must be below 1", tau.flag, tau.v)
+		}
+	}
+	if lo >= hi {
+		return fmt.Errorf("-tau-lo %v must be below -tau-hi %v", lo, hi)
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func TestCheckAttr(t *testing.T) {
 }
 
 func TestCheckTaus(t *testing.T) {
-	for _, tc := range [][2]float64{{0.05, 0.95}, {0.2, 0.7}, {1e-9, 1}} {
+	for _, tc := range [][2]float64{{0.05, 0.95}, {0.2, 0.7}, {1e-9, 0.999999999}, {0.5, 0.5000001}} {
 		if err := checkTaus(tc[0], tc[1]); err != nil {
 			t.Errorf("checkTaus(%v, %v) = %v, want accepted", tc[0], tc[1], err)
 		}
@@ -46,6 +46,12 @@ func TestCheckTaus(t *testing.T) {
 		{0.05, 0, "-tau-hi 0 must be above 0"},
 		{0.05, math.NaN(), "-tau-hi NaN must be above 0"},
 		{0, 0, "-tau-lo 0 must be above 0"},
+		{0.05, 1, "-tau-hi 1 must be below 1"},
+		{0.5, 3, "-tau-hi 3 must be below 1"},
+		{0.05, math.Inf(1), "-tau-hi +Inf must be below 1"},
+		{1, 0.95, "-tau-lo 1 must be below 1"},
+		{0.9, 0.1, "-tau-lo 0.9 must be below -tau-hi 0.1"},
+		{0.5, 0.5, "-tau-lo 0.5 must be below -tau-hi 0.5"},
 	} {
 		if err := checkTaus(tc.lo, tc.hi); err == nil || err.Error() != tc.want {
 			t.Errorf("checkTaus(%v, %v) = %v, want %s", tc.lo, tc.hi, err, tc.want)

@@ -111,6 +111,41 @@ func randText(r *rand.Rand) string {
 	return b.String()
 }
 
+// wordEdges are pattern lengths, in runes, on both sides of each 64-rune
+// word boundary the Levenshtein kernel crosses, plus one beyond 4 096.
+var wordEdges = []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 4100}
+
+// randRunes returns a string of exactly n runes drawn from alphabet. Its
+// invalid UTF-8 entries are bytes that decode alone to U+FFFD wherever
+// they stand, so the rune count holds.
+func randRunes(r *rand.Rand, n int, alphabet []string) string {
+	var b strings.Builder
+	for range n {
+		b.WriteString(alphabet[r.Intn(len(alphabet))])
+	}
+	return b.String()
+}
+
+// mutate applies about one random edit per ten runes of s, drawing
+// inserted and substituted runes from alphabet.
+func mutate(r *rand.Rand, s string, alphabet []string) string {
+	rs := []rune(s)
+	var b strings.Builder
+	for _, c := range rs {
+		switch r.Intn(30) {
+		case 0: // delete
+		case 1: // substitute
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		case 2: // insert
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+			b.WriteRune(c)
+		default:
+			b.WriteRune(c)
+		}
+	}
+	return b.String()
+}
+
 // --- equivalence properties --------------------------------------------
 
 func TestKernelsMatchReferenceExactly(t *testing.T) {
@@ -153,6 +188,37 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 		t.Error(err)
 	}
 
+	// Both operand orders at every word boundary of the Levenshtein
+	// kernel, on ASCII, non-ASCII, mixed and invalid UTF-8 operands,
+	// the pattern and the text taken from each script in turn.
+	scripts := [][]string{
+		{"a", "b", "c", "e", " ", "1", "Z", "\x00", "\x7f"},
+		{"é", "ß", "π", "≈", "ü", "中", "文", "\uFFFD", "\U0001F600"},
+		{"a", "e", " ", "é", "ü", "中", "1"},
+		{"\xff", "\xfe", "a", "é", "\uFFFD", " "},
+	}
+	for _, m := range wordEdges {
+		for pi, ps := range scripts {
+			for ti, ts := range scripts {
+				if m > 4096 && pi != ti && pi != 0 && ti != 0 {
+					continue // the oracle is quadratic: cross ASCII with each script only
+				}
+				pat := randRunes(r, m, ps)
+				text := mutate(r, pat, ts)
+				check(pat, text)
+				check(text, pat)
+				if m > 4096 {
+					continue
+				}
+				for _, extra := range []int{0, 1, 37} {
+					text := randRunes(r, m+extra, ts)
+					check(pat, text)
+					check(text, pat)
+				}
+			}
+		}
+	}
+
 	long := strings.Repeat("Zebra 42 ", maxTokenScratch/4) // more token bytes than the pool retains
 	hand := []string{
 		"\xff\xfeabc\xc3", "a\xc3\x28b", "ok\xed\xa0\x80ok", // invalid UTF-8, incl. an encoded surrogate
@@ -169,6 +235,23 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 			check(a, b)
 		}
 	}
+}
+
+// FuzzLevenshteinRatio holds LevenshteinRatio to the DP oracle on
+// arbitrary operands, valid UTF-8 or not. Each input is also compared
+// in concatenation, so short seeds reach the multi-word path too.
+func FuzzLevenshteinRatio(f *testing.F) {
+	f.Add("Here Comes the Fuzz", "Here Comes The Fuzz [Explicit]")
+	f.Add("café ß", "cafe\xff ss")
+	f.Add(strings.Repeat("abcdefgh", 8), strings.Repeat("abcdefgh", 8)+"x")
+	f.Add(strings.Repeat("ÄÖÜ xyz ", 20), strings.Repeat("AOU xyz ", 21))
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, p := range [][2]string{{a, b}, {a + b, b + a + a}} {
+			if got, want := LevenshteinRatio(p[0], p[1]), refLevRatio(p[0], p[1]); got != want {
+				t.Fatalf("LevenshteinRatio(%q,%q) = %v, ref %v", p[0], p[1], got, want)
+			}
+		}
+	})
 }
 
 // FuzzTokenize holds Tokenize and Jaccard to the FieldsFunc oracle on

@@ -3,6 +3,7 @@ package strsim
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,8 @@ import (
 )
 
 // levenshtein recovers the edit distance from LevenshteinRatio, the
-// package's entry into the shared pooled DP: LR = 1 - d/(|a|+|b|) over
-// rune lengths.
+// package's entry into the bit-parallel kernel: LR = 1 - d/(|a|+|b|)
+// over rune lengths.
 func levenshtein(a, b string) int {
 	n := utf8.RuneCountInString(a) + utf8.RuneCountInString(b)
 	return int(math.Round((1 - LevenshteinRatio(a, b)) * float64(n)))
@@ -217,13 +218,27 @@ func TestPaperExampleFeatureValues(t *testing.T) {
 	}
 }
 
+// BenchmarkLevenshteinRatio times one comparison per pattern length:
+// the shorter operand has exactly n runes (one word up to 64, two at 65
+// and 90, five at 300), the other is a title-shaped edit of it.
 func BenchmarkLevenshteinRatio(b *testing.B) {
-	x := "Here Comes the Fuzz"
-	y := "Here Comes The Fuzz [Explicit]"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		LevenshteinRatio(x, y)
+	const title = "Here Comes the Fuzz [Explicit] - Mark Ronson feat. Jack White, Nate Dogg & Saigon; "
+	const accented = "Café Müller, Straße № 5 — Señor Niño à Zürich; "
+	bench := func(name, text string, n int) {
+		rs := []rune(strings.Repeat(text, 1+n/len(text)))[:n]
+		x := string(rs)
+		y := strings.ToUpper(string(rs[:n/3])) + string(rs[n/3:]) + " (Remastered)"
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				LevenshteinRatio(x, y)
+			}
+		})
 	}
+	for _, n := range []int{8, 31, 64, 65, 90, 300} {
+		bench("ascii-"+strconv.Itoa(n), title, n)
+	}
+	bench("nonascii-31", accented, 31)
 }
 
 func BenchmarkJaccard(b *testing.B) {
