@@ -170,19 +170,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	var shardSpec batcher.ShardSpec
-	if *shardFlag != "" {
-		if *mergeShards != "" {
-			fatal(errors.New("-shard and -merge-shards are mutually exclusive"))
-		}
-		var err error
-		shardSpec, err = batcher.ParseShardSpec(*shardFlag)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -shard: %w", err))
-		}
-		if *runID == "" {
-			fatal(errors.New("-shard requires -run-id: each shard journals its own progress for the merge"))
-		}
+	shardSpec, err := checkRunFlags(*shardFlag, *mergeShards, *runID, *resume, *streamWindow)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+		os.Exit(2)
 	}
 	tableA, err := batcher.ReadCSVTable(*pathA)
 	if err != nil {
@@ -281,9 +272,6 @@ func main() {
 	runName := *runID
 	switch {
 	case *mergeShards != "":
-		if *runID != "" {
-			fatal(errors.New("-merge-shards and -run-id are mutually exclusive (the merged run is journaled as <dir>/merged)"))
-		}
 		shardDirs, err := batcher.DiscoverShardRuns(*mergeShards)
 		if err != nil {
 			fatal(fmt.Errorf("discovering shard journals under %s: %w", *mergeShards, err))
@@ -313,8 +301,6 @@ func main() {
 			fatal(fmt.Errorf("opening run journal %q: %w", *runID, err))
 		}
 		defer journal.Close()
-	case *resume:
-		fatal(errors.New("-resume requires -run-id"))
 	}
 
 	w := csv.NewWriter(os.Stdout)
@@ -475,6 +461,36 @@ func checkTaus(lo, hi float64) error {
 		return fmt.Errorf("-tau-lo %v must be below -tau-hi %v", lo, hi)
 	}
 	return nil
+}
+
+// checkRunFlags rejects the journal and shard flag combinations no run
+// can satisfy and returns the parsed -shard spec. It runs before any
+// table is read, so a mistyped command line costs no CSV read and no
+// cascade training sample.
+func checkRunFlags(shard, mergeShards, runID string, resume bool, streamWindow int) (batcher.ShardSpec, error) {
+	var spec batcher.ShardSpec
+	if shard != "" {
+		if mergeShards != "" {
+			return spec, errors.New("-shard and -merge-shards are mutually exclusive")
+		}
+		var err error
+		if spec, err = batcher.ParseShardSpec(shard); err != nil {
+			return spec, fmt.Errorf("parsing -shard: %w", err)
+		}
+		if runID == "" {
+			return spec, errors.New("-shard requires -run-id: each shard journals its own progress for the merge")
+		}
+		if spec.Count > 1 && streamWindow <= 0 {
+			return spec, fmt.Errorf("-shard %s requires -stream-window > 0 (the default is a single window, which cannot be split)", spec)
+		}
+	}
+	if mergeShards != "" && runID != "" {
+		return spec, errors.New("-merge-shards and -run-id are mutually exclusive (the merged run is journaled as <dir>/merged)")
+	}
+	if mergeShards == "" && resume && runID == "" {
+		return spec, errors.New("-resume requires -run-id")
+	}
+	return spec, nil
 }
 
 func fatal(err error) {

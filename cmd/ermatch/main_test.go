@@ -58,3 +58,50 @@ func TestCheckTaus(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckRunFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		shard, merge, runID string
+		resume              bool
+		window              int
+		want                string // "" = accepted
+		wantSpec            batcher.ShardSpec
+	}{
+		{name: "plain"},
+		{name: "journaled", runID: "r"},
+		{name: "resume", runID: "r", resume: true},
+		{name: "shard", shard: "0/3", runID: "s0", window: 64, wantSpec: batcher.ShardSpec{Index: 0, Count: 3}},
+		{name: "one shard, one window", shard: "0/1", runID: "s0", wantSpec: batcher.ShardSpec{Index: 0, Count: 1}},
+		{name: "merge", merge: "runs", window: 64},
+		{name: "merge ignores resume", merge: "runs", resume: true},
+		{name: "resume without run-id", resume: true,
+			want: "-resume requires -run-id"},
+		{name: "merge with run-id", merge: "runs", runID: "r",
+			want: "-merge-shards and -run-id are mutually exclusive (the merged run is journaled as <dir>/merged)"},
+		{name: "shard with merge", shard: "0/3", merge: "runs", runID: "s0", window: 64,
+			want: "-shard and -merge-shards are mutually exclusive"},
+		{name: "shard without run-id", shard: "0/3", window: 64,
+			want: "-shard requires -run-id: each shard journals its own progress for the merge"},
+		{name: "bad spec", shard: "3/3", runID: "s3", window: 64,
+			want: `parsing -shard: shard: spec "3/3": shard: index 3 outside [0, 3)`},
+		{name: "shard without window", shard: "0/3", runID: "s0",
+			want: "-shard 0/3 requires -stream-window > 0 (the default is a single window, which cannot be split)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := checkRunFlags(tc.shard, tc.merge, tc.runID, tc.resume, tc.window)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if spec != tc.wantSpec {
+					t.Errorf("spec = %v, want %v", spec, tc.wantSpec)
+				}
+				return
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("err = %v, want %s", err, tc.want)
+			}
+		})
+	}
+}

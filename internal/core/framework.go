@@ -31,9 +31,8 @@ func (f *Framework) Config() Config { return f.cfg }
 // Result is the outcome of resolving a question set, holding only what
 // adds up across windows: when a pipeline splits a run into windows,
 // its Report.Result concatenates their predictions and sums the rest.
-// What belongs to one window's plan stays on Prepared — Batches and
-// LabeledPool — and each batch's vote-k margin rides on its
-// BatchResult.
+// What belongs to one window's plan stays on Prepared: Batches,
+// LabeledPool and, on tiered runs only, each batch's vote-k margin.
 type Result struct {
 	// Pred holds one label per input question, aligned by index. Unknown
 	// means the LLM's answer was missing or unparseable; metrics treat it
@@ -55,7 +54,8 @@ type Result struct {
 
 // Apply folds one completed batch into the result: predictions, API
 // cost, and the token, trim and degraded counters. Pair it with
-// Stream.NewResult to accumulate a streaming run incrementally.
+// Prepared.NewResult to accumulate a run batch by batch as Run
+// delivers them.
 func (r *Result) Apply(br BatchResult) {
 	for i, qi := range br.Questions {
 		r.Pred[qi] = br.Pred[i]

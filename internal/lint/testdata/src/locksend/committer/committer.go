@@ -1,5 +1,5 @@
 // Package committer is a locksend fixture for the ordered-committer
-// pattern the pipelined window executor uses: a dispatcher hands units
+// pattern the pipelined window executor uses: a producer hands units
 // of work to runner goroutines and a single committer applies their
 // results in order. The liveness rule under test: the committer may
 // never publish a result on a channel while holding the state mutex,

@@ -45,8 +45,8 @@ func (l *callLog) Complete(ctx context.Context, req llm.Request) (llm.Response, 
 }
 
 // spyBlocker hands the context the executor blocks under to the test:
-// the executor cancels it, and then its runners' context, the moment a
-// window's failure is committed.
+// the executor cancels it, the one context its producer and runners
+// share, the moment a window's failure is committed.
 type spyBlocker struct {
 	*blocking.TokenBlocker
 	ctx chan context.Context

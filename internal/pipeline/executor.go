@@ -13,13 +13,13 @@ import (
 )
 
 // inflight is one window travelling through the executor. The
-// dispatcher fills the identity fields (pos, rw, keys) and the
-// journal decisions (verifyErr, replay and its labeled); the runner
-// goroutine fills prepErr, prep, labeled, cancel and results before
-// closing prepped, and runErr before closing results; the committer
-// reads the former after <-prepped and the latter after draining
-// results. Those two closes are the only synchronization the struct
-// needs.
+// producer fills the identity fields (pos, rw, keys) and the journal
+// decisions (verifyErr, replay and its labeled) when it admits the
+// window; the runner goroutine fills prepErr, prep, labeled, cancel and
+// results before closing prepped, and runErr before closing results;
+// the committer reads the former after <-prepped and the latter after
+// draining results. Those two closes are the only synchronization the
+// struct needs.
 type inflight struct {
 	pos winPos
 	// rw is the cascade-routed window: rw.full is the blocked window,
@@ -28,7 +28,7 @@ type inflight struct {
 	rw routedWindow
 	// keys are the matched pairs' identities; nil without a journal.
 	keys []string
-	// verifyErr is a journal/stream mismatch detected at dispatch; the
+	// verifyErr is a journal/stream mismatch detected at admission; the
 	// window is not run and the committer fails the run when it reaches
 	// it (in order, so earlier windows still commit first).
 	verifyErr error
@@ -66,7 +66,7 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 		return
 	}
 	// Prepare runs to completion even when the run is being abandoned:
-	// salvage journals a WindowStart for every dispatched window, and
+	// salvage journals a WindowStart for every admitted window, and
 	// window starts must stay contiguous or the windows behind this one
 	// could not record their completed (billed) batches. A cancelled run
 	// still stops promptly — Run below checks ctx before it claims each
@@ -110,45 +110,43 @@ func (w *inflight) stop() {
 	}
 }
 
-// executor is the one way a run executes. Four roles share the work:
+// executor is the one way a run executes. Three roles share the work:
 //
 //   - The producer (goroutine) streams candidates from the blocker into
 //     StreamWindow-sized windows — a single unbounded one when
-//     StreamWindow <= 0.
-//   - The dispatcher (goroutine) admits at most K = max(1,
-//     InFlightWindows) windows past a semaphore, skips windows another
-//     shard owns, routes each through the cascade pre-filter, decides
-//     replay-vs-run against the journal state loaded at open, spawns a
-//     runner per admitted window, and forwards the windows in order.
+//     StreamWindow <= 0 — and admits each full window and the tail:
+//     it skips windows another shard owns without waiting, holds every
+//     owned one until one of K = max(1, InFlightWindows) slots is free,
+//     routes it through the cascade pre-filter, decides replay-vs-run
+//     against the journal state loaded at open, spawns its runner and
+//     sends it on in window order.
 //   - Each runner (goroutine per in-flight window) prepares its window
 //     and executes its LLM calls, overlapping the other in-flight
 //     windows and the producer.
 //   - The committer (Run's goroutine) applies windows strictly in window
 //     order: journal records, ledger folds, OnPair and Progress hooks
 //     all happen there, so K changes wall-clock time and not one byte of
-//     output. On failure it stops the other three and salvages.
+//     output. On failure it stops the other two and salvages.
 type executor struct {
 	cfg Config
 	f   *core.Framework
 	// jstate is the journal content loaded at open; nil without a journal.
 	jstate *runstore.RunState
 
-	windows chan []entity.Pair // producer → dispatcher, unbuffered: direct handoff
-	sem     chan struct{}      // one slot per in-flight window, capacity K
-	ordered chan *inflight     // dispatcher → committer, in window order
+	sem     chan struct{}  // one slot per in-flight window, capacity K
+	ordered chan *inflight // producer → committer, in window order
 
-	blocked       atomic.Int64 // candidates generated so far, for Progress
-	blockingDone  atomic.Bool
-	buffered      atomic.Int64 // pairs admitted by the dispatcher, not yet committed
-	inflightCount atomic.Int64
+	blocked      atomic.Int64 // candidates generated so far, for Progress
+	blockingDone atomic.Bool
+	buffered     atomic.Int64 // pairs admitted, not yet committed
 
-	// Written by the producer before it closes windows, or by the
-	// dispatcher before it closes ordered; the committer reads them only
-	// after ordered is drained, which orders the accesses.
+	// Producer-only until it closes ordered; the committer reads them
+	// only after ordered is drained, which orders the accesses.
 	blockErr                 error
 	blockingTime             time.Duration
 	peak                     int64 // high-water mark of buffered
 	streamTotal, streamOwned int   // windows in the stream / owned by this shard
+	offset                   int   // journal-local offset of the next owned window
 
 	// Committer-only state.
 	rep *Report
@@ -161,10 +159,9 @@ type executor struct {
 func newExecutor(cfg Config, f *core.Framework) *executor {
 	k := max(1, cfg.InFlightWindows)
 	e := &executor{
-		cfg:     cfg,
-		f:       f,
-		windows: make(chan []entity.Pair),
-		sem:     make(chan struct{}, k),
+		cfg: cfg,
+		f:   f,
+		sem: make(chan struct{}, k),
 		// Sends never block: at most K windows hold the semaphore, and a
 		// window stays in the channel only until the committer receives it.
 		ordered: make(chan *inflight, k),
@@ -181,25 +178,24 @@ func newExecutor(cfg Config, f *core.Framework) *executor {
 }
 
 func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) (*Report, error) {
-	bctx, stopBlocking := context.WithCancel(ctx)
-	defer stopBlocking()
-	rctx, stopRunners := context.WithCancel(ctx)
-	defer stopRunners()
+	// One context stops the producer and every runner at once when the
+	// committer fails.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 
 	t0 := time.Now()
 	go func() {
-		defer close(e.windows)
-		tail, err := e.produce(bctx, blocker, tableA, tableB)
+		defer close(e.ordered)
+		tail, err := e.produce(ctx, blocker, tableA, tableB)
 		if err == nil {
 			e.blockingTime = time.Since(t0)
 			e.blockingDone.Store(true)
 			if len(tail) > 0 {
-				err = e.handoff(bctx, tail)
+				err = e.admit(ctx, tail)
 			}
 		}
 		e.blockErr = err
 	}()
-	go e.dispatch(rctx)
 
 	e.progress(0) // setup snapshot
 	var m0 time.Time
@@ -209,14 +205,13 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 			m0 = time.Now()
 		}
 		if err = e.commit(iw); err != nil {
-			stopBlocking()
-			stopRunners()
+			stop()
 			e.salvage()
 			break
 		}
 	}
-	// ordered is drained, so the producer and dispatcher have exited and
-	// their plain fields are safe to read.
+	// ordered is drained, so the producer has exited and its plain
+	// fields are safe to read.
 	if err == nil {
 		err = e.blockErr
 	}
@@ -243,10 +238,10 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 	return rep, nil
 }
 
-// produce is the blocking stage: it hands each full window of
-// StreamWindow pairs to the dispatcher and returns the unfinished tail —
-// every candidate when StreamWindow <= 0, since no window ever fills.
-// The MaxCandidates guard trips the moment the cap is crossed.
+// produce is the blocking stage: it admits each full window of
+// StreamWindow pairs and returns the unfinished tail — every candidate
+// when StreamWindow <= 0, since no window ever fills. The MaxCandidates
+// guard trips the moment the cap is crossed.
 func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) ([]entity.Pair, error) {
 	size := e.cfg.StreamWindow
 	w := make([]entity.Pair, 0, max(0, size))
@@ -260,7 +255,7 @@ func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA
 			return nil, fmt.Errorf("pipeline: blocking exceeded the %d-candidate cap", e.cfg.MaxCandidates)
 		}
 		if len(w) == size {
-			if err := e.handoff(ctx, w); err != nil {
+			if err := e.admit(ctx, w); err != nil {
 				return nil, err
 			}
 			w = make([]entity.Pair, 0, size)
@@ -269,74 +264,50 @@ func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA
 	return w, nil
 }
 
-func (e *executor) handoff(ctx context.Context, w []entity.Pair) error {
-	select {
-	case e.windows <- w:
+// admit starts one window of the stream on its way to the committer. A
+// window another shard owns is skipped at once: it takes no slot and no
+// buffer space, so blocking runs on to this shard's next window while
+// its own windows execute. An owned window waits for a slot first, so
+// at most K windows sit past this point.
+func (e *executor) admit(ctx context.Context, w []entity.Pair) error {
+	// The partition key is fixed before any routing: every shard
+	// walking this stream computes the same owner for this window.
+	key := w[0].Key()
+	pos := winPos{idx: e.streamOwned, offset: e.offset, global: e.streamTotal, key: key}
+	e.streamTotal++
+	if !e.cfg.Shard.Owns(key) {
 		return nil
+	}
+	select {
+	case e.sem <- struct{}{}:
 	case <-ctx.Done():
 		return fmt.Errorf("pipeline: blocking: %w", ctx.Err())
 	}
-}
-
-func (e *executor) dispatch(ctx context.Context) {
-	defer close(e.ordered)
-	wIdx, offset, gIdx := 0, 0, 0
-	defer func() { e.streamTotal, e.streamOwned = gIdx, wIdx }()
-	for {
-		// Admit before receiving: a full window waits in the producer's
-		// handoff until a slot frees, so at most K windows sit past it.
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			for range e.windows { // abandoned: drain so the producer can exit
-			}
-			return
-		}
-		w, ok := <-e.windows
-		if !ok {
-			return
-		}
-		if n := e.buffered.Add(int64(len(w))); n > e.peak {
-			e.peak = n
-		}
-		// The partition key is fixed before any routing: every shard
-		// walking this stream computes the same owner for this window.
-		key := w[0].Key()
-		if !e.cfg.Shard.Owns(key) {
-			// Not ours: hand the slot and buffer space back.
-			e.buffered.Add(-int64(len(w)))
-			<-e.sem
-			gIdx++
-			continue
-		}
-		// Routing happens here, serially, so every window's ambiguous
-		// offset is fixed before the next window is admitted — the
-		// journal coordinates cannot depend on runner timing.
-		rw := routeWindow(e.cfg.Prefilter, w)
-		pool := e.cfg.Pool
-		if pool == nil {
-			pool = rw.amb
-		}
-		iw := &inflight{
-			pos:     winPos{idx: wIdx, offset: offset, global: gIdx, key: key},
-			rw:      rw,
-			prepped: make(chan struct{}),
-		}
-		if e.cfg.Journal != nil {
-			iw.keys = pairKeys(rw.amb)
-			if err := verifyJournalWindow(e.jstate, iw.pos, iw.keys); err != nil {
-				iw.verifyErr = err
-			} else if res, labeled, ok := replayWindow(e.jstate, wIdx, len(rw.amb)); ok {
-				iw.replay, iw.labeled = res, labeled
-			}
-		}
-		e.inflightCount.Add(1)
-		go iw.run(ctx, e.f, pool)
-		e.ordered <- iw
-		gIdx++
-		wIdx++
-		offset += len(rw.amb)
+	if n := e.buffered.Add(int64(len(w))); n > e.peak {
+		e.peak = n
 	}
+	// Routing happens here, serially, so every window's ambiguous
+	// offset is fixed before the next window is admitted — the
+	// journal coordinates cannot depend on runner timing.
+	rw := routeWindow(e.cfg.Prefilter, w)
+	pool := e.cfg.Pool
+	if pool == nil {
+		pool = rw.amb
+	}
+	iw := &inflight{pos: pos, rw: rw, prepped: make(chan struct{})}
+	if e.cfg.Journal != nil {
+		iw.keys = pairKeys(rw.amb)
+		if err := verifyJournalWindow(e.jstate, pos, iw.keys); err != nil {
+			iw.verifyErr = err
+		} else if res, labeled, ok := replayWindow(e.jstate, pos.idx, len(rw.amb)); ok {
+			iw.replay, iw.labeled = res, labeled
+		}
+	}
+	go iw.run(ctx, e.f, pool)
+	e.ordered <- iw
+	e.streamOwned++
+	e.offset += len(rw.amb)
+	return nil
 }
 
 // commit applies one window: its result — replayed from the journal, or
@@ -370,7 +341,7 @@ func (e *executor) commit(iw *inflight) error {
 		return fmt.Errorf("pipeline: matching: %w", err)
 	}
 	e.buffered.Add(-int64(len(iw.rw.full)))
-	inFlight := int(e.inflightCount.Add(-1))
+	inFlight := len(e.sem) - 1 // the other windows holding a slot
 	<-e.sem
 	e.rep.Windows++
 	e.progress(inFlight)

@@ -98,8 +98,8 @@ type Config struct {
 	// Shard, when enabled (Count > 0), restricts the run to the windows
 	// the spec owns: the candidate stream is walked in full, each window
 	// is assigned by hashing its first pair's key (shard.Assign), and
-	// non-owned windows are skipped without routing, matching, or
-	// journaling. Journal coordinates become shard-local — the journal
+	// non-owned windows are skipped without waiting for a window slot,
+	// routing, matching, or journaling. Journal coordinates become shard-local — the journal
 	// records only owned windows, each stamped with its global stream
 	// position and partition key — and the spec is fingerprinted into
 	// RunMeta, so resuming under a different spec fails with
@@ -166,8 +166,8 @@ type Report struct {
 	// counters summed.
 	Result *core.Result
 	// BlockingTime and MatchingTime are the stage wall-clock durations:
-	// start to end of the candidate stream (waits to hand a full window
-	// off included), and first window dispatched to last one committed.
+	// start to end of the candidate stream (waits for a free window slot
+	// included), and first window admitted to last one committed.
 	// The stages overlap, so the two may sum to more than the run took.
 	BlockingTime, MatchingTime time.Duration
 	// Windows is the number of windows committed (0 when blocking found
@@ -200,7 +200,7 @@ type Report struct {
 
 // Run executes blocking and matching over the two tables. Cancelling ctx
 // aborts blocking between candidate yields and matching between LLM
-// calls; a window already dispatched finishes its CPU-only preparation
+// calls; a window already admitted finishes its CPU-only preparation
 // first (see inflight.run).
 //
 // On mid-matching failure (including cancellation) Run returns the

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"batcher/internal/blocking"
 	"batcher/internal/cascade"
@@ -293,5 +296,109 @@ func TestShardRejectsResumeUnderDifferentSpec(t *testing.T) {
 		if !errors.Is(runErr, runstore.ErrRunMismatch) {
 			t.Errorf("resume as %q over a 0/2 journal = %v, want ErrRunMismatch", sp, runErr)
 		}
+	}
+}
+
+// heldClient answers no call until release is closed, so the window
+// that issues the first call keeps its slot for as long as the test
+// needs.
+type heldClient struct {
+	inner   llm.Client
+	release chan struct{}
+}
+
+func (c heldClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	select {
+	case <-c.release:
+		return c.inner.Complete(ctx, req)
+	case <-ctx.Done():
+		return llm.Response{}, ctx.Err()
+	}
+}
+
+// yieldCounter counts the candidates its blocker's stream yields and
+// closes reached when the count hits target.
+type yieldCounter struct {
+	blocking.Blocker
+	target  int64
+	reached chan struct{}
+	yielded atomic.Int64
+}
+
+func (b *yieldCounter) BlockStream(ctx context.Context, tableA, tableB []entity.Record) iter.Seq2[entity.Pair, error] {
+	return func(yield func(entity.Pair, error) bool) {
+		for p, err := range b.Blocker.BlockStream(ctx, tableA, tableB) {
+			if b.yielded.Add(1) == b.target {
+				close(b.reached)
+			}
+			if !yield(p, err) {
+				return
+			}
+		}
+	}
+}
+
+// TestShardSkipsForeignWindowsWithoutASlot pins that a window another
+// shard owns never waits for a slot: at K = 1, while the shard's first
+// window holds the only slot (its LLM calls are held), blocking runs on
+// through the foreign windows behind it to the first pair of the
+// shard's next window.
+func TestShardSkipsForeignWindowsWithoutASlot(t *testing.T) {
+	const window = 8
+	ta, tb := syntheticTables(400)
+	tokens := &blocking.TokenBlocker{Attr: "title", MinShared: 2}
+	pairs := blockAll(t, tokens, ta, tb)
+
+	// The first spec whose first owned window is followed by at least
+	// two foreign ones; next is the first pair of its next owned window.
+	var sp shard.Spec
+	next := -1
+	for count := 2; count <= 5 && next < 0; count++ {
+		for idx := 0; idx < count && next < 0; idx++ {
+			s := shard.Spec{Index: idx, Count: count}
+			var owned []int
+			for w := 0; w*window < len(pairs) && len(owned) < 2; w++ {
+				if s.Owns(pairs[w*window].Key()) {
+					owned = append(owned, w)
+				}
+			}
+			if len(owned) == 2 && owned[1]-owned[0] > 2 {
+				sp, next = s, owned[1]*window
+			}
+		}
+	}
+	if next < 0 {
+		t.Fatal("no spec over counts 2-5 has two foreign windows after its first owned one")
+	}
+
+	blocker := &yieldCounter{Blocker: tokens, target: int64(next) + 1, reached: make(chan struct{})}
+	client := heldClient{inner: llm.NewSimulated(nil, 1), release: make(chan struct{})}
+	var committed atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), Config{
+			Blocker:         blocker,
+			Matcher:         fastMatcher(),
+			StreamWindow:    window,
+			InFlightWindows: 1,
+			Shard:           sp,
+			Progress:        func(p Progress) { committed.Store(int64(p.Windows)) },
+		}, client, ta, tb)
+		done <- err
+	}()
+	select {
+	case <-blocker.reached:
+	case <-time.After(3 * time.Second):
+	}
+	got, wins := blocker.yielded.Load(), committed.Load()
+	close(client.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if wins != 0 {
+		t.Fatalf("%d windows committed while every LLM call was held", wins)
+	}
+	if got <= int64(next) {
+		t.Fatalf("shard %s stalled at %d pairs while its first window held the slot; blocking must reach its next window at pair %d", sp, got, next)
 	}
 }

@@ -100,7 +100,7 @@ func OpenCache(ctx context.Context, inner llm.Client, dir string, maxBytes int64
 	if err != nil {
 		return nil, err
 	}
-	c.log = openSegLog(dir, "cache", last, 0)
+	c.log = openSegLog(dir, "cache", last)
 	return c, nil
 }
 

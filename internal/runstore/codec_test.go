@@ -132,7 +132,7 @@ func codecRecords(rng *rand.Rand) []any {
 func TestLineCodecMatchesEncodingJSON(t *testing.T) {
 	recs := codecRecords(rand.New(rand.NewSource(1)))
 	dir := t.TempDir()
-	l := openSegLog(dir, "codec", 0, 0)
+	l := openSegLog(dir, "codec", 0)
 	var want bytes.Buffer
 	for _, rec := range recs {
 		payload, err := json.Marshal(rec)
@@ -191,7 +191,7 @@ func TestLineCodecMatchesEncodingJSON(t *testing.T) {
 			journal = append(journal, jr)
 		}
 	}
-	jl := openSegLog(dir, "journal", 0, 0)
+	jl := openSegLog(dir, "journal", 0)
 	for _, rec := range journal {
 		if err := jl.append(rec); err != nil {
 			t.Fatal(err)

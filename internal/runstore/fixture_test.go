@@ -202,7 +202,7 @@ func TestJournalFixtureOpens(t *testing.T) {
 	}
 
 	out := t.TempDir()
-	l := openSegLog(out, "journal", 0, 0)
+	l := openSegLog(out, "journal", 0)
 	if _, err := readSegments(context.Background(), dir, "journal", func(rec *journalRecord) error {
 		return l.append(*rec)
 	}); err != nil {

@@ -80,7 +80,7 @@ func FuzzSegmentTruncation(f *testing.F) {
 		// creates the segment file the truncation below operates on.
 		count := 1 + int(n%31)
 		dir := t.TempDir()
-		l := openSegLog(dir, "fz", 0, 1)
+		l := openSegLog(dir, "fz", 0)
 		type rec struct {
 			V int `json:"v"`
 		}

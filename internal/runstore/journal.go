@@ -476,7 +476,7 @@ func OpenJournal(ctx context.Context, dir string) (*Journal, error) {
 	}
 	return &Journal{
 		dir:     dir,
-		log:     openSegLog(dir, "journal", last, 0),
+		log:     openSegLog(dir, "journal", last),
 		state:   state,
 		seen:    seen,
 		degSeen: degSeen,

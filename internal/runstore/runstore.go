@@ -132,10 +132,9 @@ const defaultSyncEvery = 16
 // goroutine-safe; Journal and Cache serialize access with their own
 // locks.
 type segLog struct {
-	dir       string
-	prefix    string
-	maxSeg    int64
-	syncEvery int
+	dir    string
+	prefix string
+	maxSeg int64
 
 	// hold suspends the flush policy's own fsyncs (the batched one in
 	// append and Journal.WriteMeta's): set while the log is written as a
@@ -263,16 +262,12 @@ func readSegments[T any](ctx context.Context, dir, prefix string, fn func(rec *T
 
 // openSegLog prepares a writer that appends to a fresh segment after the
 // existing ones (never to an old file, whose tail may be torn).
-func openSegLog(dir, prefix string, lastSeg int, syncEvery int) *segLog {
-	if syncEvery <= 0 {
-		syncEvery = defaultSyncEvery
-	}
+func openSegLog(dir, prefix string, lastSeg int) *segLog {
 	return &segLog{
-		dir:       dir,
-		prefix:    prefix,
-		maxSeg:    defaultSegmentBytes,
-		syncEvery: syncEvery,
-		seg:       lastSeg, // first append opens segment lastSeg+1
+		dir:    dir,
+		prefix: prefix,
+		maxSeg: defaultSegmentBytes,
+		seg:    lastSeg, // first append opens segment lastSeg+1
 	}
 }
 
@@ -296,7 +291,7 @@ func (l *segLog) append(rec any) error {
 	}
 	l.segBytes += int64(len(l.line))
 	l.unsynced++
-	if l.unsynced >= l.syncEvery {
+	if l.unsynced >= defaultSyncEvery {
 		return l.policySync()
 	}
 	return nil
