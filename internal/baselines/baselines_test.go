@@ -152,8 +152,7 @@ func TestManualPromptRun(t *testing.T) {
 	questions := s.Test[:30]
 	oracle := llm.BuildOracle(append(append([]entity.Pair(nil), questions...), s.Train...))
 	client := llm.NewSimulated(oracle, 1)
-	mp := &ManualPrompt{}
-	res, err := mp.Run(context.Background(), questions, s.Train, client)
+	res, err := ManualPrompt{}.Run(context.Background(), questions, s.Train, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestManualPromptRun(t *testing.T) {
 	if c.F1() < 50 {
 		t.Errorf("ManualPrompt F1 = %.1f, implausibly low", c.F1())
 	}
-	if demos := mp.CurateDemos(s.Train); len(demos) != 6 {
+	if demos := curateDemos(s.Train, manualDemos); len(demos) != 6 {
 		t.Errorf("default demos = %d, want 6", len(demos))
 	}
 }
@@ -185,7 +184,7 @@ func (cacheServed) Complete(context.Context, llm.Request) (llm.Response, error) 
 func TestManualPromptCacheHitsAreNotCalls(t *testing.T) {
 	s := workload(t, "Beer")
 	questions := s.Test[:5]
-	res, err := (&ManualPrompt{}).Run(context.Background(), questions, s.Train, cacheServed{})
+	res, err := ManualPrompt{}.Run(context.Background(), questions, s.Train, cacheServed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +200,7 @@ func TestManualPromptCacheHitsAreNotCalls(t *testing.T) {
 
 func TestCurateDemosBalancedClasses(t *testing.T) {
 	s := workload(t, "IA")
-	mp := &ManualPrompt{NumDemos: 8}
-	demos := mp.CurateDemos(s.Train)
+	demos := curateDemos(s.Train, 8)
 	if len(demos) != 8 {
 		t.Fatalf("demos = %d", len(demos))
 	}
@@ -219,8 +217,7 @@ func TestCurateDemosBalancedClasses(t *testing.T) {
 
 func TestCurateDemosSmallReference(t *testing.T) {
 	s := workload(t, "Beer")
-	mp := &ManualPrompt{NumDemos: 100}
-	demos := mp.CurateDemos(s.Train[:10])
+	demos := curateDemos(s.Train[:10], 100)
 	if len(demos) == 0 || len(demos) > 10 {
 		t.Errorf("demos = %d", len(demos))
 	}
@@ -234,8 +231,7 @@ func TestKCenterSpread(t *testing.T) {
 			pos = append(pos, p)
 		}
 	}
-	mp := &ManualPrompt{NumDemos: 6}
-	demos := mp.CurateDemos(s.Train)
+	demos := curateDemos(s.Train, 6)
 	// No duplicate pairs among curated demos.
 	seen := map[string]bool{}
 	for _, d := range demos {

@@ -14,16 +14,17 @@ import (
 
 // ManualPrompt reproduces the LLM baseline of Narayan et al. [11]:
 // standard prompting (one question per call) with expert-designed
-// demonstrations. The "expert" is simulated by a k-center sweep over the
-// labeled reference set: it picks prototypical, well-spread examples of
-// each class — exactly what a practitioner hand-curating a prompt does.
-// It asks llm.DefaultModel at temperature 0.01 under
-// prompt.DefaultTaskDescription.
-type ManualPrompt struct {
-	// NumDemos is the total demonstration count (split across classes);
-	// default 6, matching the hand-written prompts of [11].
-	NumDemos int
-}
+// demonstrations, manualDemos of them. The "expert" is simulated by a
+// k-center sweep over the labeled reference set: it picks
+// prototypical, well-spread examples of each class — exactly what a
+// practitioner hand-curating a prompt does. It asks llm.DefaultModel at
+// temperature 0.01 under prompt.DefaultTaskDescription. It has no
+// settings; the zero value is the baseline.
+type ManualPrompt struct{}
+
+// manualDemos is ManualPrompt's total demonstration count (split
+// across classes), matching the hand-written prompts of [11].
+const manualDemos = 6
 
 // Result carries predictions and cost for a ManualPrompt run.
 type Result struct {
@@ -34,12 +35,12 @@ type Result struct {
 // Run answers each question with standard prompting. reference supplies
 // the labeled pairs the expert curates demonstrations from. Cancellation
 // is checked between questions and aborts the run with ctx's error.
-func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pair, client llm.Client) (*Result, error) {
+func (ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pair, client llm.Client) (*Result, error) {
 	model, err := llm.Lookup(llm.DefaultModel)
 	if err != nil {
 		return nil, err
 	}
-	demos := m.CurateDemos(reference)
+	demos := curateDemos(reference, manualDemos)
 	res := &Result{Pred: make([]entity.Label, len(questions))}
 	for i, q := range questions {
 		if err := ctx.Err(); err != nil {
@@ -59,14 +60,10 @@ func (m *ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pa
 	return res, nil
 }
 
-// CurateDemos simulates expert prompt design: per class, greedy k-center
-// selection over structure-aware features yields prototypical and diverse
-// demonstrations.
-func (m *ManualPrompt) CurateDemos(reference []entity.Pair) []prompt.Demo {
-	k := m.NumDemos
-	if k <= 0 {
-		k = 6
-	}
+// curateDemos simulates expert prompt design: per class, greedy
+// k-center selection over structure-aware features yields k
+// prototypical and diverse demonstrations in all.
+func curateDemos(reference []entity.Pair, k int) []prompt.Demo {
 	var pos, neg []entity.Pair
 	for _, p := range reference {
 		switch p.Truth {

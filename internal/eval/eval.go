@@ -185,7 +185,7 @@ func framework(cfg core.Config) arm {
 // manualPrompt is the arm that answers with the ManualPrompt baseline,
 // curating its demonstrations from the labeled train split.
 func manualPrompt(w *workload, seed int64) (cell, error) {
-	res, err := (&baselines.ManualPrompt{}).Run(context.Background(), w.questions, w.train, llm.NewSimulated(w.oracle, seed))
+	res, err := baselines.ManualPrompt{}.Run(context.Background(), w.questions, w.train, llm.NewSimulated(w.oracle, seed))
 	if err != nil {
 		return cell{}, err
 	}

@@ -13,15 +13,22 @@ import (
 )
 
 // inflight is one window travelling through the executor. The
-// producer fills the identity fields (pos, rw, keys) and the journal
-// decisions (verifyErr, replay and its labeled) when it admits the
-// window; the runner goroutine fills prepErr, prep, labeled, cancel and
-// results before closing prepped, and runErr before closing results;
-// the committer reads the former after <-prepped and the latter after
-// draining results. Those two closes are the only synchronization the
-// struct needs.
+// producer fills the identity fields (at, rw, keys) and the journal's
+// answer (verifyErr, journaled) when it admits the window; the runner
+// goroutine fills prepErr, prep, at.Labeled, cancel and results before
+// closing prepped, and runErr before closing results; the committer
+// reads the former after <-prepped and the latter after draining
+// results. Those two closes are the only synchronization the struct
+// needs.
 type inflight struct {
-	pos winPos
+	// at is the window's journal start record. Index and Offset are
+	// journal-local (counting only the windows this run owns, identical
+	// to the stream position on unsharded runs), Global and Key place
+	// the window in the full candidate stream, Size is len(rw.amb), and
+	// Labeled is the window's annotated pool indices once known:
+	// journaled for a replayed window, selected by prep for a live one,
+	// nil otherwise.
+	at runstore.WindowStart
 	// rw is the cascade-routed window: rw.full is the blocked window,
 	// rw.amb the matcher's input (identical without a pre-filter). All
 	// journal coordinates (offset, keys) are over rw.amb.
@@ -32,12 +39,11 @@ type inflight struct {
 	// window is not run and the committer fails the run when it reaches
 	// it (in order, so earlier windows still commit first).
 	verifyErr error
-	// replay is the fully journaled window's reconstructed result; when
-	// non-nil the window is never prepared or executed.
-	replay *core.Result
-	// labeled is the window's annotated pool indices: journaled for a
-	// replayed window, selected by prep for a live one, nil otherwise.
-	labeled []int
+	// journaled is what the journal loaded at open holds for the window
+	// (zero without a journal). With Preds set the window is fully
+	// journaled and is never prepared or executed; otherwise Usage is
+	// what an earlier attempt billed for it.
+	journaled runstore.Replay
 	// prepped is closed by the runner once the fields below are final.
 	prepped chan struct{}
 	prepErr error
@@ -61,7 +67,7 @@ type inflight struct {
 // completed batch going straight into the buffered results channel.
 // Windows with nothing to execute are the committer's alone.
 func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pair) {
-	if w.verifyErr != nil || w.replay != nil || len(w.rw.amb) == 0 {
+	if w.verifyErr != nil || w.journaled.Preds != nil || len(w.rw.amb) == 0 {
 		close(w.prepped)
 		return
 	}
@@ -80,24 +86,11 @@ func (w *inflight) run(ctx context.Context, f *core.Framework, pool []entity.Pai
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	w.prep, w.cancel, w.labeled = prep, cancel, prep.LabeledPool()
+	w.prep, w.cancel, w.at.Labeled = prep, cancel, prep.LabeledPool()
 	w.results = make(chan core.BatchResult, len(prep.Batches()))
 	close(w.prepped)
 	w.runErr = prep.Run(ctx, func(br core.BatchResult) { w.results <- br })
 	close(w.results)
-}
-
-// startRecord is the window's journal start; a window that never
-// reached the matcher annotated nothing.
-func (w *inflight) startRecord() runstore.WindowStart {
-	return runstore.WindowStart{
-		Index:   w.pos.idx,
-		Offset:  w.pos.offset,
-		Size:    len(w.rw.amb),
-		Global:  w.pos.global,
-		Key:     w.pos.key,
-		Labeled: w.labeled,
-	}
 }
 
 // stop cancels the window's remaining batches and waits for its runner.
@@ -273,7 +266,7 @@ func (e *executor) admit(ctx context.Context, w []entity.Pair) error {
 	// The partition key is fixed before any routing: every shard
 	// walking this stream computes the same owner for this window.
 	key := w[0].Key()
-	pos := winPos{idx: e.streamOwned, offset: e.offset, global: e.streamTotal, key: key}
+	at := runstore.WindowStart{Index: e.streamOwned, Offset: e.offset, Global: e.streamTotal, Key: key}
 	e.streamTotal++
 	if !e.cfg.Shard.Owns(key) {
 		return nil
@@ -290,18 +283,15 @@ func (e *executor) admit(ctx context.Context, w []entity.Pair) error {
 	// offset is fixed before the next window is admitted — the
 	// journal coordinates cannot depend on runner timing.
 	rw := routeWindow(e.cfg.Prefilter, w)
+	at.Size = len(rw.amb)
 	pool := e.cfg.Pool
 	if pool == nil {
 		pool = rw.amb
 	}
-	iw := &inflight{pos: pos, rw: rw, prepped: make(chan struct{})}
+	iw := &inflight{at: at, rw: rw, prepped: make(chan struct{})}
 	if e.cfg.Journal != nil {
 		iw.keys = pairKeys(rw.amb)
-		if err := verifyJournalWindow(e.jstate, pos, iw.keys); err != nil {
-			iw.verifyErr = err
-		} else if res, labeled, ok := replayWindow(e.jstate, pos.idx, len(rw.amb)); ok {
-			iw.replay, iw.labeled = res, labeled
-		}
+		iw.journaled, iw.verifyErr = e.jstate.Replay(at, iw.keys)
 	}
 	go iw.run(ctx, e.f, pool)
 	e.ordered <- iw
@@ -320,16 +310,26 @@ func (e *executor) commit(iw *inflight) error {
 	if iw.verifyErr != nil {
 		return fmt.Errorf("pipeline: %w", iw.verifyErr)
 	}
+	var res *core.Result
 	var err error
-	res := iw.replay
-	if res != nil {
+	if r := iw.journaled; r.Preds != nil {
+		// Fully journaled: the window's result without the matcher.
+		res = &core.Result{
+			Pred:         r.Preds,
+			DemosLabeled: len(r.Labeled),
+			PromptTokens: r.Usage.InputTokens(),
+			TrimmedDemos: r.Trimmed,
+		}
+		res.Ledger.MergeAPI(&r.Usage)
+		res.Ledger.AddLabels(len(r.Labeled))
+		iw.at.Labeled = r.Labeled
 		e.rep.Replayed += len(iw.rw.amb)
 	} else {
 		res, err = e.gather(iw)
 	}
 	if res != nil {
 		full := iw.rw.expand(res)
-		foldWindow(e.agg, full, iw.labeled, e.sharedLabeled)
+		foldWindow(e.agg, full, iw.at.Labeled, e.sharedLabeled)
 		emitPairs(e.cfg, e.rep, iw.rw.full, full.Pred)
 		e.rep.Candidates += len(iw.rw.full)
 		e.rep.AutoResolved += iw.rw.autoResolved()
@@ -353,19 +353,23 @@ func (e *executor) commit(iw *inflight) error {
 // result alongside a mid-window error, and a nil result when the window
 // never started.
 func (e *executor) gather(iw *inflight) (*core.Result, error) {
-	j := e.cfg.Journal
-	if j != nil {
-		// What a previous attempt billed for this window, ahead of the
-		// re-run's results.
-		mergePartialUsage(e.jstate, iw.pos.idx, e.agg)
+	// What a previous attempt billed for this window, ahead of the
+	// re-run's results. The re-run reproduces the already-billed batches
+	// as free cache hits (zero tokens, no call), so with a persistent
+	// response cache the resumed ledger converges to the uninterrupted
+	// run's.
+	if u := &iw.journaled.Usage; u.Calls() != 0 || u.InputTokens() != 0 || u.OutputTokens() != 0 {
+		e.agg.Ledger.MergeAPI(u)
+		e.agg.PromptTokens += u.InputTokens()
 	}
 	if iw.prepErr != nil {
 		return nil, iw.prepErr
 	}
+	j := e.cfg.Journal
 	if j != nil {
 		// Fully auto-resolved windows record their (empty) start too:
 		// window starts must stay gap-free.
-		if err := j.WindowStart(iw.startRecord()); err != nil {
+		if err := j.WindowStart(iw.at); err != nil {
 			iw.stop()
 			return nil, fmt.Errorf("journal: %w", err)
 		}
@@ -379,7 +383,7 @@ func (e *executor) gather(iw *inflight) (*core.Result, error) {
 		if j == nil {
 			continue
 		}
-		if err := journalBatch(j, iw.pos.idx, iw.keys, br); err != nil {
+		if err := journalBatch(j, iw.at.Index, iw.keys, br); err != nil {
 			iw.stop()
 			return res, fmt.Errorf("journal: %w", err)
 		}
@@ -396,17 +400,17 @@ func (e *executor) salvage() {
 	for iw := range e.ordered {
 		<-iw.prepped
 		// Replayed, mismatched, and unpreparable windows billed nothing.
-		if iw.verifyErr != nil || iw.replay != nil || iw.prepErr != nil {
+		if iw.verifyErr != nil || iw.journaled.Preds != nil || iw.prepErr != nil {
 			continue
 		}
-		if j != nil && j.WindowStart(iw.startRecord()) != nil {
+		if j != nil && j.WindowStart(iw.at) != nil {
 			j = nil
 		}
 		if iw.prep == nil {
 			continue
 		}
 		for br := range iw.results {
-			if j != nil && journalBatch(j, iw.pos.idx, iw.keys, br) != nil {
+			if j != nil && journalBatch(j, iw.at.Index, iw.keys, br) != nil {
 				j = nil
 			}
 		}

@@ -13,10 +13,12 @@ import (
 )
 
 // tableHash fingerprints the input tables by their record IDs so a
-// journal cannot be resumed against different data. Attribute contents
-// are deliberately excluded: hashing every value of million-row tables
-// on each run would dwarf the blocking stage, and ID-stable edits are
-// caught later by the per-pair key verification during replay.
+// journal cannot be resumed against tables with other rows. Attribute
+// contents are deliberately excluded: hashing every value of
+// million-row tables on each run would dwarf the blocking stage. A
+// resume therefore checks row counts, record IDs and each journaled
+// pair's IDs (runstore.RunState.Replay), never record contents: an
+// edit that keeps every ID replays the journaled answers unnoticed.
 func tableHash(tableA, tableB []entity.Record) string {
 	h := sha256.New()
 	for _, r := range tableA {
@@ -111,7 +113,7 @@ func prepareJournal(cfg Config, f *core.Framework, tableA, tableB []entity.Recor
 }
 
 // pairKeys extracts the stable pair identities of a window, used both to
-// journal answered pairs and to verify a journal against the live
+// journal answered pairs and to check a journal against the live
 // candidate stream.
 func pairKeys(win []entity.Pair) []string {
 	keys := make([]string, len(win))
@@ -119,76 +121,6 @@ func pairKeys(win []entity.Pair) []string {
 		keys[i] = p.Key()
 	}
 	return keys
-}
-
-// winPos locates one window in both coordinate systems a journaled run
-// uses: idx/offset are journal-local (counting only the windows this
-// run owns — identical to the global position on unsharded runs), while
-// global and key record the window's place in the full candidate
-// stream and the partition key that assigned it here.
-type winPos struct {
-	idx    int    // journal-local window ordinal
-	offset int    // journal-local ambiguous-pair offset
-	global int    // ordinal in the full candidate stream
-	key    string // partition key: the window's first candidate pair key
-}
-
-// verifyJournalWindow checks that journaled records for the window line
-// up with the live stream's window: same position (local and global),
-// same partition key, same size, same pairs.
-func verifyJournalWindow(st *runstore.RunState, pos winPos, keys []string) error {
-	if ws, ok := st.WindowStart(pos.idx); ok {
-		if ws.Offset != pos.offset || ws.Size != len(keys) {
-			return fmt.Errorf("%w: window %d journaled at offset %d size %d, stream has offset %d size %d",
-				runstore.ErrRunMismatch, pos.idx, ws.Offset, ws.Size, pos.offset, len(keys))
-		}
-		if ws.Key != "" && ws.Key != pos.key {
-			return fmt.Errorf("%w: window %d journaled with partition key %q, stream has %q",
-				runstore.ErrRunMismatch, pos.idx, ws.Key, pos.key)
-		}
-		if ws.Key != "" && ws.Global != pos.global {
-			return fmt.Errorf("%w: window %d journaled at stream position %d, stream has %d",
-				runstore.ErrRunMismatch, pos.idx, ws.Global, pos.global)
-		}
-	}
-	return st.VerifyWindowKeys(pos.idx, keys)
-}
-
-// replayWindow reconstructs a fully journaled window's result without
-// invoking the matcher: predictions in window order, the billed API
-// delta, and the original annotation spend, plus the annotated pool
-// indices. ok is false when the journal does not cover every pair of
-// the window.
-func replayWindow(st *runstore.RunState, wIdx, size int) (*core.Result, []int, bool) {
-	preds, ok := st.WindowPreds(wIdx, size)
-	if !ok {
-		return nil, nil, false
-	}
-	usage, trimmed := st.WindowUsage(wIdx)
-	ws, _ := st.WindowStart(wIdx)
-	res := &core.Result{
-		Pred:         preds,
-		DemosLabeled: len(ws.Labeled),
-		PromptTokens: usage.InputTokens(),
-		TrimmedDemos: trimmed,
-	}
-	res.Ledger.MergeAPI(&usage)
-	res.Ledger.AddLabels(len(ws.Labeled))
-	return res, ws.Labeled, true
-}
-
-// mergePartialUsage folds the journaled spend of a partially answered
-// window into the aggregate exactly once, before the window is re-run.
-// The re-run reproduces the already-billed batches as free cache hits
-// (zero tokens, no call), so with a persistent response cache the
-// resumed ledger converges to the uninterrupted run's.
-func mergePartialUsage(st *runstore.RunState, wIdx int, agg *core.Result) {
-	usage, _ := st.WindowUsage(wIdx)
-	if usage.Calls() == 0 && usage.InputTokens() == 0 && usage.OutputTokens() == 0 {
-		return
-	}
-	agg.Ledger.MergeAPI(&usage)
-	agg.PromptTokens += usage.InputTokens()
 }
 
 // journalBatch records one completed batch of window wIdx durably. keys

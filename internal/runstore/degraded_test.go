@@ -50,13 +50,17 @@ func TestDegradedRecordDoesNotCompleteWindow(t *testing.T) {
 	if st.WindowComplete(0, 2) {
 		t.Error("window with only a degraded placeholder reported complete")
 	}
-	if _, ok := st.WindowPreds(0, 2); ok {
-		t.Error("WindowPreds served a degraded placeholder's predictions")
+	r, err := st.Replay(WindowStart{Index: 0, Size: 2}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Preds != nil {
+		t.Error("Replay served a degraded placeholder's predictions")
 	}
 	if got := st.WindowBatches(0); len(got) != 1 || !got[0].Degraded {
 		t.Fatalf("WindowBatches = %+v, want the one degraded record", got)
 	}
-	usage, trimmed := st.WindowUsage(0)
+	usage, trimmed := r.Usage, r.Trimmed
 	if usage.Calls() != 1 || usage.InputTokens() != 7 || usage.API() != 0.25 {
 		t.Errorf("usage = %d calls, %d in, $%v; want the placeholder's pre-refusal spend", usage.Calls(), usage.InputTokens(), usage.API())
 	}
@@ -102,8 +106,12 @@ func TestDegradedThenRepairFoldOrder(t *testing.T) {
 	j, st := reopen(t, j, dir)
 	defer j.Close()
 
-	preds, ok := st.WindowPreds(0, 2)
-	if !ok {
+	r, err := st.Replay(WindowStart{Index: 0, Size: 2}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := r.Preds
+	if preds == nil {
 		t.Fatal("repaired window did not complete")
 	}
 	if preds[0] != entity.Match || preds[1] != entity.NonMatch {
@@ -113,7 +121,7 @@ func TestDegradedThenRepairFoldOrder(t *testing.T) {
 	if len(got) != 2 || !got[0].Degraded || got[1].Degraded {
 		t.Fatalf("WindowBatches order = %+v, want placeholder then repair", got)
 	}
-	usage, trimmed := st.WindowUsage(0)
+	usage, trimmed := r.Usage, r.Trimmed
 	if usage.Calls() != 2 || usage.InputTokens() != 18 || usage.OutputTokens() != 8 {
 		t.Errorf("usage = %d calls %d/%d tokens, want both records summed", usage.Calls(), usage.InputTokens(), usage.OutputTokens())
 	}
@@ -168,12 +176,14 @@ func TestDegradedIdempotencyIsSeparate(t *testing.T) {
 	j, st := reopen(t, j, dir)
 	defer j.Close()
 
-	preds, ok := st.WindowPreds(0, 1)
-	if !ok || preds[0] != entity.Match {
-		t.Fatalf("preds = %v (ok=%v), want the first authoritative answer", preds, ok)
+	r, err := st.Replay(WindowStart{Index: 0, Size: 1}, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	usage, _ := st.WindowUsage(0)
-	if usage.API() != 0.125+0.5 {
+	if r.Preds == nil || r.Preds[0] != entity.Match {
+		t.Fatalf("preds = %v, want the first authoritative answer", r.Preds)
+	}
+	if usage := r.Usage; usage.API() != 0.125+0.5 {
 		t.Errorf("api dollars = %v, want one placeholder + the first answer", usage.API())
 	}
 	if got := st.WindowBatches(0); len(got) != 2 {

@@ -3,6 +3,7 @@ package runstore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -187,12 +188,29 @@ func TestJournalFixtureOpens(t *testing.T) {
 		if !ok || !reflect.DeepEqual(got, ws) {
 			t.Errorf("window %d start = %#v, %v; want %#v", i, got, ok, ws)
 		}
-		preds, ok := st.WindowPreds(i, ws.Size)
-		if ok != (wantPreds[i] != nil) || !reflect.DeepEqual(preds, wantPreds[i]) {
-			t.Errorf("window %d preds = %v, %v; want %v", i, preds, ok, wantPreds[i])
+		// The live window's pair keys: the journaled ones, and a fresh key
+		// for a question no batch answered.
+		keys := make([]string, ws.Size)
+		for q := range keys {
+			keys[q] = fmt.Sprintf("unanswered-%d", q)
 		}
-		l, trimmed := st.WindowUsage(i)
-		u := usage{l.Calls(), l.InputTokens(), l.OutputTokens(), trimmed, math.Float64bits(l.API()), l.TierBreakdown()}
+		for _, b := range fixtureBatches[i] {
+			for k, q := range b.Questions {
+				keys[q] = b.Keys[k]
+			}
+		}
+		r, err := st.Replay(ws, keys)
+		if err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(r.Preds, wantPreds[i]) {
+			t.Errorf("window %d preds = %v; want %v", i, r.Preds, wantPreds[i])
+		}
+		if !reflect.DeepEqual(r.Labeled, ws.Labeled) {
+			t.Errorf("window %d labeled = %v; want %v", i, r.Labeled, ws.Labeled)
+		}
+		l := r.Usage
+		u := usage{l.Calls(), l.InputTokens(), l.OutputTokens(), r.Trimmed, math.Float64bits(l.API()), l.TierBreakdown()}
 		if !reflect.DeepEqual(u, wantUsage[i]) {
 			t.Errorf("window %d usage = %+v (dollars %v), want %+v", i, u, l.API(), wantUsage[i])
 		}

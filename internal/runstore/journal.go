@@ -1,12 +1,13 @@
 package runstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"batcher/internal/cost"
@@ -15,7 +16,9 @@ import (
 
 // ErrRunMismatch is returned when a journal's recorded run fingerprint
 // (or its per-window candidate layout) does not match the run being
-// resumed: different tables, model, seed, window size, or pool mode.
+// resumed: a different model, seed, window size or pool mode, tables
+// with other row counts or record IDs, or journaled pairs whose record
+// IDs differ from the live stream's. Record contents are not compared.
 // Resuming such a run would silently splice predictions from one
 // configuration into another.
 var ErrRunMismatch = errors.New("runstore: journal does not match this run")
@@ -175,28 +178,127 @@ type journalRecord struct {
 	Done   *RunDone     `json:"done,omitempty"`
 }
 
-// windowState groups the journaled records of one window. batches
-// holds authoritative answers; degraded holds placeholder records
-// whose spend must be preserved but whose predictions are repairable.
-type windowState struct {
-	start    *WindowStart
-	batches  map[int]*BatchDone
-	degraded map[int]*BatchDone
+// recordKey names what a record is the first of. Every record has one
+// key — the meta, the terminal record, window i's start, or batch b of
+// window i's answer or its degraded placeholder — and a journal keeps
+// the first record of each key only. An answer and a placeholder have
+// different keys, so a placeholder never blocks its batch's repair and
+// an answer is never demoted by a later placeholder.
+type recordKey struct {
+	kind          recordKind
+	window, batch int
 }
 
-func newWindowState() *windowState {
-	return &windowState{batches: map[int]*BatchDone{}, degraded: map[int]*BatchDone{}}
+type recordKind uint8
+
+const (
+	metaKey recordKind = iota
+	doneKey
+	startKey
+	answerKey
+	placeholderKey
+)
+
+// batchPair holds one batch index's records: the first degraded
+// placeholder and the first authoritative answer, either possibly nil.
+type batchPair struct {
+	placeholder, answer *BatchDone
+}
+
+// windowState groups the journaled records of one window.
+type windowState struct {
+	start   *WindowStart
+	batches map[int]batchPair
+}
+
+// ordered returns the window's batch pairs in ascending batch order,
+// the order the run billed them.
+func (w *windowState) ordered() []batchPair {
+	out := make([]batchPair, 0, len(w.batches))
+	for _, p := range w.batches {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b batchPair) int { return cmp.Compare(a.index(), b.index()) })
+	return out
+}
+
+func (p batchPair) index() int {
+	if p.answer != nil {
+		return p.answer.Batch
+	}
+	return p.placeholder.Batch
 }
 
 // RunState is the parsed content of a journal: what a resumed run may
-// replay. Duplicate records (a window re-run after a mid-window crash
-// journals its batches again, the replayed ones with zero usage) resolve
-// first-write-wins, so the record carrying the real billed usage is the
-// one that survives arbitrarily many crash/resume cycles.
+// replay. Records are filed by key (recordKey) and the first record of
+// a key wins, so when a window re-run after a mid-window crash journals
+// its batches again — the replayed ones with zero usage — the record
+// carrying the real billed usage survives arbitrarily many crash/resume
+// cycles.
 type RunState struct {
 	meta    *RunMeta
 	windows map[int]*windowState
 	done    *RunDone
+}
+
+// add files rec under its key unless that key already holds a record.
+func (s *RunState) add(rec *journalRecord) {
+	switch {
+	case rec.Meta != nil:
+		if s.meta == nil {
+			s.meta = rec.Meta
+		}
+	case rec.Window != nil:
+		if w := s.open(rec.Window.Index); w.start == nil {
+			w.start = rec.Window
+		}
+	case rec.Batch != nil:
+		b := rec.Batch
+		w := s.open(b.Window)
+		p := w.batches[b.Batch]
+		slot := &p.answer
+		if b.Degraded {
+			slot = &p.placeholder
+		}
+		if *slot == nil {
+			*slot = b
+			w.batches[b.Batch] = p
+		}
+	case rec.Done != nil:
+		if s.done == nil {
+			s.done = rec.Done
+		}
+	}
+}
+
+// open returns window i's state, creating it empty if needed.
+func (s *RunState) open(i int) *windowState {
+	w := s.windows[i]
+	if w == nil {
+		w = &windowState{batches: map[int]batchPair{}}
+		s.windows[i] = w
+	}
+	return w
+}
+
+// has reports whether key k holds a record.
+func (s *RunState) has(k recordKey) bool {
+	switch k.kind {
+	case metaKey:
+		return s.meta != nil
+	case doneKey:
+		return s.done != nil
+	}
+	w := s.windows[k.window]
+	switch {
+	case w == nil:
+		return false
+	case k.kind == startKey:
+		return w.start != nil
+	case k.kind == answerKey:
+		return w.batches[k.batch].answer != nil
+	}
+	return w.batches[k.batch].placeholder != nil
 }
 
 // Meta returns the journaled run fingerprint, if any.
@@ -229,45 +331,29 @@ func (s *RunState) Windows() int {
 	return len(s.windows)
 }
 
-// WindowBatches returns window i's journaled batch records in ascending
-// batch order. The merge coordinator uses it to re-journal a shard's
-// windows under their global coordinates; the records are copies safe
-// to modify.
+// WindowBatches returns window i's journaled batch records in billing
+// order: ascending batch, a degraded placeholder before its batch's
+// answer (the placeholder recorded the spend the batch made before the
+// refusal, which the original run billed before any repair re-billed
+// the remainder). The merge coordinator uses it to re-journal a shard's
+// windows under their global coordinates. The records are copies whose
+// fields may be set; their slices are the loaded state's and must not
+// be written.
 func (s *RunState) WindowBatches(i int) []BatchDone {
 	w := s.window(i)
-	if w == nil || (len(w.batches) == 0 && len(w.degraded) == 0) {
+	if w == nil || len(w.batches) == 0 {
 		return nil
 	}
-	order := batchOrder(w)
-	out := make([]BatchDone, 0, len(order))
-	for _, bi := range order {
-		// Degraded placeholder first: it recorded the spend the batch
-		// made before the refusal, which the original run billed before
-		// any repair re-billed the remainder.
-		if d := w.degraded[bi]; d != nil {
-			out = append(out, *d)
+	out := make([]BatchDone, 0, len(w.batches))
+	for _, p := range w.ordered() {
+		if p.placeholder != nil {
+			out = append(out, *p.placeholder)
 		}
-		if b := w.batches[bi]; b != nil {
-			out = append(out, *b)
+		if p.answer != nil {
+			out = append(out, *p.answer)
 		}
 	}
 	return out
-}
-
-// batchOrder returns the union of a window's batch indices — answered
-// and degraded — in ascending order.
-func batchOrder(w *windowState) []int {
-	order := make([]int, 0, len(w.batches)+len(w.degraded))
-	for bi := range w.batches {
-		order = append(order, bi)
-	}
-	for bi := range w.degraded {
-		if _, dup := w.batches[bi]; !dup {
-			order = append(order, bi)
-		}
-	}
-	sort.Ints(order)
-	return order
 }
 
 func (s *RunState) window(i int) *windowState {
@@ -287,132 +373,141 @@ func (s *RunState) WindowStart(i int) (WindowStart, bool) {
 }
 
 // WindowComplete reports whether every one of the window's size
-// questions has a journaled prediction — the condition for replaying the
-// window without invoking the matcher at all.
+// questions has a journaled answer — the condition for replaying the
+// window without invoking the matcher at all. It reads the records as
+// Replay does, without the pair keys to check them against.
 func (s *RunState) WindowComplete(i, size int) bool {
-	_, ok := s.WindowPreds(i, size)
-	return ok
+	w := s.window(i)
+	if w == nil {
+		return false
+	}
+	r, err := w.replay(i, size, nil)
+	return err == nil && r.Preds != nil
 }
 
-// WindowPreds assembles the window's predictions in question order from
-// its journaled batches. ok is false unless the batches cover all size
-// questions exactly. Coverage counts distinct questions: an answer,
-// Unknown included, journaled twice never stands in for a question no
-// batch answered.
-func (s *RunState) WindowPreds(i, size int) ([]entity.Label, bool) {
-	w := s.window(i)
-	if w == nil || size <= 0 {
-		return nil, false
+// Replay is what a window's journaled records give a resumed run.
+type Replay struct {
+	// Preds holds the window's predictions in question order; nil
+	// unless the authoritative answers cover every question.
+	Preds []entity.Label
+	// Usage is the window's journaled API spend, placeholders included,
+	// as a ledger delta for cost.Ledger.MergeAPI.
+	Usage cost.Ledger
+	// Trimmed counts the demonstrations the journaled batches dropped
+	// to fit the context window.
+	Trimmed int
+	// Labeled is the window start's annotated pool indices.
+	Labeled []int
+}
+
+// Replay checks window at.Index's journaled records against the live
+// window — at's offset, size, partition key and stream position, and
+// keys, its at.Size pair keys — and returns what they give a resumed
+// run. A mismatch (ErrRunMismatch) means the journal belongs to a
+// different candidate stream (different blocker, tables, or ordering)
+// and replaying it would attach predictions to the wrong pairs. A
+// window with no journaled records replays nothing.
+//
+// The batch records are read in one pass in billing order, a degraded
+// placeholder before its batch's answer: that order names the first
+// mismatching batch, and folds the dollar total exactly as the
+// original run billed it, so it reproduces the uninterrupted run's bit
+// for bit. A placeholder's spend always counts; its trims only count
+// when no answer exists (a repair re-derives the same trims itself),
+// and its predictions never count. Coverage counts distinct questions:
+// an answer, Unknown included, journaled twice never stands in for a
+// question no batch answered.
+func (s *RunState) Replay(at WindowStart, keys []string) (Replay, error) {
+	w := s.window(at.Index)
+	if w == nil {
+		return Replay{}, nil
 	}
+	if ws := w.start; ws != nil {
+		if ws.Offset != at.Offset || ws.Size != at.Size {
+			return Replay{}, fmt.Errorf("%w: window %d journaled at offset %d size %d, stream has offset %d size %d",
+				ErrRunMismatch, at.Index, ws.Offset, ws.Size, at.Offset, at.Size)
+		}
+		if ws.Key != "" && ws.Key != at.Key {
+			return Replay{}, fmt.Errorf("%w: window %d journaled with partition key %q, stream has %q",
+				ErrRunMismatch, at.Index, ws.Key, at.Key)
+		}
+		if ws.Key != "" && ws.Global != at.Global {
+			return Replay{}, fmt.Errorf("%w: window %d journaled at stream position %d, stream has %d",
+				ErrRunMismatch, at.Index, ws.Global, at.Global)
+		}
+	}
+	r, err := w.replay(at.Index, at.Size, keys)
+	if err != nil {
+		return Replay{}, err
+	}
+	if w.start != nil {
+		r.Labeled = w.start.Labeled
+	}
+	return r, nil
+}
+
+// replay is Replay's walk over window i's batch records; nil keys skip
+// the pair-key check.
+func (w *windowState) replay(i, size int, keys []string) (Replay, error) {
+	var r Replay
 	preds := make([]entity.Label, size)
 	seen := make([]bool, size)
-	covered := 0
-	for _, b := range w.batches {
-		for k, qi := range b.Questions {
-			if qi < 0 || qi >= size || k >= len(b.Pred) {
-				return nil, false
+	covered, whole := 0, size > 0
+	for _, p := range w.ordered() {
+		for _, b := range [2]*BatchDone{p.placeholder, p.answer} {
+			if b == nil {
+				continue
 			}
-			if !seen[qi] {
-				seen[qi] = true
-				covered++
+			for k, qi := range b.Questions {
+				if qi < 0 || qi >= size || (keys != nil && (qi >= len(keys) || k >= len(b.Keys))) {
+					return Replay{}, fmt.Errorf("%w: window %d batch %d references question %d outside the window",
+						ErrRunMismatch, i, b.Batch, qi)
+				}
+				if keys != nil && b.Keys[k] != keys[qi] {
+					return Replay{}, fmt.Errorf("%w: window %d batch %d pair %d is %q in the journal but %q in the stream",
+						ErrRunMismatch, i, b.Batch, qi, b.Keys[k], keys[qi])
+				}
 			}
-			preds[qi] = b.Pred[k]
+			l := b.Ledger()
+			r.Usage.MergeAPI(&l)
+			if b.Degraded {
+				if p.answer == nil {
+					r.Trimmed += b.TrimmedDemos
+				}
+				continue
+			}
+			r.Trimmed += b.TrimmedDemos
+			for k, qi := range b.Questions {
+				if k >= len(b.Pred) {
+					whole = false
+					break
+				}
+				if !seen[qi] {
+					seen[qi] = true
+					covered++
+				}
+				preds[qi] = b.Pred[k]
+			}
 		}
 	}
-	if covered != size {
-		return nil, false
+	if whole && covered == size {
+		r.Preds = preds
 	}
-	return preds, true
+	return r, nil
 }
-
-// WindowUsage sums the window's journaled API usage into a ledger delta
-// suitable for cost.Ledger.MergeAPI, plus the total trimmed-demo count.
-// Batches are folded in ascending batch order — the order the original
-// run billed them — so the floating-point dollar total reproduces the
-// uninterrupted run's bit for bit.
-func (s *RunState) WindowUsage(i int) (cost.Ledger, int) {
-	var l cost.Ledger
-	trimmed := 0
-	w := s.window(i)
-	if w == nil {
-		return l, 0
-	}
-	for _, bi := range batchOrder(w) {
-		// A degraded placeholder's spend (the pre-refusal cheap-tier
-		// attempt) folds in before the repair's record, matching the
-		// order the original run billed it. Its trims only count when
-		// no repair exists: a repair re-derives the same trims itself.
-		if d := w.degraded[bi]; d != nil {
-			dl := d.Ledger()
-			l.MergeAPI(&dl)
-			if w.batches[bi] == nil {
-				trimmed += d.TrimmedDemos
-			}
-		}
-		if b := w.batches[bi]; b != nil {
-			bl := b.Ledger()
-			l.MergeAPI(&bl)
-			trimmed += b.TrimmedDemos
-		}
-	}
-	return l, trimmed
-}
-
-// VerifyWindowKeys checks every journaled batch of window i against the
-// live candidate stream's pair keys for that window. A mismatch means
-// the journal belongs to a different candidate stream (different
-// blocker, tables, or ordering) and replaying it would attach
-// predictions to the wrong pairs.
-func (s *RunState) VerifyWindowKeys(i int, keys []string) error {
-	w := s.window(i)
-	if w == nil {
-		return nil
-	}
-	if w.start != nil && w.start.Size != len(keys) {
-		return fmt.Errorf("%w: window %d journaled %d pairs, stream has %d",
-			ErrRunMismatch, i, w.start.Size, len(keys))
-	}
-	verify := func(b *BatchDone) error {
-		for k, qi := range b.Questions {
-			if qi < 0 || qi >= len(keys) || k >= len(b.Keys) {
-				return fmt.Errorf("%w: window %d batch %d references question %d outside the window",
-					ErrRunMismatch, i, b.Batch, qi)
-			}
-			if b.Keys[k] != keys[qi] {
-				return fmt.Errorf("%w: window %d batch %d pair %d is %q in the journal but %q in the stream",
-					ErrRunMismatch, i, b.Batch, qi, b.Keys[k], keys[qi])
-			}
-		}
-		return nil
-	}
-	for _, b := range w.batches {
-		if err := verify(b); err != nil {
-			return err
-		}
-	}
-	for _, b := range w.degraded {
-		if err := verify(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type batchKey struct{ window, batch int }
 
 // Journal is a durable, append-only record of one run's progress. It is
 // safe for concurrent use (batches may complete on several goroutines)
-// and idempotent: re-recording an already-journaled window or batch is a
-// no-op, which is what makes crash/resume cycles converge.
+// and keeps the key rule of RunState: an append whose key already holds
+// a record, loaded at open or appended since, is a no-op, which is what
+// makes crash/resume cycles converge.
 type Journal struct {
-	mu      sync.Mutex
-	dir     string
-	log     *segLog
-	state   *RunState
-	seen    map[batchKey]bool
-	degSeen map[batchKey]bool
-	wseen   map[int]bool
-	dseen   bool
+	mu    sync.Mutex
+	dir   string
+	log   *segLog
+	state *RunState
+	// appended holds the key of every record appended since open.
+	appended map[recordKey]bool
 }
 
 // OpenJournal opens (creating if necessary) the run journal stored in
@@ -425,63 +520,18 @@ func OpenJournal(ctx context.Context, dir string) (*Journal, error) {
 		return nil, err
 	}
 	state := &RunState{windows: map[int]*windowState{}}
-	seen := map[batchKey]bool{}
-	degSeen := map[batchKey]bool{}
-	wseen := map[int]bool{}
 	last, err := readSegments(ctx, dir, "journal", func(rec *journalRecord) error {
-		switch {
-		case rec.Meta != nil:
-			if state.meta == nil { // first wins
-				state.meta = rec.Meta
-			}
-		case rec.Window != nil:
-			w := state.windows[rec.Window.Index]
-			if w == nil {
-				w = newWindowState()
-				state.windows[rec.Window.Index] = w
-			}
-			if w.start == nil { // first wins
-				w.start = rec.Window
-			}
-			wseen[rec.Window.Index] = true
-		case rec.Batch != nil:
-			k := batchKey{rec.Batch.Window, rec.Batch.Batch}
-			w := state.windows[rec.Batch.Window]
-			if w == nil {
-				w = newWindowState()
-				state.windows[rec.Batch.Window] = w
-			}
-			switch {
-			case rec.Batch.Degraded:
-				// Degraded placeholders live beside the real records: a
-				// later authoritative answer for the same batch does not
-				// erase the spend the placeholder preserved.
-				if !degSeen[k] { // first wins
-					w.degraded[rec.Batch.Batch] = rec.Batch
-					degSeen[k] = true
-				}
-			case !seen[k]: // first wins: the real billed usage
-				w.batches[rec.Batch.Batch] = rec.Batch
-				seen[k] = true
-			}
-		case rec.Done != nil:
-			if state.done == nil { // first wins
-				state.done = rec.Done
-			}
-		}
+		state.add(rec)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Journal{
-		dir:     dir,
-		log:     openSegLog(dir, "journal", last),
-		state:   state,
-		seen:    seen,
-		degSeen: degSeen,
-		wseen:   wseen,
-		dseen:   state.done != nil,
+		dir:      dir,
+		log:      openSegLog(dir, "journal", last),
+		state:    state,
+		appended: map[recordKey]bool{},
 	}, nil
 }
 
@@ -512,15 +562,30 @@ func (j *Journal) RunID() string { return filepath.Base(j.dir) }
 // own writes).
 func (j *Journal) State() *RunState { return j.state }
 
-// WriteMeta journals the run fingerprint. It is a no-op if a meta record
-// was already loaded; verifying compatibility is the caller's job.
+// has reports whether key k holds a record, loaded or appended.
+func (j *Journal) has(k recordKey) bool {
+	return j.appended[k] || j.state.has(k)
+}
+
+// append writes rec, the first record of key k.
+func (j *Journal) append(k recordKey, rec journalRecord) error {
+	if err := j.log.append(rec); err != nil {
+		return err
+	}
+	j.appended[k] = true
+	return nil
+}
+
+// WriteMeta journals the run fingerprint. It is a no-op if the journal
+// already holds one; verifying compatibility is the caller's job.
 func (j *Journal) WriteMeta(m RunMeta) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.meta != nil {
+	k := recordKey{kind: metaKey}
+	if j.has(k) {
 		return nil
 	}
-	if err := j.log.append(journalRecord{Meta: &m}); err != nil {
+	if err := j.append(k, journalRecord{Meta: &m}); err != nil {
 		return err
 	}
 	// Make the fingerprint durable before any batch spend is journaled
@@ -535,43 +600,37 @@ func (j *Journal) WriteMeta(m RunMeta) error {
 func (j *Journal) WindowStart(w WindowStart) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wseen[w.Index] {
+	k := recordKey{kind: startKey, window: w.Index}
+	if j.has(k) {
 		return nil
 	}
-	if w.Index > 0 && !j.wseen[w.Index-1] {
+	if w.Index > 0 && !j.has(recordKey{kind: startKey, window: w.Index - 1}) {
 		return fmt.Errorf("%w: window %d started before window %d", ErrOutOfOrder, w.Index, w.Index-1)
 	}
-	j.wseen[w.Index] = true
-	return j.log.append(journalRecord{Window: &w})
+	return j.append(k, journalRecord{Window: &w})
 }
 
-// BatchDone journals one completed batch. Idempotent per (window, batch):
-// replayed batches from a resumed partial window never overwrite the
-// original record carrying the real billed usage. The batch's window
-// must have started (WindowStart), or the append fails with
-// ErrOutOfOrder. Degraded placeholders are tracked separately from
-// authoritative answers: a placeholder never blocks the later repair
-// record for the same batch, and vice versa an answered batch is never
-// demoted by a placeholder.
+// BatchDone journals one completed batch. Idempotent per key (answer or
+// degraded placeholder of one (window, batch)): replayed batches from a
+// resumed partial window never overwrite the original record carrying
+// the real billed usage, a placeholder never blocks the later repair
+// record for the same batch, and an answered batch is never demoted by
+// a placeholder. The batch's window must have started (WindowStart), or
+// the append fails with ErrOutOfOrder.
 func (j *Journal) BatchDone(b BatchDone) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	k := batchKey{b.Window, b.Batch}
-	if b.Degraded && j.degSeen[k] {
+	k := recordKey{answerKey, b.Window, b.Batch}
+	if b.Degraded {
+		k.kind = placeholderKey
+	}
+	if j.has(k) {
 		return nil
 	}
-	if !b.Degraded && j.seen[k] {
-		return nil
-	}
-	if !j.wseen[b.Window] {
+	if !j.has(recordKey{kind: startKey, window: b.Window}) {
 		return fmt.Errorf("%w: window %d batch %d recorded before the window started", ErrOutOfOrder, b.Window, b.Batch)
 	}
-	if b.Degraded {
-		j.degSeen[k] = true
-	} else {
-		j.seen[k] = true
-	}
-	return j.log.append(journalRecord{Batch: &b})
+	return j.append(k, journalRecord{Batch: &b})
 }
 
 // Done journals the run's terminal record: the whole candidate stream
@@ -583,13 +642,13 @@ func (j *Journal) BatchDone(b BatchDone) error {
 func (j *Journal) Done(d RunDone) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dseen {
+	k := recordKey{kind: doneKey}
+	if j.has(k) {
 		return nil
 	}
-	if err := j.log.append(journalRecord{Done: &d}); err != nil {
+	if err := j.append(k, journalRecord{Done: &d}); err != nil {
 		return err
 	}
-	j.dseen = true
 	return j.log.sync()
 }
 

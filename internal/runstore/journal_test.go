@@ -66,15 +66,22 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.WindowComplete(0, 3) {
 		t.Error("window with 2/3 answered reported complete")
 	}
-	l, _ := st.WindowUsage(0)
-	if l.Calls() != 1 || l.InputTokens() != 100 || l.API() != 0.12 {
-		t.Errorf("usage = %s", l.String())
-	}
-	if err := st.VerifyWindowKeys(0, []string{"a|x", "b|y", "c|z"}); err != nil {
+	at := WindowStart{Index: 0, Size: 3}
+	r, err := st.Replay(at, []string{"a|x", "b|y", "c|z"})
+	if err != nil {
 		t.Errorf("keys should verify: %v", err)
 	}
-	if err := st.VerifyWindowKeys(0, []string{"a|x", "b|y", "WRONG"}); err == nil {
-		t.Error("mismatched keys verified")
+	if r.Preds != nil {
+		t.Error("window with 2/3 answered replayed predictions")
+	}
+	if l := r.Usage; l.Calls() != 1 || l.InputTokens() != 100 || l.API() != 0.12 {
+		t.Errorf("usage = %s", l.String())
+	}
+	if len(r.Labeled) != 2 {
+		t.Errorf("labeled = %v, want the window start's 2", r.Labeled)
+	}
+	if _, err := st.Replay(at, []string{"a|x", "b|y", "WRONG"}); !errors.Is(err, ErrRunMismatch) {
+		t.Errorf("mismatched keys: err = %v, want ErrRunMismatch", err)
 	}
 }
 
@@ -90,17 +97,21 @@ func TestJournalWindowCompleteAndPreds(t *testing.T) {
 
 	j2, _ := OpenJournal(context.Background(), dir)
 	defer j2.Close()
-	preds, ok := j2.State().WindowPreds(0, 4)
-	if !ok {
-		t.Fatal("complete window not recognized")
+	st := j2.State()
+	r, err := st.Replay(WindowStart{Index: 0, Size: 4}, []string{"k0", "k1", "k2", "k3"})
+	if err != nil || r.Preds == nil {
+		t.Fatalf("complete window not recognized: %v", err)
 	}
 	want := []entity.Label{entity.Match, entity.NonMatch, entity.NonMatch, entity.Match}
 	for i := range want {
-		if preds[i] != want[i] {
-			t.Errorf("pred[%d] = %v, want %v", i, preds[i], want[i])
+		if r.Preds[i] != want[i] {
+			t.Errorf("pred[%d] = %v, want %v", i, r.Preds[i], want[i])
 		}
 	}
-	if _, ok := j2.State().WindowPreds(0, 5); ok {
+	if _, err := st.Replay(WindowStart{Index: 0, Size: 5}, []string{"k0", "k1", "k2", "k3", "k4"}); !errors.Is(err, ErrRunMismatch) {
+		t.Errorf("wrong-size window: err = %v, want ErrRunMismatch", err)
+	}
+	if st.WindowComplete(0, 5) {
 		t.Error("wrong-size window reported complete")
 	}
 }
@@ -128,8 +139,11 @@ func TestJournalFirstWriteWins(t *testing.T) {
 
 	j3, _ := OpenJournal(context.Background(), dir)
 	defer j3.Close()
-	l, _ := j3.State().WindowUsage(0)
-	if l.Calls() != 1 || l.InputTokens() != 50 || l.API() != 0.05 {
+	r, err := j3.State().Replay(WindowStart{Index: 0, Size: 1}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := r.Usage; l.Calls() != 1 || l.InputTokens() != 50 || l.API() != 0.05 {
 		t.Errorf("duplicate batch corrupted usage: %s", l.String())
 	}
 }
@@ -372,12 +386,93 @@ func TestWindowPredsCountsEachQuestionOnce(t *testing.T) {
 			}
 			j, st := reopen(t, j, dir)
 			defer j.Close()
-			if preds, ok := st.WindowPreds(0, 2); ok {
-				t.Errorf("WindowPreds = %v, ok; question 1 was never answered", preds)
+			r, err := st.Replay(WindowStart{Index: 0, Size: 2}, []string{"k0", "k1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Preds != nil {
+				t.Errorf("Replay preds = %v; question 1 was never answered", r.Preds)
 			}
 			if st.WindowComplete(0, 2) {
 				t.Error("window reported complete with question 1 unanswered")
 			}
 		})
+	}
+}
+
+// TestReplayMismatchNamesFirstBatch pins that a key mismatch names the
+// first mismatching batch in billing order, every time: the records are
+// read in ascending batch order, not in map order.
+func TestReplayMismatchNamesFirstBatch(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WindowStart(WindowStart{Index: 0, Size: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 2; b++ {
+		if err := j.BatchDone(BatchDone{Window: 0, Batch: b, Questions: []int{2 * b, 2*b + 1},
+			Keys: []string{"old0", "old1"}, Pred: []entity.Label{entity.Match, entity.NonMatch}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, st := reopen(t, j, dir)
+	defer j.Close()
+	for i := 0; i < 50; i++ {
+		_, err := st.Replay(WindowStart{Index: 0, Size: 4}, []string{"k0", "k1", "k2", "k3"})
+		if !errors.Is(err, ErrRunMismatch) || !strings.Contains(err.Error(), "batch 0 ") {
+			t.Fatalf("call %d: err = %v, want batch 0's ErrRunMismatch", i, err)
+		}
+	}
+}
+
+// TestReplayChecksLayout pins the window layout check: the journaled
+// start must agree with the live window on offset, size, and — when it
+// carries a partition key — key and stream position.
+func TestReplayChecksLayout(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := WindowStart{Index: 0, Offset: 0, Size: 1, Global: 3, Key: "k0"}
+	if err := j.WindowStart(start); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.BatchDone(BatchDone{Window: 0, Batch: 0, Questions: []int{0}, Keys: []string{"k0"},
+		Pred: []entity.Label{entity.Match}}); err != nil {
+		t.Fatal(err)
+	}
+	j, st := reopen(t, j, dir)
+	defer j.Close()
+	keys := []string{"k0"}
+	if r, err := st.Replay(start, keys); err != nil || r.Preds == nil {
+		t.Fatalf("matching layout: preds %v, err %v", r.Preds, err)
+	}
+	// Fewer keys than the window's size is a mismatch, not a panic.
+	if _, err := st.Replay(start, []string{}); !errors.Is(err, ErrRunMismatch) {
+		t.Errorf("short keys: err = %v, want ErrRunMismatch", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*WindowStart)
+		want string
+	}{
+		{"offset", func(w *WindowStart) { w.Offset = 5 }, "offset 0 size 1, stream has offset 5 size 1"},
+		{"size", func(w *WindowStart) { w.Size = 2 }, "offset 0 size 1, stream has offset 0 size 2"},
+		{"key", func(w *WindowStart) { w.Key = "k9" }, `partition key "k0", stream has "k9"`},
+		{"global", func(w *WindowStart) { w.Global = 4 }, "stream position 3, stream has 4"},
+	} {
+		at := start
+		tc.edit(&at)
+		live := keys
+		if at.Size == 2 {
+			live = []string{"k0", "k1"}
+		}
+		if _, err := st.Replay(at, live); !errors.Is(err, ErrRunMismatch) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrRunMismatch with %q", tc.name, err, tc.want)
+		}
 	}
 }

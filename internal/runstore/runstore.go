@@ -158,6 +158,31 @@ func segName(prefix string, seg int) string {
 	return fmt.Sprintf("%s-%06d.jsonl", prefix, seg)
 }
 
+// segIndex reports whether name is a segment file of prefix exactly as
+// segName writes it, and if so its index.
+func segIndex(prefix, name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, prefix+"-")
+	if !ok {
+		return 0, false
+	}
+	digits, ok = strings.CutSuffix(digits, ".jsonl")
+	if !ok {
+		return 0, false
+	}
+	seg, err := strconv.Atoi(digits)
+	if err != nil || seg < 0 || segName(prefix, seg) != name {
+		return 0, false
+	}
+	return seg, true
+}
+
+// IsJournalSegment reports whether name is the file name of a journal
+// segment, as a Journal writes and reads them.
+func IsJournalSegment(name string) bool {
+	_, ok := segIndex("journal", name)
+	return ok
+}
+
 // listSegments returns the existing segment file names for prefix in
 // ascending segment order, plus the highest segment index (0 if none).
 func listSegments(dir, prefix string) ([]string, int, error) {
@@ -168,17 +193,9 @@ func listSegments(dir, prefix string) ([]string, int, error) {
 	var names []string
 	last := 0
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix+"-") || !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		var seg int
-		if _, err := fmt.Sscanf(name, prefix+"-%06d.jsonl", &seg); err != nil {
-			continue
-		}
-		names = append(names, name)
-		if seg > last {
-			last = seg
+		if seg, ok := segIndex(prefix, e.Name()); ok && !e.IsDir() {
+			names = append(names, e.Name())
+			last = max(last, seg)
 		}
 	}
 	sort.Strings(names)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"batcher/internal/runstore"
 	"batcher/internal/workpool"
@@ -72,9 +71,10 @@ type globalWindow struct {
 }
 
 // Discover lists the shard journal directories under dir: every
-// immediate subdirectory holding at least one journal segment, in
-// lexical order. A subdirectory named "merged" is skipped — it is the
-// conventional output of a previous Merge, not an input.
+// immediate subdirectory holding at least one journal segment (a file
+// runstore.IsJournalSegment names), in lexical order. A subdirectory
+// named "merged" is skipped — it is the conventional output of a
+// previous Merge, not an input.
 func Discover(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -91,8 +91,7 @@ func Discover(dir string) ([]string, error) {
 			return nil, err
 		}
 		for _, se := range subEntries {
-			name := se.Name()
-			if !se.IsDir() && strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".jsonl") {
+			if !se.IsDir() && runstore.IsJournalSegment(se.Name()) {
 				dirs = append(dirs, sub)
 				break
 			}

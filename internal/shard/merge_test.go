@@ -545,12 +545,38 @@ func TestDiscover(t *testing.T) {
 	if _, err := shard.Merge(context.Background(), dirs, filepath.Join(dir, "merged")); err != nil {
 		t.Fatal(err)
 	}
+	// Subdirectories whose files only look like journal segments are not
+	// shard journals: Discover takes a segment's name from runstore.
+	for _, stray := range []struct {
+		dir, file string
+		isDir     bool
+	}{
+		{"notes", "journal-notes.jsonl", false},
+		{"short", "journal-1.jsonl", false},
+		{"backup", "journal-000001.jsonl.bak", false},
+		{"cache", "cache-000001.jsonl", false},
+		{"nested", "journal-000001.jsonl", true},
+	} {
+		path := filepath.Join(dir, stray.dir, stray.file)
+		if stray.isDir {
+			if err := os.MkdirAll(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	got, err := shard.Discover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
-		t.Fatalf("discovered %v, want the 3 shard dirs (merged/ excluded)", got)
+		t.Fatalf("discovered %v, want the 3 shard dirs (merged/ and the stray dirs excluded)", got)
 	}
 	for i, g := range got {
 		if g != dirs[i] {
