@@ -228,6 +228,11 @@ func GenerateBenchmark(spec CustomBenchmark, seed int64) (*Dataset, error) {
 	return datagen.GenerateCustom(spec, seed)
 }
 
+// BlockingPostingCap is the posting cap of the token blocker behind
+// BlockTables, BlockTablesStream and RunPipeline: a token found in more
+// rows of table B than this is too common to block on and is skipped.
+const BlockingPostingCap = 512
+
 // tokenBlocker builds the token-overlap blocker behind BlockTables,
 // BlockTablesStream and RunPipeline, so minShared <= 0 resolves to the
 // same default of 2 on every entry point.
@@ -235,7 +240,7 @@ func tokenBlocker(attr string, minShared int) *blocking.TokenBlocker {
 	if minShared <= 0 {
 		minShared = 2
 	}
-	return &blocking.TokenBlocker{Attr: attr, MinShared: minShared, MaxPostings: 512}
+	return &blocking.TokenBlocker{Attr: attr, MinShared: minShared, MaxPostings: BlockingPostingCap}
 }
 
 // BlockTables produces candidate pairs from two raw tables with

@@ -481,24 +481,26 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 
 // BenchmarkWindowGeometry measures the O(n^2) steps of core.Prepare one
 // by one, on the geometry the pipeline benchmark feeds them: LR vectors
-// of token-blocked candidates of the eval.PipelineBenchSpec tables, cut
+// of token-blocked candidates of the datagen.PipelineBenchSpec tables, cut
 // into a 512-pair window (the benchmark's -stream-window) and a
 // 4096-pair one (towards the collect-then-match shape). Thresholds are
 // cluster.EpsPercentile calibrations at core's default percentiles and
 // sample cap: at 512 points the ones core calibrates (the window is its
 // own sample); at 4 096 the GreedyThreshold arm's t is drawn with
 // EpsPercentile's seeded shuffle, where core samples t with a rand.Perm
-// at Seed+2, so it is close to core's but not equal. Calibrate-512 is
-// core's unsampled calibration: one PairwiseDistances buffer, both
-// percentiles selected from it. The Sweep-4096 arms time cluster.Sweep
-// without a distance buffer, which calls Distance once per pair of
-// distinct vectors, and report how many of the 4 096 are distinct and
-// the bytes the two relations keep live (retained-B/op). Every
-// step also reports its Config.Distance calls per op, counted on one
-// untimed run with a counting distance so the timed runs pay for no
-// counter.
+// at Seed+2, so it is close to core's but not equal. The Calibrate-512
+// arms are core's unsampled calibration — one cluster.Measure, both
+// percentiles selected from its class buffer — on the LR window above,
+// which is duplicate-rich, and on a window of datagen DS's test split,
+// which is nearly all distinct; both report how many of the 512 are
+// distinct. The Sweep-4096 arms time cluster.Sweep, which calls
+// Distance once per pair of distinct vectors and keeps no distance, and
+// report how many of the 4 096 are distinct and the bytes the two
+// relations keep live (retained-B/op). Every step also reports its
+// Config.Distance calls per op, counted on one untimed run with a
+// counting distance so the timed runs pay for no counter.
 func BenchmarkWindowGeometry(b *testing.B) {
-	d, err := datagen.GenerateCustom(eval.PipelineBenchSpec(4000), 1)
+	d, err := datagen.GenerateCustom(datagen.PipelineBenchSpec(4000), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -509,6 +511,15 @@ func BenchmarkWindowGeometry(b *testing.B) {
 	base := core.Config{Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1}
 	cfg := core.NewFromConfig(llm.NewSimulated(nil, 1), base).Config()
 	vecs := feature.ExtractAll(cfg.Extractor, cands[:4096])
+	dsData, err := datagen.GenerateByName("DS", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsTest := entity.SplitPairs(dsData.Pairs).Test
+	if len(dsTest) < 4096 {
+		b.Fatalf("DS test split has %d pairs, need 4096", len(dsTest))
+	}
+	dsVecs := feature.ExtractAll(cfg.Extractor, dsTest[:4096])
 	// run times step(cfg.Distance) and reports the calls step(counting
 	// distance) makes, with whatever metric step returns and the extra
 	// metrics given.
@@ -535,12 +546,16 @@ func BenchmarkWindowGeometry(b *testing.B) {
 		cluster.EpsPercentile(vecs[:512], dist, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
 		return 0
 	})
-	run("Calibrate-512", "", func(dist feature.Distance) int {
-		ds := cluster.PairwiseDistances(vecs[:512], dist)
-		cluster.Percentile(ds, cfg.ClusterEpsPercentile)
-		cluster.Percentile(ds, cfg.CoverPercentile)
-		return 0
-	})
+	for _, set := range []struct {
+		name string
+		vecs []feature.Vector
+	}{{"LR", vecs[:512]}, {"LR-DS", dsVecs[:512]}} {
+		u := distinctVectors(set.vecs)
+		run("Calibrate-512-"+set.name, "distinct", func(dist feature.Distance) int {
+			cluster.Measure(set.vecs, dist).Percentiles(cfg.ClusterEpsPercentile, cfg.CoverPercentile)
+			return u
+		})
+	}
 	for _, n := range []int{512, 4096} {
 		qv := vecs[:n]
 		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
@@ -560,32 +575,24 @@ func BenchmarkWindowGeometry(b *testing.B) {
 	// share reported: the LR vectors above, JAC vectors of the same
 	// candidates (few distinct values) and LR vectors of datagen DS's test
 	// split (mostly distinct).
-	dsData, err := datagen.GenerateByName("DS", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsTest := entity.SplitPairs(dsData.Pairs).Test
-	if len(dsTest) < 4096 {
-		b.Fatalf("DS test split has %d pairs, need 4096", len(dsTest))
-	}
 	for _, set := range []struct {
 		name string
 		vecs []feature.Vector
 	}{
 		{"LR", vecs},
 		{"JAC", feature.ExtractAll(feature.NewJAC(), cands[:4096])},
-		{"LR-DS", feature.ExtractAll(cfg.Extractor, dsTest[:4096])},
+		{"LR-DS", dsVecs},
 	} {
 		qv := set.vecs
 		eps := cluster.EpsPercentile(qv, cfg.Distance, cfg.ClusterEpsPercentile, cfg.DistanceSampleCap, cfg.Seed)
 		t := cluster.EpsPercentile(qv, cfg.Distance, cfg.CoverPercentile, cfg.DistanceSampleCap, cfg.Seed+2)
 		u := distinctVectors(qv)
 		retained := retainedBytes(func() any {
-			within, below := cluster.Sweep(qv, cfg.Distance, nil, eps, true, t, true)
+			within, below := cluster.Sweep(qv, cfg.Distance, eps, true, t, true)
 			return [2]any{within, below}
 		})
 		run("Sweep-4096-"+set.name, "distinct", func(dist feature.Distance) int {
-			cluster.Sweep(qv, dist, nil, eps, true, t, true)
+			cluster.Sweep(qv, dist, eps, true, t, true)
 			return u
 		}, func(b *testing.B) { b.ReportMetric(retained, "retained-B/op") })
 	}

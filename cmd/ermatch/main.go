@@ -315,7 +315,7 @@ func main() {
 	if err := w.Write([]string{"id_a", "id_b", "match"}); err != nil {
 		fatal(fmt.Errorf("writing output header: %w", err))
 	}
-	written, matches := 0, 0
+	written, matches, blocked := 0, 0, 0
 	var writeErr error
 	rep, runErr := batcher.RunPipeline(ctx, batcher.PipelineConfig{
 		BlockAttr:       *attr,
@@ -342,6 +342,7 @@ func main() {
 			written++
 		},
 		Progress: func(pr batcher.PipelineProgress) {
+			blocked = pr.Blocked
 			stage := "blocking"
 			if pr.BlockingDone {
 				stage = "blocked "
@@ -426,6 +427,26 @@ func main() {
 			rep.Degraded, *runID)
 	}
 	fmt.Fprintf(os.Stderr, "ermatch: %d of %d candidates matched\n", matches, rep.Candidates)
+	if msg := noCandidatesWarning(blocked, *attr, *minShared); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+}
+
+// noCandidatesWarning is the stderr line for a run whose blocking
+// yielded no candidate pair, naming the three settings that decide it,
+// or "" when blocking yielded some. Such a run still exits 0 with a
+// header-only CSV.
+func noCandidatesWarning(blocked int, attr string, minShared int) string {
+	if blocked > 0 {
+		return ""
+	}
+	key := fmt.Sprintf("-attr %q", attr)
+	if attr == "" {
+		key += " (every attribute)"
+	}
+	return fmt.Sprintf("ermatch: warning: blocking yielded 0 candidates: no pair of rows shares -min-shared %d tokens of %s "+
+		"once tokens in more than %d rows of table B (the posting cap) are skipped; try another -attr or a lower -min-shared",
+		minShared, key, batcher.BlockingPostingCap)
 }
 
 // checkAttr rejects a non-empty -attr that is not a column of the table

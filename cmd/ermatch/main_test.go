@@ -105,3 +105,26 @@ func TestCheckRunFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestNoCandidatesWarning: a run that blocked no pair warns, naming
+// -attr, -min-shared and the posting cap; one that blocked any pair
+// does not.
+func TestNoCandidatesWarning(t *testing.T) {
+	for _, tc := range []struct {
+		blocked   int
+		attr      string
+		minShared int
+		want      string
+	}{
+		{0, "", 2, `ermatch: warning: blocking yielded 0 candidates: no pair of rows shares -min-shared 2 tokens of -attr "" (every attribute) ` +
+			`once tokens in more than 512 rows of table B (the posting cap) are skipped; try another -attr or a lower -min-shared`},
+		{0, "title", 3, `ermatch: warning: blocking yielded 0 candidates: no pair of rows shares -min-shared 3 tokens of -attr "title" ` +
+			`once tokens in more than 512 rows of table B (the posting cap) are skipped; try another -attr or a lower -min-shared`},
+		{1, "", 2, ""},
+		{13207, "beer_name", 2, ""},
+	} {
+		if got := noCandidatesWarning(tc.blocked, tc.attr, tc.minShared); got != tc.want {
+			t.Errorf("noCandidatesWarning(%d, %q, %d) =\n%s\nwant\n%s", tc.blocked, tc.attr, tc.minShared, got, tc.want)
+		}
+	}
+}

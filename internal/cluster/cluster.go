@@ -1,7 +1,9 @@
 // Package cluster implements the unsupervised clustering used by
 // question batching and demonstration selection: DBSCAN (the paper's
 // default) with its percentile-calibrated eps, and the one-pass pairwise
-// distance sweep that feeds it.
+// distance sweep that feeds it. Both measure a point set once per
+// unordered pair of distinct values: Measure keeps those distances for
+// weighted percentiles and a sweep, Sweep thresholds them as it goes.
 //
 // All algorithms operate on feature.Vector slices with a pluggable
 // feature.Distance and are deterministic for a fixed seed.
@@ -58,7 +60,7 @@ func (r Result) Clusters() [][]int {
 // dist must therefore be symmetric and pure (see feature.Distance) and
 // safe for concurrent calls; every feature.Distance in this repo is.
 func DBSCAN(points []feature.Vector, dist feature.Distance, eps float64, minPts int) Result {
-	within, _ := Sweep(points, dist, nil, eps, true, 0, false)
+	within, _ := Sweep(points, dist, eps, true, 0, false)
 	return DBSCANRows(within, minPts)
 }
 
@@ -132,8 +134,9 @@ func DBSCANRows(within *bitrel.Rel, minPts int) Result {
 // (p clamped to [0,1]) of pairwise distances on a sample of at most
 // sampleCap points, drawn by a seeded shuffle when the input is larger.
 // This mirrors the paper's percentile-based threshold calibration, and
-// is Percentile of the sample's PairwiseDistances; fewer than two points
-// have no pairwise distance and yield 0.
+// is the Percentiles of the sample's Distances: U(U+1)/2 dist calls for
+// its U distinct values. Fewer than two points have no pairwise
+// distance and yield 0.
 func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sampleCap int, seed int64) float64 {
 	sample := points
 	if n := len(points); sampleCap > 0 && n > sampleCap {
@@ -148,5 +151,5 @@ func EpsPercentile(points []feature.Vector, dist feature.Distance, p float64, sa
 			sample[i] = points[idx[i]]
 		}
 	}
-	return Percentile(PairwiseDistances(sample, dist), p)
+	return Measure(sample, dist).Percentiles(p)[0]
 }

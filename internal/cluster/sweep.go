@@ -9,7 +9,7 @@ import (
 	"batcher/internal/workpool"
 )
 
-// Sweep evaluates dist once per unordered pair of distinct points and
+// Sweep evaluates dist once per unordered pair of distinct values and
 // returns the threshold relations asked for, each over the n points by
 // the n points:
 //
@@ -20,21 +20,8 @@ import (
 //
 // A relation not asked for is returned nil and its threshold ignored.
 //
-// Both are relations over the same distances, so one pass serves them:
-// the distance of points i and j is read for i <= j only and each hit
-// sets bit (i, j) and its mirror (j, i). That is the relation the full
-// n x n scan defines exactly when dist is symmetric, which
-// feature.Distance requires. The diagonal is evaluated like any other
-// pair, never assumed to be 0: a distance may put a point outside its own
-// neighbourhood (CosineDistance does, for the zero vector).
-//
-// ds, when not nil, is PairwiseDistances(points, dist) — the caller
-// measured the off-diagonal pairs already, to calibrate eps and t — and
-// the sweep reads them from it, calling dist only for the n diagonal
-// pairs. Every point then has a row of its own.
-//
-// A nil ds has the sweep measure the points itself, once per value: the
-// points are grouped by exact value (length and the float64 bits of
+// Both are relations over the same distances, so one pass serves them.
+// The points are grouped by exact value (length and the float64 bits of
 // every component) into U classes, and dist is called once for every
 // unordered pair of the classes' first points, U(U+1)/2 calls. That is
 // exact because a feature.Distance is a function of the bits of its two
@@ -45,31 +32,39 @@ import (
 // words, which every member reads (bitrel.Shared). When every point is
 // its own class, each has its own row.
 //
-// The pass runs across workpool workers, one task per block of 64 rows,
-// so dist must be safe for concurrent calls. Task b visits the 64 x 64
-// tiles (b, c) for c >= b and writes each tile's words and those of its
-// mirror (c, b); every word of a matrix therefore belongs to exactly one
-// task — the one numbered min(row block, column word) — and the result
-// does not depend on how the tasks were scheduled.
-func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
+// The distance of classes a and b is read for a <= b only and each hit
+// sets bit (a, b) and its mirror (b, a). That is the relation the full
+// scan defines exactly when dist is symmetric, which feature.Distance
+// requires. The diagonal is evaluated like any other pair, never assumed
+// to be 0: a distance may put a point outside its own neighbourhood
+// (CosineDistance does, for the zero vector).
+//
+// Sweep measures and thresholds each tile as it goes and keeps no
+// distance: a window that also calibrates its thresholds on all of its
+// points measures them once with Measure and sweeps the Distances.
+func Sweep(points []feature.Vector, dist feature.Distance, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
 	if !within && !below {
 		return nil, nil
 	}
-	if ds != nil {
-		if n := len(points); len(ds) != n*(n-1)/2 {
-			panic("cluster: Sweep given a distance buffer of another point set")
-		}
-		return sweepTiles(points, dist, ds, eps, within, t, below)
-	}
 	vc := groupByValue(points)
-	if len(vc.first) == len(points) {
-		return sweepTiles(points, dist, nil, eps, within, t, below)
+	reps := points
+	if len(vc.first) < len(points) {
+		reps = vc.reps(points)
 	}
-	reps := make([]feature.Vector, len(vc.first))
-	for c, i := range vc.first {
-		reps[c] = points[i]
+	return sweepClasses(&vc, reps, dist, nil, eps, within, t, below)
+}
+
+// sweepClasses sweeps the classes' first points reps with sweepTiles and
+// spreads the class relations over the points when some class has more
+// than one.
+func sweepClasses(vc *valueClasses, reps []feature.Vector, dist feature.Distance, buf []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
+	if !within && !below {
+		return nil, nil
 	}
-	withinRows, belowRows = sweepTiles(reps, dist, nil, eps, within, t, below)
+	withinRows, belowRows = sweepTiles(reps, dist, buf, eps, within, t, below)
+	if len(vc.first) == len(vc.of) {
+		return withinRows, belowRows
+	}
 	vc.listMembers()
 	if within {
 		withinRows = vc.spread(withinRows)
@@ -80,10 +75,17 @@ func Sweep(points []feature.Vector, dist feature.Distance, ds []float64, eps flo
 	return withinRows, belowRows
 }
 
-// sweepTiles is Sweep's tile loop over the points as given: it reads the
-// off-diagonal distances from ds when ds is not nil and calls dist for
-// every pair i <= j otherwise.
-func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
+// sweepTiles is the tile loop over the U points as given: it reads
+// dist(i, j), i <= j, from buf at classRowStart(U, i)+j-i when buf is
+// not nil (a Distances buffer of these points) and calls dist otherwise.
+//
+// The pass runs across workpool workers, one task per block of 64 rows,
+// so dist must be safe for concurrent calls. Task b visits the 64 x 64
+// tiles (b, c) for c >= b and writes each tile's words and those of its
+// mirror (c, b); every word of a matrix therefore belongs to exactly one
+// task — the one numbered min(row block, column word) — and the result
+// does not depend on how the tasks were scheduled.
+func sweepTiles(points []feature.Vector, dist feature.Distance, buf []float64, eps float64, within bool, t float64, below bool) (withinRows, belowRows *bitrel.Rel) {
 	n := len(points)
 	words := bitrel.Words(n)
 	if within {
@@ -109,16 +111,12 @@ func sweepTiles(points []feature.Vector, dist feature.Distance, ds []float64, ep
 					j = i
 				}
 				row := seg[:j1-j]
-				switch {
-				case ds == nil:
+				if buf == nil {
 					for k := range row {
 						row[k] = dist(a, points[j+k])
 					}
-				case j == i:
-					row[0] = dist(a, a)
-					copy(row[1:], ds[pairRowStart(n, i):])
-				default:
-					copy(row, ds[pairRowStart(n, i)+j-i-1:])
+				} else {
+					copy(row, buf[classRowStart(n, i)+j-i:])
 				}
 				for k, d := range row {
 					c := j + k - j0
@@ -217,6 +215,15 @@ func valueHash(v feature.Vector) uint64 {
 	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 	h = (h ^ h>>27) * 0x94d049bb133111eb
 	return h ^ h>>31
+}
+
+// reps returns every class's first point, in class order.
+func (vc *valueClasses) reps(points []feature.Vector) []feature.Vector {
+	reps := make([]feature.Vector, len(vc.first))
+	for c, i := range vc.first {
+		reps[c] = points[i]
+	}
+	return reps
 }
 
 // sameBits reports whether a and b are the same value: equal lengths and

@@ -134,7 +134,7 @@ func TestDBSCANMatchesScanOracle(t *testing.T) {
 			for _, eps := range epss {
 				// The rows Sweep shares among equal vectors, and the same
 				// rows copied out to every point.
-				within, _ := Sweep(pts, dist, nil, eps, true, 0, false)
+				within, _ := Sweep(pts, dist, eps, true, 0, false)
 				full := expanded(within)
 				for _, minPts := range []int{1, 3, n + 1} {
 					want := dbscanScan(pts, dist, eps, minPts)
@@ -246,12 +246,12 @@ func duplicateGeometries(n int, rnd *rand.Rand) []namedGeometry {
 // TestSweepMatchesDoubleLoop compares the relations Sweep builds against
 // the plain n x n double loop, with eps == t sitting exactly on pairwise
 // distances so a <= / < mix-up shows: measured by the sweep itself and
-// read from the PairwiseDistances buffer, each relation alone and both
-// together, on one worker and on four. Under cosine distance the zero
-// vectors sit outside their own neighbourhood (CosineDistance(0, 0) is
-// 1), which only an evaluated diagonal gets right. The duplicate-heavy
-// sets check the sweep that groups points by value; the buffer, which
-// feeds windows of at most the sample cap, is read at up to 512 points.
+// read from a Measure buffer, each relation alone and both together, on
+// one worker and on four. Under cosine distance the zero vectors sit
+// outside their own neighbourhood (CosineDistance(0, 0) is 1), which
+// only an evaluated diagonal gets right. The duplicate-heavy sets check
+// the grouping by value; the buffer, which feeds windows of at most the
+// sample cap, is read at up to 512 points.
 func TestSweepMatchesDoubleLoop(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
 	ownOutside := 0 // points the threshold puts outside their own neighbourhood
@@ -302,9 +302,9 @@ func doubleLoop(pts []feature.Vector, dist feature.Distance) [][]float64 {
 
 // checkSweep runs Sweep on pts at eps == t == thr for each relation alone
 // and both together, measured by the sweep and, when fromBuffer, read
-// from the PairwiseDistances buffer, on one worker and on four, and
-// compares each matrix with full. It returns the number of points thr
-// puts outside their own neighbourhood.
+// from Measure's buffer, on one worker and on four, and compares each
+// matrix with full. It returns the number of points thr puts outside
+// their own neighbourhood.
 func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Distance, full [][]float64, thr float64, fromBuffer bool) (ownOutside int) {
 	t.Helper()
 	onThreshold, allNaN := false, true
@@ -320,32 +320,31 @@ func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Dist
 	if len(pts) >= 2 && !onThreshold && !allNaN {
 		t.Fatalf("%s: no pair at the threshold, the test cannot tell <= from <", at)
 	}
-	feeds := []struct {
-		name string
-		ds   []float64
-	}{{"dist", nil}}
+	feeds := map[string]func(eps float64, within bool, t float64, below bool) (*bitrel.Rel, *bitrel.Rel){
+		"dist": func(eps float64, within bool, t float64, below bool) (*bitrel.Rel, *bitrel.Rel) {
+			return Sweep(pts, dist, eps, within, t, below)
+		},
+	}
 	if fromBuffer {
-		feeds = append(feeds, struct {
-			name string
-			ds   []float64
-		}{"buffer", PairwiseDistances(pts, dist)})
+		feeds["buffer"] = func(eps float64, within bool, t float64, below bool) (*bitrel.Rel, *bitrel.Rel) {
+			return Measure(pts, dist).Sweep(eps, within, t, below)
+		}
 	}
 	for _, rel := range []struct{ within, below bool }{{true, false}, {false, true}, {true, true}} {
-		for _, feed := range feeds {
+		for feed, sweep := range feeds {
 			for _, workers := range []int{1, 4} {
 				var within, below *bitrel.Rel
-				withWorkers(workers, func() { within, below = Sweep(pts, dist, feed.ds, thr, rel.within, thr, rel.below) })
-				at := fmt.Sprintf("%s within=%v below=%v fed by %s, workers=%d", at, rel.within, rel.below, feed.name, workers)
+				withWorkers(workers, func() { within, below = sweep(thr, rel.within, thr, rel.below) })
+				at := fmt.Sprintf("%s within=%v below=%v fed by %s, workers=%d", at, rel.within, rel.below, feed, workers)
 				checkRelation(t, at+": within", within, rel.within, full, func(d float64) bool { return d <= thr })
 				checkRelation(t, at+": below", below, rel.below, full, func(d float64) bool { return d < thr })
-				// A sweep that measures the points shares one row among
-				// equal vectors; one fed the buffer gives every point its
-				// own.
+				// Measured or read from the buffer, equal vectors share
+				// one row.
 				if rel.within {
-					checkSharing(t, at+": within", within, pts, feed.ds == nil)
+					checkSharing(t, at+": within", within, pts)
 				}
 				if rel.below {
-					checkSharing(t, at+": below", below, pts, feed.ds == nil)
+					checkSharing(t, at+": below", below, pts)
 				}
 				if rel.within && rel.below && workers == 1 {
 					checkRelation(t, at+": within, expanded", expanded(within), true, full, func(d float64) bool { return d <= thr })
@@ -358,21 +357,18 @@ func checkSweep(t *testing.T, at string, pts []feature.Vector, dist feature.Dist
 }
 
 // checkSharing checks which rows of r read the same storage: row i reads
-// the row of the first point with pts[i]'s value when byValue is set,
-// and its own otherwise.
-func checkSharing(t *testing.T, at string, r *bitrel.Rel, pts []feature.Vector, byValue bool) {
+// the row of the first point with pts[i]'s value.
+func checkSharing(t *testing.T, at string, r *bitrel.Rel, pts []feature.Vector) {
 	t.Helper()
 	firstOf := map[string]int{}
 	owner := map[*uint64]int{}
 	for i, v := range pts {
 		want := i
-		if byValue {
-			k := valueKey(v)
-			if f, seen := firstOf[k]; seen {
-				want = f
-			} else {
-				firstOf[k] = i
-			}
+		k := valueKey(v)
+		if f, seen := firstOf[k]; seen {
+			want = f
+		} else {
+			firstOf[k] = i
 		}
 		p := &r.Row(i)[0]
 		o, seen := owner[p]
@@ -408,8 +404,9 @@ func distinctVectors(pts []feature.Vector) int {
 
 // TestSweepCallsDistanceOncePerDistinctPair: a sweep that measures the
 // points itself calls dist exactly once per unordered pair of distinct
-// values, U(U+1)/2 times, whatever the number of workers, and so does
-// DBSCAN through it.
+// values, U(U+1)/2 times, whatever the number of workers, and so do
+// DBSCAN through it, Measure, and an unsampled EpsPercentile; sweeping
+// a Measure calls dist no more.
 func TestSweepCallsDistanceOncePerDistinctPair(t *testing.T) {
 	rnd := rand.New(rand.NewSource(25))
 	sawShared := false
@@ -422,15 +419,27 @@ func TestSweepCallsDistanceOncePerDistinctPair(t *testing.T) {
 			dist := func(a, b feature.Vector) float64 { calls.Add(1); return g.dist(a, b) }
 			for _, workers := range []int{1, 4} {
 				calls.Store(0)
-				withWorkers(workers, func() { Sweep(g.pts, dist, nil, 1, true, 1, true) })
+				withWorkers(workers, func() { Sweep(g.pts, dist, 1, true, 1, true) })
 				if got := calls.Load(); got != want {
 					t.Errorf("n=%d %s, workers=%d: %d distance calls, want U(U+1)/2 = %d for U = %d", n, g.name, workers, got, want, u)
 				}
 			}
+			for name, measure := range map[string]func(){
+				"DBSCAN":        func() { DBSCAN(g.pts, dist, 1, 3) },
+				"Measure":       func() { Measure(g.pts, dist).Percentiles(0.05, 0.08) },
+				"EpsPercentile": func() { EpsPercentile(g.pts, dist, 0.05, 0, 1) },
+			} {
+				calls.Store(0)
+				measure()
+				if got := calls.Load(); got != want {
+					t.Errorf("n=%d %s: %s made %d distance calls, want U(U+1)/2 = %d for U = %d", n, g.name, name, got, want, u)
+				}
+			}
+			ds := Measure(g.pts, dist)
 			calls.Store(0)
-			DBSCAN(g.pts, dist, 1, 3)
-			if got := calls.Load(); got != want {
-				t.Errorf("n=%d %s: DBSCAN made %d distance calls, want U(U+1)/2 = %d for U = %d", n, g.name, got, want, u)
+			ds.Sweep(1, true, 1, true)
+			if got := calls.Load(); got != 0 {
+				t.Errorf("n=%d %s: sweeping a Measure made %d distance calls, want none", n, g.name, got)
 			}
 		}
 	}
@@ -472,29 +481,53 @@ func checkRelation(t *testing.T, at string, rows *bitrel.Rel, asked bool, full [
 	}
 }
 
-// TestPairwiseDistancesMatchesSerialLoop: the buffer filled across
-// workers is the serial double loop's, bit for bit, in row order.
+// TestPairwiseDistancesMatchesSerialLoop: Measure's buffer, filled
+// across workers, is the serial double loop over the distinct values in
+// order of first occurrence, bit for bit, in row order with the
+// diagonal first, and its class sizes count each value's points.
 func TestPairwiseDistancesMatchesSerialLoop(t *testing.T) {
 	rnd := rand.New(rand.NewSource(22))
+	sets := map[string][]feature.Vector{}
 	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 130, 512} {
 		for name, pts := range geometries(n, rnd) {
-			for _, dist := range []feature.Distance{feature.Euclidean, feature.CosineDistance} {
-				var want []float64
-				for i := range pts {
-					for j := i + 1; j < n; j++ {
-						want = append(want, dist(pts[i], pts[j]))
-					}
+			sets[fmt.Sprintf("n=%d %s", n, name)] = pts
+		}
+	}
+	for _, g := range duplicateGeometries(130, rnd) {
+		sets["n=130 "+g.name] = g.pts
+	}
+	for name, pts := range sets {
+		var reps []feature.Vector
+		var size []int
+		classOf := map[string]int{}
+		for _, v := range pts {
+			c, seen := classOf[valueKey(v)]
+			if !seen {
+				c = len(reps)
+				classOf[valueKey(v)] = c
+				reps, size = append(reps, v), append(size, 0)
+			}
+			size[c]++
+		}
+		for _, dist := range []feature.Distance{feature.Euclidean, feature.CosineDistance} {
+			var want []float64
+			for a := range reps {
+				for b := a; b < len(reps); b++ {
+					want = append(want, dist(reps[a], reps[b]))
 				}
-				for _, workers := range []int{1, 4} {
-					var got []float64
-					withWorkers(workers, func() { got = PairwiseDistances(pts, dist) })
-					if len(got) != len(want) || (n < 2) != (got == nil) {
-						t.Fatalf("n=%d %s workers=%d: %d distances (nil %v), want %d", n, name, workers, len(got), got == nil, len(want))
-					}
-					for k := range want {
-						if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-							t.Fatalf("n=%d %s workers=%d: slot %d = %v, serial loop %v", n, name, workers, k, got[k], want[k])
-						}
+			}
+			for _, workers := range []int{1, 4} {
+				var got *Distances
+				withWorkers(workers, func() { got = Measure(pts, dist) })
+				if !slices.Equal(got.size, size) {
+					t.Fatalf("%s workers=%d: class sizes %v, want %v", name, workers, got.size, size)
+				}
+				if len(got.d) != len(want) {
+					t.Fatalf("%s workers=%d: %d distances, want U(U+1)/2 = %d", name, workers, len(got.d), len(want))
+				}
+				for k := range want {
+					if math.Float64bits(got.d[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%s workers=%d: slot %d = %v, serial loop %v", name, workers, k, got.d[k], want[k])
 					}
 				}
 			}
@@ -503,17 +536,17 @@ func TestPairwiseDistancesMatchesSerialLoop(t *testing.T) {
 }
 
 // TestSweepBuildsOnlyWhatIsAsked: a relation not asked for costs no
-// matrix, asking for none costs no distance call, and a sweep fed the
-// PairwiseDistances buffer calls dist for the diagonal only.
+// matrix, asking for none costs no distance call, and sweeping a
+// Measure calls dist not at all: Measure made the n(n+1)/2 calls.
 func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 	pts, _ := blobs(70, 3)
 	calls := 0
 	dist := func(a, b feature.Vector) float64 { calls++; return feature.Euclidean(a, b) }
 	withWorkers(1, func() {
-		if w, b := Sweep(pts, dist, nil, 1, false, 1, false); w != nil || b != nil || calls != 0 {
+		if w, b := Sweep(pts, dist, 1, false, 1, false); w != nil || b != nil || calls != 0 {
 			t.Errorf("nothing asked: got within=%v below=%v after %d calls", w != nil, b != nil, calls)
 		}
-		w, b := Sweep(pts, dist, nil, 2, true, 1, false)
+		w, b := Sweep(pts, dist, 2, true, 1, false)
 		if w == nil || b != nil {
 			t.Errorf("within only: got within=%v below=%v", w != nil, b != nil)
 		}
@@ -522,15 +555,21 @@ func TestSweepBuildsOnlyWhatIsAsked(t *testing.T) {
 			t.Errorf("within only: %d distance calls, want n(n+1)/2 = %d", calls, want)
 		}
 		calls = 0
-		Sweep(pts, dist, nil, 2, true, 1, true)
+		Sweep(pts, dist, 2, true, 1, true)
 		if calls != want {
 			t.Errorf("both relations: %d distance calls, want n(n+1)/2 = %d", calls, want)
 		}
-		ds := PairwiseDistances(pts, dist)
 		calls = 0
-		Sweep(pts, dist, ds, 2, true, 1, true)
-		if calls != 70 {
-			t.Errorf("both relations from the buffer: %d distance calls, want the n = 70 diagonal ones", calls)
+		ds := Measure(pts, dist)
+		if calls != want {
+			t.Errorf("Measure: %d distance calls, want n(n+1)/2 = %d", calls, want)
+		}
+		calls = 0
+		if w, b := ds.Sweep(2, false, 1, true); w != nil || b == nil || calls != 0 {
+			t.Errorf("below only from the buffer: got within=%v below=%v after %d calls, want no call", w != nil, b != nil, calls)
+		}
+		if w, b := ds.Sweep(2, false, 1, false); w != nil || b != nil {
+			t.Errorf("nothing asked from the buffer: got within=%v below=%v", w != nil, b != nil)
 		}
 	})
 }
@@ -553,7 +592,7 @@ func TestSweepStoresOneRowPerDistinctVector(t *testing.T) {
 	const eps, thr = 0.4, 0.2
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	within, below := Sweep(pts, feature.Euclidean, nil, eps, true, thr, true)
+	within, below := Sweep(pts, feature.Euclidean, eps, true, thr, true)
 	runtime.ReadMemStats(&after)
 	matrix := uint64(n * bitrel.Words(n) * 8)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= matrix {

@@ -127,7 +127,11 @@ type Config struct {
 	// Seed drives all randomized steps (fixed sampling, shuffles).
 	Seed int64
 	// DistanceSampleCap bounds the pairwise-distance sample used for
-	// percentile calibration; 0 means 512 points.
+	// percentile calibration; 0 means 512 points. A window of at most
+	// this many questions is its own sample: its U distinct vectors are
+	// measured once per unordered pair, U(U+1)/2 distances that serve
+	// both percentiles and both relations of the sweep. A larger window
+	// calibrates each threshold on a seeded sample of this many.
 	DistanceSampleCap int
 	// Parallelism is the number of batch prompts in flight concurrently.
 	// 1 (the default) preserves strictly sequential behaviour; larger

@@ -40,25 +40,34 @@ func (c Config) clustersQuestions() bool {
 // measured once per (pool, question) cell.
 //
 // A window no larger than DistanceSampleCap is its own calibration
-// sample, for both thresholds, in index order: its pairwise distances
-// are measured once, both percentiles are selected from that buffer
-// (which selection only reads), and the sweep reads its relations from
-// the same buffer, adding only the n diagonal calls. A larger window
-// draws each threshold's seeded sample and the sweep measures the
-// window itself, once per unordered pair of distinct vectors.
+// sample, for both thresholds, in index order: cluster.Measure groups it
+// by value and measures it once per unordered pair of distinct vectors,
+// both percentiles are selected from that buffer in one pass (which
+// only reads it), and the sweep reads its relations from the same
+// buffer. A larger window draws each threshold's seeded sample and the
+// sweep measures the window itself, once per unordered pair of distinct
+// vectors.
 func windowGeometry(cfg Config, qVecs, dVecs []feature.Vector, selfPooled bool) geometry {
 	clustering := cfg.clustersQuestions()
 	covering := cfg.Selection == CoveringSelection
 	var eps float64
 	var g geometry
-	var ds []float64
+	var ds *cluster.Distances
 	if (clustering || covering) && !cfg.samples(len(qVecs)) {
-		ds = cluster.PairwiseDistances(qVecs, cfg.Distance)
+		ds = cluster.Measure(qVecs, cfg.Distance)
+		var ps []float64
 		if clustering {
-			eps = cluster.Percentile(ds, cfg.ClusterEpsPercentile)
+			ps = append(ps, cfg.ClusterEpsPercentile)
 		}
 		if covering {
-			g.t = coverThresholdOf(ds, cfg.CoverPercentile)
+			ps = append(ps, cfg.CoverPercentile)
+		}
+		ts := ds.Percentiles(ps...)
+		if clustering {
+			eps, ts = ts[0], ts[1:]
+		}
+		if covering {
+			g.t = coverThresholdOf(ds, ts[0])
 		}
 	} else {
 		if clustering {
@@ -68,8 +77,12 @@ func windowGeometry(cfg Config, qVecs, dVecs []feature.Vector, selfPooled bool) 
 			g.t = coverThreshold(cfg, qVecs)
 		}
 	}
-	g.within, g.below = cluster.Sweep(qVecs, cfg.Distance, ds,
-		eps, clustering && !(eps <= 0), g.t, covering && selfPooled)
+	within, below := clustering && !(eps <= 0), covering && selfPooled
+	if ds != nil {
+		g.within, g.below = ds.Sweep(eps, within, g.t, below)
+	} else {
+		g.within, g.below = cluster.Sweep(qVecs, cfg.Distance, eps, within, g.t, below)
+	}
 	if covering && !selfPooled {
 		g.below = setcover.Rows(len(dVecs), len(qVecs), func(d, q int) bool { return cfg.Distance(dVecs[d], qVecs[q]) < g.t })
 	}

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"batcher/internal/blocking"
+	"batcher/internal/datagen"
 	"batcher/internal/entity"
 	"batcher/internal/feature"
 	"batcher/internal/llm"
@@ -78,14 +81,18 @@ func TestPrepareAliasedPoolMatchesClonedPool(t *testing.T) {
 // TestPrepareSelfPooledDistanceBudget pins what a self-pooled Prepare may
 // spend on Config.Distance. A window of at most DistanceSampleCap
 // questions is its own calibration sample: one call per unordered pair
-// (diagonal included) serves both percentiles and both relations —
-// exactly that for diversity + covering, at most that when only one of
-// the two reads the distances. A larger window adds the two percentile
-// calibrations over DistanceSampleCap sampled points, and its sweep
-// calls Distance once per unordered pair of the window's U distinct
-// vectors, U(U+1)/2 times. Stage-2 batch covering reads bits. A tiered
-// run (CheapModel set) adds exactly the vote margins' |labeled| calls
-// per question; a single-model run makes none of them.
+// of its U distinct vectors (diagonal included) serves both percentiles
+// and both relations, U(U+1)/2 calls — whatever the batching and
+// selection, as long as one of them reads the distances. The WA window
+// is all distinct (n(n+1)/2); the token-blocked candidates of
+// datagen.PipelineBenchSpec, the benchmark's geometry, are
+// duplicate-rich. A larger window adds the two percentile calibrations,
+// each one call per unordered pair of its seeded sample's distinct
+// vectors, and its sweep calls Distance once per unordered pair of the
+// window's U distinct vectors, U(U+1)/2 times. Stage-2 batch covering
+// reads bits. A tiered run (CheapModel set) adds exactly the vote
+// margins' |labeled| calls per question; a single-model run makes none
+// of them.
 func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 	var calls atomic.Int64
 	counting := func(a, b feature.Vector) float64 { calls.Add(1); return feature.Euclidean(a, b) }
@@ -100,58 +107,117 @@ func TestPrepareSelfPooledDistanceBudget(t *testing.T) {
 		}
 		return f, prep, calls.Load()
 	}
-	for _, n := range []int{512, 1500} {
-		window, _ := testWorkload(t, "WA", n)
-		if len(window) != n {
-			t.Fatalf("workload has %d pairs, need %d", len(window), n)
-		}
+	wa512, _ := testWorkload(t, "WA", 512)
+	wa1500, _ := testWorkload(t, "WA", 1500)
+	for _, w := range []struct {
+		name   string
+		window []entity.Pair
+	}{{"WA", wa512}, {"WA", wa1500}, {"pipebench", pipeBenchWindow(t, 512)}} {
+		window, n := w.window, len(w.window)
 		f, prep, selfPooled := prepare(t, Config{Batching: DiversityBatching, Selection: CoveringSelection}, window, window)
-		if m := f.Config().DistanceSampleCap; n <= m {
-			if want := n * (n + 1) / 2; selfPooled != int64(want) {
-				t.Errorf("n=%d: %d Distance calls, want n(n+1)/2 = %d", n, selfPooled, want)
+		cfg := f.Config()
+		vecs := feature.ExtractAll(cfg.Extractor, window)
+		u := distinctVectors(vecs)
+		name := fmt.Sprintf("%s n=%d U=%d", w.name, n, u)
+		switch {
+		case w.name == "WA" && n <= cfg.DistanceSampleCap && u != n:
+			t.Fatalf("%s: want an all-distinct window", name)
+		case w.name == "pipebench" && 2*u > n:
+			t.Fatalf("%s: want a duplicate-rich window, at most n/2 distinct", name)
+		}
+		if n <= cfg.DistanceSampleCap {
+			if want := u * (u + 1) / 2; selfPooled != int64(want) {
+				t.Errorf("%s: %d Distance calls, want U(U+1)/2 = %d", name, selfPooled, want)
 			}
 		} else {
-			u := distinctVectors(feature.ExtractAll(f.Config().Extractor, window))
-			if want := u*(u+1)/2 + 2*(m*(m-1)/2); selfPooled != int64(want) {
-				t.Errorf("n=%d: %d Distance calls, want U(U+1)/2 + 2·m(m−1)/2 = %d (U = %d distinct vectors)",
-					n, selfPooled, want, u)
+			epsSample, coverSample := calibrationSamples(cfg, vecs)
+			if want := u*(u+1)/2 + classPairs(epsSample) + classPairs(coverSample); selfPooled != int64(want) {
+				t.Errorf("%s: %d Distance calls, want U(U+1)/2 + the two samples' class pairs (%d + %d) = %d",
+					name, selfPooled, classPairs(epsSample), classPairs(coverSample), want)
 			}
 		}
 		// The same window on a tiered run pays for the margins on top:
 		// one call per question and annotated demonstration.
-		tieredCfg := f.Config()
+		tieredCfg := cfg
 		tieredCfg.Model, tieredCfg.CheapModel = llm.GPT4, llm.GPT35Turbo0301
 		_, tiered, tieredCalls := prepare(t, tieredCfg, window, window)
 		labeled := len(tiered.LabeledPool())
 		if labeled != len(prep.LabeledPool()) {
-			t.Fatalf("n=%d: tiered run labeled %d, single-model %d", n, labeled, len(prep.LabeledPool()))
+			t.Fatalf("%s: tiered run labeled %d, single-model %d", name, labeled, len(prep.LabeledPool()))
 		}
 		if tieredCalls != selfPooled+int64(labeled*n) {
-			t.Errorf("n=%d: tiered run made %d Distance calls, single-model %d: want exactly |labeled|·n = %d more",
-				n, tieredCalls, selfPooled, labeled*n)
+			t.Errorf("%s: tiered run made %d Distance calls, single-model %d: want exactly |labeled|·n = %d more",
+				name, tieredCalls, selfPooled, labeled*n)
 		}
 		// A pool that is not the question slice pays for its cover
 		// relation once, n·n cells through setcover.Rows; the sweep
 		// still measures the questions for clustering, and stage 2
 		// reads the rows.
-		_, _, cloned := prepare(t, f.Config(), window, append([]entity.Pair(nil), window...))
+		_, _, cloned := prepare(t, cfg, window, append([]entity.Pair(nil), window...))
 		if cloned != selfPooled+int64(n*n) {
-			t.Errorf("n=%d: cloned pool made %d Distance calls, self-pooled %d: want exactly n^2 = %d more",
-				n, cloned, selfPooled, n*n)
+			t.Errorf("%s: cloned pool made %d Distance calls, self-pooled %d: want exactly n^2 = %d more",
+				name, cloned, selfPooled, n*n)
+		}
+		// One relation only: the calibration buffer still feeds the
+		// sweep.
+		if n > cfg.DistanceSampleCap {
+			continue
+		}
+		for rel, cfg := range map[string]Config{
+			"clustering only": {Batching: DiversityBatching, Selection: FixedSelection},
+			"covering only":   {Batching: RandomBatching, Selection: CoveringSelection},
+		} {
+			if _, _, got := prepare(t, cfg, window, window); got != int64(u*(u+1)/2) {
+				t.Errorf("%s, %s: %d Distance calls, want U(U+1)/2 = %d", name, rel, got, u*(u+1)/2)
+			}
 		}
 	}
-	// One relation only: the calibration buffer still feeds the sweep.
-	window, _ := testWorkload(t, "WA", 512)
-	n := len(window)
-	for name, cfg := range map[string]Config{
-		"clustering only": {Batching: DiversityBatching, Selection: FixedSelection},
-		"covering only":   {Batching: RandomBatching, Selection: CoveringSelection},
-	} {
-		_, _, got := prepare(t, cfg, window, window)
-		if budget := n * (n + 1) / 2; got > int64(budget) || got < int64(n*(n-1)/2) {
-			t.Errorf("%s, n=%d: %d Distance calls, want at most n(n+1)/2 = %d", name, n, got, budget)
+}
+
+// pipeBenchWindow returns the first n token-blocked candidates of the
+// datagen.PipelineBenchSpec tables the window benchmarks use.
+func pipeBenchWindow(t *testing.T, n int) []entity.Pair {
+	t.Helper()
+	d, err := datagen.GenerateCustom(datagen.PipelineBenchSpec(4000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var window []entity.Pair
+	for p, err := range (&blocking.TokenBlocker{Attr: "title", MinShared: 2}).BlockStream(context.Background(), d.TableA, d.TableB) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if window = append(window, p); len(window) == n {
+			return window
 		}
 	}
+	t.Fatalf("blocking produced %d candidates, need %d", len(window), n)
+	return nil
+}
+
+// calibrationSamples are the two seeded samples a window above
+// DistanceSampleCap calibrates on: cluster.EpsPercentile's index
+// shuffle at Seed for eps, and coverThreshold's permutation at Seed+2
+// for t.
+func calibrationSamples(cfg Config, vecs []feature.Vector) (eps, cover []feature.Vector) {
+	idx := make([]int, len(vecs))
+	for i := range idx {
+		idx[i] = i
+	}
+	rand.New(rand.NewSource(cfg.Seed)).Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	perm := rand.New(rand.NewSource(cfg.Seed + 2)).Perm(len(vecs))
+	for i := 0; i < cfg.DistanceSampleCap; i++ {
+		eps = append(eps, vecs[idx[i]])
+		cover = append(cover, vecs[perm[i]])
+	}
+	return eps, cover
+}
+
+// classPairs is U(U+1)/2 for the U distinct values among vs: what
+// measuring them once per unordered pair of values costs.
+func classPairs(vs []feature.Vector) int {
+	u := distinctVectors(vs)
+	return u * (u + 1) / 2
 }
 
 // distinctVectors counts the distinct values among vs, two vectors being

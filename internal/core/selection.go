@@ -149,22 +149,21 @@ func coverThreshold(cfg Config, qVecs []feature.Vector) float64 {
 			sample[i] = qVecs[perm[i]]
 		}
 	}
-	return coverThresholdOf(cluster.PairwiseDistances(sample, cfg.Distance), cfg.CoverPercentile)
+	ds := cluster.Measure(sample, cfg.Distance)
+	return coverThresholdOf(ds, ds.Percentiles(cfg.CoverPercentile)[0])
 }
 
 // coverThresholdOf is the covering threshold given the sample's pairwise
-// distances ds, which it only reads: their p-th percentile as
-// cluster.Percentile finds it, or a positive stand-in when that is not
-// positive.
-func coverThresholdOf(ds []float64, p float64) float64 {
-	t := cluster.Percentile(ds, p)
+// distances ds, which it only reads, and their CoverPercentile-th
+// percentile t: t, or a positive stand-in when t is not positive.
+func coverThresholdOf(ds *cluster.Distances, t float64) float64 {
 	if t <= 0 {
 		// Fewer than two questions, or duplicate-heavy geometry: fall
-		// back to the smallest positive distance so covering remains
-		// possible.
+		// back to the smallest positive distance between two questions
+		// so covering remains possible.
 		t = 0.1
 		found := false
-		for _, d := range ds {
+		for d := range ds.All() {
 			if d > 0 && (!found || d < t) {
 				t, found = d, true
 			}

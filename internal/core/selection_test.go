@@ -175,6 +175,31 @@ func TestCoverThresholdDegenerate(t *testing.T) {
 	if tv := coverThreshold(cfg, same); tv <= 0 {
 		t.Errorf("identical-points threshold = %v, must stay positive", tv)
 	}
+	// The smallest-positive fallback reads only distances between two
+	// questions, never a question's distance to itself: CosineDistance
+	// puts a zero vector at 1 from itself, and a lone zero vector is no
+	// pair at all.
+	cfg.Distance = feature.CosineDistance
+	if tv := coverThreshold(cfg, []feature.Vector{{0, 0}}); tv != 0.1 {
+		t.Errorf("one zero vector under cosine distance: threshold = %v, want the 0.1 stand-in", tv)
+	}
+	// Two copies of {1} at 0 from each other and a lone {2} at 0.5 from
+	// both, under a distance that puts {2} at 0.01 from itself: the 8th
+	// percentile of the three pair distances is 0, and the fallback is
+	// 0.5, the smallest positive pair distance, not the 0.01 that no
+	// pair is at.
+	cfg.Distance = func(a, b feature.Vector) float64 {
+		switch {
+		case a[0] != b[0]:
+			return 0.5
+		case a[0] == 2:
+			return 0.01
+		}
+		return 0
+	}
+	if tv := coverThreshold(cfg, []feature.Vector{{1}, {2}, {1}}); tv != 0.5 {
+		t.Errorf("lone point at 0.01 from itself: threshold = %v, want 0.5", tv)
+	}
 }
 
 func TestNearestK(t *testing.T) {

@@ -153,3 +153,32 @@ func GenerateCustom(cs CustomSpec, seed int64) (*entity.Dataset, error) {
 	}
 	return Generate(spec, seed), nil
 }
+
+// PipelineBenchSpec is the synthetic workload of the cascade sweep, the
+// root package's window benchmarks and core's distance-budget test: the
+// resume stress-test schema scaled to rows records per side, with the
+// title vocabulary widened so token-blocking noise stays proportional
+// and the candidate count is O(rows). Its token-blocked candidates are
+// duplicate-rich under LR: a 512-candidate window holds about 250
+// distinct feature vectors.
+func PipelineBenchSpec(rows int) CustomSpec {
+	vocab := make([]string, 600)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("word%03d", i)
+	}
+	maker := make([]string, 40)
+	for i := range maker {
+		maker[i] = fmt.Sprintf("maker%02d", i)
+	}
+	return CustomSpec{
+		Name:   "pipebench",
+		Domain: "stress",
+		Attrs: []AttrSpec{
+			{Name: "title", Vocab: vocab, Tokens: 4},
+			{Name: "maker", Vocab: maker, Tokens: 1, KeepOnHardNeg: true},
+			{Name: "year", Numeric: true, Min: 1990, Max: 2024},
+		},
+		NumPairs:   rows,
+		NumMatches: rows / 4,
+	}
+}

@@ -17,33 +17,6 @@ import (
 	"batcher/internal/pipeline"
 )
 
-// PipelineBenchSpec is the synthetic workload of the cascade sweep and
-// the root package's window benchmarks: the resume stress-test schema
-// scaled to rows records per side, with the title vocabulary widened so
-// token-blocking noise stays proportional and the candidate count is
-// O(rows).
-func PipelineBenchSpec(rows int) datagen.CustomSpec {
-	vocab := make([]string, 600)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("word%03d", i)
-	}
-	maker := make([]string, 40)
-	for i := range maker {
-		maker[i] = fmt.Sprintf("maker%02d", i)
-	}
-	return datagen.CustomSpec{
-		Name:   "pipebench",
-		Domain: "stress",
-		Attrs: []datagen.AttrSpec{
-			{Name: "title", Vocab: vocab, Tokens: 4},
-			{Name: "maker", Vocab: maker, Tokens: 1, KeepOnHardNeg: true},
-			{Name: "year", Numeric: true, Min: 1990, Max: 2024},
-		},
-		NumPairs:   rows,
-		NumMatches: rows / 4,
-	}
-}
-
 // TauPoint is one (tau-lo, tau-hi) routing setting of the cascade sweep.
 type TauPoint struct {
 	Lo, Hi float64
@@ -154,7 +127,7 @@ func trainSample(train []entity.Pair, n int) []entity.Pair {
 // routing configuration varies.
 func RunCascadeBench(o CascadeBenchOptions, progress io.Writer) (*CascadeBenchResult, error) {
 	o = o.withDefaults()
-	d, err := datagen.GenerateCustom(PipelineBenchSpec(o.Rows), cascadeBenchSeed)
+	d, err := datagen.GenerateCustom(datagen.PipelineBenchSpec(o.Rows), cascadeBenchSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -270,8 +270,8 @@ func CosineDistance(a, b Vector) float64 {
 // read the result for (j, i) too. Pure means a function of the two
 // vectors' float64 bits (their lengths and math.Float64bits of every
 // component) and nothing else, so vectors with the same bits are at the
-// same distance from everything: the sweep measures each distinct vector
-// once and shares the result with its copies. Distance(a, a) is evaluated
+// same distance from everything: the calibration and the sweep measure
+// each distinct vector once and share the result with its copies. Distance(a, a) is evaluated
 // like any other pair and may be non-zero. Euclidean and CosineDistance
 // satisfy all of this.
 type Distance func(a, b Vector) float64
