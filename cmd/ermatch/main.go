@@ -164,6 +164,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ermatch: -a and -b are required")
 		os.Exit(2)
 	}
+	if err := checkMinShared(*minShared); err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+		os.Exit(2)
+	}
 	if *cascadeOn {
 		if err := checkTaus(*tauLo, *tauHi); err != nil {
 			fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
@@ -457,6 +461,16 @@ func checkAttr(attr, path string, table []batcher.Record) error {
 		return nil
 	}
 	return fmt.Errorf("-attr %q is not a column of %s (columns: %s)", attr, path, strings.Join(table[0].Attrs, ", "))
+}
+
+// checkMinShared rejects a -min-shared below 1 before any table is
+// read. The blocker would resolve it to the default of 2 while
+// noCandidatesWarning echoed the value as given.
+func checkMinShared(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-min-shared %d must be at least 1", n)
+	}
+	return nil
 }
 
 // checkTaus rejects cascade thresholds outside 0 < -tau-lo < -tau-hi < 1

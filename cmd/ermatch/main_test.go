@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -27,6 +28,28 @@ func TestCheckAttr(t *testing.T) {
 	const want = `-attr "beer_nme" is not a column of tableA.csv (columns: beer_name, brew_factory_name, style)`
 	if err := checkAttr("beer_nme", "tableA.csv", table); err == nil || err.Error() != want {
 		t.Errorf("checkAttr(\"beer_nme\") = %v, want %s", err, want)
+	}
+}
+
+func TestCheckMinShared(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want string // "" = accepted
+	}{
+		{1, ""},
+		{2, ""},
+		{7, ""},
+		{0, "-min-shared 0 must be at least 1"},
+		{-1, "-min-shared -1 must be at least 1"},
+		{math.MinInt, fmt.Sprintf("-min-shared %d must be at least 1", math.MinInt)},
+	} {
+		err := checkMinShared(tc.n)
+		if tc.want == "" && err != nil {
+			t.Errorf("checkMinShared(%d) = %v, want accepted", tc.n, err)
+		}
+		if tc.want != "" && (err == nil || err.Error() != tc.want) {
+			t.Errorf("checkMinShared(%d) = %v, want %s", tc.n, err, tc.want)
+		}
 	}
 }
 

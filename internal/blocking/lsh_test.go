@@ -10,14 +10,15 @@ import (
 )
 
 func TestMinHashBlockerFindsSimilarSets(t *testing.T) {
-	ta := []entity.Record{rec("a1", "title", "apple iphone 13 pro max graphite")}
+	ta := []entity.Record{rec("a1", "title", "apple iphone 13 pro max graphite 256gb")}
 	tb := []entity.Record{
-		rec("b1", "title", "apple iphone 13 pro max silver"),
+		rec("b1", "title", "apple iphone 13 pro max 256gb"),
 		rec("b2", "title", "lawnmower garden tool heavy duty"),
 	}
-	// 16 bands x 2 rows puts the S-curve threshold low enough that a
-	// Jaccard-0.7 pair collides with near certainty.
-	b := &MinHashBlocker{Attr: "title", Bands: 16, Rows: 2}
+	// b1 shares 6 of the pair's 7 distinct tokens (Jaccard 6/7), which
+	// the 8-band x 4-row S-curve makes collide with probability
+	// 1 - (1 - (6/7)^4)^8 = 0.998.
+	b := &MinHashBlocker{Attr: "title"}
 	pairs := collect(t, b, ta, tb)
 	found := map[string]bool{}
 	for _, p := range pairs {
@@ -113,7 +114,7 @@ func TestBlockersOnBenchmarkRecall(t *testing.T) {
 	}
 	blockers := map[string]Blocker{
 		"token":   &TokenBlocker{Attr: "name", MinShared: 1},
-		"minhash": &MinHashBlocker{Attr: "name", Bands: 16, Rows: 2},
+		"minhash": &MinHashBlocker{Attr: "name"},
 	}
 	for name, b := range blockers {
 		cands := collect(t, b, d.TableA, d.TableB)

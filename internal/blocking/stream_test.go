@@ -53,8 +53,7 @@ func streamBlockers() map[string]refCase {
 	return map[string]refCase{
 		"token":        {&TokenBlocker{Attr: "title", MinShared: 1}, 1, 0},
 		"token-capped": {&TokenBlocker{MinShared: 2, MaxPostings: 8}, 2, 8},
-		"minhash":      {&MinHashBlocker{Attr: "title", Bands: 16, Rows: 2}, 1, 0},
-		"minhash-seed": {&MinHashBlocker{Seed: 7}, 1, 0},
+		"minhash":      {&MinHashBlocker{Attr: "title"}, 1, 0},
 	}
 }
 

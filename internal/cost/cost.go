@@ -149,23 +149,18 @@ func (l *Ledger) MergeAPI(other *Ledger) {
 }
 
 // RestoreAPI reconstructs a ledger's API side from persisted counters, the
-// inverse of reading Calls/InputTokens/OutputTokens/API off a ledger. Run
-// journals use it to rebuild a completed batch's cost delta on resume and
-// fold it into an aggregate exactly once via MergeAPI.
-func RestoreAPI(calls, inputTokens, outputTokens int, apiDollars float64) Ledger {
-	return Ledger{
+// inverse of reading Calls/InputTokens/OutputTokens/API and the per-tier
+// split off a ledger. Run journals use it to rebuild a completed batch's
+// cost delta on resume and fold it into an aggregate exactly once via
+// MergeAPI. tiers (nil off the cascade) may arrive in any order; buckets
+// are re-folded into canonical sorted form.
+func RestoreAPI(calls, inputTokens, outputTokens int, apiDollars float64, tiers []TierUsage) Ledger {
+	l := Ledger{
 		calls:        calls,
 		inputTokens:  inputTokens,
 		outputTokens: outputTokens,
 		apiDollars:   apiDollars,
 	}
-}
-
-// RestoreAPITiered is RestoreAPI plus the per-tier split, for journaled
-// cascade batches. tiers may arrive in any order; buckets are re-folded
-// into canonical sorted form.
-func RestoreAPITiered(calls, inputTokens, outputTokens int, apiDollars float64, tiers []TierUsage) Ledger {
-	l := RestoreAPI(calls, inputTokens, outputTokens, apiDollars)
 	for _, u := range tiers {
 		l.addTier(u)
 	}

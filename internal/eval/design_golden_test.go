@@ -127,7 +127,7 @@ func TestDesignSpaceGolden(t *testing.T) {
 	}{{"WA", 600, 600}, {"IA", 0, 0}, {"Beer", 0, 0}}
 	got := designGolden{Arch: runtime.GOARCH, Cells: map[string]designCell{}}
 	for _, wl := range workloads {
-		w, err := loadWorkload(wl.name, Options{QuestionCap: wl.qcap, PoolCap: wl.poolCap, DataSeed: 1})
+		w, err := loadWorkload(wl.name, Options{QuestionCap: wl.qcap, PoolCap: wl.poolCap})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,9 +34,11 @@ type Options struct {
 	QuestionCap int
 	// PoolCap truncates the demonstration pool (0 = all).
 	PoolCap int
-	// DataSeed seeds the synthetic benchmark generator.
-	DataSeed int64
 }
+
+// dataSeed seeds the synthetic benchmark generator: every experiment
+// and every run seed reads the same generated datasets.
+const dataSeed = 1
 
 // subset returns o with defaults applied, running the paper's datasets
 // for one experiment when o names none.
@@ -62,9 +64,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []int64{1, 2, 3}
 	}
-	if o.DataSeed == 0 {
-		o.DataSeed = 1
-	}
 	return o
 }
 
@@ -81,7 +80,7 @@ type workload struct {
 
 // loadWorkload prepares one dataset under the options.
 func loadWorkload(name string, o Options) (*workload, error) {
-	d, err := datagen.GenerateByName(name, o.DataSeed)
+	d, err := datagen.GenerateByName(name, dataSeed)
 	if err != nil {
 		return nil, err
 	}

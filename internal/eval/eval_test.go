@@ -306,7 +306,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestLoadWorkloadCaps(t *testing.T) {
-	w, err := loadWorkload("Beer", Options{QuestionCap: 10, PoolCap: 20, DataSeed: 1})
+	w, err := loadWorkload("Beer", Options{QuestionCap: 10, PoolCap: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestLoadWorkloadCaps(t *testing.T) {
 }
 
 func TestLoadWorkloadUnknown(t *testing.T) {
-	if _, err := loadWorkload("XX", Options{DataSeed: 1}); err == nil {
+	if _, err := loadWorkload("XX", Options{}); err == nil {
 		t.Error("unknown dataset should fail")
 	}
 }

@@ -15,8 +15,6 @@ type AnthropicCompatible struct {
 	APIKey string
 	// Version is the anthropic-version header (defaults to "2023-06-01").
 	Version string
-	// MaxTokens caps the completion length (defaults to 1024).
-	MaxTokens int
 	// HTTPClient defaults to a client with a 60s timeout.
 	HTTPClient *http.Client
 }
@@ -65,12 +63,10 @@ func (r *anthropicResponse) answer() (string, int, int, string) {
 // Complete implements Client. The HTTP request is bound to ctx, so
 // cancellation aborts an in-flight call immediately.
 func (c *AnthropicCompatible) Complete(ctx context.Context, req Request) (Response, error) {
-	// The per-request cap wins over the client default: it is part of the
-	// request identity (see CacheKey) and must match what is sent.
+	// The cap is part of the request identity (see CacheKey), so the
+	// request's own value is sent; the Messages API requires one, so an
+	// unset cap sends 1024.
 	maxTokens := req.MaxTokens
-	if maxTokens <= 0 {
-		maxTokens = c.MaxTokens
-	}
 	if maxTokens <= 0 {
 		maxTokens = 1024
 	}

@@ -86,6 +86,8 @@ func TestAnthropicCompatibleUsageFallback(t *testing.T) {
 	}
 }
 
+// TestAnthropicCompatibleCustomMaxTokens: a request's MaxTokens is the
+// max_tokens the body carries.
 func TestAnthropicCompatibleCustomMaxTokens(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req anthropicRequest
@@ -96,8 +98,8 @@ func TestAnthropicCompatibleCustomMaxTokens(t *testing.T) {
 		w.Write([]byte(`{"content":[{"type":"text","text":"ok"}]}`))
 	}))
 	defer srv.Close()
-	c := &AnthropicCompatible{BaseURL: srv.URL, MaxTokens: 77}
-	if _, err := c.Complete(context.Background(), Request{Model: "m", Prompt: "p"}); err != nil {
+	c := &AnthropicCompatible{BaseURL: srv.URL}
+	if _, err := c.Complete(context.Background(), Request{Model: "m", Prompt: "p", MaxTokens: 77}); err != nil {
 		t.Fatal(err)
 	}
 }

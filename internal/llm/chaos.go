@@ -25,14 +25,8 @@ type FaultProfile struct {
 	// Torn is the probability of an injected torn response body
 	// (KindTransport at status 200).
 	Torn float64
-	// Latency is the probability of an injected latency spike; the
-	// request still succeeds after LatencySpike.
-	Latency float64
-
 	// RetryAfter is the hint attached to injected throttles.
 	RetryAfter time.Duration
-	// LatencySpike is the delay injected by latency faults.
-	LatencySpike time.Duration
 	// MaxFaults bounds how many faults any single request key can
 	// draw before it is left alone (0 defaults to 3). Keep it below
 	// the retry budget and every request eventually succeeds; a huge
@@ -52,8 +46,6 @@ type Chaos struct {
 	inner   Client
 	profile FaultProfile
 	seed    int64
-	// sleep is stubbed in tests; nil uses a ctx-aware timer.
-	sleep func(time.Duration)
 
 	mu       sync.Mutex
 	attempts map[string]int
@@ -114,11 +106,6 @@ func (c *Chaos) Complete(ctx context.Context, req Request) (Response, error) {
 			c.injected.Add(1)
 			return Response{}, &APIError{Status: 200, Kind: KindTransport,
 				Message: "chaos: injected torn response"}
-		case u < cum+p.Overload+p.Transport+p.Torn+p.Latency:
-			c.injected.Add(1)
-			if err := sleepCtx(ctx, p.LatencySpike, c.sleep); err != nil {
-				return Response{}, err
-			}
 		}
 	}
 	return c.inner.Complete(ctx, req)

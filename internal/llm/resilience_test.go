@@ -398,20 +398,3 @@ func TestChaosThrottleCarriesRetryAfter(t *testing.T) {
 		t.Errorf("hint = %v/%v, want 2s", d, ok)
 	}
 }
-
-func TestChaosLatencySpikeStillSucceeds(t *testing.T) {
-	inner := &scripted{resps: []Response{{Completion: "ok"}}}
-	c := NewChaos(inner, FaultProfile{Latency: 1, LatencySpike: 5 * time.Second, MaxFaults: 1}, 1)
-	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	resp, err := c.Complete(context.Background(), Request{Model: "m", Prompt: "p"})
-	if err != nil || resp.Completion != "ok" {
-		t.Fatalf("resp = %q/%v", resp.Completion, err)
-	}
-	if len(slept) != 1 || slept[0] != 5*time.Second {
-		t.Errorf("slept = %v, want one 5s spike", slept)
-	}
-	if c.Injected() != 1 {
-		t.Errorf("injected = %d, want 1", c.Injected())
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"batcher/internal/blocking"
 	"batcher/internal/core"
 	"batcher/internal/entity"
 	"batcher/internal/runstore"
@@ -170,7 +169,7 @@ func newExecutor(cfg Config, f *core.Framework) *executor {
 	return e
 }
 
-func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) (*Report, error) {
+func (e *executor) run(ctx context.Context, tableA, tableB []entity.Record) (*Report, error) {
 	// One context stops the producer and every runner at once when the
 	// committer fails.
 	ctx, stop := context.WithCancel(ctx)
@@ -179,7 +178,7 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 	t0 := time.Now()
 	go func() {
 		defer close(e.ordered)
-		tail, err := e.produce(ctx, blocker, tableA, tableB)
+		tail, err := e.produce(ctx, tableA, tableB)
 		if err == nil {
 			e.blockingTime = time.Since(t0)
 			e.blockingDone.Store(true)
@@ -235,10 +234,10 @@ func (e *executor) run(ctx context.Context, blocker blocking.Blocker, tableA, ta
 // StreamWindow pairs and returns the unfinished tail — every candidate
 // when StreamWindow <= 0, since no window ever fills. The MaxCandidates
 // guard trips the moment the cap is crossed.
-func (e *executor) produce(ctx context.Context, blocker blocking.Blocker, tableA, tableB []entity.Record) ([]entity.Pair, error) {
+func (e *executor) produce(ctx context.Context, tableA, tableB []entity.Record) ([]entity.Pair, error) {
 	size := e.cfg.StreamWindow
 	w := make([]entity.Pair, 0, max(0, size))
-	for p, err := range blocker.BlockStream(ctx, tableA, tableB) {
+	for p, err := range e.cfg.Blocker.BlockStream(ctx, tableA, tableB) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: blocking: %w", err)
 		}

@@ -26,6 +26,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -40,9 +41,10 @@ import (
 
 // Config wires the two stages together.
 type Config struct {
-	// Blocker streams the candidates; nil defaults to token-overlap
-	// blocking on all attributes with MinShared 2. The executor ranges
-	// over its BlockStream directly, filling windows as pairs arrive.
+	// Blocker streams the candidates and is required (Run refuses nil;
+	// the product default is built by the batcher facade). The executor
+	// ranges over its BlockStream directly, filling windows as pairs
+	// arrive.
 	Blocker blocking.Blocker
 	// Matcher configures the BATCHER stage; zero value gets the paper's
 	// defaults.
@@ -219,9 +221,8 @@ func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []en
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	blocker := cfg.Blocker
-	if blocker == nil {
-		blocker = &blocking.TokenBlocker{MinShared: 2, MaxPostings: 512}
+	if cfg.Blocker == nil {
+		return nil, errors.New("pipeline: Config.Blocker is nil")
 	}
 	if cfg.Shard.Enabled() {
 		if err := cfg.Shard.Validate(); err != nil {
@@ -235,7 +236,7 @@ func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []en
 	if err := prepareJournal(cfg, f, tableA, tableB); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	return newExecutor(cfg, f).run(ctx, blocker, tableA, tableB)
+	return newExecutor(cfg, f).run(ctx, tableA, tableB)
 }
 
 // emitPairs reports one window's predictions: Matches collects the

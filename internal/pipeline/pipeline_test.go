@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
 	"batcher/internal/llm"
+	"batcher/internal/runstore"
 )
 
 func benchTables(t *testing.T) (*entity.Dataset, []entity.Record, []entity.Record) {
@@ -34,6 +36,9 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if rep.Candidates == 0 {
 		t.Fatal("no candidates blocked")
+	}
+	if rep.BlockingTime <= 0 {
+		t.Error("blocking time not recorded")
 	}
 	if rep.Result == nil || rep.Result.Ledger.Calls() == 0 {
 		t.Error("matcher did not run")
@@ -87,15 +92,18 @@ func TestRunFindsTruePairs(t *testing.T) {
 func TestRunMaxCandidatesGuard(t *testing.T) {
 	_, ta, tb := benchTables(t)
 	client := llm.NewSimulated(nil, 1)
-	_, err := Run(context.Background(), Config{MaxCandidates: 1}, client, ta, tb)
-	if err == nil {
-		t.Error("candidate cap not enforced")
+	_, err := Run(context.Background(), Config{
+		Blocker:       &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2},
+		MaxCandidates: 1,
+	}, client, ta, tb)
+	if err == nil || !strings.Contains(err.Error(), "candidate cap") {
+		t.Errorf("err = %v, want the candidate cap", err)
 	}
 }
 
 func TestRunEmptyTables(t *testing.T) {
 	client := llm.NewSimulated(nil, 1)
-	rep, err := Run(context.Background(), Config{}, client, nil, nil)
+	rep, err := Run(context.Background(), Config{Blocker: &blocking.TokenBlocker{MinShared: 2}}, client, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +112,30 @@ func TestRunEmptyTables(t *testing.T) {
 	}
 }
 
-func TestRunDefaultBlocker(t *testing.T) {
+// TestRunRequiresBlocker: Run has no blocker of its own (the product
+// default lives in the batcher facade), so a nil Config.Blocker is an
+// error before the journal is stamped.
+func TestRunRequiresBlocker(t *testing.T) {
 	_, ta, tb := benchTables(t)
-	client := llm.NewSimulated(nil, 1)
-	rep, err := Run(context.Background(), Config{}, client, ta[:20], tb[:20])
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "run")
+	j, err := runstore.OpenJournal(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BlockingTime <= 0 {
-		t.Error("blocking time not recorded")
+	rep, err := Run(ctx, Config{Journal: j}, llm.NewSimulated(nil, 1), ta[:20], tb[:20])
+	if err == nil || rep != nil {
+		t.Fatalf("nil blocker: report %v, err %v; want a nil report and an error", rep, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = runstore.OpenJournal(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !j.State().Empty() {
+		t.Error("nil blocker stamped the journal")
 	}
 }

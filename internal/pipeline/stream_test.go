@@ -460,7 +460,10 @@ func TestRunWindowedSharedPoolLabelsOnce(t *testing.T) {
 // TestRunWindowedEmpty keeps the zero-candidate path sane with a
 // window size set.
 func TestRunWindowedEmpty(t *testing.T) {
-	rep, err := Run(context.Background(), Config{StreamWindow: 16}, llm.NewSimulated(nil, 1), nil, nil)
+	rep, err := Run(context.Background(), Config{
+		Blocker:      &blocking.TokenBlocker{MinShared: 2},
+		StreamWindow: 16,
+	}, llm.NewSimulated(nil, 1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

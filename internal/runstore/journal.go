@@ -167,7 +167,7 @@ type BatchDone struct {
 // Ledger reconstructs the batch's API cost delta, including the
 // per-tier split on cascade runs.
 func (b *BatchDone) Ledger() cost.Ledger {
-	return cost.RestoreAPITiered(b.Calls, b.InputTokens, b.OutputTokens, b.APIDollars, b.Tiers)
+	return cost.RestoreAPI(b.Calls, b.InputTokens, b.OutputTokens, b.APIDollars, b.Tiers)
 }
 
 // journalRecord is the tagged union written to disk.
