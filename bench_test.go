@@ -323,23 +323,34 @@ func blockingTables(n int) ([]entity.Record, []entity.Record) {
 // BenchmarkBlockingEngines drains both blockers' candidate streams over
 // an 8k x 8k workload (inverted-index build + candidate generation),
 // reporting the candidate count so selectivity regressions show up
-// alongside time.
+// alongside time. The Pipebench arms block the datagen.PipelineBenchSpec
+// tables at seed 1 the way the benchmark module does (title, posting cap
+// 512) and the way ermatch does by default (all attributes, same cap),
+// reporting their pair counts.
 func BenchmarkBlockingEngines(b *testing.B) {
 	ta, tb := blockingTables(8000)
+	d, err := datagen.GenerateCustom(datagen.PipelineBenchSpec(8000), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
-		name    string
-		blocker blocking.Blocker
+		name           string
+		blocker        blocking.Blocker
+		tableA, tableB []entity.Record
+		unit           string
 	}{
-		{"Token", &blocking.TokenBlocker{Attr: "title", MinShared: 2}},
-		{"MinHash", &blocking.MinHashBlocker{Attr: "title"}},
+		{"Token", &blocking.TokenBlocker{Attr: "title", MinShared: 2}, ta, tb, "candidates"},
+		{"MinHash", &blocking.MinHashBlocker{Attr: "title"}, ta, tb, "candidates"},
+		{"Pipebench-title", &blocking.TokenBlocker{Attr: "title", MinShared: 2, MaxPostings: 512}, d.TableA, d.TableB, "pairs"},
+		{"Pipebench-all", &blocking.TokenBlocker{MinShared: 2, MaxPostings: 512}, d.TableA, d.TableB, "pairs"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			cands := 0
 			for i := 0; i < b.N; i++ {
-				cands = len(drainBlocker(b, bc.blocker, ta, tb))
+				cands = len(drainBlocker(b, bc.blocker, bc.tableA, bc.tableB))
 			}
-			b.ReportMetric(float64(cands), "candidates")
+			b.ReportMetric(float64(cands), bc.unit)
 		})
 	}
 }

@@ -1,10 +1,6 @@
 package blocking
 
 import (
-	"cmp"
-	"slices"
-	"sort"
-
 	"batcher/internal/entity"
 	"batcher/internal/strsim"
 	"batcher/internal/workpool"
@@ -61,35 +57,42 @@ func (c *chunks[T]) append(v T) {
 	c.n++
 }
 
-// termPost is one posting: a term and the row that contains it.
+// termPost is one posting as an index-build worker emits it: a term and
+// the row that contains it. The serial counting pass records the term's
+// slot in slot, which fits the struct's padding, so the placing pass
+// reads no map.
 type termPost struct {
 	term uint64
 	row  int32
+	slot int32
 }
 
-// invertedIndex is a sorted posting array: every (term, row) pair of
-// the indexed table ordered by term then row. Compared to a hash map of
-// slices it costs 16 bytes per posting flat, builds with one sort, and
-// looks up with two binary searches — the right trade for indexes that
-// are built once per blocking call and probed row by row.
+// invertedIndex holds the postings of the indexed table in compressed
+// sparse rows: slots numbers the distinct terms 0..n-1, and term slot s
+// owns the run rows[start[s]:start[s+1]], the rows holding it in
+// ascending order. A posting costs 4 bytes and a lookup is one map read
+// plus the posting-cap check — the right trade for indexes that are
+// built once per blocking call and probed row by row.
 type invertedIndex struct {
-	posts       []termPost
+	slots       map[uint64]int32
+	start       []int32
+	rows        []int32
 	maxPostings int
 }
 
 // lookup returns the posting run of a term in ascending row order (nil
 // if absent, or longer than the posting cap — too frequent to be
 // selective).
-func (ix *invertedIndex) lookup(term uint64) []termPost {
-	lo := sort.Search(len(ix.posts), func(i int) bool { return ix.posts[i].term >= term })
-	if lo == len(ix.posts) || ix.posts[lo].term != term {
+func (ix *invertedIndex) lookup(term uint64) []int32 {
+	s, ok := ix.slots[term]
+	if !ok {
 		return nil
 	}
-	hi := lo + sort.Search(len(ix.posts)-lo, func(i int) bool { return ix.posts[lo+i].term > term })
-	if ix.maxPostings > 0 && hi-lo > ix.maxPostings {
+	lo, hi := ix.start[s], ix.start[s+1]
+	if ix.maxPostings > 0 && int(hi-lo) > ix.maxPostings {
 		return nil
 	}
-	return ix.posts[lo:hi]
+	return ix.rows[lo:hi]
 }
 
 // minIndexChunk is the fewest rows one index-build worker takes. Workers
@@ -102,9 +105,12 @@ var minIndexChunk = 1024
 // buildIndex constructs the inverted index over table: contiguous row
 // chunks are tokenized concurrently through workpool.For — each chunk
 // owning its own termer/builder scratch over the shared interner — into
-// chunk-local posting accumulators, which are then flattened in chunk
-// order and sorted by (term, row). Within a term, rows come out
-// ascending, exactly as a sequential index build would produce.
+// chunk-local posting accumulators. One serial pass over them in chunk
+// order gives every distinct term its slot and counts its postings;
+// prefix sums of the counts place each term's run, and a second pass
+// drops every row into its run. Chunk order is row order, so each run
+// comes out ascending, exactly as a sequential build would produce,
+// with no comparison sort.
 func buildIndex(table []entity.Record, src termSource, in *strsim.Interner, maxPostings int) *invertedIndex {
 	workers := max(1, min((len(table)+minIndexChunk-1)/minIndexChunk, workpool.Workers()))
 	local := make([]chunks[termPost], workers)
@@ -121,21 +127,37 @@ func buildIndex(table []entity.Record, src termSource, in *strsim.Interner, maxP
 	})
 
 	total := 0
+	var blocks [][]termPost
 	for c := range local {
 		total += local[c].n
+		blocks = append(append(blocks, local[c].full...), local[c].cur)
 	}
-	posts := make([]termPost, 0, total)
-	for c := range local {
-		for _, blk := range local[c].full {
-			posts = append(posts, blk...)
+	// n[s] counts slot s's postings, then serves as its fill cursor.
+	// The map and n start sized for one distinct term per 8 postings.
+	ix := &invertedIndex{slots: make(map[uint64]int32, total/8), rows: make([]int32, total), maxPostings: maxPostings}
+	n := make([]int32, 0, total/8)
+	for _, blk := range blocks {
+		for i := range blk {
+			s, ok := ix.slots[blk[i].term]
+			if !ok {
+				s = int32(len(n))
+				ix.slots[blk[i].term] = s
+				n = append(n, 0)
+			}
+			n[s]++
+			blk[i].slot = s
 		}
-		posts = append(posts, local[c].cur...)
 	}
-	slices.SortFunc(posts, func(a, b termPost) int {
-		if c := cmp.Compare(a.term, b.term); c != 0 {
-			return c
+	ix.start = make([]int32, len(n)+1)
+	for s, c := range n {
+		ix.start[s+1] = ix.start[s] + c
+		n[s] = ix.start[s]
+	}
+	for _, blk := range blocks {
+		for _, p := range blk {
+			ix.rows[n[p.slot]] = p.row
+			n[p.slot]++
 		}
-		return cmp.Compare(a.row, b.row)
-	})
-	return &invertedIndex{posts: posts, maxPostings: maxPostings}
+	}
+	return ix
 }

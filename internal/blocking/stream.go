@@ -12,16 +12,15 @@ import (
 // indexMatcher is the per-call state of the inverted-index blockers:
 // the index over tableB, a termer over the shared per-call interner for
 // profiling tableA rows, and dense reused scratch. counts[j] is the
-// number of shared terms with tableB row j in the current round,
-// touched lists the rows with nonzero counts so resetting is
-// O(touched), and js collects the qualifying rows — so steady-state
-// candidate generation allocates nothing.
+// number of shared terms with tableB row j in the current round, runs
+// holds the round's posting runs, and js collects the qualifying rows —
+// so steady-state candidate generation allocates nothing.
 type indexMatcher struct {
 	ix        *invertedIndex
 	tr        termer
 	minShared int32
 	counts    []int32
-	touched   []int32
+	runs      [][]int32
 	js        []int32
 	terms     []uint64
 }
@@ -36,32 +35,38 @@ func newIndexMatcher(tableB []entity.Record, src termSource, minShared, maxPosti
 		tr:        src.newTermer(in),
 		minShared: int32(minShared),
 		counts:    make([]int32, len(tableB)),
-		touched:   make([]int32, 0, 256),
 		js:        make([]int32, 0, 64),
 	}
 }
 
 // rowCandidates returns the tableB rows sharing at least minShared terms
-// with ra, in ascending row order. The slice is matcher scratch, valid
-// until the next call.
+// with ra, in ascending row order. It walks ra's posting runs twice:
+// the first pass counts each row's shared terms; the second appends a
+// row the first time it is met at minShared or more and zeroes its
+// count, so a row is kept once and counts are all zero again for the
+// next call. The slice is matcher scratch, valid until the next call.
 func (m *indexMatcher) rowCandidates(ra entity.Record) []int32 {
 	m.terms = m.tr.appendTerms(ra, m.terms[:0])
+	m.runs = m.runs[:0]
 	for _, t := range m.terms {
-		for _, p := range m.ix.lookup(t) {
-			if m.counts[p.row] == 0 {
-				m.touched = append(m.touched, p.row)
-			}
-			m.counts[p.row]++
+		if run := m.ix.lookup(t); len(run) > 0 {
+			m.runs = append(m.runs, run)
+		}
+	}
+	for _, run := range m.runs {
+		for _, j := range run {
+			m.counts[j]++
 		}
 	}
 	m.js = m.js[:0]
-	for _, j := range m.touched {
-		if m.counts[j] >= m.minShared {
-			m.js = append(m.js, j)
+	for _, run := range m.runs {
+		for _, j := range run {
+			if m.counts[j] >= m.minShared {
+				m.js = append(m.js, j)
+			}
+			m.counts[j] = 0
 		}
-		m.counts[j] = 0
 	}
-	m.touched = m.touched[:0]
 	slices.Sort(m.js)
 	return m.js
 }

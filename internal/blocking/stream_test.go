@@ -48,13 +48,59 @@ type refCase struct {
 	minShared, maxPostings int
 }
 
+// edgeCap is the posting cap of the "token-title-capped" blocker, which
+// edgeTables' cap terms sit on either side of.
+const edgeCap = 8
+
 // streamBlockers returns one configured instance of each blocker shape.
 func streamBlockers() map[string]refCase {
 	return map[string]refCase{
-		"token":        {&TokenBlocker{Attr: "title", MinShared: 1}, 1, 0},
-		"token-capped": {&TokenBlocker{MinShared: 2, MaxPostings: 8}, 2, 8},
-		"minhash":      {&MinHashBlocker{Attr: "title"}, 1, 0},
+		"token":              {&TokenBlocker{Attr: "title", MinShared: 1}, 1, 0},
+		"token-capped":       {&TokenBlocker{MinShared: 2, MaxPostings: 8}, 2, 8},
+		"token-title-capped": {&TokenBlocker{Attr: "title", MinShared: 1, MaxPostings: edgeCap}, 1, edgeCap},
+		"token-min3":         {&TokenBlocker{Attr: "title", MinShared: 3}, 3, 0},
+		"minhash":            {&MinHashBlocker{Attr: "title"}, 1, 0},
 	}
+}
+
+// edgeTables builds tables on the index's edges: in tableB, "keep" is
+// held by exactly edgeCap rows and "drop" by edgeCap+1, interleaved with
+// rows whose title yields no token (empty, punctuation, absent); in
+// tableA, rows mix those terms with tokens no tableB row holds.
+func edgeTables() ([]entity.Record, []entity.Record) {
+	var tb []entity.Record
+	keep, drop := 0, 0
+	for i := 0; keep < edgeCap || drop < edgeCap+1; i++ {
+		id := fmt.Sprintf("b%02d", i)
+		switch {
+		case i%4 == 3:
+			noToken := []entity.Record{
+				rec(id, "title", "", "brand", "w1 w2"),
+				rec(id, "title", "-- !!", "brand", "w1 w2"),
+				rec(id, "brand", "w1 w2"),
+			}
+			tb = append(tb, noToken[i%3])
+		case i%2 == 0 && keep < edgeCap:
+			tb = append(tb, rec(id, "title", fmt.Sprintf("keep k%d w1 w2", keep%3)))
+			keep++
+		default:
+			tb = append(tb, rec(id, "title", fmt.Sprintf("drop d%d w1 w2 w3", drop%3)))
+			drop++
+		}
+	}
+	ta := []entity.Record{
+		rec("a0", "title", "keep"),
+		rec("a1", "title", "drop"),
+		rec("a2", "title", "keep drop"),
+		rec("a3", "title", "unseen never"),
+		rec("a4", "title", "unseen keep k1 w1"),
+		rec("a5", "title", "drop d2 w1 w3 nowhere"),
+		rec("a6", "title", ""),
+		rec("a7", "title", "-- !!"),
+		rec("a8", "brand", "w1 w2"),
+		rec("a9", "title", "k0 k1 k2 d0 d1 d2 w1 w2 w3"),
+	}
+	return ta, tb
 }
 
 // refBlock is the brute-force reference for the index blockers: a
@@ -134,8 +180,8 @@ func withIndexChunk(chunk int, f func()) {
 
 // TestBlockStreamMatchesBruteForce pins every blocker's stream to the
 // nested-loop reference — same pairs, same (row A, row B) order — on
-// randomized, benchmark-shaped and empty tables, with the tableB index
-// built by one worker and by GOMAXPROCS workers.
+// randomized, benchmark-shaped, edge-case and empty tables, with the
+// tableB index built by one worker and by GOMAXPROCS workers.
 func TestBlockStreamMatchesBruteForce(t *testing.T) {
 	d, err := datagen.GenerateByName("Beer", 3)
 	if err != nil {
@@ -147,6 +193,8 @@ func TestBlockStreamMatchesBruteForce(t *testing.T) {
 		a, b := randomTables(seed, 60, 80)
 		cases[fmt.Sprintf("rand%d", seed)] = tables{a, b}
 	}
+	ea, eb := edgeTables()
+	cases["edges"] = tables{ea, eb}
 	cases["empty"] = tables{nil, nil}
 	cases["emptyA"] = tables{nil, d.TableB[:10]}
 	cases["emptyB"] = tables{d.TableA[:10], nil}

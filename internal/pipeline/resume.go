@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"hash"
+	"strings"
 	"time"
 
 	"batcher/internal/core"
@@ -21,16 +22,27 @@ import (
 // edit that keeps every ID replays the journaled answers unnoticed.
 func tableHash(tableA, tableB []entity.Record) string {
 	h := sha256.New()
-	for _, r := range tableA {
-		io.WriteString(h, r.ID)
-		h.Write([]byte{0})
-	}
-	h.Write([]byte{1})
-	for _, r := range tableB {
-		io.WriteString(h, r.ID)
-		h.Write([]byte{0})
-	}
+	buf := make([]byte, 0, 16<<10)
+	buf = appendIDs(h, buf, tableA)
+	buf = append(buf, 1)
+	buf = appendIDs(h, buf, tableB)
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// appendIDs appends each record's ID and a zero byte to buf, handing
+// buf to h whenever the next ID would not fit, and returns what is left
+// unwritten. Batching the writes keeps the fingerprint free of
+// per-record allocations.
+func appendIDs(h hash.Hash, buf []byte, table []entity.Record) []byte {
+	for _, r := range table {
+		if len(buf)+len(r.ID)+1 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = append(append(buf, r.ID...), 0)
+	}
+	return buf
 }
 
 // cascadeStamp fingerprints the run's cascade configuration: the
@@ -114,11 +126,26 @@ func prepareJournal(cfg Config, f *core.Framework, tableA, tableB []entity.Recor
 
 // pairKeys extracts the stable pair identities of a window, used both to
 // journal answered pairs and to check a journal against the live
-// candidate stream.
+// candidate stream. Each key is byte-equal to its Pair.Key; all of them
+// are slices of one string built for the window, so a window costs two
+// allocations however many pairs it holds.
 func pairKeys(win []entity.Pair) []string {
+	n := 0
+	for _, p := range win {
+		n += len(p.A.ID) + 1 + len(p.B.ID)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range win {
+		b.WriteString(p.A.ID)
+		b.WriteByte('|')
+		b.WriteString(p.B.ID)
+	}
+	rest := b.String()
 	keys := make([]string, len(win))
 	for i, p := range win {
-		keys[i] = p.Key()
+		n := len(p.A.ID) + 1 + len(p.B.ID)
+		keys[i], rest = rest[:n], rest[n:]
 	}
 	return keys
 }
