@@ -128,6 +128,11 @@ const (
 	Llama2Chat70B  = llm.Llama2Chat70B
 )
 
+// ErrUnknownModel is returned for a WithModel or WithCheapModel name
+// missing from the model registry; RunPipeline returns it before it
+// stamps a journal or blocks.
+var ErrUnknownModel = llm.ErrUnknownModel
+
 // SplitPairs partitions labeled pairs 3:1:1 (train/valid/test),
 // stratified by class, as in the paper's experimental setup.
 func SplitPairs(pairs []Pair) Split { return entity.SplitPairs(pairs) }

@@ -77,15 +77,14 @@ func TestOptionsApplyAndCompose(t *testing.T) {
 	cfg := New(client,
 		WithParallelism(3),
 		WithSeed(42),
-		WithJSONAnswers(),
 		WithBatching(SimilarityBatching),
 		WithSelection(TopKBatch),
 		WithCheapModel(GPT35Turbo0301),
 		WithEscalateMargin(0.25),
 		WithDegrade(DegradeCheapOnly),
 	).Config()
-	if cfg.Parallelism != 3 || cfg.Seed != 42 || !cfg.JSONAnswers {
-		t.Errorf("parallelism/seed/json = %d/%d/%v", cfg.Parallelism, cfg.Seed, cfg.JSONAnswers)
+	if cfg.Parallelism != 3 || cfg.Seed != 42 {
+		t.Errorf("parallelism/seed = %d/%d", cfg.Parallelism, cfg.Seed)
 	}
 	// An explicit strategy overrides the facade default.
 	if cfg.Batching != SimilarityBatching || cfg.Selection != TopKBatch {
@@ -120,7 +119,6 @@ func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
 			got.TaskDescription != want.TaskDescription ||
 			got.DistanceSampleCap != want.DistanceSampleCap ||
 			got.Parallelism != want.Parallelism ||
-			got.JSONAnswers != want.JSONAnswers ||
 			got.CheapModel != want.CheapModel || got.Degrade != want.Degrade {
 			t.Errorf("%s defaults diverge:\n got %+v\nwant %+v", name, got, want)
 		}

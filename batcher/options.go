@@ -61,10 +61,6 @@ func WithSemanticFeatures() Option { return func(c *Config) { c.Extractor = feat
 // 0.08, the paper's 8th percentile).
 func WithCoverPercentile(p float64) Option { return func(c *Config) { c.CoverPercentile = p } }
 
-// WithJSONAnswers requests structured JSON replies from the LLM instead
-// of the paper's free-text format (an extension; parsing accepts both).
-func WithJSONAnswers() Option { return func(c *Config) { c.JSONAnswers = true } }
-
 // WithCheapModel enables tiered matching inside the batch matcher: the
 // ambiguous band is first answered by this cheaper model, and a batch
 // escalates to the main (expensive) model only when its vote-k margin

@@ -298,7 +298,7 @@ func BenchmarkAblationVoteK(b *testing.B) {
 			c, res := runConfig(b, cfg, qs, pool, oracle)
 			if i == 0 {
 				b.ReportMetric(c.F1(), "F1-"+sel.String())
-				b.ReportMetric(float64(res.DemosLabeled), "labels-"+sel.String())
+				b.ReportMetric(float64(res.Ledger.LabeledPairs()), "labels-"+sel.String())
 			}
 		}
 	}
@@ -417,7 +417,7 @@ func BenchmarkStrsimKernels(b *testing.B) {
 }
 
 // BenchmarkPromptText times the two text kernels every LLM call pays:
-// prompt.BuildWithFormat renders a batch of 8 datagen questions with 4
+// prompt.Build renders a batch of 8 datagen questions with 4
 // demonstrations, and tokens.Count meters the result. The builder
 // allocates its one buffer; the meter allocates nothing.
 func BenchmarkPromptText(b *testing.B) {
@@ -434,7 +434,7 @@ func BenchmarkPromptText(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		text := prompt.BuildWithFormat(prompt.DefaultTaskDescription, demos, qs, prompt.TextAnswers).Text
+		text := prompt.Build(prompt.DefaultTaskDescription, demos, qs).Text
 		tokens.Count(text)
 		bytes = len(text)
 	}

@@ -386,6 +386,12 @@ func main() {
 	if writeErr == nil {
 		writeErr = w.Error()
 	}
+	if errors.Is(runErr, batcher.ErrUnknownModel) {
+		// A flag error, refused before anything was journaled or billed:
+		// the same -run-id works once the name is corrected.
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", runErr)
+		os.Exit(2)
+	}
 	if runErr != nil || writeErr != nil {
 		// Partial spend is real spend: show the ledger before exiting,
 		// whatever stopped the run.

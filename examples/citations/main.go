@@ -53,11 +53,11 @@ func main() {
 	bpF1 := batcher.Score(questions, bpRes.Pred).F1()
 
 	fmt.Printf("%-22s F1 %6.2f   api $%-7.3f labels %4d ($%.2f)\n",
-		"standard prompting", stdF1, stdRes.Ledger.API(), stdRes.DemosLabeled, stdRes.Ledger.Labeling())
+		"standard prompting", stdF1, stdRes.Ledger.API(), stdRes.Ledger.LabeledPairs(), stdRes.Ledger.Labeling())
 	fmt.Printf("%-22s F1 %6.2f   api $%-7.3f labels %4d ($%.2f)\n",
-		"BatchER (div+cover)", bpF1, bpRes.Ledger.API(), bpRes.DemosLabeled, bpRes.Ledger.Labeling())
+		"BatchER (div+cover)", bpF1, bpRes.Ledger.API(), bpRes.Ledger.LabeledPairs(), bpRes.Ledger.Labeling())
 	fmt.Printf("\nAPI saving: %.1fx with %d annotated demonstrations\n",
-		stdRes.Ledger.API()/bpRes.Ledger.API(), bpRes.DemosLabeled)
+		stdRes.Ledger.API()/bpRes.Ledger.API(), bpRes.Ledger.LabeledPairs())
 
 	// Extrapolate to the intro's 500,000-prediction table at GPT-4 rates.
 	perQStd := stdRes.Ledger.API() / float64(len(questions)) * 10 // GPT-4 is 10x GPT-3.5

@@ -56,7 +56,7 @@ func main() {
 			}
 			c := batcher.Score(questions, res.Pred)
 			fmt.Printf("%-12v %-14v %8.2f %8.2f %9.2f %8d\n",
-				b, s, c.F1(), res.Ledger.API(), res.Ledger.Labeling(), res.DemosLabeled)
+				b, s, c.F1(), res.Ledger.API(), res.Ledger.Labeling(), res.Ledger.LabeledPairs())
 			if c.F1() > top.f1 {
 				top = best{c.F1(), fmt.Sprintf("%v + %v", b, s)}
 			}

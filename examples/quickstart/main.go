@@ -45,5 +45,5 @@ func main() {
 	fmt.Printf("resolved %d pairs in %d batch prompts\n", len(questions), res.Ledger.Calls())
 	fmt.Printf("matching quality: %s\n", c.String())
 	fmt.Printf("monetary cost:    %s\n", res.Ledger.String())
-	fmt.Printf("demonstrations annotated: %d (covering-based selection)\n", res.DemosLabeled)
+	fmt.Printf("demonstrations annotated: %d (covering-based selection)\n", res.Ledger.LabeledPairs())
 }

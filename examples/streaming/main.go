@@ -52,7 +52,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  batch %2d: %d questions, %4d+%3d tokens, running api $%.4f, %d matches so far\n",
-			br.Index, len(br.Questions), br.InputTokens, br.OutputTokens, running.Ledger.API(), matches)
+			br.Index, len(br.Questions), br.Ledger.InputTokens(), br.Ledger.OutputTokens(), running.Ledger.API(), matches)
 	}
 	if err := stream.Err(); err != nil {
 		log.Fatal(err)

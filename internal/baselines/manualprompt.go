@@ -47,7 +47,7 @@ func (ManualPrompt) Run(ctx context.Context, questions, reference []entity.Pair,
 			return nil, fmt.Errorf("baselines: question %d: %w", i, err)
 		}
 		p := prompt.Build(prompt.DefaultTaskDescription, demos, []entity.Pair{q})
-		resp, err := client.Complete(ctx, llm.Request{Model: model.Name, Prompt: p.Text, Temperature: 0.01})
+		resp, err := client.Complete(ctx, llm.Request{Model: model.Name, Prompt: p.Text})
 		if err != nil {
 			return nil, fmt.Errorf("baselines: question %d: %w", i, err)
 		}

@@ -138,10 +138,6 @@ type Config struct {
 	// values pipeline independent batches, which is safe because batches
 	// never share state and the underlying clients are concurrency-safe.
 	Parallelism int
-	// JSONAnswers requests structured JSON replies instead of the
-	// paper's free-text format — an extension matching modern
-	// structured-output APIs. Answer parsing accepts both regardless.
-	JSONAnswers bool
 	// CheapModel enables cascade matching when non-empty: each batch is
 	// first answered by this (cheaper) registry model and only escalated
 	// to Model — the expensive tier — when uncertainty fires: the batch's

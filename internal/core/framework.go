@@ -38,11 +38,12 @@ type Result struct {
 	// means the LLM's answer was missing or unparseable; metrics treat it
 	// as a non-match.
 	Pred []entity.Label
-	// DemosLabeled is the number of distinct pool pairs annotated.
-	DemosLabeled int
-	// Ledger accumulates the run's monetary cost.
+	// Ledger accumulates the run's monetary cost: API calls, their
+	// tokens, and the distinct pool pairs annotated (LabeledPairs).
 	Ledger cost.Ledger
-	// PromptTokens is the total input tokens across batch prompts.
+	// PromptTokens is the total input tokens across batch prompts:
+	// always Ledger.InputTokens(), kept because benchmark/probes.go
+	// reads it.
 	PromptTokens int
 	// TrimmedDemos counts demonstrations dropped to fit context windows.
 	TrimmedDemos int
@@ -61,7 +62,7 @@ func (r *Result) Apply(br BatchResult) {
 		r.Pred[qi] = br.Pred[i]
 	}
 	r.Ledger.Merge(&br.Ledger)
-	r.PromptTokens += br.InputTokens
+	r.PromptTokens += br.Ledger.InputTokens()
 	r.TrimmedDemos += br.TrimmedDemos
 	if br.Degraded {
 		r.Degraded++
@@ -112,9 +113,9 @@ func (f *Framework) annotate(pool []entity.Pair, ids []int) []prompt.Demo {
 }
 
 // ask answers qs on model and tier, one label per question. Each call
-// that returns is billed to br there and then: its tokens always, and a
-// ledger call under tier's name unless the cache served it (a
-// cache-served answer made no API call). When a prompt overruns the
+// that returns is billed to br's ledger there and then, under tier's
+// name, unless the cache served it (a cache-served answer made no API
+// call and carries no tokens). When a prompt overruns the
 // model's context window, ask drops demonstrations from the tail until
 // it fits — the mitigation for the input-length overrun risk Section
 // IV-C attributes to topk-question selection — and, once none are left,
@@ -124,23 +125,11 @@ func (f *Framework) annotate(pool []entity.Pair, ids []int) []prompt.Demo {
 // llm.TierDefault; tier also stamps the request for tier routing
 // (llm.NewTiered) and cache identity.
 func (f *Framework) ask(ctx context.Context, model llm.Model, tier llm.Tier, demos []prompt.Demo, qs []entity.Pair, br *BatchResult) ([]entity.Label, error) {
-	const temperature = 0.01 // the paper's sampling temperature
-	format := prompt.TextAnswers
-	if f.cfg.JSONAnswers {
-		format = prompt.JSONAnswers
-	}
 	for trimmed := 0; ; trimmed++ {
-		p := prompt.BuildWithFormat(f.cfg.TaskDescription, demos, qs, format)
-		resp, err := f.client.Complete(ctx, llm.Request{
-			Model:       model.Name,
-			Prompt:      p.Text,
-			Temperature: temperature,
-			Tier:        tier,
-		})
+		p := prompt.Build(f.cfg.TaskDescription, demos, qs)
+		resp, err := f.client.Complete(ctx, llm.Request{Model: model.Name, Prompt: p.Text, Tier: tier})
 		switch {
 		case err == nil:
-			br.InputTokens += resp.InputTokens
-			br.OutputTokens += resp.OutputTokens
 			br.TrimmedDemos += trimmed
 			if !resp.CacheHit {
 				br.Ledger.AddTierCall(tierName(tier), model.Pricing, resp.InputTokens, resp.OutputTokens)

@@ -38,8 +38,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if seq.Ledger.API() != par.Ledger.API() {
 		t.Errorf("API cost differs: %v vs %v", seq.Ledger.API(), par.Ledger.API())
 	}
-	if seq.DemosLabeled != par.DemosLabeled {
-		t.Errorf("labels differ: %d vs %d", seq.DemosLabeled, par.DemosLabeled)
+	if seq.Ledger.LabeledPairs() != par.Ledger.LabeledPairs() {
+		t.Errorf("labels differ: %d vs %d", seq.Ledger.LabeledPairs(), par.Ledger.LabeledPairs())
 	}
 }
 

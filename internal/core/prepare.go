@@ -99,8 +99,7 @@ func (p *Prepared) LabeledPool() []int { return p.sel.labeled }
 // is exactly how Resolve accumulates its return value.
 func (p *Prepared) NewResult() *Result {
 	res := &Result{
-		Pred:         make([]entity.Label, len(p.questions)),
-		DemosLabeled: len(p.sel.labeled),
+		Pred: make([]entity.Label, len(p.questions)),
 	}
 	for i := range res.Pred {
 		res.Pred[i] = entity.Unknown

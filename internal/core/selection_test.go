@@ -366,9 +366,9 @@ func TestCoverPercentileAboveOneClamps(t *testing.T) {
 	if !reflect.DeepEqual(got.Pred, want.Pred) {
 		t.Errorf("predictions differ: p=1.5 %v, p=1 %v", got.Pred, want.Pred)
 	}
-	if got.DemosLabeled != want.DemosLabeled || got.PromptTokens != want.PromptTokens {
+	if got.Ledger.LabeledPairs() != want.Ledger.LabeledPairs() || got.PromptTokens != want.PromptTokens {
 		t.Errorf("p=1.5 labeled %d demos / %d prompt tokens, p=1 %d / %d",
-			got.DemosLabeled, got.PromptTokens, want.DemosLabeled, want.PromptTokens)
+			got.Ledger.LabeledPairs(), got.PromptTokens, want.Ledger.LabeledPairs(), want.PromptTokens)
 	}
 	if got.Ledger.Total() != want.Ledger.Total() {
 		t.Errorf("ledger total: p=1.5 %v, p=1 %v", got.Ledger.Total(), want.Ledger.Total())
@@ -400,11 +400,11 @@ func TestNaNPercentilesDoNotPanic(t *testing.T) {
 	} {
 		at := func(p float64) func(*Config) { return func(c *Config) { *field(c) = p } }
 		got, want := resolve(at(math.NaN())), resolve(at(1e-300))
-		if !reflect.DeepEqual(got.Pred, want.Pred) || got.DemosLabeled != want.DemosLabeled ||
+		if !reflect.DeepEqual(got.Pred, want.Pred) || got.Ledger.LabeledPairs() != want.Ledger.LabeledPairs() ||
 			got.PromptTokens != want.PromptTokens || got.Ledger.Total() != want.Ledger.Total() {
 			t.Errorf("%s NaN: %d demos / %d prompt tokens / $%v, at 1e-300: %d / %d / $%v", name,
-				got.DemosLabeled, got.PromptTokens, got.Ledger.Total(),
-				want.DemosLabeled, want.PromptTokens, want.Ledger.Total())
+				got.Ledger.LabeledPairs(), got.PromptTokens, got.Ledger.Total(),
+				want.Ledger.LabeledPairs(), want.PromptTokens, want.Ledger.Total())
 		}
 	}
 }

@@ -48,9 +48,9 @@ func TestResolveWindowPure(t *testing.T) {
 			t.Errorf("%s: ledger differs: $%v/%d calls vs $%v/%d calls", tag,
 				got.Ledger.API(), got.Ledger.Calls(), want.Ledger.API(), want.Ledger.Calls())
 		}
-		if got.PromptTokens != want.PromptTokens || got.DemosLabeled != want.DemosLabeled {
+		if got.PromptTokens != want.PromptTokens || got.Ledger.LabeledPairs() != want.Ledger.LabeledPairs() {
 			t.Errorf("%s: tokens/labels differ: %d/%d vs %d/%d", tag,
-				got.PromptTokens, got.DemosLabeled, want.PromptTokens, want.DemosLabeled)
+				got.PromptTokens, got.Ledger.LabeledPairs(), want.PromptTokens, want.Ledger.LabeledPairs())
 		}
 	}
 

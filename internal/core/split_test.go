@@ -14,10 +14,9 @@ import (
 )
 
 // tinyContextClient rejects prompts above a token budget with
-// ErrContextLength and answers the rest, every question "No" in the
-// format the prompt asks for, or with reply when set. After answer
-// answered calls (0: no limit) it refuses the rest the way an open
-// breaker does. It drives ask's trim-then-split fallback and keeps the
+// ErrContextLength and answers the rest, every question "No", or with
+// reply when set. After answer answered calls (0: no limit) it refuses
+// the rest the way an open breaker does. It drives ask's trim-then-split fallback and keeps the
 // backend's side of the bill: the calls it answered and their tokens.
 type tinyContextClient struct {
 	budget int
@@ -53,9 +52,6 @@ func (c *tinyContextClient) Complete(_ context.Context, req llm.Request) (llm.Re
 			labels[i] = entity.NonMatch
 		}
 		completion = formatAnswers(labels)
-		if prompt.WantsJSON(req.Prompt) {
-			completion = prompt.FormatAnswersJSON(labels)
-		}
 	}
 	out := tokens.Count(completion)
 	c.billed++
@@ -124,31 +120,29 @@ func TestCallWithTrimSingleQuestionTooLong(t *testing.T) {
 
 // A split batch is billed one ledger call per half the backend answered:
 // the ledger's calls and tokens equal the backend's own count, whatever
-// the parallelism and the answer format.
+// the parallelism.
 func TestSplitBatchBillsEveryCall(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 16)
 	for _, par := range []int{1, 4} {
-		for _, jsonAnswers := range []bool{false, true} {
-			client := &tinyContextClient{budget: splitBudget(questions)}
-			f := NewFromConfig(client, Config{Selection: FixedSelection, Seed: 1, Parallelism: par, JSONAnswers: jsonAnswers})
-			res, err := f.Resolve(context.Background(), questions, pool)
-			if err != nil {
-				t.Fatalf("par %d json %v: %v", par, jsonAnswers, err)
-			}
-			nb := len(plannedBatches(t, f, questions, pool))
-			if client.billed <= nb {
-				t.Fatalf("par %d json %v: backend answered %d calls for %d batches; nothing split", par, jsonAnswers, client.billed, nb)
-			}
-			if res.Ledger.Calls() != client.billed || res.Ledger.InputTokens() != client.billedIn ||
-				res.Ledger.OutputTokens() != client.billedOut || res.PromptTokens != client.billedIn {
-				t.Errorf("par %d json %v: ledger %d calls / %d in / %d out (prompt tokens %d), backend billed %d / %d / %d",
-					par, jsonAnswers, res.Ledger.Calls(), res.Ledger.InputTokens(), res.Ledger.OutputTokens(), res.PromptTokens,
-					client.billed, client.billedIn, client.billedOut)
-			}
-			for i, p := range res.Pred {
-				if p != entity.NonMatch {
-					t.Fatalf("par %d json %v: pred[%d] = %v, want the backend's No", par, jsonAnswers, i, p)
-				}
+		client := &tinyContextClient{budget: splitBudget(questions)}
+		f := NewFromConfig(client, Config{Selection: FixedSelection, Seed: 1, Parallelism: par})
+		res, err := f.Resolve(context.Background(), questions, pool)
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
+		nb := len(plannedBatches(t, f, questions, pool))
+		if client.billed <= nb {
+			t.Fatalf("par %d: backend answered %d calls for %d batches; nothing split", par, client.billed, nb)
+		}
+		if res.Ledger.Calls() != client.billed || res.Ledger.InputTokens() != client.billedIn ||
+			res.Ledger.OutputTokens() != client.billedOut || res.PromptTokens != client.billedIn {
+			t.Errorf("par %d: ledger %d calls / %d in / %d out (prompt tokens %d), backend billed %d / %d / %d",
+				par, res.Ledger.Calls(), res.Ledger.InputTokens(), res.Ledger.OutputTokens(), res.PromptTokens,
+				client.billed, client.billedIn, client.billedOut)
+		}
+		for i, p := range res.Pred {
+			if p != entity.NonMatch {
+				t.Fatalf("par %d: pred[%d] = %v, want the backend's No", par, i, p)
 			}
 		}
 	}
@@ -221,10 +215,9 @@ func TestSplitBatchDegradeKeepsFirstHalf(t *testing.T) {
 	if !first.Degraded {
 		t.Fatal("batch 0 not degraded after its second half was refused")
 	}
-	if first.Ledger.Calls() != 1 || first.InputTokens != client.billedIn || first.Ledger.InputTokens() != client.billedIn ||
-		first.OutputTokens != client.billedOut {
-		t.Errorf("degraded batch carries %d calls / %d in (ledger %d) / %d out, backend billed 1 / %d / %d",
-			first.Ledger.Calls(), first.InputTokens, first.Ledger.InputTokens(), first.OutputTokens, client.billedIn, client.billedOut)
+	if first.Ledger.Calls() != 1 || first.Ledger.InputTokens() != client.billedIn || first.Ledger.OutputTokens() != client.billedOut {
+		t.Errorf("degraded batch carries %d calls / %d in / %d out, backend billed 1 / %d / %d",
+			first.Ledger.Calls(), first.Ledger.InputTokens(), first.Ledger.OutputTokens(), client.billedIn, client.billedOut)
 	}
 	for i, l := range first.Pred {
 		if l != entity.Unknown {

@@ -13,9 +13,9 @@ import (
 )
 
 // BatchResult is one completed batch delivered by Prepared.Run: the
-// predictions for that batch's questions plus the per-batch token usage
-// and cost delta. Consumers can fold deltas into running totals without
-// waiting for the full run.
+// predictions for that batch's questions plus the per-batch cost delta.
+// Consumers can fold deltas into running totals without waiting for the
+// full run.
 type BatchResult struct {
 	// Index is the batch's position in Stream.Batches order. Batches are
 	// always emitted in ascending Index order, even under parallelism.
@@ -24,12 +24,10 @@ type BatchResult struct {
 	Questions []int
 	// Pred holds one label per entry of Questions, aligned by position.
 	Pred []entity.Label
-	// InputTokens and OutputTokens are this batch's billed token counts.
-	InputTokens  int
-	OutputTokens int
 	// TrimmedDemos counts demonstrations dropped to fit the context window.
 	TrimmedDemos int
-	// Ledger is the API cost delta for this batch alone.
+	// Ledger is the API cost delta for this batch alone: its calls,
+	// their billed tokens and dollars.
 	Ledger cost.Ledger
 	// Tier names the tier that produced Pred on a cascade run
 	// (cost.TierCheap or cost.TierExpensive); empty on single-model runs.

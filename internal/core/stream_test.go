@@ -59,8 +59,8 @@ func TestResolveStreamYieldsBeforeRunFinishes(t *testing.T) {
 			if done := int(client.calls.Load()); done >= len(st.Batches()) {
 				t.Errorf("full run finished (%d calls) before first yield was consumed", done)
 			}
-			if br.Ledger.Calls() != 1 || br.InputTokens <= 0 {
-				t.Errorf("batch delta malformed: calls=%d inTokens=%d", br.Ledger.Calls(), br.InputTokens)
+			if br.Ledger.Calls() != 1 || br.Ledger.InputTokens() <= 0 {
+				t.Errorf("batch delta malformed: calls=%d inTokens=%d", br.Ledger.Calls(), br.Ledger.InputTokens())
 			}
 			close(client.gate)
 		}

@@ -66,8 +66,8 @@ func TestVoteKSelectionEndToEnd(t *testing.T) {
 		t.Errorf("vote-k F1 = %.1f, implausibly low", c.F1())
 	}
 	// Budget: 3x NumDemos annotated at most.
-	if res.DemosLabeled > 3*f.Config().NumDemos {
-		t.Errorf("labeled %d, budget is %d", res.DemosLabeled, 3*f.Config().NumDemos)
+	if res.Ledger.LabeledPairs() > 3*f.Config().NumDemos {
+		t.Errorf("labeled %d, budget is %d", res.Ledger.LabeledPairs(), 3*f.Config().NumDemos)
 	}
 }
 

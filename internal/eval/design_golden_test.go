@@ -78,7 +78,6 @@ func designPoints() []designPoint {
 		best("sem", func(c *core.Config) { c.Extractor = feature.NewSEM() }),
 		best("gpt-4", func(c *core.Config) { c.Model = llm.GPT4 }),
 		best("llama2", func(c *core.Config) { c.Model = llm.Llama2Chat70B }),
-		best("json", func(c *core.Config) { c.JSONAnswers = true }),
 		cascade,
 	)
 }

@@ -170,7 +170,7 @@ func framework(cfg core.Config) arm {
 		if err != nil {
 			return cell{}, fmt.Errorf("eval: %s: %w", w.name, err)
 		}
-		c := cell{api: res.Ledger.API(), label: res.Ledger.Labeling(), labeled: res.DemosLabeled}
+		c := cell{api: res.Ledger.API(), label: res.Ledger.Labeling(), labeled: res.Ledger.LabeledPairs()}
 		c.conf.AddAll(entity.Labels(w.questions), res.Pred)
 		for _, p := range res.Pred {
 			if p == entity.Unknown {

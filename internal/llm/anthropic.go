@@ -19,11 +19,15 @@ type AnthropicCompatible struct {
 	HTTPClient *http.Client
 }
 
+// maxTokens is the completion cap every Messages request carries: the
+// API requires one, and a batch's "Question i: Yes/No" lines stay far
+// below it.
+const maxTokens = 1024
+
 type anthropicRequest struct {
 	Model       string             `json:"model"`
 	MaxTokens   int                `json:"max_tokens"`
 	Temperature float64            `json:"temperature"`
-	System      string             `json:"system,omitempty"`
 	Messages    []anthropicMessage `json:"messages"`
 }
 
@@ -63,13 +67,6 @@ func (r *anthropicResponse) answer() (string, int, int, string) {
 // Complete implements Client. The HTTP request is bound to ctx, so
 // cancellation aborts an in-flight call immediately.
 func (c *AnthropicCompatible) Complete(ctx context.Context, req Request) (Response, error) {
-	// The cap is part of the request identity (see CacheKey), so the
-	// request's own value is sent; the Messages API requires one, so an
-	// unset cap sends 1024.
-	maxTokens := req.MaxTokens
-	if maxTokens <= 0 {
-		maxTokens = 1024
-	}
 	header := http.Header{}
 	if c.APIKey != "" {
 		header.Set("x-api-key", c.APIKey)
@@ -82,8 +79,7 @@ func (c *AnthropicCompatible) Complete(ctx context.Context, req Request) (Respon
 	return roundTrip(ctx, c.HTTPClient, c.BaseURL+"/v1/messages", header, anthropicRequest{
 		Model:       req.Model,
 		MaxTokens:   maxTokens,
-		Temperature: req.Temperature,
-		System:      req.System,
+		Temperature: Temperature,
 		Messages:    []anthropicMessage{{Role: "user", Content: req.Prompt}},
 	}, &anthropicResponse{}, req.Prompt)
 }

@@ -21,22 +21,19 @@ import (
 type Request struct {
 	// Model is a registry name, e.g. "gpt-3.5-turbo-0301".
 	Model string
-	// System is an optional system prompt sent ahead of the user prompt.
-	// Live clients map it to their wire format's system slot; the
-	// simulator ignores it.
-	System string
 	// Prompt is the full prompt text.
 	Prompt string
-	// Temperature controls sampling noise. The paper sets 0.01.
-	Temperature float64
-	// MaxTokens caps the completion length; 0 uses the client's default.
-	MaxTokens int
 	// Tier routes the request inside a Tiered client (see NewTiered).
 	// Non-tiered clients ignore it. It participates in CacheKey because a
 	// cascade rewrites Model alongside it and the two must stay coupled in
 	// cache identity.
 	Tier Tier
 }
+
+// Temperature is the sampling temperature of every request: the paper
+// sets 0.01. The live clients send it and the simulator's noise term
+// scales with it.
+const Temperature = 0.01
 
 // Response is a completion plus the token usage the API billed.
 type Response struct {

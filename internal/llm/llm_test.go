@@ -75,7 +75,7 @@ func TestGPT4TenTimesGPT35(t *testing.T) {
 func buildBatch(t *testing.T, demos []prompt.Demo, qs []entity.Pair) Request {
 	t.Helper()
 	p := prompt.Build(prompt.DefaultTaskDescription, demos, qs)
-	return Request{Model: DefaultModel, Prompt: p.Text, Temperature: 0.01}
+	return Request{Model: DefaultModel, Prompt: p.Text}
 }
 
 func oracleFor(pairs ...entity.Pair) MapOracle { return BuildOracle(pairs) }
@@ -253,7 +253,7 @@ func TestSimulatedRelevantDemosHelp(t *testing.T) {
 		sim := NewSimulated(oracleFor(qs...), seed)
 		for _, demos := range [][]prompt.Demo{nearDemos, nil} {
 			p := prompt.Build(prompt.DefaultTaskDescription, demos, qs)
-			resp, err := sim.Complete(context.Background(), Request{Model: DefaultModel, Prompt: p.Text, Temperature: 0.01})
+			resp, err := sim.Complete(context.Background(), Request{Model: DefaultModel, Prompt: p.Text})
 			if err != nil {
 				t.Fatal(err)
 			}

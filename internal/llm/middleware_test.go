@@ -126,7 +126,7 @@ func TestOpenAICompatibleHappyPath(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := &OpenAICompatible{BaseURL: srv.URL, APIKey: "sk-test"}
-	resp, err := c.Complete(context.Background(), Request{Model: "gpt-3.5-turbo", Prompt: "hello", Temperature: 0.01})
+	resp, err := c.Complete(context.Background(), Request{Model: "gpt-3.5-turbo", Prompt: "hello"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ type chatRequest struct {
 	Model       string        `json:"model"`
 	Messages    []chatMessage `json:"messages"`
 	Temperature float64       `json:"temperature"`
-	MaxTokens   int           `json:"max_tokens,omitempty"`
 }
 
 type chatMessage struct {
@@ -56,19 +55,13 @@ func (r *chatResponse) answer() (string, int, int, string) {
 // Complete implements Client. The HTTP request is bound to ctx, so
 // cancellation aborts an in-flight call immediately.
 func (c *OpenAICompatible) Complete(ctx context.Context, req Request) (Response, error) {
-	var messages []chatMessage
-	if req.System != "" {
-		messages = append(messages, chatMessage{Role: "system", Content: req.System})
-	}
-	messages = append(messages, chatMessage{Role: "user", Content: req.Prompt})
 	header := http.Header{}
 	if c.APIKey != "" {
 		header.Set("Authorization", "Bearer "+c.APIKey)
 	}
 	return roundTrip(ctx, c.HTTPClient, c.BaseURL+"/chat/completions", header, chatRequest{
 		Model:       req.Model,
-		Messages:    messages,
-		Temperature: req.Temperature,
-		MaxTokens:   req.MaxTokens,
+		Messages:    []chatMessage{{Role: "user", Content: req.Prompt}},
+		Temperature: Temperature,
 	}, &chatResponse{}, req.Prompt)
 }

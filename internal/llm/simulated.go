@@ -102,13 +102,7 @@ func (s *Simulated) Complete(ctx context.Context, req Request) (Response, error)
 		return Response{Completion: completion, InputTokens: inTokens, OutputTokens: tokens.Count(completion)}, nil
 	}
 	rnd := rand.New(rand.NewSource(s.promptSeed(req)))
-	labels := s.answer(model.Profile, parsed, req.Temperature, rnd)
-	var completion string
-	if prompt.WantsJSON(req.Prompt) {
-		completion = prompt.FormatAnswersJSON(labels)
-	} else {
-		completion = s.render(labels, rnd)
-	}
+	completion := s.render(s.answer(model.Profile, parsed, rnd), rnd)
 	return Response{
 		Completion:   completion,
 		InputTokens:  inTokens,
@@ -125,7 +119,7 @@ func (s *Simulated) promptSeed(req Request) int64 {
 }
 
 // answer produces one label per question under the profile's error model.
-func (s *Simulated) answer(p Profile, parsed *prompt.Parsed, temperature float64, rnd *rand.Rand) []entity.Label {
+func (s *Simulated) answer(p Profile, parsed *prompt.Parsed, rnd *rand.Rand) []entity.Label {
 	qs := parsed.Questions
 	qv := feature.ExtractAll(s.extractor, qs)
 	demoPairs := make([]entity.Pair, len(parsed.Demos))
@@ -176,7 +170,7 @@ func (s *Simulated) answer(p Profile, parsed *prompt.Parsed, temperature float64
 		} else {
 			score += p.NegContrastWeight * contrast
 		}
-		score -= p.TempNoise * temperature * rnd.Float64()
+		score -= p.TempNoise * Temperature * rnd.Float64()
 		pCorrect := sigmoid(score)
 		lab := truth
 		if rnd.Float64() > pCorrect {

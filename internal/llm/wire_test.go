@@ -58,7 +58,7 @@ func checkWire(t *testing.T, got, want wireCapture) {
 func TestOpenAIWirePinned(t *testing.T) {
 	got := captureWire(t, `{"choices":[{"message":{"role":"assistant","content":"Question 1: Yes"}}],"usage":{"prompt_tokens":9,"completion_tokens":4}}`,
 		func(u string) Client { return &OpenAICompatible{BaseURL: u, APIKey: "sk-test"} },
-		Request{Model: GPT35Turbo0301, Prompt: wirePrompt, Tier: TierExpensive, Temperature: 0.01})
+		Request{Model: GPT35Turbo0301, Prompt: wirePrompt, Tier: TierExpensive})
 	checkWire(t, got, wireCapture{
 		method: http.MethodPost,
 		path:   "/chat/completions",
@@ -78,7 +78,7 @@ func TestOpenAIWirePinned(t *testing.T) {
 func TestAnthropicWirePinned(t *testing.T) {
 	got := captureWire(t, `{"content":[{"type":"text","text":"Question 1: Yes"}],"usage":{"input_tokens":9,"output_tokens":4}}`,
 		func(u string) Client { return &AnthropicCompatible{BaseURL: u, APIKey: "sk-ant-test"} },
-		Request{Model: "claude-x", Prompt: wirePrompt, Tier: TierCheap, Temperature: 0.01})
+		Request{Model: "claude-x", Prompt: wirePrompt, Tier: TierCheap})
 	checkWire(t, got, wireCapture{
 		method: http.MethodPost,
 		path:   "/v1/messages",

@@ -315,7 +315,6 @@ func (e *executor) commit(iw *inflight) error {
 		// Fully journaled: the window's result without the matcher.
 		res = &core.Result{
 			Pred:         r.Preds,
-			DemosLabeled: len(r.Labeled),
 			PromptTokens: r.Usage.InputTokens(),
 			TrimmedDemos: r.Trimmed,
 		}

@@ -139,8 +139,8 @@ func TestRunPipelinedMatchesSequential(t *testing.T) {
 					if got.rep.Result.PromptTokens != base.rep.Result.PromptTokens {
 						t.Errorf("prompt tokens = %d, want %d", got.rep.Result.PromptTokens, base.rep.Result.PromptTokens)
 					}
-					if got.rep.Result.DemosLabeled != base.rep.Result.DemosLabeled {
-						t.Errorf("demos labeled = %d, want %d", got.rep.Result.DemosLabeled, base.rep.Result.DemosLabeled)
+					if got.rep.Result.Ledger.LabeledPairs() != base.rep.Result.Ledger.LabeledPairs() {
+						t.Errorf("demos labeled = %d, want %d", got.rep.Result.Ledger.LabeledPairs(), base.rep.Result.Ledger.LabeledPairs())
 					}
 					if got.rep.Candidates != base.rep.Candidates || got.rep.Windows != base.rep.Windows {
 						t.Errorf("candidates/windows = %d/%d, want %d/%d",

@@ -211,9 +211,10 @@ type Report struct {
 // the failure are kept (the failed window's unanswered candidates stay
 // Unknown), the ledger reflects what was actually billed, and OnPair
 // still fires for those candidates. Failures before any window was
-// folded — a dead ctx, a blocking error or cap trip with no completed
-// window, a first window that could not be prepared — return a nil
-// Report, so check it for nil before reading partial state.
+// folded — a dead ctx, an unknown Matcher model (llm.ErrUnknownModel,
+// refused before the journal is stamped), a blocking error or cap trip
+// with no completed window, a first window that could not be prepared —
+// return a nil Report, so check it for nil before reading partial state.
 func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []entity.Record) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -233,6 +234,13 @@ func Run(ctx context.Context, cfg Config, client llm.Client, tableA, tableB []en
 		}
 	}
 	f := core.NewFromConfig(client, cfg.Matcher)
+	// An unknown model would fail every window's Prepare; refused here,
+	// it leaves the journal unstamped, so a corrected run can reuse it.
+	for _, name := range []string{f.Config().Model, f.Config().CheapModel} {
+		if _, err := llm.Lookup(name); name != "" && err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
+		}
+	}
 	if err := prepareJournal(cfg, f, tableA, tableB); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
@@ -275,10 +283,8 @@ func foldWindow(agg, res *core.Result, labeled []int, sharedLabeled map[int]bool
 			}
 		}
 		agg.Ledger.AddLabels(fresh)
-		agg.DemosLabeled += fresh
 	} else {
 		agg.Ledger.Merge(&res.Ledger)
-		agg.DemosLabeled += res.DemosLabeled
 	}
 }
 

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"iter"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,6 +23,48 @@ func benchTables(t *testing.T) (*entity.Dataset, []entity.Record, []entity.Recor
 		t.Fatal(err)
 	}
 	return d, d.TableA[:120], d.TableB[:120]
+}
+
+// neverBlocker fails the test if a run ever starts blocking.
+type neverBlocker struct{ t *testing.T }
+
+func (b neverBlocker) BlockStream(context.Context, []entity.Record, []entity.Record) iter.Seq2[entity.Pair, error] {
+	b.t.Error("the run started blocking")
+	return func(func(entity.Pair, error) bool) {}
+}
+
+// TestRunRefusesUnknownModelBeforeStamping: a Model or CheapModel
+// missing from the registry is refused before the journal is stamped or
+// a table blocked, so the same run ID serves the corrected run (before,
+// the journal kept a meta record naming the typo and every later run
+// under that ID was refused).
+func TestRunRefusesUnknownModelBeforeStamping(t *testing.T) {
+	_, ta, tb := benchTables(t)
+	ctx := context.Background()
+	for _, mc := range []core.Config{{Model: "gpt-5-typo"}, {CheapModel: "gpt-5-typo"}} {
+		dir := filepath.Join(t.TempDir(), "run")
+		j, err := runstore.OpenJournal(ctx, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(ctx, Config{Blocker: neverBlocker{t}, Matcher: mc, Journal: j}, llm.NewSimulated(nil, 1), ta, tb)
+		if !errors.Is(err, llm.ErrUnknownModel) || rep != nil {
+			t.Errorf("%s/%s: report %v, err %v; want nil and llm.ErrUnknownModel", mc.Model, mc.CheapModel, rep, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// What the corrected run's open finds.
+		if j, err = runstore.OpenJournal(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
+		if !j.State().Empty() {
+			t.Errorf("%s/%s: the refused run left records in the journal", mc.Model, mc.CheapModel)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestRunEndToEnd(t *testing.T) {

@@ -165,8 +165,8 @@ func journalBatch(j *runstore.Journal, wIdx int, keys []string, br core.BatchRes
 		Keys:         bkeys,
 		Pred:         br.Pred,
 		Calls:        br.Ledger.Calls(),
-		InputTokens:  br.InputTokens,
-		OutputTokens: br.OutputTokens,
+		InputTokens:  br.Ledger.InputTokens(),
+		OutputTokens: br.Ledger.OutputTokens(),
 		APIDollars:   br.Ledger.API(),
 		TrimmedDemos: br.TrimmedDemos,
 		Tier:         br.Tier,

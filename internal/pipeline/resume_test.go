@@ -244,8 +244,8 @@ func runResumeProperty(t *testing.T, rc resumeConfig) {
 			if rep.Result.PromptTokens != baseRep.Result.PromptTokens {
 				t.Errorf("prompt tokens = %d, want %d", rep.Result.PromptTokens, baseRep.Result.PromptTokens)
 			}
-			if rep.Result.DemosLabeled != baseRep.Result.DemosLabeled {
-				t.Errorf("demos labeled = %d, want %d", rep.Result.DemosLabeled, baseRep.Result.DemosLabeled)
+			if rep.Result.Ledger.LabeledPairs() != baseRep.Result.Ledger.LabeledPairs() {
+				t.Errorf("demos labeled = %d, want %d", rep.Result.Ledger.LabeledPairs(), baseRep.Result.Ledger.LabeledPairs())
 			}
 			// Zero double-billing: across crash + resume, each batch hit
 			// the backend exactly once.

@@ -213,8 +213,8 @@ func runShardMergeProperty(t *testing.T, sc shardScenario) {
 	if rep.Result.PromptTokens != baseRep.Result.PromptTokens {
 		t.Errorf("prompt tokens = %d, want %d", rep.Result.PromptTokens, baseRep.Result.PromptTokens)
 	}
-	if rep.Result.DemosLabeled != baseRep.Result.DemosLabeled {
-		t.Errorf("demos labeled = %d, want %d", rep.Result.DemosLabeled, baseRep.Result.DemosLabeled)
+	if rep.Result.Ledger.LabeledPairs() != baseRep.Result.Ledger.LabeledPairs() {
+		t.Errorf("demos labeled = %d, want %d", rep.Result.Ledger.LabeledPairs(), baseRep.Result.Ledger.LabeledPairs())
 	}
 	if rep.Replayed != rep.Candidates-rep.AutoResolved {
 		t.Errorf("merged replay matched %d pairs live, want the journal to cover all %d",

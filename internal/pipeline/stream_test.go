@@ -185,9 +185,9 @@ func TestRunCollectedMatchesManualPipeline(t *testing.T) {
 	if rep.Windows != 1 || rep.PeakBuffered != len(candidates) {
 		t.Errorf("collected mode Windows = %d, PeakBuffered = %d", rep.Windows, rep.PeakBuffered)
 	}
-	if rep.Result.DemosLabeled != manual.DemosLabeled || rep.Result.PromptTokens != manual.PromptTokens {
+	if rep.Result.Ledger.LabeledPairs() != manual.Ledger.LabeledPairs() || rep.Result.PromptTokens != manual.PromptTokens {
 		t.Errorf("labeled/prompt tokens = %d/%d, manual %d/%d",
-			rep.Result.DemosLabeled, rep.Result.PromptTokens, manual.DemosLabeled, manual.PromptTokens)
+			rep.Result.Ledger.LabeledPairs(), rep.Result.PromptTokens, manual.Ledger.LabeledPairs(), manual.PromptTokens)
 	}
 }
 
@@ -440,20 +440,16 @@ func TestRunWindowedSharedPoolLabelsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if win.Result.DemosLabeled > len(pool) {
-		t.Fatalf("windowed run billed %d labels from a %d-pair pool", win.Result.DemosLabeled, len(pool))
-	}
-	if win.Result.Ledger.LabeledPairs() != win.Result.DemosLabeled {
-		t.Errorf("ledger bills %d labels, result says %d",
-			win.Result.Ledger.LabeledPairs(), win.Result.DemosLabeled)
+	if win.Result.Ledger.LabeledPairs() > len(pool) {
+		t.Fatalf("windowed run billed %d labels from a %d-pair pool", win.Result.Ledger.LabeledPairs(), len(pool))
 	}
 	// Windowed selection can need somewhat more distinct demos than one
 	// global resolution, but re-billing per window would multiply the
 	// count by the window count; distinct-billing keeps it the same
 	// order of magnitude.
-	if win.Windows >= 4 && win.Result.DemosLabeled >= base.Result.DemosLabeled*win.Windows/2 {
+	if win.Windows >= 4 && win.Result.Ledger.LabeledPairs() >= base.Result.Ledger.LabeledPairs()*win.Windows/2 {
 		t.Errorf("windowed labels %d vs unwindowed %d across %d windows: looks re-billed",
-			win.Result.DemosLabeled, base.Result.DemosLabeled, win.Windows)
+			win.Result.Ledger.LabeledPairs(), base.Result.Ledger.LabeledPairs(), win.Windows)
 	}
 }
 

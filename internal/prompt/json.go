@@ -2,34 +2,13 @@ package prompt
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 
 	"batcher/internal/entity"
 )
 
-// AnswerFormat selects how the LLM is asked to reply.
-type AnswerFormat int
-
-const (
-	// TextAnswers is the paper's free-text "Question i: Yes/No" format.
-	TextAnswers AnswerFormat = iota
-	// JSONAnswers instructs the model to reply with a JSON document —
-	// an extension matching modern structured-output APIs, more robust
-	// to parse at the cost of a few extra completion tokens.
-	JSONAnswers
-)
-
-// jsonInstruction is the reply-format instruction line for JSONAnswers;
-// the simulator keys off its prefix to know which format to emit.
-const jsonInstruction = `Reply with JSON only, in the form {"answers":[{"question":1,"match":true}, ...]} covering every question.`
-
-// WantsJSON reports whether a prompt asked for JSON answers.
-func WantsJSON(text string) bool {
-	return strings.Contains(text, `{"answers":[`)
-}
-
-// jsonAnswerDoc is the reply schema.
+// jsonAnswerDoc is the schema of a JSON reply. Prompts ask for the
+// paper's text format, but a live model may answer in JSON unasked.
 type jsonAnswerDoc struct {
 	Answers []jsonAnswer `json:"answers"`
 }
@@ -37,20 +16,6 @@ type jsonAnswerDoc struct {
 type jsonAnswer struct {
 	Question int  `json:"question"`
 	Match    bool `json:"match"`
-}
-
-// FormatAnswersJSON renders labels as a JSON completion.
-func FormatAnswersJSON(labels []entity.Label) string {
-	doc := jsonAnswerDoc{Answers: make([]jsonAnswer, 0, len(labels))}
-	for i, l := range labels {
-		doc.Answers = append(doc.Answers, jsonAnswer{Question: i + 1, Match: l == entity.Match})
-	}
-	out, err := json.Marshal(doc)
-	if err != nil {
-		// The schema is static; marshal cannot fail on it.
-		panic(fmt.Sprintf("prompt: marshal answers: %v", err))
-	}
-	return string(out)
 }
 
 // ParseAnswersAny extracts labels from a completion in either format:

@@ -2,69 +2,18 @@ package prompt
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"batcher/internal/entity"
 )
 
-func TestBuildWithFormatJSON(t *testing.T) {
-	p := BuildWithFormat(DefaultTaskDescription, nil, []entity.Pair{samplePair(0), samplePair(1)}, JSONAnswers)
-	if !WantsJSON(p.Text) {
-		t.Error("JSON prompt not detected by WantsJSON")
-	}
-	if strings.Contains(p.Text, `"Question 1: Yes"`) {
-		t.Error("text instruction should be replaced")
-	}
-	// Questions must still parse.
-	parsed, err := Parse(p.Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.Questions) != 2 {
-		t.Errorf("questions = %d", len(parsed.Questions))
-	}
-}
-
-// TestBuildWithFormatJSONSwapsOnlyTheInstruction holds the JSON prompt
-// to its definition: the text prompt with its closing instruction line
-// replaced by the JSON one, and every other byte unchanged.
-func TestBuildWithFormatJSONSwapsOnlyTheInstruction(t *testing.T) {
-	demos := []Demo{{Pair: samplePair(7), Label: entity.Match}, {Pair: samplePair(8), Label: entity.NonMatch}}
-	for _, n := range []int{0, 1, 3} {
-		var qs []entity.Pair
-		for i := range n {
-			qs = append(qs, samplePair(byte(i)))
-		}
-		for _, ds := range [][]Demo{nil, demos} {
-			text := Build(DefaultTaskDescription, ds, qs).Text
-			lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-			lines[len(lines)-1] = jsonInstruction
-			want := strings.Join(lines, "\n") + "\n"
-			got := BuildWithFormat(DefaultTaskDescription, ds, qs, JSONAnswers)
-			if got.Text != want {
-				t.Errorf("%d questions, %d demos: JSON prompt\n%q\nwant\n%q", n, len(ds), got.Text, want)
-			}
-		}
-	}
-}
-
-func TestBuildWithFormatTextDelegates(t *testing.T) {
-	a := Build(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)})
-	b := BuildWithFormat(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)}, TextAnswers)
-	if a.Text != b.Text {
-		t.Error("TextAnswers format should match Build output")
-	}
-}
-
+// TestJSONAnswersRoundTrip: a bare JSON reply, as a model answering in
+// JSON unasked writes it, parses to one label per question.
 func TestJSONAnswersRoundTrip(t *testing.T) {
-	in := []entity.Label{entity.Match, entity.NonMatch, entity.Match}
-	completion := FormatAnswersJSON(in)
-	out := ParseAnswersAny(completion, 3)
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("answer %d: %v != %v", i, in[i], out[i])
-		}
+	completion := `{"answers":[{"question":1,"match":true},{"question":2,"match":false},{"question":3,"match":true}]}`
+	want := []entity.Label{entity.Match, entity.NonMatch, entity.Match}
+	if out := ParseAnswersAny(completion, 3); !reflect.DeepEqual(out, want) {
+		t.Errorf("parsed %v, want %v", out, want)
 	}
 }
 
@@ -134,12 +83,5 @@ func TestExtractJSONSkipsDecoys(t *testing.T) {
 	doc, ok := extractJSON(completion)
 	if !ok || len(doc.Answers) != 1 {
 		t.Errorf("decoy object confused extraction: %+v %v", doc, ok)
-	}
-}
-
-func TestWantsJSONNegative(t *testing.T) {
-	p := Build(DefaultTaskDescription, nil, []entity.Pair{samplePair(0)})
-	if WantsJSON(p.Text) {
-		t.Error("text prompt misdetected as JSON")
 	}
 }

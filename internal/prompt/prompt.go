@@ -70,12 +70,6 @@ func ParseEntity(line string) (entity.Record, error) {
 	return entity.NewRecord("", attrs, vals), nil
 }
 
-// Build renders a batch prompt asking for the paper's text answers; it
-// is BuildWithFormat with TextAnswers.
-func Build(desc string, demos []Demo, questions []entity.Pair) Prompt {
-	return BuildWithFormat(desc, demos, questions, TextAnswers)
-}
-
 // Fixed text of a rendered prompt.
 const (
 	examplesHead  = "\nExamples:\n"
@@ -91,12 +85,13 @@ const (
 	batchReplyEnd = ", answer on its own line in the form \"Question i: Yes\" or \"Question i: No\".\n"
 )
 
-// BuildWithFormat renders a batch prompt from a task description,
-// demonstrations, and questions, following the paper's Figure 1(b)
-// layout, and closes it with the reply instruction for format. Passing
-// a single question yields standard prompting (Figure 1(a)). The text is
-// rendered into one buffer sized up front: one allocation per prompt.
-func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
+// Build renders a batch prompt from a task description, demonstrations,
+// and questions, following the paper's Figure 1(b) layout, and closes it
+// with the instruction to answer "Question i: Yes" or "Question i: No".
+// Passing a single question yields standard prompting (Figure 1(a)).
+// The text is rendered into one buffer sized up front: one allocation
+// per prompt.
+func Build(desc string, demos []Demo, questions []entity.Pair) Prompt {
 	size := len(desc) + 1 + len(questionsHead)
 	if len(demos) > 0 {
 		size += len(examplesHead)
@@ -107,12 +102,9 @@ func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format 
 	for i, q := range questions {
 		size += pairLen(len(questionHead), i+1, q)
 	}
-	switch {
-	case format == JSONAnswers:
-		size += len(jsonInstruction) + 2
-	case len(questions) == 1:
+	if len(questions) == 1 {
 		size += len(singleReply)
-	default:
+	} else {
 		size += len(batchReply) + decimalLen(len(questions)) + len(batchReplyEnd)
 	}
 
@@ -131,14 +123,9 @@ func BuildWithFormat(desc string, demos []Demo, questions []entity.Pair, format 
 	for i, q := range questions {
 		writePair(&b, questionHead, i+1, q)
 	}
-	switch {
-	case format == JSONAnswers:
-		b.WriteByte('\n')
-		b.WriteString(jsonInstruction)
-		b.WriteByte('\n')
-	case len(questions) == 1:
+	if len(questions) == 1 {
 		b.WriteString(singleReply)
-	default:
+	} else {
 		b.WriteString(batchReply)
 		writeInt(&b, len(questions))
 		b.WriteString(batchReplyEnd)

@@ -35,7 +35,7 @@ func samplePair(i byte) entity.Pair {
 // so one entity always occupies one line.
 //
 // It is the concatenating serializer writeEntity replaced, kept with
-// concatBuild as the oracle BuildWithFormat must agree with.
+// concatBuild as the oracle Build must agree with.
 func SerializeEntity(r entity.Record) string {
 	var b strings.Builder
 	for i, a := range r.Attrs {
@@ -49,9 +49,9 @@ func SerializeEntity(r entity.Record) string {
 	return b.String()
 }
 
-// concatBuild is the concatenating BuildWithFormat the one-buffer
-// builder replaced, kept as its oracle: the two must agree to the byte.
-func concatBuild(desc string, demos []Demo, questions []entity.Pair, format AnswerFormat) Prompt {
+// concatBuild is the concatenating Build the one-buffer builder
+// replaced, kept as its oracle: the two must agree to the byte.
+func concatBuild(desc string, demos []Demo, questions []entity.Pair) Prompt {
 	var b strings.Builder
 	b.WriteString(desc)
 	b.WriteString("\n")
@@ -74,12 +74,9 @@ func concatBuild(desc string, demos []Demo, questions []entity.Pair, format Answ
 		b.WriteString("Entity A: " + SerializeEntity(q.A) + "\n")
 		b.WriteString("Entity B: " + SerializeEntity(q.B) + "\n")
 	}
-	switch {
-	case format == JSONAnswers:
-		b.WriteString("\n" + jsonInstruction + "\n")
-	case len(questions) == 1:
+	if len(questions) == 1 {
 		b.WriteString("\nAnswer with a single line: \"Question 1: Yes\" or \"Question 1: No\".\n")
-	default:
+	} else {
 		fmt.Fprintf(&b, "\nFor each of Question 1 through Question %d, answer on its own line "+
 			"in the form \"Question i: Yes\" or \"Question i: No\".\n", len(questions))
 	}
@@ -129,13 +126,11 @@ func TestBuildMatchesConcatOracle(t *testing.T) {
 			pairs := mapValues(d.Pairs[:16], f)
 			for _, nd := range []int{0, 1, 8} {
 				for _, nq := range []int{1, 8} {
-					for _, format := range []AnswerFormat{TextAnswers, JSONAnswers} {
-						demos, qs := demosOf(pairs[8:8+nd]), pairs[:nq]
-						got := BuildWithFormat(DefaultTaskDescription, demos, qs, format).Text
-						if want := concatBuild(DefaultTaskDescription, demos, qs, format).Text; got != want {
-							t.Errorf("%s, values %s, %d demos, %d questions, format %d:\n%q\nwant\n%q",
-								name, vname, nd, nq, format, got, want)
-						}
+					demos, qs := demosOf(pairs[8:8+nd]), pairs[:nq]
+					got := Build(DefaultTaskDescription, demos, qs).Text
+					if want := concatBuild(DefaultTaskDescription, demos, qs).Text; got != want {
+						t.Errorf("%s, values %s, %d demos, %d questions:\n%q\nwant\n%q",
+							name, vname, nd, nq, got, want)
 					}
 				}
 			}
@@ -153,13 +148,11 @@ func batchInputs(t testing.TB) ([]Demo, []entity.Pair) {
 	return demosOf(d.Pairs[8:16]), d.Pairs[:8]
 }
 
-func TestBuildWithFormatAllocsOne(t *testing.T) {
+func TestBuildAllocsOne(t *testing.T) {
 	demos, qs := batchInputs(t)
-	for _, format := range []AnswerFormat{TextAnswers, JSONAnswers} {
-		allocs := testing.AllocsPerRun(100, func() { BuildWithFormat(DefaultTaskDescription, demos, qs, format) })
-		if allocs > 1 {
-			t.Errorf("format %d: BuildWithFormat made %v allocations per call, want at most 1", format, allocs)
-		}
+	allocs := testing.AllocsPerRun(100, func() { Build(DefaultTaskDescription, demos, qs) })
+	if allocs > 1 {
+		t.Errorf("Build made %v allocations per call, want at most 1", allocs)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestCacheHitSkipsInnerAndBillsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	req := llm.Request{Model: "m", Prompt: "p", Temperature: 0.01}
+	req := llm.Request{Model: "m", Prompt: "p"}
 	r1, err := c.Complete(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	inner := &countClient{}
 	c, _ := OpenCache(context.Background(), inner, dir, 0)
-	req := llm.Request{Model: "m", System: "s", Prompt: "p", Temperature: 0.01, MaxTokens: 64}
+	req := llm.Request{Model: "m", Prompt: "p", Tier: llm.TierCheap}
 	orig, _ := c.Complete(context.Background(), req)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -170,12 +170,12 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	if inner.calls != 1 {
 		t.Errorf("inner re-billed after reopen: %d calls", inner.calls)
 	}
-	// A request differing only in System must miss: the key covers the
+	// A request differing only in Tier must miss: the key covers the
 	// full request.
 	other := req
-	other.System = "different"
+	other.Tier = llm.TierExpensive
 	if r, _ := c2.Complete(context.Background(), other); r.CacheHit {
-		t.Error("different system prompt served a stale hit")
+		t.Error("a different tier served a stale hit")
 	}
 }
 

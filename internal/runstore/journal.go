@@ -42,6 +42,11 @@ type RunMeta struct {
 	RunID string `json:"run_id"`
 	// Model, Seed, BatchSize, NumDemos, Batching, and Selection pin the
 	// matcher configuration that produced the journaled predictions.
+	// The rest of the matcher's settings are not fingerprinted — the
+	// extractor, the distance, CoverPercentile, ClusterEpsPercentile,
+	// ClusterMinPts, DistanceSampleCap and TaskDescription — so a
+	// resume that changes one of them is not refused: it replays the
+	// journaled windows and matches the rest under the new setting.
 	Model     string `json:"model"`
 	Seed      int64  `json:"seed"`
 	BatchSize int    `json:"batch_size"`

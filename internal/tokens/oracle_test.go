@@ -43,6 +43,10 @@ var handCases = []string{
 	// U+0085 and U+00A0 separate words; U+200B does not (it is Cf).
 	"a\u0085b", "the\u00a0and", "12\u00a034", "..\u0085..", "ab\u200bcd",
 	"title: Apple iPhone 13 Pro, price: 999.00 [SEP] title: iPhone 13 Pro Max, price: 1099.00",
+	// JSON completions, as a live model answering in JSON unasked
+	// writes them: braces, quotes, colons and digits packed together.
+	`{"answers":[{"question":1,"match":true},{"question":2,"match":false},{"question":10,"match":false}]}`,
+	"Sure! Here are my answers:\n```json\n{\"answers\": [{\"question\": 1, \"match\": true}]}\n```",
 }
 
 // checkCount fails t when Count and the Split oracle disagree on s.
@@ -69,8 +73,8 @@ func (r *recorder) Complete(ctx context.Context, req llm.Request) (llm.Response,
 }
 
 // simulatedTexts returns every prompt and completion of a small run of
-// the default design point on dataset name, in text or JSON answers.
-func simulatedTexts(t *testing.T, name string, jsonAnswers bool) []string {
+// the default design point on dataset name.
+func simulatedTexts(t *testing.T, name string) []string {
 	t.Helper()
 	d, err := datagen.GenerateByName(name, 1)
 	if err != nil {
@@ -81,7 +85,7 @@ func simulatedTexts(t *testing.T, name string, jsonAnswers bool) []string {
 	all := append(append([]entity.Pair(nil), qs...), pool...)
 	rec := &recorder{Client: llm.NewSimulated(llm.BuildOracle(all), 1)}
 	f := core.NewFromConfig(rec, core.Config{
-		Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1, JSONAnswers: jsonAnswers,
+		Batching: core.DiversityBatching, Selection: core.CoveringSelection, Seed: 1,
 	})
 	if _, err := f.Resolve(context.Background(), qs, pool); err != nil {
 		t.Fatal(err)
@@ -108,14 +112,12 @@ func TestCountMatchesSplitOracle(t *testing.T) {
 	})
 	t.Run("simulated", func(t *testing.T) {
 		for _, name := range datagen.Names() {
-			for _, jsonAnswers := range []bool{false, true} {
-				texts := simulatedTexts(t, name, jsonAnswers)
-				if len(texts) == 0 {
-					t.Fatalf("%s: the run sent no prompt", name)
-				}
-				for _, s := range texts {
-					checkCount(t, c, s)
-				}
+			texts := simulatedTexts(t, name)
+			if len(texts) == 0 {
+				t.Fatalf("%s: the run sent no prompt", name)
+			}
+			for _, s := range texts {
+				checkCount(t, c, s)
 			}
 		}
 	})
