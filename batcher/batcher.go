@@ -25,6 +25,10 @@
 //	}
 //	err = stream.Err()
 //
+// Plan prices a run before it spends: it is Match against a client that
+// calls no model, and its ledger is the run's labels, calls and input
+// tokens.
+//
 // Pipeline runs can be made durable: OpenRunJournal records every
 // answered batch on disk so an interrupted run resumes from the first
 // unanswered window. NewClientStack builds the transport around a base
@@ -50,13 +54,10 @@ import (
 
 	"batcher/internal/blocking"
 	"batcher/internal/core"
-	"batcher/internal/cost"
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
 	"batcher/internal/llm"
 	"batcher/internal/metrics"
-	"batcher/internal/prompt"
-	"batcher/internal/tokens"
 )
 
 // Re-exported domain types. Aliases keep the public surface in one import
@@ -170,6 +171,26 @@ func (m *Matcher) Match(ctx context.Context, questions, pool []Pair) (*Result, e
 	return m.fw.Resolve(ctx, questions, pool)
 }
 
+// Plan prices resolving questions over pool under m's configuration
+// without calling a model: it runs Match's engine against a client that
+// bills each prompt at its token count and answers nothing, so batching,
+// demonstration selection, annotation and every trim or split follow
+// the run's own rules. The returned Result's Ledger is the price and
+// TrimmedDemos the demonstrations dropped to fit a context window; its
+// predictions are all Unknown. Plan never touches m's client.
+//
+// On a single-tier run, labels, calls and input tokens equal the run's.
+// For a live model they are exact only as far as the token meter
+// matches the model's tokenizer. Output tokens are zero: no completion
+// cap is sent, so how long an answer runs cannot be known, and Plan
+// does not guess. On a tiered run (WithCheapModel), calls and input
+// tokens are an upper bound: an empty cheap-tier answer reads as
+// Unknown, so every batch the cheap tier answers is counted as
+// escalating.
+func (m *Matcher) Plan(ctx context.Context, questions, pool []Pair) (*Result, error) {
+	return core.NewFromConfig(llm.Dry{}, m.Config()).Resolve(ctx, questions, pool)
+}
+
 // MatchStream prepares a resolution and returns a Stream over it: ranging
 // stream.All runs the batches, yielding each batch's predictions, token
 // usage, and cost delta as it completes, in deterministic batch order;
@@ -268,41 +289,4 @@ func BlockTables(tableA, tableB []Record, attr string, minShared int) []Pair {
 // stops if ctx is cancelled mid-generation.
 func BlockTablesStream(ctx context.Context, tableA, tableB []Record, attr string, minShared int) iter.Seq2[Pair, error] {
 	return tokenBlocker(attr, minShared).BlockStream(ctx, tableA, tableB)
-}
-
-// CostPlan projects a campaign's dollars before running it.
-type CostPlan = cost.Plan
-
-// EstimateCost builds a CostPlan for resolving the given questions with
-// the model and framework parameters, measuring per-pair token sizes on
-// a sample. labeledDemos should be the expected annotation need (e.g. a
-// covering set size from a pilot run; the paper's campaigns land between
-// ~20 and ~150).
-func EstimateCost(questions []Pair, model string, batchSize, demosPerPrompt, labeledDemos int) (CostPlan, error) {
-	m, err := llm.Lookup(model)
-	if err != nil {
-		return CostPlan{}, err
-	}
-	sample := questions
-	if len(sample) > 64 {
-		sample = sample[:64]
-	}
-	total := 0
-	for _, q := range sample {
-		total += tokens.Count(q.Serialize())
-	}
-	perPair := 90 // paper's estimate, used when no sample is available
-	if len(sample) > 0 {
-		perPair = total / len(sample)
-	}
-	return CostPlan{
-		Questions:               len(questions),
-		BatchSize:               batchSize,
-		TokensPerPair:           perPair,
-		DescriptionTokens:       tokens.Count(prompt.DefaultTaskDescription) + 30,
-		DemosPerPrompt:          demosPerPrompt,
-		OutputTokensPerQuestion: 7,
-		LabeledDemos:            labeledDemos,
-		Pricing:                 m.Pricing,
-	}, nil
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"batcher/internal/feature"
 )
 
 // record builds a record from parallel attribute/value slices.
@@ -52,8 +54,6 @@ func TestOptionsApply(t *testing.T) {
 		WithBatchSize(4),
 		WithNumDemos(6),
 		WithModel(GPT4),
-		WithCoverPercentile(0.2),
-		WithJaccardFeatures(),
 	)
 	cfg := m.Config()
 	if cfg.BatchSize != 4 || cfg.NumDemos != 6 {
@@ -62,11 +62,20 @@ func TestOptionsApply(t *testing.T) {
 	if cfg.Model != GPT4 {
 		t.Errorf("model = %q", cfg.Model)
 	}
-	if cfg.CoverPercentile != 0.2 {
-		t.Errorf("percentile = %v", cfg.CoverPercentile)
-	}
-	if cfg.Extractor.Name() != "JAC" {
-		t.Errorf("extractor = %q", cfg.Extractor.Name())
+}
+
+// The extractor and the covering percentile have no option; a Config
+// sets them, and NewWithConfig keeps what it is given.
+func TestExtractorOptions(t *testing.T) {
+	client := NewSimulatedClient(nil, 1)
+	for _, ex := range []feature.Extractor{feature.NewLR(), feature.NewJAC(), feature.NewSEM()} {
+		cfg := NewWithConfig(client, Config{CoverPercentile: 0.2, Extractor: ex}).Config()
+		if cfg.CoverPercentile != 0.2 {
+			t.Errorf("percentile = %v", cfg.CoverPercentile)
+		}
+		if cfg.Extractor.Name() != ex.Name() {
+			t.Errorf("extractor = %q, want %q", cfg.Extractor.Name(), ex.Name())
+		}
 	}
 }
 
@@ -128,23 +137,6 @@ func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
 	}
 	if want.Batching != DiversityBatching || want.Selection != CoveringSelection || want.BatchSize != 8 {
 		t.Errorf("facade default = %v/%v/%d, want diversity/cover/8", want.Batching, want.Selection, want.BatchSize)
-	}
-}
-
-func TestExtractorOptions(t *testing.T) {
-	client := NewSimulatedClient(nil, 1)
-	for _, tc := range []struct {
-		opt  Option
-		name string
-	}{
-		{WithLRFeatures(), "LR"},
-		{WithJaccardFeatures(), "JAC"},
-		{WithSemanticFeatures(), "SEM"},
-	} {
-		m := New(client, tc.opt)
-		if got := m.Config().Extractor.Name(); got != tc.name {
-			t.Errorf("extractor = %q, want %q", got, tc.name)
-		}
 	}
 }
 

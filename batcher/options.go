@@ -1,7 +1,5 @@
 package batcher
 
-import "batcher/internal/feature"
-
 // Option configures a Matcher: a closure over the Config it resolves
 // to. Options apply in order, so a later option overrides an earlier
 // one, and any field no option sets lands on the paper's default.
@@ -44,22 +42,6 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // 1, strictly sequential). Results are identical to sequential
 // execution; only wall-clock changes.
 func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n } }
-
-// WithLRFeatures selects the structure-aware Levenshtein-ratio extractor
-// (default, the paper's BATCHER-LR).
-func WithLRFeatures() Option { return func(c *Config) { c.Extractor = feature.NewLR() } }
-
-// WithJaccardFeatures selects the structure-aware Jaccard extractor
-// (BATCHER-JAC).
-func WithJaccardFeatures() Option { return func(c *Config) { c.Extractor = feature.NewJAC() } }
-
-// WithSemanticFeatures selects the semantics-based embedding extractor
-// (BATCHER-SEM).
-func WithSemanticFeatures() Option { return func(c *Config) { c.Extractor = feature.NewSEM() } }
-
-// WithCoverPercentile sets the covering threshold percentile (default
-// 0.08, the paper's 8th percentile).
-func WithCoverPercentile(p float64) Option { return func(c *Config) { c.CoverPercentile = p } }
 
 // WithCheapModel enables tiered matching inside the batch matcher: the
 // ambiguous band is first answered by this cheaper model, and a batch

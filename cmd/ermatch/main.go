@@ -179,6 +179,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
 		os.Exit(2)
 	}
+	degrade, chaos, err := checkFaultFlags(*degradeFlag, *chaosFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+		os.Exit(2)
+	}
 	tableA, err := batcher.ReadCSVTable(*pathA)
 	if err != nil {
 		fatal(fmt.Errorf("reading -a: %w", err))
@@ -203,10 +208,6 @@ func main() {
 	ctx, abort := context.WithCancel(ctx)
 	defer abort()
 
-	degrade, err := batcher.ParseDegradePolicy(*degradeFlag)
-	if err != nil {
-		fatal(fmt.Errorf("parsing -degrade: %w", err))
-	}
 	var base batcher.Client
 	if *apiBase != "" {
 		base = batcher.NewOpenAIClient(*apiBase, *apiKey)
@@ -216,6 +217,7 @@ func main() {
 	// The resilience flags only switch layers on; NewClientStack owns
 	// their order, with the disk cache outermost.
 	stackCfg := batcher.StackConfig{
+		Chaos:           chaos,
 		ChaosSeed:       *chaosSeed,
 		BreakerFails:    *breakerFails,
 		BreakerCooldown: *breakerCooldown,
@@ -225,11 +227,6 @@ func main() {
 		HedgeAfter:      *hedgeAfter,
 		CacheDir:        *cacheDir,
 		CacheBytes:      *cacheMB << 20,
-	}
-	if *chaosFlag != "" {
-		if stackCfg.Chaos, err = chaosProfile(*chaosFlag); err != nil {
-			fatal(err)
-		}
 	}
 	client, err := batcher.NewClientStack(ctx, base, stackCfg)
 	if err != nil {
@@ -532,6 +529,21 @@ func checkRunFlags(shard, mergeShards, runID string, resume bool, streamWindow i
 		return spec, errors.New("-resume requires -run-id")
 	}
 	return spec, nil
+}
+
+// checkFaultFlags parses -degrade and -chaos before any table is read
+// and returns the policy and the fault profile (the zero profile, no
+// chaos, when -chaos is empty).
+func checkFaultFlags(degrade, chaos string) (batcher.DegradePolicy, batcher.FaultProfile, error) {
+	policy, err := batcher.ParseDegradePolicy(degrade)
+	if err != nil {
+		return policy, batcher.FaultProfile{}, fmt.Errorf("parsing -degrade: %w", err)
+	}
+	if chaos == "" {
+		return policy, batcher.FaultProfile{}, nil
+	}
+	profile, err := chaosProfile(chaos)
+	return policy, profile, err
 }
 
 func fatal(err error) {

@@ -53,6 +53,31 @@ func TestCheckMinShared(t *testing.T) {
 	}
 }
 
+func TestCheckFaultFlags(t *testing.T) {
+	for _, tc := range []struct {
+		degrade, chaos string
+		policy         batcher.DegradePolicy
+		on             bool // a non-zero fault profile
+	}{
+		{"fail-fast", "", batcher.DegradeFailFast, false},
+		{"unknown", "mild", batcher.DegradeUnknown, true},
+		{"cheap-only", "aggressive", batcher.DegradeCheapOnly, true},
+	} {
+		policy, profile, err := checkFaultFlags(tc.degrade, tc.chaos)
+		if err != nil || policy != tc.policy || (profile != batcher.FaultProfile{}) != tc.on {
+			t.Errorf("checkFaultFlags(%q, %q) = %v, %+v, %v", tc.degrade, tc.chaos, policy, profile, err)
+		}
+	}
+	for _, tc := range []struct{ degrade, chaos, want string }{
+		{"bogus", "", `parsing -degrade: core: unknown degrade policy "bogus" (want fail-fast, unknown, or cheap-only)`},
+		{"fail-fast", "stormy", `unknown -chaos profile "stormy" (want mild or aggressive)`},
+	} {
+		if _, _, err := checkFaultFlags(tc.degrade, tc.chaos); err == nil || err.Error() != tc.want {
+			t.Errorf("checkFaultFlags(%q, %q) = %v, want %s", tc.degrade, tc.chaos, err, tc.want)
+		}
+	}
+}
+
 func TestCheckTaus(t *testing.T) {
 	for _, tc := range [][2]float64{{0.05, 0.95}, {0.2, 0.7}, {1e-9, 0.999999999}, {0.5, 0.5000001}} {
 		if err := checkTaus(tc[0], tc[1]); err != nil {

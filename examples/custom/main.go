@@ -1,6 +1,6 @@
-// Custom: define your own synthetic ER benchmark, project the campaign
-// cost before spending anything, then run BATCHER and compare projection
-// to actuals — the planning workflow for a new domain.
+// Custom: define your own synthetic ER benchmark, price the campaign
+// before spending anything, then run BATCHER and compare the plan to the
+// bill — the planning workflow for a new domain.
 //
 // Run with:
 //
@@ -46,24 +46,22 @@ func main() {
 	split := batcher.SplitPairs(ds.Pairs)
 	questions, pool := split.Test, split.Train
 
-	// Project the cost before any API call.
-	plan, err := batcher.EstimateCost(questions, batcher.GPT35Turbo0301, 8, 4, 40)
+	// Price the run before any API call: the same engine, against a
+	// client that answers nothing.
+	client := batcher.NewSimulatedClient(ds.Pairs, 1)
+	m := batcher.New(client, batcher.WithSeed(1))
+	plan, err := m.Plan(ctx, questions, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(plan.String())
-	fmt.Printf("batch-size sweep (projected total $): %v\n\n",
-		plan.CompareBatchSizes([]int{1, 4, 8, 16}))
+	fmt.Printf("plan:     %s\n", plan.Ledger.String())
 
-	// Run for real against the simulator and compare.
-	client := batcher.NewSimulatedClient(ds.Pairs, 1)
-	m := batcher.New(client, batcher.WithSeed(1))
+	// Run for real against the simulator: labels, calls and input tokens
+	// are the plan's; only the output tokens were unknown.
 	res, err := m.Match(ctx, questions, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("actual:   %s\n", res.Ledger.String())
 	fmt.Printf("quality:  %s\n", batcher.Score(questions, res.Pred).String())
-	fmt.Printf("projection error on API $: %.0f%%\n",
-		100*(plan.APIDollars()-res.Ledger.API())/res.Ledger.API())
 }

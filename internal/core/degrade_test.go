@@ -119,12 +119,22 @@ func (s *scriptedErr) Complete(context.Context, llm.Request) (llm.Response, erro
 	return llm.Response{}, s.err
 }
 
+// firstOnly answers only a prompt's first question, "Yes": every batch
+// of two or more questions comes back partly Unknown and escalates.
+type firstOnly struct{ evasive }
+
+func (c *firstOnly) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.evasive.Complete(ctx, req) // counts the call
+	return llm.Response{Completion: "Question 1: Yes", InputTokens: 5, OutputTokens: 3}, nil
+}
+
 // On a cascade run DegradeCheapOnly stands on the cheap tier's answer
-// when the expensive tier is refused: the cheap spend stays billed on
+// when the expensive tier is refused: the cheap answers, Unknowns and
+// all, become the batch's predictions, the cheap spend stays billed on
 // the batch and the batch is stamped cheap-tier, Degraded.
 func TestDegradeCheapOnlyKeepsCheapAnswerAndSpend(t *testing.T) {
 	questions, pool := testWorkload(t, "Beer", 24)
-	cheap := &evasive{} // answers unparseably: every batch escalates
+	cheap := &firstOnly{}
 	client := llm.NewTiered(cheap, &openCircuit{})
 	cfg := cascadeConfig(1)
 	cfg.Degrade = DegradeCheapOnly
@@ -133,9 +143,24 @@ func TestDegradeCheapOnlyKeepsCheapAnswerAndSpend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := len(plannedBatches(t, f, questions, pool))
-	if res.Degraded != nb || res.Degraded == 0 {
-		t.Errorf("Degraded = %d, want every one of %d batches", res.Degraded, nb)
+	batches := plannedBatches(t, f, questions, pool)
+	nb, escalated := len(batches), 0
+	for _, b := range batches {
+		if len(b) > 1 {
+			escalated++
+		}
+		for i, qi := range b {
+			want := entity.Unknown
+			if i == 0 {
+				want = entity.Match
+			}
+			if res.Pred[qi] != want {
+				t.Errorf("pred[%d] (position %d of its batch) = %v, want the cheap tier's %v", qi, i, res.Pred[qi], want)
+			}
+		}
+	}
+	if res.Degraded != escalated || res.Degraded == 0 {
+		t.Errorf("Degraded = %d, want the %d batches the cheap tier left partly Unknown", res.Degraded, escalated)
 	}
 	if cheap.count() != nb {
 		t.Errorf("cheap calls = %d, want one per batch (%d)", cheap.count(), nb)

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"batcher/internal/cost"
 	"batcher/internal/feature"
 	"batcher/internal/llm"
 )
@@ -79,5 +81,41 @@ func TestMarginsOnlyOnTieredRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A batch whose vote-k margin equals EscalateMargin exactly is not below
+// it, so it goes to the cheap tier; only a batch strictly below skips
+// it.
+func TestEscalateMarginEqualGoesCheap(t *testing.T) {
+	questions, pool := testWorkload(t, "Beer", 24)
+	client := llm.NewTiered(newSimClient(questions, pool, 1), newSimClient(questions, pool, 1))
+	cfg := cascadeConfig(1)
+	prep, err := NewFromConfig(client, cfg).Prepare(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.EscalateMargin = slices.Max(prep.margins)
+	prep, err = NewFromConfig(client, cfg).Prepare(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := 0
+	err = prep.Run(context.Background(), func(br BatchResult) {
+		want := cost.TierCheap
+		if m := prep.margins[br.Index]; m < cfg.EscalateMargin {
+			want = cost.TierExpensive
+			below++
+		}
+		if br.Tier != want {
+			t.Errorf("batch %d (margin %v, EscalateMargin %v) answered on tier %q, want %q",
+				br.Index, prep.margins[br.Index], cfg.EscalateMargin, br.Tier, want)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if below == 0 {
+		t.Error("every batch sits at the top margin: the strictly-below case went untested")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"batcher/internal/entity"
 	"batcher/internal/prompt"
+	"batcher/internal/tokens"
 )
 
 func rec(id string, kv ...string) entity.Record {
@@ -175,6 +176,33 @@ func TestSimulatedUnknownModel(t *testing.T) {
 	_, err := sim.Complete(context.Background(), Request{Model: "gpt-99", Prompt: "hi"})
 	if !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// Dry refuses exactly what the simulator refuses, with the same error,
+// and bills an accepted prompt at its token count with no completion.
+func TestDryAdmitsLikeSimulated(t *testing.T) {
+	ok := buildBatch(t, nil, []entity.Pair{clearPair(0, true), clearPair(1, false)})
+	for _, req := range []Request{
+		ok,
+		{Model: DefaultModel, Prompt: strings.Repeat("word ", 10000)},
+		{Model: "gpt-99", Prompt: "hi"},
+	} {
+		sim, simErr := NewSimulated(nil, 1).Complete(context.Background(), req)
+		dry, dryErr := Dry{}.Complete(context.Background(), req)
+		if (simErr == nil) != (dryErr == nil) || (simErr != nil && simErr.Error() != dryErr.Error()) {
+			t.Errorf("model %q: dry err %v, simulated err %v", req.Model, dryErr, simErr)
+			continue
+		}
+		if simErr != nil {
+			continue
+		}
+		if dry.InputTokens != sim.InputTokens || dry.InputTokens != tokens.Count(req.Prompt) {
+			t.Errorf("dry input tokens = %d, simulated %d, prompt %d", dry.InputTokens, sim.InputTokens, tokens.Count(req.Prompt))
+		}
+		if dry.Completion != "" || dry.OutputTokens != 0 {
+			t.Errorf("dry answered %q (%d output tokens), want nothing", dry.Completion, dry.OutputTokens)
+		}
 	}
 }
 

@@ -79,13 +79,9 @@ func (s *Simulated) Complete(ctx context.Context, req Request) (Response, error)
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	model, err := Lookup(req.Model)
+	model, inTokens, err := admit(req)
 	if err != nil {
 		return Response{}, err
-	}
-	inTokens := tokens.Count(req.Prompt)
-	if inTokens > model.ContextTokens {
-		return Response{}, fmt.Errorf("%w: %d > %d (%s)", ErrContextLength, inTokens, model.ContextTokens, model.Name)
 	}
 	parsed, err := prompt.Parse(req.Prompt)
 	if err != nil {

@@ -476,3 +476,55 @@ func TestReplayChecksLayout(t *testing.T) {
 		}
 	}
 }
+
+// A window with no journaled record reads as absent on a loaded state
+// and on a nil one: no batches, no start record, not complete.
+func TestWindowNeverJournaled(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WindowStart(WindowStart{Index: 0, Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.BatchDone(BatchDone{Window: 0, Batch: 0, Questions: []int{0}, Keys: []string{"k0"},
+		Pred: []entity.Label{entity.Match}, Calls: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j, st := reopen(t, j, dir)
+	defer j.Close()
+	for name, s := range map[string]*RunState{"loaded": st, "nil": nil} {
+		if got := s.WindowBatches(1); got != nil {
+			t.Errorf("%s: WindowBatches(1) = %+v, want nil", name, got)
+		}
+		if ws, ok := s.WindowStart(1); ok {
+			t.Errorf("%s: WindowStart(1) = %+v, true; want false", name, ws)
+		}
+		if s.WindowComplete(1, 1) {
+			t.Errorf("%s: WindowComplete(1, 1) = true", name)
+		}
+	}
+}
+
+// A batch record naming a question at or past the window's size does
+// not complete the window, and reading it does not panic.
+func TestWindowCompleteRejectsQuestionAtSize(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WindowStart(WindowStart{Index: 0, Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.BatchDone(BatchDone{Window: 0, Batch: 0, Questions: []int{0, 1, 2}, Keys: []string{"k0", "k1", "k2"},
+		Pred: []entity.Label{entity.Match, entity.NonMatch, entity.Match}, Calls: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j, st := reopen(t, j, dir)
+	defer j.Close()
+	if st.WindowComplete(0, 2) {
+		t.Error("window whose batch names question 2 of 2 reported complete")
+	}
+}
