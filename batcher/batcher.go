@@ -134,6 +134,14 @@ const (
 // stamps a journal or blocks.
 var ErrUnknownModel = llm.ErrUnknownModel
 
+// CheckModel looks name up in the model registry and returns an error
+// matching ErrUnknownModel, naming it, when it is missing. A command
+// line calls it on its model flags before any I/O.
+func CheckModel(name string) error {
+	_, err := llm.Lookup(name)
+	return err
+}
+
 // SplitPairs partitions labeled pairs 3:1:1 (train/valid/test),
 // stratified by class, as in the paper's experimental setup.
 func SplitPairs(pairs []Pair) Split { return entity.SplitPairs(pairs) }

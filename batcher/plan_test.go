@@ -2,9 +2,15 @@ package batcher
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"batcher/internal/llm"
+	"batcher/internal/tokens"
 )
 
 // countingClient counts the calls that reach its inner client.
@@ -84,6 +90,62 @@ func TestPlanEqualsRun(t *testing.T) {
 	}
 	if trimmed == 0 {
 		t.Error("no configuration trimmed a demonstration: the context-window rule went untested")
+	}
+}
+
+// overflowServer is an OpenAI-compatible endpoint that refuses a prompt
+// over the model's context window with OpenAI's context_length_exceeded
+// reply, counting tokens as the simulator does, and answers every other
+// prompt "Question 1: No" with no usage, so the client bills the
+// prompt's own token count.
+func overflowServer(t *testing.T) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Model    string `json:"model"`
+			Messages []struct {
+				Content string `json:"content"`
+			} `json:"messages"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Messages) != 1 {
+			t.Errorf("request body: %v, %d messages", err, len(req.Messages))
+		}
+		model, err := llm.Lookup(req.Model)
+		if err != nil {
+			t.Error(err)
+		}
+		if tokens.Count(req.Messages[0].Content) > model.ContextTokens {
+			w.WriteHeader(http.StatusBadRequest)
+			w.Write([]byte(`{"error":{"message":"This model's maximum context length is 4097 tokens.",` +
+				`"type":"invalid_request_error","param":"messages","code":"context_length_exceeded"}}`))
+			return
+		}
+		w.Write([]byte(`{"choices":[{"message":{"role":"assistant","content":"Question 1: No"}}]}`))
+	}))
+}
+
+// A live model that refuses long prompts gets them trimmed the way Plan
+// prices them: Match through NewOpenAIClient completes with Plan's
+// calls, input tokens and trimmed demonstrations.
+func TestLiveOverflowTrimsLikePlan(t *testing.T) {
+	srv := overflowServer(t)
+	defer srv.Close()
+	questions, pool := planWorkload(t, "AB")
+	m := New(NewOpenAIClient(srv.URL, ""), WithSeed(1), WithBatchSize(48), WithNumDemos(24), WithSelection(TopKBatch))
+	plan, err := m.Plan(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.TrimmedDemos == 0 {
+		t.Fatal("the plan trims nothing: the workload does not reach the context window")
+	}
+	res, err := m.Match(context.Background(), questions, pool)
+	if err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	p, r := &plan.Ledger, &res.Ledger
+	if p.Calls() != r.Calls() || p.InputTokens() != r.InputTokens() || plan.TrimmedDemos != res.TrimmedDemos {
+		t.Errorf("plan %d calls, %d in, %d trimmed; live run %d, %d, %d",
+			p.Calls(), p.InputTokens(), plan.TrimmedDemos, r.Calls(), r.InputTokens(), res.TrimmedDemos)
 	}
 }
 

@@ -184,6 +184,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
 		os.Exit(2)
 	}
+	if err := checkModels(*model, *cheapModel, *cascadeOn); err != nil {
+		fmt.Fprintf(os.Stderr, "ermatch: %v\n", err)
+		os.Exit(2)
+	}
 	tableA, err := batcher.ReadCSVTable(*pathA)
 	if err != nil {
 		fatal(fmt.Errorf("reading -a: %w", err))
@@ -383,12 +387,6 @@ func main() {
 	if writeErr == nil {
 		writeErr = w.Error()
 	}
-	if errors.Is(runErr, batcher.ErrUnknownModel) {
-		// A flag error, refused before anything was journaled or billed:
-		// the same -run-id works once the name is corrected.
-		fmt.Fprintf(os.Stderr, "ermatch: %v\n", runErr)
-		os.Exit(2)
-	}
 	if runErr != nil || writeErr != nil {
 		// Partial spend is real spend: show the ledger before exiting,
 		// whatever stopped the run.
@@ -544,6 +542,22 @@ func checkFaultFlags(degrade, chaos string) (batcher.DegradePolicy, batcher.Faul
 	}
 	profile, err := chaosProfile(chaos)
 	return policy, profile, err
+}
+
+// checkModels refuses a -model, or with -cascade a -cheap-model, that
+// names no registered model, before any table is read, -out file is
+// created or cascade pre-filter is trained. A -run-id journal stays
+// untouched, so the corrected command reuses the ID.
+func checkModels(model, cheapModel string, cascade bool) error {
+	if err := batcher.CheckModel(model); err != nil {
+		return fmt.Errorf("-model: %w", err)
+	}
+	if cascade && cheapModel != "" {
+		if err := batcher.CheckModel(cheapModel); err != nil {
+			return fmt.Errorf("-cheap-model: %w", err)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

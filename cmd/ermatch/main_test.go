@@ -1,12 +1,46 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"batcher/batcher"
 )
+
+// childArg, as the test binary's first argument, makes it run ermatch's
+// main on the arguments after it instead of the tests.
+const childArg = "ermatch-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == childArg {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runErmatch runs ermatch with args in a child process and returns its
+// exit code and stderr.
+func runErmatch(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{childArg}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
 
 func TestCheckAttr(t *testing.T) {
 	table := []batcher.Record{
@@ -28,6 +62,66 @@ func TestCheckAttr(t *testing.T) {
 	const want = `-attr "beer_nme" is not a column of tableA.csv (columns: beer_name, brew_factory_name, style)`
 	if err := checkAttr("beer_nme", "tableA.csv", table); err == nil || err.Error() != want {
 		t.Errorf("checkAttr(\"beer_nme\") = %v, want %s", err, want)
+	}
+}
+
+func TestCheckModels(t *testing.T) {
+	for _, tc := range []struct {
+		model, cheap string
+		cascade      bool
+		want         string // "" = accepted
+	}{
+		{batcher.GPT35Turbo0301, batcher.GPT35Turbo0301, false, ""},
+		{batcher.GPT4, batcher.GPT35Turbo0613, true, ""},
+		{batcher.Llama2Chat70B, "", true, ""},
+		{batcher.GPT4, "gtp-3.5", false, ""}, // -cheap-model is read only with -cascade
+		{"gpt-5", batcher.GPT35Turbo0301, false, `-model: llm: unknown model: "gpt-5"`},
+		{"", batcher.GPT35Turbo0301, true, `-model: llm: unknown model: ""`},
+		{batcher.GPT4, "gtp-3.5", true, `-cheap-model: llm: unknown model: "gtp-3.5"`},
+	} {
+		err := checkModels(tc.model, tc.cheap, tc.cascade)
+		if tc.want == "" && err != nil {
+			t.Errorf("checkModels(%q, %q, %v) = %v, want accepted", tc.model, tc.cheap, tc.cascade, err)
+		}
+		if tc.want != "" && (err == nil || err.Error() != tc.want || !errors.Is(err, batcher.ErrUnknownModel)) {
+			t.Errorf("checkModels(%q, %q, %v) = %v, want %s matching ErrUnknownModel", tc.model, tc.cheap, tc.cascade, err, tc.want)
+		}
+	}
+}
+
+// TestUnknownModelRefusedBeforeIO: a mistyped -model, or -cheap-model
+// with -cascade, exits 2 naming it before any output: no -out file and
+// no -run-id journal appear.
+func TestUnknownModelRefusedBeforeIO(t *testing.T) {
+	dir := t.TempDir()
+	table := "id,title\n1,apple iphone 13 pro\n2,samsung galaxy s9\n3,apple iphone 13\n"
+	pathA, pathB := filepath.Join(dir, "tableA.csv"), filepath.Join(dir, "tableB.csv")
+	for _, p := range []string{pathA, pathB} {
+		if err := os.WriteFile(p, []byte(table), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		want  string
+	}{
+		{"model", []string{"-model", "gpt-5"}, `ermatch: -model: llm: unknown model: "gpt-5"`},
+		{"cheap-model", []string{"-cascade", "-cheap-model", "gtp-3.5"}, `ermatch: -cheap-model: llm: unknown model: "gtp-3.5"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, runDir := filepath.Join(dir, tc.name+".csv"), filepath.Join(dir, tc.name+"-runs")
+			code, stderr := runErmatch(t, append([]string{"-a", pathA, "-b", pathB, "-attr", "title",
+				"-min-shared", "1", "-out", out, "-run-id", "r", "-run-dir", runDir}, tc.flags...)...)
+			if code != 2 || strings.TrimSpace(stderr) != tc.want {
+				t.Errorf("exit %d, stderr %q; want exit 2 and %q", code, stderr, tc.want)
+			}
+			for _, p := range []string{out, runDir} {
+				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s exists (stat: %v), want nothing written", p, err)
+				}
+			}
+		})
 	}
 }
 

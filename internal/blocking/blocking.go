@@ -45,18 +45,23 @@ type TokenBlocker struct {
 	MaxPostings int
 }
 
-// tokenTermer extracts a record's distinct token IDs. One per goroutine.
+// tokenTermer extracts a record's distinct token IDs. One per goroutine;
+// the termers of one blocking call share its interner, so their IDs
+// are comparable.
 type tokenTermer struct {
 	attr string
-	bld  *strsim.Builder
+	in   *strsim.Interner
+	bld  strsim.Builder
 }
 
-func (b *TokenBlocker) newTermer(in *strsim.Interner) termer {
-	return &tokenTermer{attr: b.Attr, bld: strsim.NewBuilder(in)}
+func (b *TokenBlocker) termers() func() termer {
+	in := strsim.NewInterner()
+	return func() termer { return &tokenTermer{attr: b.Attr, in: in} }
 }
 
 func (t *tokenTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
-	for _, id := range t.bld.UniqueTokenIDs(keyText(t.attr, r)) {
+	addKeyText(&t.bld, t.attr, r)
+	for _, id := range t.bld.IDs(t.in) {
 		dst = append(dst, uint64(id))
 	}
 	return dst

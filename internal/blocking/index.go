@@ -6,23 +6,32 @@ import (
 	"batcher/internal/workpool"
 )
 
-// keyText returns the blocking text of a record: the named attribute, or
-// the full serialization when attr is empty. All blockers derive their
-// index terms from this one helper.
-func keyText(attr string, r entity.Record) string {
-	if attr == "" {
-		return r.Serialize()
+// addKeyText resets bld and feeds it a record's blocking text: the
+// named attribute's value, or with attr empty every attribute name and
+// value in schema order. Those are exactly the tokens of r.Serialize(),
+// whose ", " and ": " separators hold no token rune, so no record is
+// serialized to be blocked. All blockers derive their index terms from
+// this one helper.
+func addKeyText(bld *strsim.Builder, attr string, r entity.Record) {
+	bld.Reset()
+	if attr != "" {
+		v, _ := r.Get(attr)
+		bld.Add(v)
+		return
 	}
-	v, _ := r.Get(attr)
-	return v
+	for i, a := range r.Attrs {
+		bld.Add(a)
+		bld.Add(r.Values[i])
+	}
 }
 
-// termSource hands out per-goroutine term extractors over one shared
-// interner. The parallel index build gives every worker its own termer
-// (each owns builder scratch); term values from different termers are
-// comparable because the interner is shared.
+// termSource hands out the term extractors of one blocking call.
+// termers is called once per call and returns a constructor of
+// per-goroutine termers: the parallel index build gives every worker
+// its own (each owns builder scratch), and the terms of termers from
+// one call are comparable.
 type termSource interface {
-	newTermer(in *strsim.Interner) termer
+	termers() func() termer
 }
 
 // termer extracts the distinct index terms of one record — interned
@@ -104,19 +113,19 @@ var minIndexChunk = 1024
 
 // buildIndex constructs the inverted index over table: contiguous row
 // chunks are tokenized concurrently through workpool.For — each chunk
-// owning its own termer/builder scratch over the shared interner — into
+// owning its own termer from newTermer — into
 // chunk-local posting accumulators. One serial pass over them in chunk
 // order gives every distinct term its slot and counts its postings;
 // prefix sums of the counts place each term's run, and a second pass
 // drops every row into its run. Chunk order is row order, so each run
 // comes out ascending, exactly as a sequential build would produce,
 // with no comparison sort.
-func buildIndex(table []entity.Record, src termSource, in *strsim.Interner, maxPostings int) *invertedIndex {
+func buildIndex(table []entity.Record, newTermer func() termer, maxPostings int) *invertedIndex {
 	workers := max(1, min((len(table)+minIndexChunk-1)/minIndexChunk, workpool.Workers()))
 	local := make([]chunks[termPost], workers)
 	chunk := (len(table) + workers - 1) / workers
 	workpool.For(workers, workers, func(c int) {
-		tr := src.newTermer(in)
+		tr := newTermer()
 		var terms []uint64
 		for j := c * chunk; j < min((c+1)*chunk, len(table)); j++ {
 			terms = tr.appendTerms(table[j], terms[:0])

@@ -26,19 +26,18 @@ const (
 	minhashRows  = 4
 )
 
-// minhashTermer computes per-record MinHash band keys. The FNV-64a base
-// hash of every token is computed once per distinct token and cached in
-// the shared interner, so a token that appears in thousands of records
-// is hashed exactly once per blocking call.
+// minhashTermer computes per-record MinHash band keys. Each token's
+// FNV-64a hash comes straight from the builder: a signature row is a
+// minimum, which a repeated token cannot change, so the termer needs no
+// interner, no sort and no deduplication.
 type minhashTermer struct {
 	attr string
-	in   *strsim.Interner
-	bld  *strsim.Builder
+	bld  strsim.Builder
 	sig  [minhashBands * minhashRows]uint64
 }
 
-func (b *MinHashBlocker) newTermer(in *strsim.Interner) termer {
-	return &minhashTermer{attr: b.Attr, in: in, bld: strsim.NewBuilder(in)}
+func (b *MinHashBlocker) termers() func() termer {
+	return func() termer { return &minhashTermer{attr: b.Attr} }
 }
 
 // appendTerms emits one term per LSH band: FNV-64a over the band index
@@ -48,8 +47,8 @@ func (t *minhashTermer) appendTerms(r entity.Record, dst []uint64) []uint64 {
 	for i := range t.sig {
 		t.sig[i] = ^uint64(0)
 	}
-	for _, id := range t.bld.UniqueTokenIDs(keyText(t.attr, r)) {
-		base := t.in.TokenHash(id)
+	addKeyText(&t.bld, t.attr, r)
+	for _, base := range t.bld.Hashes() {
 		for i := range t.sig {
 			// Salted permutation: a cheap xorshift-style mix of the base
 			// hash with the permutation index.

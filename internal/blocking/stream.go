@@ -6,12 +6,11 @@ import (
 	"slices"
 
 	"batcher/internal/entity"
-	"batcher/internal/strsim"
 )
 
 // indexMatcher is the per-call state of the inverted-index blockers:
-// the index over tableB, a termer over the shared per-call interner for
-// profiling tableA rows, and dense reused scratch. counts[j] is the
+// the index over tableB, a termer of the same call for profiling tableA
+// rows, and dense reused scratch. counts[j] is the
 // number of shared terms with tableB row j in the current round, runs
 // holds the round's posting runs, and js collects the qualifying rows —
 // so steady-state candidate generation allocates nothing.
@@ -25,14 +24,14 @@ type indexMatcher struct {
 	terms     []uint64
 }
 
-// newIndexMatcher interns tableB's terms into a fresh per-call inverted
-// index. Everything interned (vocabulary, index, scratch) lives and
+// newIndexMatcher builds a fresh per-call inverted index over tableB's
+// terms. Everything it builds (any vocabulary, index, scratch) lives and
 // dies with the blocking call.
 func newIndexMatcher(tableB []entity.Record, src termSource, minShared, maxPostings int) *indexMatcher {
-	in := strsim.NewInterner()
+	newTermer := src.termers()
 	return &indexMatcher{
-		ix:        buildIndex(tableB, src, in, maxPostings),
-		tr:        src.newTermer(in),
+		ix:        buildIndex(tableB, newTermer, maxPostings),
+		tr:        newTermer(),
 		minShared: int32(minShared),
 		counts:    make([]int32, len(tableB)),
 		js:        make([]int32, 0, 64),

@@ -10,7 +10,6 @@ import (
 
 	"batcher/internal/datagen"
 	"batcher/internal/entity"
-	"batcher/internal/strsim"
 )
 
 // drain collects a candidate stream, stopping at the first error.
@@ -109,7 +108,7 @@ func edgeTables() ([]entity.Record, []entity.Record) {
 // minShared only when at most maxPostings tableB rows hold it (zero
 // means no cap), as the inverted index drops longer posting lists.
 func refBlock(c refCase, tableA, tableB []entity.Record) []entity.Pair {
-	tr := c.b.newTermer(strsim.NewInterner())
+	tr := c.b.termers()()
 	terms := func(r entity.Record) map[uint64]bool {
 		set := map[uint64]bool{}
 		for _, t := range tr.appendTerms(r, nil) {

@@ -494,6 +494,33 @@ func TestBatchErrorCarriesTheNamedBatchsOwnError(t *testing.T) {
 	}
 }
 
+// TestFailureStopsClaiming: once a batch fails permanently no batch
+// above it is claimed. At Parallelism 1 exactly the batches up to the
+// failing one call the model; at Parallelism 2 at most one more, the
+// sibling already in flight, does.
+func TestFailureStopsClaiming(t *testing.T) {
+	const failing = 2
+	boom := errors.New("batch 2 exploded")
+	for _, tc := range []struct{ workers, maxCalls int }{{1, failing + 1}, {2, failing + 2}} {
+		t.Run(fmt.Sprintf("parallelism %d", tc.workers), func(t *testing.T) {
+			prep, c := newEngineRun(t, tc.workers)
+			c.fail = map[int]error{failing: boom}
+			var got []int
+			err := prep.Run(context.Background(), func(br BatchResult) { got = append(got, br.Index) })
+			var be *BatchError
+			if !errors.As(err, &be) || be.Batch != failing || be.Err != boom {
+				t.Fatalf("Run = %v, want batch %d: %v", err, failing, boom)
+			}
+			if !slices.Equal(got, ascending(failing)) {
+				t.Errorf("delivered %v, want the prefix below batch %d", got, failing)
+			}
+			if calls := c.starts(); calls < failing+1 || calls > tc.maxCalls {
+				t.Errorf("%d of %d batches called the model, want %d to %d", calls, len(prep.Batches()), failing+1, tc.maxCalls)
+			}
+		})
+	}
+}
+
 // TestSequentialDeliveryIsUnbuffered pins what Parallelism 1 has always
 // meant: a completed batch is handed to the consumer before the next one
 // starts, and a cancellation that lands while it waits to be taken still

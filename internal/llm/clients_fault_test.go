@@ -196,3 +196,59 @@ func TestRetryingHonorsRetryAfter(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveClientsMapContextOverflow: the reply each live API sends for a
+// prompt over the model's context window is an APIError that matches
+// ErrContextLength and that Transient refuses to retry, so the engine
+// trims demonstrations against a live model as it does against the
+// simulator. Look-alike replies stay plain permanent or 5xx failures.
+func TestLiveClientsMapContextOverflow(t *testing.T) {
+	const (
+		openAIOverflow = `{"error":{"message":"This model's maximum context length is 4097 tokens. However, your messages resulted in 5000 tokens.",` +
+			`"type":"invalid_request_error","param":"messages","code":"context_length_exceeded"}}`
+		anthropicOverflow = `{"type":"error","error":{"type":"invalid_request_error","message":"prompt is too long: 200001 tokens > 200000 maximum"}}`
+	)
+	for _, tc := range []struct {
+		name, client string
+		status       int
+		body         string
+		overflow     bool
+		wantClass    error
+		wantMsg      string
+	}{
+		{"openai overflow", "openai", 400, openAIOverflow, true, ErrPermanent, "maximum context length"},
+		{"anthropic overflow", "anthropic", 400, anthropicOverflow, true, ErrPermanent, "prompt is too long"},
+		{"openai overflow code at 500", "openai", 500, openAIOverflow, false, ErrOverloaded, "maximum context length"},
+		{"anthropic overflow message at 413", "anthropic", 413, anthropicOverflow, false, ErrPermanent, "prompt is too long"},
+		{"null code", "openai", 400, `{"error":{"message":"bad model","type":"invalid_request_error","code":null}}`, false, ErrPermanent, "bad model"},
+		{"numeric code", "openai", 400, `{"error":{"message":"bad model","type":"invalid_request_error","code":400}}`, false, ErrPermanent, "bad model"},
+		{"object code", "openai", 400, `{"error":{"message":"bad model","type":"invalid_request_error","code":{"x":[1]}}}`, false, ErrPermanent, "bad model"},
+		{"other invalid request", "anthropic", 400, `{"type":"error","error":{"type":"invalid_request_error","message":"max_tokens: too large"}}`, false, ErrPermanent, "max_tokens"},
+		{"too long, other type", "anthropic", 400, `{"type":"error","error":{"type":"api_error","message":"prompt is too long"}}`, false, ErrPermanent, "prompt is too long"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(tc.status)
+				w.Write([]byte(tc.body))
+			}))
+			defer srv.Close()
+			_, err := faultClients(srv.URL)[tc.client].Complete(context.Background(), Request{Model: "m", Prompt: "p"})
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != tc.status {
+				t.Fatalf("err = %v, want an *APIError with status %d", err, tc.status)
+			}
+			if got := errors.Is(err, ErrContextLength); got != tc.overflow {
+				t.Errorf("errors.Is(%v, ErrContextLength) = %v, want %v", err, got, tc.overflow)
+			}
+			if !errors.Is(err, tc.wantClass) {
+				t.Errorf("err = %v, want class %v", err, tc.wantClass)
+			}
+			if tc.overflow && Transient(err) {
+				t.Errorf("Transient(%v) = true, want a context overflow never retried", err)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Errorf("error text %q should carry the api message %q", err, tc.wantMsg)
+			}
+		})
+	}
+}

@@ -12,8 +12,9 @@ import (
 // FuzzClientResponse serves one fuzzed response — status, Retry-After
 // header and body — to both live clients and checks what they make of
 // it: no panic, every failure an *APIError with a non-negative
-// RetryAfter, and a non-200 status that reached the client classified
-// by classifyStatus. A response the transport itself rejects (status 0)
+// RetryAfter, a non-200 status that reached the client classified by
+// classifyStatus, and a context overflow read only from a 400 and never
+// retried. A response the transport itself rejects (status 0)
 // must be a transport failure. Statuses outside 200–599 are folded into
 // that range: 1xx are informational, not final, responses.
 func FuzzClientResponse(f *testing.F) {
@@ -56,6 +57,9 @@ func FuzzClientResponse(f *testing.F) {
 			}
 			if apiErr.RetryAfter < 0 {
 				t.Fatalf("%s: Retry-After %q read as %v", name, ra, apiErr.RetryAfter)
+			}
+			if errors.Is(err, ErrContextLength) && (st != http.StatusBadRequest || Transient(err)) {
+				t.Fatalf("%s: status %d read as a context overflow (transient %v): %v", name, st, Transient(err), err)
 			}
 			switch {
 			case apiErr.Status == 0:

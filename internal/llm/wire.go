@@ -7,15 +7,29 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"batcher/internal/tokens"
 )
 
 // wireError is the error object a live API puts in a failed reply body.
+// Code stays raw JSON: OpenAI sends a string or null, and a server that
+// sends anything else must not make the whole body unparseable.
 type wireError struct {
-	Type    string `json:"type"`
-	Message string `json:"message"`
+	Type    string          `json:"type"`
+	Message string          `json:"message"`
+	Code    json.RawMessage `json:"code"`
+}
+
+// contextOverflow reports whether a 400 carrying e refused the prompt
+// as longer than the model's context window: OpenAI marks it with the
+// code context_length_exceeded, Anthropic with an invalid_request_error
+// whose message starts "prompt is too long".
+func (e *wireError) contextOverflow() bool {
+	var code string
+	return (json.Unmarshal(e.Code, &code) == nil && code == "context_length_exceeded") ||
+		(e.Type == "invalid_request_error" && strings.HasPrefix(e.Message, "prompt is too long"))
 }
 
 // wireReply is the decoded reply body of one wire format.
@@ -32,6 +46,9 @@ type wireReply interface {
 // with a 60 s timeout when nil), and decodes at most 1 MiB of the reply
 // into reply. A non-200 status is classified by statusError; a 200 with
 // a malformed body, an error object or no answer is an APIError too.
+// A 400 that refuses the prompt as too long for the model's context
+// matches ErrContextLength, so the engine trims it as it would against
+// the simulator.
 // Usage a server leaves out is counted locally from prompt and the
 // completion, so billing never silently records zero.
 func roundTrip(ctx context.Context, hc *http.Client, url string, header http.Header, body any, reply wireReply, prompt string) (Response, error) {
@@ -66,10 +83,16 @@ func roundTrip(ctx context.Context, hc *http.Client, url string, header http.Hea
 		// Classify by status; the body's error message (when it parses)
 		// rides along for the humans.
 		var apiType, apiMsg string
+		overflow := false
 		if e := reply.apiError(); jsonErr == nil && e != nil {
 			apiType, apiMsg = e.Type, e.Message
+			overflow = resp.StatusCode == http.StatusBadRequest && e.contextOverflow()
 		}
-		return Response{}, statusError(resp.StatusCode, resp.Header, apiType, apiMsg)
+		err := statusError(resp.StatusCode, resp.Header, apiType, apiMsg)
+		if overflow {
+			err.Err = ErrContextLength
+		}
+		return Response{}, err
 	}
 	if jsonErr != nil {
 		return Response{}, &APIError{Status: resp.StatusCode, Kind: KindTransport, Message: "malformed response body", Err: jsonErr}

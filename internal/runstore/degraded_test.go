@@ -69,6 +69,44 @@ func TestDegradedRecordDoesNotCompleteWindow(t *testing.T) {
 	}
 }
 
+// A journal reopened with window 0's start on disk still files a
+// degraded placeholder appended for batch 0: the next open finds it,
+// and Replay folds its spend into the window's usage.
+func TestPlaceholderAppendedAfterReopen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	j, err := OpenJournal(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WindowStart(WindowStart{Index: 0, Size: 2}); err != nil {
+		t.Fatal(err)
+	}
+	j, _ = reopen(t, j, dir)
+	deg := BatchDone{
+		Window: 0, Batch: 0,
+		Questions: []int{0, 1}, Keys: []string{"a", "b"},
+		Pred:  []entity.Label{entity.Unknown, entity.Unknown},
+		Calls: 1, InputTokens: 7, OutputTokens: 3, APIDollars: 0.25,
+		Degraded: true,
+	}
+	if err := j.BatchDone(deg); err != nil {
+		t.Fatal(err)
+	}
+	j, st := reopen(t, j, dir)
+	defer j.Close()
+
+	if got := st.WindowBatches(0); len(got) != 1 || !got[0].Degraded {
+		t.Fatalf("WindowBatches = %+v, want the placeholder appended after the reopen", got)
+	}
+	r, err := st.Replay(WindowStart{Index: 0, Size: 2}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Usage.Calls() != 1 || r.Usage.InputTokens() != 7 || r.Usage.API() != 0.25 {
+		t.Errorf("usage = %d calls, %d in, $%v; want the placeholder's spend", r.Usage.Calls(), r.Usage.InputTokens(), r.Usage.API())
+	}
+}
+
 // A repair record for the same batch completes the window; the
 // placeholder's spend folds in first (the order the run billed it) and
 // its trims stop counting — the repair re-derived them itself.

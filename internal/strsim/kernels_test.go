@@ -1,6 +1,7 @@
 package strsim
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"strings"
@@ -17,6 +18,20 @@ func refTokenize(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
+}
+
+// refHashes is the Builder.Hashes oracle: hash/fnv's FNV-64a of each
+// reference token of each text, in order.
+func refHashes(texts ...string) []uint64 {
+	var out []uint64
+	for _, s := range texts {
+		for _, tok := range refTokenize(s) {
+			h := fnv.New64a()
+			h.Write([]byte(tok))
+			out = append(out, h.Sum64())
+		}
+	}
+	return out
 }
 
 func refTokenSet(s string) map[string]bool {
@@ -150,7 +165,7 @@ func mutate(r *rand.Rand, s string, alphabet []string) string {
 
 func TestKernelsMatchReferenceExactly(t *testing.T) {
 	in := NewInterner()
-	bld := NewBuilder(in)
+	var bld Builder
 	check := func(a, b string) {
 		t.Helper()
 		if got, want := LevenshteinRatio(a, b), refLevRatio(a, b); got != want {
@@ -163,15 +178,29 @@ func TestKernelsMatchReferenceExactly(t *testing.T) {
 			if got, want := Tokenize(s), refTokenize(s); !slices.Equal(got, want) {
 				t.Fatalf("Tokenize(%q) = %q, ref %q", s, got, want)
 			}
-			got := slices.Clone(bld.UniqueTokenIDs(s))
+			bld.Reset()
+			bld.Add(s)
+			got := slices.Clone(bld.IDs(in))
 			var want []uint32
 			for _, tok := range refTokenize(s) {
-				want = append(want, in.internBytes([]byte(tok)))
+				id, ok := in.ids[tok]
+				if !ok {
+					t.Fatalf("IDs(%q) left ref token %q uninterned", s, tok)
+				}
+				want = append(want, id)
 			}
 			slices.Sort(want)
 			if want = slices.Compact(want); !slices.Equal(got, want) {
-				t.Fatalf("UniqueTokenIDs(%q) = %v, interned ref tokens %v", s, got, want)
+				t.Fatalf("IDs(%q) = %v, interned ref tokens %v", s, got, want)
 			}
+		}
+		// Two texts fed to one builder hash as their tokens in turn: no
+		// token spans the boundary.
+		bld.Reset()
+		bld.Add(a)
+		bld.Add(b)
+		if got, want := bld.Hashes(), refHashes(a, b); !slices.Equal(got, want) {
+			t.Fatalf("Hashes after Add(%q), Add(%q) = %v, ref %v", a, b, got, want)
 		}
 	}
 
@@ -275,10 +304,12 @@ func TestInternerConcurrentUse(t *testing.T) {
 	done := make(chan [3]uint32, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			bld := NewBuilder(in)
+			var bld Builder
 			var last [3]uint32
 			for i := 0; i < 500; i++ {
-				copy(last[:], bld.UniqueTokenIDs("shared tokens appear everywhere"))
+				bld.Reset()
+				bld.Add("shared tokens appear everywhere")
+				copy(last[:], bld.IDs(in))
 			}
 			done <- last
 		}(g)

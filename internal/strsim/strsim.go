@@ -14,10 +14,11 @@
 //     nothing, and each is bit-identical to the classic string-based
 //     implementation.
 //   - Tokenize: a text's lowercase word tokens, as strings.
-//   - Interner and Builder: a shared, concurrency-safe token-to-ID table
-//     that also caches each token's FNV-64a base hash (the MinHash
-//     blocker's per-token input), and single-goroutine builders that
-//     turn a text into its distinct token IDs for the blockers.
+//   - Interner and Builder: a shared, concurrency-safe token-to-ID map,
+//     and single-goroutine builders that tokenize several texts into one
+//     scratch buffer and hand their tokens out as sorted distinct IDs
+//     (the token blocker) or as one FNV-64a hash each (MinHash, whose
+//     signature minima need neither an interner nor deduplication).
 package strsim
 
 import (
