@@ -134,6 +134,13 @@ const (
 // stamps a journal or blocks.
 var ErrUnknownModel = llm.ErrUnknownModel
 
+// WindowTooLargeError is the refusal of a matching window whose
+// clustering and covering relations would pass the memory bound (half
+// the Go memory limit when one is set, 2 GiB otherwise). It names the
+// projected bytes and the largest window that fits; RunPipeline returns
+// it, wrapped, before the window measures a distance.
+type WindowTooLargeError = core.WindowTooLargeError
+
 // CheckModel looks name up in the model registry and returns an error
 // matching ErrUnknownModel, naming it, when it is missing. A command
 // line calls it on its model flags before any I/O.

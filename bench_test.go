@@ -477,7 +477,7 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range pairs {
-					ex.Extract(p)
+					ex.Extract(nil, p)
 				}
 			}
 		})

@@ -65,7 +65,7 @@ func run(names []string, w io.Writer) error {
 				if res.Pred[i] == p.Truth || (res.Pred[i] == entity.Unknown && p.Truth == entity.NonMatch) {
 					continue
 				}
-				a := feature.Alignment(ex.Extract(p), p.Truth == entity.Match)
+				a := feature.Alignment(ex.Extract(nil, p), p.Truth == entity.Match)
 				cls := 2
 				if a < -0.05 {
 					cls = 0

@@ -401,9 +401,15 @@ func main() {
 			// Because every layer wraps with %w, the sentinel survives to
 			// here: a mismatched journal gets an actionable hint instead
 			// of a buried error string.
-			if errors.Is(runErr, batcher.ErrRunMismatch) {
+			var tooLarge *batcher.WindowTooLargeError
+			switch {
+			case errors.As(runErr, &tooLarge):
+				// A usage error found only once the candidates are known:
+				// the same flags refuse the same way, so no resume hint.
+				os.Exit(2)
+			case errors.Is(runErr, batcher.ErrRunMismatch):
 				fmt.Fprintf(os.Stderr, "ermatch: journal %q was written by a different configuration (tables, model, seed, window, shard, or pool mode); re-run with matching flags or pick a new -run-id\n", runName)
-			} else if *runID != "" {
+			case *runID != "":
 				fmt.Fprintf(os.Stderr, "ermatch: resume with: -run-id %s -resume\n", *runID)
 			}
 		}

@@ -270,3 +270,28 @@ func TestNoCandidatesWarning(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowTooLargeExits2: a window whose relations pass the memory
+// bound (half of GOMEMLIMIT, here 8 bytes) stops the run with exit 2 and
+// the refusal naming the projected bytes, and no resume hint: the same
+// flags would refuse the same way.
+func TestWindowTooLargeExits2(t *testing.T) {
+	dir := t.TempDir()
+	table := "id,title\n1,apple iphone 13 pro\n2,samsung galaxy s9\n3,apple iphone 13\n"
+	path := filepath.Join(dir, "table.csv")
+	if err := os.WriteFile(path, []byte(table), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], childArg, "-a", path, "-b", path, "-attr", "title", "-min-shared", "1",
+		"-out", filepath.Join(dir, "out.csv"), "-run-id", "r", "-run-dir", filepath.Join(dir, "runs"))
+	cmd.Env = append(os.Environ(), "GOMEMLIMIT=16B")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil && !errors.As(err, new(*exec.ExitError)) {
+		t.Fatal(err)
+	}
+	want := "core: a window of 5 candidates (2 distinct feature vectors) needs 32 B for its relations, over the 8 B bound; no window fits"
+	if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(stderr.String(), want) || strings.Contains(stderr.String(), "resume with") {
+		t.Errorf("exit %d, stderr %q; want exit 2 naming %q and no resume hint", code, stderr.String(), want)
+	}
+}

@@ -87,7 +87,7 @@ func (p *PLM) featurize(sem *feature.Semantic, lr *feature.Structure, pair entit
 		out = append(out, ea[i]*eb[i])
 	}
 	if p.useStruct {
-		out = append(out, lr.Extract(pair)...)
+		out = lr.Extract(out, pair)
 	}
 	return out
 }

@@ -10,7 +10,10 @@
 // the same way; only this package knows which one it holds.
 package bitrel
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Words is the number of 64-bit words in one row of a relation over n
 // columns.
@@ -65,36 +68,52 @@ func (r *Rel) Has(i, j int) bool {
 }
 
 // Counts returns the number of columns every row holds, counting each
-// stored row once.
-func (r *Rel) Counts() []int {
+// stored row once, in dst grown to Len (its contents are overwritten;
+// nil allocates).
+func (r *Rel) Counts(dst []int) []int {
+	dst = slices.Grow(dst[:0], r.rows)[:r.rows]
+	if r.rowOf == nil {
+		for i := range dst {
+			dst[i] = r.count(i)
+		}
+		return dst
+	}
 	stored := make([]int, r.stored)
 	for s := range stored {
-		for _, w := range r.bits[s*r.words : (s+1)*r.words] {
-			stored[s] += bits.OnesCount64(w)
-		}
+		stored[s] = r.count(s)
 	}
-	if r.rowOf == nil {
-		return stored
-	}
-	counts := make([]int, r.rows)
 	for i, s := range r.rowOf {
-		counts[i] = stored[s]
+		dst[i] = stored[s]
 	}
-	return counts
+	return dst
+}
+
+// count is the number of columns stored row s holds.
+func (r *Rel) count(s int) int {
+	n := 0
+	for _, w := range r.bits[s*r.words : (s+1)*r.words] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Restrict returns the relation of r between the rows listed in rows and
 // the columns listed in cols: row a of the result holds column b iff row
-// rows[a] of r holds column cols[b].
-func (r *Rel) Restrict(rows, cols []int) *Rel {
-	out := New(len(rows), len(cols))
+// rows[a] of r holds column cols[b]. The result is dst, overwritten and
+// reusing its storage when it has room, so a caller restricting once
+// per batch into one dst allocates only while that dst grows.
+func (r *Rel) Restrict(dst *Rel, rows, cols []int) *Rel {
+	w := Words(len(cols))
+	*dst = Rel{rows: len(rows), cols: len(cols), words: w, stored: len(rows),
+		bits: slices.Grow(dst.bits[:0], len(rows)*w)[:len(rows)*w]}
+	clear(dst.bits)
 	for a, i := range rows {
-		row := out.Row(a)
+		row := dst.Row(a)
 		for b, j := range cols {
 			if r.Has(i, j) {
 				row[b>>6] |= 1 << (b & 63)
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -39,7 +39,7 @@ func TestSharedReadsLikeItsExpandedCopy(t *testing.T) {
 				}
 			}
 		}
-		if got, want := shared.Counts(), full.Counts(); !slices.Equal(got, want) || len(got) != len(rowOf) {
+		if got, want := shared.Counts(nil), full.Counts([]int{9, 9, 9}); !slices.Equal(got, want) || len(got) != len(rowOf) {
 			t.Fatalf("cols=%d: Counts %v, expanded %v", cols, got, want)
 		}
 		// Restrict to listed rows and columns, repeats and any order
@@ -49,8 +49,12 @@ func TestSharedReadsLikeItsExpandedCopy(t *testing.T) {
 		for j := cols - 1; j >= 0; j -= 3 {
 			at = append(at, j, j)
 		}
-		for _, r := range []*Rel{shared, full} {
-			sub := r.Restrict(pick, at)
+		// A reused dst (stale bits, another shape, shared storage) reads
+		// as a fresh one.
+		stale := Shared([]int32{0, 0}, 1, 200)
+		stale.Row(0)[1] = ^uint64(0)
+		for _, tc := range []struct{ r, dst *Rel }{{shared, new(Rel)}, {full, new(Rel)}, {shared, stale}, {full, stale}} {
+			sub := tc.r.Restrict(tc.dst, pick, at)
 			if sub.Len() != len(pick) || sub.Cols() != len(at) {
 				t.Fatalf("cols=%d: Restrict is %d x %d, want %d x %d", cols, sub.Len(), sub.Cols(), len(pick), len(at))
 			}

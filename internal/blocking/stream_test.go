@@ -6,6 +6,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"batcher/internal/datagen"
@@ -168,6 +169,28 @@ func randomTables(seed int64, nA, nB int) ([]entity.Record, []entity.Record) {
 	return makeTable("a", nA), makeTable("b", nB)
 }
 
+// tables is a blocking input: tableA streams against an index of tableB.
+type tables struct{ a, b []entity.Record }
+
+// chunkedTables is a tableB of nB rows, each titled with eight distinct
+// tokens from a vocabulary of 4 000, and a 16-row tableA drawing from
+// the same vocabulary.
+func chunkedTables(nB int) tables {
+	rnd := rand.New(rand.NewSource(17))
+	makeTable := func(prefix string, n int) []entity.Record {
+		out := make([]entity.Record, n)
+		for i := range out {
+			toks := make([]string, 0, 8)
+			for _, w := range rnd.Perm(4000)[:8] {
+				toks = append(toks, fmt.Sprintf("t%d", w))
+			}
+			out[i] = rec(fmt.Sprintf("%s%05d", prefix, i), "title", strings.Join(toks, " "), "brand", toks[0])
+		}
+		return out
+	}
+	return tables{makeTable("a", 16), makeTable("b", nB)}
+}
+
 // withIndexChunk runs f with the index build split into chunks of the
 // given row count.
 func withIndexChunk(chunk int, f func()) {
@@ -186,7 +209,6 @@ func TestBlockStreamMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type tables struct{ a, b []entity.Record }
 	cases := map[string]tables{"bench": {d.TableA[:90], d.TableB[:90]}}
 	for seed := int64(1); seed <= 3; seed++ {
 		a, b := randomTables(seed, 60, 80)
@@ -197,6 +219,10 @@ func TestBlockStreamMatchesBruteForce(t *testing.T) {
 	cases["empty"] = tables{nil, nil}
 	cases["emptyA"] = tables{nil, d.TableB[:10]}
 	cases["emptyB"] = tables{d.TableA[:10], nil}
+	// Every index-build worker's postings fill more than one chunkLen
+	// block, at GOMAXPROCS workers too: eight distinct title tokens a
+	// row, and eight band keys under MinHash.
+	cases["chunked"] = chunkedTables(2 * (chunkLen/8 + 1) * runtime.GOMAXPROCS(0))
 
 	// A chunk of one row gives every table here min(rows, GOMAXPROCS)
 	// workers; a chunk larger than any table gives one.
@@ -205,6 +231,17 @@ func TestBlockStreamMatchesBruteForce(t *testing.T) {
 		withIndexChunk(chunk, func() {
 			for bname, c := range streamBlockers() {
 				for cname, tb := range cases {
+					if cname == "chunked" {
+						// The first worker's rows alone must span two blocks.
+						rows := tb.b[:(len(tb.b)+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0)]
+						tr, postings := c.b.termers()(), 0
+						for _, r := range rows {
+							postings += len(tr.appendTerms(r, nil))
+						}
+						if postings <= chunkLen {
+							t.Fatalf("%s/%s: a worker's %d rows hold %d postings, not more than one %d-posting block", wname, bname, len(rows), postings, chunkLen)
+						}
+					}
 					// Benchmark tables have no "title" attribute; attr-specific
 					// blockers then key on the empty string, which is still a
 					// valid (if degenerate) case.

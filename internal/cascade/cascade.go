@@ -96,7 +96,7 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 		if p.Truth == entity.Unknown {
 			continue
 		}
-		xs = append(xs, jac.Extract(p))
+		xs = append(xs, jac.Extract(nil, p))
 		ys = append(ys, p.Truth == entity.Match)
 	}
 	if len(xs) < 4 {
@@ -149,7 +149,7 @@ func Train(labeled []entity.Pair, cfg Config) (*Prefilter, error) {
 
 // Prob returns the calibrated match probability of the pair.
 func (pf *Prefilter) Prob(p entity.Pair) float64 {
-	return pf.cal.Calibrate(pf.base.Prob(pf.std.Apply(jac.Extract(p))))
+	return pf.cal.Calibrate(pf.base.Prob(pf.std.Apply(jac.Extract(nil, p))))
 }
 
 // RouteOne routes a single pair.
@@ -236,7 +236,7 @@ func BootstrapLabels(pairs []entity.Pair) []entity.Pair {
 	out := make([]entity.Pair, len(pairs))
 	for i, p := range pairs {
 		if p.Truth == entity.Unknown {
-			if feature.MatchEvidence(jac.Extract(p)) >= feature.EvidenceBoundary {
+			if feature.MatchEvidence(jac.Extract(nil, p)) >= feature.EvidenceBoundary {
 				p.Truth = entity.Match
 			} else {
 				p.Truth = entity.NonMatch

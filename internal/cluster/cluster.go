@@ -90,7 +90,7 @@ func DBSCANRows(within *bitrel.Rel, minPts int) Result {
 		free[j>>6] |= 1 << (j & 63)
 	}
 	visited := make([]bool, n) // region query done
-	count := within.Counts()
+	count := within.Counts(nil)
 	var queue []int
 	// claim moves core point i's unassigned neighbours into cluster c
 	// and onto the queue.

@@ -171,6 +171,12 @@ type valueClasses struct {
 	start, member []int32
 }
 
+// Distinct returns the number of distinct values among the points: the
+// U of Sweep and Measure, whose relations store one row per value.
+func Distinct(points []feature.Vector) int {
+	return len(groupByValue(points).first)
+}
+
 // groupByValue numbers the points' classes through an open-addressed
 // hash table of class numbers: a hash and a comparison or two per point,
 // and no allocation per class.

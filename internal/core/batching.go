@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -104,43 +106,55 @@ func similarityBatches(groups [][]int, b int, rnd *rand.Rand) Batches {
 
 // diversityBatches implements the paper's diversity-based strategy: each
 // batch takes one question from each of b different clusters; when fewer
-// than b clusters remain, questions are drawn round-robin.
+// than b clusters remain, questions are drawn round-robin. Every batch is
+// carved from one slice of all n questions, each capped at its own
+// length, and the per-round list of live clusters reuses one buffer.
 func diversityBatches(groups [][]int, b int) Batches {
-	// Work on copies; consume from the front of each cluster.
-	clusters := make([][]int, len(groups))
-	for i, g := range groups {
-		clusters[i] = append([]int(nil), g...)
+	// Consume from the front of each cluster: a copy of the slice
+	// headers, never of the questions.
+	clusters := slices.Clone(groups)
+	n := 0
+	for _, g := range groups {
+		n += len(g)
 	}
-	var out Batches
+	taken := make([]int, 0, n)
+	out := make(Batches, 0, (n+b-1)/b)
+	// take moves cluster ci's first question into the batch being built.
+	take := func(ci int) {
+		taken = append(taken, clusters[ci][0])
+		clusters[ci] = clusters[ci][1:]
+	}
+	// cut ends the batch being built, which began at start.
+	cut := func(start int) {
+		out = append(out, taken[start:len(taken):len(taken)])
+	}
+	live := make([]int, 0, len(clusters))
 	for {
 		// Order live clusters by remaining size, largest first, so the
 		// big clusters drain evenly.
-		live := live(clusters)
+		live = appendLive(live[:0], clusters)
 		if len(live) == 0 {
 			return out
 		}
-		sort.SliceStable(live, func(i, j int) bool { return len(clusters[live[i]]) > len(clusters[live[j]]) })
+		slices.SortStableFunc(live, func(x, y int) int { return cmp.Compare(len(clusters[y]), len(clusters[x])) })
+		start := len(taken)
 		if len(live) >= b {
-			batch := make([]int, 0, b)
 			for _, ci := range live[:b] {
-				batch = append(batch, clusters[ci][0])
-				clusters[ci] = clusters[ci][1:]
+				take(ci)
 			}
-			out = append(out, batch)
+			cut(start)
 			continue
 		}
 		// Tail stage: round-robin over the remaining clusters.
-		batch := make([]int, 0, b)
-		for len(batch) < b {
+		for len(taken)-start < b {
 			took := false
 			for _, ci := range live {
 				if len(clusters[ci]) == 0 {
 					continue
 				}
-				batch = append(batch, clusters[ci][0])
-				clusters[ci] = clusters[ci][1:]
+				take(ci)
 				took = true
-				if len(batch) == b {
+				if len(taken)-start == b {
 					break
 				}
 			}
@@ -148,19 +162,18 @@ func diversityBatches(groups [][]int, b int) Batches {
 				break
 			}
 		}
-		if len(batch) > 0 {
-			out = append(out, batch)
+		if len(taken) > start {
+			cut(start)
 		}
 	}
 }
 
-// live returns indices of non-empty clusters.
-func live(clusters [][]int) []int {
-	var out []int
+// appendLive appends the indices of non-empty clusters to dst.
+func appendLive(dst []int, clusters [][]int) []int {
 	for i, c := range clusters {
 		if len(c) > 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"batcher/internal/feature"
@@ -194,4 +196,110 @@ func TestCheckPartitionErrors(t *testing.T) {
 	if err := checkPartition(Batches{{5}}, 2); err == nil {
 		t.Error("out-of-range question not detected")
 	}
+}
+
+// TestDiversityBatchesMatchOracle: diversityBatches forms the batches
+// refDiversityBatches (the version that copied every cluster, rebuilt
+// the live list each round and sorted it with sort.SliceStable) forms,
+// in the same order, on random partitions with empty clusters, ties in
+// size and batch sizes from 1 to past the cluster count; each batch's
+// capacity ends where it does, so no batch aliases the next.
+func TestDiversityBatchesMatchOracle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(41))
+	for round := 0; round < 300; round++ {
+		n := rnd.Intn(120)
+		groups := make([][]int, 1+rnd.Intn(12))
+		for _, q := range rnd.Perm(n) {
+			g := rnd.Intn(len(groups))
+			groups[g] = append(groups[g], q)
+		}
+		b := 1 + rnd.Intn(len(groups)+3)
+		want := refDiversityBatches(groups, b)
+		got := diversityBatches(groups, b)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("groups %v, b=%d: batches %v, oracle %v", groups, b, got, want)
+		}
+		for i, batch := range got {
+			if cap(batch) != len(batch) {
+				t.Fatalf("groups %v, b=%d: batch %d has len %d cap %d", groups, b, i, len(batch), cap(batch))
+			}
+		}
+	}
+}
+
+// TestDiversityBatchesAllocsPerCall pins diversityBatches to a constant
+// number of allocations however many rounds it runs: the cluster
+// headers, one slice of every question, the batch list and the live
+// buffer, and nothing per batch.
+func TestDiversityBatchesAllocsPerCall(t *testing.T) {
+	partition := func(n, k int) [][]int {
+		groups := make([][]int, k)
+		for q := range n {
+			groups[q%k] = append(groups[q%k], q)
+		}
+		return groups
+	}
+	small, large := partition(64, 16), partition(4096, 16)
+	allocsSmall := testing.AllocsPerRun(20, func() { diversityBatches(small, 8) })
+	allocsLarge := testing.AllocsPerRun(20, func() { diversityBatches(large, 8) })
+	if allocsSmall != allocsLarge || allocsLarge > 4 {
+		t.Errorf("diversityBatches made %v allocations for 8 batches and %v for 512, want the same and at most 4", allocsSmall, allocsLarge)
+	}
+}
+
+// refDiversityBatches is diversityBatches before it stopped allocating
+// per round, kept verbatim as its oracle.
+func refDiversityBatches(groups [][]int, b int) Batches {
+	clusters := make([][]int, len(groups))
+	for i, g := range groups {
+		clusters[i] = append([]int(nil), g...)
+	}
+	var out Batches
+	for {
+		live := refLive(clusters)
+		if len(live) == 0 {
+			return out
+		}
+		sort.SliceStable(live, func(i, j int) bool { return len(clusters[live[i]]) > len(clusters[live[j]]) })
+		if len(live) >= b {
+			batch := make([]int, 0, b)
+			for _, ci := range live[:b] {
+				batch = append(batch, clusters[ci][0])
+				clusters[ci] = clusters[ci][1:]
+			}
+			out = append(out, batch)
+			continue
+		}
+		batch := make([]int, 0, b)
+		for len(batch) < b {
+			took := false
+			for _, ci := range live {
+				if len(clusters[ci]) == 0 {
+					continue
+				}
+				batch = append(batch, clusters[ci][0])
+				clusters[ci] = clusters[ci][1:]
+				took = true
+				if len(batch) == b {
+					break
+				}
+			}
+			if !took {
+				break
+			}
+		}
+		if len(batch) > 0 {
+			out = append(out, batch)
+		}
+	}
+}
+
+func refLive(clusters [][]int) []int {
+	var out []int
+	for i, c := range clusters {
+		if len(c) > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -36,8 +36,9 @@ type Prepared struct {
 // extraction, batching, partition verification, demonstration
 // selection, and model lookup, plus the vote-k margins a tiered run
 // routes on. It makes no LLM calls and bills nothing.
-// Setup failures (a dead ctx, an unknown model, a broken partition)
-// surface here, before any batch can run.
+// Setup failures (a dead ctx, a window too large for memory
+// (*WindowTooLargeError), an unknown model, a broken partition) surface
+// here, before any batch can run.
 func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) (*Prepared, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -59,6 +60,9 @@ func (f *Framework) Prepare(ctx context.Context, questions, pool []entity.Pair) 
 	dVecs := qVecs
 	if !selfPooled {
 		dVecs = feature.ExtractAll(cfg.Extractor, pool)
+	}
+	if err := checkWindowFits(cfg, qVecs, dVecs, selfPooled); err != nil {
+		return nil, err
 	}
 	geo := windowGeometry(cfg, qVecs, dVecs, selfPooled)
 

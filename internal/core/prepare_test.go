@@ -241,9 +241,9 @@ type countingExtractor struct {
 	calls atomic.Int64
 }
 
-func (c *countingExtractor) Extract(p entity.Pair) feature.Vector {
+func (c *countingExtractor) Extract(dst feature.Vector, p entity.Pair) feature.Vector {
 	c.calls.Add(1)
-	return c.Extractor.Extract(p)
+	return c.Extractor.Extract(dst, p)
 }
 
 func TestPrepareExtractsSelfPooledWindowOnce(t *testing.T) {

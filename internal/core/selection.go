@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"batcher/internal/bitrel"
 	"batcher/internal/cluster"
 	"batcher/internal/entity"
 	"batcher/internal/feature"
@@ -109,25 +110,38 @@ func topKQuestionSelection(cfg Config, batches Batches, qVecs, dVecs []feature.V
 // Distance(dVecs[d], qVecs[q]) < geo.t): stage 1 selects a minimal
 // demonstration set covering all questions (unit weights), stage 2
 // covers each batch from that set minimizing total token weight. Both
-// stages read bits; neither measures a distance.
+// stages read bits; neither measures a distance. Stage 2 restricts the
+// relation and covers in one scratch reused across the window's
+// batches, and every batch's picks are carved from one slice, so a
+// window allocates the same number of times however many batches it
+// has.
 func coveringSelection(batches Batches, pool []entity.Pair, geo geometry) selection {
 	// Stage 1: Demonstration Set Generation over the full question set.
-	ds := setcover.GreedyRows(geo.below, nil)
+	ds := setcover.GreedyRows(geo.below, nil, nil)
 	// Token weights for stage 2: the price of including each selected
 	// demonstration in a prompt.
 	weights := make([]float64, len(ds))
 	for i, di := range ds {
 		weights[i] = float64(tokens.Count(pool[di].Serialize())) + 1
 	}
-	var sel selection
+	weight := func(d int) float64 { return weights[d] }
+	// A batch's cover picks each of its questions' demonstrations at
+	// most once, so it picks at most min(len(batch), len(ds)).
+	most := 0
 	for _, batch := range batches {
-		picked := setcover.GreedyRows(geo.below.Restrict(ds, batch), func(d int) float64 { return weights[d] })
-		ids := make([]int, 0, len(picked))
-		for _, pi := range picked {
-			ids = append(ids, ds[pi])
+		most += min(len(batch), len(ds))
+	}
+	picks := make([]int, 0, most)
+	var sub bitrel.Rel
+	var scratch setcover.Scratch
+	sel := selection{perBatch: make([][]int, len(batches))}
+	for b, batch := range batches {
+		start := len(picks)
+		for _, pi := range setcover.GreedyRows(geo.below.Restrict(&sub, ds, batch), weight, &scratch) {
+			picks = append(picks, ds[pi])
 		}
-		sort.Ints(ids)
-		sel.perBatch = append(sel.perBatch, ids)
+		sort.Ints(picks[start:])
+		sel.perBatch[b] = picks[start:len(picks):len(picks)]
 	}
 	sel.labeled = append([]int(nil), ds...)
 	sort.Ints(sel.labeled)

@@ -408,3 +408,30 @@ func TestNaNPercentilesDoNotPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestCoveringSelectionAllocsPerWindow pins covering selection to a
+// constant number of allocations per window: one window, cut into 64,
+// 16 or 4 equal batches, allocates the same number of times, because
+// stage 2 restricts and covers every batch in one reused scratch and
+// carves all batches' picks from one slice.
+func TestCoveringSelectionAllocsPerWindow(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8))
+	qVecs := make([]feature.Vector, 512)
+	for i := range qVecs {
+		qVecs[i] = feature.Vector{rnd.Float64(), rnd.Float64()}
+	}
+	cfg := Config{Selection: CoveringSelection, Seed: 1}.applyDefaults()
+	geo := windowGeometry(cfg, qVecs, qVecs, true)
+	pool := dummyPool(len(qVecs))
+	allocs := map[int]float64{}
+	for _, size := range []int{8, 32, 128} {
+		var batches Batches
+		for lo := 0; lo < len(qVecs); lo += size {
+			batches = append(batches, rnd.Perm(len(qVecs))[:size])
+		}
+		allocs[size] = testing.AllocsPerRun(5, func() { coveringSelection(batches, pool, geo) })
+	}
+	if allocs[8] != allocs[32] || allocs[8] != allocs[128] {
+		t.Errorf("covering selection allocations by batch size: %v; want the same for 64, 16 and 4 batches", allocs)
+	}
+}

@@ -51,7 +51,7 @@ func TestGenerateCustomLearnable(t *testing.T) {
 	var pos, neg float64
 	var np, nn int
 	for _, p := range d.Pairs {
-		v := feature.MeanSimilarity(ex.Extract(p))
+		v := feature.MeanSimilarity(ex.Extract(nil, p))
 		if p.Truth == entity.Match {
 			pos += v
 			np++

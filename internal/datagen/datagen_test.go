@@ -127,7 +127,7 @@ func TestGenerateMatchesMoreSimilarThanEasyNegatives(t *testing.T) {
 		var posSum, negSum float64
 		var nPos, nNeg int
 		for _, p := range d.Pairs {
-			v := feature.MeanSimilarity(ex.Extract(p))
+			v := feature.MeanSimilarity(ex.Extract(nil, p))
 			if p.Truth == entity.Match {
 				posSum += v
 				nPos++
@@ -157,7 +157,7 @@ func TestGenerateHardnessOrdering(t *testing.T) {
 		d, _ := GenerateByName(name, 1)
 		n := 0
 		for _, p := range d.Pairs {
-			if feature.Alignment(ex.Extract(p), p.Truth == entity.Match) < 0.05 {
+			if feature.Alignment(ex.Extract(nil, p), p.Truth == entity.Match) < 0.05 {
 				n++
 			}
 		}
@@ -180,7 +180,7 @@ func TestHardNegativesCloserThanEasy(t *testing.T) {
 	var sims []float64
 	for _, p := range d.Pairs {
 		if p.Truth == entity.NonMatch {
-			sims = append(sims, feature.MeanSimilarity(ex.Extract(p)))
+			sims = append(sims, feature.MeanSimilarity(ex.Extract(nil, p)))
 		}
 	}
 	// With ~55% hard negatives, a meaningful share of negatives should

@@ -19,7 +19,13 @@ type CSVReader struct {
 	attrs  []string
 	idCol  int
 	row    int
+	slab   []string // values of the rows read so far; Read carves from its tail
 }
+
+// csvSlabValues is how many values one slab holds: one allocation serves
+// the next csvSlabValues/len(attrs) rows, and a record kept alive pins
+// at most that many rows' text.
+const csvSlabValues = 256
 
 // NewCSVReader wraps r, consuming the header row immediately; name is
 // used in record IDs and error messages.
@@ -54,7 +60,10 @@ func (r *CSVReader) Read() (Record, error) {
 		return Record{}, fmt.Errorf("%s: row %d: %w", r.name, r.row+2, err)
 	}
 	id := ""
-	vals := make([]string, 0, len(r.attrs))
+	if r.slab == nil || cap(r.slab)-len(r.slab) < len(r.attrs) {
+		r.slab = make([]string, 0, max(csvSlabValues, len(r.attrs)))
+	}
+	start := len(r.slab)
 	for i := range r.header {
 		v := ""
 		if i < len(raw) {
@@ -64,8 +73,11 @@ func (r *CSVReader) Read() (Record, error) {
 			id = v
 			continue
 		}
-		vals = append(vals, v)
+		r.slab = append(r.slab, v)
 	}
+	// cap == len: an append to one record's values reallocates instead of
+	// writing into the next record's.
+	vals := r.slab[start:len(r.slab):len(r.slab)]
 	if id == "" { // no id column, or an empty cell: name the row instead
 		id = fmt.Sprintf("%s#%d", r.name, r.row)
 	}

@@ -1,7 +1,9 @@
 package entity
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -69,9 +71,10 @@ func TestCSVReaderIncremental(t *testing.T) {
 	}
 }
 
-// TestCSVReaderReadAllocs pins what a row costs: the fallback ID is
-// formatted only for a row that needs it, so a row carrying its own id
-// allocates strictly less than one that does not.
+// TestCSVReaderReadAllocs pins what a row costs: a row carrying its own
+// id allocates only its text, and the fallback ID is formatted only for
+// a row that needs it, so such a row allocates strictly less than one
+// that does not.
 func TestCSVReaderReadAllocs(t *testing.T) {
 	const rows = 200
 	perRow := func(row string) float64 {
@@ -93,8 +96,8 @@ func TestCSVReaderReadAllocs(t *testing.T) {
 		return allocs
 	}
 	withID, withoutID := perRow("r1,golden dragon,soho\n"), perRow(",golden dragon,soho\n")
-	if withID != 2 {
-		t.Errorf("a row with an id costs %v allocations, want 2 (the row's text and its value slice)", withID)
+	if withID != 1 {
+		t.Errorf("a row with an id costs %v allocations, want 1 (the row's text; its values come from a shared slab)", withID)
 	}
 	if withoutID <= withID {
 		t.Errorf("a row without an id costs %v allocations, a row with one %v: the fallback ID is not what differs", withoutID, withID)
@@ -112,6 +115,42 @@ func TestCSVReaderRowsDoNotAlias(t *testing.T) {
 	_, _ = r.Read()
 	if v, _ := first.Get("name"); v != "golden dragon" {
 		t.Errorf("first record mutated by later read: name = %q", v)
+	}
+
+	// Rows are carved from shared slabs: read past several of them and
+	// check that every record keeps its own values and that appending to
+	// one record's values leaves the next record's alone.
+	const rows = 3*csvSlabValues/2 + 7 // 2 attributes a row: three slabs and a bit
+	var in strings.Builder
+	in.WriteString("name,id,city\n")
+	for i := range rows {
+		fmt.Fprintf(&in, "n%d,r%d,c%d\n", i, i, i)
+	}
+	r, err = NewCSVReader(strings.NewReader(in.String()), "slab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for rec, err := range r.All() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != rows {
+		t.Fatalf("read %d rows, want %d", len(recs), rows)
+	}
+	for i, rec := range recs {
+		if len(rec.Values) != 2 || cap(rec.Values) != 2 {
+			t.Fatalf("row %d: len %d cap %d, want 2 and 2", i, len(rec.Values), cap(rec.Values))
+		}
+		_ = append(rec.Values, "appended")
+	}
+	for i, rec := range recs {
+		want := []string{fmt.Sprintf("n%d", i), fmt.Sprintf("c%d", i)}
+		if rec.ID != fmt.Sprintf("r%d", i) || !slices.Equal(rec.Values, want) {
+			t.Fatalf("row %d = %s %q, want r%d %q", i, rec.ID, rec.Values, i, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"batcher/internal/entity"
@@ -112,7 +113,7 @@ func builtinExtractors() []Extractor {
 }
 
 // requireExtractAllEqualsExtract fails t unless ExtractAll(ex, pairs)[i]
-// equals ex.Extract(pairs[i]) to the bit for every extractor and pair.
+// equals ex.Extract(nil, pairs[i]) to the bit for every extractor and pair.
 func requireExtractAllEqualsExtract(t *testing.T, extractors []Extractor, pairs []entity.Pair) {
 	t.Helper()
 	for _, ex := range extractors {
@@ -121,7 +122,7 @@ func requireExtractAllEqualsExtract(t *testing.T, extractors []Extractor, pairs 
 			t.Fatalf("%s: %d vectors for %d pairs", ex.Name(), len(got), len(pairs))
 		}
 		for i, p := range pairs {
-			want := ex.Extract(p)
+			want := ex.Extract(nil, p)
 			if len(got[i]) != len(want) {
 				t.Fatalf("%s pair %d: dim %d != %d", ex.Name(), i, len(got[i]), len(want))
 			}
@@ -148,7 +149,7 @@ func TestExtractAllCustomSimFallsBack(t *testing.T) {
 	pairs := randPairs(r, 100)
 	got := ExtractAll(custom, pairs)
 	for i, p := range pairs {
-		want := custom.Extract(p)
+		want := custom.Extract(nil, p)
 		for d := range want {
 			if got[i][d] != want[d] {
 				t.Fatalf("pair %d dim %d: %v != %v", i, d, got[i][d], want[d])
@@ -175,4 +176,91 @@ func TestExtractAllDeterministicParallel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExtractAllEqualsExtractAcrossSchemas: ExtractAll(ex, pairs)[i] is
+// Extract(nil, pairs[i]) to the bit for LR, JAC and SEM when the two
+// sides' schemas differ in order, in extent or not at all, and no vector
+// of a call aliases another: each one's capacity ends where it does.
+func TestExtractAllEqualsExtractAcrossSchemas(t *testing.T) {
+	rec := func(id string, kv ...string) entity.Record {
+		var attrs, vals []string
+		for i := 0; i < len(kv); i += 2 {
+			attrs, vals = append(attrs, kv[i]), append(vals, kv[i+1])
+		}
+		return entity.NewRecord(id, attrs, vals)
+	}
+	a := rec("a", "title", "Apple iPhone 13 Pro", "brand", "apple", "price", "999")
+	shapes := []entity.Pair{
+		{A: a, B: rec("b1", "title", "iphone 13 pro", "brand", "Apple", "price", "989")},
+		{A: a, B: rec("b2", "price", "999", "title", "Apple iPhone 13")},
+		{A: a, B: rec("b3", "title", "iphone", "color", "graphite", "storage", "256gb")},
+		{A: rec("a4", "title", "π≈3 cm"), B: rec("b4", "brand", "x", "title", "π≈3 cm", "brand", "y")},
+		{A: rec("a5"), B: rec("b5", "title", "lonely")},
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{len(shapes), 2 * minParallelExtract} {
+		pairs := append(slices.Clone(shapes), randPairs(r, n-len(shapes))...)
+		r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		requireExtractAllEqualsExtract(t, builtinExtractors(), pairs)
+		for _, ex := range builtinExtractors() {
+			got := ExtractAll(ex, pairs)
+			want := make([]Vector, len(got))
+			for i, v := range got {
+				if cap(v) != len(v) {
+					t.Fatalf("%s vector %d: len %d cap %d, want cap == len", ex.Name(), i, len(v), cap(v))
+				}
+				want[i] = slices.Clone(v)
+			}
+			for i := range got {
+				_ = append(got[i], -1)
+			}
+			for i := range got {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s vector %d changed after appending to the others", ex.Name(), i)
+				}
+			}
+		}
+	}
+}
+
+// TestExtractAppends: Extract appends to dst like strconv.AppendInt,
+// leaving what dst held in place.
+func TestExtractAppends(t *testing.T) {
+	p := randPairs(rand.New(rand.NewSource(1)), 1)[0]
+	for _, ex := range builtinExtractors() {
+		prefix := Vector{7, 8}
+		got := ex.Extract(prefix, p)
+		if want := append(Vector{7, 8}, ex.Extract(nil, p)...); !slices.Equal(got, want) {
+			t.Errorf("%s: Extract(%v, p) = %v, want %v", ex.Name(), prefix, got, want)
+		}
+	}
+}
+
+// TestExtractAllAllocsPerCall pins ExtractAll to a constant number of
+// allocations per call: the output slice, one slab for all vectors and
+// the closure workpool.For runs on the sequential path, plus the worker
+// goroutines on the parallel one, and nothing per pair. The similarity here allocates nothing, so the
+// count is ExtractAll's own.
+func TestExtractAllAllocsPerCall(t *testing.T) {
+	ex := &Structure{Sim: func(a, b string) float64 { return float64(len(a) - len(b)) }, Label: "LEN"}
+	pairs := randPairs(rand.New(rand.NewSource(3)), 16*minParallelExtract)
+	for i := range pairs { // one schema, so unionAttrs builds nothing
+		pairs[i].A, pairs[i].B = randRecordFull(i, "a"), randRecordFull(i, "b")
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() { ExtractAll(ex, pairs[:n]) })
+	}
+	if got := allocs(minParallelExtract - 1); got != 3 {
+		t.Errorf("sequential ExtractAll of %d pairs: %v allocations, want 3", minParallelExtract-1, got)
+	}
+	if small, large := allocs(minParallelExtract), allocs(len(pairs)); large != small {
+		t.Errorf("parallel ExtractAll: %v allocations for %d pairs, %v for %d: want the same", small, minParallelExtract, large, len(pairs))
+	}
+}
+
+// randRecordFull is a record of the three randRecord attributes, all set.
+func randRecordFull(i int, side string) entity.Record {
+	return entity.NewRecord(fmt.Sprintf("%s%d", side, i), []string{"title", "brand", "price"},
+		[]string{fmt.Sprint("title ", i), side, fmt.Sprint(i % 7)})
 }

@@ -13,12 +13,14 @@
 // Extractors implement a common interface so the clustering and selection
 // stages are agnostic to the choice, mirroring the design space's
 // pluggability. Extraction is per pair: ExtractAll maps an extractor's
-// Extract over a slice, across CPUs for batches of 64 pairs or more.
+// Extract over a slice, across CPUs for batches of 64 pairs or more, and
+// carves every vector of the call from one allocation.
 package feature
 
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"batcher/internal/entity"
 	"batcher/internal/strsim"
@@ -31,10 +33,14 @@ type Vector []float64
 // Extractor maps an entity pair to a feature vector. Implementations must
 // be deterministic and safe for concurrent use.
 type Extractor interface {
-	// Extract returns the feature vector of the pair.
-	Extract(p entity.Pair) Vector
+	// Extract appends the feature vector of the pair to dst and returns
+	// the extended slice, in the style of strconv.AppendInt: Extract(nil,
+	// p) allocates the vector, and a dst with room for it allocates
+	// nothing.
+	Extract(dst Vector, p entity.Pair) Vector
 	// Dim returns the dimensionality of vectors produced for pairs with m
-	// attributes. Semantic extractors ignore m.
+	// attributes (the pair's union schema). Semantic extractors ignore m.
+	// ExtractAll sizes its storage by it.
 	Dim(m int) int
 	// Name identifies the extractor in reports ("LR", "JAC", "SEM").
 	Name() string
@@ -87,19 +93,19 @@ func unionAttrs(p entity.Pair) []string {
 // Extract implements Extractor: v = (sim(a.attr1, b.attr1), ..., sim_m).
 // Attributes present on only one side score 0 (maximally dissimilar),
 // since a missing value carries no matching evidence.
-func (s *Structure) Extract(p entity.Pair) Vector {
+func (s *Structure) Extract(dst Vector, p entity.Pair) Vector {
 	attrs := unionAttrs(p)
-	v := make(Vector, len(attrs))
-	for i, attr := range attrs {
+	dst = slices.Grow(dst, len(attrs))
+	for _, attr := range attrs {
 		va, oka := p.A.Get(attr)
 		vb, okb := p.B.Get(attr)
-		if !oka || !okb {
-			v[i] = 0
-			continue
+		x := 0.0
+		if oka && okb {
+			x = s.Sim(va, vb)
 		}
-		v[i] = s.Sim(va, vb)
+		dst = append(dst, x)
 	}
-	return v
+	return dst
 }
 
 // Dim implements Extractor.
@@ -130,17 +136,21 @@ const DefaultSemanticDim = 384
 func NewSEM() *Semantic { return &Semantic{Buckets: DefaultSemanticDim} }
 
 // Extract implements Extractor.
-func (s *Semantic) Extract(p entity.Pair) Vector {
-	return s.Embed(p.Serialize())
+func (s *Semantic) Extract(dst Vector, p entity.Pair) Vector {
+	return s.appendEmbedding(dst, p.Serialize())
 }
 
 // Embed returns the normalized hashed-feature embedding of arbitrary text.
 func (s *Semantic) Embed(text string) Vector {
-	dim := s.Buckets
-	if dim <= 0 {
-		dim = DefaultSemanticDim
-	}
-	v := make(Vector, dim)
+	return s.appendEmbedding(nil, text)
+}
+
+// appendEmbedding appends the embedding of text to dst.
+func (s *Semantic) appendEmbedding(dst Vector, text string) Vector {
+	dim := s.Dim(0)
+	dst = slices.Grow(dst, dim)
+	v := dst[len(dst) : len(dst)+dim]
+	clear(v)
 	addFeature := func(f string, weight float64) {
 		h := fnv.New64a()
 		h.Write([]byte(f))
@@ -166,7 +176,7 @@ func (s *Semantic) Embed(text string) Vector {
 		addFeature("b:"+toks[i]+"_"+toks[i+1], 0.7)
 	}
 	normalize(v)
-	return v
+	return dst[:len(dst)+dim]
 }
 
 // Dim implements Extractor.
@@ -200,17 +210,29 @@ func normalize(v Vector) {
 const minParallelExtract = 64
 
 // ExtractAll maps the extractor over a pair slice: out[i] is
-// ex.Extract(pairs[i]). Batches of minParallelExtract pairs or more fan
-// out across CPUs (Extractor implementations are documented
-// concurrent-safe); the output is the same either way.
+// ex.Extract(nil, pairs[i]). Batches of minParallelExtract pairs or more
+// fan out across CPUs (Extractor implementations are documented
+// concurrent-safe); the output is the same either way. Every vector is
+// carved from one slab sized by ex.Dim, with its capacity capped at its
+// share, so an append to one vector never writes into the next.
 func ExtractAll(ex Extractor, pairs []entity.Pair) []Vector {
+	dim := func(p entity.Pair) int { return ex.Dim(len(unionAttrs(p))) }
+	total := 0
+	for _, p := range pairs {
+		total += dim(p)
+	}
 	out := make([]Vector, len(pairs))
+	slab := make(Vector, total)
+	for i, p := range pairs {
+		d := dim(p)
+		out[i], slab = slab[:0:d], slab[d:]
+	}
 	workers := workpool.Workers()
 	if len(pairs) < minParallelExtract {
 		workers = 1
 	}
 	workpool.For(workers, len(pairs), func(i int) {
-		out[i] = ex.Extract(pairs[i])
+		out[i] = ex.Extract(out[i], pairs[i])
 	})
 	return out
 }

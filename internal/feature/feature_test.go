@@ -25,7 +25,7 @@ func TestStructureLRPaperExample(t *testing.T) {
 		A: rec("a", "title", "Rashi", "album", "Here Comes the Fuzz", "genre", "Dance,Music,Hip-Hop"),
 		B: rec("b", "title", "Rashi", "album", "Here Comes The Fuzz [Explicit]", "genre", "Music"),
 	}
-	v := NewLR().Extract(p)
+	v := NewLR().Extract(nil, p)
 	if len(v) != 3 {
 		t.Fatalf("LR vector dim = %d, want 3", len(v))
 	}
@@ -45,8 +45,8 @@ func TestStructureJACDiffersFromLR(t *testing.T) {
 		A: rec("a", "title", "the quick brown fox"),
 		B: rec("b", "title", "fox brown quick the"),
 	}
-	lr := NewLR().Extract(p)[0]
-	jac := NewJAC().Extract(p)[0]
+	lr := NewLR().Extract(nil, p)[0]
+	jac := NewJAC().Extract(nil, p)[0]
 	if jac != 1 {
 		t.Errorf("JAC of reordered tokens = %v, want 1", jac)
 	}
@@ -60,7 +60,7 @@ func TestStructureMissingAttribute(t *testing.T) {
 		A: rec("a", "title", "x", "price", "9"),
 		B: rec("b", "title", "x"),
 	}
-	v := NewLR().Extract(p)
+	v := NewLR().Extract(nil, p)
 	if len(v) != 2 {
 		t.Fatalf("dim = %d, want 2", len(v))
 	}
@@ -79,7 +79,7 @@ func TestStructureRange(t *testing.T) {
 		}
 		p := entity.Pair{A: rec("a", "x", a), B: rec("b", "x", b)}
 		for _, ex := range []Extractor{NewLR(), NewJAC()} {
-			v := ex.Extract(p)
+			v := ex.Extract(nil, p)
 			if len(v) != 1 || v[0] < 0 || v[0] > 1 {
 				return false
 			}
@@ -97,7 +97,7 @@ func TestSemanticNormalized(t *testing.T) {
 		A: rec("a", "title", "apple iphone 13"),
 		B: rec("b", "title", "iphone 13 apple"),
 	}
-	v := s.Extract(p)
+	v := s.Extract(nil, p)
 	if len(v) != DefaultSemanticDim {
 		t.Fatalf("dim = %d, want %d", len(v), DefaultSemanticDim)
 	}
@@ -301,7 +301,7 @@ func BenchmarkStructureLR(b *testing.B) {
 	ex := NewLR()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ex.Extract(p)
+		ex.Extract(nil, p)
 	}
 }
 

@@ -1,6 +1,9 @@
 package llm
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCacheKeyCoversFullRequest: every request field changes the key,
 // and moving a byte between model and prompt is a different request.
@@ -47,5 +50,14 @@ func TestCacheKeyPinned(t *testing.T) {
 		if got := CacheKey(tc.req); got != tc.want {
 			t.Errorf("CacheKey(%q, %q, %v) = %s, want %s", tc.req.Model, tc.req.Prompt, tc.req.Tier, got, tc.want)
 		}
+	}
+}
+
+// TestCacheKeyAllocsOne pins CacheKey to one allocation, the key string:
+// a prompt of several kilobytes is hashed in place, not copied.
+func TestCacheKeyAllocsOne(t *testing.T) {
+	req := Request{Model: "gpt-3.5-turbo-0301", Prompt: strings.Repeat("Question 1: Entity A is title: x ... ", 100), Tier: TierCheap}
+	if allocs := testing.AllocsPerRun(100, func() { CacheKey(req) }); allocs != 1 {
+		t.Errorf("CacheKey made %v allocations per call, want 1 (the key)", allocs)
 	}
 }

@@ -9,6 +9,8 @@ package prompt
 // `go test`; CI adds a short -fuzz smoke on top.
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,6 +23,8 @@ import (
 // otherwise each line parsed on its own, which is at most one answer.
 // A label is Match or NonMatch exactly when the completion gives
 // question i that answer and never the other one, and Unknown otherwise.
+// ParseAnswers must also agree, label for label, with refParseAnswers,
+// the parser it replaced, which lowered and split the completion.
 func FuzzParseAnswersAny(f *testing.F) {
 	f.Add("Question 1: Yes\nQuestion 2: No\n", 2)
 	f.Add("Question 2: Yes\nQuestion 2: No\n", 2)
@@ -29,8 +33,20 @@ func FuzzParseAnswersAny(f *testing.F) {
 	f.Add("Sure:\n"+`{"answers":[{"question":0,"match":true},{"question":-1,"match":false}]}`+"\nQuestion 1: Yes", 1)
 	f.Add(`{"answers":[{"question":1,`+"\nQuestion 1: No\n", 1)
 	f.Add("", 0)
+	// Runes whose lower case differs from the byte-wise ASCII fold:
+	// U+212A lowers to k, U+0130 to i (in "question" and "different"),
+	// U+017F (long s) stays itself; plus mixed case, CRLF and invalid
+	// UTF-8 before, inside and after the keywords.
+	f.Add("Q1: D\u0130FFERENT\nQ2: \u212aind of a match\nQuest\u0130on 3: Yes\nQuest\u0130on4 no", 4)
+	f.Add("QUESTION 1: \u017fame\nquestion 2: \u017f\nAnSwEr 3: YeS\na4) NoT\nq5 - MaTcH", 5)
+	f.Add("Question 1: Yes\r\nQuestion 2: No\r\n\r\n3. Same\r", 3)
+	f.Add("\xffQuestion 1: Yes\nQ\xff2: No\nQ3: \xffyes\nQ4: y\xffes\nA5: di\xc4fferent\nQ6: \xc4\xb0", 6)
+	f.Add("Question 99999999999999999999: Yes\nQuestion 01: no\n  \t Q2 :\t-) MATCH  \n", 2)
 	f.Fuzz(func(t *testing.T, completion string, n int) {
 		n = int(uint(n) % 65)
+		if got, want := ParseAnswers(completion, n), refParseAnswers(completion, n); !slices.Equal(got, want) {
+			t.Fatalf("ParseAnswers(%q, %d) = %v, the lowering parser gives %v", completion, n, got, want)
+		}
 		got := ParseAnswersAny(completion, n)
 		if len(got) != n {
 			t.Fatalf("%d labels for %d questions", len(got), n)
@@ -71,4 +87,53 @@ func FuzzParseAnswersAny(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refParseAnswers is ParseAnswers as it was before it walked the lines
+// in place: it splits the completion and lowers each answer line, and
+// it is kept verbatim as the fuzz oracle.
+func refParseAnswers(completion string, n int) []entity.Label {
+	out := unanswered(n)
+	for _, raw := range strings.Split(completion, "\n") {
+		line := strings.TrimSpace(raw)
+		if line == "" {
+			continue
+		}
+		idx, rest, ok := refAnswerIndex(line)
+		if !ok || idx < 1 || idx > n {
+			continue
+		}
+		rest = strings.ToLower(strings.TrimLeft(rest, ":.-) \t"))
+		switch {
+		case strings.HasPrefix(rest, "yes") || strings.HasPrefix(rest, "match") || strings.HasPrefix(rest, "same"):
+			answer(out, idx-1, entity.Match)
+		case strings.HasPrefix(rest, "no") || strings.HasPrefix(rest, "different") || strings.HasPrefix(rest, "not"):
+			answer(out, idx-1, entity.NonMatch)
+		}
+	}
+	return settle(out)
+}
+
+// refAnswerIndex is answerIndex as refParseAnswers used it.
+func refAnswerIndex(line string) (int, string, bool) {
+	l := strings.ToLower(line)
+	for _, prefix := range []string{"question ", "question", "answer ", "q", "a"} {
+		if strings.HasPrefix(l, prefix) {
+			l = l[len(prefix):]
+			line = line[len(prefix):]
+			break
+		}
+	}
+	j := 0
+	for j < len(l) && l[j] >= '0' && l[j] <= '9' {
+		j++
+	}
+	if j == 0 {
+		return 0, "", false
+	}
+	idx, err := strconv.Atoi(l[:j])
+	if err != nil {
+		return 0, "", false
+	}
+	return idx, line[j:], true
 }

@@ -293,20 +293,20 @@ func Parse(text string) (*Parsed, error) {
 // label when the answers agree and is Unknown when they do not.
 func ParseAnswers(completion string, n int) []entity.Label {
 	out := unanswered(n)
-	for _, raw := range strings.Split(completion, "\n") {
-		line := strings.TrimSpace(raw)
+	for line := range strings.Lines(completion) {
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		idx, rest, ok := answerIndex(line)
+		idx, ans, ok := answerIndex(line)
 		if !ok || idx < 1 || idx > n {
 			continue
 		}
-		rest = strings.ToLower(strings.TrimLeft(rest, ":.-) \t"))
+		ans = strings.TrimLeft(ans, ":.-) \t")
 		switch {
-		case strings.HasPrefix(rest, "yes") || strings.HasPrefix(rest, "match") || strings.HasPrefix(rest, "same"):
+		case lowerHasPrefix(ans, "yes") || lowerHasPrefix(ans, "match") || lowerHasPrefix(ans, "same"):
 			answer(out, idx-1, entity.Match)
-		case strings.HasPrefix(rest, "no") || strings.HasPrefix(rest, "different") || strings.HasPrefix(rest, "not"):
+		case lowerHasPrefix(ans, "no") || lowerHasPrefix(ans, "different") || lowerHasPrefix(ans, "not"):
 			answer(out, idx-1, entity.NonMatch)
 		}
 	}
@@ -350,25 +350,73 @@ func settle(out []entity.Label) []entity.Label {
 }
 
 // answerIndex extracts a leading question index from an answer line.
+// Its prefixes are matched ignoring ASCII case only: the one non-ASCII
+// rune strings.ToLower folds onto a prefix letter, U+0130 onto the i of
+// "question", left every such line unlabeled in a parser that lowered
+// the line first, and it leaves this one unlabeled too (the "q" prefix
+// matches and no digit follows).
 func answerIndex(line string) (int, string, bool) {
-	l := strings.ToLower(line)
 	for _, prefix := range []string{"question ", "question", "answer ", "q", "a"} {
-		if strings.HasPrefix(l, prefix) {
-			l = l[len(prefix):]
+		if asciiHasPrefixFold(line, prefix) {
 			line = line[len(prefix):]
 			break
 		}
 	}
 	j := 0
-	for j < len(l) && l[j] >= '0' && l[j] <= '9' {
+	for j < len(line) && line[j] >= '0' && line[j] <= '9' {
 		j++
 	}
 	if j == 0 {
 		return 0, "", false
 	}
-	idx, err := strconv.Atoi(l[:j])
+	idx, err := strconv.Atoi(line[:j])
 	if err != nil {
 		return 0, "", false
 	}
 	return idx, line[j:], true
+}
+
+// asciiHasPrefixFold reports whether s starts with prefix, an ASCII
+// lower-case string, ignoring the case of ASCII letters.
+func asciiHasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		if lowerASCII(s[i]) != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerHasPrefix reports whether strings.ToLower(s) starts with kw, an
+// ASCII lower-case word, without building the lowered copy. ToLower maps
+// rune by rune, and only two non-ASCII runes lower-case into ASCII:
+// U+0130 into i and U+212A (Kelvin) into k. Every other non-ASCII rune,
+// and every invalid byte (which ToLower turns into U+FFFD), ends the
+// match.
+func lowerHasPrefix(s, kw string) bool {
+	for i := 0; i < len(kw); i++ {
+		switch c := kw[i]; {
+		case s != "" && lowerASCII(s[0]) == c:
+			s = s[1:]
+		case c == 'i' && strings.HasPrefix(s, "\u0130"):
+			s = s[len("\u0130"):]
+		case c == 'k' && strings.HasPrefix(s, "\u212a"):
+			s = s[len("\u212a"):]
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// lowerASCII lower-cases an ASCII upper-case letter and returns any
+// other byte unchanged.
+func lowerASCII(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		return b + 'a' - 'A'
+	}
+	return b
 }

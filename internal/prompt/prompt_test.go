@@ -2,6 +2,7 @@ package prompt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -370,6 +371,26 @@ func TestParseAnswersEmptyCompletion(t *testing.T) {
 		if l != entity.Unknown {
 			t.Error("empty completion should parse to all Unknown")
 		}
+	}
+}
+
+// TestParseAnswersAllocsOne pins ParseAnswers to one allocation, the
+// label slice: it walks the lines in place and lowers nothing.
+func TestParseAnswersAllocsOne(t *testing.T) {
+	completion := "Question 1: Yes\nQ2: no, they differ\nANSWER 3: MATCH\r\n4. Different\n\nQuestion 5: not sure\n"
+	allocs := testing.AllocsPerRun(100, func() { ParseAnswers(completion, 5) })
+	if allocs > 1 {
+		t.Errorf("ParseAnswers made %v allocations per call, want 1 (the labels)", allocs)
+	}
+}
+
+// TestParseAnswersLowersLikeToLower: U+0130 lowers to i, so it spells
+// "different"; U+212A lowers to k and long s (U+017F) stays itself.
+func TestParseAnswersLowersLikeToLower(t *testing.T) {
+	got := ParseAnswers("Q1: D\u0130FFERENT\nQ2: \u017fame\nQuest\u0130on 3: Yes\nQ4: \u212aeep", 4)
+	want := []entity.Label{entity.NonMatch, entity.Unknown, entity.Unknown, entity.Unknown}
+	if !slices.Equal(got, want) {
+		t.Errorf("ParseAnswers = %v, want %v", got, want)
 	}
 }
 

@@ -8,11 +8,13 @@
 //
 // The cover relation is a bitrel.Rel — one row of question bits per
 // demonstration — which Rows builds from a predicate (or a caller
-// already holds), and GreedyRows runs on word operations over it.
+// already holds), and GreedyRows runs on word operations over it, in a
+// Scratch a caller covering many batches reuses.
 package setcover
 
 import (
 	"math/bits"
+	"slices"
 
 	"batcher/internal/bitrel"
 	"batcher/internal/workpool"
@@ -50,6 +52,17 @@ func Rows(nd, nq int, covers func(d, q int) bool) *bitrel.Rel {
 	return rows
 }
 
+// Scratch is GreedyRows' working storage. A caller that covers many
+// relations in turn — core covers every batch of a window — passes the
+// same Scratch each time, so only the first cover and covers wider than
+// any before it allocate. The zero value is ready to use.
+type Scratch struct {
+	bound   []int
+	weights []float64
+	covered []uint64
+	picks   []int
+}
+
 // GreedyRows runs Algorithm 1 on the cover relation rows — row d holds
 // the questions demonstration d covers (see Rows; cluster.Sweep's rows
 // when the pool is the question set): starting from the empty
@@ -59,7 +72,9 @@ func Rows(nd, nq int, covers func(d, q int) bool) *bitrel.Rel {
 // gain, then to the lower index. The returned slice lists selected
 // demonstration indices in selection order. rows is read, never
 // written. weight(d) is the cost of selecting demonstration d; nil
-// means unit weights.
+// means unit weights. The picks live in s and are valid until the next
+// call with s; a nil s allocates a fresh Scratch, so the picks are the
+// caller's.
 //
 // Questions that no candidate covers are ignored (they cap the reachable
 // value, matching the f_Q(Ds) != f_Q(D) termination test in the paper).
@@ -71,12 +86,17 @@ func Rows(nd, nq int, covers func(d, q int) bool) *bitrel.Rel {
 // so far under the tie-break order — the pick is the one a full rescan
 // would make. The first bounds are the rows' popcounts, taken once per
 // stored row.
-func GreedyRows(rows *bitrel.Rel, weight func(d int) float64) []int {
+func GreedyRows(rows *bitrel.Rel, weight func(d int) float64, s *Scratch) []int {
+	if s == nil {
+		s = new(Scratch)
+	}
 	nd := rows.Len()
 	// bound[d] is the last marginal gain computed for d: exact when
 	// computed, an upper bound afterwards.
-	bound := rows.Counts()
-	weights := make([]float64, nd)
+	s.bound = rows.Counts(s.bound)
+	bound := s.bound
+	s.weights = slices.Grow(s.weights[:0], nd)[:nd]
+	weights := s.weights
 	for d := range weights {
 		w := 1.0
 		if weight != nil {
@@ -87,13 +107,17 @@ func GreedyRows(rows *bitrel.Rel, weight func(d int) float64) []int {
 		}
 		weights[d] = w
 	}
-	covered := make([]uint64, bitrel.Words(rows.Cols()))
+	s.covered = slices.Grow(s.covered[:0], bitrel.Words(rows.Cols()))[:bitrel.Words(rows.Cols())]
+	covered := s.covered
+	clear(covered)
 	// beats is the pick order: higher ratio, then higher raw gain; the
 	// ascending scan leaves the lower index on a full tie.
 	beats := func(ratio float64, gain int, bestRatio float64, bestGain int) bool {
 		return ratio > bestRatio || (ratio == bestRatio && gain > bestGain)
 	}
-	var out []int
+	// Every pick covers a new question, so there are at most
+	// min(nd, Cols) of them.
+	out := slices.Grow(s.picks[:0], min(nd, rows.Cols()))
 	for {
 		best, bestRatio, bestGain := -1, 0.0, 0
 		for d := 0; d < nd; d++ {
@@ -120,6 +144,7 @@ func GreedyRows(rows *bitrel.Rel, weight func(d int) float64) []int {
 		if best == -1 {
 			// No demonstration adds coverage: everything coverable is
 			// covered.
+			s.picks = out
 			return out
 		}
 		out = append(out, best)
@@ -134,5 +159,5 @@ func GreedyRows(rows *bitrel.Rel, weight func(d int) float64) []int {
 // BATCHER: demonstration d covers question q iff dist(d, q) < t.
 func GreedyThreshold(numDemos, numQuestions int, dist func(d, q int) float64, t float64, weight func(d int) float64) []int {
 	rows := Rows(numDemos, numQuestions, func(d, q int) bool { return dist(d, q) < t })
-	return GreedyRows(rows, weight)
+	return GreedyRows(rows, weight, nil)
 }

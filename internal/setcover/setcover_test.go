@@ -25,7 +25,7 @@ type instance struct {
 // greedy runs GreedyRows on the relation Rows builds from inst.
 func greedy(inst instance) []int {
 	rows := Rows(inst.NumDemos, inst.NumQuestions, inst.Covers)
-	return GreedyRows(rows, inst.Weight)
+	return GreedyRows(rows, inst.Weight, nil)
 }
 
 // matrixInstance builds an instance from an explicit boolean cover matrix
@@ -389,10 +389,13 @@ func sharedRows(cover [][]bool, nq int, byValue bool) (*bitrel.Rel, int) {
 // nonpositive-weight guard, uncoverable questions, row widths around
 // the 64-bit word boundary, and both the serial and the parallel build.
 // GreedyRows on the same relation with equal rows stored once, and with
-// every row stored through a mapping of its own, picks the same.
+// every row stored through a mapping of its own, picks the same, with a
+// fresh Scratch and with one reused across every instance, wider and
+// narrower ones alike.
 func TestGreedyMatchesListOracle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(29))
 	sawShared := false
+	var reused Scratch
 	// A few weights, repeated, so ratio ties and gain ties are common;
 	// zero and negative ones hit the guard.
 	weightPool := []float64{1, 1, 2, 2, 3, 0.5, 0, -1, 7}
@@ -440,9 +443,11 @@ func TestGreedyMatchesListOracle(t *testing.T) {
 					for _, byValue := range []bool{false, true} {
 						rows, classes := sharedRows(cover, nq, byValue)
 						sawShared = sawShared || classes < nd
-						if got := GreedyRows(rows, inst.Weight); !slices.Equal(got, want) {
-							t.Fatalf("nq=%d nd=%d density=%v weighted=%v, %d stored rows: picked %v, oracle %v",
-								nq, nd, density, weighted, classes, got, want)
+						for _, s := range []*Scratch{nil, &reused} {
+							if got := GreedyRows(rows, inst.Weight, s); !slices.Equal(got, want) {
+								t.Fatalf("nq=%d nd=%d density=%v weighted=%v, %d stored rows, reused scratch %v: picked %v, oracle %v",
+									nq, nd, density, weighted, classes, s != nil, got, want)
+							}
 						}
 					}
 				}
@@ -474,7 +479,7 @@ func TestGreedyRowsReadsPrebuiltRows(t *testing.T) {
 			before[d] = slices.Clone(rows.Row(d))
 		}
 		weight := func(d int) float64 { return float64(1 + d%3) }
-		got := GreedyRows(rows, weight)
+		got := GreedyRows(rows, weight, nil)
 		want := greedy(instance{
 			NumQuestions: n, NumDemos: n, Weight: weight,
 			Covers: func(d, q int) bool { return before[d][q>>6]>>(q&63)&1 != 0 },
