@@ -82,7 +82,9 @@ type (
 	// BatchError is the typed mid-run failure: the first batch that did
 	// not complete plus the underlying cause (possibly ctx.Err()).
 	BatchError = core.BatchError
-	// Config is the full framework configuration.
+	// Config is a Matcher's effective configuration (Matcher.Config).
+	// The facade sets it only through the With* options; the settings
+	// no option reaches keep the paper's defaults.
 	Config = core.Config
 	// BatchStrategy selects the question batching method.
 	BatchStrategy = core.BatchStrategy
@@ -163,11 +165,6 @@ type Matcher struct {
 // GPT-3.5-turbo-0301, temperature 0.01).
 func New(client Client, opts ...Option) *Matcher {
 	return &Matcher{fw: core.NewFromConfig(client, resolve(opts))}
-}
-
-// NewWithConfig builds a Matcher from an explicit Config.
-func NewWithConfig(client Client, cfg Config) *Matcher {
-	return &Matcher{fw: core.NewFromConfig(client, cfg)}
 }
 
 // Config returns the effective configuration.

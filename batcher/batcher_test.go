@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"batcher/internal/feature"
+	"batcher/internal/core"
 )
 
 // record builds a record from parallel attribute/value slices.
@@ -64,21 +64,6 @@ func TestOptionsApply(t *testing.T) {
 	}
 }
 
-// The extractor and the covering percentile have no option; a Config
-// sets them, and NewWithConfig keeps what it is given.
-func TestExtractorOptions(t *testing.T) {
-	client := NewSimulatedClient(nil, 1)
-	for _, ex := range []feature.Extractor{feature.NewLR(), feature.NewJAC(), feature.NewSEM()} {
-		cfg := NewWithConfig(client, Config{CoverPercentile: 0.2, Extractor: ex}).Config()
-		if cfg.CoverPercentile != 0.2 {
-			t.Errorf("percentile = %v", cfg.CoverPercentile)
-		}
-		if cfg.Extractor.Name() != ex.Name() {
-			t.Errorf("extractor = %q, want %q", cfg.Extractor.Name(), ex.Name())
-		}
-	}
-}
-
 // TestOptionsApplyAndCompose covers the engine knobs the facade options
 // set on top of the basics, and that options compose in order.
 func TestOptionsApplyAndCompose(t *testing.T) {
@@ -114,10 +99,10 @@ func TestOptionsApplyAndCompose(t *testing.T) {
 // core's paper defaults for every other field.
 func TestOptionDefaultsMatchConfigDefaults(t *testing.T) {
 	client := NewSimulatedClient(nil, 1)
-	want := NewWithConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection}).Config()
+	want := core.NewFromConfig(client, Config{Batching: DiversityBatching, Selection: CoveringSelection}).Config()
 	for name, got := range map[string]Config{
 		"New":         New(client).Config(),
-		"RunPipeline": NewWithConfig(client, resolve(PipelineConfig{}.Matcher)).Config(),
+		"RunPipeline": core.NewFromConfig(client, PipelineConfig{}.resolve().Matcher).Config(),
 	} {
 		if got.BatchSize != want.BatchSize || got.NumDemos != want.NumDemos ||
 			got.Batching != want.Batching || got.Selection != want.Selection ||
@@ -218,13 +203,6 @@ func TestParseCSVTableEmpty(t *testing.T) {
 func TestReadCSVTableMissing(t *testing.T) {
 	if _, err := ReadCSVTable(filepath.Join(os.TempDir(), "definitely-missing-xyz.csv")); err == nil {
 		t.Error("missing file should fail")
-	}
-}
-
-func TestNewWithConfig(t *testing.T) {
-	m := NewWithConfig(NewSimulatedClient(nil, 1), Config{BatchSize: 2})
-	if m.Config().BatchSize != 2 {
-		t.Errorf("cfg = %+v", m.Config())
 	}
 }
 

@@ -91,11 +91,18 @@ type PipelineProgress = pipeline.Progress
 // report (billed spend, answered predictions) is returned alongside the
 // error; failures before any window was folded return a nil report.
 func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA, tableB []Record) (*PipelineReport, error) {
+	return pipeline.Run(ctx, cfg.resolve(), client, tableA, tableB)
+}
+
+// resolve builds the pipeline configuration RunPipeline runs: the
+// blocker from the blocking fields, the matcher from the options, and
+// every other field as given.
+func (cfg PipelineConfig) resolve() pipeline.Config {
 	var blocker blocking.Blocker = tokenBlocker(cfg.BlockAttr, cfg.MinSharedTokens)
 	if cfg.UseMinHash {
 		blocker = &blocking.MinHashBlocker{Attr: cfg.BlockAttr}
 	}
-	return pipeline.Run(ctx, pipeline.Config{
+	return pipeline.Config{
 		Blocker:         blocker,
 		Matcher:         resolve(cfg.Matcher),
 		Pool:            cfg.Pool,
@@ -107,7 +114,7 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig, client Client, tableA,
 		OnPair:          cfg.OnPair,
 		Journal:         cfg.Journal,
 		Shard:           cfg.Shard,
-	}, client, tableA, tableB)
+	}
 }
 
 // RunJournal is a durable, append-only record of one pipeline run:

@@ -1,8 +1,14 @@
 // Budget: choose a batch-prompting design point under a total dollar
-// budget (API + labeling). Sweeps the design space on a validation slice,
-// discards configurations that would blow the budget on the full
-// workload, and picks the highest-F1 survivor — the practitioner workflow
-// the paper's design-space findings support.
+// budget (API + labeling). Sweeps the design space on a validation slice
+// for F1, prices every configuration on the full workload with
+// Matcher.Plan, discards those that would blow the budget, and picks the
+// highest-F1 survivor — the practitioner workflow the paper's
+// design-space findings support.
+//
+// Plan runs the matcher's own engine against a client that calls no
+// model, so its labels, calls and input tokens are the full run's. It
+// prices no output tokens; the validation run's output-token dollars per
+// question stand in for them.
 //
 // Run with:
 //
@@ -28,21 +34,21 @@ func main() {
 		log.Fatal(err)
 	}
 	split := batcher.SplitPairs(ds.Pairs)
-	valid := split.Valid[:256] // size the sweep on the validation split
+	valid := split.Valid[:256] // measure F1 on the validation split
 	full := split.Test
 	pool := split.Train
 	labeled := append(append([]batcher.Pair(nil), valid...), pool...)
 
-	scale := float64(len(full)) / float64(len(valid))
-	fmt.Printf("budget $%.2f for %d test pairs (sweep on %d validation pairs, scale %.1fx)\n\n",
-		*budget, len(full), len(valid), scale)
-	fmt.Printf("%-12s %-14s %8s %12s %s\n", "batching", "selection", "val F1", "proj. cost", "verdict")
+	fmt.Printf("budget $%.2f for %d test pairs (F1 on %d validation pairs, cost planned on the test pairs)\n\n",
+		*budget, len(full), len(valid))
+	fmt.Printf("%-12s %-14s %8s %10s %10s %10s %s\n", "batching", "selection", "val F1", "plan", "+ output", "cost", "verdict")
 
 	type choice struct {
 		b    batcher.BatchStrategy
 		s    batcher.SelectStrategy
 		f1   float64
-		cost float64
+		plan float64 // Plan's price of the full run: labels and input tokens
+		cost float64 // plan plus the estimated output-token dollars
 	}
 	var feasible []choice
 	for _, b := range []batcher.BatchStrategy{batcher.RandomBatching, batcher.SimilarityBatching, batcher.DiversityBatching} {
@@ -54,16 +60,24 @@ func main() {
 				log.Fatal(err)
 			}
 			f1 := batcher.Score(valid, res.Pred).F1()
-			// API scales with questions; labeling scales sublinearly for
-			// covering (the set is shared), linearly for topk. Project
-			// conservatively: API x scale, labels x scale.
-			projected := res.Ledger.API()*scale + res.Ledger.Labeling()*scale
-			verdict := "over budget"
-			if projected <= *budget {
-				verdict = "ok"
-				feasible = append(feasible, choice{b, s, f1, projected})
+			// The validation run's API spend less its plan's is what its
+			// output tokens cost.
+			validPlan, err := m.Plan(ctx, valid, pool)
+			if err != nil {
+				log.Fatal(err)
 			}
-			fmt.Printf("%-12v %-14v %8.2f %11.2f$ %s\n", b, s, f1, projected, verdict)
+			outputPerQuestion := (res.Ledger.API() - validPlan.Ledger.API()) / float64(len(valid))
+			plan, err := m.Plan(ctx, full, pool)
+			if err != nil {
+				log.Fatal(err)
+			}
+			c := choice{b, s, f1, plan.Ledger.Total(), plan.Ledger.Total() + outputPerQuestion*float64(len(full))}
+			verdict := "over budget"
+			if c.cost <= *budget {
+				verdict = "ok"
+				feasible = append(feasible, c)
+			}
+			fmt.Printf("%-12v %-14v %8.2f %9.2f$ %9.2f$ %9.2f$ %s\n", b, s, f1, c.plan, c.cost-c.plan, c.cost, verdict)
 		}
 	}
 	if len(feasible) == 0 {
@@ -76,7 +90,7 @@ func main() {
 			best = c
 		}
 	}
-	fmt.Printf("\nchosen: %v batching + %v selection (val F1 %.2f, projected $%.2f)\n",
+	fmt.Printf("\nchosen: %v batching + %v selection (val F1 %.2f, planned $%.2f)\n",
 		best.b, best.s, best.f1, best.cost)
 
 	// Run the chosen configuration on the full test workload.
@@ -87,6 +101,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full run: F1 %.2f at actual cost $%.2f (budget $%.2f)\n",
-		batcher.Score(full, res.Pred).F1(), res.Ledger.Total(), *budget)
+	fmt.Printf("full run: F1 %.2f at actual cost $%.4f against planned $%.4f (budget $%.2f)\n",
+		batcher.Score(full, res.Pred).F1(), res.Ledger.Total(), best.cost, *budget)
 }

@@ -31,19 +31,39 @@ type Result struct {
 
 // Clusters groups input indices by cluster ID. Noise points are returned
 // as singleton clusters appended after the real ones, so downstream
-// batching never loses questions.
+// batching never loses questions. Every group is a slice of one array
+// of the n indices, capped at its own length, so appending to a group
+// copies it instead of writing into the next.
 func (r Result) Clusters() [][]int {
-	groups := make([][]int, r.K)
-	var noise []int
+	idx := make([]int, len(r.Assign))
+	// Every cluster has a member, so K <= n and the first K slots can
+	// count the clusters' sizes before the indices overwrite them.
+	sizes := idx[:r.K]
+	noise := 0
+	for _, c := range r.Assign {
+		if c == Noise {
+			noise++
+		} else {
+			sizes[c]++
+		}
+	}
+	groups := make([][]int, r.K+noise)
+	at := 0
+	for c, size := range sizes {
+		groups[c] = idx[at : at : at+size]
+		at += size
+	}
+	for k := r.K; k < len(groups); k++ {
+		groups[k] = idx[at : at : at+1]
+		at++
+	}
+	next := r.K
 	for i, c := range r.Assign {
 		if c == Noise {
-			noise = append(noise, i)
-			continue
+			c = next
+			next++
 		}
 		groups[c] = append(groups[c], i)
-	}
-	for _, i := range noise {
-		groups = append(groups, []int{i})
 	}
 	return groups
 }

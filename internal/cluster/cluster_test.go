@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"batcher/internal/feature"
@@ -120,6 +121,65 @@ func TestResultClustersCoverAllPoints(t *testing.T) {
 		if !s {
 			t.Fatalf("point %d lost by Clusters()", i)
 		}
+	}
+}
+
+// appendClusters is the grouping Clusters replaced: one appended slice
+// per cluster, then one singleton per noise point.
+func appendClusters(r Result) [][]int {
+	groups := make([][]int, r.K)
+	var noise []int
+	for i, c := range r.Assign {
+		if c == Noise {
+			noise = append(noise, i)
+			continue
+		}
+		groups[c] = append(groups[c], i)
+	}
+	for _, i := range noise {
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// TestClustersMatchAppendBuilt: Clusters carves the groups from one
+// array of n indices in two allocations, equal to the appended
+// grouping on DBSCAN results with noise, and no group's capacity
+// reaches into the next.
+func TestClustersMatchAppendBuilt(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	mixed := 0 // cases with both clusters and noise
+	for _, tc := range []struct {
+		n      int
+		eps    float64
+		minPts int
+	}{{90, 2.0, 3}, {90, 0.6, 4}, {200, 1.0, 5}, {60, 0.01, 2}, {1, 1, 1}, {0, 1, 1}} {
+		pts, _ := blobs(tc.n, int64(tc.n))
+		for range tc.n / 10 { // scattered points, mostly noise
+			pts = append(pts, feature.Vector{rnd.Float64()*60 - 30, rnd.Float64()*60 - 30})
+		}
+		res := DBSCAN(pts, feature.Euclidean, tc.eps, tc.minPts)
+		got, want := res.Clusters(), appendClusters(res)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d eps=%v: %d groups, want %d", tc.n, tc.eps, len(got), len(want))
+		}
+		if len(got) > res.K && res.K > 0 {
+			mixed++
+		}
+		for g := range want {
+			if !slices.Equal(got[g], want[g]) {
+				t.Fatalf("n=%d eps=%v: group %d = %v, want %v", tc.n, tc.eps, g, got[g], want[g])
+			}
+			if cap(got[g]) != len(got[g]) {
+				t.Errorf("group %d: cap %d, len %d", g, cap(got[g]), len(got[g]))
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { res.Clusters() }); len(pts) > 0 && allocs != 2 {
+			t.Errorf("n=%d: Clusters allocates %v times, want 2", len(pts), allocs)
+		}
+	}
+	if mixed < 3 {
+		t.Errorf("%d cases hold both clusters and noise, want at least 3", mixed)
 	}
 }
 

@@ -57,6 +57,25 @@ func (r Record) Get(attr string) (string, bool) {
 // S(e) = attr1: val1, ..., attrm: valm.
 func (r Record) Serialize() string {
 	var b strings.Builder
+	b.Grow(r.serializedLen())
+	r.writeSerialized(&b)
+	return b.String()
+}
+
+// serializedLen is the byte length of r.Serialize().
+func (r Record) serializedLen() int {
+	n := 0
+	for i, a := range r.Attrs {
+		if i > 0 {
+			n += len(", ")
+		}
+		n += len(a) + len(": ") + len(r.Values[i])
+	}
+	return n
+}
+
+// writeSerialized writes r.Serialize() to b.
+func (r Record) writeSerialized(b *strings.Builder) {
 	for i, a := range r.Attrs {
 		if i > 0 {
 			b.WriteString(", ")
@@ -65,7 +84,6 @@ func (r Record) Serialize() string {
 		b.WriteString(": ")
 		b.WriteString(r.Values[i])
 	}
-	return b.String()
 }
 
 // Label is the ground-truth matching status of a pair.
@@ -103,8 +121,15 @@ type Pair struct {
 }
 
 // Serialize renders the pair per Eq. (1): S(a) [SEP] S(b).
+// It builds the string in one allocation.
 func (p Pair) Serialize() string {
-	return p.A.Serialize() + " " + Sep + " " + p.B.Serialize()
+	const sep = " " + Sep + " "
+	var b strings.Builder
+	b.Grow(p.A.serializedLen() + len(sep) + p.B.serializedLen())
+	p.A.writeSerialized(&b)
+	b.WriteString(sep)
+	p.B.writeSerialized(&b)
+	return b.String()
 }
 
 // Key returns a stable identity for the pair based on record IDs. It is

@@ -13,11 +13,13 @@ type AnthropicCompatible struct {
 	BaseURL string
 	// APIKey is sent in the x-api-key header when non-empty.
 	APIKey string
-	// Version is the anthropic-version header (defaults to "2023-06-01").
-	Version string
 	// HTTPClient defaults to a client with a 60s timeout.
 	HTTPClient *http.Client
 }
+
+// anthropicVersion is the anthropic-version header every request
+// sends: the Messages API version the wire format here follows.
+const anthropicVersion = "2023-06-01"
 
 // maxTokens is the completion cap every Messages request carries: the
 // API requires one, and a batch's "Question i: Yes/No" lines stay far
@@ -71,11 +73,7 @@ func (c *AnthropicCompatible) Complete(ctx context.Context, req Request) (Respon
 	if c.APIKey != "" {
 		header.Set("x-api-key", c.APIKey)
 	}
-	version := c.Version
-	if version == "" {
-		version = "2023-06-01"
-	}
-	header.Set("anthropic-version", version)
+	header.Set("anthropic-version", anthropicVersion)
 	return roundTrip(ctx, c.HTTPClient, c.BaseURL+"/v1/messages", header, anthropicRequest{
 		Model:       req.Model,
 		MaxTokens:   maxTokens,

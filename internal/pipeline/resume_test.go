@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -380,40 +382,52 @@ func TestResumeLargeRunArbitraryBoundary(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedRun guards the fingerprint: a journal from
-// one configuration must refuse to resume under another.
+// one configuration must refuse to resume under another. It resumes one
+// journaled run once per fingerprinted or pair-key-bound setting of
+// runSettings, moved, and once unchanged, which replays every pair.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
-	d, err := datagen.GenerateByName("Beer", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, pf := settingsFixture(t)
 	ta, tb := d.TableA[:60], d.TableB[:60]
 	client := llm.NewSimulated(llm.BuildOracle(d.Pairs), 1)
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "run")
+	resume := func(t *testing.T, perturb func(*Config)) (*Report, error) {
+		t.Helper()
+		j, err := runstore.OpenJournal(context.Background(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		cfg := resumeBase(j)
+		if perturb != nil {
+			perturb(&cfg)
+		}
+		return Run(context.Background(), cfg, client, ta, tb)
+	}
 
-	j1, err := runstore.OpenJournal(context.Background(), filepath.Join(dir, "run"))
+	first, err := resume(t, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Blocker:      &blocking.TokenBlocker{Attr: "beer_name", MinShared: 2},
-		Matcher:      core.Config{BatchSize: 4, Seed: 1},
-		StreamWindow: 16,
-		Journal:      j1,
-	}
-	if _, err := Run(context.Background(), cfg, client, ta, tb); err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
-
-	j2, err := runstore.OpenJournal(context.Background(), filepath.Join(dir, "run"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	cfg.Journal = j2
-	cfg.Matcher.Seed = 2 // different run, same journal
-	if _, err := Run(context.Background(), cfg, client, ta, tb); !errors.Is(err, runstore.ErrRunMismatch) {
-		t.Errorf("mismatched resume error = %v, want ErrRunMismatch", err)
+	t.Run("unchanged", func(t *testing.T) {
+		rep, err := resume(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Replayed != first.Candidates || rep.Candidates == 0 {
+			t.Errorf("replayed %d of %d candidates", rep.Replayed, first.Candidates)
+		}
+	})
+	settings := runSettings(pf)
+	for _, name := range slices.Sorted(maps.Keys(settings)) {
+		s := settings[name]
+		if s.class != fingerprinted && s.class != boundByPairKeys {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := resume(t, s.perturb); !errors.Is(err, runstore.ErrRunMismatch) {
+				t.Errorf("resume with %s moved: error = %v, want ErrRunMismatch", name, err)
+			}
+		})
 	}
 }
 

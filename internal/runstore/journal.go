@@ -42,11 +42,13 @@ type RunMeta struct {
 	RunID string `json:"run_id"`
 	// Model, Seed, BatchSize, NumDemos, Batching, and Selection pin the
 	// matcher configuration that produced the journaled predictions.
-	// The rest of the matcher's settings are not fingerprinted — the
-	// extractor, the distance, CoverPercentile, ClusterEpsPercentile,
-	// ClusterMinPts, DistanceSampleCap and TaskDescription — so a
-	// resume that changes one of them is not refused: it replays the
-	// journaled windows and matches the rest under the new setting.
+	// Seven matcher settings are not fingerprinted — the extractor, the
+	// distance, CoverPercentile, ClusterEpsPercentile, ClusterMinPts,
+	// DistanceSampleCap and TaskDescription — and neither the batcher
+	// facade nor ermatch can set them: only the paper harness and tests
+	// do, on core.Config, and neither journals a run. The one input a
+	// resume does not bind is the demonstration pool's contents:
+	// SharedPool records only whether a pool was given.
 	Model     string `json:"model"`
 	Seed      int64  `json:"seed"`
 	BatchSize int    `json:"batch_size"`
